@@ -214,11 +214,12 @@ def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 
     reports_by_name = {}
     for cfg, reports in zip(configs, all_reports):
         final = reports[-1]
-        passed = bool(final.max_residual() <= cfg.tolerance)
+        residual = final.max_residual()
+        passed = bool(np.isfinite(residual) and residual <= cfg.tolerance)  # NaN never passes
         summary["experiments"].append({
             "name": cfg.name,
             "identity": cfg.identity,
-            "max_residual": float(final.max_residual()),
+            "max_residual": residual,
             "order": None if final.order is None else float(final.order),
             "tolerance": float(cfg.tolerance),
             "passed": passed,

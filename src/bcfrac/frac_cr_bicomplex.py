@@ -361,20 +361,30 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
     return (di - target).mod_k()
 
 
-def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float, use_richardson: bool = True):
+def _axis_partial_batched(F, W, p: FracParams, side: str, axis: int, coords):
+    """Derivative of the 1-D trace integral at each of ``coords`` by central
+    differences, clipped one-sided at the interval ends."""
+    lo, hi = p.rect.axis_interval(axis)
+    h = p.fd_for_axis(axis)
+    cm = np.maximum(coords - h, lo)
+    cp = np.minimum(coords + h, hi)
+    g = axis_integral(F, W, p, side, axis, np.concatenate([cm, cp]))
+    n = coords.size
+    return (g[n:] - g[:n]) / (cp - cm)
+
+
+def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
     """Derivative of the 1-D trace integral at ``coord`` by central
     differences (Richardson-extrapolated when the stencil fits)."""
     lo, hi = p.rect.axis_interval(axis)
     h = p.fd_for_axis(axis)
-    if use_richardson and (coord - 2 * h >= lo) and (coord + 2 * h <= hi):
+    if (coord - 2 * h >= lo) and (coord + 2 * h <= hi):
         pts = np.array([coord - 2 * h, coord - h, coord + h, coord + 2 * h])
         g = axis_integral(F, W, p, side, axis, pts)
         d_h = (g[2] - g[1]) / (2 * h)
         d_2h = (g[3] - g[0]) / (4 * h)
         return (4.0 * d_h - d_2h) / 3.0
-    xm, xp = max(coord - h, lo), min(coord + h, hi)
-    g = axis_integral(F, W, p, side, axis, np.array([xm, xp]))
-    return (g[1] - g[0]) / (xp - xm)
+    return _axis_partial_batched(F, W, p, side, axis, np.array([coord]))[0]
 
 
 def frac_cr_apply(

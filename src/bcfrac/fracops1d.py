@@ -170,6 +170,8 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
 
     ``side`` is ``"left"`` (integration from the lower interval end) or
     ``"right"`` (from the upper end).  ``t`` may be a scalar or an array.
+    Repeated targets are evaluated once: every rule row depends on its own
+    target only, so the result is bit-for-bit that of evaluating each entry.
     """
     _check_side(side)
     scalar = np.isscalar(t) or np.ndim(t) == 0
@@ -187,14 +189,16 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
     if p.sigma == 0.0:
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
-        out = _integral_dispatch(f, p, side, ts, q)
+        uniq, inv = np.unique(ts, return_inverse=True)
+        out = _integral_dispatch(f, p, side, uniq, q)
         if q.tol is not None:
-            coarse = _integral_dispatch(f, p, side, ts, _halved(q))
+            coarse = _integral_dispatch(f, p, side, uniq, _halved(q))
             err = np.max(np.abs(out - coarse))
             if err > q.tol * (1.0 + np.max(np.abs(out))):
                 raise QuadratureError(
                     f"self-estimate {err:.3e} exceeds requested tolerance {q.tol:.3e}"
                 )
+        out = out[inv]
     if scalar:
         return out[0]
     return out.reshape(t_arr.shape)
@@ -259,6 +263,13 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _read_only(*arrays) -> tuple:
+    """Mark arrays returned by a cache read-only: every caller shares them."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def _halved(q: Quadrature1D) -> Quadrature1D:
     return Quadrature1D(max(2, q.n // 2), q.scheme, q.grading, None)
 
@@ -285,13 +296,14 @@ def _graded_fractions(n_nodes: int, grading: float) -> np.ndarray:
     # tiny, and power-law inputs may blow up; the one-sided limit is the
     # value a composition should see
     frac[-1] = 1.0 - 1e-12
+    frac.setflags(write=False)
     return frac
 
 
 @lru_cache(maxsize=64)
 def _jacobi_rule(n: int, beta_key: float):
     # weight (1+x)^(beta-1) on [-1, 1]
-    return roots_jacobi(n, 0.0, beta_key - 1.0)
+    return _read_only(*roots_jacobi(n, 0.0, beta_key - 1.0))
 
 
 def _auto_grading(q: Quadrature1D, beta: float) -> float:

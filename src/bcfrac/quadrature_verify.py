@@ -30,12 +30,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WOnBoundaryError
-from .fracops1d import refined_rule
+from .fracops1d import _read_only, refined_rule
 from .frac_cr_bicomplex import (
     FracParams,
     LambdaWeights,
     RectDomain,
     _axis_coord,
+    _axis_partial_batched,
     axis_integral,
     lambda_residual,
     remainder_R,
@@ -104,7 +105,8 @@ class ResidualReport:
         return HyperbolicNumber(self.res_l1, self.res_l2)
 
     def max_residual(self) -> float:
-        return max(self.res_l1, self.res_l2)
+        """Larger residual component; NaN when either component is NaN."""
+        return float(np.maximum(self.res_l1, self.res_l2))
 
     def csv_row(self, include_seconds: bool = True) -> str:
         order = "" if self.order is None else f"{self.order:.6f}"
@@ -122,7 +124,7 @@ class ResidualReport:
 @lru_cache(maxsize=32)
 def _gl_reference(pts: int):
     x, w = np.polynomial.legendre.leggauss(pts)
-    return 0.5 * (x + 1.0), 0.5 * w  # on [0, 1]
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)  # on [0, 1]
 
 
 @lru_cache(maxsize=256)
@@ -132,7 +134,7 @@ def _panel_rule(lo: float, hi: float, panels: int, pts: int):
     width = (hi - lo) / panels
     nodes = (edges[:-1][:, None] + width * xr[None, :]).ravel()
     wts = np.broadcast_to(width * wr[None, :], (panels, pts)).ravel().copy()
-    return nodes, wts
+    return _read_only(nodes, wts)
 
 
 @lru_cache(maxsize=128)
@@ -154,7 +156,7 @@ def _boundary_nodes(bounds: tuple, k: int, pts: int = 4):
     zero_x, zero_y = np.zeros_like(xs), np.zeros_like(ys)
     wx = np.concatenate([wxs, zero_y, -wxs[::-1], zero_y])
     wy = np.concatenate([zero_x, wys, zero_x, -wys[::-1]])
-    return z, wx, wy
+    return _read_only(z, wx, wy)
 
 
 @lru_cache(maxsize=128)
@@ -165,7 +167,7 @@ def _area_nodes(bounds: tuple, m: int, pts: int = 2):
     ys, wy = _panel_rule(y0, y1, m, pts)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     W = np.outer(wx, wy)
-    return X.ravel(), Y.ravel(), W.ravel()
+    return _read_only(X.ravel(), Y.ravel(), W.ravel())
 
 
 # ----------------------------------------------------------------------
@@ -280,16 +282,6 @@ def trace_component(F, W, p: FracParams, side: str, l: int, xs, ys):
     """Component of the trace integral at paired plane points (batched)."""
     ax_x, ax_y = _component_axes(l)
     return axis_integral(F, W, p, side, ax_x, xs) + axis_integral(F, W, p, side, ax_y, ys)
-
-
-def _axis_partial_batched(F, W, p, side, axis, coords):
-    lo, hi = p.rect.axis_interval(axis)
-    h = p.fd_for_axis(axis)
-    cm = np.maximum(coords - h, lo)
-    cp = np.minimum(coords + h, hi)
-    g = axis_integral(F, W, p, side, axis, np.concatenate([cm, cp]))
-    n = coords.size
-    return (g[n:] - g[:n]) / (cp - cm)
 
 
 def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs, ys):
@@ -755,8 +747,11 @@ def run_identity(identity: str, setup: VerificationSetup, res: Resolution) -> Re
 
 def fit_order(reports) -> float:
     """Convergence order per refinement doubling, by least squares on the
-    log residuals; infinite when every residual sits at rounding level."""
+    log residuals; infinite when every residual sits at rounding level and
+    NaN when any residual is not finite."""
     res = np.array([max(r.max_residual(), 0.0) for r in reports])
+    if not np.all(np.isfinite(res)):
+        return float("nan")
     if np.all(res < 1e-15):
         return float("inf")
     res = np.maximum(res, 1e-300)

@@ -231,9 +231,6 @@ def test_criterion_06_trace_inversion():
     fields = [random_product_field(s) for s in (1, 2, 3)]
     p = FracParams(RECT, (0.5,) * 4, (0.7,) * 4, PHI_LINEAR, Quadrature1D(n=1024))
     worst = 0.0
-    for F in fields:
-        for _ in range(10 if F is fields[0] else 0):
-            pass
     pairs = [(RECT.point(*rng.uniform(0.15, 0.85, 4)), RECT.point(*rng.uniform(0.15, 0.85, 4)))
              for _ in range(10)]
     for i, (Z, W) in enumerate(pairs):

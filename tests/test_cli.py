@@ -152,6 +152,20 @@ class TestRunSuite:
         broken = write_config(tmp_path, [dict(QUICK, identity="nope")])
         assert main(["verify", "--config", broken, "--out", str(tmp_path / "o3")]) == 2
 
+    def test_nan_residual_never_passes(self, tmp_path, monkeypatch):
+        import bcfrac.cli as cli
+        from bcfrac import ResidualReport
+
+        def nan_report(identity, setup, res):
+            return ResidualReport(identity, res.m, res.k, res.n, 0.5, float("nan"))
+
+        monkeypatch.setattr(cli, "run_identity", nan_report)
+        cfg = write_config(tmp_path, [dict(QUICK, tolerance=1.0)])
+        summary, _ = run_suite(load_config(cfg))
+        assert not summary["experiments"][0]["passed"]
+        assert not summary["all_passed"]
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
     def test_parallel_matches_serial(self, tmp_path):
         configs = load_config(write_config(tmp_path, [QUICK, dict(QUICK, name="quick2")]))
         s1, r1 = run_suite(configs, jobs=1)

@@ -192,6 +192,63 @@ class TestPropFracIntegral:
         assert -order >= 2.0
 
 
+SCHEMES_AND_SIDES = [(scheme, side) for scheme in ("graded", "gauss_jacobi")
+                     for side in ("left", "right")]
+
+
+class TestTargetDedup:
+    """Repeated targets are evaluated once and mapped back unchanged."""
+
+    XS = np.array([0.05, 0.9, 0.3, 0.3, 0.62, 0.5, 0.17])
+
+    def spec(self, weight):
+        return FracSpec(0.45, 0.7, weight)
+
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_tiled_targets_equal_tiled_result(self, cubic_weight, scheme, side):
+        q = Quadrature1D(n=64, scheme=scheme)
+        once = prop_frac_integral(np.cos, self.spec(cubic_weight), side, self.XS, q)
+        tiled = prop_frac_integral(np.cos, self.spec(cubic_weight), side, np.tile(self.XS, 64), q)
+        assert np.array_equal(tiled, np.tile(once, 64))
+
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_shape_and_scalar_kept(self, cubic_weight, scheme, side):
+        q = Quadrature1D(n=64, scheme=scheme)
+        spec = self.spec(cubic_weight)
+        grid = np.tile(self.XS[:4], (3, 1))
+        got = prop_frac_integral(np.cos, spec, side, grid, q)
+        assert got.shape == grid.shape
+        assert np.array_equal(got[0], got[2])
+        one = prop_frac_integral(np.cos, spec, side, 0.3, q)
+        assert np.ndim(one) == 0
+        assert one == got[0, 2]
+
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_integrand_sees_one_row_per_distinct_target(self, cubic_weight, scheme, side):
+        rows = []
+
+        def counting(tau):
+            rows.append(np.shape(tau)[0])
+            return np.cos(tau)
+
+        ts = np.tile(self.XS, 64)
+        prop_frac_integral(counting, self.spec(cubic_weight), side, ts,
+                           Quadrature1D(n=64, scheme=scheme))
+        assert sum(rows) == len(np.unique(ts))
+
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_checks_still_raise(self, identity_weight, scheme, side):
+        spec = FracSpec(0.3, 0.8, identity_weight)
+        ts = np.tile(self.XS, 64)
+        with pytest.raises(QuadratureError):
+            prop_frac_integral(lambda t: np.exp(3 * t) * np.sin(9 * t), spec, side, ts,
+                               Quadrature1D(n=16, scheme=scheme, tol=1e-15))
+        bad = ts.copy()
+        bad[100] = 1.5
+        with pytest.raises(DomainError):
+            prop_frac_integral(np.cos, spec, side, bad, Quadrature1D(n=16, scheme=scheme))
+
+
 class TestPropFracDerivative:
     def test_inversion_left_and_right(self, cubic_weight):
         q = Quadrature1D(n=1024)

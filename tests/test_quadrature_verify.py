@@ -267,3 +267,46 @@ def test_residual_report_csv_row():
     row = rep.csv_row()
     assert row.startswith("gauss-weighted,32,16,256,1.250000000000e-09,3.500000000000e-10,2.125000,")
     assert rep.csv_row(include_seconds=False).endswith(",")
+
+
+def test_residual_report_nan_is_never_the_smaller_residual():
+    from bcfrac import ResidualReport
+
+    for l1, l2 in ((0.5, np.nan), (np.nan, 0.5)):
+        assert np.isnan(ResidualReport("frac-gauss", 8, 8, 64, l1, l2).max_residual())
+    assert ResidualReport("frac-gauss", 8, 8, 64, 0.5, 0.25).max_residual() == 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_order_is_nan_for_non_finite_residuals(bad):
+    from bcfrac import ResidualReport
+    from bcfrac.quadrature_verify import fit_order
+
+    reports = [ResidualReport("frac-gauss", 8, 8, 64, r, r) for r in (1e-2, bad, 1e-4)]
+    assert np.isnan(fit_order(reports))
+    finite = [ResidualReport("frac-gauss", 8, 8, 64, r, r) for r in (1e-2, 1e-3, 1e-4)]
+    assert abs(fit_order(finite) - np.log2(10.0)) < 1e-12
+
+
+def test_cached_rule_arrays_are_read_only():
+    from bcfrac.fracops1d import _graded_fractions, _jacobi_rule
+    from bcfrac.quadrature_verify import (
+        _area_nodes,
+        _boundary_nodes,
+        _gl_reference,
+        _panel_rule,
+    )
+
+    bounds = (0.0, 1.0, 0.0, 1.0)
+    cached = [
+        (_graded_fractions(16, 2.0),),
+        _jacobi_rule(8, 0.5),
+        _gl_reference(4),
+        _panel_rule(0.0, 1.0, 4, 2),
+        _boundary_nodes(bounds, 4),
+        _area_nodes(bounds, 4),
+    ]
+    for arrays in cached:
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 0.0
