@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BcfracError, ConfigError
+from .errors import BcfracError, ConfigError, DomainError, UnsupportedWeightsError
 from .frac_cr_bicomplex import FracParams, LambdaWeights, lambda_for_constant_weights
 from .fracops1d import FracSpec, Quadrature1D, ScalarWeightFn, prop_frac_derivative, prop_frac_integral, hausdorff_derivative
 from .presets import (
@@ -67,6 +67,7 @@ from .quadrature_verify import (
     convergence_study,
     run_identity,
 )
+from .weighted_cr import CauchyKernel
 
 _REQUIRED = ("name", "identity", "domain", "weights", "phi", "alpha", "sigma",
              "field", "m", "k", "n", "tolerance")
@@ -108,11 +109,14 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "domain", str(exc))
     try:
         wp = weight_preset(merged["weights"])
-    except ConfigError as exc:
+        if merged["identity"] == "frac-borel-pompeiu":
+            CauchyKernel(wp)  # the reconstruction kernel needs constant weights
+    except (ConfigError, UnsupportedWeightsError) as exc:
         _config_error(index, "weights", str(exc))
     try:
         phi = phi_preset(merged["phi"])
-    except ConfigError as exc:
+        phi.validate(rect)
+    except (ConfigError, DomainError) as exc:
         _config_error(index, "phi", str(exc))
     try:
         F = field_preset(merged["field"])
@@ -157,7 +161,10 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     else:
         lam = LambdaWeights.zero()
 
-    patch = SurfacePatch.inside(rect, margin=float(merged["margin"]), m=m, k=k)
+    try:
+        patch = SurfacePatch.inside(rect, margin=float(merged["margin"]), m=m, k=k)
+    except ValueError as exc:
+        _config_error(index, "margin", str(exc))
     setup = VerificationSetup(
         F=F, wp=wp, params=params, lam=lam,
         W=rect.point(0.45, 0.4, 0.55, 0.6),
@@ -249,9 +256,14 @@ def emit_report(reports_by_name: dict, summary: dict, out_dir: str) -> list:
 def _cmd_verify(args) -> int:
     try:
         configs = load_config(args.config)
-        summary, reports = run_suite(configs, levels_override=args.levels, jobs=args.jobs)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        summary, reports = run_suite(configs, levels_override=args.levels, jobs=args.jobs)
+    except BcfracError as exc:
+        # exit 2, not the exit 1 of a numerical FAIL
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     emit_report(reports, summary, args.out)
     for entry in summary["experiments"]:

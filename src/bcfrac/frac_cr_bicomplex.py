@@ -145,13 +145,19 @@ class Phi4:
         )
 
     def validate(self, rect: RectDomain, n: int = 16) -> None:
+        """Raise ``DomainError`` unless both partials of each component are
+        finite and positive on an ``n`` x ``n`` grid over the rectangle
+        (edges included)."""
         for l in (1, 2):
             lo_x, hi_x = rect.axis_interval(0 if l == 1 else 2)
             lo_y, hi_y = rect.axis_interval(1 if l == 1 else 3)
             xs, ys = np.meshgrid(np.linspace(lo_x, hi_x, n), np.linspace(lo_y, hi_y, n))
             comp = self.component(l)
-            if not (np.all(np.real(comp.dx(xs, ys)) > 0) and np.all(np.real(comp.dy(xs, ys)) > 0)):
-                raise DomainError("weight partials must be strictly positive on the rectangle")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                parts = np.real([comp.dx(xs, ys), comp.dy(xs, ys)])
+            if not np.all(np.isfinite(parts) & (parts > 0)):
+                raise DomainError("weight partials must be finite and strictly positive "
+                                  "on the rectangle")
 
 
 @dataclass(frozen=True)

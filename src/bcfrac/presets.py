@@ -17,15 +17,26 @@ from .errors import ConfigError
 from .frac_cr_bicomplex import Phi4, RectDomain
 from .weighted_cr import PlaneFunction, ProductFunction, WeightPair
 
-_TOKEN_RE = re.compile(
-    r"^(\s*(\d+\.?\d*([eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]))*\s*$"
-)
+#: One token of the expression grammar.  Scanned left to right, each match
+#: ends where the next begins, so checking a string takes linear time.
+_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]")
+
+
+def _in_grammar(text: str) -> bool:
+    """Whether ``text`` is a sequence of grammar tokens."""
+    pos = 0
+    while pos < len(text):
+        token = _TOKEN_RE.match(text, pos)
+        if token is None:
+            return False
+        pos = token.end()
+    return True
 
 
 def parse_plane_expression(text: str) -> PlaneFunction:
     """Compile an expression in ``x`` and ``y`` into a plane function with
     symbolic partial derivatives."""
-    if not _TOKEN_RE.match(text):
+    if not _in_grammar(text):
         raise ConfigError(
             f"expression {text!r} uses tokens outside the supported grammar "
             "(numbers, x, y, i, pi, + - * / ^, exp, sin, cos)"

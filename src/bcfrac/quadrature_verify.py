@@ -399,11 +399,16 @@ def bg_gauss_residual(F, W, p: FracParams, wp: WeightPair, patch: SurfacePatch) 
 # proportional fractional reconstruction (the deep identity)
 
 
-def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z: complex, ntheta: int = 24):
+def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z, ntheta: int = 24):
     """Area integral of ``1 / (a*(v-z) + b*conj(v-z))`` over the rectangle by
     polar wedges around the interior pole: the radial Jacobian cancels the
-    pole exactly, leaving one smooth angular integral per corner wedge."""
+    pole exactly, leaving one smooth angular integral per corner wedge.
+
+    ``z`` is a point or an array of points (each strictly inside); the
+    angular nodes broadcast against it, one integral per point, and a scalar
+    ``z`` gives a scalar."""
     x0, x1, y0, y1 = bounds
+    z = np.asarray(z, dtype=complex)[..., None]
     zx, zy = z.real, z.imag
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     angles = [np.angle(c - z) for c in corners]
@@ -419,8 +424,8 @@ def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z: complex, ntheta:
     for th0, th1, radius in spans:
         th = th0 + (th1 - th0) * xr
         vals = radius(th) / (a * np.exp(1j * th) + b * np.exp(-1j * th))
-        total += (th1 - th0) * np.sum(wr * vals)
-    return total
+        total += (th1 - th0)[..., 0] * np.sum(wr * vals, axis=-1)
+    return total[()]
 
 
 def _pole_along_trace(a: complex, b: complex, v: np.ndarray, fixed: float, horizontal: bool):
@@ -567,9 +572,10 @@ def frac_bp_reconstruct(
         coef = (th * wy - ph * wx) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
 
         def boundary_map(xs, ys):
-            zp = np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float)
+            zp, inv = np.unique(np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float),
+                                return_inverse=True)
             kern = e_fn(z_b[None, :], zp[:, None])
-            return np.exp(-lam_fn.f(np.real(zp), np.imag(zp))) * (kern @ coef)
+            return (np.exp(-lam_fn.f(zp.real, zp.imag)) * (kern @ coef))[inv]
 
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
@@ -641,9 +647,9 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
     cell_y = (y1 - y0) / patch.m
 
     def area_map(xs, ys):
-        """The area integral as a function of the trace point: kernel sums
-        with the constant part subtracted and integrated exactly where the
-        point lies inside the patch, plain kernel sums outside.
+        """The area integral at an array of trace points: kernel sums with
+        the constant part subtracted and integrated exactly in polar wedges.
+        Each distinct point (after the clamp below) is evaluated once.
 
         Points are clamped one cell inside the surface: the subtraction
         degrades within the last cell ring (the exact wedge integral and the
@@ -653,23 +659,18 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
         outer trace derivative cancels."""
         xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), x0 + cell_x, x1 - cell_x)
         ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), y0 + cell_y, y1 - cell_y)
-        zp = xs + 1j * ys
-        denom = a_map * (v_nodes[None, :] - zp[:, None]) + b_map * np.conjugate(
-            v_nodes[None, :] - zp[:, None]
-        )
-        small = np.abs(denom) < 1e-13
-        kern = np.where(small, 0.0, (-1j / np.pi) / np.where(small, 1.0, denom))
-        plain = kern @ (w_a * h_field)
-        out = plain.astype(complex)
-        inside = (xs > x0) & (xs < x1) & (ys > y0) & (ys < y1)
-        if np.any(inside):
-            h_center = h_at(xs[inside], ys[inside])
-            wedges = np.array([
-                (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, complex(zx, zy))
-                for zx, zy in zip(xs[inside], ys[inside])
-            ])
-            out[inside] = plain[inside] + h_center * (wedges - kern[inside] @ w_a)
-        return np.exp(-lam_fn.f(xs, ys)) * out
+        zp, inv = np.unique(xs + 1j * ys, return_inverse=True)
+        ux, uy = zp.real, zp.imag
+        d = v_nodes[None, :] - zp[:, None]
+        # operand order matters for the last bits: with FMA, complex products
+        # are not bitwise commutative
+        denom = d * a_map + np.conjugate(d) * b_map
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kern = (-1j / np.pi) / denom
+        kern[np.abs(denom) < 1e-13] = 0.0
+        wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
+        out = kern @ (w_a * h_field) + h_at(ux, uy) * (wedges - kern @ w_a)
+        return (np.exp(-lam_fn.f(ux, uy)) * out)[inv]
 
     return area_map
 

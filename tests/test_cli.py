@@ -1,11 +1,16 @@
 import json
+import re
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
 from bcfrac.presets import (
+    _in_grammar,
     field_preset,
     parse_complex_literal,
     parse_plane_expression,
@@ -48,6 +53,24 @@ class TestExpressions:
             parse_plane_expression("__import__('os')")
         with pytest.raises(ConfigError):
             parse_plane_expression("x + q")
+
+    def test_long_digit_run_is_rejected_quickly(self):
+        # a nested-quantifier token regex backtracks exponentially here
+        t0 = time.perf_counter()
+        with pytest.raises(ConfigError, match="outside the supported grammar"):
+            parse_plane_expression("1" * 40 + "#")
+        assert time.perf_counter() - t0 < 0.5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["1", "2.", ".5", "e", "E", "+", "-", "x", "y", "i", "p",
+                                     "pi", "ex", "exp", "sin", "cos", "s", " ", "\t", "*", "/",
+                                     "^", "(", ")", ",", "q", "#", "_"]), max_size=6))
+    def test_token_scan_accepts_the_documented_grammar(self, pieces):
+        text = "".join(pieces)
+        # the grammar as one regex, safe on these short inputs
+        grammar = re.compile(
+            r"^(\s*(\d+\.?\d*([eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]))*\s*$")
+        assert _in_grammar(text) == bool(grammar.match(text))
 
     def test_complex_literal(self):
         assert parse_complex_literal("1+2i") == 1 + 2j
@@ -109,6 +132,24 @@ class TestConfigValidation:
         configs = load_config(path)
         assert [c.identity for c in configs] == ["gauss-weighted", "borel-pompeiu"]
 
+    def test_reconstruction_with_nonconstant_weights_rejected_at_parse_time(self, tmp_path):
+        entry = dict(QUICK, identity="frac-borel-pompeiu", weights="scaled-classical:1+x")
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ConfigError, match=r"experiments\[0\].weights: .*constant weights"):
+            load_config(path)
+
+    def test_fractal_phi_on_domain_touching_zero_rejected(self, tmp_path):
+        # x^(d-1) is infinite at x = 0, so the partials are not finite there
+        entry = dict(QUICK, identity="frac-gauss", phi="fractal:0.5,0.6,0.7,0.8")
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ConfigError, match=r"experiments\[0\].phi: .*finite"):
+            load_config(path)
+
+    def test_margin_leaving_no_patch_rejected(self, tmp_path):
+        path = write_config(tmp_path, [dict(QUICK, margin=0.6)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\].margin"):
+            load_config(path)
+
     def test_multiplier_unavailable_diagnostic(self, tmp_path):
         entry = dict(QUICK, identity="frac-gauss", sigma=[0.7, 0, 0.7, 0],
                      phi="fractal:0.5,0.5,0.5,0.5",
@@ -151,6 +192,19 @@ class TestRunSuite:
         assert main(["verify", "--config", failing, "--out", str(tmp_path / "o2")]) == 1
         broken = write_config(tmp_path, [dict(QUICK, identity="nope")])
         assert main(["verify", "--config", broken, "--out", str(tmp_path / "o3")]) == 2
+
+    def test_runtime_error_exits_2_not_as_a_fail(self, tmp_path, monkeypatch, capsys):
+        import bcfrac.cli as cli
+        from bcfrac.errors import QuadratureError
+
+        def crash(identity, setup, res):
+            raise QuadratureError("self-estimate 1e-3 above tolerance")
+
+        monkeypatch.setattr(cli, "run_identity", crash)
+        cfg = write_config(tmp_path, [QUICK])
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == "runtime error: QuadratureError: self-estimate 1e-3 above tolerance"
 
     def test_nan_residual_never_passes(self, tmp_path, monkeypatch):
         import bcfrac.cli as cli

@@ -310,3 +310,63 @@ def test_cached_rule_arrays_are_read_only():
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+BP_GENERAL_PAIR = (1.0933 + 0.2109j, -0.5926 + 1.3771j)
+
+
+@pytest.mark.parametrize("a, b", [
+    (1.0, 0.0),
+    (BP_GENERAL_PAIR[0] - 1j * BP_GENERAL_PAIR[1], -(BP_GENERAL_PAIR[0] + 1j * BP_GENERAL_PAIR[1])),
+], ids=["classical", "constant-pair"])
+def test_wedge_recip_area_on_point_array_matches_per_point_calls(a, b):
+    from bcfrac.quadrature_verify import _wedge_recip_area
+
+    bounds = (0.15, 0.85, 0.2, 1.1)
+    rng = np.random.default_rng(7)
+    z = (0.16 + 0.68 * rng.random(17)) + 1j * (0.21 + 0.88 * rng.random(17))
+    batched = _wedge_recip_area(a, b, bounds, z)
+    per_point = np.array([_wedge_recip_area(a, b, bounds, complex(p)) for p in z])
+    assert batched.shape == z.shape
+    assert np.array_equal(batched, per_point)
+
+
+def test_wedge_recip_area_of_scalar_point_is_scalar():
+    from bcfrac.quadrature_verify import _wedge_recip_area
+
+    out = _wedge_recip_area(1.0, 0.0, (0.0, 1.0, 0.0, 1.0), 0.4 + 0.3j)
+    assert np.ndim(out) == 0
+    assert np.isfinite(complex(out))
+
+
+def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
+    from bcfrac import CauchyKernel
+    from bcfrac import quadrature_verify as qv
+
+    rect, phi, wp, F, patch, W, _ = frac_setup
+    p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
+    area_map = qv._area_map_builder(1, F, W, p, CauchyKernel(wp), LambdaWeights.zero(),
+                                    patch.with_resolution(8, 8), 1.0)
+    # the last two points clamp onto the same point one cell inside the patch
+    xs = np.array([0.3, 0.5, 0.62, 0.0, 0.05])
+    ys = np.array([0.4, 0.45, 0.7, 0.5, 0.5])
+    values = area_map(xs, ys)
+    assert values[3] == values[4]
+
+    wedge_points, field_points = [], []
+    wedge, field = qv._wedge_recip_area, qv.frac_cr_component
+
+    def wedge_spy(a, b, bounds, z):
+        wedge_points.append(np.shape(z))
+        return wedge(a, b, bounds, z)
+
+    def field_spy(F, W, p, wp, side, l, xs, ys):
+        field_points.append(np.shape(xs))
+        return field(F, W, p, wp, side, l, xs, ys)
+
+    monkeypatch.setattr(qv, "_wedge_recip_area", wedge_spy)
+    monkeypatch.setattr(qv, "frac_cr_component", field_spy)
+    tiled = area_map(np.tile(xs, 4), np.tile(ys, 4))
+    assert np.array_equal(tiled, np.tile(values, 4))
+    assert wedge_points == [(4,)]
+    assert field_points == [(4,)]
