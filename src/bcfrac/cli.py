@@ -138,6 +138,17 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
                             grading=None if merged["grading"] is None else float(merged["grading"]))
     except ValueError as exc:
         _config_error(index, "scheme", str(exc))
+    fd_step = merged["fd_step"]
+    if fd_step is not None:
+        # the derivative stencils need 0 < h < span/2 on every trace axis
+        half_span = min(hi - lo for lo, hi in map(rect.axis_interval, range(4))) / 2.0
+        try:
+            fd_step = float(fd_step)
+        except (TypeError, ValueError):
+            _config_error(index, "fd_step", "step must be a number or null")
+        if not 0.0 < fd_step < half_span:
+            _config_error(index, "fd_step", f"step must lie in (0, {half_span:g}), "
+                          "half the shortest axis span")
     try:
         params = FracParams(
             rect,
@@ -145,7 +156,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             tuple(float(s) for s in merged["sigma"]),
             phi,
             quad,
-            fd_step=merged["fd_step"],
+            fd_step=fd_step,
         )
     except ValueError as exc:
         _config_error(index, "alpha", str(exc))
@@ -161,8 +172,11 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     else:
         lam = LambdaWeights.zero()
 
+    margin = float(merged["margin"])
+    if not margin >= 0.0:  # a negative inset would reach outside the domain
+        _config_error(index, "margin", "margin must be nonnegative")
     try:
-        patch = SurfacePatch.inside(rect, margin=float(merged["margin"]), m=m, k=k)
+        patch = SurfacePatch.inside(rect, margin=margin, m=m, k=k)
     except ValueError as exc:
         _config_error(index, "margin", str(exc))
     setup = VerificationSetup(

@@ -150,6 +150,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"experiments\[0\].margin"):
             load_config(path)
 
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-3, 0.5, 10.0, "small"])
+    def test_fd_step_outside_half_span_rejected(self, tmp_path, fd_step):
+        path = write_config(tmp_path, [dict(QUICK, identity="trace-inversion", fd_step=fd_step)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\].fd_step"):
+            load_config(path)
+
+    def test_fd_step_checked_against_shortest_axis(self, tmp_path):
+        entry = dict(QUICK, domain=[0, 1, 0, 1, 0, 0.2, 0, 1])
+        with pytest.raises(ConfigError, match=r"experiments\[0\].fd_step"):
+            load_config(write_config(tmp_path, [dict(entry, fd_step=0.15)]))
+        (cfg,) = load_config(write_config(tmp_path, [dict(entry, fd_step=0.05)]))
+        assert cfg.setup.params.fd_step == 0.05
+
+    def test_negative_margin_rejected(self, tmp_path):
+        for identity in ("gauss-weighted", "frac-gauss"):
+            path = write_config(tmp_path, [dict(QUICK, identity=identity, margin=-0.5)])
+            with pytest.raises(ConfigError, match=r"experiments\[0\].margin"):
+                load_config(path)
+        (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, margin=0.0)]))
+        assert cfg.setup.patch.bounds1 == (0.0, 1.0, 0.0, 1.0)
+
     def test_multiplier_unavailable_diagnostic(self, tmp_path):
         entry = dict(QUICK, identity="frac-gauss", sigma=[0.7, 0, 0.7, 0],
                      phi="fractal:0.5,0.5,0.5,0.5",

@@ -17,6 +17,7 @@ from bcfrac import (
     prop_frac_integral,
     tabulate,
 )
+from bcfrac import fracops1d
 
 
 def brute_force_left_integral(f, alpha, sigma, phi, dphi, a, t, n=100_000):
@@ -247,6 +248,33 @@ class TestTargetDedup:
         bad[100] = 1.5
         with pytest.raises(DomainError):
             prop_frac_integral(np.cos, spec, side, bad, Quadrature1D(n=16, scheme=scheme))
+
+
+class TestWeightPipeline:
+    """The product-trapezoid weights and the blocked evaluation loop."""
+
+    XS = np.array([0.05, 0.9, 0.3, 0.62, 0.5, 0.17, 0.999])
+
+    @pytest.mark.parametrize("beta", [0.4, 1e-5])  # both branches of _panel_weights
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_row_sums_integrate_a_constant_exactly(self, cubic_weight, beta, side):
+        # with f = 1 and sigma = 1 the rule integrates v^(beta-1)/Gamma(beta)
+        # over [0, L], L the extent of the mesh in v: L^beta / Gamma(beta+1)
+        p = FracSpec(beta, 1.0, cubic_weight)
+        tau, wts = fracops1d._graded_rule(p, side, self.XS, Quadrature1D(n=512))
+        big_l = np.abs(cubic_weight.phi(self.XS) - cubic_weight.phi(tau[:, -1]))
+        expected = big_l**beta / gamma(beta + 1.0)
+        assert np.allclose(wts.sum(axis=1), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_block_size_never_changes_a_result(self, cubic_weight, monkeypatch, scheme, side):
+        q = Quadrature1D(n=64, scheme=scheme)
+        spec = FracSpec(0.45, 0.7, cubic_weight)
+        results = []
+        for rows in (1, 3, self.XS.size):
+            monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", rows * q.n)
+            results.append(prop_frac_integral(np.cos, spec, side, self.XS, q))
+        assert all(np.array_equal(r, results[-1]) for r in results)
 
 
 class TestPropFracDerivative:

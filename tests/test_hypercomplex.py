@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcfrac import (
@@ -172,21 +172,40 @@ class TestPartialOrder:
         assert HyperbolicNumber(1e-9, 2).in_positive_cone(strict=True)
 
 
+small_int_complex = st.builds(
+    complex, st.integers(-1000, 1000), st.integers(-1000, 1000)
+)
+
+
 class TestRingAxioms:
+    """The idempotent components multiply independently, so each component
+    of a product carries the rounding of the complex products actually
+    formed; the tolerances scale with their magnitudes, because a sum such
+    as ``x*(y+z)`` may cancel far below its terms."""
+
     @given(*[finite_complex] * 6)
+    @example(1.0, 9.19, 0.0, 989755j, 0.0, -989868j)  # x*(y+z) ~ 1e3, x*y ~ 9e6
     @settings(max_examples=60, deadline=None)
     def test_associativity_distributivity(self, a1, a2, b1, b2, c1, c2):
         x, y, z = BicomplexNumber(a1, a2), BicomplexNumber(b1, b2), BicomplexNumber(c1, c2)
         lhs = bc_mul(bc_mul(x, y), z)
         rhs = bc_mul(x, bc_mul(y, z))
-        scale = 1 + abs(lhs.z1) + abs(lhs.z2)
-        assert abs(lhs.z1 - rhs.z1) <= 1e-14 * scale
-        assert abs(lhs.z2 - rhs.z2) <= 1e-14 * scale
         d_lhs = bc_mul(x, y + z)
         d_rhs = bc_mul(x, y) + bc_mul(x, z)
-        scale = 1 + abs(d_lhs.z1) + abs(d_lhs.z2)
-        assert abs(d_lhs.z1 - d_rhs.z1) <= 1e-14 * scale
-        assert abs(d_lhs.z2 - d_rhs.z2) <= 1e-14 * scale
+        for part in ("z1", "z2"):
+            xv, yv, zv = getattr(x, part), getattr(y, part), getattr(z, part)
+            scale = abs(xv) * abs(yv) * abs(zv)
+            assert abs(getattr(lhs, part) - getattr(rhs, part)) <= 1e-14 * (1 + scale)
+            scale = abs(xv) * (abs(yv) + abs(zv))
+            assert abs(getattr(d_lhs, part) - getattr(d_rhs, part)) <= 1e-14 * (1 + scale)
+
+    @given(*[small_int_complex] * 6)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_values_hold_exactly(self, a1, a2, b1, b2, c1, c2):
+        # every intermediate is an integer below 2**53, so nothing rounds
+        x, y, z = BicomplexNumber(a1, a2), BicomplexNumber(b1, b2), BicomplexNumber(c1, c2)
+        assert bc_mul(bc_mul(x, y), z) == bc_mul(x, bc_mul(y, z))
+        assert bc_mul(x, y + z) == bc_mul(x, y) + bc_mul(x, z)
 
 
 class TestSerialization:
