@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -91,6 +92,26 @@ def _config_error(index, key, message):
     raise ConfigError(f"experiments[{index}].{key}: {message}")
 
 
+def _integer(index, key, value) -> int:
+    """A JSON integer (a boolean or a float such as 8.9 is refused)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        _config_error(index, key, f"must be an integer, got {value!r}")
+    return value
+
+
+def _number(index, key, value) -> float:
+    """A finite JSON number (a boolean, a string or null is refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        _config_error(index, key, f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(index, key, value) -> tuple:
+    if not isinstance(value, list):
+        _config_error(index, key, f"must be a list of numbers, got {value!r}")
+    return tuple(_number(index, f"{key}[{j}]", v) for j, v in enumerate(value))
+
+
 def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     for key in _REQUIRED:
         if key not in entry:
@@ -123,37 +144,36 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     except ConfigError as exc:
         _config_error(index, "field", str(exc))
 
-    m, k, n = int(merged["m"]), int(merged["k"]), int(merged["n"])
+    m, k, n = (_integer(index, key, merged[key]) for key in ("m", "k", "n"))
     if min(m, k, n) < 4:
         _config_error(index, "m", "resolutions must be at least 4")
-    tolerance = float(merged["tolerance"])
+    tolerance = _number(index, "tolerance", merged["tolerance"])
     if tolerance <= 0:
         _config_error(index, "tolerance", "tolerance must be positive")
-    levels = int(merged["levels"])
+    levels = _integer(index, "levels", merged["levels"])
     if levels < 1:
         _config_error(index, "levels", "levels must be at least 1")
 
+    grading = merged["grading"]
+    if grading is not None:
+        grading = _number(index, "grading", grading)
     try:
-        quad = Quadrature1D(n=n, scheme=merged["scheme"],
-                            grading=None if merged["grading"] is None else float(merged["grading"]))
+        quad = Quadrature1D(n=n, scheme=merged["scheme"], grading=grading)
     except ValueError as exc:
         _config_error(index, "scheme", str(exc))
     fd_step = merged["fd_step"]
     if fd_step is not None:
         # the derivative stencils need 0 < h < span/2 on every trace axis
         half_span = min(hi - lo for lo, hi in map(rect.axis_interval, range(4))) / 2.0
-        try:
-            fd_step = float(fd_step)
-        except (TypeError, ValueError):
-            _config_error(index, "fd_step", "step must be a number or null")
+        fd_step = _number(index, "fd_step", fd_step)
         if not 0.0 < fd_step < half_span:
             _config_error(index, "fd_step", f"step must lie in (0, {half_span:g}), "
                           "half the shortest axis span")
     try:
         params = FracParams(
             rect,
-            tuple(float(a) for a in merged["alpha"]),
-            tuple(float(s) for s in merged["sigma"]),
+            _numbers(index, "alpha", merged["alpha"]),
+            _numbers(index, "sigma", merged["sigma"]),
             phi,
             quad,
             fd_step=fd_step,
@@ -172,19 +192,21 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     else:
         lam = LambdaWeights.zero()
 
-    margin = float(merged["margin"])
-    if not margin >= 0.0:  # a negative inset would reach outside the domain
+    margin = _number(index, "margin", merged["margin"])
+    if margin < 0.0:  # a negative inset would reach outside the domain
         _config_error(index, "margin", "margin must be nonnegative")
     try:
         patch = SurfacePatch.inside(rect, margin=margin, m=m, k=k)
     except ValueError as exc:
         _config_error(index, "margin", str(exc))
+    if not isinstance(merged["include_area"], bool):
+        _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     setup = VerificationSetup(
         F=F, wp=wp, params=params, lam=lam,
         W=rect.point(0.45, 0.4, 0.55, 0.6),
         Z=rect.point(0.5, 0.55, 0.45, 0.5),
         patch=patch,
-        include_area=bool(merged["include_area"]),
+        include_area=merged["include_area"],
     )
     return ExperimentConfig(str(merged["name"]), merged["identity"], setup,
                             Resolution(m, k, n), tolerance, levels)
@@ -216,8 +238,9 @@ def load_config(path: str) -> list:
     return [parse_experiment(e, i) for i, e in enumerate(expanded)]
 
 
-def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 1):
-    """Execute every experiment; returns ``(summary, reports_by_name)``."""
+def _run_experiments(configs: list, levels_override: Optional[int], jobs: int):
+    """Yield ``(config, reports)`` in config order; a runtime error propagates
+    at the position of the experiment that raised it."""
 
     def run_one(cfg: ExperimentConfig):
         levels = levels_override or cfg.levels
@@ -227,13 +250,17 @@ def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            all_reports = list(pool.map(run_one, configs))
+            yield from zip(configs, pool.map(run_one, configs))
     else:
-        all_reports = [run_one(cfg) for cfg in configs]
+        for cfg in configs:
+            yield cfg, run_one(cfg)
 
+
+def _summarize(finished: list):
+    """``(summary, reports_by_name)`` of finished ``(config, reports)`` pairs."""
     summary = {"experiments": [], "all_passed": True}
     reports_by_name = {}
-    for cfg, reports in zip(configs, all_reports):
+    for cfg, reports in finished:
         final = reports[-1]
         residual = final.max_residual()
         passed = bool(np.isfinite(residual) and residual <= cfg.tolerance)  # NaN never passes
@@ -248,6 +275,13 @@ def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 
         summary["all_passed"] = summary["all_passed"] and passed
         reports_by_name[cfg.name] = reports
     return summary, reports_by_name
+
+
+def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 1):
+    """Execute every experiment; returns ``(summary, reports_by_name)``.
+
+    The first runtime error propagates, so callers count it as a failure."""
+    return _summarize(list(_run_experiments(configs, levels_override, jobs)))
 
 
 def emit_report(reports_by_name: dict, summary: dict, out_dir: str) -> list:
@@ -273,18 +307,28 @@ def _cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    finished, error = [], None
     try:
-        summary, reports = run_suite(configs, levels_override=args.levels, jobs=args.jobs)
+        for item in _run_experiments(configs, args.levels, args.jobs):
+            finished.append(item)
     except BcfracError as exc:
-        # exit 2, not the exit 1 of a numerical FAIL
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        error = exc
+    summary, reports = _summarize(finished)
+    if error is not None:
+        # the experiments that finished are kept, and the cause recorded
+        summary["all_passed"] = False
+        summary["error"] = {"experiment": configs[len(finished)].name,
+                            "type": type(error).__name__, "message": str(error)}
     emit_report(reports, summary, args.out)
     for entry in summary["experiments"]:
         status = "PASS" if entry["passed"] else "FAIL"
         order = "" if entry["order"] is None else f" order={entry['order']:.2f}"
         print(f"{status} {entry['name']} [{entry['identity']}] "
               f"residual={entry['max_residual']:.3e} tol={entry['tolerance']:.1e}{order}")
+    if error is not None:
+        # exit 2, not the exit 1 of a numerical FAIL
+        print(f"runtime error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
     return 0 if summary["all_passed"] else 1
 
 

@@ -551,7 +551,6 @@ def frac_bp_reconstruct(
     for l in (1, 2):
         th, ph = kernel.pairs[l - 1]
         a_map, b_map = kernel._maps[l - 1]
-        e_fn = kernel.component(l)
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         cinv = 1.0 / (c_norm.z1 if l == 1 else c_norm.z2)
@@ -574,8 +573,8 @@ def frac_bp_reconstruct(
         def boundary_map(xs, ys):
             zp, inv = np.unique(np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float),
                                 return_inverse=True)
-            kern = e_fn(z_b[None, :], zp[:, None])
-            return (np.exp(-lam_fn.f(zp.real, zp.imag)) * (kern @ coef))[inv]
+            sums = kernel.sums(l, z_b, coef, zp)
+            return (np.exp(-lam_fn.f(zp.real, zp.imag)) * sums)[inv]
 
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
@@ -618,7 +617,6 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
     """
     bounds = patch.component_bounds(l)
     lam_fn = lam.component(l)
-    e_fn = kernel.component(l)
     a_map, b_map = kernel._maps[l - 1]
     wp = kernel.wp
 
@@ -642,6 +640,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
             * frac_cr_component(F, W, p, wp, "left", l, xs, ys)
         )
 
+    charges = np.stack([w_a * h_field, w_a], axis=1)
     x0, x1, y0, y1 = bounds
     cell_x = (x1 - x0) / patch.m
     cell_y = (y1 - y0) / patch.m
@@ -661,15 +660,9 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
         ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), y0 + cell_y, y1 - cell_y)
         zp, inv = np.unique(xs + 1j * ys, return_inverse=True)
         ux, uy = zp.real, zp.imag
-        d = v_nodes[None, :] - zp[:, None]
-        # operand order matters for the last bits: with FMA, complex products
-        # are not bitwise commutative
-        denom = d * a_map + np.conjugate(d) * b_map
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = (-1j / np.pi) / denom
-        kern[np.abs(denom) < 1e-13] = 0.0
+        field_sum, mass_sum = kernel.sums(l, v_nodes, charges, zp).T
         wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
-        out = kern @ (w_a * h_field) + h_at(ux, uy) * (wedges - kern @ w_a)
+        out = field_sum + h_at(ux, uy) * (wedges - mass_sum)
         return (np.exp(-lam_fn.f(ux, uy)) * out)[inv]
 
     return area_map

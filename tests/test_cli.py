@@ -171,6 +171,26 @@ class TestConfigValidation:
         (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, margin=0.0)]))
         assert cfg.setup.patch.bounds1 == (0.0, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("key, value", [
+        ("m", "eight"), ("m", 8.9), ("m", 8.0), ("m", True), ("n", None),
+        ("levels", 1.5), ("levels", False),
+        ("tolerance", "tiny"), ("tolerance", float("nan")), ("tolerance", True),
+        ("margin", "wide"), ("margin", float("inf")),
+        ("alpha", [None, 0.5, 0.5, 0.5]), ("alpha", 0.5), ("sigma", [1, 0, 1, "0"]),
+        ("include_area", "false"), ("include_area", 0),
+    ])
+    def test_malformed_field_is_a_named_error(self, tmp_path, key, value):
+        path = write_config(tmp_path, [dict(QUICK, **{key: value})])
+        with pytest.raises(ConfigError, match=rf"experiments\[0\]\.{key}"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_typed_fields_keep_their_values(self, tmp_path):
+        entry = dict(QUICK, m=8, tolerance=1, margin=0, include_area=False, sigma=[1, 0, 1, 0])
+        (cfg,) = load_config(write_config(tmp_path, [entry]))
+        assert cfg.resolution.m == 8 and cfg.tolerance == 1.0
+        assert cfg.setup.include_area is False
+
     def test_multiplier_unavailable_diagnostic(self, tmp_path):
         entry = dict(QUICK, identity="frac-gauss", sigma=[0.7, 0, 0.7, 0],
                      phi="fractal:0.5,0.5,0.5,0.5",
@@ -226,6 +246,28 @@ class TestRunSuite:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.strip() == "runtime error: QuadratureError: self-estimate 1e-3 above tolerance"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_runtime_error_keeps_finished_experiments(self, tmp_path, capsys, jobs):
+        # the reconstruction point lies outside a patch inset by 0.49
+        edge = dict(QUICK, name="edge", identity="borel-pompeiu", margin=0.49)
+        cfg = write_config(tmp_path, [QUICK, edge, dict(QUICK, name="after")])
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["quick.csv", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["name"] for e in summary["experiments"]] == ["quick"]
+        assert summary["experiments"][0]["passed"] and not summary["all_passed"]
+        assert summary["error"] == {"experiment": "edge", "type": "WOnBoundaryError",
+                                    "message": "reconstruction point too close to the contour"}
+        assert "PASS quick" in capsys.readouterr().out
+
+    def test_run_suite_still_raises(self, tmp_path):
+        from bcfrac.errors import WOnBoundaryError
+
+        edge = dict(QUICK, name="edge", identity="borel-pompeiu", margin=0.49)
+        with pytest.raises(WOnBoundaryError):
+            run_suite(load_config(write_config(tmp_path, [QUICK, edge])))
 
     def test_nan_residual_never_passes(self, tmp_path, monkeypatch):
         import bcfrac.cli as cli

@@ -187,6 +187,87 @@ class TestCauchyKernel:
         assert abs(jac - kappa) < 1e-13
 
 
+KERNEL_PAIRS = {
+    "classical": WeightPair.classical(),
+    "constant-pair": WeightPair.constant(1.0933 + 0.2109j, -0.5926 + 1.3771j),
+}
+
+
+def _dense_sums(kernel, l, sources, charges, targets):
+    """Reference: the dense complex kernel matrix times the charges."""
+    a, b = kernel._maps[l - 1]
+    d = sources[None, :] - targets[:, None]
+    return ((-1j / np.pi) / (a * d + b * np.conjugate(d))) @ charges
+
+
+def _kernel_case(columns):
+    rng = np.random.default_rng(5)
+    g = (np.arange(16) + 0.5) / 16
+    sources = (g[:, None] + 1j * g[None, :]).ravel()
+    targets = np.array([0.3 + 0.7j, 0.51 + 0.02j, 0.97 + 0.5j, 0.1 + 0.1j, 0.66 + 0.41j])
+    charges = rng.normal(size=(sources.size, columns)) + 1j * rng.normal(size=(sources.size, columns))
+    return sources, charges, targets
+
+
+class TestKernelSums:
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_matches_dense_complex_formula(self, pair, columns, l):
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        sources, charges, targets = _kernel_case(columns)
+        got = kernel.sums(l, sources, charges, targets)
+        want = _dense_sums(kernel, l, sources, charges, targets)
+        assert got.shape == (targets.size, columns)
+        scale = np.abs(kernel.component(l)(sources[None, :], targets[:, None])) @ np.abs(charges)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_one_charge_vector_gives_one_value_per_target(self):
+        kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
+        sources, charges, targets = _kernel_case(1)
+        got = kernel.sums(1, sources, charges[:, 0], targets)
+        assert got.shape == targets.shape
+        assert np.array_equal(got, kernel.sums(1, sources, charges, targets)[:, 0])
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    def test_coincident_source_adds_exactly_zero(self, pair):
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        sources, _, _ = _kernel_case(1)
+        targets = sources[[7, 100]]
+        charges = np.zeros(sources.size, dtype=complex)
+        charges[7] = 1.0 + 2.0j
+        got = kernel.sums(1, sources, charges, targets)
+        assert got[0] == 0.0
+        want = kernel.component(1)(sources[7], targets[1]) * charges[7]
+        assert abs(got[1] - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_block_size_changes_a_result_only_at_rounding(self, monkeypatch, rows):
+        # one BLAS product per block: OpenBLAS picks its kernel, and with it
+        # the summation order, by the block's shape, so blocks agree to
+        # rounding rather than bit for bit; a fixed block size repeats exactly
+        from bcfrac import fracops1d
+
+        kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
+        sources, charges, targets = _kernel_case(2)
+        want = _dense_sums(kernel, 2, sources, charges, targets)
+        scale = np.abs(kernel.component(2)(sources[None, :], targets[:, None])) @ np.abs(charges)
+        budget = (targets.size if rows is None else rows) * sources.size
+        monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", budget)
+        got = kernel.sums(2, sources, charges, targets)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.array_equal(got, kernel.sums(2, sources, charges, targets))
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    def test_component_is_the_straightened_cauchy_kernel(self, pair):
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        v = np.array([0.2 + 0.9j, 1.5 - 0.3j])
+        z = np.array([0.7 + 0.1j, -0.4 + 0.6j])
+        for l in (1, 2):
+            want = (-1j / np.pi) / (kernel.smap(l, v) - kernel.smap(l, z))
+            assert np.array_equal(kernel.component(l)(v, z), want)
+
+
 def test_plane_function_partial_validation():
     good = PlaneFunction(
         f=lambda x, y: np.sin(x) * np.exp(1j * y),
