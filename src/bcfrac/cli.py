@@ -8,7 +8,7 @@ with the fields below (matching :class:`ExperimentConfig` one to one)::
       "experiments": [
         "bg-reduction",
         {
-          "name": "my-run",            experiment id, used for the CSV name
+          "name": "my-run",            unique experiment id, the CSV's file stem
           "identity": "frac-gauss",    one of the registered identities
           "domain": [0,1,0,1,0,1,0,1], rectangle bounds a1,b1,c1,d1,a2,b2,c2,d2
           "weights": "classical",      classical | constant:a+bi,c+di
@@ -122,6 +122,10 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             _config_error(index, key, "unknown field")
     merged = {**_DEFAULTS, **entry}
 
+    name = merged["name"]
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(ch in name for ch in "/\\\0")):
+        _config_error(index, "name", f"must be a plain file name, got {name!r}")
     if merged["identity"] not in IDENTITIES:
         _config_error(index, "identity", f"unknown identity; known: {', '.join(IDENTITIES)}")
     try:
@@ -157,6 +161,8 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     grading = merged["grading"]
     if grading is not None:
         grading = _number(index, "grading", grading)
+        if grading < 1.0:
+            _config_error(index, "grading", "grading exponent must be >= 1")
     try:
         quad = Quadrature1D(n=n, scheme=merged["scheme"], grading=grading)
     except ValueError as exc:
@@ -208,7 +214,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         patch=patch,
         include_area=merged["include_area"],
     )
-    return ExperimentConfig(str(merged["name"]), merged["identity"], setup,
+    return ExperimentConfig(name, merged["identity"], setup,
                             Resolution(m, k, n), tolerance, levels)
 
 
@@ -235,7 +241,14 @@ def load_config(path: str) -> list:
             expanded.append(entry)
         else:
             raise ConfigError(f"experiments[{i}]: must be a preset name or a table")
-    return [parse_experiment(e, i) for i, e in enumerate(expanded)]
+    configs, first_index = [], {}
+    for i, entry in enumerate(expanded):
+        cfg = parse_experiment(entry, i)
+        j = first_index.setdefault(cfg.name, i)
+        if j != i:  # the name keys the CSV, the report and the summary entry
+            _config_error(i, "name", f"{cfg.name!r} repeats the name of experiments[{j}]")
+        configs.append(cfg)
+    return configs
 
 
 def _run_experiments(configs: list, levels_override: Optional[int], jobs: int):
@@ -348,7 +361,7 @@ def _oracle_weight(which: str) -> ScalarWeightFn:
     if which == "identity":
         return ScalarWeightFn(phi=lambda t: t,
                               dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                              lo=0.0, hi=2.0, inv=lambda u: u)
+                              lo=0.0, hi=2.0, slope=1.0)
     return ScalarWeightFn(phi=lambda t: t + t**3, dphi=lambda t: 1.0 + 3.0 * t**2,
                           lo=0.0, hi=2.0)
 

@@ -87,10 +87,12 @@ class RectDomain:
 class Phi4:
     """Product-type positive weight ``phi = phi1*E + phi2*E'`` with strictly
     positive partials; restricted to axis lines it yields the scalar weights
-    of the four trace directions."""
+    of the four trace directions.  ``slope``, when set, declares every such
+    restriction affine with that slope (see ``ScalarWeightFn.slope``)."""
 
     comp1: PlaneFunction
     comp2: PlaneFunction
+    slope: Optional[float] = None
 
     @classmethod
     def linear(cls) -> "Phi4":
@@ -99,7 +101,7 @@ class Phi4:
             dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
             dy=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
         )
-        return cls(pf, pf)
+        return cls(pf, pf, slope=1.0)
 
     @classmethod
     def fractal(cls, d0: float, d1: float, d2: float, d3: float) -> "Phi4":
@@ -135,6 +137,7 @@ class Phi4:
                 dphi=lambda t, c=comp, yw=yw: np.real(c.dx(t, yw)),
                 lo=lo,
                 hi=hi,
+                slope=self.slope,
             )
         xw = float(np.real(wz))
         return ScalarWeightFn(
@@ -142,6 +145,7 @@ class Phi4:
             dphi=lambda t, c=comp, xw=xw: np.real(c.dy(xw, t)),
             lo=lo,
             hi=hi,
+            slope=self.slope,
         )
 
     def validate(self, rect: RectDomain, n: int = 16) -> None:

@@ -23,7 +23,7 @@ in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
   concentrates far below any fixed mesh resolution.
 * ``gauss_jacobi``: a Gauss-Jacobi rule with the ``v^(a-1)`` weight built in,
   spectrally accurate for smooth integrands but requiring the inverse of
-  ``phi`` (supplied analytically or found by bisection).
+  ``phi`` (closed form for a declared slope, bisection otherwise).
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -48,27 +48,39 @@ _LOG2E = math.log2(math.e)
 GRADING_CAP = 10.0
 #: Below this order the moment differences switch to an expm1/log evaluation.
 _SMALL_ORDER = 1e-3
-#: Element budget per block of target rows: 32768 float64 are 256 KB per
-#: matrix, so the few matrices each step of a block reads and writes stay in
-#: a core's L2 cache (about 2 MB) instead of streaming through memory.  Rows
-#: depend only on their own target, so the block size never changes a result.
-_CHUNK_ELEMENTS = 32_768
+#: Element budget per block of target rows: 8192 float64 are 64 KB per
+#: matrix.  With 256 KB (32768) or 128 KB (16384) matrices, the temporaries a
+#: block frees leave more free memory at the top of the heap than malloc
+#: keeps, so it goes back to the OS and the next block faults it in again.
+#: Measured per warm pass of the three perfbench workloads (trace-gauss,
+#: deep-reconstruction, trace-inversion): about 19k / 31k / 93k minor faults
+#: at 32768 and 1.6k / 0-1.6k / 7-9k at 8192, whose passes were also the
+#: fastest on trace-gauss and in two of three rounds on the others.  Rows
+#: depend only on their own target, so the block size never changes a 1-D
+#: rule result.
+_CHUNK_ELEMENTS = 8_192
 
 
 @dataclass(frozen=True)
 class ScalarWeightFn:
     """Strictly increasing C^1 weight ``phi`` on a closed interval.
 
-    ``phi`` and ``dphi`` must accept numpy arrays.  ``inv`` is an optional
-    analytic inverse; when absent the Gauss-Jacobi scheme falls back to
-    bisection (the graded scheme never needs the inverse).
+    ``phi`` and ``dphi`` must accept numpy arrays.  ``slope`` declares an
+    affine weight ``phi(t) = phi(lo) + slope*(t - lo)`` (finite and positive
+    when given): the graded rule then scales one cached reference row instead
+    of evaluating ``phi`` on its nodes, and the inverse that the Gauss-Jacobi
+    scheme needs is taken in closed form instead of by bisection.
     """
 
     phi: Callable
     dphi: Callable
     lo: float
     hi: float
-    inv: Optional[Callable] = None
+    slope: Optional[float] = None
+
+    def __post_init__(self):
+        if self.slope is not None and not (math.isfinite(self.slope) and self.slope > 0.0):
+            raise ValueError(f"weight slope must be finite and positive, got {self.slope!r}")
 
     def contains(self, t) -> bool:
         t = np.asarray(t, dtype=float)
@@ -82,9 +94,11 @@ class ScalarWeightFn:
             raise DomainError("weight derivative must be strictly positive")
 
     def inverse(self, u):
-        """Value ``t`` with ``phi(t) = u`` (analytic inverse or bisection)."""
-        if self.inv is not None:
-            return self.inv(u)
+        """Value ``t`` with ``phi(t) = u``: closed form for a declared slope,
+        bisection otherwise."""
+        if self.slope is not None:
+            phi_lo = float(self.phi(np.asarray(self.lo, dtype=float)))
+            return self.lo + (np.asarray(u, dtype=float) - phi_lo) / self.slope
         return _bisect_inverse(self.phi, np.asarray(u, dtype=float), self.lo, self.hi)
 
 
@@ -327,14 +341,34 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     that ``sum(weights * f(nodes))`` approximates the integral."""
     w = p.weight
     anchor = w.lo if side == "left" else w.hi
-    u = _graded_fractions(max(2, q.n), _auto_grading(q, p.alpha))
-    t = ts[:, None]
-    if side == "left":
-        tau = t - (t - anchor) * u[None, :]
-    else:
-        tau = t + (anchor - t) * u[None, :]
-    phits = np.asarray(w.phi(ts), dtype=float)
-    return tau, _tempered_weights(p, side, phits[:, None], tau)
+    n_nodes, grading = max(2, q.n), _auto_grading(q, p.alpha)
+    u = _graded_fractions(n_nodes, grading)
+    tau = np.multiply((anchor - ts)[:, None], u)  # rows run from t toward the anchor
+    tau += ts[:, None]
+    if w.slope is None:
+        phits = np.asarray(w.phi(ts), dtype=float)
+        return tau, _tempered_weights(p, side, phits[:, None], tau)
+    # affine weight: v = L*u with L = slope*|t - anchor|, and the weights are
+    # homogeneous of degree beta in v, so every row is L^beta times one row
+    beta, sigma = p.alpha, p.sigma
+    big_l = w.slope * np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
+    scale = big_l**beta * sigma ** (-beta)
+    wts = np.multiply(scale[:, None], _reference_row(n_nodes, grading, beta))
+    c = (sigma - 1.0) / sigma
+    if c != 0.0:
+        big_l *= c * _LOG2E
+        factor = np.multiply(big_l[:, None], u)
+        wts *= np.exp2(factor, out=factor)
+    return tau, wts
+
+
+@lru_cache(maxsize=64)
+def _reference_row(n_nodes: int, grading: float, beta: float) -> np.ndarray:
+    """Product-trapezoid weights of an affine weight at ``L = 1``: the graded
+    fractions are then the singular variable itself."""
+    u = _graded_fractions(n_nodes, grading)
+    (row,) = _read_only(_panel_weights(u[None, :], beta, _gamma(beta + 1.0))[0])
+    return row
 
 
 def _tempered_weights(p: FracSpec, side: str, phit, tau: np.ndarray) -> np.ndarray:

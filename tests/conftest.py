@@ -40,7 +40,7 @@ def identity_weight():
         dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         lo=0.0,
         hi=1.0,
-        inv=lambda u: u,
+        slope=1.0,
     )
 
 

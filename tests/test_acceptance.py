@@ -142,7 +142,7 @@ def test_criterion_02_inversion_1d():
 
 def test_criterion_03_closed_forms():
     w_id = ScalarWeightFn(lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                          0.0, 1.0, inv=lambda u: u)
+                          0.0, 1.0, slope=1.0)
     alpha, beta, t = 0.25, 1.5, 0.8
     closed = gamma(beta) / gamma(beta + alpha) * t ** (beta + alpha - 1)
     errs = {}

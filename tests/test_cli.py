@@ -185,6 +185,31 @@ class TestConfigValidation:
             load_config(path)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0",
+                                      None, 5])
+    def test_name_must_be_a_plain_file_stem(self, tmp_path, name):
+        path = write_config(tmp_path, [dict(QUICK, name=name)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.name"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "escaped.csv").exists()
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = write_config(tmp_path, [QUICK, dict(QUICK, n=32)])
+        with pytest.raises(ConfigError, match=r"experiments\[1\]\.name: .*experiments\[0\]"):
+            load_config(path)
+        path = write_config(tmp_path, ["classical", "classical"])
+        with pytest.raises(ConfigError, match=r"experiments\[2\]\.name"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_grading_below_one_names_its_field(self, tmp_path):
+        path = write_config(tmp_path, [dict(QUICK, grading=0.5)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.grading: .*>= 1"):
+            load_config(path)
+        (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, grading=1)]))
+        assert cfg.setup.params.quadrature.grading == 1.0
+
     def test_typed_fields_keep_their_values(self, tmp_path):
         entry = dict(QUICK, m=8, tolerance=1, margin=0, include_area=False, sigma=[1, 0, 1, 0])
         (cfg,) = load_config(write_config(tmp_path, [entry]))
@@ -302,6 +327,17 @@ class TestOtherCommands:
             assert main(["oracle", op, "--n", "256"]) == 0
             out = capsys.readouterr().out
             assert "abs-error" in out
+
+    def test_oracle_power_rule_on_the_affine_row(self, capsys):
+        # criterion 03's power-rule case and bound; the identity weight of the
+        # oracle declares slope 1, so the graded rule takes the reference row
+        from bcfrac.cli import _oracle_weight
+
+        assert _oracle_weight("identity").slope == 1.0
+        main(["oracle", "rl-power", "--alpha", "0.25", "--beta", "1.5", "--t", "0.8",
+              "--n", "32768"])
+        err = float(capsys.readouterr().out.strip().split("abs-error=")[1])
+        assert err <= 1e-6
 
     def test_oracle_accuracy(self, capsys):
         main(["oracle", "eigen", "--alpha", "0.25", "--sigma", "0.6",

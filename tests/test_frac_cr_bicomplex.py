@@ -58,6 +58,26 @@ class TestDphi:
             dphi(linear_phi, BicomplexNumber(5 + 5j, 5 + 5j), rect=unit_rect)
 
 
+class TestRestrictionSlope:
+    def test_linear_restrictions_declare_their_slope(self, unit_rect, linear_phi):
+        W = unit_rect.point(0.41, 0.37, 0.53, 0.61)
+        for axis in range(4):
+            w = linear_phi.restriction(axis, W, unit_rect)
+            ts = np.linspace(w.lo, w.hi, 17)
+            affine = w.phi(np.asarray(w.lo)) + w.slope * (ts - w.lo)
+            assert np.max(np.abs(w.phi(ts) - affine)) < 1e-15
+            assert np.all(w.dphi(ts) == w.slope)
+
+    @pytest.mark.parametrize("name", ["fractal:0.5,0.6,0.7,0.8", "custom:x + y|x + 2*y"])
+    def test_other_presets_declare_none(self, name):
+        from bcfrac.presets import phi_preset
+
+        rect = RectDomain(*[0.5, 1.5] * 4)
+        W = rect.point(0.41, 0.37, 0.53, 0.61)
+        assert all(phi_preset(name).restriction(axis, W, rect).slope is None
+                   for axis in range(4))
+
+
 class TestTraceIntegral:
     def test_classical_constant_input(self, unit_rect, linear_phi):
         # each direction reduces to the classical integral of one

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gamma
 
 from bcfrac import (
@@ -267,14 +269,78 @@ class TestWeightPipeline:
         assert np.allclose(wts.sum(axis=1), expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
-    def test_block_size_never_changes_a_result(self, cubic_weight, monkeypatch, scheme, side):
+    def test_block_size_never_changes_a_result(self, cubic_weight, identity_weight, monkeypatch,
+                                               scheme, side):
         q = Quadrature1D(n=64, scheme=scheme)
-        spec = FracSpec(0.45, 0.7, cubic_weight)
-        results = []
-        for rows in (1, 3, self.XS.size):
-            monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", rows * q.n)
-            results.append(prop_frac_integral(np.cos, spec, side, self.XS, q))
-        assert all(np.array_equal(r, results[-1]) for r in results)
+        for weight in (cubic_weight, identity_weight):  # general and affine weights
+            spec = FracSpec(0.45, 0.7, weight)
+            results = []
+            for rows in (1, 3, self.XS.size):
+                monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", rows * q.n)
+                results.append(prop_frac_integral(np.cos, spec, side, self.XS, q))
+            assert all(np.array_equal(r, results[-1]) for r in results)
+
+
+def affine_weight(slope, offset, lo, hi, declared=True):
+    """``phi(t) = offset + slope*t``, with or without the declared slope."""
+    return ScalarWeightFn(
+        phi=lambda t: offset + slope * np.asarray(t, dtype=float),
+        dphi=lambda t: slope * np.ones_like(np.asarray(t, dtype=float)),
+        lo=lo, hi=hi, slope=slope if declared else None)
+
+
+class TestAffineWeights:
+    """A declared slope scales one cached reference row per target."""
+
+    # phi(lo) is kept within slope*span of zero: with a far larger offset the
+    # general path's phi(t) - phi(tau) cancels digits the reference row keeps
+    @settings(max_examples=80, deadline=None)
+    @given(slope=st.floats(0.03, 30.0), rel_offset=st.floats(-1.0, 1.0),
+           lo=st.floats(-2.0, 2.0), span=st.floats(0.1, 5.0),
+           beta=st.one_of(st.floats(1e-6, fracops1d._SMALL_ORDER, exclude_max=True),
+                          st.floats(fracops1d._SMALL_ORDER, 1.0)),
+           sigma=st.one_of(st.just(1.0), st.floats(0.05, 0.99)),
+           side=st.sampled_from(["left", "right"]), n=st.sampled_from([2, 3, 16, 64, 257]))
+    def test_rows_equal_the_general_path(self, slope, rel_offset, lo, span, beta, sigma,
+                                         side, n):
+        hi = lo + span
+        offset = rel_offset * slope * span - slope * lo
+        ts = lo + span * np.array([0.0, 0.1, 0.37, 0.8, 1.0])
+        q = Quadrature1D(n=n)
+        rows = [fracops1d._graded_rule(FracSpec(beta, sigma, affine_weight(
+            slope, offset, lo, hi, declared)), side, ts, q) for declared in (True, False)]
+        (tau, w_aff), (tau_gen, w_gen) = rows
+        assert np.array_equal(tau, tau_gen)
+        f = 0.5 + np.cos(3.0 * tau)
+        terms = np.sum(np.abs(w_gen * f), axis=1)
+        err = np.abs(np.sum(w_aff * f, axis=1) - np.sum(w_gen * f, axis=1))
+        assert np.all(err <= 1e-13 * terms)
+
+    def test_reference_row_is_read_only(self):
+        w = affine_weight(2.0, 0.5, 0.0, 1.0)
+        q = Quadrature1D(n=64)
+        fracops1d._graded_rule(FracSpec(0.4, 0.7, w), "left", np.array([0.5]), q)
+        row = fracops1d._reference_row(64, fracops1d._auto_grading(q, 0.4), 0.4)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+
+    @pytest.mark.parametrize("slope", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_slope_rejected(self, slope):
+        with pytest.raises(ValueError, match="slope"):
+            affine_weight(slope, 0.0, 0.0, 1.0)
+
+    def test_closed_form_inverse(self):
+        w = affine_weight(2.5, -0.75, 0.2, 1.4)
+        ts = np.linspace(0.2, 1.4, 9)
+        assert np.max(np.abs(w.inverse(w.phi(ts)) - ts)) < 1e-14
+        spec = FracSpec(0.45, 0.7, w)
+        bisected = FracSpec(0.45, 0.7, affine_weight(2.5, -0.75, 0.2, 1.4, declared=False))
+        q = Quadrature1D(n=64, scheme="gauss_jacobi")
+        for side in ("left", "right"):
+            got = prop_frac_integral(np.cos, spec, side, ts, q)
+            want = prop_frac_integral(np.cos, bisected, side, ts, q)
+            assert np.max(np.abs(got - want)) < 1e-13
 
 
 class TestPropFracDerivative:
