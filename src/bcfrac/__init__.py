@@ -29,9 +29,7 @@ from .hypercomplex import (
     d_leq,
 )
 from .fracops1d import (
-    DEFAULT_CONTROL,
     FracSpec,
-    ProportionalControl,
     Quadrature1D,
     ScalarWeightFn,
     hausdorff_derivative,
@@ -61,7 +59,6 @@ from .frac_cr_bicomplex import (
     dphi,
     factorization_check,
     frac_cr_apply,
-    frac_cr_apply_sigma_free,
     inversion_check,
     lambda_for_constant_weights,
     lambda_residual,
@@ -76,7 +73,6 @@ from .quadrature_verify import (
     ResidualReport,
     SurfacePatch,
     VerificationSetup,
-    bg_gauss_residual,
     borel_pompeiu_classical,
     contour_integral,
     convergence_study,

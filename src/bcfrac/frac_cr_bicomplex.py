@@ -26,6 +26,7 @@ from .fracops1d import (
     FracSpec,
     Quadrature1D,
     ScalarWeightFn,
+    _central_difference,
     prop_frac_derivative,
     prop_frac_integral,
     tabulate,
@@ -374,13 +375,10 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
 def _axis_partial_batched(F, W, p: FracParams, side: str, axis: int, coords):
     """Derivative of the 1-D trace integral at each of ``coords`` by central
     differences, clipped one-sided at the interval ends."""
-    lo, hi = p.rect.axis_interval(axis)
-    h = p.fd_for_axis(axis)
-    cm = np.maximum(coords - h, lo)
-    cp = np.minimum(coords + h, hi)
-    g = axis_integral(F, W, p, side, axis, np.concatenate([cm, cp]))
-    n = coords.size
-    return (g[n:] - g[:n]) / (cp - cm)
+    return _central_difference(
+        lambda s: axis_integral(F, W, p, side, axis, s),
+        coords, p.fd_for_axis(axis), *p.rect.axis_interval(axis),
+    )
 
 
 def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
@@ -401,16 +399,18 @@ def frac_cr_apply(
     F, W: BicomplexNumber, p: FracParams, wp: WeightPair, side: str, Z: BicomplexNumber
 ) -> BicomplexNumber:
     """Proportional weighted Cauchy-Riemann operator of the trace integral:
-    ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``."""
+    ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``.
+
+    Unlike every other trace derivative, the partials here are
+    Richardson-extrapolated (``_axis_partials``).  With the plain clipped
+    difference, the factorization l2 residuals of the default-seed benchmark
+    items rise from 3.245e-9 to 3.618e-9 (factorization-0) and from 2.350e-9
+    to 2.599e-9 (factorization-2), past the benchmark's 10% reference gate,
+    so the switch waits for a re-recorded reference.
+    """
     _check_points(p, Z, W)
     i_vals = [axis_integral(F, W, p, side, ax, _axis_coord(Z, ax)) for ax in range(4)]
     if_val = BicomplexNumber(i_vals[0] + i_vals[1], i_vals[2] + i_vals[3])
-    cr = _weighted_cr_of_integral(F, W, p, wp, side, Z)
-    dphi_inv = bc_invert(dphi(p.phi, Z).as_bicomplex())
-    return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
-
-
-def _weighted_cr_of_integral(F, W, p, wp, side, Z) -> BicomplexNumber:
     comps = []
     for l, (ax_x, ax_y) in ((1, (0, 1)), (2, (2, 3))):
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
@@ -418,20 +418,9 @@ def _weighted_cr_of_integral(F, W, p, wp, side, Z) -> BicomplexNumber:
         gy = _axis_partials(F, W, p, side, ax_y, y)
         th_fn, ph_fn = wp.component(l)
         comps.append(th_fn.f(x, y) * gx + ph_fn.f(x, y) * gy)
-    return BicomplexNumber(comps[0], comps[1])
-
-
-def frac_cr_apply_sigma_free(
-    F, W: BicomplexNumber, p: FracParams, wp: WeightPair, side: str, Z: BicomplexNumber
-) -> BicomplexNumber:
-    """Reference path for the degenerate proportion: the weighted CR
-    derivative of the trace integral scaled by ``Dphi``, with no proportional
-    terms at all.  Matches :func:`frac_cr_apply` when the composite
-    proportion equals one."""
-    _check_points(p, Z, W)
-    cr = _weighted_cr_of_integral(F, W, p, wp, side, Z)
+    cr = BicomplexNumber(comps[0], comps[1])
     dphi_inv = bc_invert(dphi(p.phi, Z).as_bicomplex())
-    return cr * dphi_inv
+    return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
 
 
 def lambda_residual(lam: LambdaWeights, wp: WeightPair, p: FracParams, probes) -> float:
@@ -498,26 +487,23 @@ def factorization_check(
     (weighted CR of exp(lambda) * I F)``."""
     lhs = frac_cr_apply(F, W, p, wp, side, Z)
 
+    def m_partial(axis, coord, lam_at, i_other):
+        """Partial along ``axis`` of ``exp(lambda) * (I F)``, whose other
+        direction contributes the constant ``i_other``."""
+        return _central_difference(
+            lambda s: np.exp(lam_at(s)) * (axis_integral(F, W, p, side, axis, s) + i_other),
+            np.array([coord]), p.fd_for_axis(axis), *p.rect.axis_interval(axis),
+        )[0]
+
     comps = []
     for l, (ax_x, ax_y) in ((1, (0, 1)), (2, (2, 3))):
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
         th_fn, ph_fn = wp.component(l)
-        h = p.fd_for_axis(ax_x)
-        lo_x, hi_x = p.rect.axis_interval(ax_x)
-        lo_y, hi_y = p.rect.axis_interval(ax_y)
-        xm, xp = max(x - h, lo_x), min(x + h, hi_x)
-        hy = p.fd_for_axis(ax_y)
-        ym, yp = max(y - hy, lo_y), min(y + hy, hi_y)
-
-        ix = axis_integral(F, W, p, side, ax_x, np.array([xm, xp, x]))
-        iy = axis_integral(F, W, p, side, ax_y, np.array([ym, yp, y]))
-
-        def m_val(xx, yy, ix_v, iy_v):
-            return np.exp(lam_fn.f(xx, yy)) * (ix_v + iy_v)
-
-        dmx = (m_val(xp, y, ix[1], iy[2]) - m_val(xm, y, ix[0], iy[2])) / (xp - xm)
-        dmy = (m_val(x, yp, ix[2], iy[1]) - m_val(x, ym, ix[2], iy[0])) / (yp - ym)
+        ix = axis_integral(F, W, p, side, ax_x, x)
+        iy = axis_integral(F, W, p, side, ax_y, y)
+        dmx = m_partial(ax_x, x, lambda s: lam_fn.f(s, y), iy)
+        dmy = m_partial(ax_y, y, lambda s: lam_fn.f(x, s), ix)
         cr_m = th_fn.f(x, y) * dmx + ph_fn.f(x, y) * dmy
         comps.append(np.exp(-lam_fn.f(x, y)) * cr_m)
 

@@ -86,13 +86,6 @@ class ScalarWeightFn:
         t = np.asarray(t, dtype=float)
         return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
 
-    def validate(self, n: int = 64) -> None:
-        """Check ``dphi > 0`` on a sample grid; raises :class:`DomainError`."""
-        ts = np.linspace(self.lo, self.hi, n)
-        d = np.asarray(self.dphi(ts), dtype=float)
-        if not np.all(d > 0):
-            raise DomainError("weight derivative must be strictly positive")
-
     def inverse(self, u):
         """Value ``t`` with ``phi(t) = u``: closed form for a declared slope,
         bisection otherwise."""
@@ -100,23 +93,6 @@ class ScalarWeightFn:
             phi_lo = float(self.phi(np.asarray(self.lo, dtype=float)))
             return self.lo + (np.asarray(u, dtype=float) - phi_lo) / self.slope
         return _bisect_inverse(self.phi, np.asarray(u, dtype=float), self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class ProportionalControl:
-    """Interpolation coefficients ``chi1`` (value part) and ``chi0``
-    (derivative part) of the first-order proportional derivative; each maps
-    ``(sigma, t)`` to a nonnegative real."""
-
-    chi1: Callable
-    chi0: Callable
-
-
-#: The affine instance ``chi1 = 1 - sigma``, ``chi0 = sigma``.
-DEFAULT_CONTROL = ProportionalControl(
-    chi1=lambda sigma, t: (1.0 - sigma) * np.ones_like(np.asarray(t, dtype=float)),
-    chi0=lambda sigma, t: sigma * np.ones_like(np.asarray(t, dtype=float)),
-)
 
 
 @dataclass(frozen=True)
@@ -155,19 +131,12 @@ class FracSpec:
             raise ValueError("proportion must lie in [0, 1]")
 
 
-def prop_derivative(
-    f: Callable,
-    df: Callable,
-    w: ScalarWeightFn,
-    sigma: float,
-    t,
-    control: ProportionalControl = DEFAULT_CONTROL,
-):
-    """First-order proportional derivative ``chi1*f + chi0*f'/phi'``."""
+def prop_derivative(f: Callable, df: Callable, w: ScalarWeightFn, sigma: float, t):
+    """First-order proportional derivative ``(1 - sigma)*f + sigma*f'/phi'``."""
     t = np.asarray(t, dtype=float)
     if not w.contains(t):
         raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
-    out = control.chi1(sigma, t) * f(t) + control.chi0(sigma, t) * df(t) / w.dphi(t)
+    out = np.asarray((1.0 - sigma) * f(t) + sigma * df(t) / w.dphi(t))
     return out if out.ndim else out[()]
 
 
@@ -228,7 +197,6 @@ def prop_frac_derivative(
     t,
     q: Quadrature1D,
     h: Optional[float] = None,
-    control: ProportionalControl = DEFAULT_CONTROL,
 ):
     """Proportional fractional derivative of order ``p.alpha``.
 
@@ -259,16 +227,24 @@ def prop_frac_derivative(
         return out[0] if scalar else out.reshape(t_arr.shape)
 
     inner = FracSpec(1.0 - p.alpha, p.sigma, w)
-    tm = np.maximum(ts - h, w.lo)
-    tp = np.minimum(ts + h, w.hi)
-    stencil = np.concatenate([ts, tm, tp])
-    g = prop_frac_integral(f, inner, side, stencil, q)
-    n = ts.size
-    g0, gm, gp = g[:n], g[n : 2 * n], g[2 * n :]
-    dg = (gp - gm) / (tp - tm)
+
+    def g(s):
+        return prop_frac_integral(f, inner, side, s, q)
+
+    dg = _central_difference(g, ts, h, w.lo, w.hi)
     sign = 1.0 if side == "left" else -1.0
-    out = control.chi1(p.sigma, ts) * g0 + sign * control.chi0(p.sigma, ts) * dg / w.dphi(ts)
+    out = (1.0 - p.sigma) * g(ts) + sign * p.sigma * dg / w.dphi(ts)
     return out[0] if scalar else out.reshape(t_arr.shape)
+
+
+def _central_difference(fn: Callable, ts: np.ndarray, h: float, lo: float, hi: float):
+    """Derivative of ``fn`` at each of ``ts`` by a central difference of step
+    ``h``, clipped one-sided at ``[lo, hi]``; ``fn`` is called once, on the
+    whole stencil."""
+    tm = np.maximum(ts - h, lo)
+    tp = np.minimum(ts + h, hi)
+    g = fn(np.concatenate([tm, tp]))
+    return (g[ts.size :] - g[: ts.size]) / (tp - tm)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WOnBoundaryError
-from .fracops1d import _read_only, refined_rule
+from .fracops1d import _central_difference, _read_only, refined_rule
 from .frac_cr_bicomplex import (
     FracParams,
     LambdaWeights,
@@ -366,35 +366,6 @@ def frac_gauss_residual(
                           seconds=time.perf_counter() - t0)
 
 
-def bg_gauss_residual(F, W, p: FracParams, wp: WeightPair, patch: SurfacePatch) -> ResidualReport:
-    """Independent degenerate-proportion path: the plain weighted Gauss
-    identity applied to the trace integral, with no proportional machinery.
-    Valid when the composite proportion is one and the multiplier vanishes.
-    """
-    t0 = time.perf_counter()
-    if not (p.sigma.z1 == 1 and p.sigma.z2 == 1):
-        raise ValueError("reference path requires composite proportion one")
-    res = []
-    for l in (1, 2):
-        th_fn, ph_fn = wp.component(l)
-        ax_x, ax_y = _component_axes(l)
-
-        z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        g_b = trace_component(F, W, p, "left", l, z.real, z.imag)
-        bnd = np.sum(g_b * (th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx))
-
-        x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        dgx = _axis_partial_batched(F, W, p, "left", ax_x, x)
-        dgy = _axis_partial_batched(F, W, p, "left", ax_y, y)
-        cr = th_fn.f(x, y) * dgx + ph_fn.f(x, y) * dgy
-        g_a = trace_component(F, W, p, "left", l, x, y)
-        grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
-        area = np.sum((cr + (np.real(grad_w) + 1j * np.imag(grad_w)) * g_a) * w)
-        res.append(abs(bnd - area))
-    return ResidualReport("frac-gauss-reference", patch.m, patch.k, p.quadrature.n,
-                          res[0], res[1], seconds=time.perf_counter() - t0)
-
-
 # ----------------------------------------------------------------------
 # proportional fractional reconstruction (the deep identity)
 
@@ -493,15 +464,19 @@ def _trace_derivative_of_map(
         spec = p.axis_spec(axis, W, order=p.alpha[axis])  # inner integral order
         lo, hi = p.rect.axis_interval(axis)
         h = max(p.fd_for_axis(axis), 5e-3 * (hi - lo))
-        sm, sp = max(coord - h, lo), min(coord + h, hi)
         centers, scales = crossings.get(key, (np.array([coord]), np.array([hi - lo])))
-        i_vals = []
-        for s in (coord, sm, sp):
-            tau, wts = refined_rule(spec, "left", s, p.quadrature, centers, scales,
-                                    per_octave=per_octave)
-            i_vals.append(np.sum(line(tau[0]) * wts[0]))
-        d_part = (i_vals[2] - i_vals[1]) / (sp - sm)
-        total += (1.0 - sig) * i_vals[0] + sig * d_part / spec.weight.dphi(np.asarray(coord))
+
+        def integral(ss):
+            out = []
+            for s in ss:
+                tau, wts = refined_rule(spec, "left", s, p.quadrature, centers, scales,
+                                        per_octave=per_octave)
+                out.append(np.sum(line(tau[0]) * wts[0]))
+            return np.array(out)
+
+        at = np.array([coord])
+        d_part = _central_difference(integral, at, h, lo, hi)[0]
+        total += (1.0 - sig) * integral(at)[0] + sig * d_part / spec.weight.dphi(np.asarray(coord))
     return total
 
 

@@ -34,8 +34,7 @@ class PlaneFunction:
     """Complex-valued function of a plane point with analytic partials.
 
     All three callables map ``(x, y)`` arrays to complex values.  Partials
-    are supplied, not differenced; ``validate_partials`` cross-checks them.
-    """
+    are supplied, not differenced."""
 
     f: Callable
     dx: Callable
@@ -93,19 +92,6 @@ class PlaneFunction:
     def dbar(self, x, y):
         """Wirtinger anti-holomorphic derivative ``(dx + i*dy)/2``."""
         return 0.5 * (self.dx(x, y) + 1j * self.dy(x, y))
-
-    def validate_partials(self, probes, tol: float = 1e-6, h: float = 1e-7) -> float:
-        """Finite-difference cross-check of the supplied partials."""
-        x, y = as_plane_points(probes)
-        fdx = (self.f(x + h, y) - self.f(x - h, y)) / (2 * h)
-        fdy = (self.f(x, y + h) - self.f(x, y - h)) / (2 * h)
-        err = max(
-            float(np.max(np.abs(fdx - self.dx(x, y)))),
-            float(np.max(np.abs(fdy - self.dy(x, y)))),
-        )
-        if err > tol:
-            raise DomainError(f"partials inconsistent with values: max error {err:.3e}")
-        return err
 
 
 @dataclass(frozen=True)

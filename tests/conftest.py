@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
+from scipy.special import gamma
 
 from bcfrac import (
     Phi4,
@@ -54,3 +56,30 @@ def cubic_weight():
 @pytest.fixture
 def quad_default():
     return Quadrature1D(n=512)
+
+
+def _sigma_one_cr(coeffs, w: complex, alpha: float, x, y):
+    """Closed-form component of the proportional CR operator of the
+    holomorphic polynomial field ``sum_k coeffs[k] z^k`` at the proportion
+    ``(1, 0, 1, 0)``, with ``Phi4.linear()`` on the unit rectangle, the left
+    side, classical weights, trace base point component ``w`` and order
+    ``alpha`` on the x axis.
+
+    With sigma = 1 on x the trace integral is the Riemann-Liouville integral
+    of order ``beta = 1 - alpha`` (from 0) of ``t -> P(t + i Im w) = sum_j
+    a_j t^j``, and ``d/dx I^beta[t^j](x) = Gamma(j+1)/Gamma(j+beta) *
+    x^(j+beta-1)``; the sigma = 0 y axis is the identity, so its partial is
+    ``i P'(Re w + i y)``.  ``Dphi`` is 2."""
+    P = Polynomial(coeffs)
+    a = P(Polynomial([1j * w.imag, 1.0])).coef
+    beta = 1.0 - alpha
+    x = np.asarray(x, dtype=float)[..., None]
+    j = np.arange(a.size)
+    dgx = np.sum(a * gamma(j + 1.0) / gamma(j + beta) * x ** (j + beta - 1.0), axis=-1)
+    dgy = 1j * P.deriv()(w.real + 1j * np.asarray(y, dtype=float))
+    return (dgx + 1j * dgy) / 2.0
+
+
+@pytest.fixture
+def sigma_one_cr():
+    return _sigma_one_cr

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from bcfrac import (
-    DEFAULT_CONTROL,
     DomainError,
     FracSpec,
     Quadrature1D,
@@ -67,26 +66,6 @@ class TestPropDerivative:
     def test_domain_error(self, identity_weight):
         with pytest.raises(DomainError):
             prop_derivative(np.sin, np.cos, identity_weight, 0.5, 2.0)
-
-    def test_control_limits(self):
-        # interpolation coefficients approach their endpoint roles
-        t = 0.3
-        assert abs(DEFAULT_CONTROL.chi1(1e-6, t) - 1.0) < 1e-4
-        assert abs(DEFAULT_CONTROL.chi0(1e-6, t)) < 1e-4
-        assert abs(DEFAULT_CONTROL.chi1(1 - 1e-6, t)) < 1e-4
-        assert abs(DEFAULT_CONTROL.chi0(1 - 1e-6, t) - 1.0) < 1e-4
-
-    def test_custom_control(self, identity_weight):
-        from bcfrac import ProportionalControl
-
-        ctrl = ProportionalControl(
-            chi1=lambda s, t: (1 - s) * np.cos(s * np.asarray(t, dtype=float)),
-            chi0=lambda s, t: s * np.ones_like(np.asarray(t, dtype=float)),
-        )
-        t, s = 0.4, 0.6
-        got = prop_derivative(np.sin, np.cos, identity_weight, s, t, control=ctrl)
-        want = (1 - s) * np.cos(s * t) * np.sin(t) + s * np.cos(t)
-        assert abs(got - want) < 1e-14
 
     def test_linearity(self, cubic_weight):
         rng = np.random.default_rng(3)
@@ -362,6 +341,17 @@ class TestPropFracDerivative:
         assert abs(got - 0.49**-0.5 / gamma(0.5)) < 1e-6
         assert abs(1 / gamma(0.5) - 0.56419) < 1e-5
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_array_targets_equal_scalar_calls(self, cubic_weight, side):
+        # the value and the stencil take separate integral calls; rows depend
+        # only on their own target, so batching never changes a bit
+        spec = FracSpec(0.4, 0.6, cubic_weight)
+        q = Quadrature1D(n=256)
+        ts = np.array([0.0, 5e-5, 0.3, 0.3, 0.7, 1.0])
+        got = prop_frac_derivative(np.cos, spec, side, ts, q)
+        want = [prop_frac_derivative(np.cos, spec, side, t, q) for t in ts]
+        assert np.array_equal(got, want)
+
     def test_step_error(self, identity_weight, quad_default):
         spec = FracSpec(0.5, 0.7, identity_weight)
         with pytest.raises(StepError):
@@ -371,6 +361,27 @@ class TestPropFracDerivative:
         with pytest.raises(ValueError):
             prop_frac_derivative(np.sin, FracSpec(1.0, 0.7, identity_weight),
                                  "left", 0.5, quad_default)
+
+
+class TestCentralDifference:
+    def test_exact_on_affine(self):
+        ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])
+        got = fracops1d._central_difference(lambda s: 2.5 - 1.75j * s, ts, 1e-4, 0.0, 1.0)
+        assert np.max(np.abs(got + 1.75j)) < 1e-10
+
+    def test_one_sided_at_both_ends(self):
+        calls = []
+
+        def fn(s):
+            calls.append(s.copy())
+            return s**2
+
+        ts = np.array([0.0, 0.5, 1.0])
+        got = fracops1d._central_difference(fn, ts, 0.01, 0.0, 1.0)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [0.0, 0.49, 0.99, 0.01, 0.51, 1.0])
+        # one-sided quotients of s^2 are off by h, the central one is exact
+        assert np.max(np.abs(got - [0.01, 1.0, 1.99])) < 1e-12
 
 
 class TestHausdorff:
@@ -395,11 +406,6 @@ class TestHausdorff:
 
 
 class TestWeightValidation:
-    def test_monotone_required(self):
-        w = ScalarWeightFn(phi=lambda t: -t, dphi=lambda t: -np.ones_like(t), lo=0.0, hi=1.0)
-        with pytest.raises(DomainError):
-            w.validate()
-
     def test_bisection_inverse(self, cubic_weight):
         u = cubic_weight.phi(np.array([0.3, 0.8]))
         back = cubic_weight.inverse(u)

@@ -266,18 +266,3 @@ class TestKernelSums:
         for l in (1, 2):
             want = (-1j / np.pi) / (kernel.smap(l, v) - kernel.smap(l, z))
             assert np.array_equal(kernel.component(l)(v, z), want)
-
-
-def test_plane_function_partial_validation():
-    good = PlaneFunction(
-        f=lambda x, y: np.sin(x) * np.exp(1j * y),
-        dx=lambda x, y: np.cos(x) * np.exp(1j * y),
-        dy=lambda x, y: 1j * np.sin(x) * np.exp(1j * y),
-    )
-    assert good.validate_partials([(0.3, 0.4), (1.0, -0.5)]) < 1e-6
-    bad = PlaneFunction(
-        f=lambda x, y: np.sin(x), dx=lambda x, y: np.cos(x) + 0.1, dy=lambda x, y: 0.0 * x
-    )
-    from bcfrac import DomainError
-    with pytest.raises(DomainError):
-        bad.validate_partials([(0.3, 0.4)])
