@@ -6,8 +6,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EmptyProbesError,
-    NotInvertibleError,
-    QuadratureError,
     StepError,
     UnsupportedWeightsError,
     WOnBoundaryError,
@@ -20,11 +18,6 @@ from .hypercomplex import (
     bc_from_cartesian,
     bc_from_text,
     bc_inner_k,
-    bc_invert,
-    bc_mod_k,
-    bc_mul,
-    bc_star,
-    bc_to_cartesian,
     bc_to_text,
     d_leq,
 )
@@ -33,7 +26,6 @@ from .fracops1d import (
     Quadrature1D,
     ScalarWeightFn,
     hausdorff_derivative,
-    integral_rule,
     prop_derivative,
     prop_frac_derivative,
     prop_frac_integral,
@@ -46,7 +38,6 @@ from .weighted_cr import (
     WeightPair,
     apply_cr_weighted,
     boundary_measure,
-    cauchy_kernel,
     check_orthogonality,
     inner_c,
     weight_divergence,

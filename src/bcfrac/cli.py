@@ -30,8 +30,7 @@ with the fields below (matching :class:`ExperimentConfig` one to one)::
       ]
     }
 
-Bicomplex values in reports use the textual form ``"a+bi E + c+di E*"``
-(see ``hypercomplex.bc_to_text``).  CSV rows carry the schema
+CSV rows carry the schema
 ``identity,m,k,n,res_l1,res_l2,order,seconds``; wall-clock seconds are
 reported but excluded from determinism comparisons.
 """
@@ -50,7 +49,12 @@ from typing import Optional
 import numpy as np
 
 from .errors import BcfracError, ConfigError, DomainError, UnsupportedWeightsError
-from .frac_cr_bicomplex import FracParams, LambdaWeights, lambda_for_constant_weights
+from .frac_cr_bicomplex import (
+    FracParams,
+    LambdaWeights,
+    lambda_for_constant_weights,
+    lambda_residual,
+)
 from .fracops1d import FracSpec, Quadrature1D, ScalarWeightFn, prop_frac_derivative, prop_frac_integral, hausdorff_derivative
 from .presets import (
     EXPERIMENT_PRESETS,
@@ -187,6 +191,14 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     except ValueError as exc:
         _config_error(index, "alpha", str(exc))
 
+    margin = _number(index, "margin", merged["margin"])
+    if margin < 0.0:  # a negative inset would reach outside the domain
+        _config_error(index, "margin", "margin must be nonnegative")
+    try:
+        patch = SurfacePatch.inside(rect, margin=margin, m=m, k=k)
+    except ValueError as exc:
+        _config_error(index, "margin", str(exc))
+
     sig = params.sigma
     if sig.z1 == 1 and sig.z2 == 1:
         lam = LambdaWeights.zero()
@@ -195,16 +207,13 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             lam = lambda_for_constant_weights(wp, params)
         except BcfracError as exc:
             _config_error(index, "sigma", f"multiplier unavailable: {exc}")
+        # a proportion near zero makes (1 - sigma)/sigma so large that the
+        # multiplier's rounding error no longer solves its PDE
+        lres = lambda_residual(lam, wp, params, patch.probes())
+        if not lres <= 1e-8:
+            _config_error(index, "sigma", f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
     else:
         lam = LambdaWeights.zero()
-
-    margin = _number(index, "margin", merged["margin"])
-    if margin < 0.0:  # a negative inset would reach outside the domain
-        _config_error(index, "margin", "margin must be nonnegative")
-    try:
-        patch = SurfacePatch.inside(rect, margin=margin, m=m, k=k)
-    except ValueError as exc:
-        _config_error(index, "margin", str(exc))
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     setup = VerificationSetup(

@@ -17,20 +17,12 @@ class ZeroError(BcfracError):
     """Inversion of the bicomplex zero."""
 
 
-class QuadratureError(BcfracError):
-    """A quadrature rule failed its internal accuracy self-estimate."""
-
-
 class StepError(BcfracError):
     """A finite-difference step is too large for the domain."""
 
 
 class EmptyProbesError(BcfracError):
     """A probe-based check was called with no probe points."""
-
-
-class NotInvertibleError(BcfracError):
-    """A kernel argument is a zero divisor or zero."""
 
 
 class UnsupportedWeightsError(BcfracError):

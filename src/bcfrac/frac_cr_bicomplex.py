@@ -31,7 +31,7 @@ from .fracops1d import (
     prop_frac_integral,
     tabulate,
 )
-from .hypercomplex import BicomplexNumber, HyperbolicNumber, bc_invert
+from .hypercomplex import BicomplexNumber, HyperbolicNumber
 from .weighted_cr import PlaneFunction, ProductFunction, WeightPair
 
 
@@ -51,12 +51,6 @@ class RectDomain:
     def __post_init__(self):
         if not (self.a1 < self.b1 and self.c1 < self.d1 and self.a2 < self.b2 and self.c2 < self.d2):
             raise ValueError("rectangle bounds must satisfy a < b and c < d")
-
-    @classmethod
-    def from_pq(cls, P, Q) -> "RectDomain":
-        a1, c1, a2, c2 = P
-        b1, d1, b2, d2 = Q
-        return cls(a1, b1, c1, d1, a2, b2, c2, d2)
 
     def axis_interval(self, axis: int) -> tuple:
         return (
@@ -122,9 +116,6 @@ class Phi4:
 
     def component(self, l: int) -> PlaneFunction:
         return self.comp1 if l == 1 else self.comp2
-
-    def eval4(self, x1, y1, x2, y2) -> tuple:
-        return np.real(self.comp1.f(x1, y1)), np.real(self.comp2.f(x2, y2))
 
     def restriction(self, axis: int, W: BicomplexNumber, rect: RectDomain) -> ScalarWeightFn:
         """Scalar weight along one trace direction through ``W``."""
@@ -232,11 +223,9 @@ class LambdaWeights:
         return cls(z, z)
 
 
-def dphi(phi: Phi4, Z: BicomplexNumber, rect: Optional[RectDomain] = None) -> HyperbolicNumber:
+def dphi(phi: Phi4, Z: BicomplexNumber) -> HyperbolicNumber:
     """Sum of the two partials per component, a strictly positive hyperbolic
     value used to scale the weighted derivative."""
-    if rect is not None and not rect.contains(Z):
-        raise DomainError("point outside the rectangle")
     x1, y1 = np.real(Z.z1), np.imag(Z.z1)
     x2, y2 = np.real(Z.z2), np.imag(Z.z2)
     return HyperbolicNumber(
@@ -419,7 +408,7 @@ def frac_cr_apply(
         th_fn, ph_fn = wp.component(l)
         comps.append(th_fn.f(x, y) * gx + ph_fn.f(x, y) * gy)
     cr = BicomplexNumber(comps[0], comps[1])
-    dphi_inv = bc_invert(dphi(p.phi, Z).as_bicomplex())
+    dphi_inv = dphi(p.phi, Z).as_bicomplex().invert()
     return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
 
 
@@ -429,8 +418,7 @@ def lambda_residual(lam: LambdaWeights, wp: WeightPair, p: FracParams, probes) -
     probes = list(probes)
     if not probes:
         raise EmptyProbesError("probe list is empty")
-    sigma_inv = bc_invert(p.sigma)
-    factor = p.one_minus_sigma * sigma_inv
+    factor = p.one_minus_sigma * p.sigma.invert()
     worst = 0.0
     for P in probes:
         rhs = dphi(p.phi, P).as_bicomplex() * factor
@@ -457,7 +445,7 @@ def lambda_for_constant_weights(wp: WeightPair, p: FracParams) -> LambdaWeights:
         raise UnsupportedWeightsError(
             "multiplier construction needs constant Dphi (linear weight preset)"
         )
-    factor = p.one_minus_sigma * bc_invert(p.sigma)
+    factor = p.one_minus_sigma * p.sigma.invert()
     rhs = d_center.as_bicomplex() * factor
     th1, ph1, th2, ph2 = wp.const_values
     comps = []
@@ -508,5 +496,5 @@ def factorization_check(
         comps.append(np.exp(-lam_fn.f(x, y)) * cr_m)
 
     cr_part = BicomplexNumber(comps[0], comps[1])
-    rhs = p.sigma * bc_invert(dphi(p.phi, Z).as_bicomplex()) * cr_part
+    rhs = p.sigma * dphi(p.phi, Z).as_bicomplex().invert() * cr_part
     return (lhs - rhs).mod_k()

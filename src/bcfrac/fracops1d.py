@@ -40,7 +40,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import roots_jacobi
 
-from .errors import DomainError, QuadratureError, StepError
+from .errors import DomainError, StepError
 
 _LOG2E = math.log2(math.e)
 #: Grading exponents above this are clipped; the product rule integrates the
@@ -102,7 +102,6 @@ class Quadrature1D:
     n: int = 512
     scheme: str = "graded"  # "graded" | "gauss_jacobi"
     grading: Optional[float] = None  # None = automatic 2/alpha (capped)
-    tol: Optional[float] = None  # enable an internal two-level self check
 
     def __post_init__(self):
         if self.n < 2:
@@ -176,15 +175,7 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
         uniq, inv = np.unique(ts, return_inverse=True)
-        out = _integral_dispatch(f, p, side, uniq, q)
-        if q.tol is not None:
-            coarse = _integral_dispatch(f, p, side, uniq, _halved(q))
-            err = np.max(np.abs(out - coarse))
-            if err > q.tol * (1.0 + np.max(np.abs(out))):
-                raise QuadratureError(
-                    f"self-estimate {err:.3e} exceeds requested tolerance {q.tol:.3e}"
-                )
-        out = out[inv]
+        out = _integral_dispatch(f, p, side, uniq, q)[inv]
     if scalar:
         return out[0]
     return out.reshape(t_arr.shape)
@@ -261,10 +252,6 @@ def _read_only(*arrays) -> tuple:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-def _halved(q: Quadrature1D) -> Quadrature1D:
-    return Quadrature1D(max(2, q.n // 2), q.scheme, q.grading, None)
 
 
 def _integral_dispatch(f, p, side, ts, q):
@@ -399,20 +386,6 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     return wts
 
 
-def integral_rule(p: FracSpec, side: str, t: float, q: Quadrature1D):
-    """Nodes and weights so that ``sum(weights * f(nodes))`` approximates the
-    proportional fractional integral at the scalar target ``t``.
-
-    Exposing the rule lets callers batch one integrand over many parameters
-    (for example a Cauchy kernel over many boundary points) with a single
-    matrix product.  Weights are real for the graded scheme.
-    """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    rule = _gauss_jacobi_rule if q.scheme == "gauss_jacobi" else _graded_rule
-    tau, wts = rule(p, side, ts, q)
-    return tau[0], wts[0]
-
-
 def refined_rule(
     p: FracSpec,
     side: str,
@@ -420,48 +393,42 @@ def refined_rule(
     q: Quadrature1D,
     centers: np.ndarray,
     scales: np.ndarray,
-    per_octave: int = 4,
 ):
-    """Per-row rules with extra nodes geometrically clustered around
-    near-singular locations of the integrand.
+    """Rule with extra nodes geometrically clustered around near-singular
+    locations of the integrand.
 
-    ``centers`` and ``scales`` give locations and widths of sharp features
-    (for instance Cauchy kernel poles just off the integration segment):
-    1-D arrays describe one rule with several clusters, 2-D arrays one rule
-    per row.  The base graded mesh is merged with two-sided geometric
-    ladders spanning ``scale/2`` up to the interval length, so each feature
-    is resolved at every octave.  Features far outside the segment simply
-    produce harmless extra nodes.
+    ``centers`` and ``scales`` (1-D arrays) give locations and widths of
+    sharp features (for instance Cauchy kernel poles just off the
+    integration segment).  The base graded mesh is merged with two-sided
+    geometric ladders spanning ``scale/2`` up to the interval length, so
+    each feature is resolved at every octave.  Features far outside the
+    segment simply produce harmless extra nodes.
 
-    Returns ``(tau, wts)`` of shape ``(rows, columns)``; row sums
-    ``sum(wts[r] * f(tau[r]))`` approximate the integral at ``t``.
+    Returns ``(tau, wts)``, nodes running from ``t`` toward the anchor;
+    ``sum(wts * f(tau))`` approximates the integral at ``t``.
     """
     t = float(t)
     w = p.weight
     anchor = w.lo if side == "left" else w.hi
     span = abs(t - anchor)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    scales = np.atleast_2d(np.asarray(scales, dtype=float))
-    scales = np.maximum(scales, span * 1e-9 + 1e-300)
-    rows = centers.shape[0]
+    centers = np.asarray(centers, dtype=float)
+    scales = np.maximum(np.asarray(scales, dtype=float), span * 1e-9 + 1e-300)
 
     u = _graded_fractions(max(2, q.n), _auto_grading(q, p.alpha))
     base = t - (t - anchor) * u if side == "left" else t + (anchor - t) * u
 
-    octaves = 10
-    ladder = 2.0 ** (np.arange(octaves * per_octave + 1) / per_octave - 1.0)
+    ladder = 2.0 ** (np.arange(81) / 8 - 1.0)  # 8 nodes per octave over 10 octaves
     offsets = np.concatenate([-ladder[::-1], [0.0], ladder])
-    extras = (centers[:, :, None] + scales[:, :, None] * offsets[None, None, :]).reshape(rows, -1)
+    extras = (centers[:, None] + scales[:, None] * offsets[None, :]).ravel()
     nudge = 1e-12 * span  # keep extras off the exact anchor (see _graded_fractions)
     lo_t, hi_t = (anchor + nudge, t) if side == "left" else (t, anchor - nudge)
     extras = np.clip(extras, lo_t, hi_t)
 
-    tau = np.concatenate([np.broadcast_to(base[None, :], (rows, base.size)), extras], axis=1)
-    tau = np.sort(tau, axis=1)
+    tau = np.sort(np.concatenate([base, extras]))
     if side == "left":
-        tau = tau[:, ::-1]  # rows must run from the singular end toward the anchor
+        tau = tau[::-1]  # the rule runs from the singular end toward the anchor
     phit = float(w.phi(np.asarray(t, dtype=float)))
-    return tau, _tempered_weights(p, side, phit, tau)
+    return tau, _tempered_weights(p, side, phit, tau[None, :])[0]
 
 
 def _gauss_jacobi_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):

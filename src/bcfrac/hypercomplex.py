@@ -5,7 +5,7 @@ so that the represented value is ``z1*E + z2*E'`` where ``E`` and ``E'`` are
 the two idempotent zero divisors (``E + E' = 1``, ``E*E' = 0``).  Addition
 and multiplication act componentwise, which is why every operator here is a
 one-liner.  The cartesian form ``a + b*j`` exists only at the conversion
-boundary (:func:`bc_from_cartesian` / :func:`bc_to_cartesian`).
+boundary (:func:`bc_from_cartesian` / :meth:`BicomplexNumber.to_cartesian`).
 
 Components may be Python complex scalars or numpy complex arrays; all
 operations broadcast componentwise either way.
@@ -143,30 +143,10 @@ def bc_from_cartesian(a: complex, b: complex) -> BicomplexNumber:
     return BicomplexNumber(a - 1j * b, a + 1j * b)
 
 
-def bc_to_cartesian(x: BicomplexNumber) -> tuple:
-    return x.to_cartesian()
-
-
-def bc_mul(x: BicomplexNumber, y: BicomplexNumber) -> BicomplexNumber:
-    return x * y
-
-
-def bc_star(x: BicomplexNumber) -> BicomplexNumber:
-    return x.star()
-
-
-def bc_mod_k(x: BicomplexNumber) -> HyperbolicNumber:
-    return x.mod_k()
-
-
 def bc_inner_k(x: BicomplexNumber, y: BicomplexNumber) -> BicomplexNumber:
     """Hyperbolic-valued product ``(Z*W + W*Z)/2``; both components real."""
     s = x.star() * y + y.star() * x
     return BicomplexNumber(s.z1 / 2.0, s.z2 / 2.0)
-
-
-def bc_invert(x: BicomplexNumber, tol: float = None) -> BicomplexNumber:
-    return x.invert(tol=tol)
 
 
 def d_leq(x: HyperbolicNumber, y: HyperbolicNumber) -> bool:

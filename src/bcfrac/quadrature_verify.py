@@ -13,7 +13,7 @@ Integration conventions, fixed once here and asserted by tests:
   ``dz ^ dzbar`` form it is stated in.
 
 Singular area kernels ``1/(Z - W)`` are handled by excising a disc of
-radius ``excision_factor * max_side / m`` around the pole (the excised mass
+radius ``2 * max_side / m`` around the pole (the excised mass
 is absolutely integrable and symmetric to leading order); the deep
 reconstruction additionally subtracts the kernel's locally constant part
 and integrates it exactly in polar wedges, which keeps the map smooth in
@@ -38,11 +38,10 @@ from .frac_cr_bicomplex import (
     _axis_coord,
     _axis_partial_batched,
     axis_integral,
-    lambda_residual,
     remainder_R,
     trace_sum,
 )
-from .hypercomplex import BicomplexNumber, HyperbolicNumber, bc_invert
+from .hypercomplex import BicomplexNumber
 from .weighted_cr import CauchyKernel, ProductFunction, WeightPair
 
 
@@ -84,6 +83,21 @@ class SurfacePatch:
     def with_resolution(self, m: int, k: int) -> "SurfacePatch":
         return replace(self, m=m, k=k)
 
+    def probes(self) -> list:
+        """Three interior bicomplex points, where ``bcfrac verify`` checks
+        that a multiplier solves its PDE."""
+        pts = []
+        for fx, fy in ((0.2, 0.3), (0.7, 0.6), (0.5, 0.5)):
+            x0, x1, y0, y1 = self.bounds1
+            u0, u1, v0, v1 = self.bounds2
+            pts.append(
+                BicomplexNumber(
+                    complex(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)),
+                    complex(u0 + fy * (u1 - u0), v0 + fx * (v1 - v0)),
+                )
+            )
+        return pts
+
 
 @dataclass
 class ResidualReport:
@@ -101,20 +115,16 @@ class ResidualReport:
 
     CSV_HEADER = "identity,m,k,n,res_l1,res_l2,order,seconds"
 
-    def residual(self) -> HyperbolicNumber:
-        return HyperbolicNumber(self.res_l1, self.res_l2)
-
     def max_residual(self) -> float:
         """Larger residual component; NaN when either component is NaN."""
         return float(np.maximum(self.res_l1, self.res_l2))
 
-    def csv_row(self, include_seconds: bool = True) -> str:
+    def csv_row(self) -> str:
         order = "" if self.order is None else f"{self.order:.6f}"
-        row = (
+        return (
             f"{self.identity},{self.m},{self.k},{self.n},"
-            f"{self.res_l1:.12e},{self.res_l2:.12e},{order}"
+            f"{self.res_l1:.12e},{self.res_l2:.12e},{order},{self.seconds:.3f}"
         )
-        return row + (f",{self.seconds:.3f}" if include_seconds else ",")
 
 
 # ----------------------------------------------------------------------
@@ -209,35 +219,29 @@ def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> R
     """Weighted Gauss identity: area integral of the weighted derivative plus
     divergence terms against ``dx dy`` versus the weighted contour integral."""
     t0 = time.perf_counter()
+    contour = contour_integral(F, patch, wp)
     res = []
-    for l in (1, 2):
+    for l, bnd in ((1, contour.z1), (2, contour.z2)):
         th_fn, ph_fn = wp.component(l)
         fl = F.component(l)
         x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
         th, ph = th_fn.f(x, y), ph_fn.f(x, y)
         grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
         fv = fl.f(x, y)
-        integrand = th * fl.dx(x, y) + ph * fl.dy(x, y) + (np.real(grad_w) + 1j * np.imag(grad_w)) * fv
+        integrand = th * fl.dx(x, y) + ph * fl.dy(x, y) + grad_w * fv
         area = np.sum(integrand * w)
-        z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        bnd = np.sum(fl.f(z.real, z.imag) * (th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx))
         res.append(abs(area - bnd))
     return ResidualReport("gauss-weighted", patch.m, patch.k, 0, res[0], res[1],
                           seconds=time.perf_counter() - t0)
 
 
-def borel_pompeiu_classical(
-    F: ProductFunction,
-    W: BicomplexNumber,
-    patch: SurfacePatch,
-    excision_factor: float = 2.0,
-):
+def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, patch: SurfacePatch):
     """Classical componentwise reconstruction from boundary values plus the
     area integral of the anti-holomorphic derivative.
 
     Returns the reconstructed value and a residual report against ``F(W)``.
     The area kernel's pole at the reconstruction point is excised on a disc
-    tied to the mesh width, with the kernel's locally constant part
+    of radius two mesh widths, with the kernel's locally constant part
     subtracted first and integrated exactly in polar wedges (a point-masked
     excision alone stalls: its near-ring error is scale invariant).
     """
@@ -245,7 +249,7 @@ def borel_pompeiu_classical(
     comps, res = [], []
     for l, wz in ((1, W.z1), (2, W.z2)):
         x0, x1, y0, y1 = patch.component_bounds(l)
-        eps = excision_factor * max(x1 - x0, y1 - y0) / patch.m
+        eps = 2.0 * max(x1 - x0, y1 - y0) / patch.m
         wz = complex(wz)
         dist_to_edge = min(wz.real - x0, x1 - wz.real, wz.imag - y0, y1 - wz.imag)
         if dist_to_edge <= eps:
@@ -304,20 +308,6 @@ def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs
 # proportional fractional Gauss identity
 
 
-def _patch_probes(patch: SurfacePatch) -> list:
-    pts = []
-    for fx, fy in ((0.2, 0.3), (0.7, 0.6), (0.5, 0.5)):
-        x0, x1, y0, y1 = patch.bounds1
-        u0, u1, v0, v1 = patch.bounds2
-        pts.append(
-            BicomplexNumber(
-                complex(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)),
-                complex(u0 + fy * (u1 - u0), v0 + fx * (v1 - v0)),
-            )
-        )
-    return pts
-
-
 def frac_gauss_residual(
     F,
     W: BicomplexNumber,
@@ -325,20 +315,17 @@ def frac_gauss_residual(
     wp: WeightPair,
     lam: LambdaWeights,
     patch: SurfacePatch,
-    check_lambda: bool = True,
 ) -> ResidualReport:
     """Gauss identity for the exponentially weighted trace integral.
 
     Boundary side: contour integral of ``exp(lambda) * (I F)`` against the
     weighted measure.  Area side: ``exp(lambda)`` times the trace-scaled
     proportional CR operator plus the divergence terms, against ``dx dy``.
+    ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
+    when it loads the configuration).
     """
     t0 = time.perf_counter()
-    if check_lambda:
-        lres = lambda_residual(lam, wp, p, _patch_probes(patch))
-        if lres > 1e-8:
-            raise ValueError(f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
-    sigma_inv = bc_invert(p.sigma)
+    sigma_inv = p.sigma.invert()
     res = []
     for l in (1, 2):
         th_fn, ph_fn = wp.component(l)
@@ -359,7 +346,7 @@ def frac_gauss_residual(
         g_a = trace_component(F, W, p, "left", l, x, y)
         elam_a = np.exp(lam_fn.f(x, y))
         grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
-        div_term = (np.real(grad_w) + 1j * np.imag(grad_w)) * elam_a * g_a
+        div_term = grad_w * elam_a * g_a
         area = np.sum((elam_a * h_field + div_term) * w)
         res.append(abs(bnd - area))
     return ResidualReport("frac-gauss", patch.m, patch.k, p.quadrature.n, res[0], res[1],
@@ -432,7 +419,6 @@ def _trace_derivative_of_map(
     W,
     p: FracParams,
     crossings: dict,
-    per_octave: int = 8,
 ):
     """Apply the two-direction trace derivative (in the real components of
     ``Z``, with weight restrictions anchored through ``W``) to a scalar
@@ -469,9 +455,8 @@ def _trace_derivative_of_map(
         def integral(ss):
             out = []
             for s in ss:
-                tau, wts = refined_rule(spec, "left", s, p.quadrature, centers, scales,
-                                        per_octave=per_octave)
-                out.append(np.sum(line(tau[0]) * wts[0]))
+                tau, wts = refined_rule(spec, "left", s, p.quadrature, centers, scales)
+                out.append(np.sum(line(tau) * wts))
             return np.array(out)
 
         at = np.array([coord])
@@ -489,15 +474,15 @@ def frac_bp_reconstruct(
     lam: LambdaWeights,
     patch: SurfacePatch,
     include_area: bool = True,
-    check_lambda: bool = True,
 ):
     """Reconstruction of the trace sum of ``F`` through the deep identity:
     boundary integral of the derived kernel against the trace integral,
     minus the remainder, minus the trace derivative of the area integral of
     the proportional CR image.
 
-    Restricted to constant weight pairs (the kernel must be constructible).
-    The surface is always the full rectangle, whatever inset the supplied
+    Restricted to constant weight pairs (the kernel must be constructible),
+    and ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
+    when it loads the configuration).  The surface is always the full rectangle, whatever inset the supplied
     patch carries (only its resolutions are used): the trace derivatives
     integrate from the rectangle's corners, and the reconstruction identity
     they are applied to holds on the surface only.  Returns the
@@ -513,12 +498,7 @@ def frac_bp_reconstruct(
         m=patch.m,
         k=patch.k,
     )
-    if check_lambda:
-        lres = lambda_residual(lam, wp, p, _patch_probes(patch))
-        if lres > 1e-8:
-            raise ValueError(f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
-    c_norm = kernel.normalization()
-    sigma_inv = bc_invert(p.sigma)
+    sigma_inv = p.sigma.invert()
     rem = remainder_R(F, W, p, Z)
     tsum = trace_sum(F, W, Z)
 
@@ -528,7 +508,6 @@ def frac_bp_reconstruct(
         a_map, b_map = kernel._maps[l - 1]
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
-        cinv = 1.0 / (c_norm.z1 if l == 1 else c_norm.z2)
         rem_l = rem.z1 if l == 1 else rem.z2
         ts_l = tsum.z1 if l == 1 else tsum.z2
         ax_x, ax_y = _component_axes(l)
@@ -570,7 +549,7 @@ def frac_bp_reconstruct(
             }
             area_d = _trace_derivative_of_map(area_map, l, Z, W, p, area_crossings)
 
-        val = cinv * (bnd - area_d) - rem_l
+        val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         comps.append(val)
         res.append(abs(val - ts_l))
 
@@ -594,17 +573,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
     lam_fn = lam.component(l)
     a_map, b_map = kernel._maps[l - 1]
     wp = kernel.wp
-
-    x_a, y_a, w_a = _area_nodes(bounds, patch.m)
-    v_nodes = x_a + 1j * y_a
     comp_phi = p.phi.component(l)
-    dphi_l = np.real(comp_phi.dx(x_a, y_a) + comp_phi.dy(x_a, y_a))
-    h_field = (
-        np.exp(lam_fn.f(x_a, y_a))
-        * dphi_l
-        * sig_inv
-        * frac_cr_component(F, W, p, wp, "left", l, x_a, y_a)
-    )
 
     def h_at(xs, ys):
         comp_phi_v = np.real(comp_phi.dx(xs, ys) + comp_phi.dy(xs, ys))
@@ -615,7 +584,9 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
             * frac_cr_component(F, W, p, wp, "left", l, xs, ys)
         )
 
-    charges = np.stack([w_a * h_field, w_a], axis=1)
+    x_a, y_a, w_a = _area_nodes(bounds, patch.m)
+    v_nodes = x_a + 1j * y_a
+    charges = np.stack([w_a * h_at(x_a, y_a), w_a], axis=1)
     x0, x1, y0, y1 = bounds
     cell_x = (x1 - x0) / patch.m
     cell_y = (y1 - y0) / patch.m

@@ -20,12 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import fracops1d
-from .errors import (
-    DomainError,
-    EmptyProbesError,
-    NotInvertibleError,
-    UnsupportedWeightsError,
-)
+from .errors import DomainError, EmptyProbesError, UnsupportedWeightsError
 from .hypercomplex import BicomplexNumber
 
 
@@ -292,9 +287,10 @@ class CauchyKernel:
     ``s(v) = (theta - i*phi_w)*v - (theta + i*phi_w)*conj(v)`` straightens
     the weighted operator into a Wirtinger derivative, and the kernel is
     ``-i / (pi * (s(v) - s(z)))`` per component.  The classical pair gives
-    ``1 / (2*pi*i*(v - z))``.  The reconstruction normalization constant of
-    the associated Cauchy-Pompeiu identity is calibrated numerically once
-    (it equals ``-i`` analytically) and cached.
+    ``1 / (2*pi*i*(v - z))``.  The contour integral of the kernel against
+    the weighted measure ``theta dy - phi_w dx`` around its pole is ``-i``
+    for every such pair, so the associated Cauchy-Pompeiu identity
+    reconstructs ``-i * f(z)`` and its normalization is exact.
     """
 
     def __init__(self, wp: WeightPair):
@@ -312,7 +308,6 @@ class CauchyKernel:
                 )
             self._maps.append((th - 1j * ph, -(th + 1j * ph)))
         self.wp = wp
-        self._normalization = None
 
     def smap(self, l: int, v):
         a, b = self._maps[l - 1]
@@ -364,33 +359,3 @@ class CauchyKernel:
             np.matmul(blk.reshape(t.size, -1), rhs, out=out[start:start + t.size])
         res = out[:, :q.shape[1]] + 1j * out[:, q.shape[1]:]
         return res.reshape(s_tgt.shape + c.shape[1:])
-
-    def eval(self, V: BicomplexNumber, Z: BicomplexNumber) -> BicomplexNumber:
-        diff = V - Z
-        if min(abs(diff.z1), abs(diff.z2)) < 1e-14:
-            raise NotInvertibleError("kernel argument V - Z is not invertible")
-        return BicomplexNumber(
-            self.component(1)(V.z1, Z.z1), self.component(2)(V.z2, Z.z2)
-        )
-
-    def normalization(self) -> BicomplexNumber:
-        """Reconstruction constant ``c`` with ``c * f(z) = contour term`` for
-        weighted-holomorphic ``f``; computed by reconstructing ``f = 1`` on a
-        circle and cached (write-once)."""
-        if self._normalization is None:
-            comps = []
-            theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
-            ct, st = np.cos(theta), np.sin(theta)
-            dtheta = 2.0 * np.pi / theta.size
-            for l in (1, 2):
-                th, ph = self.pairs[l - 1]
-                v = ct + 1j * st
-                vals = self.component(l)(v, 0.0 + 0.0j) * (th * ct + ph * st)
-                comps.append(complex(np.sum(vals) * dtheta))
-            self._normalization = BicomplexNumber(comps[0], comps[1])
-        return self._normalization
-
-
-def cauchy_kernel(wp: WeightPair, V: BicomplexNumber, Z: BicomplexNumber) -> BicomplexNumber:
-    """Componentwise Cauchy kernel at ``(V, Z)`` for constant weights."""
-    return CauchyKernel(wp).eval(V, Z)

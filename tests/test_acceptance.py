@@ -24,8 +24,6 @@ from bcfrac import (
     VerificationSetup,
     WeightPair,
     bc_from_cartesian,
-    bc_mul,
-    bc_star,
     borel_pompeiu_classical,
     convergence_study,
     factorization_check,
@@ -88,10 +86,9 @@ def test_criterion_01_bicomplex_algebra():
     rel = np.max((np.abs(p1 - q1) + np.abs(p2 - q2)) / scale)
 
     exact = (
-        bc_mul(E, E_DAG) == BicomplexNumber(0j, 0j)
+        E * E_DAG == BicomplexNumber(0j, 0j)
         and E + E_DAG == ONE
-        and bc_mul(BicomplexNumber(0.5 + 0.25j, 3 - 0.75j),
-                   bc_star(BicomplexNumber(0.5 + 0.25j, 3 - 0.75j)))
+        and BicomplexNumber(0.5 + 0.25j, 3 - 0.75j) * BicomplexNumber(0.5 + 0.25j, 3 - 0.75j).star()
         == BicomplexNumber(0.3125 + 0j, 9.5625 + 0j)
     )
     # round trips on dyadic rationals stay exact

@@ -224,6 +224,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="multiplier"):
             load_config(path)
 
+    @pytest.mark.parametrize("identity", ["frac-gauss", "factorization", "frac-borel-pompeiu"])
+    def test_multiplier_failing_its_pde_rejected(self, tmp_path, capsys, identity):
+        # at sigma = 1e-9 the multiplier's slope (1 - sigma)/sigma is 1e9, and
+        # its rounding leaves a PDE residual of 2.7e-7 on the patch probes
+        entry = dict(QUICK, identity=identity, weights="constant:1+0.3i,0.2+1.1i",
+                     sigma=[1e-9, 0, 1e-9, 0], n=32)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, [entry]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: experiments[0].sigma: multiplier PDE residual")
+        assert not out.exists()
+
 
 class TestRunSuite:
     def test_pass_and_reports(self, tmp_path):
@@ -261,16 +274,16 @@ class TestRunSuite:
 
     def test_runtime_error_exits_2_not_as_a_fail(self, tmp_path, monkeypatch, capsys):
         import bcfrac.cli as cli
-        from bcfrac.errors import QuadratureError
+        from bcfrac.errors import StepError
 
         def crash(identity, setup, res):
-            raise QuadratureError("self-estimate 1e-3 above tolerance")
+            raise StepError("finite-difference step 10.0 invalid for span 1.0")
 
         monkeypatch.setattr(cli, "run_identity", crash)
         cfg = write_config(tmp_path, [QUICK])
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert err.strip() == "runtime error: QuadratureError: self-estimate 1e-3 above tolerance"
+        assert err.strip() == "runtime error: StepError: finite-difference step 10.0 invalid for span 1.0"
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_runtime_error_keeps_finished_experiments(self, tmp_path, capsys, jobs):

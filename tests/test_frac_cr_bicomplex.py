@@ -4,7 +4,6 @@ from scipy.special import gamma
 
 from bcfrac import (
     BicomplexNumber,
-    DomainError,
     FracParams,
     LambdaWeights,
     Phi4,
@@ -52,10 +51,6 @@ class TestDphi:
         for _ in range(10):
             Z = rect.point(*rng.uniform(0.05, 0.95, 4))
             assert dphi(ph, Z).in_positive_cone(strict=True)
-
-    def test_domain_check(self, unit_rect, linear_phi):
-        with pytest.raises(DomainError):
-            dphi(linear_phi, BicomplexNumber(5 + 5j, 5 + 5j), rect=unit_rect)
 
 
 class TestRestrictionSlope:

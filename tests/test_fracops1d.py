@@ -8,11 +8,9 @@ from bcfrac import (
     DomainError,
     FracSpec,
     Quadrature1D,
-    QuadratureError,
     ScalarWeightFn,
     StepError,
     hausdorff_derivative,
-    integral_rule,
     prop_derivative,
     prop_frac_derivative,
     prop_frac_integral,
@@ -150,19 +148,6 @@ class TestPropFracIntegral:
         with pytest.raises(ValueError):
             prop_frac_integral(np.sin, spec, "up", 0.5, quad_default)
 
-    def test_self_check_raises(self, identity_weight):
-        # an impossible tolerance must trip the internal two-level estimate
-        q = Quadrature1D(n=64, tol=1e-15)
-        with pytest.raises(QuadratureError):
-            prop_frac_integral(lambda t: np.exp(3 * t) * np.sin(9 * t),
-                               FracSpec(0.3, 0.8, identity_weight), "left", 0.9, q)
-
-    def test_rule_extraction_matches(self, cubic_weight, quad_default):
-        spec = FracSpec(0.35, 0.7, cubic_weight)
-        direct = prop_frac_integral(np.cos, spec, "left", 0.8, quad_default)
-        tau, wts = integral_rule(spec, "left", 0.8, quad_default)
-        assert abs(np.sum(wts * np.cos(tau)) - direct) < 1e-14
-
     def test_graded_convergence_order(self, cubic_weight):
         # smooth input, graded mesh at the automatic grading: order >= 2
         spec = FracSpec(0.5, 1.0, cubic_weight)
@@ -221,11 +206,7 @@ class TestTargetDedup:
     @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
     def test_checks_still_raise(self, identity_weight, scheme, side):
         spec = FracSpec(0.3, 0.8, identity_weight)
-        ts = np.tile(self.XS, 64)
-        with pytest.raises(QuadratureError):
-            prop_frac_integral(lambda t: np.exp(3 * t) * np.sin(9 * t), spec, side, ts,
-                               Quadrature1D(n=16, scheme=scheme, tol=1e-15))
-        bad = ts.copy()
+        bad = np.tile(self.XS, 64)
         bad[100] = 1.5
         with pytest.raises(DomainError):
             prop_frac_integral(np.cos, spec, side, bad, Quadrature1D(n=16, scheme=scheme))
@@ -382,6 +363,36 @@ class TestCentralDifference:
         assert np.array_equal(calls[0], [0.0, 0.49, 0.99, 0.01, 0.51, 1.0])
         # one-sided quotients of s^2 are off by h, the central one is exact
         assert np.max(np.abs(got - [0.01, 1.0, 1.99])) < 1e-12
+
+
+class TestRefinedRule:
+    """The clustered rule of the deep reconstruction's outer derivative."""
+
+    WEIGHT = ScalarWeightFn(phi=lambda t: 0.5 + 2.0 * t,
+                            dphi=lambda t: np.full(np.shape(t), 2.0), lo=0.0, hi=1.0)
+
+    @pytest.mark.parametrize("side,t", [("left", 0.8), ("right", 0.3)])
+    @pytest.mark.parametrize("beta", [0.3, 0.75])
+    def test_constant_integrates_exactly_and_nodes_run_to_the_anchor(self, side, t, beta):
+        anchor = 0.0 if side == "left" else 1.0
+        inside = 0.5 * (t + anchor)
+        centers, scales = np.array([inside, 1.7]), np.array([1e-3, 0.05])  # 1.7 lies outside
+        tau, wts = fracops1d.refined_rule(FracSpec(beta, 1.0, self.WEIGHT), side, t,
+                                          Quadrature1D(n=64), centers, scales)
+        # the rule stops 1e-12 of the span short of the anchor (see
+        # _graded_fractions), so L is phi(t) - phi(last node), slope 2
+        length = 2.0 * abs(t - tau[-1])
+        exact = length**beta / gamma(beta + 1.0)
+        assert abs(np.sum(wts) - exact) <= 1e-13 * exact
+        assert tau.shape == wts.shape and tau.ndim == 1
+        assert tau[0] == t
+        lo, hi = sorted((anchor, t))
+        assert np.all((tau >= lo) & (tau <= hi))
+        assert np.all(tau != anchor)
+        toward = np.diff(tau) if side == "right" else -np.diff(tau)
+        assert np.all(toward >= 0.0)
+        # the inside cluster adds nodes around its center at its own scale
+        assert np.sum(np.abs(tau - inside) < 1e-3) > np.sum(np.abs(tau - inside - 0.1) < 1e-3)
 
 
 class TestHausdorff:

@@ -11,11 +11,6 @@ from bcfrac import (
     bc_from_cartesian,
     bc_from_text,
     bc_inner_k,
-    bc_invert,
-    bc_mod_k,
-    bc_mul,
-    bc_star,
-    bc_to_cartesian,
     bc_to_text,
     d_leq,
 )
@@ -38,7 +33,7 @@ class TestConversion:
         # j = -i*E + i*E'; checked by squaring to -1 componentwise
         j = bc_from_cartesian(0, 1)
         assert j == BicomplexNumber(-1j, 1j)
-        assert bc_mul(j, j) == BicomplexNumber(-1 + 0j, -1 + 0j)
+        assert j * j == BicomplexNumber(-1 + 0j, -1 + 0j)
 
     def test_generic_point(self):
         got = bc_from_cartesian(2 + 1j, 3 - 1j)
@@ -46,48 +41,48 @@ class TestConversion:
 
     def test_round_trip(self):
         a, b = 0.3 - 0.7j, -1.2 + 0.25j
-        back = bc_to_cartesian(bc_from_cartesian(a, b))
+        back = bc_from_cartesian(a, b).to_cartesian()
         assert abs(back[0] - a) < 1e-15 and abs(back[1] - b) < 1e-15
 
 
 class TestMultiplication:
     def test_idempotents_annihilate(self):
-        assert bc_mul(E, E_DAG) == BicomplexNumber(0j, 0j)
+        assert E * E_DAG == BicomplexNumber(0j, 0j)
 
     def test_idempotents_square(self):
-        assert bc_mul(E, E) == E
-        assert bc_mul(E_DAG, E_DAG) == E_DAG
+        assert E * E == E
+        assert E_DAG * E_DAG == E_DAG
 
     def test_basis_sums(self):
         assert E + E_DAG == ONE
         k = E - E_DAG
-        assert bc_mul(k, k) == ONE  # the hyperbolic unit squares to one
+        assert k * k == ONE  # the hyperbolic unit squares to one
 
     def test_componentwise(self):
-        got = bc_mul(BicomplexNumber(2, 3), BicomplexNumber(5, 7))
+        got = BicomplexNumber(2, 3) * BicomplexNumber(5, 7)
         assert got == BicomplexNumber(10, 21)
 
 
 class TestConjugationAndModulus:
     def test_star(self):
-        assert bc_star(BicomplexNumber(1j, -1j)) == BicomplexNumber(-1j, 1j)
-        assert bc_star(BicomplexNumber(3, 4)) == BicomplexNumber(3, 4)
+        assert BicomplexNumber(1j, -1j).star() == BicomplexNumber(-1j, 1j)
+        assert BicomplexNumber(3, 4).star() == BicomplexNumber(3, 4)
 
     def test_z_zstar_is_squared_modulus(self):
         z = BicomplexNumber(1 + 1j, 2 + 0j)
-        prod = bc_mul(z, bc_star(z))
+        prod = z * z.star()
         assert close(prod, BicomplexNumber(2 + 0j, 4 + 0j), tol=0)
 
     def test_mod_k(self):
-        assert bc_mod_k(BicomplexNumber(3, 4)) == HyperbolicNumber(3, 4)
-        assert bc_mod_k(BicomplexNumber(3 + 4j, 0)) == HyperbolicNumber(5, 0)
+        assert BicomplexNumber(3, 4).mod_k() == HyperbolicNumber(3, 4)
+        assert BicomplexNumber(3 + 4j, 0).mod_k() == HyperbolicNumber(5, 0)
 
     @given(finite_complex, finite_complex)
     @settings(max_examples=60, deadline=None)
     def test_modulus_squared_identity(self, z1, z2):
         z = BicomplexNumber(z1, z2)
-        lhs = bc_mul(z, bc_star(z))
-        m = bc_mod_k(z)
+        lhs = z * z.star()
+        m = z.mod_k()
         assert abs(lhs.z1 - m.l1**2) <= 1e-9 * (1 + m.l1**2)
         assert abs(lhs.z2 - m.l2**2) <= 1e-9 * (1 + m.l2**2)
 
@@ -115,23 +110,23 @@ class TestInnerProduct:
 
 class TestInversion:
     def test_componentwise_reciprocal(self):
-        assert bc_invert(BicomplexNumber(2, 4)) == BicomplexNumber(0.5, 0.25)
-        got = bc_invert(BicomplexNumber(1j, -1j))
+        assert BicomplexNumber(2, 4).invert() == BicomplexNumber(0.5, 0.25)
+        got = BicomplexNumber(1j, -1j).invert()
         assert close(got, BicomplexNumber(-1j, 1j), tol=0)
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisorError):
-            bc_invert(BicomplexNumber(1, 0))
+            BicomplexNumber(1, 0).invert()
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroError):
-            bc_invert(BicomplexNumber(0j, 0j))
+            BicomplexNumber(0j, 0j).invert()
 
     def test_tolerance_is_configurable(self):
         nearly = BicomplexNumber(1.0, 1e-9)
-        bc_invert(nearly, tol=1e-12)  # fine at the default-ish tolerance
+        nearly.invert(tol=1e-12)  # fine at the default-ish tolerance
         with pytest.raises(ZeroDivisorError):
-            bc_invert(nearly, tol=1e-6)
+            nearly.invert(tol=1e-6)
 
     def test_zero_divisor_classification(self):
         assert BicomplexNumber(1, 0).is_zero_divisor()
@@ -188,10 +183,10 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     def test_associativity_distributivity(self, a1, a2, b1, b2, c1, c2):
         x, y, z = BicomplexNumber(a1, a2), BicomplexNumber(b1, b2), BicomplexNumber(c1, c2)
-        lhs = bc_mul(bc_mul(x, y), z)
-        rhs = bc_mul(x, bc_mul(y, z))
-        d_lhs = bc_mul(x, y + z)
-        d_rhs = bc_mul(x, y) + bc_mul(x, z)
+        lhs = (x * y) * z
+        rhs = x * (y * z)
+        d_lhs = x * (y + z)
+        d_rhs = x * y + x * z
         for part in ("z1", "z2"):
             xv, yv, zv = getattr(x, part), getattr(y, part), getattr(z, part)
             scale = abs(xv) * abs(yv) * abs(zv)
@@ -204,8 +199,8 @@ class TestRingAxioms:
     def test_integer_values_hold_exactly(self, a1, a2, b1, b2, c1, c2):
         # every intermediate is an integer below 2**53, so nothing rounds
         x, y, z = BicomplexNumber(a1, a2), BicomplexNumber(b1, b2), BicomplexNumber(c1, c2)
-        assert bc_mul(bc_mul(x, y), z) == bc_mul(x, bc_mul(y, z))
-        assert bc_mul(x, y + z) == bc_mul(x, y) + bc_mul(x, z)
+        assert (x * y) * z == x * (y * z)
+        assert x * (y + z) == x * y + x * z
 
 
 class TestSerialization:
