@@ -44,7 +44,6 @@ from .weighted_cr import (
 )
 from .frac_cr_bicomplex import (
     FracParams,
-    LambdaWeights,
     Phi4,
     RectDomain,
     dphi,

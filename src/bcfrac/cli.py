@@ -51,7 +51,6 @@ import numpy as np
 from .errors import BcfracError, ConfigError, DomainError, UnsupportedWeightsError
 from .frac_cr_bicomplex import (
     FracParams,
-    LambdaWeights,
     lambda_for_constant_weights,
     lambda_residual,
 )
@@ -72,7 +71,7 @@ from .quadrature_verify import (
     convergence_study,
     run_identity,
 )
-from .weighted_cr import CauchyKernel
+from .weighted_cr import CauchyKernel, ProductFunction
 
 _REQUIRED = ("name", "identity", "domain", "weights", "phi", "alpha", "sigma",
              "field", "m", "k", "n", "tolerance")
@@ -200,9 +199,9 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "margin", str(exc))
 
     sig = params.sigma
-    if sig.z1 == 1 and sig.z2 == 1:
-        lam = LambdaWeights.zero()
-    elif merged["identity"] in ("factorization", "frac-gauss", "frac-borel-pompeiu"):
+    lam = ProductFunction.constant(0.0)
+    if (not (sig.z1 == 1 and sig.z2 == 1)
+            and merged["identity"] in ("factorization", "frac-gauss", "frac-borel-pompeiu")):
         try:
             lam = lambda_for_constant_weights(wp, params)
         except BcfracError as exc:
@@ -212,8 +211,6 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         lres = lambda_residual(lam, wp, params, patch.probes())
         if not lres <= 1e-8:
             _config_error(index, "sigma", f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
-    else:
-        lam = LambdaWeights.zero()
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     setup = VerificationSetup(
@@ -265,10 +262,10 @@ def _run_experiments(configs: list, levels_override: Optional[int], jobs: int):
     at the position of the experiment that raised it."""
 
     def run_one(cfg: ExperimentConfig):
-        levels = levels_override or cfg.levels
-        if levels > 1:
-            return convergence_study(cfg.identity, cfg.setup, cfg.resolution, levels)
-        return [run_identity(cfg.identity, cfg.setup, cfg.resolution)]
+        levels = cfg.levels if levels_override is None else levels_override
+        if levels == 1:
+            return [run_identity(cfg.identity, cfg.setup, cfg.resolution)]
+        return convergence_study(cfg.identity, cfg.setup, cfg.resolution, levels)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -416,6 +413,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of ``--levels`` and ``--jobs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bcfrac",
@@ -425,10 +433,11 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run experiments from a JSON config")
     p_verify.add_argument("--config", required=True, help="path to the JSON configuration")
-    p_verify.add_argument("--levels", type=int, default=None,
+    p_verify.add_argument("--levels", type=_at_least_one, default=None,
                           help="override refinement levels for every experiment")
     p_verify.add_argument("--out", default="results", help="output directory")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel experiment workers")
+    p_verify.add_argument("--jobs", type=_at_least_one, default=1,
+                          help="parallel experiment workers")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_list = sub.add_parser("list-presets", help="show preset names")

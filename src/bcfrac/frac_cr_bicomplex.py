@@ -207,22 +207,6 @@ class FracParams:
         return FracSpec(beta, self.sigma_vec[axis], self.phi.restriction(axis, W, self.rect))
 
 
-@dataclass(frozen=True)
-class LambdaWeights:
-    """Exponential multiplier components of the factorization identity."""
-
-    lam1: PlaneFunction
-    lam2: PlaneFunction
-
-    def component(self, l: int) -> PlaneFunction:
-        return self.lam1 if l == 1 else self.lam2
-
-    @classmethod
-    def zero(cls) -> "LambdaWeights":
-        z = PlaneFunction.constant(0.0)
-        return cls(z, z)
-
-
 def dphi(phi: Phi4, Z: BicomplexNumber) -> HyperbolicNumber:
     """Sum of the two partials per component, a strictly positive hyperbolic
     value used to scale the weighted derivative."""
@@ -412,7 +396,7 @@ def frac_cr_apply(
     return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
 
 
-def lambda_residual(lam: LambdaWeights, wp: WeightPair, p: FracParams, probes) -> float:
+def lambda_residual(lam: ProductFunction, wp: WeightPair, p: FracParams, probes) -> float:
     """Largest pointwise residual of the multiplier PDE
     ``theta * dlam/dx + phi_w * dlam/dy = Dphi * (1 - sigma) / sigma``."""
     probes = list(probes)
@@ -431,13 +415,14 @@ def lambda_residual(lam: LambdaWeights, wp: WeightPair, p: FracParams, probes) -
     return worst
 
 
-def lambda_for_constant_weights(wp: WeightPair, p: FracParams) -> LambdaWeights:
+def lambda_for_constant_weights(wp: WeightPair, p: FracParams) -> ProductFunction:
     """Solve the multiplier PDE for constant weights and constant ``Dphi``
-    with the particular solution linear in ``x``."""
+    with the particular solution linear in ``x``; the multiplier is the
+    product-type function ``lambda = lambda1*E + lambda2*E'``."""
     if wp.const_values is None:
         raise UnsupportedWeightsError("multiplier construction needs constant weights")
     if p.sigma.z1 == 1 and p.sigma.z2 == 1:
-        return LambdaWeights.zero()
+        return ProductFunction.constant(0.0)
     center = p.rect.point(0.5, 0.5, 0.5, 0.5)
     corner = p.rect.point(0.1, 0.9, 0.9, 0.1)
     d_center, d_corner = dphi(p.phi, center), dphi(p.phi, corner)
@@ -458,7 +443,7 @@ def lambda_for_constant_weights(wp: WeightPair, p: FracParams) -> LambdaWeights:
                 dy=lambda x, y: 0j * np.asarray(x, dtype=float) * _one(y),
             )
         )
-    return LambdaWeights(comps[0], comps[1])
+    return ProductFunction(comps[0], comps[1])
 
 
 def factorization_check(
@@ -466,7 +451,7 @@ def factorization_check(
     W: BicomplexNumber,
     p: FracParams,
     wp: WeightPair,
-    lam: LambdaWeights,
+    lam: ProductFunction,
     side: str,
     Z: BicomplexNumber,
 ) -> HyperbolicNumber:

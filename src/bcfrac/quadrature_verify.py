@@ -23,7 +23,7 @@ the reconstruction point so that trace derivatives can act on it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -33,35 +33,33 @@ from .errors import WOnBoundaryError
 from .fracops1d import _central_difference, _read_only, refined_rule
 from .frac_cr_bicomplex import (
     FracParams,
-    LambdaWeights,
     RectDomain,
     _axis_coord,
     _axis_partial_batched,
     axis_integral,
+    factorization_check,
+    inversion_check,
     remainder_R,
     trace_sum,
 )
-from .hypercomplex import BicomplexNumber
+from .hypercomplex import BicomplexNumber, HyperbolicNumber
 from .weighted_cr import CauchyKernel, ProductFunction, WeightPair
 
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """Per-component rectangles with boundary and area resolutions.
+    """A rectangle pair (one rectangle per component plane) with boundary
+    and area resolutions.
 
     ``m`` is the panel count per area axis, ``k`` the panel count per
     boundary edge; each panel carries a fixed small Gauss rule.
     """
 
-    bounds1: tuple  # (x0, x1, y0, y1) in the first component plane
-    bounds2: tuple
+    rect: RectDomain
     m: int = 32
     k: int = 32
 
     def __post_init__(self):
-        for x0, x1, y0, y1 in (self.bounds1, self.bounds2):
-            if not (x0 < x1 and y0 < y1):
-                raise ValueError("patch bounds must be increasing")
         if self.m < 1 or self.k < 1:
             raise ValueError("resolutions must be positive")
 
@@ -71,14 +69,13 @@ class SurfacePatch:
             pad = (hi - lo) * margin
             return lo + pad, hi - pad
 
-        x0, x1 = shrink(rect.a1, rect.b1)
-        y0, y1 = shrink(rect.c1, rect.d1)
-        u0, u1 = shrink(rect.a2, rect.b2)
-        v0, v1 = shrink(rect.c2, rect.d2)
-        return cls((x0, x1, y0, y1), (u0, u1, v0, v1), m=m, k=k)
+        bounds = [v for axis in range(4) for v in shrink(*rect.axis_interval(axis))]
+        return cls(RectDomain(*bounds), m=m, k=k)
 
     def component_bounds(self, l: int) -> tuple:
-        return self.bounds1 if l == 1 else self.bounds2
+        """``(x0, x1, y0, y1)`` of the rectangle in component plane ``l``."""
+        ax_x, ax_y = _component_axes(l)
+        return self.rect.axis_interval(ax_x) + self.rect.axis_interval(ax_y)
 
     def with_resolution(self, m: int, k: int) -> "SurfacePatch":
         return replace(self, m=m, k=k)
@@ -86,17 +83,7 @@ class SurfacePatch:
     def probes(self) -> list:
         """Three interior bicomplex points, where ``bcfrac verify`` checks
         that a multiplier solves its PDE."""
-        pts = []
-        for fx, fy in ((0.2, 0.3), (0.7, 0.6), (0.5, 0.5)):
-            x0, x1, y0, y1 = self.bounds1
-            u0, u1, v0, v1 = self.bounds2
-            pts.append(
-                BicomplexNumber(
-                    complex(x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)),
-                    complex(u0 + fy * (u1 - u0), v0 + fx * (v1 - v0)),
-                )
-            )
-        return pts
+        return [self.rect.point(fx, fy, fy, fx) for fx, fy in ((0.2, 0.3), (0.7, 0.6), (0.5, 0.5))]
 
 
 @dataclass
@@ -184,21 +171,15 @@ def _area_nodes(bounds: tuple, m: int, pts: int = 2):
 # elementary integrals
 
 
-def contour_integral(F: ProductFunction, patch: SurfacePatch, measure="dz") -> BicomplexNumber:
-    """Componentwise contour integral of ``F`` against ``dz`` or against the
-    weighted measure ``theta dy - phi_w dx`` (pass the weight pair)."""
+def contour_integral(F: ProductFunction, patch: SurfacePatch, wp: WeightPair) -> BicomplexNumber:
+    """Componentwise contour integral of ``F`` against the weighted measure
+    ``theta dy - phi_w dx`` (``-i dz`` for the classical pair)."""
     comps = []
     for l in (1, 2):
         z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        vals = F.component(l).f(z.real, z.imag)
-        if isinstance(measure, WeightPair):
-            th_fn, ph_fn = measure.component(l)
-            wgt = th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx
-        elif measure == "dz":
-            wgt = wx + 1j * wy
-        else:
-            raise ValueError("measure must be 'dz' or a WeightPair")
-        comps.append(np.sum(vals * wgt))
+        th_fn, ph_fn = wp.component(l)
+        wgt = th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx
+        comps.append(np.sum(F.component(l).f(z.real, z.imag) * wgt))
     return BicomplexNumber(comps[0], comps[1])
 
 
@@ -215,10 +196,9 @@ def surface_integral(G: ProductFunction, patch: SurfacePatch) -> BicomplexNumber
 # classical identities
 
 
-def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> ResidualReport:
+def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> HyperbolicNumber:
     """Weighted Gauss identity: area integral of the weighted derivative plus
     divergence terms against ``dx dy`` versus the weighted contour integral."""
-    t0 = time.perf_counter()
     contour = contour_integral(F, patch, wp)
     res = []
     for l, bnd in ((1, contour.z1), (2, contour.z2)):
@@ -231,22 +211,21 @@ def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> R
         integrand = th * fl.dx(x, y) + ph * fl.dy(x, y) + grad_w * fv
         area = np.sum(integrand * w)
         res.append(abs(area - bnd))
-    return ResidualReport("gauss-weighted", patch.m, patch.k, 0, res[0], res[1],
-                          seconds=time.perf_counter() - t0)
+    return HyperbolicNumber(res[0], res[1])
 
 
-def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, patch: SurfacePatch):
-    """Classical componentwise reconstruction from boundary values plus the
-    area integral of the anti-holomorphic derivative.
+def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
+                            patch: SurfacePatch) -> HyperbolicNumber:
+    """Residual of the classical componentwise reconstruction of ``F(W)``
+    from boundary values plus the area integral of the anti-holomorphic
+    derivative.
 
-    Returns the reconstructed value and a residual report against ``F(W)``.
     The area kernel's pole at the reconstruction point is excised on a disc
     of radius two mesh widths, with the kernel's locally constant part
     subtracted first and integrated exactly in polar wedges (a point-masked
     excision alone stalls: its near-ring error is scale invariant).
     """
-    t0 = time.perf_counter()
-    comps, res = [], []
+    res = []
     for l, wz in ((1, W.z1), (2, W.z2)):
         x0, x1, y0, y1 = patch.component_bounds(l)
         eps = 2.0 * max(x1 - x0, y1 - y0) / patch.m
@@ -266,12 +245,8 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, patch: Surfa
         )
         exact_pole = _wedge_recip_area(1.0, 0.0, patch.component_bounds(l), wz)
         area = -(smooth_part + fbar_w * exact_pole) / np.pi
-        val = bnd + area
-        comps.append(val)
-        res.append(abs(val - fl.f(wz.real, wz.imag)))
-    report = ResidualReport("borel-pompeiu", patch.m, patch.k, 0, res[0], res[1],
-                            seconds=time.perf_counter() - t0)
-    return BicomplexNumber(comps[0], comps[1]), report
+        res.append(abs(bnd + area - fl.f(wz.real, wz.imag)))
+    return HyperbolicNumber(res[0], res[1])
 
 
 # ----------------------------------------------------------------------
@@ -289,7 +264,9 @@ def trace_component(F, W, p: FracParams, side: str, l: int, xs, ys):
 
 
 def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs, ys):
-    """Component of the proportional weighted CR operator at paired points."""
+    """Component of the proportional weighted CR operator at paired points,
+    returned with the trace integral ``g`` it is built from (the same
+    component of ``trace_component`` at the same points)."""
     ax_x, ax_y = _component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -301,7 +278,7 @@ def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs
     dphi_l = np.real(comp_phi.dx(xs, ys) + comp_phi.dy(xs, ys))
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
     cr = th_fn.f(xs, ys) * dgx + ph_fn.f(xs, ys) * dgy
-    return (1.0 - sig) * g + sig * cr / dphi_l
+    return (1.0 - sig) * g + sig * cr / dphi_l, g
 
 
 # ----------------------------------------------------------------------
@@ -313,9 +290,9 @@ def frac_gauss_residual(
     W: BicomplexNumber,
     p: FracParams,
     wp: WeightPair,
-    lam: LambdaWeights,
+    lam: ProductFunction,
     patch: SurfacePatch,
-) -> ResidualReport:
+) -> HyperbolicNumber:
     """Gauss identity for the exponentially weighted trace integral.
 
     Boundary side: contour integral of ``exp(lambda) * (I F)`` against the
@@ -324,7 +301,6 @@ def frac_gauss_residual(
     ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
     when it loads the configuration).
     """
-    t0 = time.perf_counter()
     sigma_inv = p.sigma.invert()
     res = []
     for l in (1, 2):
@@ -342,15 +318,14 @@ def frac_gauss_residual(
         x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
         comp_phi = p.phi.component(l)
         dphi_l = np.real(comp_phi.dx(x, y) + comp_phi.dy(x, y))
-        h_field = dphi_l * sig_inv * frac_cr_component(F, W, p, wp, "left", l, x, y)
-        g_a = trace_component(F, W, p, "left", l, x, y)
+        cr_a, g_a = frac_cr_component(F, W, p, wp, "left", l, x, y)
+        h_field = dphi_l * sig_inv * cr_a
         elam_a = np.exp(lam_fn.f(x, y))
         grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
         div_term = grad_w * elam_a * g_a
         area = np.sum((elam_a * h_field + div_term) * w)
         res.append(abs(bnd - area))
-    return ResidualReport("frac-gauss", patch.m, patch.k, p.quadrature.n, res[0], res[1],
-                          seconds=time.perf_counter() - t0)
+    return HyperbolicNumber(res[0], res[1])
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +425,7 @@ def _trace_derivative_of_map(
         spec = p.axis_spec(axis, W, order=p.alpha[axis])  # inner integral order
         lo, hi = p.rect.axis_interval(axis)
         h = max(p.fd_for_axis(axis), 5e-3 * (hi - lo))
-        centers, scales = crossings.get(key, (np.array([coord]), np.array([hi - lo])))
+        centers, scales = crossings[key]
 
         def integral(ss):
             out = []
@@ -471,38 +446,30 @@ def frac_bp_reconstruct(
     Z: BicomplexNumber,
     p: FracParams,
     wp: WeightPair,
-    lam: LambdaWeights,
+    lam: ProductFunction,
     patch: SurfacePatch,
     include_area: bool = True,
-):
-    """Reconstruction of the trace sum of ``F`` through the deep identity:
-    boundary integral of the derived kernel against the trace integral,
-    minus the remainder, minus the trace derivative of the area integral of
-    the proportional CR image.
+) -> HyperbolicNumber:
+    """Residual of the reconstruction of the trace sum of ``F`` through the
+    deep identity: boundary integral of the derived kernel against the trace
+    integral, minus the remainder, minus the trace derivative of the area
+    integral of the proportional CR image, against the direct trace sum.
 
     Restricted to constant weight pairs (the kernel must be constructible),
     and ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
-    when it loads the configuration).  The surface is always the full rectangle, whatever inset the supplied
-    patch carries (only its resolutions are used): the trace derivatives
-    integrate from the rectangle's corners, and the reconstruction identity
-    they are applied to holds on the surface only.  Returns the
-    reconstructed bicomplex value and a residual report against the direct
-    trace sum.
+    when it loads the configuration).  The surface is always the full
+    rectangle, whatever inset the supplied patch carries (only its
+    resolutions are used): the trace derivatives integrate from the
+    rectangle's corners, and the reconstruction identity they are applied to
+    holds on the surface only.
     """
-    t0 = time.perf_counter()
     kernel = CauchyKernel(wp)
-    rect = p.rect
-    patch = SurfacePatch(
-        (rect.a1, rect.b1, rect.c1, rect.d1),
-        (rect.a2, rect.b2, rect.c2, rect.d2),
-        m=patch.m,
-        k=patch.k,
-    )
+    patch = replace(patch, rect=p.rect)
     sigma_inv = p.sigma.invert()
     rem = remainder_R(F, W, p, Z)
     tsum = trace_sum(F, W, Z)
 
-    comps, res = [], []
+    res = []
     for l in (1, 2):
         th, ph = kernel.pairs[l - 1]
         a_map, b_map = kernel._maps[l - 1]
@@ -550,16 +517,12 @@ def frac_bp_reconstruct(
             area_d = _trace_derivative_of_map(area_map, l, Z, W, p, area_crossings)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
-        comps.append(val)
         res.append(abs(val - ts_l))
-
-    report = ResidualReport("frac-borel-pompeiu", patch.m, patch.k, p.quadrature.n,
-                            res[0], res[1], seconds=time.perf_counter() - t0)
-    return BicomplexNumber(comps[0], comps[1]), report
+    return HyperbolicNumber(res[0], res[1])
 
 
 def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
-                      lam: LambdaWeights, patch: SurfacePatch, sig_inv):
+                      lam: ProductFunction, patch: SurfacePatch, sig_inv):
     """Build the area integral of ``exp(lambda(V) - lambda(z)) * E(V, z) *
     Dphi(V) * sigma^{-1} * (proportional CR of F)(V, W)`` over the patch,
     against ``dx dy``, as a function of the trace point ``z``.
@@ -581,7 +544,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
             np.exp(lam_fn.f(xs, ys))
             * comp_phi_v
             * sig_inv
-            * frac_cr_component(F, W, p, wp, "left", l, xs, ys)
+            * frac_cr_component(F, W, p, wp, "left", l, xs, ys)[0]
         )
 
     x_a, y_a, w_a = _area_nodes(bounds, patch.m)
@@ -637,52 +600,48 @@ class VerificationSetup:
     F: ProductFunction
     wp: WeightPair
     params: FracParams
-    lam: LambdaWeights
+    lam: ProductFunction
     W: BicomplexNumber
     Z: BicomplexNumber
     patch: SurfacePatch
     include_area: bool = True
 
 
-IDENTITIES = (
-    "gauss-weighted",
-    "borel-pompeiu",
-    "trace-inversion",
-    "factorization",
-    "frac-gauss",
-    "frac-borel-pompeiu",
-)
+#: Identity name -> (residual of a setup ``s`` under parameters ``p`` on a
+#: patch, whether the report records the patch resolutions m and k, whether it
+#: records the 1-D node budget n).  The lambdas look the residual functions up
+#: when called, so a rebound module attribute (a wrapper) takes effect.
+_RESIDUALS = {
+    "gauss-weighted": (lambda s, p, patch: gauss_residual(s.F, s.wp, patch), True, False),
+    "borel-pompeiu": (lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, patch), True, False),
+    "trace-inversion": (lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
+    "factorization": (
+        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, "left", s.Z),
+        False, True),
+    "frac-gauss": (
+        lambda s, p, patch: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True),
+    "frac-borel-pompeiu": (
+        lambda s, p, patch: frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch,
+                                                include_area=s.include_area),
+        True, True),
+}
+
+IDENTITIES = tuple(_RESIDUALS)
 
 
 def run_identity(identity: str, setup: VerificationSetup, res: Resolution) -> ResidualReport:
-    """Evaluate one named residual at the given resolutions."""
-    from .frac_cr_bicomplex import factorization_check, inversion_check
-
+    """Evaluate one named residual at the given resolutions and report it."""
+    if identity not in _RESIDUALS:
+        raise ValueError(f"unknown identity {identity!r}; known: {IDENTITIES}")
+    residual, records_mk, records_n = _RESIDUALS[identity]
     p = replace(setup.params, quadrature=replace(setup.params.quadrature, n=res.n))
     patch = setup.patch.with_resolution(res.m, res.k)
-    if identity == "gauss-weighted":
-        rep = gauss_residual(setup.F, setup.wp, patch)
-    elif identity == "borel-pompeiu":
-        _, rep = borel_pompeiu_classical(setup.F, setup.W, patch)
-    elif identity == "trace-inversion":
-        t0 = time.perf_counter()
-        r = inversion_check(setup.F, setup.W, p, setup.Z)
-        rep = ResidualReport("trace-inversion", 0, 0, res.n, float(r.l1), float(r.l2),
-                             seconds=time.perf_counter() - t0)
-    elif identity == "factorization":
-        t0 = time.perf_counter()
-        r = factorization_check(setup.F, setup.W, p, setup.wp, setup.lam, "left", setup.Z)
-        rep = ResidualReport("factorization", 0, 0, res.n, float(r.l1), float(r.l2),
-                             seconds=time.perf_counter() - t0)
-    elif identity == "frac-gauss":
-        rep = frac_gauss_residual(setup.F, setup.W, p, setup.wp, setup.lam, patch)
-    elif identity == "frac-borel-pompeiu":
-        _, rep = frac_bp_reconstruct(setup.F, setup.W, setup.Z, p, setup.wp, setup.lam,
-                                     patch, include_area=setup.include_area)
-    else:
-        raise ValueError(f"unknown identity {identity!r}; known: {IDENTITIES}")
-    rep.identity = identity
-    return rep
+    t0 = time.perf_counter()
+    r = residual(setup, p, patch)
+    seconds = time.perf_counter() - t0
+    m, k = (res.m, res.k) if records_mk else (0, 0)
+    return ResidualReport(identity, m, k, res.n if records_n else 0, float(r.l1), float(r.l2),
+                          seconds=seconds)
 
 
 def fit_order(reports) -> float:

@@ -171,12 +171,6 @@ class ProductFunction:
     def component(self, l: int) -> PlaneFunction:
         return self.f1 if l == 1 else self.f2
 
-    def value(self, Z: BicomplexNumber) -> BicomplexNumber:
-        return BicomplexNumber(
-            self.f1.f(np.real(Z.z1), np.imag(Z.z1)),
-            self.f2.f(np.real(Z.z2), np.imag(Z.z2)),
-        )
-
 
 @dataclass(frozen=True)
 class OrthogonalityReport:

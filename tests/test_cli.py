@@ -169,7 +169,7 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=r"experiments\[0\].margin"):
                 load_config(path)
         (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, margin=0.0)]))
-        assert cfg.setup.patch.bounds1 == (0.0, 1.0, 0.0, 1.0)
+        assert cfg.setup.patch.component_bounds(1) == (0.0, 1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("key, value", [
         ("m", "eight"), ("m", 8.9), ("m", 8.0), ("m", True), ("n", None),
@@ -320,6 +320,26 @@ class TestRunSuite:
         assert not summary["experiments"][0]["passed"]
         assert not summary["all_passed"]
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--levels", "0"), ("--levels", "-3"), ("--jobs", "0"), ("--jobs", "-2"),
+        ("--levels", "two"),
+    ])
+    def test_counts_below_one_rejected_naming_the_flag(self, tmp_path, capsys, flag, value):
+        cfg = write_config(tmp_path, [QUICK])
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, "--out", str(out), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer of at least 1" in capsys.readouterr().err
+        assert not out.exists()  # nothing ran
+
+    def test_levels_override_zero_is_not_the_config_levels(self, tmp_path):
+        configs = load_config(write_config(tmp_path, [dict(QUICK, levels=2)]))
+        with pytest.raises(ValueError, match="at least one level"):
+            run_suite(configs, levels_override=0)
+        _, reports = run_suite(configs, levels_override=1)
+        assert len(reports["quick"]) == 1
 
     def test_parallel_matches_serial(self, tmp_path):
         configs = load_config(write_config(tmp_path, [QUICK, dict(QUICK, name="quick2")]))

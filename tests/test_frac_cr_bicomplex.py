@@ -5,7 +5,6 @@ from scipy.special import gamma
 from bcfrac import (
     BicomplexNumber,
     FracParams,
-    LambdaWeights,
     Phi4,
     ProductFunction,
     Quadrature1D,
@@ -187,7 +186,7 @@ class TestFracCrApply:
         got = frac_cr_apply(F, W, p, wp, "left", Z)
         assert (got - BicomplexNumber(*want)).mod_k().max() < 3e-6
         for l, z in ((1, Z.z1), (2, Z.z2)):
-            got_l = frac_cr_component(F, W, p, wp, "left", l, z.real, z.imag)[0]
+            got_l = frac_cr_component(F, W, p, wp, "left", l, z.real, z.imag)[0][0]
             assert abs(got_l - want[l - 1]) < 3e-6
 
     def test_degenerate_orders_give_cr_of_trace_sum(self, setup):
@@ -238,8 +237,7 @@ class TestLambda:
         rect, phi, _, _, _ = setup
         p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=128))
         wp = WeightPair.classical()
-        bad = LambdaWeights(
-            PlaneFunction_x2(), PlaneFunction_x2())
+        bad = ProductFunction(PlaneFunction_x2(), PlaneFunction_x2())
         probes = [rect.point(f, 0.5, 0.5, 0.5) for f in (0.2, 0.4, 0.8)]
         res = [lambda_residual(bad, wp, p, [pb]) for pb in probes]
         assert res[2] > res[0]  # residual grows with the probe coordinate
@@ -266,7 +264,7 @@ class TestFactorization:
         rect, phi, F, W, Z = setup
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=512))
         wp = WeightPair.classical()
-        res = factorization_check(F, W, p, wp, LambdaWeights.zero(), "left", Z)
+        res = factorization_check(F, W, p, wp, ProductFunction.constant(0.0), "left", Z)
         assert res.max() < 1e-6
 
     def test_constructed_multiplier(self, setup):

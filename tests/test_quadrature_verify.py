@@ -4,10 +4,11 @@ import pytest
 from bcfrac import (
     BicomplexNumber,
     FracParams,
-    LambdaWeights,
+    IDENTITIES,
     PlaneFunction,
     ProductFunction,
     Quadrature1D,
+    RectDomain,
     Resolution,
     SurfacePatch,
     VerificationSetup,
@@ -24,7 +25,9 @@ from bcfrac import (
     surface_integral,
 )
 
-UNIT_PATCH = SurfacePatch((0, 1, 0, 1), (0, 1, 0, 1), m=32, k=32)
+UNIT_PATCH = SurfacePatch(RectDomain(0, 1, 0, 1, 0, 1, 0, 1), m=32, k=32)
+CLASSICAL = WeightPair.classical()  # its measure is -i dz
+NO_LAM = ProductFunction.constant(0.0)  # the zero multiplier
 W0 = BicomplexNumber(0.41 + 0.37j, 0.52 + 0.63j)
 
 
@@ -34,27 +37,29 @@ def holomorphic(fn, dfn):
 
 class TestContourIntegral:
     def test_closed_loop_of_constant(self):
-        out = contour_integral(ProductFunction.constant(1.0), UNIT_PATCH)
+        out = contour_integral(ProductFunction.constant(1.0), UNIT_PATCH, CLASSICAL)
         assert out.mod_k().max() < 1e-14
 
     def test_residue(self):
+        # -i times the residue integral 2*pi*i
         w = 0.4 + 0.3j
         F = holomorphic(lambda z: 1 / (z - w), lambda z: -1 / (z - w) ** 2)
-        out = contour_integral(F, UNIT_PATCH.with_resolution(32, 64), "dz")
-        assert abs(out.z1 - 2j * np.pi) < 1e-8
-        assert abs(out.z2 - 2j * np.pi) < 1e-8
+        out = contour_integral(F, UNIT_PATCH.with_resolution(32, 64), CLASSICAL)
+        assert abs(out.z1 - 2 * np.pi) < 1e-8
+        assert abs(out.z2 - 2 * np.pi) < 1e-8
 
     def test_holomorphic_loop_vanishes(self):
         F = holomorphic(lambda z: z, lambda z: np.ones_like(z))
-        assert contour_integral(F, UNIT_PATCH).mod_k().max() < 1e-10
+        assert contour_integral(F, UNIT_PATCH, CLASSICAL).mod_k().max() < 1e-10
 
     def test_weighted_measure(self):
-        # classical measure is -i dz componentwise
-        F = holomorphic(lambda z: z**2, lambda z: 2 * z)
-        wp = WeightPair.classical()
-        a = contour_integral(F, UNIT_PATCH, wp)
-        b = contour_integral(F, UNIT_PATCH, "dz")
-        assert abs(a.z1 - (-1j) * b.z1) < 1e-13
+        # around the unit square conj(z) dx integrates to i and conj(z) dy to
+        # 1, so theta dy - phi_w dx gives theta - i*phi_w: 2 for the classical
+        # pair (-i times the integral 2i of conj(z) dz) and 3 for (1, 2i)
+        F = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
+        for wp, want in ((CLASSICAL, 2.0), (WeightPair.constant(1.0, 2j), 3.0)):
+            out = contour_integral(F, UNIT_PATCH, wp)
+            assert abs(out.z1 - want) < 1e-13 and abs(out.z2 - want) < 1e-13
 
 
 class TestSurfaceIntegral:
@@ -76,50 +81,50 @@ class TestSurfaceIntegral:
 class TestGaussResidual:
     def test_classical_holomorphic(self, classical_weights):
         F = holomorphic(lambda z: z**3, lambda z: 3 * z**2)
-        rep = gauss_residual(F, classical_weights, UNIT_PATCH)
-        assert rep.max_residual() < 1e-10
+        res = gauss_residual(F, classical_weights, UNIT_PATCH)
+        assert res.max() < 1e-10
 
     def test_classical_conjugate_balances(self, classical_weights):
         F = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
-        rep = gauss_residual(F, classical_weights, UNIT_PATCH.with_resolution(64, 64))
-        assert rep.max_residual() < 1e-8
+        res = gauss_residual(F, classical_weights, UNIT_PATCH.with_resolution(64, 64))
+        assert res.max() < 1e-8
 
     def test_constant_weights_polynomial(self):
         wp = WeightPair.constant(1 + 1j, 1 - 1j)
         F = holomorphic(lambda z: z**3 - 2 * z, lambda z: 3 * z**2 - 2)
-        rep = gauss_residual(F, wp, UNIT_PATCH.with_resolution(64, 64))
-        assert rep.max_residual() < 1e-8
+        res = gauss_residual(F, wp, UNIT_PATCH.with_resolution(64, 64))
+        assert res.max() < 1e-8
 
     def test_nonconstant_orthogonal_weights(self):
         g = PlaneFunction(f=lambda x, y: 1 + x**2 + 0j, dx=lambda x, y: 2 * x + 0j,
                           dy=lambda x, y: 0j * x)
         wp = WeightPair.scaled_classical(g)
         F = holomorphic(lambda z: z**2 - z, lambda z: 2 * z - 1)
-        rep = gauss_residual(F, wp, UNIT_PATCH.with_resolution(64, 64))
-        assert rep.max_residual() < 1e-6
+        res = gauss_residual(F, wp, UNIT_PATCH.with_resolution(64, 64))
+        assert res.max() < 1e-6
 
 
 class TestBorelPompeiuClassical:
     def test_holomorphic_boundary_only(self):
         F = holomorphic(lambda z: z**2 + 1j * z, lambda z: 2 * z + 1j)
-        rec, rep = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(32, 64))
-        assert rep.max_residual() < 1e-8
+        res = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(32, 64))
+        assert res.max() < 1e-8
 
     def test_holomorphic_independent_of_area_resolution(self):
         F = holomorphic(lambda z: z**3, lambda z: 3 * z**2)
-        res = [borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(m, 64))[1].max_residual()
+        res = [borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(m, 64)).max()
                for m in (8, 64)]
         assert max(res) < 1e-8  # area term vanishes: only the contour matters
 
     def test_constant_reconstructed(self):
         F = ProductFunction.constant(2.5 - 1j)
-        rec, rep = borel_pompeiu_classical(F, W0, UNIT_PATCH)
-        assert abs(rec.z1 - (2.5 - 1j)) < 1e-10
+        res = borel_pompeiu_classical(F, W0, UNIT_PATCH)
+        assert res.l1 < 1e-10  # |reconstructed - (2.5 - 1j)| in the first component
 
     def test_conjugate_field(self):
         F = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
-        rec, rep = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(128, 64))
-        assert rep.max_residual() < 1e-3
+        res = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(128, 64))
+        assert res.max() < 1e-3
 
     def test_mixed_field_monotone(self):
         def f(x, y):
@@ -135,7 +140,7 @@ class TestBorelPompeiuClassical:
             return 2j * z * np.conjugate(z) - 1j * z**2
 
         F = ProductFunction(PlaneFunction(f, fdx, fdy), PlaneFunction(f, fdx, fdy))
-        res = [borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(m, 64))[1].max_residual()
+        res = [borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(m, 64)).max()
                for m in (32, 64, 128)]
         assert res[0] > res[1] > res[2]
         assert res[2] < 1e-3
@@ -160,15 +165,14 @@ class TestFracGauss:
         # form in criterion 08; here the identity itself must hold
         rect, phi, wp, F, patch, W, _ = frac_setup
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=512))
-        main = frac_gauss_residual(F, W, p, wp, LambdaWeights.zero(), patch)
-        assert main.max_residual() < 1e-6
+        main = frac_gauss_residual(F, W, p, wp, NO_LAM, patch)
+        assert main.max() < 1e-6
 
     def test_zero_field(self, frac_setup):
         rect, phi, wp, _, patch, W, _ = frac_setup
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
-        rep = frac_gauss_residual(ProductFunction.constant(0.0), W, p, wp,
-                                  LambdaWeights.zero(), patch)
-        assert rep.max_residual() == 0
+        res = frac_gauss_residual(ProductFunction.constant(0.0), W, p, wp, NO_LAM, patch)
+        assert res.max() == 0
 
     def test_general_proportion_monotone(self, frac_setup):
         rect, phi, wp, F, patch, W, _ = frac_setup
@@ -176,7 +180,7 @@ class TestFracGauss:
         for m, k, n in ((8, 8, 128), (16, 16, 256), (32, 32, 512)):
             p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=n))
             lam = lambda_for_constant_weights(wp, p)
-            res.append(frac_gauss_residual(F, W, p, wp, lam, patch.with_resolution(m, k)).max_residual())
+            res.append(frac_gauss_residual(F, W, p, wp, lam, patch.with_resolution(m, k)).max())
         assert res[0] > res[1] > res[2]
 
 
@@ -185,30 +189,29 @@ class TestFracBorelPompeiu:
         rect, phi, wp, _, patch, W, Z = frac_setup
         F = holomorphic(lambda z: z**2, lambda z: 2 * z)
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
-        rec, rep = frac_bp_reconstruct(F, W, Z, p, wp, LambdaWeights.zero(), patch)
-        assert rep.max_residual() < 1e-2
+        res = frac_bp_reconstruct(F, W, Z, p, wp, NO_LAM, patch)
+        assert res.max() < 1e-2
 
     def test_zero_field(self, frac_setup):
         rect, phi, wp, _, patch, W, Z = frac_setup
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=128))
-        rec, rep = frac_bp_reconstruct(ProductFunction.constant(0.0), W, Z, p, wp,
-                                       LambdaWeights.zero(), patch)
-        assert rep.max_residual() == 0
+        res = frac_bp_reconstruct(ProductFunction.constant(0.0), W, Z, p, wp, NO_LAM, patch)
+        assert res.max() == 0
 
     def test_general_proportion_with_multiplier(self, frac_setup):
         rect, phi, wp, F, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=256))
         lam = lambda_for_constant_weights(wp, p)
-        rec, rep = frac_bp_reconstruct(F, W, Z, p, wp, lam, patch)
-        assert rep.max_residual() < 5e-2
+        res = frac_bp_reconstruct(F, W, Z, p, wp, lam, patch)
+        assert res.max() < 5e-2
 
     def test_constant_weight_kernel(self, frac_setup):
         rect, phi, _, _, patch, W, Z = frac_setup
         wp = WeightPair.constant(1.0, 2j)
         F = holomorphic(lambda z: z**2, lambda z: 2 * z)
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
-        rec, rep = frac_bp_reconstruct(F, W, Z, p, wp, LambdaWeights.zero(), patch)
-        assert rep.max_residual() < 1e-2
+        res = frac_bp_reconstruct(F, W, Z, p, wp, NO_LAM, patch)
+        assert res.max() < 1e-2
 
     def test_nonconstant_weights_rejected(self, frac_setup):
         rect, phi, _, F, patch, W, Z = frac_setup
@@ -218,14 +221,14 @@ class TestFracBorelPompeiu:
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
         from bcfrac import UnsupportedWeightsError
         with pytest.raises(UnsupportedWeightsError):
-            frac_bp_reconstruct(F, W, Z, p, wp, LambdaWeights.zero(), patch)
+            frac_bp_reconstruct(F, W, Z, p, wp, NO_LAM, patch)
 
 
 class TestConvergenceStudy:
     def test_runs_and_fits_order(self, frac_setup):
         rect, phi, wp, F, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=128))
-        setup = VerificationSetup(F=F, wp=wp, params=p, lam=LambdaWeights.zero(),
+        setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM,
                                   W=W, Z=Z, patch=patch)
         reports = convergence_study("trace-inversion", setup, Resolution(8, 8, 128), 3)
         assert len(reports) == 3
@@ -237,15 +240,36 @@ class TestConvergenceStudy:
         rect, phi, wp, _, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
         setup = VerificationSetup(F=ProductFunction.constant(0.0), wp=wp, params=p,
-                                  lam=LambdaWeights.zero(), W=W, Z=Z, patch=patch)
+                                  lam=NO_LAM, W=W, Z=Z, patch=patch)
         reports = convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 2)
         assert all(r.max_residual() == 0 for r in reports)
         assert reports[0].order == float("inf")
 
+    def test_registry_reports_each_identity_with_its_resolutions(self, frac_setup):
+        # patch identities record (m, k), 1-D identities n, the fractional
+        # area identities all three
+        rect, phi, wp, F, patch, W, Z = frac_setup
+        p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=32))
+        setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM, W=W, Z=Z, patch=patch)
+        columns = {
+            "gauss-weighted": (8, 8, 0),
+            "borel-pompeiu": (8, 8, 0),
+            "trace-inversion": (0, 0, 32),
+            "factorization": (0, 0, 32),
+            "frac-gauss": (8, 8, 32),
+            "frac-borel-pompeiu": (8, 8, 32),
+        }
+        assert IDENTITIES == tuple(columns)
+        for identity, mkn in columns.items():
+            rep = run_identity(identity, setup, Resolution(8, 8, 32))
+            assert rep.identity == identity
+            assert (rep.m, rep.k, rep.n) == mkn
+            assert np.isfinite(rep.max_residual())
+
     def test_unknown_identity(self, frac_setup):
         rect, phi, wp, F, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
-        setup = VerificationSetup(F=F, wp=wp, params=p, lam=LambdaWeights.zero(),
+        setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM,
                                   W=W, Z=Z, patch=patch)
         with pytest.raises(ValueError):
             run_identity("no-such-identity", setup, Resolution(8, 8, 64))
@@ -337,7 +361,7 @@ def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
 
     rect, phi, wp, F, patch, W, _ = frac_setup
     p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
-    area_map = qv._area_map_builder(1, F, W, p, CauchyKernel(wp), LambdaWeights.zero(),
+    area_map = qv._area_map_builder(1, F, W, p, CauchyKernel(wp), NO_LAM,
                                     patch.with_resolution(8, 8), 1.0)
     # the last two points clamp onto the same point one cell inside the patch
     xs = np.array([0.3, 0.5, 0.62, 0.0, 0.05])
