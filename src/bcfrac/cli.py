@@ -136,7 +136,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     except (ConfigError, ValueError) as exc:
         _config_error(index, "domain", str(exc))
     try:
-        wp = weight_preset(merged["weights"])
+        wp = weight_preset(merged["weights"], rect)
         if merged["identity"] == "frac-borel-pompeiu":
             CauchyKernel(wp)  # the reconstruction kernel needs constant weights
     except (ConfigError, UnsupportedWeightsError) as exc:

@@ -77,6 +77,13 @@ class RectDomain:
             complex(self.a2 + fx2 * (self.b2 - self.a2), self.c2 + fy2 * (self.d2 - self.c2)),
         )
 
+    def grid(self, l: int) -> tuple:
+        """16 x 16 mesh ``(xs, ys)`` over component ``l``'s rectangle, edges
+        included: where weights and scale functions are checked."""
+        lo_x, hi_x = self.axis_interval(0 if l == 1 else 2)
+        lo_y, hi_y = self.axis_interval(1 if l == 1 else 3)
+        return np.meshgrid(np.linspace(lo_x, hi_x, 16), np.linspace(lo_y, hi_y, 16))
+
 
 @dataclass(frozen=True)
 class Phi4:
@@ -140,18 +147,20 @@ class Phi4:
             slope=self.slope,
         )
 
-    def validate(self, rect: RectDomain, n: int = 16) -> None:
-        """Raise ``DomainError`` unless both partials of each component are
-        finite and positive on an ``n`` x ``n`` grid over the rectangle
-        (edges included)."""
+    def validate(self, rect: RectDomain) -> None:
+        """Raise ``DomainError`` unless each component's values and partials
+        are real and finite, and its partials positive, on ``rect.grid``.
+        ``restriction`` keeps only real parts, so a complex component would
+        otherwise lose its imaginary part unnoticed."""
         for l in (1, 2):
-            lo_x, hi_x = rect.axis_interval(0 if l == 1 else 2)
-            lo_y, hi_y = rect.axis_interval(1 if l == 1 else 3)
-            xs, ys = np.meshgrid(np.linspace(lo_x, hi_x, n), np.linspace(lo_y, hi_y, n))
+            xs, ys = rect.grid(l)
             comp = self.component(l)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                parts = np.real([comp.dx(xs, ys), comp.dy(xs, ys)])
-            if not np.all(np.isfinite(parts) & (parts > 0)):
+            with np.errstate(all="ignore"):
+                samples = np.array([comp.f(xs, ys), comp.dx(xs, ys), comp.dy(xs, ys)])
+            if not (np.all(np.isfinite(samples)) and np.all(np.imag(samples) == 0)):
+                raise DomainError("scale-function values and partials must be real and finite "
+                                  "on the rectangle")
+            if not np.all(np.real(samples[1:]) > 0):
                 raise DomainError("weight partials must be finite and strictly positive "
                                   "on the rectangle")
 

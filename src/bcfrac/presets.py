@@ -2,13 +2,18 @@
 
 Custom plane functions are accepted as arithmetic expression strings over
 ``x`` and ``y`` (constants, ``+ - * / ^``, ``exp``, ``sin``, ``cos``, and
-the imaginary unit ``i``); they are differentiated symbolically so the
-resulting :class:`~bcfrac.weighted_cr.PlaneFunction` carries analytic
-partials.
+the imaginary unit ``i``).  A recursive-descent parser builds an expression
+tree, the tree is differentiated by rule, and the value and both partials
+are compiled to numpy closures, so the resulting
+:class:`~bcfrac.weighted_cr.PlaneFunction` carries analytic partials and no
+input string is ever evaluated as code.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 import re
 
 import numpy as np
@@ -17,68 +22,323 @@ from .errors import ConfigError
 from .frac_cr_bicomplex import Phi4, RectDomain
 from .weighted_cr import PlaneFunction, ProductFunction, WeightPair
 
-#: One token of the expression grammar.  Scanned left to right, each match
-#: ends where the next begins, so checking a string takes linear time.
+#: One token of the expression grammar, matched longest first as Python's
+#: tokenizer does.
 _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]")
+
+#: The strings that split into grammar tokens in some way.  Digits and "."
+#: are tokens on their own, so a number splits anywhere except before its
+#: exponent, which must follow a digit or a digit and ".".  At most one
+#: alternative matches at any position, so a check takes linear time.
+_GRAMMAR_RE = re.compile(
+    r"(?:[\d.]|x|y|i|pi|exp|sin|cos|[-+*/^()\s,]|(?<=\d)[eE][+-]?\d|(?<=\d\.)[eE][+-]?\d)*")
+
+#: Longest accepted expression, in tokens.  Parsing, differentiation and the
+#: compiled closures recurse once per tree level; trees built from this many
+#: tokens stay well inside Python's recursion limit.
+_MAX_TOKENS = 256
 
 
 def _in_grammar(text: str) -> bool:
     """Whether ``text`` is a sequence of grammar tokens."""
-    pos = 0
-    while pos < len(text):
-        token = _TOKEN_RE.match(text, pos)
-        if token is None:
-            return False
-        pos = token.end()
-    return True
+    return _GRAMMAR_RE.fullmatch(text) is not None
+
+
+def _real_or_complex(real_fn, complex_fn):
+    return lambda v: complex_fn(v) if isinstance(v, complex) else real_fn(v)
+
+
+# An expression tree is a tuple: ("const", value), ("x",), ("y",), or an
+# operator followed by its operand trees.  Constant operands fold with
+# Python's scalar arithmetic, so ``(-8)^(1/3)`` is complex as in Python; the
+# compiled closures apply the numpy forms to arrays.  ``log`` only appears in
+# derivatives of a power with a variable exponent.
+_SCALAR = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": operator.pow, "neg": operator.neg,
+    "exp": _real_or_complex(math.exp, cmath.exp),
+    "sin": _real_or_complex(math.sin, cmath.sin),
+    "cos": _real_or_complex(math.cos, cmath.cos),
+    "log": lambda v: cmath.log(v) if isinstance(v, complex) or v < 0 else math.log(v),
+}
+_ARRAY = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "^": operator.pow, "neg": operator.neg,
+    "exp": np.exp, "sin": np.sin, "cos": np.cos, "log": np.log,
+}
+_ZERO, _ONE, _TWO = ("const", 0.0), ("const", 1.0), ("const", 2.0)
+
+
+def _is(node, value) -> bool:
+    return node[0] == "const" and node[1] == value
+
+
+def _make(op, *args):
+    """The tree of ``op`` applied to ``args``.  As a computer-algebra system
+    builds an expression, it folds constants and drops the terms ``0 + a``,
+    ``a - 0``, ``1 * a``, ``a / 1``, ``a ^ 1`` and ``--a``; ``0 * a``,
+    ``0 / a`` and ``a ^ 0`` become constants.  Folding raises what Python's arithmetic
+    raises (ZeroDivisionError, OverflowError, ValueError)."""
+    if all(arg[0] == "const" for arg in args):
+        return ("const", _SCALAR[op](*(arg[1] for arg in args)))
+    if op == "neg":
+        (a,) = args
+        return a[1] if a[0] == "neg" else ("neg", a)
+    if len(args) == 1:
+        return (op, *args)
+    a, b = args
+    if op == "+":
+        if _is(a, 0):
+            return b
+        if _is(b, 0):
+            return a
+    elif op == "-":
+        if _is(b, 0):
+            return a
+        if _is(a, 0):
+            return _make("neg", b)
+    elif op == "*":
+        if _is(a, 0) or _is(b, 0):
+            return _ZERO
+        if _is(a, 1):
+            return b
+        if _is(b, 1):
+            return a
+    elif op == "/":
+        if _is(a, 0):
+            return _ZERO
+        if _is(b, 1):
+            return a
+    elif op == "^":
+        if _is(b, 0):
+            return _ONE
+        if _is(b, 1):
+            return a
+    return (op, a, b)
+
+
+def _derivative(node, var: str):
+    """Partial derivative of a tree with respect to ``"x"`` or ``"y"``."""
+    op = node[0]
+    if op == "const":
+        return _ZERO
+    if op in ("x", "y"):
+        return _ONE if op == var else _ZERO
+    da = _derivative(node[1], var)
+    if op == "neg":
+        return _make("neg", da)
+    if op == "exp":
+        return _make("*", node, da)
+    if op == "sin":
+        return _make("*", _make("cos", node[1]), da)
+    if op == "cos":
+        return _make("*", _make("neg", _make("sin", node[1])), da)
+    a, b = node[1], node[2]
+    db = _derivative(b, var)
+    if op in ("+", "-"):
+        return _make(op, da, db)
+    if op == "*":
+        return _make("+", _make("*", da, b), _make("*", a, db))
+    if op == "/":
+        if _is(db, 0):
+            return _make("/", da, b)
+        return _make("/", _make("-", _make("*", da, b), _make("*", a, db)), _make("^", b, _TWO))
+    # power: b * a^(b - 1) * da for a constant exponent, else
+    # a^b * (db * log(a) + b * da / a)
+    if b[0] == "const":
+        return _make("*", _make("*", b, _make("^", a, _make("-", b, _ONE))), da)
+    return _make("*", node, _make("+", _make("*", db, _make("log", a)),
+                                  _make("/", _make("*", b, da), a)))
+
+
+def _compile(node):
+    """A closure evaluating the tree on broadcastable ``(x, y)`` arrays."""
+    op = node[0]
+    if op == "const":
+        value = np.asarray(node[1])[()]  # a numpy scalar: 1j / x at x = 0 is inf, not an exception
+        return lambda x, y: value
+    if op == "x":
+        return lambda x, y: x
+    if op == "y":
+        return lambda x, y: y
+    fn = _ARRAY[op]
+    if len(node) == 2:
+        inner = _compile(node[1])
+        return lambda x, y: fn(inner(x, y))
+    left, right = _compile(node[1]), _compile(node[2])
+    return lambda x, y: fn(left(x, y), right(x, y))
+
+
+def _plane_callable(node):
+    """Compile a tree to ``f(x, y)`` returning the broadcast shape of its
+    arguments, constants and single-variable trees included."""
+    fn = _compile(node)
+
+    def evaluate(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = fn(x, y)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        return out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
+
+    return evaluate
+
+
+class _Parser:
+    """Recursive descent over the grammar tokens, with Python's precedence
+    and associativity (``^`` and ``**`` both mean power)::
+
+        sum     := product (("+" | "-") product)*
+        product := unary (("*" | "/") unary)*
+        unary   := ("+" | "-") unary | power
+        power   := atom (("^" | "**") unary)?
+        atom    := number | "x" | "y" | "i" | "pi"
+                 | ("exp" | "sin" | "cos") "(" sum ")" | "(" sum ")"
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = self._tokenize()
+        self.k = 0
+
+    def _error(self, what: str, pos: int) -> ConfigError:
+        return ConfigError(f"expression {self.text!r}: {what} at position {pos}")
+
+    def _tokenize(self) -> list:
+        """``(token, position)`` pairs without whitespace; ``**`` and a
+        number written ``.5`` (scanned as ``.`` then ``5``) are joined."""
+        tokens, end = [], 0
+        while end < len(self.text):
+            match = _TOKEN_RE.match(self.text, end)
+            if match is None:  # such as the "e" of 2.2.e1, which splits only as 2. 2.e1
+                raise self._error(f"unexpected {self.text[end]!r}", end)
+            tok, pos, end = match.group(), match.start(), match.end()
+            if tok.isspace():
+                continue
+            if tokens and tokens[-1][1] + len(tokens[-1][0]) == pos:
+                prev = tokens[-1][0]
+                if prev == "*" and tok == "*" or prev == "." and tok[0].isdigit():
+                    tokens[-1] = (prev + tok, tokens[-1][1])
+                    continue
+            tokens.append((tok, pos))
+        if len(tokens) > _MAX_TOKENS:
+            raise ConfigError(f"expression {self.text!r}: {len(tokens)} tokens, "
+                              f"at most {_MAX_TOKENS} are supported")
+        return tokens
+
+    def _peek(self):
+        return self.tokens[self.k][0] if self.k < len(self.tokens) else None
+
+    def _take(self) -> tuple:
+        if self.k == len(self.tokens):
+            raise self._error("unexpected end", len(self.text))
+        self.k += 1
+        return self.tokens[self.k - 1]
+
+    def _expect(self, want: str) -> None:
+        tok, pos = self._take()
+        if tok != want:
+            raise self._error(f"expected {want!r}, found {tok!r}", pos)
+
+    def _apply(self, op: str, pos: int, *args):
+        try:
+            return _make(op, *args)
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise self._error(f"{op!r} has no finite value ({exc})", pos) from None
+
+    def parse(self):
+        tree = self._sum()
+        if self.k < len(self.tokens):
+            tok, pos = self.tokens[self.k]
+            raise self._error(f"unexpected {tok!r}", pos)
+        return tree
+
+    def _sum(self):
+        tree = self._product()
+        while self._peek() in ("+", "-"):
+            op, pos = self._take()
+            tree = self._apply(op, pos, tree, self._product())
+        return tree
+
+    def _product(self):
+        tree = self._unary()
+        while self._peek() in ("*", "/"):
+            op, pos = self._take()
+            tree = self._apply(op, pos, tree, self._unary())
+        return tree
+
+    def _unary(self):
+        if self._peek() in ("+", "-"):
+            op, pos = self._take()
+            operand = self._unary()
+            return operand if op == "+" else self._apply("neg", pos, operand)
+        return self._power()
+
+    def _power(self):
+        base = self._atom()
+        if self._peek() in ("^", "**"):
+            _, pos = self._take()
+            return self._apply("^", pos, base, self._unary())
+        return base
+
+    def _atom(self):
+        tok, pos = self._take()
+        if tok[0] == "." or tok[0].isdigit():
+            try:
+                return ("const", float(tok))
+            except ValueError:  # a lone "." or ".5." joined from "." and "5."
+                raise self._error(f"malformed number {tok!r}", pos) from None
+        if tok in ("x", "y"):
+            return (tok,)
+        if tok == "i":
+            return ("const", 1j)
+        if tok == "pi":
+            return ("const", math.pi)
+        if tok in ("exp", "sin", "cos"):
+            self._expect("(")
+            arg = self._sum()
+            self._expect(")")
+            return self._apply(tok, pos, arg)
+        if tok == "(":
+            inner = self._sum()
+            self._expect(")")
+            return inner
+        raise self._error(f"unexpected {tok!r}", pos)
 
 
 def parse_plane_expression(text: str) -> PlaneFunction:
     """Compile an expression in ``x`` and ``y`` into a plane function with
-    symbolic partial derivatives."""
+    analytic partial derivatives."""
     if not _in_grammar(text):
         raise ConfigError(
             f"expression {text!r} uses tokens outside the supported grammar "
             "(numbers, x, y, i, pi, + - * / ^, exp, sin, cos)"
         )
-    import sympy as sp
-    from sympy.parsing.sympy_parser import parse_expr
-
-    x, y = sp.symbols("x y", real=True)
-    local = {"x": x, "y": y, "i": sp.I, "pi": sp.pi,
-             "exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
+    tree = _Parser(text).parse()
     try:
-        expr = parse_expr(text.replace("^", "**"), local_dict=local, evaluate=True)
-    except Exception as exc:
-        raise ConfigError(f"cannot parse expression {text!r}: {exc}") from None
-    fns = []
-    for e in (expr, sp.diff(expr, x), sp.diff(expr, y)):
-        raw = sp.lambdify((x, y), e, modules="numpy")
-        fns.append(_broadcasting(raw))
-    return PlaneFunction(f=fns[0], dx=fns[1], dy=fns[2])
-
-
-def _broadcasting(raw):
-    def wrapped(x, y):
-        out = raw(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        return np.broadcast_to(out, np.broadcast(np.asarray(x), np.asarray(y)).shape).copy() \
-            if np.ndim(out) == 0 and (np.ndim(x) or np.ndim(y)) else out
-
-    return wrapped
+        dx, dy = _derivative(tree, "x"), _derivative(tree, "y")
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise ConfigError(f"expression {text!r} has no finite derivative ({exc})") from None
+    return PlaneFunction(f=_plane_callable(tree), dx=_plane_callable(dx), dy=_plane_callable(dy))
 
 
 def parse_complex_literal(text: str) -> complex:
     """Parse ``a+bi`` style constants used by the constant weight preset."""
     cleaned = text.strip().replace(" ", "").replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise ConfigError(f"cannot parse complex constant {text!r}") from None
+    if not cmath.isfinite(value):  # complex() reads "nan" and rounds 1e400 to inf
+        raise ConfigError(f"complex constant {text!r} is not finite")
+    return value
 
 
-def weight_preset(name: str) -> WeightPair:
+def weight_preset(name: str, rect: RectDomain) -> WeightPair:
     """Resolve a weight preset: ``classical``, ``constant:a+bi,c+di``, or
-    ``scaled-classical:<expression in x, y>``."""
+    ``scaled-classical:<expression in x, y>``.  The pair ``(1, i*g)`` is
+    orthogonal only for real ``g``, so ``g`` must be real and finite on
+    ``rect.grid`` of both components."""
     if name == "classical":
         return WeightPair.classical()
     if name.startswith("constant:"):
@@ -88,6 +348,12 @@ def weight_preset(name: str) -> WeightPair:
         return WeightPair.constant(parse_complex_literal(parts[0]), parse_complex_literal(parts[1]))
     if name.startswith("scaled-classical:"):
         g = parse_plane_expression(name[len("scaled-classical:"):])
+        for l in (1, 2):
+            with np.errstate(all="ignore"):
+                values = g.f(*rect.grid(l))
+            if not (np.all(np.isfinite(values)) and np.all(np.imag(values) == 0)):
+                raise ConfigError(f"scaled-classical factor {name[len('scaled-classical:'):]!r} "
+                                  "must be real and finite on the domain")
         return WeightPair.scaled_classical(g)
     raise ConfigError(f"unknown weight preset {name!r}")
 

@@ -1,14 +1,20 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
+from bcfrac.frac_cr_bicomplex import RectDomain
 from bcfrac.presets import (
     _in_grammar,
     field_preset,
@@ -34,6 +40,27 @@ def write_config(tmp_path, experiments):
     return str(path)
 
 
+#: Random expressions over the whole grammar, x and y drawn twice as often
+#: as any constant.  Numbers are written as floats, so sympy folds a power
+#: such as 2^2^2^2 in floating point, not as an exact integer; they stay near
+#: 1, so constant parts rarely reach the 1e6 where two roundings of
+#: cos(exp(2^2^2)) already differ by 1e-10.
+EXPRESSIONS = st.recursive(
+    st.sampled_from(["x", "y", "x", "y", "i", "pi", "2.", ".5", "1.5", "0.7153", "2.5e-1"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", "**", " + ", " * ", " ^ "]),
+                  inner).map("".join),
+        st.tuples(st.sampled_from(["-", "+"]), inner).map("".join),
+        st.tuples(st.sampled_from(["exp", "sin", "cos", ""]), inner).map(lambda t: f"{t[0]}({t[1]})"),
+    ),
+    max_leaves=6,
+)
+#: Points with no special value in either coordinate, in every quadrant;
+#: numpy scalars, so the oracle's x/0 is inf as in the compiled closures.
+GENERIC_POINTS = [(np.float64(x), np.float64(y))
+                  for x, y in ((0.37, 1.21), (-1.13, 0.59), (1.71, -0.83), (-0.46, -1.52))]
+
+
 class TestExpressions:
     def test_polynomial(self):
         pf = parse_plane_expression("x^2 + 2*y")
@@ -42,8 +69,6 @@ class TestExpressions:
         assert pf.dy(3.0, 1.0) == 2.0
 
     def test_transcendentals_and_i(self):
-        import numpy as np
-
         pf = parse_plane_expression("exp(x) * cos(y) + i * sin(y)")
         got = pf.f(0.5, 0.25)
         assert abs(got - (np.exp(0.5) * np.cos(0.25) + 1j * np.sin(0.25))) < 1e-12
@@ -72,6 +97,120 @@ class TestExpressions:
             r"^(\s*(\d+\.?\d*([eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]))*\s*$")
         assert _in_grammar(text) == bool(grammar.match(text))
 
+    @pytest.mark.parametrize("field, template", [("weights", "scaled-classical:{}"),
+                                                 ("phi", "custom:{}|x + y")])
+    @pytest.mark.parametrize("expr, position", [("x,y", 1), ("exp(x, y)", 5), ("(x", 2), ("x)", 1),
+                                                ("", 0), ("2x", 1), ("x^", 2)])
+    def test_malformed_expression_exits_2_naming_field_and_position(
+            self, tmp_path, capsys, field, template, expr, position):
+        path = write_config(tmp_path, [dict(QUICK, **{field: template.format(expr)})])
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: experiments[0].{field}: ")
+        assert f"at position {position}" in err
+
+    @pytest.mark.parametrize("expr, value", [
+        (".5*x", lambda x, y: .5 * x),
+        ("x**2", lambda x, y: x**2),
+        ("x^-2", lambda x, y: x**-2),
+        ("-x^2", lambda x, y: -x**2),
+        ("2^3^2", lambda x, y: 2**3**2),
+        ("1. + 1e-3*y", lambda x, y: 1. + 1e-3 * y),
+        ("i*pi", lambda x, y: 1j * math.pi),
+    ])
+    def test_python_precedence_and_literals(self, expr, value):
+        pf = parse_plane_expression(expr)
+        for x, y in ((3.0, 1.0), (-1.5, 2.0)):
+            assert pf.f(x, y) == value(x, y)
+
+    @pytest.mark.parametrize("expr, f, dx, dy", [
+        ("x/y", lambda x, y: x / y, lambda x, y: 1 / y, lambda x, y: -x / y**2),
+        ("x/2", lambda x, y: x / 2, lambda x, y: 0.5, lambda x, y: 0.0),
+        ("x^y", lambda x, y: x**y, lambda x, y: y * x**(y - 1), lambda x, y: x**y * math.log(x)),
+        ("2^(x*y)", lambda x, y: 2**(x * y), lambda x, y: 2**(x * y) * math.log(2) * y,
+         lambda x, y: 2**(x * y) * math.log(2) * x),
+        ("sin(x*y) - cos(x)", lambda x, y: math.sin(x * y) - math.cos(x),
+         lambda x, y: y * math.cos(x * y) + math.sin(x), lambda x, y: x * math.cos(x * y)),
+        ("exp(-x^2)/(1 + y)", lambda x, y: math.exp(-x**2) / (1 + y),
+         lambda x, y: -2 * x * math.exp(-x**2) / (1 + y), lambda x, y: -math.exp(-x**2) / (1 + y)**2),
+    ])
+    def test_derivative_rules(self, expr, f, dx, dy):
+        pf = parse_plane_expression(expr)
+        for x, y in ((0.37, 1.21), (1.71, 0.59)):
+            for got, want in ((pf.f, f), (pf.dx, dx), (pf.dy, dy)):
+                assert got(x, y) == pytest.approx(want(x, y), rel=1e-14, abs=1e-15)
+
+    def test_compiled_closures_broadcast(self):
+        pf = parse_plane_expression("y + 2")
+        xs = np.linspace(0.0, 1.0, 5)
+        assert pf.f(xs, 0.5).shape == (5,) and pf.dx(xs, 0.5).shape == (5,)
+        np.testing.assert_array_equal(pf.dy(xs, 0.5), np.ones(5))
+
+    @pytest.mark.parametrize("deepest", [
+        "-" + "(" * 127 + "x" + ")" * 127,
+        "-x" + "*x" * 127,  # a derivative tree of depth 254
+        "-" * 255 + "x",
+        "sin(" * 85 + "x" + ")" * 85,
+        "---" + "x^(" * 63 + "x" + ")" * 63,  # a log in every derivative level
+    ])
+    def test_expression_length_is_capped(self, deepest):
+        # each of these has 256 tokens, the most accepted: it parses,
+        # differentiates and evaluates inside the recursion limit
+        pf = parse_plane_expression(deepest)
+        with np.errstate(all="ignore"):
+            assert all(np.shape(fn(np.ones(3), 0.5)) == (3,) for fn in (pf.f, pf.dx, pf.dy))
+        with pytest.raises(ConfigError, match="257 tokens, at most 256"):
+            parse_plane_expression("+" + deepest)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(EXPRESSIONS)
+    def test_compiler_agrees_with_sympy(self, text):
+        # sympy is the oracle only: parse_expr, diff, lambdify, with pi the
+        # double math.pi as in the compiler.  Agreement is relative to
+        # max(1, |value|), so that 1e-16 against an exact 0 passes.  Points
+        # where a 1e-10 step in x or y moves the oracle by more than 1e-8 of
+        # that scale are skipped: there rounding alone separates two correct
+        # evaluations (sin(2^(3/y)) near y = 0).
+        import sympy as sp
+        from sympy.parsing.sympy_parser import parse_expr
+
+        try:
+            pf = parse_plane_expression(text)
+        except ConfigError as exc:  # a constant such as 1/(2 - 2) or exp(exp(9))
+            assert "no finite" in str(exc)
+            return
+        sx, sy = sp.symbols("x y", real=True)
+        local = {"x": sx, "y": sy, "i": sp.I, "pi": sp.Float(math.pi),
+                 "exp": sp.exp, "sin": sp.sin, "cos": sp.cos}
+        expr = parse_expr(text.replace("^", "**"), local_dict=local)
+        with np.errstate(all="ignore"):
+            for mine, e in zip((pf.f, pf.dx, pf.dy), (expr, sp.diff(expr, sx), sp.diff(expr, sy))):
+                if e.has(sp.zoo):  # x/(y - y) is x/0, which lambdify cannot print
+                    continue
+                oracle = sp.lambdify((sx, sy), e, modules="numpy")
+                for x, y in GENERIC_POINTS:
+                    try:  # a printed Python constant keeps Python's 1j/0 error
+                        want = complex(oracle(x, y))
+                        moved = max(np.abs(oracle(x + 1e-10, y) - want),
+                                    np.abs(oracle(x, y + 1e-10) - want))
+                    except ZeroDivisionError:
+                        continue
+                    got = complex(mine(x, y))
+                    scale = max(1.0, np.abs(want))  # np.abs: |1e308 + 1e308j| is inf, not an error
+                    if not (np.isfinite(got) and np.isfinite(want)) or moved > 1e-8 * scale:
+                        continue
+                    assert np.abs(got - want) <= 1e-12 * max(scale, np.abs(got)), (e, x, y, got, want)
+
+    def test_load_config_does_not_import_sympy(self, tmp_path):
+        entry = dict(QUICK, weights="scaled-classical:1 + 0.5*x*y", phi="custom:x + 2*y|exp(x) + y")
+        path = write_config(tmp_path, [entry])
+        code = ("import sys; from bcfrac.cli import load_config; "
+                f"load_config({path!r}); print('sympy' in sys.modules)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src}, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_complex_literal(self):
         assert parse_complex_literal("1+2i") == 1 + 2j
         assert parse_complex_literal("-0.5i") == -0.5j
@@ -81,12 +220,13 @@ class TestExpressions:
 
 class TestPresets:
     def test_weight_presets(self):
-        weight_preset("classical")
-        wp = weight_preset("constant:1+1i,1-1i")
+        rect = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
+        weight_preset("classical", rect)
+        wp = weight_preset("constant:1+1i,1-1i", rect)
         assert wp.const_values[0] == 1 + 1j
-        weight_preset("scaled-classical:1 + x^2")
+        weight_preset("scaled-classical:1 + x^2", rect)
         with pytest.raises(ConfigError):
-            weight_preset("nope")
+            weight_preset("nope", rect)
 
     def test_phi_presets(self):
         phi_preset("linear")
@@ -136,6 +276,35 @@ class TestConfigValidation:
         entry = dict(QUICK, identity="frac-borel-pompeiu", weights="scaled-classical:1+x")
         path = write_config(tmp_path, [entry])
         with pytest.raises(ConfigError, match=r"experiments\[0\].weights: .*constant weights"):
+            load_config(path)
+
+    @pytest.mark.parametrize("weights, domain", [
+        ("scaled-classical:1 + i*x", [0, 1] * 4),
+        ("scaled-classical:1/x", [0, 1] * 4),
+        ("scaled-classical:1/x", [0.5, 1.5, 0.5, 1.5, 0, 1, 0, 1]),  # only component 2 reaches 0
+    ])
+    def test_scaled_classical_factor_must_be_real_and_finite(self, tmp_path, weights, domain):
+        path = write_config(tmp_path, [dict(QUICK, weights=weights, domain=domain)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*real and finite"):
+            load_config(path)
+
+    @pytest.mark.parametrize("weights", ["constant:nan,1i", "constant:1e400,1i", "constant:1,nani"])
+    def test_constant_weights_must_be_finite(self, tmp_path, weights):
+        # a NaN weight ran to a FAIL with residual nan and exit 1
+        path = write_config(tmp_path, [dict(QUICK, weights=weights)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*not finite"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_scaled_classical_factor_finite_away_from_its_pole(self, tmp_path):
+        entry = dict(QUICK, weights="scaled-classical:1/x", domain=[0.5, 1.5] * 4)
+        (cfg,) = load_config(write_config(tmp_path, [entry]))
+        assert cfg.setup.wp.phi1.f(0.5, 1.0) == 2j
+
+    @pytest.mark.parametrize("phi", ["custom:x + y + i*x|x + y", "custom:x + y|x + y + i"])
+    def test_custom_scale_components_must_be_real(self, tmp_path, phi):
+        path = write_config(tmp_path, [dict(QUICK, phi=phi)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.phi: .*real"):
             load_config(path)
 
     def test_fractal_phi_on_domain_touching_zero_rejected(self, tmp_path):
