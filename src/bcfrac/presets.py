@@ -28,10 +28,15 @@ _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^(
 
 #: The strings that split into grammar tokens in some way.  Digits and "."
 #: are tokens on their own, so a number splits anywhere except before its
-#: exponent, which must follow a digit or a digit and ".".  At most one
-#: alternative matches at any position, so a check takes linear time.
+#: exponent, which must follow a mantissa: a digit, or a digit and ".",
+#: where that digit is not the first digit of an earlier exponent (so
+#: "1e12e1" is "1e1" "2e1", while "1e1e1" has no split).  At most one
+#: alternative matches at any position and the look-behinds have fixed
+#: widths, so a check takes linear time.
 _GRAMMAR_RE = re.compile(
-    r"(?:[\d.]|x|y|i|pi|exp|sin|cos|[-+*/^()\s,]|(?<=\d)[eE][+-]?\d|(?<=\d\.)[eE][+-]?\d)*")
+    r"(?:[\d.]|x|y|i|pi|exp|sin|cos|[-+*/^()\s,]"
+    r"|(?<=\d)(?<![eE]\d)(?<![eE][+-]\d)[eE][+-]?\d"
+    r"|(?<=\d\.)(?<![eE]\d\.)(?<![eE][+-]\d\.)[eE][+-]?\d)*")
 
 #: Longest accepted expression, in tokens.  Parsing, differentiation and the
 #: compiled closures recurse once per tree level; trees built from this many

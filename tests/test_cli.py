@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bcfrac.cli import emit_report, load_config, main, run_suite
@@ -90,6 +90,12 @@ class TestExpressions:
     @given(st.lists(st.sampled_from(["1", "2.", ".5", "e", "E", "+", "-", "x", "y", "i", "p",
                                      "pi", "ex", "exp", "sin", "cos", "s", " ", "\t", "*", "/",
                                      "^", "(", ")", ",", "q", "#", "_"]), max_size=6))
+    # an exponent may not follow the first digit of an earlier exponent
+    # ("1e1e1"), but a second number may start after it ("1e12e1")
+    @example(["1e1e1"])
+    @example(["1.e1e1"])
+    @example(["1e12e1"])
+    @example(["2.2.e1"])
     def test_token_scan_accepts_the_documented_grammar(self, pieces):
         text = "".join(pieces)
         # the grammar as one regex, safe on these short inputs
@@ -518,6 +524,62 @@ class TestRunSuite:
             [e["max_residual"] for e in s2["experiments"]]
 
 
+class TestRuntime:
+    def test_verify_runs_every_bundle_without_scipy(self, tmp_path):
+        from bcfrac.presets import EXPERIMENT_PRESETS
+
+        path = tmp_path / "bundles.json"
+        path.write_text(json.dumps({"experiments": list(EXPERIMENT_PRESETS)}))
+        code = ("import sys; from bcfrac.cli import main; "
+                f"rc = main(['verify', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                "print(sorted(m for m in ('scipy', 'sympy') if m in sys.modules)); sys.exit(rc)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src,
+                                  "OPENBLAS_NUM_THREADS": "1"}, timeout=300)
+        lines = out.stdout.strip().splitlines()
+        assert out.returncode == 0, out.stdout + out.stderr  # every experiment passed
+        assert len([line for line in lines if line.startswith("PASS ")]) == \
+            sum(map(len, EXPERIMENT_PRESETS.values()))
+        assert lines[-1] == "[]"
+
+    @pytest.fixture
+    def fresh_allocator_setting(self):
+        from bcfrac.cli import _keep_freed_memory
+
+        _keep_freed_memory.cache_clear()
+        yield _keep_freed_memory
+        _keep_freed_memory.cache_clear()
+
+    def test_allocator_setting_is_made_once(self, fresh_allocator_setting, monkeypatch, tmp_path):
+        import ctypes
+        from types import SimpleNamespace
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        fresh_allocator_setting()
+        fresh_allocator_setting()
+        run_suite(load_config(write_config(tmp_path, [QUICK])))
+        assert calls == [(-1, 64 << 20)]  # M_TRIM_THRESHOLD, 64 MB
+
+    def test_allocator_setting_without_a_c_library(self, fresh_allocator_setting, monkeypatch,
+                                                   tmp_path):
+        import ctypes
+
+        def no_libc(name):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert fresh_allocator_setting() is None
+        summary, _ = run_suite(load_config(write_config(tmp_path, [QUICK])))
+        assert summary["all_passed"]
+
+
 class TestOtherCommands:
     def test_list_presets(self, capsys):
         assert main(["list-presets"]) == 0
@@ -529,6 +591,17 @@ class TestOtherCommands:
             assert main(["oracle", op, "--n", "256"]) == 0
             out = capsys.readouterr().out
             assert "abs-error" in out
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["rl-power", "--beta", "0"], "ValueError: math domain error"),  # pole of gamma
+        (["rl-power", "--beta", "200"], "OverflowError"),
+        (["rl-const-derivative", "--alpha", "1"], "ValueError"),
+        (["rl-power", "--t", "5"], "DomainError"),
+    ])
+    def test_oracle_input_errors_exit_2(self, capsys, argv, cause):
+        assert main(["oracle", *argv, "--n", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oracle error: ") and cause in err
 
     def test_oracle_power_rule_on_the_affine_row(self, capsys):
         # criterion 03's power-rule case and bound; the identity weight of the

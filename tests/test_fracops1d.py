@@ -421,3 +421,99 @@ class TestWeightValidation:
         u = cubic_weight.phi(np.array([0.3, 0.8]))
         back = cubic_weight.inverse(u)
         assert np.max(np.abs(back - [0.3, 0.8])) < 1e-13
+
+
+class TestScipyOracles:
+    """The numpy-only building blocks against scipy, which the test extra
+    keeps as an oracle only."""
+
+    @pytest.mark.parametrize("n", [4, 5, 64, 256, 512, 1024])
+    @pytest.mark.parametrize("grade_toward", [None, 0.2, 1.3])
+    def test_spline_matches_cubic_spline(self, n, grade_toward):
+        from scipy.interpolate import CubicSpline
+
+        # a complex profile with algebraic ends, tabulated on the graded grid
+        # whose first spacing is 1e-12 of the span
+        lo, hi = 0.2, 1.3
+        seen = []
+
+        def profile(x):
+            seen.append(x)
+            u, v = np.abs(x - lo), np.abs(hi - x)
+            return np.sin(3 * x) * u**0.37 + 1j * (np.exp(-x) * v**0.5 + u**0.21)
+
+        interp = tabulate(profile, lo, hi, n, grade_toward=grade_toward)
+        (xs,) = seen
+        oracle = CubicSpline(xs, profile(xs) + 0.0j)
+        rng = np.random.default_rng(n)
+        t = np.concatenate([xs, rng.uniform(lo, hi, 500), xs[:3] + 0.5 * np.diff(xs[:4]),
+                            [lo, hi, lo - 1.0, hi + 1.0, lo + 1e-13 * (hi - lo)]])
+        want = oracle(np.clip(t, lo, hi))
+        got = interp(t)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+        assert np.ndim(interp(0.5)) == 0
+
+    def test_spline_needs_four_samples(self):
+        with pytest.raises(ValueError, match="at least 4"):
+            tabulate(np.sin, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 256, 512])
+    @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0])
+    def test_jacobi_rule_matches_roots_jacobi(self, n, beta):
+        import mpmath  # installed with sympy
+        from scipy.special import roots_jacobi
+
+        x, w = fracops1d._jacobi_rule(n, beta)
+        xs, ws = roots_jacobi(n, 0.0, beta - 1.0)
+        np.testing.assert_allclose(x, xs, rtol=1e-12, atol=1e-15)
+        mass = 2.0**beta / beta
+        assert abs(w.sum() / mass - 1.0) <= 1e-11
+        if n <= 3:
+            np.testing.assert_allclose(w, ws, rtol=1e-12)
+            return
+        # roots_jacobi's weights are themselves up to 5e-7 relative off at
+        # n = 512 (its 1/(p_{n-1} p_n') weights are normalized by their sum,
+        # which the node next to the singular end dominates); both rules are
+        # held to the exact weights at the ends and in the middle instead
+        picks = [0, 1, 2, n // 2, n - 2, n - 1]
+        exact_x, exact_w = _exact_jacobi_rule(mpmath, n, beta, xs[picks])
+        ours = np.abs(w[picks] - exact_w) / exact_w
+        theirs = np.abs(ws[picks] - exact_w) / exact_w
+        assert np.max(ours) <= 2e-11
+        assert np.all(ours <= theirs + 1e-12)
+        # the Newton step takes the eigenvalues (up to 2e-15 off) to 2 ulp
+        assert np.max(np.abs(x[picks] - exact_x)) <= 4.5e-16
+
+    def test_gamma_matches_scipy(self):
+        import math
+
+        from scipy.special import gamma as scipy_gamma
+
+        xs = np.concatenate([np.linspace(1e-3, 10.0, 2001), np.linspace(-4.99, -0.01, 499)])
+        xs = xs[np.abs(xs - np.round(xs)) > 1e-9]
+        ours = np.array([math.gamma(v) for v in xs.tolist()])
+        np.testing.assert_allclose(ours, scipy_gamma(xs), rtol=4e-15)
+
+
+def _exact_jacobi_rule(mpmath, n, beta, nodes):
+    """Gauss nodes and weights of ``(1+x)^(beta-1)`` in 30-digit arithmetic:
+    the given nodes polished by two Newton steps, and the weights there from
+    the closed form of Abramowitz & Stegun 25.4.29 (a = 0, b = beta - 1)."""
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        b = mp.mpf(beta) - 1
+        const = (-(2 * n + b + 2) / (n + b + 1) * mp.gamma(n + 1) * mp.gamma(n + b + 1)
+                 / (mp.gamma(n + b + 1) * mp.factorial(n + 1)) * 2**b)
+
+        def dp(x):
+            return (n + b + 1) / 2 * mp.jacobi(n - 1, 1, b + 1, x)
+
+        xs, ws = [], []
+        for x0 in nodes.tolist():
+            x = mp.mpf(x0)
+            for _ in range(2):
+                if x != 0:  # the Legendre node at zero is exact
+                    x -= mp.jacobi(n, 0, b, x) / dp(x)
+            xs.append(float(x))
+            ws.append(float(const / (dp(x) * mp.jacobi(n + 1, 0, b, x))))
+    return np.array(xs), np.array(ws)
