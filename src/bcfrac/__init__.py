@@ -38,8 +38,6 @@ from .weighted_cr import (
     WeightPair,
     apply_cr_weighted,
     boundary_measure,
-    check_orthogonality,
-    inner_c,
     weight_divergence,
 )
 from .frac_cr_bicomplex import (

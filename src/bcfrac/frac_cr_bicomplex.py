@@ -32,7 +32,7 @@ from .fracops1d import (
     tabulate,
 )
 from .hypercomplex import BicomplexNumber, HyperbolicNumber
-from .weighted_cr import PlaneFunction, ProductFunction, WeightPair
+from .weighted_cr import PlaneFunction, ProductFunction, WeightPair, apply_cr_weighted
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,16 @@ class RectDomain:
     def grid(self, l: int) -> tuple:
         """16 x 16 mesh ``(xs, ys)`` over component ``l``'s rectangle, edges
         included: where weights and scale functions are checked."""
-        lo_x, hi_x = self.axis_interval(0 if l == 1 else 2)
-        lo_y, hi_y = self.axis_interval(1 if l == 1 else 3)
+        ax_x, ax_y = component_axes(l)
+        lo_x, hi_x = self.axis_interval(ax_x)
+        lo_y, hi_y = self.axis_interval(ax_y)
         return np.meshgrid(np.linspace(lo_x, hi_x, 16), np.linspace(lo_y, hi_y, 16))
+
+
+def component_axes(l: int) -> tuple:
+    """Trace axes ``(x, y)`` of component plane ``l``: ``(0, 1)`` for the
+    first plane, ``(2, 3)`` for the second."""
+    return (0, 1) if l == 1 else (2, 3)
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,12 @@ class Phi4:
 
     def component(self, l: int) -> PlaneFunction:
         return self.comp1 if l == 1 else self.comp2
+
+    def dphi(self, l: int, x, y):
+        """``Dphi`` on component plane ``l`` at the plane points ``(x, y)``:
+        the sum of the two partials, strictly positive."""
+        c = self.component(l)
+        return np.real(c.dx(x, y) + c.dy(x, y))
 
     def restriction(self, axis: int, W: BicomplexNumber, rect: RectDomain) -> ScalarWeightFn:
         """Scalar weight along one trace direction through ``W``."""
@@ -219,12 +232,8 @@ class FracParams:
 def dphi(phi: Phi4, Z: BicomplexNumber) -> HyperbolicNumber:
     """Sum of the two partials per component, a strictly positive hyperbolic
     value used to scale the weighted derivative."""
-    x1, y1 = np.real(Z.z1), np.imag(Z.z1)
-    x2, y2 = np.real(Z.z2), np.imag(Z.z2)
-    return HyperbolicNumber(
-        np.real(phi.comp1.dx(x1, y1) + phi.comp1.dy(x1, y1)),
-        np.real(phi.comp2.dx(x2, y2) + phi.comp2.dy(x2, y2)),
-    )
+    return HyperbolicNumber(phi.dphi(1, np.real(Z.z1), np.imag(Z.z1)),
+                            phi.dphi(2, np.real(Z.z2), np.imag(Z.z2)))
 
 
 def _axis_line(F: ProductFunction, W: BicomplexNumber, axis: int) -> Callable:
@@ -324,7 +333,8 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     _check_points(p, Z, W)
     n_tab = max(256, p.quadrature.n)
     out = []
-    for l, (ax_x, ax_y) in ((1, (0, 1)), (2, (2, 3))):
+    for l in (1, 2):
+        ax_x, ax_y = component_axes(l)
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
         ix = tabulate(
@@ -394,12 +404,12 @@ def frac_cr_apply(
     i_vals = [axis_integral(F, W, p, side, ax, _axis_coord(Z, ax)) for ax in range(4)]
     if_val = BicomplexNumber(i_vals[0] + i_vals[1], i_vals[2] + i_vals[3])
     comps = []
-    for l, (ax_x, ax_y) in ((1, (0, 1)), (2, (2, 3))):
+    for l in (1, 2):
+        ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         gx = _axis_partials(F, W, p, side, ax_x, x)
         gy = _axis_partials(F, W, p, side, ax_y, y)
-        th_fn, ph_fn = wp.component(l)
-        comps.append(th_fn.f(x, y) * gx + ph_fn.f(x, y) * gy)
+        comps.append(apply_cr_weighted(wp, l, x, y, gx, gy))
     cr = BicomplexNumber(comps[0], comps[1])
     dphi_inv = dphi(p.phi, Z).as_bicomplex().invert()
     return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
@@ -413,14 +423,14 @@ def lambda_residual(lam: ProductFunction, wp: WeightPair, p: FracParams, probes)
         raise EmptyProbesError("probe list is empty")
     factor = p.one_minus_sigma * p.sigma.invert()
     worst = 0.0
-    for P in probes:
-        rhs = dphi(p.phi, P).as_bicomplex() * factor
-        for l, rhs_c in ((1, rhs.z1), (2, rhs.z2)):
-            x, y = _axis_coord(P, 0 if l == 1 else 2), _axis_coord(P, 1 if l == 1 else 3)
-            th_fn, ph_fn = wp.component(l)
-            lam_fn = lam.component(l)
-            lhs = th_fn.f(x, y) * lam_fn.dx(x, y) + ph_fn.f(x, y) * lam_fn.dy(x, y)
-            worst = max(worst, float(abs(lhs - rhs_c)))
+    for l, factor_l in ((1, factor.z1), (2, factor.z2)):
+        ax_x, ax_y = component_axes(l)
+        x = np.array([_axis_coord(P, ax_x) for P in probes])
+        y = np.array([_axis_coord(P, ax_y) for P in probes])
+        lam_fn = lam.component(l)
+        lhs = apply_cr_weighted(wp, l, x, y, lam_fn.dx(x, y), lam_fn.dy(x, y))
+        rhs = p.phi.dphi(l, x, y) * factor_l
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
@@ -478,16 +488,15 @@ def factorization_check(
         )[0]
 
     comps = []
-    for l, (ax_x, ax_y) in ((1, (0, 1)), (2, (2, 3))):
+    for l in (1, 2):
+        ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
-        th_fn, ph_fn = wp.component(l)
         ix = axis_integral(F, W, p, side, ax_x, x)
         iy = axis_integral(F, W, p, side, ax_y, y)
         dmx = m_partial(ax_x, x, lambda s: lam_fn.f(s, y), iy)
         dmy = m_partial(ax_y, y, lambda s: lam_fn.f(x, s), ix)
-        cr_m = th_fn.f(x, y) * dmx + ph_fn.f(x, y) * dmy
-        comps.append(np.exp(-lam_fn.f(x, y)) * cr_m)
+        comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))
 
     cr_part = BicomplexNumber(comps[0], comps[1])
     rhs = p.sigma * dphi(p.phi, Z).as_bicomplex().invert() * cr_part

@@ -6,18 +6,16 @@ Integration conventions, fixed once here and asserted by tests:
   panels per edge;
 * ``surface_integral`` computes the componentwise two-form ``dz ^ dzbar``,
   which equals ``-2i dx dy`` per component;
-* the weighted Gauss and Cauchy-Pompeiu style identities balance against
+* the weighted Gauss identities and both reconstructions balance against
   the plain componentwise area element ``dx dy`` (their scalar building
-  block is stated that way), so every weighted residual below integrates
-  areas with ``dx dy`` while the classical reconstruction keeps the
-  ``dz ^ dzbar`` form it is stated in.
+  block is stated that way).
 
-Singular area kernels ``1/(Z - W)`` are handled by excising a disc of
-radius ``2 * max_side / m`` around the pole (the excised mass
-is absolutely integrable and symmetric to leading order); the deep
-reconstruction additionally subtracts the kernel's locally constant part
-and integrates it exactly in polar wedges, which keeps the map smooth in
-the reconstruction point so that trace derivatives can act on it.
+Singular area kernels are integrated by one routine,
+``_cauchy_area_integral``, for both reconstructions (the classical one with
+the classical pair's kernel ``1/(2*pi*i*(v - z))``): one kernel sum of
+``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)`` times
+the kernel's exact area integral in polar wedges.  The result is smooth in
+the reconstruction point, so that trace derivatives can act on it.
 """
 
 from __future__ import annotations
@@ -37,13 +35,21 @@ from .frac_cr_bicomplex import (
     _axis_coord,
     _axis_partial_batched,
     axis_integral,
+    component_axes,
     factorization_check,
     inversion_check,
     remainder_R,
     trace_sum,
 )
 from .hypercomplex import BicomplexNumber, HyperbolicNumber
-from .weighted_cr import CauchyKernel, ProductFunction, WeightPair
+from .weighted_cr import (
+    CauchyKernel,
+    ProductFunction,
+    WeightPair,
+    apply_cr_weighted,
+    boundary_measure,
+    weight_divergence,
+)
 
 
 @dataclass(frozen=True)
@@ -74,7 +80,7 @@ class SurfacePatch:
 
     def component_bounds(self, l: int) -> tuple:
         """``(x0, x1, y0, y1)`` of the rectangle in component plane ``l``."""
-        ax_x, ax_y = _component_axes(l)
+        ax_x, ax_y = component_axes(l)
         return self.rect.axis_interval(ax_x) + self.rect.axis_interval(ax_y)
 
     def with_resolution(self, m: int, k: int) -> "SurfacePatch":
@@ -177,8 +183,7 @@ def contour_integral(F: ProductFunction, patch: SurfacePatch, wp: WeightPair) ->
     comps = []
     for l in (1, 2):
         z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        th_fn, ph_fn = wp.component(l)
-        wgt = th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx
+        wgt = boundary_measure(wp, l, z, wx, wy)
         comps.append(np.sum(F.component(l).f(z.real, z.imag) * wgt))
     return BicomplexNumber(comps[0], comps[1])
 
@@ -202,13 +207,10 @@ def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> H
     contour = contour_integral(F, patch, wp)
     res = []
     for l, bnd in ((1, contour.z1), (2, contour.z2)):
-        th_fn, ph_fn = wp.component(l)
         fl = F.component(l)
         x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        th, ph = th_fn.f(x, y), ph_fn.f(x, y)
-        grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
-        fv = fl.f(x, y)
-        integrand = th * fl.dx(x, y) + ph * fl.dy(x, y) + grad_w * fv
+        integrand = (apply_cr_weighted(wp, l, x, y, fl.dx(x, y), fl.dy(x, y))
+                     + weight_divergence(wp, l, x, y) * fl.f(x, y))
         area = np.sum(integrand * w)
         res.append(abs(area - bnd))
     return HyperbolicNumber(res[0], res[1])
@@ -220,32 +222,33 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
     from boundary values plus the area integral of the anti-holomorphic
     derivative.
 
-    The area kernel's pole at the reconstruction point is excised on a disc
-    of radius two mesh widths, with the kernel's locally constant part
-    subtracted first and integrated exactly in polar wedges (a point-masked
-    excision alone stalls: its near-ring error is scale invariant).
+    This is the deep reconstruction's formula for the classical pair, with
+    its kernel ``E(v, z) = 1/(2*pi*i*(v - z))``: ``F(W) = i * (boundary -
+    area)``, where the boundary term integrates ``E * F`` against ``dy -
+    i*dx`` and the area term integrates ``E * (dF/dx + i*dF/dy)`` against
+    ``dx dy`` by ``_cauchy_area_integral``.  ``W`` must lie more than two
+    mesh widths inside the contour in both components, away from the last
+    cell ring where the area integral's subtraction degrades.
     """
+    kernel = CauchyKernel(WeightPair.classical())
+    wp = kernel.wp
     res = []
     for l, wz in ((1, W.z1), (2, W.z2)):
-        x0, x1, y0, y1 = patch.component_bounds(l)
+        bounds = patch.component_bounds(l)
+        x0, x1, y0, y1 = bounds
         eps = 2.0 * max(x1 - x0, y1 - y0) / patch.m
         wz = complex(wz)
         dist_to_edge = min(wz.real - x0, x1 - wz.real, wz.imag - y0, y1 - wz.imag)
         if dist_to_edge <= eps:
             raise WOnBoundaryError("reconstruction point too close to the contour")
         fl = F.component(l)
-        z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        bnd = np.sum(fl.f(z.real, z.imag) * (wx + 1j * wy) / (z - wz)) / (2j * np.pi)
-        x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        zz = x + 1j * y
-        keep = np.abs(zz - wz) >= eps
-        fbar_w = fl.dbar(wz.real, wz.imag)
-        smooth_part = np.sum(
-            (fl.dbar(x[keep], y[keep]) - fbar_w) * w[keep] / (zz[keep] - wz)
-        )
-        exact_pole = _wedge_recip_area(1.0, 0.0, patch.component_bounds(l), wz)
-        area = -(smooth_part + fbar_w * exact_pole) / np.pi
-        res.append(abs(bnd + area - fl.f(wz.real, wz.imag)))
+        zp = np.array([wz])
+        z, wx, wy = _boundary_nodes(bounds, patch.k)
+        bnd = kernel.sums(l, z, fl.f(z.real, z.imag) * boundary_measure(wp, l, z, wx, wy), zp)
+        area = _cauchy_area_integral(
+            kernel, l, bounds, patch.m,
+            lambda x, y: apply_cr_weighted(wp, l, x, y, fl.dx(x, y), fl.dy(x, y)))(zp)
+        res.append(abs(1j * (bnd - area)[0] - fl.f(wz.real, wz.imag)))
     return HyperbolicNumber(res[0], res[1])
 
 
@@ -253,13 +256,9 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
 # batched component fields of the trace operators
 
 
-def _component_axes(l: int) -> tuple:
-    return (0, 1) if l == 1 else (2, 3)
-
-
 def trace_component(F, W, p: FracParams, side: str, l: int, xs, ys):
     """Component of the trace integral at paired plane points (batched)."""
-    ax_x, ax_y = _component_axes(l)
+    ax_x, ax_y = component_axes(l)
     return axis_integral(F, W, p, side, ax_x, xs) + axis_integral(F, W, p, side, ax_y, ys)
 
 
@@ -267,18 +266,15 @@ def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs
     """Component of the proportional weighted CR operator at paired points,
     returned with the trace integral ``g`` it is built from (the same
     component of ``trace_component`` at the same points)."""
-    ax_x, ax_y = _component_axes(l)
+    ax_x, ax_y = component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     g = trace_component(F, W, p, side, l, xs, ys)
     dgx = _axis_partial_batched(F, W, p, side, ax_x, xs)
     dgy = _axis_partial_batched(F, W, p, side, ax_y, ys)
-    th_fn, ph_fn = wp.component(l)
-    comp_phi = p.phi.component(l)
-    dphi_l = np.real(comp_phi.dx(xs, ys) + comp_phi.dy(xs, ys))
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
-    cr = th_fn.f(xs, ys) * dgx + ph_fn.f(xs, ys) * dgy
-    return (1.0 - sig) * g + sig * cr / dphi_l, g
+    cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
+    return (1.0 - sig) * g + sig * cr / p.phi.dphi(l, xs, ys), g
 
 
 # ----------------------------------------------------------------------
@@ -304,25 +300,19 @@ def frac_gauss_residual(
     sigma_inv = p.sigma.invert()
     res = []
     for l in (1, 2):
-        th_fn, ph_fn = wp.component(l)
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
 
         z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
         g_b = trace_component(F, W, p, "left", l, z.real, z.imag)
         elam_b = np.exp(lam_fn.f(z.real, z.imag))
-        bnd = np.sum(
-            elam_b * g_b * (th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx)
-        )
+        bnd = np.sum(elam_b * g_b * boundary_measure(wp, l, z, wx, wy))
 
         x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        comp_phi = p.phi.component(l)
-        dphi_l = np.real(comp_phi.dx(x, y) + comp_phi.dy(x, y))
         cr_a, g_a = frac_cr_component(F, W, p, wp, "left", l, x, y)
-        h_field = dphi_l * sig_inv * cr_a
+        h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
         elam_a = np.exp(lam_fn.f(x, y))
-        grad_w = th_fn.dx(x, y) + ph_fn.dy(x, y)
-        div_term = grad_w * elam_a * g_a
+        div_term = weight_divergence(wp, l, x, y) * elam_a * g_a
         area = np.sum((elam_a * h_field + div_term) * w)
         res.append(abs(bnd - area))
     return HyperbolicNumber(res[0], res[1])
@@ -359,6 +349,29 @@ def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z, ntheta: int = 24
         vals = radius(th) / (a * np.exp(1j * th) + b * np.exp(-1j * th))
         total += (th1 - th0)[..., 0] * np.sum(wr * vals, axis=-1)
     return total[()]
+
+
+def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h_at: Callable):
+    """The area integral ``integral E_l(v, z) * h(v) dx dy`` over the
+    rectangle, as a function of an array of points ``z`` strictly inside it.
+
+    ``h_at(x, y)`` is evaluated once on the area nodes.  Each evaluation is
+    one kernel sum of ``h(v) - h(z)``, whose integrand is bounded at the
+    pole, plus ``h(z)`` times the kernel's exact area integral by polar
+    wedges.  The subtraction degrades within the last cell ring, where the
+    wedge integral and the discrete near field no longer cancel.
+    """
+    x_a, y_a, w_a = _area_nodes(bounds, m)
+    v_nodes = x_a + 1j * y_a
+    charges = np.stack([w_a * h_at(x_a, y_a), w_a], axis=1)
+    a_map, b_map = kernel._maps[l - 1]
+
+    def integral(zp):
+        field_sum, mass_sum = kernel.sums(l, v_nodes, charges, zp).T
+        wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
+        return field_sum + h_at(zp.real, zp.imag) * (wedges - mass_sum)
+
+    return integral
 
 
 def _pole_along_trace(a: complex, b: complex, v: np.ndarray, fixed: float, horizontal: bool):
@@ -407,7 +420,7 @@ def _trace_derivative_of_map(
     step is widened beyond the default so that residual quadrature noise is
     not amplified.
     """
-    ax_x, ax_y = _component_axes(l)
+    ax_x, ax_y = component_axes(l)
     x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
     total = 0.0 + 0.0j
     for axis, coord, fixed, key in (
@@ -471,13 +484,12 @@ def frac_bp_reconstruct(
 
     res = []
     for l in (1, 2):
-        th, ph = kernel.pairs[l - 1]
         a_map, b_map = kernel._maps[l - 1]
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         rem_l = rem.z1 if l == 1 else rem.z2
         ts_l = tsum.z1 if l == 1 else tsum.z2
-        ax_x, ax_y = _component_axes(l)
+        ax_x, ax_y = component_axes(l)
         x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
 
         z_b, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
@@ -489,7 +501,7 @@ def frac_bp_reconstruct(
         gx = np.maximum(z_b.real, p.rect.axis_interval(ax_x)[0] + nu_x)
         gy = np.maximum(z_b.imag, p.rect.axis_interval(ax_y)[0] + nu_y)
         g_b = trace_component(F, W, p, "left", l, gx, gy)
-        coef = (th * wy - ph * wx) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
+        coef = boundary_measure(wp, l, z_b, wx, wy) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
 
         def boundary_map(xs, ys):
             zp, inv = np.unique(np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float),
@@ -527,37 +539,29 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
     Dphi(V) * sigma^{-1} * (proportional CR of F)(V, W)`` over the patch,
     against ``dx dy``, as a function of the trace point ``z``.
 
-    The proportional CR field is precomputed once on the area nodes; each
-    evaluation is then a kernel-weighted sum with the locally constant part
-    subtracted and integrated exactly in polar wedges, so the map stays
-    smooth inside the patch where the trace derivative differences it.
+    The proportional CR field is precomputed once on the area nodes (see
+    ``_cauchy_area_integral``), so the map stays smooth inside the patch where
+    the trace derivative differences it.
     """
     bounds = patch.component_bounds(l)
     lam_fn = lam.component(l)
-    a_map, b_map = kernel._maps[l - 1]
-    wp = kernel.wp
-    comp_phi = p.phi.component(l)
 
     def h_at(xs, ys):
-        comp_phi_v = np.real(comp_phi.dx(xs, ys) + comp_phi.dy(xs, ys))
         return (
             np.exp(lam_fn.f(xs, ys))
-            * comp_phi_v
+            * p.phi.dphi(l, xs, ys)
             * sig_inv
-            * frac_cr_component(F, W, p, wp, "left", l, xs, ys)[0]
+            * frac_cr_component(F, W, p, kernel.wp, "left", l, xs, ys)[0]
         )
 
-    x_a, y_a, w_a = _area_nodes(bounds, patch.m)
-    v_nodes = x_a + 1j * y_a
-    charges = np.stack([w_a * h_at(x_a, y_a), w_a], axis=1)
+    integral = _cauchy_area_integral(kernel, l, bounds, patch.m, h_at)
     x0, x1, y0, y1 = bounds
     cell_x = (x1 - x0) / patch.m
     cell_y = (y1 - y0) / patch.m
 
     def area_map(xs, ys):
-        """The area integral at an array of trace points: kernel sums with
-        the constant part subtracted and integrated exactly in polar wedges.
-        Each distinct point (after the clamp below) is evaluated once.
+        """The area integral at an array of trace points.  Each distinct
+        point (after the clamp below) is evaluated once.
 
         Points are clamped one cell inside the surface: the subtraction
         degrades within the last cell ring (the exact wedge integral and the
@@ -568,11 +572,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
         xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), x0 + cell_x, x1 - cell_x)
         ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), y0 + cell_y, y1 - cell_y)
         zp, inv = np.unique(xs + 1j * ys, return_inverse=True)
-        ux, uy = zp.real, zp.imag
-        field_sum, mass_sum = kernel.sums(l, v_nodes, charges, zp).T
-        wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
-        out = field_sum + h_at(ux, uy) * (wedges - mass_sum)
-        return (np.exp(-lam_fn.f(ux, uy)) * out)[inv]
+        return (np.exp(-lam_fn.f(zp.real, zp.imag)) * integral(zp))[inv]
 
     return area_map
 

@@ -1,11 +1,18 @@
 """Weighted Cauchy-Riemann operators on the plane and their bicomplex lift.
 
 A weight pair ``(theta, phi_w)`` consists of four complex-valued plane
-functions, one ``(theta_l, phi_wl)`` pair per idempotent component, subject
-to pointwise hyperbolic orthogonality ``<theta_l, phi_wl>_C = 0``.  The
+functions, one ``(theta_l, phi_wl)`` pair per idempotent component.  The
+paper states its identities for pointwise hyperbolically orthogonal pairs
+(``<theta_l, phi_wl>_C = 0``); that hypothesis is not enforced here.  The
 classical pair is ``theta = 1``, ``phi_w = i``, for which the weighted
 operator ``theta*d/dx + phi_w*d/dy`` reduces to twice the Wirtinger
 anti-holomorphic derivative.
+
+The weighted operator, the divergence of the weights and the weighted
+contour element ``theta dy - phi_w dx`` are written once each, per component
+plane on arrays of points (:func:`apply_cr_weighted`,
+:func:`weight_divergence`, :func:`boundary_measure`); every residual calls
+them.
 
 Cauchy-type kernels are provided for the classical pair and for constant
 orientation-preserving pairs, where a real-linear substitution turns the
@@ -15,13 +22,12 @@ weighted operator into the classical one (see :class:`CauchyKernel`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import fracops1d
-from .errors import DomainError, EmptyProbesError, UnsupportedWeightsError
-from .hypercomplex import BicomplexNumber
+from .errors import UnsupportedWeightsError
 
 
 @dataclass(frozen=True)
@@ -84,15 +90,11 @@ class PlaneFunction:
             dy=lambda x, y: a.dy(x, y) + b.dy(x, y),
         )
 
-    def dbar(self, x, y):
-        """Wirtinger anti-holomorphic derivative ``(dx + i*dy)/2``."""
-        return 0.5 * (self.dx(x, y) + 1j * self.dy(x, y))
-
 
 @dataclass(frozen=True)
 class WeightPair:
     """Bicomplex weight functions ``theta = theta1*E + theta2*E'`` and
-    ``phi_w = phi1*E + phi2*E'`` with the orthogonality constraint."""
+    ``phi_w = phi1*E + phi2*E'``."""
 
     theta1: PlaneFunction
     theta2: PlaneFunction
@@ -125,13 +127,6 @@ class WeightPair:
         one = PlaneFunction.constant(1.0)
         ig = 1j * g
         return cls(one, one, ig, ig)
-
-    @classmethod
-    def orthogonal_from(cls, theta1: PlaneFunction, theta2: PlaneFunction,
-                        g1: PlaneFunction, g2: PlaneFunction) -> "WeightPair":
-        """General orthogonal construction ``phi_wl = i * g_l * theta_l``
-        with real-valued ``g_l``."""
-        return cls(theta1, theta2, (1j * g1) * theta1, (1j * g2) * theta2)
 
     def component(self, l: int) -> tuple:
         if l == 1:
@@ -172,106 +167,28 @@ class ProductFunction:
         return self.f1 if l == 1 else self.f2
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Pointwise orthogonality diagnostics over a probe set."""
-
-    max_inner: float
-    max_identity: float
-    criteria_gap: float
-
-    def passed(self, tol: float = 1e-10) -> bool:
-        return self.max_inner <= tol
+def apply_cr_weighted(wp: WeightPair, l: int, x, y, a, b):
+    """Weighted Cauchy-Riemann operator ``theta_l*a + phi_wl*b`` on component
+    plane ``l``, where ``a`` and ``b`` are the x- and y-partials of the
+    operand at the plane points ``(x, y)``."""
+    th_fn, ph_fn = wp.component(l)
+    return th_fn.f(x, y) * a + ph_fn.f(x, y) * b
 
 
-def inner_c(z, w):
-    """Real inner product ``(conj(z)*w + conj(w)*z) / 2`` on the plane."""
-    return np.real(np.conjugate(z) * w)
+def weight_divergence(wp: WeightPair, l: int, x, y):
+    """Divergence ``d(theta_l)/dx + d(phi_wl)/dy`` of the weights at the
+    plane points ``(x, y)``: the extra term of the weighted Gauss identity,
+    zero for constant weights."""
+    th_fn, ph_fn = wp.component(l)
+    return th_fn.dx(x, y) + ph_fn.dy(x, y)
 
 
-def as_plane_points(probes):
-    """Normalize a probe list (complex numbers or ``(x, y)`` pairs)."""
-    probes = list(probes)
-    if not probes:
-        raise EmptyProbesError("probe list is empty")
-    if isinstance(probes[0], tuple):
-        x = np.array([p[0] for p in probes], dtype=float)
-        y = np.array([p[1] for p in probes], dtype=float)
-    else:
-        z = np.asarray(probes, dtype=complex)
-        x, y = z.real, z.imag
-    return x, y
-
-
-def check_orthogonality(wp: WeightPair, probes) -> OrthogonalityReport:
-    """Evaluate both orthogonality criteria over the probes.
-
-    The first criterion is the inner product ``<theta_l, phi_wl>_C`` itself;
-    the second is the equivalent componentwise identity
-    ``Im(theta_l) * phi_wl = -i * Re(phi_wl) * theta_l``.  Both vanish
-    together; the reported gap is the largest pointwise difference of their
-    magnitudes and should sit at rounding level.
-    """
-    x, y = as_plane_points(probes)
-    max_inner = 0.0
-    max_ident = 0.0
-    gap = 0.0
-    for l in (1, 2):
-        th_fn, ph_fn = wp.component(l)
-        th, ph = th_fn.f(x, y), ph_fn.f(x, y)
-        ip = np.abs(inner_c(th, ph))
-        ident = np.abs(np.imag(th) * ph + 1j * np.real(ph) * th)
-        max_inner = max(max_inner, float(np.max(ip)))
-        max_ident = max(max_ident, float(np.max(ident)))
-        gap = max(gap, float(np.max(np.abs(ip - ident))))
-    return OrthogonalityReport(max_inner, max_ident, gap)
-
-
-def apply_cr_weighted(
-    wp: WeightPair, F: ProductFunction, Z: BicomplexNumber, rect=None
-) -> BicomplexNumber:
-    """Weighted Cauchy-Riemann operator applied to a product-type function."""
-    if rect is not None and not rect.contains(Z):
-        raise DomainError("point outside the working rectangle")
-    parts = []
-    for l, z in ((1, Z.z1), (2, Z.z2)):
-        x, y = np.real(z), np.imag(z)
-        th_fn, ph_fn = wp.component(l)
-        fl = F.component(l)
-        parts.append(th_fn.f(x, y) * fl.dx(x, y) + ph_fn.f(x, y) * fl.dy(x, y))
-    return BicomplexNumber(parts[0], parts[1])
-
-
-def weight_divergence(wp: WeightPair, Z: BicomplexNumber) -> tuple:
-    """Divergence coefficients ``(A, B)`` of the weighted Gauss identity.
-
-    ``A`` collects the real parts of the weight gradients, ``B`` the
-    imaginary parts; both vanish for constant weights.
-    """
-    a_parts, b_parts = [], []
-    for l, z in ((1, Z.z1), (2, Z.z2)):
-        x, y = np.real(z), np.imag(z)
-        th_fn, ph_fn = wp.component(l)
-        grad = th_fn.dx(x, y) + ph_fn.dy(x, y)
-        a_parts.append(np.real(grad) + 0j)
-        b_parts.append(np.imag(grad) + 0j)
-    return BicomplexNumber(a_parts[0], a_parts[1]), BicomplexNumber(b_parts[0], b_parts[1])
-
-
-def boundary_measure(
-    wp: WeightPair, Z: BicomplexNumber, d1: Sequence[float], d2: Sequence[float]
-) -> BicomplexNumber:
-    """Weighted contour element ``theta*dy - phi_w*dx`` per component.
-
-    ``d1`` and ``d2`` are the tangent steps ``(dx, dy)`` in each component
-    plane.  For classical weights this is ``-i * dz`` componentwise.
-    """
-    parts = []
-    for l, z, (dx, dy) in ((1, Z.z1, d1), (2, Z.z2, d2)):
-        x, y = np.real(z), np.imag(z)
-        th_fn, ph_fn = wp.component(l)
-        parts.append(th_fn.f(x, y) * dy - ph_fn.f(x, y) * dx)
-    return BicomplexNumber(parts[0], parts[1])
+def boundary_measure(wp: WeightPair, l: int, z, wx, wy):
+    """Weighted contour element ``theta_l*dy - phi_wl*dx`` at the contour
+    points ``z`` with tangent steps ``(wx, wy)``; ``-i*dz`` for the classical
+    pair."""
+    th_fn, ph_fn = wp.component(l)
+    return th_fn.f(z.real, z.imag) * wy - ph_fn.f(z.real, z.imag) * wx
 
 
 class CauchyKernel:
@@ -334,7 +251,12 @@ class CauchyKernel:
         s_tgt = self.smap(l, np.asarray(targets, dtype=complex))
         c = np.asarray(charges, dtype=complex)
         q = c.reshape(s_src.size, -1)
-        rhs = np.block([[q.real, q.imag], [-q.imag, q.real]]) * (-1.0 / np.pi)
+        n, k = q.shape
+        rhs = np.empty((2 * n, 2 * k))  # [[Re q, Im q], [-Im q, Re q]], filled in place
+        rhs[:n, :k] = rhs[n:, k:] = q.real
+        rhs[:n, k:] = q.imag
+        np.negative(q.imag, out=rhs[n:, :k])
+        rhs *= -1.0 / np.pi
         flat = s_tgt.ravel()
         rows = max(1, fracops1d._CHUNK_ELEMENTS // max(1, s_src.size))
         pq = np.empty((min(rows, flat.size), 2, s_src.size))  # [dy | dx] / |d|^2
@@ -351,5 +273,5 @@ class CauchyKernel:
             np.divide(1.0, r, out=r)
             blk *= r[:, None, :]
             np.matmul(blk.reshape(t.size, -1), rhs, out=out[start:start + t.size])
-        res = out[:, :q.shape[1]] + 1j * out[:, q.shape[1]:]
+        res = out[:, :k] + 1j * out[:, k:]
         return res.reshape(s_tgt.shape + c.shape[1:])

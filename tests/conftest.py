@@ -5,6 +5,7 @@ from scipy.special import gamma
 
 from bcfrac import (
     Phi4,
+    PlaneFunction,
     ProductFunction,
     Quadrature1D,
     RectDomain,
@@ -33,6 +34,38 @@ def poly_field():
     return ProductFunction.from_holomorphic(
         lambda z: z**2 - 0.5 * z + 0.25j, lambda z: 2.0 * z - 0.5
     )
+
+
+@pytest.fixture
+def mixed_field():
+    """``z^2 * conj(z)`` in both components: neither holomorphic nor
+    anti-holomorphic, with anti-holomorphic derivative ``z^2``."""
+
+    def f(x, y):
+        z = x + 1j * y
+        return z**2 * np.conjugate(z)
+
+    def fdx(x, y):
+        z = x + 1j * y
+        return 2 * z * np.conjugate(z) + z**2
+
+    def fdy(x, y):
+        z = x + 1j * y
+        return 2j * z * np.conjugate(z) - 1j * z**2
+
+    pf = PlaneFunction(f, fdx, fdy)
+    return ProductFunction(pf, pf)
+
+
+@pytest.fixture
+def exp_sin_field():
+    """``exp(x) * sin(3y)`` in both components: smooth, not a polynomial."""
+    pf = PlaneFunction(
+        f=lambda x, y: np.exp(x) * np.sin(3 * y) + 0j,
+        dx=lambda x, y: np.exp(x) * np.sin(3 * y) + 0j,
+        dy=lambda x, y: 3 * np.exp(x) * np.cos(3 * y) + 0j,
+    )
+    return ProductFunction(pf, pf)
 
 
 @pytest.fixture

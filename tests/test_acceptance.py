@@ -175,7 +175,7 @@ def test_criterion_03_closed_forms():
            f"engine vs closed {engine_err:.2e} <= 1e-5")
 
 
-def test_criterion_04_borel_pompeiu_classical():
+def test_criterion_04_borel_pompeiu_classical(mixed_field, exp_sin_field):
     t0 = time.perf_counter()
     W = BicomplexNumber(0.41 + 0.37j, 0.52 + 0.63j)
     patch = SurfacePatch(RECT, m=32, k=64)
@@ -185,30 +185,20 @@ def test_criterion_04_borel_pompeiu_classical():
     res_conj = [borel_pompeiu_classical(conj, W, patch.with_resolution(m, 64)).max()
                 for m in (32, 64, 128)]
     monotone = all(res_conj[i + 1] <= res_conj[i] * 1.5 + 1e-12 for i in range(2))
-
-    def f(x, y):
-        z = x + 1j * y
-        return z**2 * np.conjugate(z)
-
-    def fdx(x, y):
-        z = x + 1j * y
-        return 2 * z * np.conjugate(z) + z**2
-
-    def fdy(x, y):
-        z = x + 1j * y
-        return 2j * z * np.conjugate(z) - 1j * z**2
-
-    mixed = ProductFunction(PlaneFunction(f, fdx, fdy), PlaneFunction(f, fdx, fdy))
-    res_mixed = [borel_pompeiu_classical(mixed, W, patch.with_resolution(m, 64)).max()
+    # z^2*zbar: the subtracted area integrand is a polynomial, exact at every m
+    res_mixed = [borel_pompeiu_classical(mixed_field, W, patch.with_resolution(m, 64)).max()
                  for m in (32, 64, 128)]
-    strict = res_mixed[0] > res_mixed[1] > res_mixed[2]
+    res_smooth = [borel_pompeiu_classical(exp_sin_field, W, patch.with_resolution(m, 64)).max()
+                  for m in (32, 64, 128)]
+    strict = res_smooth[0] > res_smooth[1] > res_smooth[2]
     elapsed = time.perf_counter() - t0
     report(4, "classical reconstruction",
-           res_h <= 1e-8 and res_conj[-1] <= 1e-3 and monotone
-           and strict and res_mixed[-1] <= 1e-3 and elapsed < 60.0,
+           res_h <= 1e-8 and res_conj[-1] <= 1e-3 and monotone and max(res_mixed) <= 1e-12
+           and strict and res_smooth[-1] <= 1e-4 and elapsed < 60.0,
            f"holomorphic {res_h:.2e} <= 1e-8, conjugate at m=128 "
-           f"{res_conj[-1]:.2e} <= 1e-3, refinement monotone {monotone and strict}, "
-           f"{elapsed:.1f}s < 60s")
+           f"{res_conj[-1]:.2e} <= 1e-3, z^2*zbar {max(res_mixed):.2e} <= 1e-12 at m=32..128, "
+           f"exp(x)sin(3y) at m=128 {res_smooth[-1]:.2e} <= 1e-4, "
+           f"refinement monotone {monotone and strict}, {elapsed:.1f}s < 60s")
 
 
 def test_criterion_05_weighted_gauss():

@@ -4,6 +4,7 @@ from scipy.special import gamma
 
 from bcfrac import (
     BicomplexNumber,
+    EmptyProbesError,
     FracParams,
     Phi4,
     ProductFunction,
@@ -242,6 +243,14 @@ class TestLambda:
         res = [lambda_residual(bad, wp, p, [pb]) for pb in probes]
         assert res[2] > res[0]  # residual grows with the probe coordinate
         assert min(res) > 1e-3
+        assert lambda_residual(bad, wp, p, probes) == max(res)  # one batched pass
+
+    def test_empty_probes_rejected(self, setup):
+        rect, phi, _, _, _ = setup
+        p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=128))
+        wp = WeightPair.classical()
+        with pytest.raises(EmptyProbesError):
+            lambda_residual(lambda_for_constant_weights(wp, p), wp, p, [])
 
     def test_nonconstant_dphi_rejected(self):
         rect = RectDomain(*[0.5, 1.5] * 4)

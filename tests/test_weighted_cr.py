@@ -4,76 +4,45 @@ import pytest
 from bcfrac import (
     BicomplexNumber,
     CauchyKernel,
-    EmptyProbesError,
     PlaneFunction,
     ProductFunction,
     UnsupportedWeightsError,
     WeightPair,
     apply_cr_weighted,
     boundary_measure,
-    check_orthogonality,
-    inner_c,
     weight_divergence,
 )
 
-PROBES = [0.3 + 0.4j, 1 + 2j, -1 - 0.5j, 0.01 - 3j]
 Z0 = BicomplexNumber(0.3 + 0.4j, 1 + 2j)
 
 
-def test_inner_c_examples():
-    assert inner_c(1, 1j) == 0
-    assert inner_c(3 + 4j, 3 + 4j) == 25
-    assert inner_c(1 + 1j, 1 - 1j) == 0
+def cr_at(wp, F, Z):
+    """The weighted CR operator of ``F`` in both component planes at ``Z``."""
+    out = []
+    for l, z in ((1, Z.z1), (2, Z.z2)):
+        fl = F.component(l)
+        out.append(apply_cr_weighted(wp, l, z.real, z.imag, fl.dx(z.real, z.imag),
+                                     fl.dy(z.real, z.imag)))
+    return out
 
 
-def test_inner_c_real_and_symmetric():
-    rng = np.random.default_rng(0)
-    z, w = rng.normal(size=2) + 1j * rng.normal(size=2)
-    assert np.isrealobj(inner_c(z, w))
-    assert inner_c(z, w) == inner_c(w, z)
+def divergence_at(wp, Z):
+    return [weight_divergence(wp, l, z.real, z.imag) for l, z in ((1, Z.z1), (2, Z.z2))]
 
 
-class TestOrthogonality:
-    def test_classical(self):
-        rep = check_orthogonality(WeightPair.classical(), PROBES)
-        assert rep.max_inner == 0 and rep.criteria_gap == 0
-
-    def test_constant_orthogonal_pair(self):
-        rep = check_orthogonality(WeightPair.constant(1 + 1j, 1 - 1j), PROBES)
-        assert rep.max_inner == 0
-
-    def test_failing_pair_is_flagged(self):
-        rep = check_orthogonality(WeightPair.constant(1, 1), PROBES)
-        assert rep.max_inner == pytest.approx(1.0)
-        assert not rep.passed()
-
-    def test_two_criteria_agree_on_random_orthogonal_pairs(self):
-        # construction: second weight = i * (real scale) * first weight
-        rng = np.random.default_rng(7)
-        for _ in range(5):
-            c = complex(*rng.normal(size=2))
-            g = PlaneFunction(
-                f=lambda x, y: 1.0 + x**2 + 0.5 * y**2,
-                dx=lambda x, y: 2.0 * x,
-                dy=lambda x, y: 1.0 * y,
-            )
-            th = PlaneFunction.constant(c)
-            wp = WeightPair.orthogonal_from(th, th, g, g)
-            rep = check_orthogonality(wp, PROBES)
-            assert rep.max_inner <= 1e-12
-            assert rep.criteria_gap <= 1e-12
-
-    def test_empty_probes(self):
-        with pytest.raises(EmptyProbesError):
-            check_orthogonality(WeightPair.classical(), [])
+def measure_at(wp, Z, step):
+    """The weighted contour element for the tangent step ``(dx, dy)`` in both
+    component planes at ``Z``."""
+    dx, dy = step
+    return [boundary_measure(wp, l, z, dx, dy) for l, z in ((1, Z.z1), (2, Z.z2))]
 
 
 class TestApplyCr:
     def test_annihilates_holomorphic(self):
         wp = WeightPair.classical()
         F = ProductFunction.from_holomorphic(lambda z: z, lambda z: np.ones_like(z))
-        out = apply_cr_weighted(wp, F, Z0)
-        assert abs(out.z1) == 0 and abs(out.z2) == 0
+        out = cr_at(wp, F, Z0)
+        assert abs(out[0]) == 0 and abs(out[1]) == 0
 
     def test_annihilates_random_polynomials(self):
         wp = WeightPair.classical()
@@ -84,29 +53,29 @@ class TestApplyCr:
                 lambda z, c=coeffs: c[0] + c[1] * z + c[2] * z**2 + c[3] * z**3,
                 lambda z, c=coeffs: c[1] + 2 * c[2] * z + 3 * c[3] * z**2,
             )
-            out = apply_cr_weighted(wp, F, Z0)
-            assert max(abs(out.z1), abs(out.z2)) <= 1e-12
+            out = cr_at(wp, F, Z0)
+            assert max(abs(out[0]), abs(out[1])) <= 1e-12
 
     def test_conjugate_gives_two(self):
         wp = WeightPair.classical()
         F = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
-        out = apply_cr_weighted(wp, F, Z0)
-        assert abs(out.z1 - 2) < 1e-14 and abs(out.z2 - 2) < 1e-14
+        out = cr_at(wp, F, Z0)
+        assert abs(out[0] - 2) < 1e-14 and abs(out[1] - 2) < 1e-14
 
     def test_constant_weights_on_x_squared(self):
         wp = WeightPair.constant(1 + 1j, 1 - 1j)
         pf = PlaneFunction(
             f=lambda x, y: x**2 + 0j, dx=lambda x, y: 2.0 * x + 0j, dy=lambda x, y: 0j * x
         )
-        out = apply_cr_weighted(wp, ProductFunction(pf, pf), Z0)
-        assert abs(out.z1 - 2 * 0.3 * (1 + 1j)) < 1e-14
-        assert abs(out.z2 - 2 * 1.0 * (1 + 1j)) < 1e-14
+        out = cr_at(wp, ProductFunction(pf, pf), Z0)
+        assert abs(out[0] - 2 * 0.3 * (1 + 1j)) < 1e-14
+        assert abs(out[1] - 2 * 1.0 * (1 + 1j)) < 1e-14
 
 
 class TestDivergence:
     def test_constant_weights_vanish(self):
-        A, B = weight_divergence(WeightPair.constant(2 - 1j, 1 + 2j), Z0)
-        assert abs(A.z1) == abs(A.z2) == abs(B.z1) == abs(B.z2) == 0
+        d1, d2 = divergence_at(WeightPair.constant(2 - 1j, 1 + 2j), Z0)
+        assert abs(d1.real) == abs(d2.real) == abs(d1.imag) == abs(d2.imag) == 0
 
     def test_linear_real_part(self):
         theta_x = PlaneFunction(
@@ -114,35 +83,60 @@ class TestDivergence:
         )
         wp = WeightPair(theta_x, PlaneFunction.constant(1),
                         PlaneFunction.constant(1j), PlaneFunction.constant(1j))
-        A, B = weight_divergence(wp, Z0)
-        assert A.z1 == 1 and A.z2 == 0 and B.z1 == 0 and B.z2 == 0
+        d1, d2 = divergence_at(wp, Z0)
+        assert d1.real == 1 and d2.real == 0 and d1.imag == 0 and d2.imag == 0
 
     def test_linear_imaginary_part_feeds_b(self):
+        # B, the imaginary part of the divergence
         theta_ix = PlaneFunction(
             f=lambda x, y: 1j * x, dx=lambda x, y: 1j * np.ones_like(x), dy=lambda x, y: 0j * x
         )
         wp = WeightPair(theta_ix, PlaneFunction.constant(1),
                         PlaneFunction.constant(1j), PlaneFunction.constant(1j))
-        A, B = weight_divergence(wp, Z0)
-        assert B.z1 == 1 and B.z2 == 0 and A.z1 == 0
+        d1, d2 = divergence_at(wp, Z0)
+        assert d1.imag == 1 and d2.imag == 0 and d1.real == 0
 
 
 class TestBoundaryMeasure:
     def test_classical_horizontal_step(self):
-        out = boundary_measure(WeightPair.classical(), Z0, (0.1, 0.0), (0.1, 0.0))
-        assert abs(out.z1 + 0.1j) < 1e-15 and abs(out.z2 + 0.1j) < 1e-15
+        out = measure_at(WeightPair.classical(), Z0, (0.1, 0.0))
+        assert abs(out[0] + 0.1j) < 1e-15 and abs(out[1] + 0.1j) < 1e-15
 
     def test_classical_recovers_contour_element(self):
         dx, dy = 0.02, -0.03
-        out = boundary_measure(WeightPair.classical(), Z0, (dx, dy), (dx, dy))
-        assert abs(out.z1 - (-1j) * (dx + 1j * dy)) < 1e-15
+        out = measure_at(WeightPair.classical(), Z0, (dx, dy))
+        assert abs(out[0] - (-1j) * (dx + 1j * dy)) < 1e-15
 
     def test_scaled_weights_linear_in_tangent(self):
         wp = WeightPair.constant(2, 2j)
-        out = boundary_measure(wp, Z0, (0.1, 0.2), (0.1, 0.2))
-        assert abs(out.z1 - 2 * (0.2 - 0.1j)) < 1e-15
-        out2 = boundary_measure(wp, Z0, (0.2, 0.4), (0.2, 0.4))
-        assert abs(out2.z1 - 2 * out.z1) < 1e-15
+        out = measure_at(wp, Z0, (0.1, 0.2))
+        assert abs(out[0] - 2 * (0.2 - 0.1j)) < 1e-15
+        out2 = measure_at(wp, Z0, (0.2, 0.4))
+        assert abs(out2[0] - 2 * out[0]) < 1e-15
+
+
+def test_points_array_matches_per_point_calls():
+    # every residual calls the helpers on arrays of quadrature nodes; each
+    # entry must equal the helper at that point alone, bit for bit
+    g = PlaneFunction(f=lambda x, y: 1.0 + x**2 + 0.5 * y**2 + 0j,
+                      dx=lambda x, y: 2.0 * x + 0j, dy=lambda x, y: 1.0 * y + 0j)
+    theta = PlaneFunction(f=lambda x, y: (1 + 0.5j) * x + y,
+                          dx=lambda x, y: (1 + 0.5j) * np.ones_like(x),
+                          dy=lambda x, y: np.ones_like(y) + 0j)
+    wp = WeightPair(theta, theta, 1j * g, 1j * g)
+    rng = np.random.default_rng(3)
+    x, y, a, b = rng.normal(size=(4, 7))
+    wx, wy = rng.normal(size=(2, 7))
+    z = x + 1j * y
+    for l in (1, 2):
+        batched = (apply_cr_weighted(wp, l, x, y, a, b), weight_divergence(wp, l, x, y),
+                   boundary_measure(wp, l, z, wx, wy))
+        for i in range(x.size):
+            single = (apply_cr_weighted(wp, l, x[i], y[i], a[i], b[i]),
+                      weight_divergence(wp, l, x[i], y[i]),
+                      boundary_measure(wp, l, z[i], wx[i], wy[i]))
+            for got, want in zip(batched, single):
+                assert got[i] == want
 
 
 class TestCauchyKernel:
