@@ -68,7 +68,6 @@ from .quadrature_verify import (
     frac_gauss_residual,
     gauss_residual,
     run_identity,
-    surface_integral,
 )
 
 __version__ = "0.1.0"

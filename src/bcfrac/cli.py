@@ -112,9 +112,17 @@ def _number(index, key, value) -> float:
 
 
 def _numbers(index, key, value) -> tuple:
-    if not isinstance(value, list):
+    """A list of finite numbers (a tuple too: the presets write their bounds so)."""
+    if not isinstance(value, (list, tuple)):
         _config_error(index, key, f"must be a list of numbers, got {value!r}")
     return tuple(_number(index, f"{key}[{j}]", v) for j, v in enumerate(value))
+
+
+def _text(index, key, value) -> str:
+    """A JSON string: a preset name, possibly with an expression."""
+    if not isinstance(value, str):
+        _config_error(index, key, f"must be a string, got {value!r}")
+    return value
 
 
 def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
@@ -133,18 +141,20 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "name", f"must be a plain file name, got {name!r}")
     if merged["identity"] not in IDENTITIES:
         _config_error(index, "identity", f"unknown identity; known: {', '.join(IDENTITIES)}")
+    bounds = _numbers(index, "domain", merged["domain"])
+    weights, phi_name = _text(index, "weights", merged["weights"]), _text(index, "phi", merged["phi"])
     try:
-        rect = rect_from_bounds(merged["domain"])
+        rect = rect_from_bounds(bounds)
     except (ConfigError, ValueError) as exc:
         _config_error(index, "domain", str(exc))
     try:
-        wp = weight_preset(merged["weights"], rect)
+        wp = weight_preset(weights, rect)
         if merged["identity"] == "frac-borel-pompeiu":
             CauchyKernel(wp)  # the reconstruction kernel needs constant weights
     except (ConfigError, UnsupportedWeightsError) as exc:
         _config_error(index, "weights", str(exc))
     try:
-        phi = phi_preset(merged["phi"])
+        phi = phi_preset(phi_name)
         phi.validate(rect)
     except (ConfigError, DomainError) as exc:
         _config_error(index, "phi", str(exc))
@@ -180,17 +190,14 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         if not 0.0 < fd_step < half_span:
             _config_error(index, "fd_step", f"step must lie in (0, {half_span:g}), "
                           "half the shortest axis span")
-    try:
-        params = FracParams(
-            rect,
-            _numbers(index, "alpha", merged["alpha"]),
-            _numbers(index, "sigma", merged["sigma"]),
-            phi,
-            quad,
-            fd_step=fd_step,
-        )
-    except ValueError as exc:
-        _config_error(index, "alpha", str(exc))
+    alpha, sigma = (_numbers(index, key, merged[key]) for key in ("alpha", "sigma"))
+    for key, value, check in (("alpha", alpha, FracParams.check_alpha),
+                              ("sigma", sigma, FracParams.check_sigma)):
+        try:
+            check(value)
+        except ValueError as exc:
+            _config_error(index, key, str(exc))
+    params = FracParams(rect, alpha, sigma, phi, quad, fd_step=fd_step)
 
     margin = _number(index, "margin", merged["margin"])
     if margin < 0.0:  # a negative inset would reach outside the domain
@@ -233,9 +240,9 @@ def load_config(path: str) -> list:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    entries = raw.get("experiments")
+    entries = raw.get("experiments") if isinstance(raw, dict) else None
     if not isinstance(entries, list) or not entries:
-        raise ConfigError("config needs a nonempty 'experiments' list")
+        raise ConfigError("config needs a JSON object with a nonempty 'experiments' list")
     expanded = []
     for i, entry in enumerate(entries):
         if isinstance(entry, str):

@@ -197,13 +197,26 @@ class FracParams:
     fd_step: Optional[float] = None
 
     def __post_init__(self):
-        if len(self.alpha) != 4 or len(self.sigma_vec) != 4:
-            raise ValueError("alpha and sigma_vec must have four entries")
-        if not all(0.0 < a < 1.0 for a in self.alpha):
+        self.check_alpha(self.alpha)
+        self.check_sigma(self.sigma_vec)
+
+    @staticmethod
+    def check_alpha(alpha) -> None:
+        """Raise ``ValueError`` unless ``alpha`` is four orders in (0, 1)."""
+        if len(alpha) != 4:
+            raise ValueError("alpha must have four entries")
+        if not all(0.0 < a < 1.0 for a in alpha):
             raise ValueError("fractional orders must lie in (0, 1)")
-        if not all(0.0 <= s <= 1.0 for s in self.sigma_vec):
+
+    @staticmethod
+    def check_sigma(sigma_vec) -> None:
+        """Raise ``ValueError`` unless ``sigma_vec`` is four proportions in
+        [0, 1] whose composite proportion is invertible."""
+        if len(sigma_vec) != 4:
+            raise ValueError("sigma_vec must have four entries")
+        if not all(0.0 <= s <= 1.0 for s in sigma_vec):
             raise ValueError("proportions must lie in [0, 1]")
-        s0, s1, s2, s3 = self.sigma_vec
+        s0, s1, s2, s3 = sigma_vec
         if abs(complex(s0, s1)) == 0 or abs(complex(s2, s3)) == 0:
             raise ValueError("composite proportion must be invertible")
 
@@ -265,11 +278,12 @@ def axis_integral(F, W, p: FracParams, side: str, axis: int, targets):
 
 
 def axis_derivative(line: Callable, W, p: FracParams, side: str, axis: int, targets,
-                    h: Optional[float] = None):
-    """Batched trace derivative of order ``1 - alpha[axis]`` of a line map."""
+                    h: Optional[float] = None, features: Optional[tuple] = None):
+    """Batched trace derivative of order ``1 - alpha[axis]`` of a line map;
+    ``features`` as in ``prop_frac_integral``."""
     return prop_frac_derivative(
         line, p.axis_spec(axis, W), side, targets, p.quadrature,
-        h=p.fd_for_axis(axis) if h is None else h,
+        h=p.fd_for_axis(axis) if h is None else h, features=features,
     )
 
 

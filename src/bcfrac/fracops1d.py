@@ -153,13 +153,16 @@ def hausdorff_derivative(l: Callable, dl: Callable, alpha: float, a: float, t):
     return out if out.ndim else out[()]
 
 
-def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
+def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D,
+                       features: Optional[tuple] = None):
     """Left or right proportional fractional integral of ``f`` at ``t``.
 
     ``side`` is ``"left"`` (integration from the lower interval end) or
     ``"right"`` (from the upper end).  ``t`` may be a scalar or an array.
     Repeated targets are evaluated once: every rule row depends on its own
     target only, so the result is bit-for-bit that of evaluating each entry.
+    ``features = (centers, scales)`` marks sharp features of ``f`` and
+    switches to the rows of ``refined_rule``, which cluster nodes there.
     """
     _check_side(side)
     scalar = np.isscalar(t) or np.ndim(t) == 0
@@ -178,7 +181,7 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
         uniq, inv = np.unique(ts, return_inverse=True)
-        out = _integral_dispatch(f, p, side, uniq, q)[inv]
+        out = _integral_dispatch(f, p, side, uniq, q, features)[inv]
     if scalar:
         return out[0]
     return out.reshape(t_arr.shape)
@@ -191,6 +194,7 @@ def prop_frac_derivative(
     t,
     q: Quadrature1D,
     h: Optional[float] = None,
+    features: Optional[tuple] = None,
 ):
     """Proportional fractional derivative of order ``p.alpha``.
 
@@ -199,7 +203,8 @@ def prop_frac_derivative(
     is taken by a central difference of step ``h`` (clipped one-sided at the
     interval ends).  On the right side the derivative part enters with the
     opposite sign, which is what makes the right-sided composition with the
-    right integral the identity.
+    right integral the identity.  ``features`` is passed on to the inner
+    integral (see ``prop_frac_integral``).
     """
     _check_side(side)
     if p.alpha >= 1.0:
@@ -223,7 +228,7 @@ def prop_frac_derivative(
     inner = FracSpec(1.0 - p.alpha, p.sigma, w)
 
     def g(s):
-        return prop_frac_integral(f, inner, side, s, q)
+        return prop_frac_integral(f, inner, side, s, q, features)
 
     dg = _central_difference(g, ts, h, w.lo, w.hi)
     sign = 1.0 if side == "left" else -1.0
@@ -257,9 +262,17 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _integral_dispatch(f, p, side, ts, q):
-    """Integral at each target, one cache-sized block of rule rows at a time."""
-    rule = _gauss_jacobi_rule if q.scheme == "gauss_jacobi" else _graded_rule
+def _integral_dispatch(f, p, side, ts, q, features=None):
+    """Integral at each target, one cache-sized block of rule rows at a time.
+    Refined rows (``features`` given) are built on the graded base mesh
+    whatever the scheme."""
+    if features is not None:
+        def rule(p, side, ts, q):
+            # the module global, looked up when called, so that a wrapper
+            # bound to the module attribute sees every call
+            return refined_rule(p, side, ts, q, *features)
+    else:
+        rule = _gauss_jacobi_rule if q.scheme == "gauss_jacobi" else _graded_rule
     out = np.empty(ts.shape, dtype=complex)
     chunk = max(1, _CHUNK_ELEMENTS // max(2, q.n))
     for start in range(0, ts.size, chunk):
@@ -333,16 +346,24 @@ def _auto_grading(q: Quadrature1D, beta: float) -> float:
     return float(min(max(2.0 / beta, 1.0), GRADING_CAP))
 
 
+def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
+    """The graded base mesh ``t + (anchor - t)*u``, one row per target,
+    running from ``t`` toward the anchor; returns ``(tau, u, grading)``."""
+    anchor = p.weight.lo if side == "left" else p.weight.hi
+    grading = _auto_grading(q, p.alpha)
+    u = _graded_fractions(max(2, q.n), grading)
+    tau = np.multiply((anchor - ts)[:, None], u)
+    tau += ts[:, None]
+    return tau, u, grading
+
+
 def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     """Nodes and real weights of the product-trapezoid rule, one row per
     target; the tempered-exponential factor is folded into the weights so
     that ``sum(weights * f(nodes))`` approximates the integral."""
     w = p.weight
     anchor = w.lo if side == "left" else w.hi
-    n_nodes, grading = max(2, q.n), _auto_grading(q, p.alpha)
-    u = _graded_fractions(n_nodes, grading)
-    tau = np.multiply((anchor - ts)[:, None], u)  # rows run from t toward the anchor
-    tau += ts[:, None]
+    tau, u, grading = _graded_mesh(p, side, ts, q)
     if w.slope is None:
         phits = np.asarray(w.phi(ts), dtype=float)
         return tau, _tempered_weights(p, side, phits[:, None], tau)
@@ -351,7 +372,7 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     beta, sigma = p.alpha, p.sigma
     big_l = w.slope * np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
     scale = big_l**beta * sigma ** (-beta)
-    wts = np.multiply(scale[:, None], _reference_row(n_nodes, grading, beta))
+    wts = np.multiply(scale[:, None], _reference_row(u.size, grading, beta))
     c = (sigma - 1.0) / sigma
     if c != 0.0:
         big_l *= c * _LOG2E
@@ -424,46 +445,48 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
 def refined_rule(
     p: FracSpec,
     side: str,
-    t: float,
+    ts: np.ndarray,
     q: Quadrature1D,
     centers: np.ndarray,
     scales: np.ndarray,
 ):
     """Rule with extra nodes geometrically clustered around near-singular
-    locations of the integrand.
+    locations of the integrand, one row per target of the 1-D ``ts``.
 
     ``centers`` and ``scales`` (1-D arrays) give locations and widths of
     sharp features (for instance Cauchy kernel poles just off the
-    integration segment).  The base graded mesh is merged with two-sided
-    geometric ladders spanning ``scale/2`` up to the interval length, so
-    each feature is resolved at every octave.  Features far outside the
-    segment simply produce harmless extra nodes.
+    integration segment).  Each row is the graded base mesh of
+    ``_graded_rule`` merged with two-sided geometric ladders spanning
+    ``scale/2`` up to the interval length, so each feature is resolved at
+    every octave.  Features far outside the segment simply produce harmless
+    extra nodes.
 
-    Returns ``(tau, wts)``, nodes running from ``t`` toward the anchor;
-    ``sum(wts * f(tau))`` approximates the integral at ``t``.
+    Returns ``(tau, wts)``, rows running from their target toward the
+    anchor; ``sum(wts * f(tau), axis=1)`` approximates the integral at each
+    target.
     """
-    t = float(t)
     w = p.weight
     anchor = w.lo if side == "left" else w.hi
-    span = abs(t - anchor)
-    centers = np.asarray(centers, dtype=float)
+    ts = np.asarray(ts, dtype=float)
+    span = np.abs(ts - anchor)[:, None]
     scales = np.maximum(np.asarray(scales, dtype=float), span * 1e-9 + 1e-300)
-
-    u = _graded_fractions(max(2, q.n), _auto_grading(q, p.alpha))
-    base = t - (t - anchor) * u if side == "left" else t + (anchor - t) * u
 
     ladder = 2.0 ** (np.arange(81) / 8 - 1.0)  # 8 nodes per octave over 10 octaves
     offsets = np.concatenate([-ladder[::-1], [0.0], ladder])
-    extras = (centers[:, None] + scales[:, None] * offsets[None, :]).ravel()
+    extras = np.asarray(centers, dtype=float)[:, None] + scales[:, :, None] * offsets
+    extras = extras.reshape(ts.size, -1)
     nudge = 1e-12 * span  # keep extras off the exact anchor (see _graded_fractions)
-    lo_t, hi_t = (anchor + nudge, t) if side == "left" else (t, anchor - nudge)
+    lo_t, hi_t = (anchor + nudge, ts[:, None]) if side == "left" else (ts[:, None], anchor - nudge)
     extras = np.clip(extras, lo_t, hi_t)
 
-    tau = np.sort(np.concatenate([base, extras]))
+    tau = np.sort(np.concatenate([_graded_mesh(p, side, ts, q)[0], extras], axis=1), axis=1)
     if side == "left":
-        tau = tau[::-1]  # the rule runs from the singular end toward the anchor
-    phit = float(w.phi(np.asarray(t, dtype=float)))
-    return tau, _tempered_weights(p, side, phit, tau[None, :])[0]
+        # the rule runs from the singular end toward the anchor; a contiguous
+        # copy, because numpy may pick another inner loop for phi (one that
+        # rounds differently) on reversed rows when a block has several
+        tau = np.ascontiguousarray(tau[:, ::-1])
+    phits = np.asarray(w.phi(ts), dtype=float)
+    return tau, _tempered_weights(p, side, phits[:, None], tau)
 
 
 def _gauss_jacobi_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):

@@ -26,27 +26,10 @@ from .weighted_cr import PlaneFunction, ProductFunction, WeightPair
 #: tokenizer does.
 _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]")
 
-#: The strings that split into grammar tokens in some way.  Digits and "."
-#: are tokens on their own, so a number splits anywhere except before its
-#: exponent, which must follow a mantissa: a digit, or a digit and ".",
-#: where that digit is not the first digit of an earlier exponent (so
-#: "1e12e1" is "1e1" "2e1", while "1e1e1" has no split).  At most one
-#: alternative matches at any position and the look-behinds have fixed
-#: widths, so a check takes linear time.
-_GRAMMAR_RE = re.compile(
-    r"(?:[\d.]|x|y|i|pi|exp|sin|cos|[-+*/^()\s,]"
-    r"|(?<=\d)(?<![eE]\d)(?<![eE][+-]\d)[eE][+-]?\d"
-    r"|(?<=\d\.)(?<![eE]\d\.)(?<![eE][+-]\d\.)[eE][+-]?\d)*")
-
 #: Longest accepted expression, in tokens.  Parsing, differentiation and the
 #: compiled closures recurse once per tree level; trees built from this many
 #: tokens stay well inside Python's recursion limit.
 _MAX_TOKENS = 256
-
-
-def _in_grammar(text: str) -> bool:
-    """Whether ``text`` is a sequence of grammar tokens."""
-    return _GRAMMAR_RE.fullmatch(text) is not None
 
 
 def _real_or_complex(real_fn, complex_fn):
@@ -215,8 +198,9 @@ class _Parser:
         tokens, end = [], 0
         while end < len(self.text):
             match = _TOKEN_RE.match(self.text, end)
-            if match is None:  # such as the "e" of 2.2.e1, which splits only as 2. 2.e1
-                raise self._error(f"unexpected {self.text[end]!r}", end)
+            if match is None:  # such as "#", or the "e" of 2.2.e1, which splits only as 2. 2.e1
+                raise self._error(f"unexpected {self.text[end]!r} outside the supported grammar "
+                                  "(numbers, x, y, i, pi, + - * / ^, exp, sin, cos)", end)
             tok, pos, end = match.group(), match.start(), match.end()
             if tok.isspace():
                 continue
@@ -314,11 +298,6 @@ class _Parser:
 def parse_plane_expression(text: str) -> PlaneFunction:
     """Compile an expression in ``x`` and ``y`` into a plane function with
     analytic partial derivatives."""
-    if not _in_grammar(text):
-        raise ConfigError(
-            f"expression {text!r} uses tokens outside the supported grammar "
-            "(numbers, x, y, i, pi, + - * / ^, exp, sin, cos)"
-        )
     tree = _Parser(text).parse()
     try:
         dx, dy = _derivative(tree, "x"), _derivative(tree, "y")
@@ -457,4 +436,4 @@ EXPERIMENT_PRESETS = {
 def rect_from_bounds(bounds) -> RectDomain:
     if len(bounds) != 8:
         raise ConfigError("domain needs eight bounds: a1,b1,c1,d1,a2,b2,c2,d2")
-    return RectDomain(*[float(b) for b in bounds])
+    return RectDomain(*bounds)

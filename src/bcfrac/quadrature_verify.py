@@ -4,8 +4,6 @@ Integration conventions, fixed once here and asserted by tests:
 
 * contour integrals run counterclockwise with composite Gauss-Legendre
   panels per edge;
-* ``surface_integral`` computes the componentwise two-form ``dz ^ dzbar``,
-  which equals ``-2i dx dy`` per component;
 * the weighted Gauss identities and both reconstructions balance against
   the plain componentwise area element ``dx dy`` (their scalar building
   block is stated that way).
@@ -28,12 +26,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import WOnBoundaryError
-from .fracops1d import _central_difference, _read_only, refined_rule
+from .fracops1d import _read_only
 from .frac_cr_bicomplex import (
     FracParams,
     RectDomain,
     _axis_coord,
     _axis_partial_batched,
+    axis_derivative,
     axis_integral,
     component_axes,
     factorization_check,
@@ -185,15 +184,6 @@ def contour_integral(F: ProductFunction, patch: SurfacePatch, wp: WeightPair) ->
         z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
         wgt = boundary_measure(wp, l, z, wx, wy)
         comps.append(np.sum(F.component(l).f(z.real, z.imag) * wgt))
-    return BicomplexNumber(comps[0], comps[1])
-
-
-def surface_integral(G: ProductFunction, patch: SurfacePatch) -> BicomplexNumber:
-    """Componentwise ``integral g dz ^ dzbar = -2i * double integral g dx dy``."""
-    comps = []
-    for l in (1, 2):
-        x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        comps.append(-2j * np.sum(G.component(l).f(x, y) * w))
     return BicomplexNumber(comps[0], comps[1])
 
 
@@ -406,50 +396,31 @@ def _trace_derivative_of_map(
     Z,
     W,
     p: FracParams,
-    crossings: dict,
+    features: tuple,
 ):
     """Apply the two-direction trace derivative (in the real components of
     ``Z``, with weight restrictions anchored through ``W``) to a scalar
-    field ``line_map(xs, ys)`` on one component plane.
+    field ``line_map(xs, ys)`` on one component plane: one
+    ``axis_derivative`` per direction, on the refined rows of
+    ``fracops1d.refined_rule``.
 
-    ``crossings`` maps ``"x"``/``"y"`` to ``(center, scale)`` pairs marking
-    sharp features of the field along that trace direction (quadrature nodes
-    are clustered there).  Differentiating the discretized field directly,
-    instead of pushing the derivative under the discretization, keeps the
-    finite differences acting on one fixed smooth function; the difference
-    step is widened beyond the default so that residual quadrature noise is
-    not amplified.
+    ``features`` holds one ``(centers, scales)`` pair per direction, x then
+    y, marking sharp features of the field along that trace line (quadrature
+    nodes are clustered there).  Differentiating the discretized field
+    directly, instead of pushing the derivative under the discretization,
+    keeps the finite differences acting on one fixed smooth function; the
+    difference step is widened beyond the default so that residual
+    quadrature noise is not amplified.
     """
     ax_x, ax_y = component_axes(l)
     x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
+    lines = (lambda t: line_map(t, np.full_like(t, y_c)),
+             lambda t: line_map(np.full_like(t, x_c), t))
     total = 0.0 + 0.0j
-    for axis, coord, fixed, key in (
-        (ax_x, x_c, y_c, "x"),
-        (ax_y, y_c, x_c, "y"),
-    ):
-        sig = p.sigma_vec[axis]
-        if key == "x":
-            line = lambda t: line_map(t, np.full_like(np.asarray(t, dtype=float), fixed))
-        else:
-            line = lambda t: line_map(np.full_like(np.asarray(t, dtype=float), fixed), t)
-        if sig == 0.0:
-            total += line(np.array([coord]))[0]
-            continue
-        spec = p.axis_spec(axis, W, order=p.alpha[axis])  # inner integral order
+    for axis, coord, line, feats in zip((ax_x, ax_y), (x_c, y_c), lines, features):
         lo, hi = p.rect.axis_interval(axis)
-        h = max(p.fd_for_axis(axis), 5e-3 * (hi - lo))
-        centers, scales = crossings[key]
-
-        def integral(ss):
-            out = []
-            for s in ss:
-                tau, wts = refined_rule(spec, "left", s, p.quadrature, centers, scales)
-                out.append(np.sum(line(tau) * wts))
-            return np.array(out)
-
-        at = np.array([coord])
-        d_part = _central_difference(integral, at, h, lo, hi)[0]
-        total += (1.0 - sig) * integral(at)[0] + sig * d_part / spec.weight.dphi(np.asarray(coord))
+        total += axis_derivative(line, W, p, "left", axis, coord,
+                                 h=max(p.fd_for_axis(axis), 5e-3 * (hi - lo)), features=feats)
     return total
 
 
@@ -511,22 +482,18 @@ def frac_bp_reconstruct(
 
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
-        crossings = {
-            "x": _nearest_pole_clusters(a_map, b_map, z_b, y_c, True, lo_x, x_c),
-            "y": _nearest_pole_clusters(a_map, b_map, z_b, x_c, False, lo_y, y_c),
-        }
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, crossings)
+        features = (_nearest_pole_clusters(a_map, b_map, z_b, y_c, True, lo_x, x_c),
+                    _nearest_pole_clusters(a_map, b_map, z_b, x_c, False, lo_y, y_c))
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, features)
 
         area_d = 0.0 + 0.0j
         if include_area:
             area_map = _area_map_builder(l, F, W, p, kernel, lam, patch, sig_inv)
             x0, x1, y0, y1 = patch.component_bounds(l)
             cell = max(x1 - x0, y1 - y0) / patch.m
-            area_crossings = {
-                "x": (np.array([x0, x1]), np.array([cell / 2, cell / 2])),
-                "y": (np.array([y0, y1]), np.array([cell / 2, cell / 2])),
-            }
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, area_crossings)
+            area_features = ((np.array([x0, x1]), np.array([cell / 2, cell / 2])),
+                             (np.array([y0, y1]), np.array([cell / 2, cell / 2])))
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, area_features)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))

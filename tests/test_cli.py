@@ -16,7 +16,7 @@ from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
 from bcfrac.frac_cr_bicomplex import RectDomain
 from bcfrac.presets import (
-    _in_grammar,
+    _Parser,
     field_preset,
     parse_complex_literal,
     parse_plane_expression,
@@ -101,7 +101,12 @@ class TestExpressions:
         # the grammar as one regex, safe on these short inputs
         grammar = re.compile(
             r"^(\s*(\d+\.?\d*([eE][+-]?\d+)?|x|y|i|pi|exp|sin|cos|[-+*/^()\s,.]))*\s*$")
-        assert _in_grammar(text) == bool(grammar.match(text))
+        try:
+            _Parser(text)  # the constructor scans the tokens
+        except ConfigError as exc:
+            assert "outside the supported grammar" in str(exc)
+            return
+        assert grammar.match(text)
 
     @pytest.mark.parametrize("field, template", [("weights", "scaled-classical:{}"),
                                                  ("phi", "custom:{}|x + y")])
@@ -267,6 +272,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="identity"):
             load_config(path)
 
+    def test_top_level_list_is_a_named_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([QUICK]))
+        with pytest.raises(ConfigError, match="JSON object"):
+            load_config(str(path))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
     def test_empty_experiments(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"experiments": []}))
@@ -352,7 +364,11 @@ class TestConfigValidation:
         ("tolerance", "tiny"), ("tolerance", float("nan")), ("tolerance", True),
         ("margin", "wide"), ("margin", float("inf")),
         ("alpha", [None, 0.5, 0.5, 0.5]), ("alpha", 0.5), ("sigma", [1, 0, 1, "0"]),
+        ("sigma", [1, 0, 1]), ("sigma", [2, 0, 1, 0]), ("sigma", [0, 0, 1, 0]),
         ("include_area", "false"), ("include_area", 0),
+        ("domain", 5), ("domain", [[0], 1, 0, 1, 0, 1, 0, 1]),
+        ("domain", [0, float("inf"), 0, 1, 0, 1, 0, 1]), ("domain", [0, True, 0, 1, 0, 1, 0, 1]),
+        ("weights", 5), ("phi", 5),
     ])
     def test_malformed_field_is_a_named_error(self, tmp_path, key, value):
         path = write_config(tmp_path, [dict(QUICK, **{key: value})])

@@ -22,7 +22,6 @@ from bcfrac import (
     gauss_residual,
     lambda_for_constant_weights,
     run_identity,
-    surface_integral,
 )
 
 UNIT_PATCH = SurfacePatch(RectDomain(0, 1, 0, 1, 0, 1, 0, 1), m=32, k=32)
@@ -60,22 +59,6 @@ class TestContourIntegral:
         for wp, want in ((CLASSICAL, 2.0), (WeightPair.constant(1.0, 2j), 3.0)):
             out = contour_integral(F, UNIT_PATCH, wp)
             assert abs(out.z1 - want) < 1e-13 and abs(out.z2 - want) < 1e-13
-
-
-class TestSurfaceIntegral:
-    def test_constant(self):
-        out = surface_integral(ProductFunction.constant(1.0), UNIT_PATCH)
-        assert abs(out.z1 + 2j) < 1e-13 and abs(out.z2 + 2j) < 1e-13
-
-    def test_zero(self):
-        out = surface_integral(ProductFunction.constant(0.0), UNIT_PATCH)
-        assert out.mod_k().max() == 0
-
-    def test_coordinate_profile(self):
-        pf = PlaneFunction(f=lambda x, y: x + 0j, dx=lambda x, y: np.ones_like(x) + 0j,
-                           dy=lambda x, y: 0j * x)
-        out = surface_integral(ProductFunction(pf, pf), UNIT_PATCH)
-        assert abs(out.z1 + 1j) < 1e-13
 
 
 class TestGaussResidual:
