@@ -2,7 +2,8 @@
 
 A configuration file is JSON with one key ``experiments`` holding a list;
 each entry is either the name of a built-in preset bundle or a dictionary
-with the fields below (matching :class:`ExperimentConfig` one to one)::
+with the fields below; ``scheme``, ``include_area`` and ``levels`` may be
+left out, and any other field is refused::
 
     {
       "experiments": [
@@ -20,9 +21,6 @@ with the fields below (matching :class:`ExperimentConfig` one to one)::
           "field": "poly",             test input F (see field presets)
           "m": 32, "k": 32, "n": 512,  area/boundary/1-D resolutions
           "scheme": "graded",          graded | gauss_jacobi
-          "grading": null,             mesh grading exponent (null = auto)
-          "fd_step": null,             finite-difference step (null = auto)
-          "margin": 0.15,              patch inset from the rectangle
           "include_area": true,        keep the area term of reconstructions
           "tolerance": 1e-6,           pass/fail threshold (finest level)
           "levels": 1                  refinement levels (>1 fits an order)
@@ -77,8 +75,7 @@ from .weighted_cr import CauchyKernel, ProductFunction
 
 _REQUIRED = ("name", "identity", "domain", "weights", "phi", "alpha", "sigma",
              "field", "m", "k", "n", "tolerance")
-_DEFAULTS = {"fd_step": None, "margin": 0.15, "include_area": True, "levels": 1,
-             "scheme": "graded", "grading": None}
+_DEFAULTS = {"include_area": True, "levels": 1, "scheme": "graded"}
 
 
 @dataclass
@@ -173,23 +170,10 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     if levels < 1:
         _config_error(index, "levels", "levels must be at least 1")
 
-    grading = merged["grading"]
-    if grading is not None:
-        grading = _number(index, "grading", grading)
-        if grading < 1.0:
-            _config_error(index, "grading", "grading exponent must be >= 1")
     try:
-        quad = Quadrature1D(n=n, scheme=merged["scheme"], grading=grading)
+        quad = Quadrature1D(n=n, scheme=merged["scheme"])
     except ValueError as exc:
         _config_error(index, "scheme", str(exc))
-    fd_step = merged["fd_step"]
-    if fd_step is not None:
-        # the derivative stencils need 0 < h < span/2 on every trace axis
-        half_span = min(hi - lo for lo, hi in map(rect.axis_interval, range(4))) / 2.0
-        fd_step = _number(index, "fd_step", fd_step)
-        if not 0.0 < fd_step < half_span:
-            _config_error(index, "fd_step", f"step must lie in (0, {half_span:g}), "
-                          "half the shortest axis span")
     alpha, sigma = (_numbers(index, key, merged[key]) for key in ("alpha", "sigma"))
     for key, value, check in (("alpha", alpha, FracParams.check_alpha),
                               ("sigma", sigma, FracParams.check_sigma)):
@@ -197,15 +181,8 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             check(value)
         except ValueError as exc:
             _config_error(index, key, str(exc))
-    params = FracParams(rect, alpha, sigma, phi, quad, fd_step=fd_step)
-
-    margin = _number(index, "margin", merged["margin"])
-    if margin < 0.0:  # a negative inset would reach outside the domain
-        _config_error(index, "margin", "margin must be nonnegative")
-    try:
-        patch = SurfacePatch.inside(rect, margin=margin, m=m, k=k)
-    except ValueError as exc:
-        _config_error(index, "margin", str(exc))
+    params = FracParams(rect, alpha, sigma, phi, quad)
+    patch = SurfacePatch.inside(rect, m=m, k=k)
 
     sig = params.sigma
     lam = ProductFunction.constant(0.0)

@@ -27,6 +27,7 @@ from .fracops1d import (
     Quadrature1D,
     ScalarWeightFn,
     _central_difference,
+    difference_step,
     prop_frac_derivative,
     prop_frac_integral,
     tabulate,
@@ -194,7 +195,6 @@ class FracParams:
     sigma_vec: tuple
     phi: Phi4
     quadrature: Quadrature1D
-    fd_step: Optional[float] = None
 
     def __post_init__(self):
         self.check_alpha(self.alpha)
@@ -229,12 +229,6 @@ class FracParams:
     def one_minus_sigma(self) -> BicomplexNumber:
         s = self.sigma
         return BicomplexNumber(1.0 - s.z1, 1.0 - s.z2)
-
-    def fd_for_axis(self, axis: int) -> float:
-        if self.fd_step is not None:
-            return self.fd_step
-        lo, hi = self.rect.axis_interval(axis)
-        return (hi - lo) * 1e-4
 
     def axis_spec(self, axis: int, W: BicomplexNumber, order: Optional[float] = None) -> FracSpec:
         """1-D operator spec along one direction; default order ``1 - alpha``."""
@@ -280,10 +274,9 @@ def axis_integral(F, W, p: FracParams, side: str, axis: int, targets):
 def axis_derivative(line: Callable, W, p: FracParams, side: str, axis: int, targets,
                     h: Optional[float] = None, features: Optional[tuple] = None):
     """Batched trace derivative of order ``1 - alpha[axis]`` of a line map;
-    ``features`` as in ``prop_frac_integral``."""
+    ``h`` and ``features`` as in ``prop_frac_derivative``."""
     return prop_frac_derivative(
-        line, p.axis_spec(axis, W), side, targets, p.quadrature,
-        h=p.fd_for_axis(axis) if h is None else h, features=features,
+        line, p.axis_spec(axis, W), side, targets, p.quadrature, h=h, features=features,
     )
 
 
@@ -361,8 +354,8 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
         )
         cx, cy = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         const_y, const_x = iy(cy), ix(cx)
-        h_x = max(p.fd_for_axis(ax_x), 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n))
-        h_y = max(p.fd_for_axis(ax_y), 0.05 * (hi_y - lo_y) / np.sqrt(p.quadrature.n))
+        h_x = max(difference_step(lo_x, hi_x), 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n))
+        h_y = max(difference_step(lo_y, hi_y), 0.05 * (hi_y - lo_y) / np.sqrt(p.quadrature.n))
         dx_val = axis_derivative(lambda t: ix(t) + const_y, W, p, "left", ax_x, cx, h=h_x)
         dy_val = axis_derivative(lambda t: iy(t) + const_x, W, p, "left", ax_y, cy, h=h_y)
         out.append(dx_val + dy_val)
@@ -381,9 +374,9 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
 def _axis_partial_batched(F, W, p: FracParams, side: str, axis: int, coords):
     """Derivative of the 1-D trace integral at each of ``coords`` by central
     differences, clipped one-sided at the interval ends."""
+    lo, hi = p.rect.axis_interval(axis)
     return _central_difference(
-        lambda s: axis_integral(F, W, p, side, axis, s),
-        coords, p.fd_for_axis(axis), *p.rect.axis_interval(axis),
+        lambda s: axis_integral(F, W, p, side, axis, s), coords, difference_step(lo, hi), lo, hi,
     )
 
 
@@ -391,7 +384,7 @@ def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
     """Derivative of the 1-D trace integral at ``coord`` by central
     differences (Richardson-extrapolated when the stencil fits)."""
     lo, hi = p.rect.axis_interval(axis)
-    h = p.fd_for_axis(axis)
+    h = difference_step(lo, hi)
     if (coord - 2 * h >= lo) and (coord + 2 * h <= hi):
         pts = np.array([coord - 2 * h, coord - h, coord + h, coord + 2 * h])
         g = axis_integral(F, W, p, side, axis, pts)
@@ -496,9 +489,10 @@ def factorization_check(
     def m_partial(axis, coord, lam_at, i_other):
         """Partial along ``axis`` of ``exp(lambda) * (I F)``, whose other
         direction contributes the constant ``i_other``."""
+        lo, hi = p.rect.axis_interval(axis)
         return _central_difference(
             lambda s: np.exp(lam_at(s)) * (axis_integral(F, W, p, side, axis, s) + i_other),
-            np.array([coord]), p.fd_for_axis(axis), *p.rect.axis_interval(axis),
+            np.array([coord]), difference_step(lo, hi), lo, hi,
         )[0]
 
     comps = []

@@ -104,15 +104,12 @@ class Quadrature1D:
 
     n: int = 512
     scheme: str = "graded"  # "graded" | "gauss_jacobi"
-    grading: Optional[float] = None  # None = automatic 2/alpha (capped)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("node count must be at least 2")
         if self.scheme not in ("graded", "gauss_jacobi"):
             raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.grading is not None and self.grading < 1.0:
-            raise ValueError("grading exponent must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -200,11 +197,12 @@ def prop_frac_derivative(
 
     Composes the first-order proportional step with the integral of
     complementary order ``1 - alpha``; the derivative of the inner integral
-    is taken by a central difference of step ``h`` (clipped one-sided at the
-    interval ends).  On the right side the derivative part enters with the
-    opposite sign, which is what makes the right-sided composition with the
-    right integral the identity.  ``features`` is passed on to the inner
-    integral (see ``prop_frac_integral``).
+    is taken by a central difference of step ``h`` (``difference_step`` of
+    the interval when ``None``), clipped one-sided at the interval ends.  On
+    the right side the derivative part enters with the opposite sign, which
+    is what makes the right-sided composition with the right integral the
+    identity.  ``features`` is passed on to the inner integral (see
+    ``prop_frac_integral``).
     """
     _check_side(side)
     if p.alpha >= 1.0:
@@ -212,7 +210,7 @@ def prop_frac_derivative(
     w = p.weight
     span = w.hi - w.lo
     if h is None:
-        h = span * 1e-4
+        h = difference_step(w.lo, w.hi)
     if h <= 0 or h >= span / 2.0:
         raise StepError(f"finite-difference step {h} invalid for span {span}")
 
@@ -234,6 +232,11 @@ def prop_frac_derivative(
     sign = 1.0 if side == "left" else -1.0
     out = (1.0 - p.sigma) * g(ts) + sign * p.sigma * dg / w.dphi(ts)
     return out[0] if scalar else out.reshape(t_arr.shape)
+
+
+def difference_step(lo: float, hi: float) -> float:
+    """Default central-difference step on ``[lo, hi]``: 1e-4 of its span."""
+    return (hi - lo) * 1e-4
 
 
 def _central_difference(fn: Callable, ts: np.ndarray, h: float, lo: float, hi: float):
@@ -340,9 +343,8 @@ def _jacobi_rule(n: int, beta_key: float):
     return _read_only(x, mass / total)
 
 
-def _auto_grading(q: Quadrature1D, beta: float) -> float:
-    if q.grading is not None:
-        return min(q.grading, GRADING_CAP)
+def _auto_grading(beta: float) -> float:
+    """Grading exponent of the mesh for the singular weight ``v^(beta-1)``."""
     return float(min(max(2.0 / beta, 1.0), GRADING_CAP))
 
 
@@ -350,7 +352,7 @@ def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     """The graded base mesh ``t + (anchor - t)*u``, one row per target,
     running from ``t`` toward the anchor; returns ``(tau, u, grading)``."""
     anchor = p.weight.lo if side == "left" else p.weight.hi
-    grading = _auto_grading(q, p.alpha)
+    grading = _auto_grading(p.alpha)
     u = _graded_fractions(max(2, q.n), grading)
     tau = np.multiply((anchor - ts)[:, None], u)
     tau += ts[:, None]

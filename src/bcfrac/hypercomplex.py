@@ -21,8 +21,8 @@ import numpy as np
 from .errors import ZeroDivisorError, ZeroError
 
 #: Absolute tolerance below which a component counts as zero when classifying
-#: zero divisors.  Quadrature outputs are inexact, so exact comparison with 0
-#: would misclassify; override per call where needed.
+#: zero divisors and refusing inverses.  Quadrature outputs are inexact, so
+#: exact comparison with 0 would misclassify.
 ZERO_TOL = 1e-12
 
 ComplexLike = Union[complex, float, np.ndarray]
@@ -65,15 +65,13 @@ class BicomplexNumber:
         """Hyperbolic modulus ``|Z|_k = |z1|*E + |z2|*E'``."""
         return HyperbolicNumber(abs(self.z1), abs(self.z2))
 
-    def is_zero_divisor(self, tol: float = None) -> bool:
-        tol = ZERO_TOL if tol is None else tol
-        small1, small2 = abs(self.z1) <= tol, abs(self.z2) <= tol
+    def is_zero_divisor(self) -> bool:
+        small1, small2 = abs(self.z1) <= ZERO_TOL, abs(self.z2) <= ZERO_TOL
         return bool(small1 != small2)
 
-    def invert(self, tol: float = None) -> "BicomplexNumber":
+    def invert(self) -> "BicomplexNumber":
         """Componentwise reciprocal; defined only away from the zero cone."""
-        tol = ZERO_TOL if tol is None else tol
-        small1, small2 = abs(self.z1) <= tol, abs(self.z2) <= tol
+        small1, small2 = abs(self.z1) <= ZERO_TOL, abs(self.z2) <= ZERO_TOL
         if small1 and small2:
             raise ZeroError("cannot invert bicomplex zero")
         if small1 or small2:

@@ -210,9 +210,8 @@ class _Parser:
                     tokens[-1] = (prev + tok, tokens[-1][1])
                     continue
             tokens.append((tok, pos))
-        if len(tokens) > _MAX_TOKENS:
-            raise ConfigError(f"expression {self.text!r}: {len(tokens)} tokens, "
-                              f"at most {_MAX_TOKENS} are supported")
+            if len(tokens) > _MAX_TOKENS:  # refused before the rest is scanned
+                raise self._error(f"more than {_MAX_TOKENS} tokens", pos)
         return tokens
 
     def _peek(self):

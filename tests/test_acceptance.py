@@ -277,7 +277,7 @@ def test_criterion_08_fractional_gauss(sigma_one_cr):
     t0 = time.perf_counter()
     W = RECT.point(0.45, 0.4, 0.55, 0.6)
     F = random_product_field(8)
-    patch = SurfacePatch.inside(RECT, margin=0.15, m=32, k=32)
+    patch = SurfacePatch.inside(RECT, m=32, k=32)
 
     # the area integrand at proportion one against its closed form on the
     # patch's area nodes; the bound is twice the measured n = 512 error 2.69e-6
@@ -313,7 +313,7 @@ def test_criterion_09_fractional_reconstruction():
     t0 = time.perf_counter()
     W = RECT.point(0.45, 0.4, 0.55, 0.6)
     Z = RECT.point(0.5, 0.55, 0.45, 0.5)
-    patch = SurfacePatch.inside(RECT, margin=0.15, m=32, k=32)
+    patch = SurfacePatch.inside(RECT, m=32, k=32)
     pdeg = FracParams(RECT, (1 - 1e-8,) * 4, (1, 0, 1, 0), PHI_LINEAR, Quadrature1D(n=256))
 
     F = ProductFunction.from_holomorphic(lambda z: z**2, lambda z: 2 * z)

@@ -280,7 +280,7 @@ class TestAffineWeights:
         w = affine_weight(2.0, 0.5, 0.0, 1.0)
         q = Quadrature1D(n=64)
         fracops1d._graded_rule(FracSpec(0.4, 0.7, w), "left", np.array([0.5]), q)
-        row = fracops1d._reference_row(64, fracops1d._auto_grading(q, 0.4), 0.4)
+        row = fracops1d._reference_row(64, fracops1d._auto_grading(0.4), 0.4)
         assert not row.flags.writeable
         with pytest.raises(ValueError):
             row[0] = 1.0

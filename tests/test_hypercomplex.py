@@ -14,7 +14,7 @@ from bcfrac import (
     bc_to_text,
     d_leq,
 )
-from bcfrac.hypercomplex import E, E_DAG, ONE
+from bcfrac.hypercomplex import E, E_DAG, ONE, ZERO_TOL
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=1e6, allow_nan=False, allow_infinity=False
@@ -122,11 +122,13 @@ class TestInversion:
         with pytest.raises(ZeroError):
             BicomplexNumber(0j, 0j).invert()
 
-    def test_tolerance_is_configurable(self):
-        nearly = BicomplexNumber(1.0, 1e-9)
-        nearly.invert(tol=1e-12)  # fine at the default-ish tolerance
-        with pytest.raises(ZeroDivisorError):
-            nearly.invert(tol=1e-6)
+    def test_components_at_most_zero_tol_count_as_zero(self):
+        assert BicomplexNumber(1.0, 1e-9).invert() == BicomplexNumber(1.0, 1.0 / 1e-9)
+        for small in (ZERO_TOL, -ZERO_TOL, 1e-13j):
+            nearly = BicomplexNumber(1.0, small)
+            assert nearly.is_zero_divisor()
+            with pytest.raises(ZeroDivisorError):
+                nearly.invert()
 
     def test_zero_divisor_classification(self):
         assert BicomplexNumber(1, 0).is_zero_divisor()

@@ -131,7 +131,7 @@ class TestBorelPompeiuClassical:
 
 @pytest.fixture
 def frac_setup(unit_rect, linear_phi, classical_weights, poly_field):
-    patch = SurfacePatch.inside(unit_rect, margin=0.15, m=32, k=32)
+    patch = SurfacePatch.inside(unit_rect, m=32, k=32)
     W = unit_rect.point(0.45, 0.4, 0.55, 0.6)
     Z = unit_rect.point(0.5, 0.55, 0.45, 0.5)
     return unit_rect, linear_phi, classical_weights, poly_field, patch, W, Z
