@@ -16,6 +16,7 @@ from bcfrac import cli
 from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
 from bcfrac.frac_cr_bicomplex import RectDomain
+from bcfrac.fracops1d import _auto_grading
 from bcfrac.presets import (
     _Parser,
     field_preset,
@@ -354,7 +355,7 @@ class TestConfigValidation:
         ("include_area", "false"), ("include_area", 0),
         ("domain", 5), ("domain", [[0], 1, 0, 1, 0, 1, 0, 1]),
         ("domain", [0, float("inf"), 0, 1, 0, 1, 0, 1]), ("domain", [0, True, 0, 1, 0, 1, 0, 1]),
-        ("weights", 5), ("phi", 5), ("margin", 0.15),
+        ("weights", 5), ("phi", 5), ("margin", 0.15), ("margin", "wide"), ("margin", float("inf")),
     ])
     def test_malformed_field_is_a_named_error(self, tmp_path, key, value):
         path = write_config(tmp_path, [dict(QUICK, **{key: value})])
@@ -362,6 +363,45 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"experiments\[0\]\.{key}{unknown}"):
             load_config(path)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    # fd_step, grading and margin are fixed in the program: a config that
+    # still sets one is refused by name at any value, the old validators'
+    # rejects included, and the fixed value is what every run uses
+    def refuse_unknown(self, tmp_path, key, value, **fields):
+        path = write_config(tmp_path, [dict(QUICK, **fields, **{key: value})])
+        with pytest.raises(ConfigError, match=rf"experiments\[0\]\.{key}: unknown field$"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_margin_leaving_no_patch_rejected(self, tmp_path):
+        self.refuse_unknown(tmp_path, "margin", 0.6)
+        (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, domain=[0, 2, 0, 1] * 2)]))
+        assert cfg.setup.patch.component_bounds(1) == pytest.approx((0.3, 1.7, 0.15, 0.85))
+
+    @pytest.mark.parametrize("fd_step", [0.0, -1e-3, 0.5, 10.0, "small"])
+    def test_fd_step_outside_half_span_rejected(self, tmp_path, fd_step):
+        self.refuse_unknown(tmp_path, "fd_step", fd_step, identity="trace-inversion")
+
+    def test_fd_step_checked_against_shortest_axis(self, tmp_path):
+        entry = dict(QUICK, identity="trace-inversion", domain=[0, 1, 0, 1, 0, 0.2, 0, 1])
+        for fd_step in (0.15, 0.05):
+            self.refuse_unknown(tmp_path, "fd_step", fd_step, **entry)
+        # the fixed step, 1e-4 of each axis's span, fits the shortest axis too
+        (cfg,) = load_config(write_config(tmp_path, [entry]))
+        summary, _ = run_suite([cfg])
+        assert np.isfinite(summary["experiments"][0]["max_residual"])
+
+    def test_negative_margin_rejected(self, tmp_path):
+        for identity in ("gauss-weighted", "frac-gauss"):
+            self.refuse_unknown(tmp_path, "margin", -0.5, identity=identity)
+        (cfg,) = load_config(write_config(tmp_path, [QUICK]))
+        assert cfg.setup.patch.component_bounds(1) == pytest.approx((0.15, 0.85, 0.15, 0.85))
+
+    def test_grading_below_one_names_its_field(self, tmp_path):
+        for grading in (0.5, 1):
+            self.refuse_unknown(tmp_path, "grading", grading)
+        # the automatic exponent, min(max(2/beta, 1), 10), never falls below one
+        assert [_auto_grading(beta) for beta in (0.1, 0.4, 1.0, 2.5, 5.0)] == [10.0, 5.0, 2.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "a\\b", "nul\0",
                                       None, 5])
