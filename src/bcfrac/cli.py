@@ -161,8 +161,9 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "field", str(exc))
 
     m, k, n = (_integer(index, key, merged[key]) for key in ("m", "k", "n"))
-    if min(m, k, n) < 4:
-        _config_error(index, "m", "resolutions must be at least 4")
+    for key, value in (("m", m), ("k", k), ("n", n)):
+        if value < 4:
+            _config_error(index, key, "resolutions must be at least 4")
     tolerance = _number(index, "tolerance", merged["tolerance"])
     if tolerance <= 0:
         _config_error(index, "tolerance", "tolerance must be positive")

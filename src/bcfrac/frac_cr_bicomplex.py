@@ -97,12 +97,14 @@ def component_axes(l: int) -> tuple:
 class Phi4:
     """Product-type positive weight ``phi = phi1*E + phi2*E'`` with strictly
     positive partials; restricted to axis lines it yields the scalar weights
-    of the four trace directions.  ``slope``, when set, declares every such
-    restriction affine with that slope (see ``ScalarWeightFn.slope``)."""
+    of the four trace directions.  ``exponents``, when set, declares each
+    component additive, ``phi_l = x^dx + y^dy``, with one exponent per trace
+    direction in the order ``(x1, y1, x2, y2)``: every restriction is then
+    ``C + t^d``, the power form of ``ScalarWeightFn`` with slope 1."""
 
     comp1: PlaneFunction
     comp2: PlaneFunction
-    slope: Optional[float] = None
+    exponents: Optional[tuple] = None
 
     @classmethod
     def linear(cls) -> "Phi4":
@@ -111,7 +113,7 @@ class Phi4:
             dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
             dy=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
         )
-        return cls(pf, pf, slope=1.0)
+        return cls(pf, pf, exponents=(1.0, 1.0, 1.0, 1.0))
 
     @classmethod
     def fractal(cls, d0: float, d1: float, d2: float, d3: float) -> "Phi4":
@@ -127,7 +129,8 @@ class Phi4:
                 + 0.0 * np.asarray(x, dtype=float),
             )
 
-        return cls(power_pf(d0, d1), power_pf(d2, d3))
+        exponents = tuple(float(d) for d in (d0, d1, d2, d3))
+        return cls(power_pf(d0, d1), power_pf(d2, d3), exponents=exponents)
 
     def component(self, l: int) -> PlaneFunction:
         return self.comp1 if l == 1 else self.comp2
@@ -143,6 +146,7 @@ class Phi4:
         lo, hi = rect.axis_interval(axis)
         comp = self.comp1 if axis < 2 else self.comp2
         wz = W.z1 if axis < 2 else W.z2
+        declared = {} if self.exponents is None else dict(slope=1.0, exponent=self.exponents[axis])
         if axis % 2 == 0:  # x-direction at fixed height Im(w)
             yw = float(np.imag(wz))
             return ScalarWeightFn(
@@ -150,7 +154,7 @@ class Phi4:
                 dphi=lambda t, c=comp, yw=yw: np.real(c.dx(t, yw)),
                 lo=lo,
                 hi=hi,
-                slope=self.slope,
+                **declared,
             )
         xw = float(np.real(wz))
         return ScalarWeightFn(
@@ -158,7 +162,7 @@ class Phi4:
             dphi=lambda t, c=comp, xw=xw: np.real(c.dy(xw, t)),
             lo=lo,
             hi=hi,
-            slope=self.slope,
+            **declared,
         )
 
     def validate(self, rect: RectDomain) -> None:
@@ -332,10 +336,10 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     The inner integral is tabulated once per direction on a graded grid of
     the quadrature's resolution, so the composition costs one batched
     quadrature per direction instead of one per outer node.  The outer
-    difference step shrinks like ``1/sqrt(n)`` rather than staying at the
-    default: differencing across a tabulated integrand amplifies quadrature
-    noise by ``1/h``, and this balance keeps both contributions falling
-    under refinement.
+    difference step is ``0.05*span/sqrt(n)``, shrinking like ``1/sqrt(n)``
+    (it is the default 1e-4 of the span only at n = 250,000): differencing
+    across a tabulated integrand amplifies quadrature noise by ``1/h``, and
+    this balance keeps both contributions falling under refinement.
     """
     _check_points(p, Z, W)
     n_tab = max(256, p.quadrature.n)
@@ -354,8 +358,8 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
         )
         cx, cy = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         const_y, const_x = iy(cy), ix(cx)
-        h_x = max(difference_step(lo_x, hi_x), 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n))
-        h_y = max(difference_step(lo_y, hi_y), 0.05 * (hi_y - lo_y) / np.sqrt(p.quadrature.n))
+        h_x = 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n)
+        h_y = 0.05 * (hi_y - lo_y) / np.sqrt(p.quadrature.n)
         dx_val = axis_derivative(lambda t: ix(t) + const_y, W, p, "left", ax_x, cx, h=h_x)
         dy_val = axis_derivative(lambda t: iy(t) + const_x, W, p, "left", ax_y, cy, h=h_y)
         out.append(dx_val + dy_val)

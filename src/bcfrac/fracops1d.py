@@ -18,12 +18,15 @@ in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
 
 * ``graded`` (default): a mesh graded toward the singular endpoint with the
   singular moments integrated exactly against a piecewise-linear interpolant
-  of the smooth factor (product trapezoid rule).  Robust for every order in
-  ``(0, 1]``, including orders approaching zero where the kernel mass
-  concentrates far below any fixed mesh resolution.
+  of the smooth factor (product trapezoid rule; Diethelm, Ford & Freed,
+  Numer. Algorithms 36 (2004) 31-52).  Robust for every order in ``(0, 1]``,
+  including orders approaching zero where the kernel mass concentrates far
+  below any fixed mesh resolution.  A weight declared in the power form of
+  ``ScalarWeightFn`` is meshed in ``v`` itself, with nodes by its closed-form
+  inverse; any other weight is meshed in ``tau``.
 * ``gauss_jacobi``: a Gauss-Jacobi rule with the ``v^(a-1)`` weight built in,
   spectrally accurate for smooth integrands but requiring the inverse of
-  ``phi`` (closed form for a declared slope, bisection otherwise).  The rule
+  ``phi`` (closed form for a declared power form, bisection otherwise).  The rule
   is built here with numpy alone: Golub-Welsch nodes from the symmetric
   Jacobi matrix, refined by a Newton step, and Christoffel-number weights
   (see ``_jacobi_rule``).
@@ -68,11 +71,14 @@ _CHUNK_ELEMENTS = 8_192
 class ScalarWeightFn:
     """Strictly increasing C^1 weight ``phi`` on a closed interval.
 
-    ``phi`` and ``dphi`` must accept numpy arrays.  ``slope`` declares an
-    affine weight ``phi(t) = phi(lo) + slope*(t - lo)`` (finite and positive
-    when given): the graded rule then scales one cached reference row instead
-    of evaluating ``phi`` on its nodes, and the inverse that the Gauss-Jacobi
-    scheme needs is taken in closed form instead of by bisection.
+    ``phi`` and ``dphi`` must accept numpy arrays.  ``slope`` declares the
+    power form ``phi(t) = phi(lo) + slope*(t**exponent - lo**exponent)``
+    (both finite and positive, and ``lo > 0`` unless ``exponent`` is 1, the
+    affine case).  The singular variable is then ``v = slope*|t**exponent -
+    tau**exponent|``: the graded rule meshes ``v`` directly, scaling one
+    cached reference row per target and placing the nodes by the closed-form
+    inverse instead of evaluating ``phi`` on them, and the Gauss-Jacobi
+    scheme inverts ``phi`` in closed form instead of by bisection.
     """
 
     phi: Callable
@@ -80,22 +86,36 @@ class ScalarWeightFn:
     lo: float
     hi: float
     slope: Optional[float] = None
+    exponent: float = 1.0
 
     def __post_init__(self):
         if self.slope is not None and not (math.isfinite(self.slope) and self.slope > 0.0):
             raise ValueError(f"weight slope must be finite and positive, got {self.slope!r}")
+        if not (math.isfinite(self.exponent) and self.exponent > 0.0):
+            raise ValueError(f"weight exponent must be finite and positive, got {self.exponent!r}")
+        if self.exponent != 1.0 and not self.lo > 0.0:
+            raise ValueError(f"a power weight needs lo > 0, got {self.lo!r}")
 
     def contains(self, t) -> bool:
         t = np.asarray(t, dtype=float)
         return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
 
     def inverse(self, u):
-        """Value ``t`` with ``phi(t) = u``: closed form for a declared slope,
-        bisection otherwise."""
-        if self.slope is not None:
-            phi_lo = float(self.phi(np.asarray(self.lo, dtype=float)))
-            return self.lo + (np.asarray(u, dtype=float) - phi_lo) / self.slope
-        return _bisect_inverse(self.phi, np.asarray(u, dtype=float), self.lo, self.hi)
+        """Value ``t`` with ``phi(t) = u``: closed form for a declared power
+        form, bisection otherwise."""
+        u = np.asarray(u, dtype=float)
+        if self.slope is None:
+            return _bisect_inverse(self.phi, u, self.lo, self.hi)
+        phi_lo = float(self.phi(np.asarray(self.lo, dtype=float)))
+        return ((u - phi_lo) / self.slope + self.lo**self.exponent) ** (1.0 / self.exponent)
+
+    def power_gap(self, x0, x1):
+        """``x1**exponent - x0**exponent`` for ``x0 <= x1`` in the interval,
+        without cancellation: ``x0**d * expm1(d*log1p((x1 - x0)/x0))``."""
+        d = self.exponent
+        if d == 1.0:
+            return x1 - x0
+        return x0**d * np.expm1(d * np.log1p((x1 - x0) / x0))
 
 
 @dataclass(frozen=True)
@@ -348,15 +368,14 @@ def _auto_grading(beta: float) -> float:
     return float(min(max(2.0 / beta, 1.0), GRADING_CAP))
 
 
-def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
+def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D) -> np.ndarray:
     """The graded base mesh ``t + (anchor - t)*u``, one row per target,
-    running from ``t`` toward the anchor; returns ``(tau, u, grading)``."""
+    running from ``t`` toward the anchor."""
     anchor = p.weight.lo if side == "left" else p.weight.hi
-    grading = _auto_grading(p.alpha)
-    u = _graded_fractions(max(2, q.n), grading)
+    u = _graded_fractions(max(2, q.n), _auto_grading(p.alpha))
     tau = np.multiply((anchor - ts)[:, None], u)
     tau += ts[:, None]
-    return tau, u, grading
+    return tau
 
 
 def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
@@ -364,15 +383,27 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     target; the tempered-exponential factor is folded into the weights so
     that ``sum(weights * f(nodes))`` approximates the integral."""
     w = p.weight
-    anchor = w.lo if side == "left" else w.hi
-    tau, u, grading = _graded_mesh(p, side, ts, q)
     if w.slope is None:
+        tau = _graded_mesh(p, side, ts, q)
         phits = np.asarray(w.phi(ts), dtype=float)
         return tau, _tempered_weights(p, side, phits[:, None], tau)
-    # affine weight: v = L*u with L = slope*|t - anchor|, and the weights are
-    # homogeneous of degree beta in v, so every row is L^beta times one row
-    beta, sigma = p.alpha, p.sigma
-    big_l = w.slope * np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
+    # declared power form: the mesh is graded in v = L*u, with L = slope*gap
+    # and gap = |t^d - anchor^d|, so the nodes are tau = (t^d -+ gap*u)^(1/d)
+    # and, the weights being homogeneous of degree beta in v, every row is
+    # L^beta times one row
+    beta, sigma, d = p.alpha, p.sigma, w.exponent
+    anchor = w.lo if side == "left" else w.hi
+    grading = _auto_grading(beta)
+    u = _graded_fractions(max(2, q.n), grading)
+    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
+    tau = np.multiply(gap[:, None], u)
+    if side == "left":
+        np.subtract((ts**d)[:, None], tau, out=tau)
+    else:
+        tau += (ts**d)[:, None]
+    if d != 1.0:
+        np.power(tau, 1.0 / d, out=tau)
+    big_l = w.slope * np.maximum(gap, 0.0)
     scale = big_l**beta * sigma ** (-beta)
     wts = np.multiply(scale[:, None], _reference_row(u.size, grading, beta))
     c = (sigma - 1.0) / sigma
@@ -385,8 +416,8 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
 
 @lru_cache(maxsize=64)
 def _reference_row(n_nodes: int, grading: float, beta: float) -> np.ndarray:
-    """Product-trapezoid weights of an affine weight at ``L = 1``: the graded
-    fractions are then the singular variable itself."""
+    """Product-trapezoid weights of a declared power weight at ``L = 1``: the
+    graded fractions are then the singular variable itself."""
     u = _graded_fractions(n_nodes, grading)
     (row,) = _read_only(_panel_weights(u[None, :], beta, math.gamma(beta + 1.0))[0])
     return row
@@ -481,7 +512,7 @@ def refined_rule(
     lo_t, hi_t = (anchor + nudge, ts[:, None]) if side == "left" else (ts[:, None], anchor - nudge)
     extras = np.clip(extras, lo_t, hi_t)
 
-    tau = np.sort(np.concatenate([_graded_mesh(p, side, ts, q)[0], extras], axis=1), axis=1)
+    tau = np.sort(np.concatenate([_graded_mesh(p, side, ts, q), extras], axis=1), axis=1)
     if side == "left":
         # the rule runs from the singular end toward the anchor; a contiguous
         # copy, because numpy may pick another inner loop for phi (one that

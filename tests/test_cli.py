@@ -356,6 +356,7 @@ class TestConfigValidation:
         ("domain", 5), ("domain", [[0], 1, 0, 1, 0, 1, 0, 1]),
         ("domain", [0, float("inf"), 0, 1, 0, 1, 0, 1]), ("domain", [0, True, 0, 1, 0, 1, 0, 1]),
         ("weights", 5), ("phi", 5), ("margin", 0.15), ("margin", "wide"), ("margin", float("inf")),
+        ("k", 2), ("n", 3),  # the small resolution is the one named
     ])
     def test_malformed_field_is_a_named_error(self, tmp_path, key, value):
         path = write_config(tmp_path, [dict(QUICK, **{key: value})])

@@ -61,9 +61,22 @@ class TestRestrictionSlope:
             ts = np.linspace(w.lo, w.hi, 17)
             affine = w.phi(np.asarray(w.lo)) + w.slope * (ts - w.lo)
             assert np.max(np.abs(w.phi(ts) - affine)) < 1e-15
-            assert np.all(w.dphi(ts) == w.slope)
+            assert np.all(w.dphi(ts) == w.slope) and w.exponent == 1.0
 
-    @pytest.mark.parametrize("name", ["fractal:0.5,0.6,0.7,0.8", "custom:x + y|x + 2*y"])
+    def test_fractal_restrictions_declare_their_power(self):
+        from bcfrac.presets import phi_preset
+
+        rect = RectDomain(*[0.5, 1.5] * 4)
+        W = rect.point(0.41, 0.37, 0.53, 0.61)
+        phi = phi_preset("fractal:0.5,0.6,0.7,0.8")
+        for axis, d in enumerate((0.5, 0.6, 0.7, 0.8)):
+            w = phi.restriction(axis, W, rect)
+            assert (w.slope, w.exponent) == (1.0, d)
+            ts = np.linspace(w.lo, w.hi, 33)
+            declared = w.phi(np.asarray(w.lo)) + w.slope * (ts**w.exponent - w.lo**w.exponent)
+            assert np.max(np.abs(w.phi(ts) - declared) / np.abs(w.phi(ts))) < 1e-14
+
+    @pytest.mark.parametrize("name", ["custom:x + y|x + 2*y"])
     def test_other_presets_declare_none(self, name):
         from bcfrac.presets import phi_preset
 
