@@ -78,7 +78,7 @@ class ScalarWeightFn:
     tau**exponent|``: the graded rule meshes ``v`` directly, scaling one
     cached reference row per target and placing the nodes by the closed-form
     inverse instead of evaluating ``phi`` on them, and the Gauss-Jacobi
-    scheme inverts ``phi`` in closed form instead of by bisection.
+    scheme places its nodes by the same inverse instead of by bisection.
     """
 
     phi: Callable
@@ -391,19 +391,10 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     # and gap = |t^d - anchor^d|, so the nodes are tau = (t^d -+ gap*u)^(1/d)
     # and, the weights being homogeneous of degree beta in v, every row is
     # L^beta times one row
-    beta, sigma, d = p.alpha, p.sigma, w.exponent
-    anchor = w.lo if side == "left" else w.hi
+    beta, sigma = p.alpha, p.sigma
     grading = _auto_grading(beta)
     u = _graded_fractions(max(2, q.n), grading)
-    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
-    tau = np.multiply(gap[:, None], u)
-    if side == "left":
-        np.subtract((ts**d)[:, None], tau, out=tau)
-    else:
-        tau += (ts**d)[:, None]
-    if d != 1.0:
-        np.power(tau, 1.0 / d, out=tau)
-    big_l = w.slope * np.maximum(gap, 0.0)
+    tau, big_l = _power_nodes(w, side, ts, u)
     scale = big_l**beta * sigma ** (-beta)
     wts = np.multiply(scale[:, None], _reference_row(u.size, grading, beta))
     c = (sigma - 1.0) / sigma
@@ -412,6 +403,24 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
         factor = np.multiply(big_l[:, None], u)
         wts *= np.exp2(factor, out=factor)
     return tau, wts
+
+
+def _power_nodes(w: ScalarWeightFn, side: str, ts: np.ndarray, u: np.ndarray):
+    """Nodes ``tau = (t^d -+ gap*u)^(1/d)`` of a declared power weight, one
+    row per target, at the fractions ``u`` of ``gap = |t^d - anchor^d|``
+    (taken without cancellation); returns ``(tau, L)`` with the singular
+    variable's range ``L = slope*gap`` per target."""
+    d = w.exponent
+    anchor = w.lo if side == "left" else w.hi
+    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
+    tau = np.multiply(gap[:, None], u)
+    if side == "left":
+        np.subtract((ts**d)[:, None], tau, out=tau)
+    else:
+        tau += (ts**d)[:, None]
+    if d != 1.0:
+        np.power(tau, 1.0 / d, out=tau)
+    return tau, w.slope * np.maximum(gap, 0.0)
 
 
 @lru_cache(maxsize=64)
@@ -527,14 +536,17 @@ def _gauss_jacobi_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     x, wj = _jacobi_rule(q.n, round(beta, 12))
     c = (sigma - 1.0) / sigma
     pref = sigma ** (-beta) / math.gamma(beta)
-    phits = np.asarray(w.phi(ts), dtype=float)
-    phi_anchor = float(w.phi(np.asarray(w.lo if side == "left" else w.hi)))
-    big_l = np.abs(phits - phi_anchor)
-
-    L = big_l[:, None]
-    v = L * (0.5 * (1.0 + x))[None, :]
-    u_val = phits[:, None] - v if side == "left" else phits[:, None] + v
-    tau = w.inverse(u_val)
+    frac = 0.5 * (1.0 + x)
+    if w.slope is None:
+        phits = np.asarray(w.phi(ts), dtype=float)
+        phi_anchor = float(w.phi(np.asarray(w.lo if side == "left" else w.hi)))
+        L = np.abs(phits - phi_anchor)[:, None]
+        v = L * frac
+        tau = w.inverse(phits[:, None] - v if side == "left" else phits[:, None] + v)
+    else:
+        tau, big_l = _power_nodes(w, side, ts, frac)  # L without cancellation
+        L = big_l[:, None]
+        v = L * frac
     wts = np.broadcast_to(wj[None, :], v.shape).copy()
     if c != 0.0:
         wts *= np.exp2((c * _LOG2E) * v)

@@ -12,8 +12,9 @@ Singular area kernels are integrated by one routine,
 ``_cauchy_area_integral``, for both reconstructions (the classical one with
 the classical pair's kernel ``1/(2*pi*i*(v - z))``): one kernel sum of
 ``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)`` times
-the kernel's exact area integral in polar wedges.  The result is smooth in
-the reconstruction point, so that trace derivatives can act on it.
+the kernel's area integral over the rectangle, in closed form as a sum over
+the four straightened edges (``_wedge_recip_area``).  The result is smooth
+in the reconstruction point, so that trace derivatives can act on it.
 """
 
 from __future__ import annotations
@@ -327,33 +328,30 @@ def frac_gauss_residual(
 # proportional fractional reconstruction (the deep identity)
 
 
-def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z, ntheta: int = 24):
-    """Area integral of ``1 / (a*(v-z) + b*conj(v-z))`` over the rectangle by
-    polar wedges around the interior pole: the radial Jacobian cancels the
-    pole exactly, leaving one smooth angular integral per corner wedge.
+def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z):
+    """Area integral of ``1 / (a*(v-z) + b*conj(v-z))`` over the rectangle,
+    in closed form, for ``|a| > |b|`` and a pole ``z`` strictly inside.
 
-    ``z`` is a point or an array of points (each strictly inside); the
-    angular nodes broadcast against it, one integral per point, and a scalar
-    ``z`` gives a scalar."""
+    With ``s = a*w + b*conj(w)`` and ``w = v - z``, the substitution ``v ->
+    s`` has Jacobian ``det = |a|^2 - |b|^2`` and maps the rectangle onto a
+    parallelogram around ``s = 0``, over which ``1/s = d(conj(s)/s)/d(conj
+    s)``.  By Green's theorem the integral is ``(1/2i) * contour integral of
+    conj(s)/s ds`` (the pole adds nothing), and along an edge from ``s0`` to
+    ``s1``, with ``d = s1 - s0``, that is ``Im(conj(s0)*d)/d * Log(s1/s0)``
+    up to terms that cancel around the contour.  The edge does not pass
+    through the pole, so the principal logarithm is its continuous branch.
+
+    ``z`` is a point or an array of points; a scalar ``z`` gives a scalar."""
     x0, x1, y0, y1 = bounds
-    z = np.asarray(z, dtype=complex)[..., None]
-    zx, zy = z.real, z.imag
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    angles = [np.angle(c - z) for c in corners]
-    # wedges in order: bottom, right, top, left (counterclockwise sweep)
-    spans = [
-        (angles[0], angles[1], lambda th: (y0 - zy) / np.sin(th)),
-        (angles[1], angles[2], lambda th: (x1 - zx) / np.cos(th)),
-        (angles[2], angles[3], lambda th: (y1 - zy) / np.sin(th)),
-        (angles[3], angles[0] + 2.0 * np.pi, lambda th: (x0 - zx) / np.cos(th)),
-    ]
-    xr, wr = _gl_reference(ntheta)
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()  # array arithmetic even for one point
+    corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+    s = [a * (c - z) + b * np.conjugate(c - z) for c in corners]
     total = 0.0 + 0.0j
-    for th0, th1, radius in spans:
-        th = th0 + (th1 - th0) * xr
-        vals = radius(th) / (a * np.exp(1j * th) + b * np.exp(-1j * th))
-        total += (th1 - th0)[..., 0] * np.sum(wr * vals, axis=-1)
-    return total[()]
+    for s0, s1 in zip(s, s[1:] + s[:1]):
+        d = s1 - s0
+        total = total + (np.conjugate(s0) * d).imag / d * np.log(s1 / s0)
+    return (total / (abs(a) ** 2 - abs(b) ** 2)).reshape(shape)[()]
 
 
 def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h_at: Callable):
@@ -362,9 +360,9 @@ def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h
 
     ``h_at(x, y)`` is evaluated once on the area nodes.  Each evaluation is
     one kernel sum of ``h(v) - h(z)``, whose integrand is bounded at the
-    pole, plus ``h(z)`` times the kernel's exact area integral by polar
-    wedges.  The subtraction degrades within the last cell ring, where the
-    wedge integral and the discrete near field no longer cancel.
+    pole, plus ``h(z)`` times the kernel's area integral in closed form.
+    The subtraction degrades within the last cell ring, where the exact
+    integral and the discrete near field no longer cancel.
     """
     x_a, y_a, w_a = _area_nodes(bounds, m)
     v_nodes = x_a + 1j * y_a
@@ -546,7 +544,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
         point (after the clamp below) is evaluated once.
 
         Points are clamped one cell inside the surface: the subtraction
-        degrades within the last cell ring (the exact wedge integral and the
+        degrades within the last cell ring (the closed-form integral and the
         discrete near-field no longer cancel), while the map itself is
         continuous there, so the clamped value is accurate to O(cell) on an
         O(cell) strip and constant along the clamped direction, which the

@@ -241,37 +241,48 @@ class CauchyKernel:
         within 1e-13 of a target in straightened coordinates adds zero.
 
         In straightened coordinates the kernel is a plain Cauchy kernel, so
-        with ``d = s(v) - s(z) = dx + i*dy`` each term is
-        ``-(dy + i*dx) / (pi*|d|^2)``, all in real arithmetic.  Targets run
-        in row blocks of the 1-D rule's element budget, so the block
-        temporaries stay in cache, and each block is one real matrix product
-        against ``[Re c, Im c]`` for every charge column.
+        each block of targets is one complex difference ``s(v) - s(z)``, one
+        reciprocal and, per charge column, one complex matrix-vector product
+        against that column scaled by ``-i/pi`` (at two columns, half the
+        time of a two-column BLAS product of these shapes).  Targets run in
+        row blocks of the 1-D rule's element budget, so the block stays in
+        cache.  The coincident source-target pairs are found once per call,
+        from the sources sorted by real part, and zeroed in their block.
         """
         s_src = self.smap(l, np.asarray(sources, dtype=complex).ravel())
         s_tgt = self.smap(l, np.asarray(targets, dtype=complex))
         c = np.asarray(charges, dtype=complex)
-        q = c.reshape(s_src.size, -1)
-        n, k = q.shape
-        rhs = np.empty((2 * n, 2 * k))  # [[Re q, Im q], [-Im q, Re q]], filled in place
-        rhs[:n, :k] = rhs[n:, k:] = q.real
-        rhs[:n, k:] = q.imag
-        np.negative(q.imag, out=rhs[n:, :k])
-        rhs *= -1.0 / np.pi
+        q = np.multiply(c.reshape(s_src.size, -1).T, -1j / np.pi, order="C")  # row per column
         flat = s_tgt.ravel()
+        hit_t, hit_v = _coincident_pairs(s_src, flat)
         rows = max(1, fracops1d._CHUNK_ELEMENTS // max(1, s_src.size))
-        pq = np.empty((min(rows, flat.size), 2, s_src.size))  # [dy | dx] / |d|^2
-        r2 = np.empty((pq.shape[0], s_src.size))
-        out = np.empty((flat.size, rhs.shape[1]))
-        for start in range(0, flat.size, rows):
-            t = flat[start:start + rows, None]
-            blk, r = pq[:t.size], r2[:t.size]
-            dy = np.subtract(s_src.imag, t.imag, out=blk[:, 0])
-            dx = np.subtract(s_src.real, t.real, out=blk[:, 1])
-            np.multiply(dx, dx, out=r)
-            r += dy * dy
-            r[r < 1e-26] = np.inf  # |d| < 1e-13: the term is zero
-            np.divide(1.0, r, out=r)
-            blk *= r[:, None, :]
-            np.matmul(blk.reshape(t.size, -1), rhs, out=out[start:start + t.size])
-        res = out[:, :k] + 1j * out[:, k:]
-        return res.reshape(s_tgt.shape + c.shape[1:])
+        buf = np.empty((min(rows, flat.size), s_src.size), dtype=complex)
+        out = np.empty((q.shape[0], flat.size), dtype=complex)
+        starts = range(0, flat.size, rows)
+        cuts = np.searchsorted(hit_t, [*starts, flat.size])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for start, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
+                blk = np.subtract(s_src, flat[start:start + rows, None], out=buf[:flat.size - start])
+                np.reciprocal(blk, out=blk)
+                if hi > lo:
+                    blk[hit_t[lo:hi] - start, hit_v[lo:hi]] = 0.0
+                for col, res in zip(q, out):
+                    np.matmul(blk, col, out=res[start:start + rows])
+        return out.T.reshape(s_tgt.shape + c.shape[1:])
+
+
+def _coincident_pairs(s_src: np.ndarray, s_tgt: np.ndarray):
+    """Index pairs ``(target, source)``, ordered by target, of the points
+    within 1e-13 of each other (``dx*dx + dy*dy < 1e-26``).  Candidates come
+    from the sources sorted by real part, in a window of 2e-13 around each
+    target's real part, so that rounding at the window's ends cannot drop a
+    pair; the predicate then confirms them."""
+    order = np.argsort(s_src.real, kind="stable")
+    lo, hi = np.searchsorted(s_src.real[order], s_tgt.real + np.array([[-2e-13], [2e-13]]))
+    counts = hi - lo
+    hit_t = np.repeat(np.arange(s_tgt.size), counts)
+    # the j-th candidate overall is the (j - first index of its target)-th of its window
+    hit_v = order[np.arange(hit_t.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    d = s_src[hit_v] - s_tgt[hit_t]
+    near = d.real * d.real + d.imag * d.imag < 1e-26
+    return hit_t[near], hit_v[near]

@@ -384,6 +384,24 @@ class TestAffineWeights:
         assert np.all(power[:, 2] <= 1e-12)
         assert np.median(power) <= np.median(general)
 
+    def test_power_gauss_jacobi_keeps_its_digits_next_to_the_anchor(self):
+        # Gauss-Jacobi on a declared power weight takes L = slope*power_gap:
+        # L = phi(t) - phi(anchor) by subtraction loses 1.4e-9 .. 2.9e-7 next
+        # to the anchor.  Measured relative errors against mpmath at n = 256:
+        # at most 2.3e-13 (beta 0.05; 1.2e-14 otherwise) at interior targets
+        # and at 1e-9 of the span from the anchor alike
+        q = Quadrature1D(n=256, scheme="gauss_jacobi")
+        for beta in (0.05, 0.5, 0.95):
+            for sigma in (1.0, 0.7):
+                for side in ("left", "right"):
+                    anchor, inward = (0.5, 1.0) if side == "left" else (1.5, -1.0)
+                    ts = np.array([0.8, 1.2, anchor + inward * 1e-9])
+                    want = np.array([power_integral_reference(0.6, beta, sigma, side, t)
+                                     for t in ts])
+                    spec = FracSpec(beta, sigma, power_weight(0.6))
+                    got = prop_frac_integral(sqrt_cos, spec, side, ts, q)
+                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
     @pytest.mark.parametrize("exponent", [0.0, -0.5, float("nan"), float("inf")])
     def test_bad_exponent_rejected(self, exponent):
         with pytest.raises(ValueError, match="exponent"):

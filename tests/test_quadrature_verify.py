@@ -325,6 +325,45 @@ def test_wedge_recip_area_on_point_array_matches_per_point_calls(a, b):
     assert np.array_equal(batched, per_point)
 
 
+def _polar_wedge_reference(a, b, bounds, z):
+    """The area integral of ``1 / (a*w + b*conj(w))``, ``w = v - z``, over the
+    rectangle as four polar wedges around ``z``: the radial integral is the
+    wedge's radius over ``a*e^(i t) + b*e^(-i t)``, and mpmath integrates the
+    angle adaptively at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        x0, x1, y0, y1 = (mpmath.mpf(v) for v in bounds)
+        zx, zy = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+        a, b = mpmath.mpc(a), mpmath.mpc(b)
+        ang = [mpmath.atan2(cy - zy, cx - zx)
+               for cx, cy in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+        wedges = [(ang[0], ang[1], lambda t: (y0 - zy) / mpmath.sin(t)),
+                  (ang[1], ang[2], lambda t: (x1 - zx) / mpmath.cos(t)),
+                  (ang[2], ang[3], lambda t: (y1 - zy) / mpmath.sin(t)),
+                  (ang[3], ang[0] + 2 * mpmath.pi, lambda t: (x0 - zx) / mpmath.cos(t))]
+        total = sum(mpmath.quad(lambda t: radius(t) / (a * mpmath.expj(t) + b * mpmath.expj(-t)),
+                                [t0, t1]) for t0, t1, radius in wedges)
+        return complex(total)
+
+
+@pytest.mark.parametrize("a, b", [
+    (2.0, 0.0),
+    (BP_GENERAL_PAIR[0] - 1j * BP_GENERAL_PAIR[1], -(BP_GENERAL_PAIR[0] + 1j * BP_GENERAL_PAIR[1])),
+], ids=["classical", "constant-pair"])
+@pytest.mark.parametrize("fx, fy", [(0.4, 0.3), (0.5, 1e-3), (1 - 1e-3, 1 - 1e-3), (0.03, 0.03)],
+                         ids=["interior", "edge-1e-3", "corner-1e-3", "corner-0.03"])
+def test_wedge_recip_area_is_the_exact_area_integral(a, b, fx, fy):
+    # measured relative errors of the closed form: at most 3.7e-16 on these
+    # points; a fixed angular rule per wedge loses digits next to a corner
+    from bcfrac.quadrature_verify import _wedge_recip_area
+
+    bounds = (0.15, 0.85, 0.2, 1.1)
+    z = complex(bounds[0] + fx * (bounds[1] - bounds[0]), bounds[2] + fy * (bounds[3] - bounds[2]))
+    want = _polar_wedge_reference(a, b, bounds, z)
+    assert abs(_wedge_recip_area(a, b, bounds, z) - want) <= 2e-15 * abs(want)
+
+
 def test_wedge_recip_area_of_scalar_point_is_scalar():
     from bcfrac.quadrature_verify import _wedge_recip_area
 

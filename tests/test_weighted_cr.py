@@ -235,6 +235,38 @@ class TestKernelSums:
         want = kernel.component(1)(sources[7], targets[1]) * charges[7]
         assert abs(got[1] - want) <= 1e-15 * abs(want)
 
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    def test_coincidence_is_decided_in_straightened_coordinates(self, pair, monkeypatch):
+        # targets 1e-14 and 1e-12 from a source after the map s: the first is
+        # inside the 1e-13 coincidence radius and adds zero, the second is
+        # outside and adds its full term; with two targets per block, both
+        # sit in the second block, so the search must place them there
+        from bcfrac import fracops1d
+
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        sources, _, _ = _kernel_case(1)
+        a, b = kernel._maps[0]
+        det = abs(a) ** 2 - abs(b) ** 2
+
+        def near(v, delta):
+            """The point whose image lies ``delta`` from the image of ``v``."""
+            return v + (np.conjugate(a) * delta - b * np.conjugate(delta)) / det
+
+        targets = np.array([sources[100], sources[7], near(sources[7], 1e-14 * np.exp(0.7j)),
+                            near(sources[7], 1e-12 * np.exp(2.1j))])
+        gaps = np.abs(kernel.smap(1, targets[2:]) - kernel.smap(1, sources[7]))
+        assert gaps[0] < 1e-13 < gaps[1]
+        charges = np.zeros(sources.size, dtype=complex)
+        charges[7] = 1.0 + 2.0j
+        monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", 2 * sources.size)
+        got = kernel.sums(1, sources, charges, targets)
+        assert got[1] == 0.0 and got[2] == 0.0
+        # the dense term on the same straightened points: a difference of
+        # 1e-12 keeps only about four digits of separately mapped points
+        s_src, s_tgt = kernel.smap(1, sources), kernel.smap(1, targets)
+        want = (-1j / np.pi) / (s_src[7] - s_tgt[3]) * charges[7]
+        assert abs(got[3] - want) <= 1e-15 * abs(want)
+
     @pytest.mark.parametrize("rows", [1, 3, None])
     def test_block_size_changes_a_result_only_at_rounding(self, monkeypatch, rows):
         # one BLAS product per block: OpenBLAS picks its kernel, and with it
