@@ -48,7 +48,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BcfracError, ConfigError, DomainError, UnsupportedWeightsError
+from .errors import BcfracError, ConfigError, DomainError, UnsupportedWeightsError, WOnBoundaryError
 from .frac_cr_bicomplex import (
     FracParams,
     lambda_for_constant_weights,
@@ -68,6 +68,7 @@ from .quadrature_verify import (
     ResidualReport,
     SurfacePatch,
     VerificationSetup,
+    check_reconstruction_point,
     convergence_study,
     run_identity,
 )
@@ -184,6 +185,13 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             _config_error(index, key, str(exc))
     params = FracParams(rect, alpha, sigma, phi, quad)
     patch = SurfacePatch.inside(rect, m=m, k=k)
+    W = rect.point(0.45, 0.4, 0.55, 0.6)
+    if merged["identity"] == "borel-pompeiu":
+        # refinement levels only raise m, so the first level decides
+        try:
+            check_reconstruction_point(W, patch)
+        except WOnBoundaryError as exc:
+            _config_error(index, "m", str(exc))
 
     sig = params.sigma
     lam = ProductFunction.constant(0.0)
@@ -201,8 +209,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     setup = VerificationSetup(
-        F=F, wp=wp, params=params, lam=lam,
-        W=rect.point(0.45, 0.4, 0.55, 0.6),
+        F=F, wp=wp, params=params, lam=lam, W=W,
         Z=rect.point(0.5, 0.55, 0.45, 0.5),
         patch=patch,
         include_area=merged["include_area"],
@@ -384,7 +391,7 @@ def _oracle_weight(which: str) -> ScalarWeightFn:
     if which == "identity":
         return ScalarWeightFn(phi=lambda t: t,
                               dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                              lo=0.0, hi=2.0, slope=1.0)
+                              lo=0.0, hi=2.0, exponent=1.0)
     return ScalarWeightFn(phi=lambda t: t + t**3, dphi=lambda t: 1.0 + 3.0 * t**2,
                           lo=0.0, hi=2.0)
 
@@ -392,9 +399,9 @@ def _oracle_weight(which: str) -> ScalarWeightFn:
 def _cmd_oracle(args) -> int:
     try:
         closed, engine = _oracle_values(args)
-    except (BcfracError, ValueError, OverflowError) as exc:
+    except (BcfracError, ValueError, ArithmeticError) as exc:
         # a point or an order outside its range, or a closed form at a pole
-        # of math.gamma
+        # (of math.gamma, or a zero divisor or base)
         print(f"oracle error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     err = abs(complex(engine) - complex(closed))
@@ -415,6 +422,8 @@ def _oracle_values(args) -> tuple:
         # tempered power input reproduced in closed form under the cubic weight
         w = _oracle_weight("cubic")
         spec = FracSpec(args.alpha, args.sigma, w)
+        if args.sigma == 0.0:
+            raise ValueError("eigen needs sigma > 0: its input exp(c*phi) has c = (sigma - 1)/sigma")
         c = (args.sigma - 1.0) / args.sigma
         pt = args.t + args.t**3
         closed = (math.gamma(args.beta) / (args.sigma ** args.alpha * math.gamma(args.beta + args.alpha))

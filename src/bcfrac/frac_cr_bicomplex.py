@@ -61,7 +61,9 @@ class RectDomain:
             (self.c2, self.d2),
         )[axis]
 
-    def contains(self, Z: BicomplexNumber, tol: float = 1e-12) -> bool:
+    def contains(self, Z: BicomplexNumber) -> bool:
+        """Whether every point of ``Z`` lies in the domain, to 1e-12."""
+        tol = 1e-12
         x1, y1 = np.real(Z.z1), np.imag(Z.z1)
         x2, y2 = np.real(Z.z2), np.imag(Z.z2)
         return bool(
@@ -100,25 +102,17 @@ class Phi4:
     of the four trace directions.  ``exponents``, when set, declares each
     component additive, ``phi_l = x^dx + y^dy``, with one exponent per trace
     direction in the order ``(x1, y1, x2, y2)``: every restriction is then
-    ``C + t^d``, the power form of ``ScalarWeightFn`` with slope 1."""
+    ``C + t^d``, the power form of ``ScalarWeightFn``."""
 
     comp1: PlaneFunction
     comp2: PlaneFunction
     exponents: Optional[tuple] = None
 
     @classmethod
-    def linear(cls) -> "Phi4":
-        pf = PlaneFunction(
-            f=lambda x, y: x + y,
-            dx=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-            dy=lambda x, y: np.ones_like(np.asarray(x, dtype=float) + np.asarray(y, dtype=float)),
-        )
-        return cls(pf, pf, exponents=(1.0, 1.0, 1.0, 1.0))
-
-    @classmethod
     def fractal(cls, d0: float, d1: float, d2: float, d3: float) -> "Phi4":
-        """Components ``x^d + y^d`` (exponents per axis); needs a rectangle in
-        the open positive quadrant."""
+        """Components ``x^d + y^d`` (exponents per axis; all four 1 is the
+        ``linear`` preset ``x + y``).  An exponent other than 1 needs a
+        rectangle in the open positive quadrant."""
 
         def power_pf(dx_exp, dy_exp):
             return PlaneFunction(
@@ -146,7 +140,7 @@ class Phi4:
         lo, hi = rect.axis_interval(axis)
         comp = self.comp1 if axis < 2 else self.comp2
         wz = W.z1 if axis < 2 else W.z2
-        declared = {} if self.exponents is None else dict(slope=1.0, exponent=self.exponents[axis])
+        exponent = None if self.exponents is None else self.exponents[axis]
         if axis % 2 == 0:  # x-direction at fixed height Im(w)
             yw = float(np.imag(wz))
             return ScalarWeightFn(
@@ -154,7 +148,7 @@ class Phi4:
                 dphi=lambda t, c=comp, yw=yw: np.real(c.dx(t, yw)),
                 lo=lo,
                 hi=hi,
-                **declared,
+                exponent=exponent,
             )
         xw = float(np.real(wz))
         return ScalarWeightFn(
@@ -162,7 +156,7 @@ class Phi4:
             dphi=lambda t, c=comp, xw=xw: np.real(c.dy(xw, t)),
             lo=lo,
             hi=hi,
-            **declared,
+            exponent=exponent,
         )
 
     def validate(self, rect: RectDomain) -> None:

@@ -14,22 +14,25 @@ derivative with the integral of complementary order.
 
 The kernel is weakly singular at ``tau = t``.  Both quadrature schemes work
 in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
-``v^(a-1)``:
+``v^(a-1)``, and both are served by ``_rule``:
 
 * ``graded`` (default): a mesh graded toward the singular endpoint with the
   singular moments integrated exactly against a piecewise-linear interpolant
   of the smooth factor (product trapezoid rule; Diethelm, Ford & Freed,
   Numer. Algorithms 36 (2004) 31-52).  Robust for every order in ``(0, 1]``,
   including orders approaching zero where the kernel mass concentrates far
-  below any fixed mesh resolution.  A weight declared in the power form of
-  ``ScalarWeightFn`` is meshed in ``v`` itself, with nodes by its closed-form
-  inverse; any other weight is meshed in ``tau``.
+  below any fixed mesh resolution.
 * ``gauss_jacobi``: a Gauss-Jacobi rule with the ``v^(a-1)`` weight built in,
-  spectrally accurate for smooth integrands but requiring the inverse of
-  ``phi`` (closed form for a declared power form, bisection otherwise).  The rule
-  is built here with numpy alone: Golub-Welsch nodes from the symmetric
-  Jacobi matrix, refined by a Newton step, and Christoffel-number weights
-  (see ``_jacobi_rule``).
+  spectrally accurate for smooth integrands.  The rule is built here with
+  numpy alone: Golub-Welsch nodes from the symmetric Jacobi matrix, refined
+  by a Newton step, and Christoffel-number weights (see ``_jacobi_rule``).
+
+Each scheme has one cached reference row at ``L = 1`` (``_reference_row``);
+a row over ``v`` in ``[0, L]`` is ``L^a`` times it, with the tempered factor
+and ``1 / sigma^a``.  A weight declared in the power form of
+``ScalarWeightFn`` gets its nodes in closed form; for any other weight the
+graded scheme meshes ``tau`` instead, and Gauss-Jacobi inverts ``phi`` by
+bisection.
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -71,29 +74,27 @@ _CHUNK_ELEMENTS = 8_192
 class ScalarWeightFn:
     """Strictly increasing C^1 weight ``phi`` on a closed interval.
 
-    ``phi`` and ``dphi`` must accept numpy arrays.  ``slope`` declares the
-    power form ``phi(t) = phi(lo) + slope*(t**exponent - lo**exponent)``
-    (both finite and positive, and ``lo > 0`` unless ``exponent`` is 1, the
-    affine case).  The singular variable is then ``v = slope*|t**exponent -
-    tau**exponent|``: the graded rule meshes ``v`` directly, scaling one
-    cached reference row per target and placing the nodes by the closed-form
-    inverse instead of evaluating ``phi`` on them, and the Gauss-Jacobi
-    scheme places its nodes by the same inverse instead of by bisection.
+    ``phi`` and ``dphi`` must accept numpy arrays.  ``exponent`` declares the
+    power form ``phi(t) = phi(lo) + t**exponent - lo**exponent`` (finite and
+    positive, and ``lo > 0`` unless it is 1, the affine case).  The singular
+    variable is then ``v = |t**exponent - tau**exponent|``: both schemes
+    scale one cached reference row per target and place the nodes in closed
+    form, instead of evaluating ``phi`` on a mesh or inverting it.
     """
 
     phi: Callable
     dphi: Callable
     lo: float
     hi: float
-    slope: Optional[float] = None
-    exponent: float = 1.0
+    exponent: Optional[float] = None
 
     def __post_init__(self):
-        if self.slope is not None and not (math.isfinite(self.slope) and self.slope > 0.0):
-            raise ValueError(f"weight slope must be finite and positive, got {self.slope!r}")
-        if not (math.isfinite(self.exponent) and self.exponent > 0.0):
-            raise ValueError(f"weight exponent must be finite and positive, got {self.exponent!r}")
-        if self.exponent != 1.0 and not self.lo > 0.0:
+        d = self.exponent
+        if d is None:
+            return
+        if not (math.isfinite(d) and d > 0.0):
+            raise ValueError(f"weight exponent must be finite and positive, got {d!r}")
+        if d != 1.0 and not self.lo > 0.0:
             raise ValueError(f"a power weight needs lo > 0, got {self.lo!r}")
 
     def contains(self, t) -> bool:
@@ -101,13 +102,17 @@ class ScalarWeightFn:
         return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
 
     def inverse(self, u):
-        """Value ``t`` with ``phi(t) = u``: closed form for a declared power
-        form, bisection otherwise."""
+        """Value ``t`` with ``phi(t) = u``, by 80 steps of vectorized
+        bisection."""
         u = np.asarray(u, dtype=float)
-        if self.slope is None:
-            return _bisect_inverse(self.phi, u, self.lo, self.hi)
-        phi_lo = float(self.phi(np.asarray(self.lo, dtype=float)))
-        return ((u - phi_lo) / self.slope + self.lo**self.exponent) ** (1.0 / self.exponent)
+        a = np.full(u.shape, self.lo, dtype=float)
+        b = np.full(u.shape, self.hi, dtype=float)
+        for _ in range(80):
+            m = 0.5 * (a + b)
+            below = np.asarray(self.phi(m), dtype=float) < u
+            a = np.where(below, m, a)
+            b = np.where(below, b, m)
+        return 0.5 * (a + b)
 
     def power_gap(self, x0, x1):
         """``x1**exponent - x0**exponent`` for ``x0 <= x1`` in the interval,
@@ -295,9 +300,9 @@ def _integral_dispatch(f, p, side, ts, q, features=None):
             # bound to the module attribute sees every call
             return refined_rule(p, side, ts, q, *features)
     else:
-        rule = _gauss_jacobi_rule if q.scheme == "gauss_jacobi" else _graded_rule
+        rule = _rule
     out = np.empty(ts.shape, dtype=complex)
-    chunk = max(1, _CHUNK_ELEMENTS // max(2, q.n))
+    chunk = max(1, _CHUNK_ELEMENTS // q.n)
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
         tau, wts = rule(p, side, ts[sl], q)
@@ -372,31 +377,35 @@ def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D) -> np.
     """The graded base mesh ``t + (anchor - t)*u``, one row per target,
     running from ``t`` toward the anchor."""
     anchor = p.weight.lo if side == "left" else p.weight.hi
-    u = _graded_fractions(max(2, q.n), _auto_grading(p.alpha))
+    u = _graded_fractions(q.n, _auto_grading(p.alpha))
     tau = np.multiply((anchor - ts)[:, None], u)
     tau += ts[:, None]
     return tau
 
 
-def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
-    """Nodes and real weights of the product-trapezoid rule, one row per
-    target; the tempered-exponential factor is folded into the weights so
-    that ``sum(weights * f(nodes))`` approximates the integral."""
-    w = p.weight
-    if w.slope is None:
+def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
+    """Nodes and real weights of the rule of ``q.scheme``, one row per
+    target; the tempered-exponential factor and ``1 / sigma^beta`` are folded
+    into the weights so that ``sum(weights * f(nodes))`` approximates the
+    integral.  Every row but an undeclared weight's graded row is ``L^beta *
+    sigma^-beta`` times the scheme's reference row, ``L`` the range of the
+    singular variable, times the tempered factor at ``v = L*u``."""
+    w, beta, sigma = p.weight, p.alpha, p.sigma
+    if q.scheme == "graded" and w.exponent is None:
         tau = _graded_mesh(p, side, ts, q)
         phits = np.asarray(w.phi(ts), dtype=float)
         return tau, _tempered_weights(p, side, phits[:, None], tau)
-    # declared power form: the mesh is graded in v = L*u, with L = slope*gap
-    # and gap = |t^d - anchor^d|, so the nodes are tau = (t^d -+ gap*u)^(1/d)
-    # and, the weights being homogeneous of degree beta in v, every row is
-    # L^beta times one row
-    beta, sigma = p.alpha, p.sigma
-    grading = _auto_grading(beta)
-    u = _graded_fractions(max(2, q.n), grading)
-    tau, big_l = _power_nodes(w, side, ts, u)
+    u, row = _reference_row(q.scheme, q.n, beta)
+    if w.exponent is None:
+        phits = np.asarray(w.phi(ts), dtype=float)
+        phi_anchor = float(w.phi(np.asarray(w.lo if side == "left" else w.hi)))
+        big_l = np.abs(phits - phi_anchor)
+        v = np.multiply(big_l[:, None], u)
+        tau = w.inverse(phits[:, None] - v if side == "left" else phits[:, None] + v)
+    else:
+        tau, big_l = _power_nodes(w, side, ts, u)
     scale = big_l**beta * sigma ** (-beta)
-    wts = np.multiply(scale[:, None], _reference_row(u.size, grading, beta))
+    wts = np.multiply(scale[:, None], row)
     c = (sigma - 1.0) / sigma
     if c != 0.0:
         big_l *= c * _LOG2E
@@ -406,10 +415,9 @@ def _graded_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
 
 
 def _power_nodes(w: ScalarWeightFn, side: str, ts: np.ndarray, u: np.ndarray):
-    """Nodes ``tau = (t^d -+ gap*u)^(1/d)`` of a declared power weight, one
-    row per target, at the fractions ``u`` of ``gap = |t^d - anchor^d|``
-    (taken without cancellation); returns ``(tau, L)`` with the singular
-    variable's range ``L = slope*gap`` per target."""
+    """Nodes ``tau = (t^d -+ L*u)^(1/d)`` of a declared power weight, one row
+    per target, at the fractions ``u`` of the singular variable's range ``L
+    = |t^d - anchor^d|`` (taken without cancellation); returns ``(tau, L)``."""
     d = w.exponent
     anchor = w.lo if side == "left" else w.hi
     gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
@@ -420,16 +428,22 @@ def _power_nodes(w: ScalarWeightFn, side: str, ts: np.ndarray, u: np.ndarray):
         tau += (ts**d)[:, None]
     if d != 1.0:
         np.power(tau, 1.0 / d, out=tau)
-    return tau, w.slope * np.maximum(gap, 0.0)
+    return tau, np.maximum(gap, 0.0)
 
 
 @lru_cache(maxsize=64)
-def _reference_row(n_nodes: int, grading: float, beta: float) -> np.ndarray:
-    """Product-trapezoid weights of a declared power weight at ``L = 1``: the
-    graded fractions are then the singular variable itself."""
-    u = _graded_fractions(n_nodes, grading)
+def _reference_row(scheme: str, n: int, beta: float) -> tuple:
+    """``(u, row)`` of a scheme at ``L = 1`` and ``sigma = 1``: fractions
+    ``u`` of the singular variable, running from the singular end, and the
+    weights there.  Graded: the graded fractions and their product-trapezoid
+    weights.  Gauss-Jacobi: ``(1 + x)/2`` and ``wj * 2^-beta / Gamma(beta)``
+    for the rule ``(x, wj)`` of ``(1 + x)^(beta - 1)``."""
+    if scheme == "gauss_jacobi":
+        x, wj = _jacobi_rule(n, round(beta, 12))
+        return _read_only(0.5 * (1.0 + x), wj * (2.0 ** (-beta) / math.gamma(beta)))
+    u = _graded_fractions(n, _auto_grading(beta))
     (row,) = _read_only(_panel_weights(u[None, :], beta, math.gamma(beta + 1.0))[0])
-    return row
+    return u, row
 
 
 def _tempered_weights(p: FracSpec, side: str, phit, tau: np.ndarray) -> np.ndarray:
@@ -498,7 +512,7 @@ def refined_rule(
     ``centers`` and ``scales`` (1-D arrays) give locations and widths of
     sharp features (for instance Cauchy kernel poles just off the
     integration segment).  Each row is the graded base mesh of
-    ``_graded_rule`` merged with two-sided geometric ladders spanning
+    ``_graded_mesh`` merged with two-sided geometric ladders spanning
     ``scale/2`` up to the interval length, so each feature is resolved at
     every octave.  Features far outside the segment simply produce harmless
     extra nodes.
@@ -529,41 +543,6 @@ def refined_rule(
         tau = np.ascontiguousarray(tau[:, ::-1])
     phits = np.asarray(w.phi(ts), dtype=float)
     return tau, _tempered_weights(p, side, phits[:, None], tau)
-
-
-def _gauss_jacobi_rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
-    beta, sigma, w = p.alpha, p.sigma, p.weight
-    x, wj = _jacobi_rule(q.n, round(beta, 12))
-    c = (sigma - 1.0) / sigma
-    pref = sigma ** (-beta) / math.gamma(beta)
-    frac = 0.5 * (1.0 + x)
-    if w.slope is None:
-        phits = np.asarray(w.phi(ts), dtype=float)
-        phi_anchor = float(w.phi(np.asarray(w.lo if side == "left" else w.hi)))
-        L = np.abs(phits - phi_anchor)[:, None]
-        v = L * frac
-        tau = w.inverse(phits[:, None] - v if side == "left" else phits[:, None] + v)
-    else:
-        tau, big_l = _power_nodes(w, side, ts, frac)  # L without cancellation
-        L = big_l[:, None]
-        v = L * frac
-    wts = np.broadcast_to(wj[None, :], v.shape).copy()
-    if c != 0.0:
-        wts *= np.exp2((c * _LOG2E) * v)
-    wts *= pref * (L / 2.0) ** beta
-    return tau, wts
-
-
-def _bisect_inverse(phi, u, lo, hi, iters: int = 80):
-    """Vectorized bisection for the inverse of an increasing function."""
-    a = np.full(u.shape, lo, dtype=float)
-    b = np.full(u.shape, hi, dtype=float)
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        below = np.asarray(phi(m), dtype=float) < u
-        a = np.where(below, m, a)
-        b = np.where(below, b, m)
-    return 0.5 * (a + b)
 
 
 def tabulate(fn: Callable, lo: float, hi: float, n: int, grade_toward: Optional[float] = None):

@@ -345,7 +345,7 @@ def phi_preset(name: str) -> Phi4:
     """Resolve a scale-function preset: ``linear``, ``fractal:d0,d1,d2,d3``,
     or ``custom:<expr component 1>|<expr component 2>``."""
     if name == "linear":
-        return Phi4.linear()
+        return Phi4.fractal(1, 1, 1, 1)
     if name.startswith("fractal:"):
         try:
             deltas = [float(v) for v in name[len("fractal:"):].split(",")]

@@ -156,15 +156,16 @@ def _panel_rule(lo: float, hi: float, panels: int, pts: int):
 
 
 @lru_cache(maxsize=128)
-def _boundary_nodes(bounds: tuple, k: int, pts: int = 4):
-    """Counterclockwise boundary nodes with tangent-weighted measures.
+def _boundary_nodes(bounds: tuple, k: int):
+    """Counterclockwise boundary nodes with tangent-weighted measures, on
+    ``k`` panels of 4 Gauss points per edge.
 
     Returns ``(z, wx, wy)`` where ``sum(g(z) * (wx or wy))`` integrates
     ``g dx`` or ``g dy`` along the closed contour.
     """
     x0, x1, y0, y1 = bounds
-    xs, wxs = _panel_rule(x0, x1, k, pts)
-    ys, wys = _panel_rule(y0, y1, k, pts)
+    xs, wxs = _panel_rule(x0, x1, k, 4)
+    ys, wys = _panel_rule(y0, y1, k, 4)
     z = np.concatenate([
         xs + 1j * y0,          # bottom, left to right
         x1 + 1j * ys,          # right, bottom to top
@@ -178,11 +179,12 @@ def _boundary_nodes(bounds: tuple, k: int, pts: int = 4):
 
 
 @lru_cache(maxsize=128)
-def _area_nodes(bounds: tuple, m: int, pts: int = 2):
-    """Tensor Gauss-Legendre nodes ``(x, y, w)`` over the rectangle."""
+def _area_nodes(bounds: tuple, m: int):
+    """Tensor Gauss-Legendre nodes ``(x, y, w)`` over the rectangle, on
+    ``m`` panels of 2 points per axis."""
     x0, x1, y0, y1 = bounds
-    xs, wx = _panel_rule(x0, x1, m, pts)
-    ys, wy = _panel_rule(y0, y1, m, pts)
+    xs, wx = _panel_rule(x0, x1, m, 2)
+    ys, wy = _panel_rule(y0, y1, m, 2)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     W = np.outer(wx, wy)
     return _read_only(X.ravel(), Y.ravel(), W.ravel())
@@ -222,6 +224,22 @@ def gauss_residual(F: ProductFunction, wp: WeightPair, patch: SurfacePatch) -> H
     return HyperbolicNumber(res[0], res[1])
 
 
+def check_reconstruction_point(W: BicomplexNumber, patch: SurfacePatch) -> None:
+    """Raise ``WOnBoundaryError`` unless ``W`` lies more than two mesh widths
+    (of the area mesh of ``patch.m`` panels) inside the contour in both
+    components, away from the last cell ring where the classical
+    reconstruction's area subtraction degrades."""
+    for l, wz in ((1, W.z1), (2, W.z2)):
+        x0, x1, y0, y1 = patch.component_bounds(l)
+        eps = 2.0 * max(x1 - x0, y1 - y0) / patch.m
+        wz = complex(wz)
+        dist_to_edge = min(wz.real - x0, x1 - wz.real, wz.imag - y0, y1 - wz.imag)
+        if dist_to_edge <= eps:
+            raise WOnBoundaryError(
+                f"reconstruction point too close to the contour: {dist_to_edge:.3g} from "
+                f"component {l}'s edge, not more than two mesh widths ({eps:.3g}) at m = {patch.m}")
+
+
 def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
                             patch: SurfacePatch) -> HyperbolicNumber:
     """Residual of the classical componentwise reconstruction of ``F(W)``
@@ -232,21 +250,16 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
     its kernel ``E(v, z) = 1/(2*pi*i*(v - z))``: ``F(W) = i * (boundary -
     area)``, where the boundary term integrates ``E * F`` against ``dy -
     i*dx`` and the area term integrates ``E * (dF/dx + i*dF/dy)`` against
-    ``dx dy`` by ``_cauchy_area_integral``.  ``W`` must lie more than two
-    mesh widths inside the contour in both components, away from the last
-    cell ring where the area integral's subtraction degrades.
+    ``dx dy`` by ``_cauchy_area_integral``.  ``W`` must pass
+    ``check_reconstruction_point``.
     """
+    check_reconstruction_point(W, patch)
     kernel = CauchyKernel(WeightPair.classical())
     wp = kernel.wp
     res = []
     for l, wz in ((1, W.z1), (2, W.z2)):
         bounds = patch.component_bounds(l)
-        x0, x1, y0, y1 = bounds
-        eps = 2.0 * max(x1 - x0, y1 - y0) / patch.m
         wz = complex(wz)
-        dist_to_edge = min(wz.real - x0, x1 - wz.real, wz.imag - y0, y1 - wz.imag)
-        if dist_to_edge <= eps:
-            raise WOnBoundaryError("reconstruction point too close to the contour")
         fl = F.component(l)
         zp = np.array([wz])
         z, wx, wy = _boundary_nodes(bounds, patch.k)
@@ -391,15 +404,15 @@ def _pole_along_trace(a: complex, b: complex, v: np.ndarray, fixed: float, horiz
     return np.real(root), np.abs(np.imag(root))
 
 
-def _nearest_pole_clusters(a, b, v_nodes, fixed, horizontal, lo, hi, kmax: int = 4):
+def _nearest_pole_clusters(a, b, v_nodes, fixed, horizontal, lo, hi):
     """Refinement targets for a trace integral of a discrete kernel sum: the
-    few kernel points whose poles come closest to the integration segment."""
+    four kernel points whose poles come closest to the integration segment."""
     centers, scales = _pole_along_trace(a, b, v_nodes, fixed, horizontal)
     pad = 0.1 * (hi - lo)
     mask = (centers >= lo - pad) & (centers <= hi + pad)
     if not np.any(mask):
         return np.array([0.5 * (lo + hi)]), np.array([hi - lo])
-    idx = np.argsort(np.where(mask, scales, np.inf))[:kmax]
+    idx = np.argsort(np.where(mask, scales, np.inf))[:4]
     return centers[idx], scales[idx]
 
 

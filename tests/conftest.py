@@ -21,7 +21,7 @@ def unit_rect():
 
 @pytest.fixture
 def linear_phi():
-    return Phi4.linear()
+    return Phi4.fractal(1, 1, 1, 1)
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ def identity_weight():
         dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         lo=0.0,
         hi=1.0,
-        slope=1.0,
+        exponent=1.0,
     )
 
 
@@ -94,7 +94,7 @@ def quad_default():
 def _sigma_one_cr(coeffs, w: complex, alpha: float, x, y):
     """Closed-form component of the proportional CR operator of the
     holomorphic polynomial field ``sum_k coeffs[k] z^k`` at the proportion
-    ``(1, 0, 1, 0)``, with ``Phi4.linear()`` on the unit rectangle, the left
+    ``(1, 0, 1, 0)``, with the ``linear`` phi on the unit rectangle, the left
     side, classical weights, trace base point component ``w`` and order
     ``alpha`` on the x axis.
 

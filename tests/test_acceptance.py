@@ -40,7 +40,7 @@ from bcfrac.hypercomplex import E, E_DAG, ONE
 from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
 
 RECT = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
-PHI_LINEAR = Phi4.linear()
+PHI_LINEAR = Phi4.fractal(1, 1, 1, 1)
 CLASSICAL = WeightPair.classical()
 NO_LAM = ProductFunction.constant(0.0)  # the zero multiplier
 
@@ -143,7 +143,7 @@ def test_criterion_02_inversion_1d():
 
 def test_criterion_03_closed_forms():
     w_id = ScalarWeightFn(lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                          0.0, 1.0, slope=1.0)
+                          0.0, 1.0, exponent=1.0)
     alpha, beta, t = 0.25, 1.5, 0.8
     closed = gamma(beta) / gamma(beta + alpha) * t ** (beta + alpha - 1)
     errs = {}

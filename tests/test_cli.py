@@ -266,6 +266,23 @@ class TestPresets:
             field_preset("mystery")
 
 
+def coarse_reconstruction_at_run_time(monkeypatch):
+    """Run every ``borel-pompeiu`` experiment at m = 4, where the excluded
+    band around the contour, two area panels wide, reaches the
+    reconstruction point: past the load-time check, the reconstruction
+    itself raises."""
+    from bcfrac.quadrature_verify import Resolution
+
+    run_identity = cli.run_identity
+
+    def coarse(identity, setup, res):
+        if identity == "borel-pompeiu":
+            res = Resolution(4, res.k, res.n)
+        return run_identity(identity, setup, res)
+
+    monkeypatch.setattr(cli, "run_identity", coarse)
+
+
 class TestConfigValidation:
     def test_missing_field_diagnostic(self, tmp_path):
         entry = {k: v for k, v in QUICK.items() if k != "tolerance"}
@@ -284,6 +301,25 @@ class TestConfigValidation:
         path = write_config(tmp_path, [entry])
         with pytest.raises(ConfigError, match="identity"):
             load_config(path)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_reconstruction_point_is_checked_before_any_experiment_runs(
+            self, tmp_path, monkeypatch, capsys, m):
+        # at m = 5 two mesh widths of the unit domain's patch (0.28) reach
+        # past the point's distance to the contour (0.25)
+        calls = []
+        monkeypatch.setattr(cli, "run_identity", lambda *args: calls.append(args))
+        edge = dict(QUICK, name="edge", identity="borel-pompeiu", m=m)
+        path = write_config(tmp_path, ["bg-reduction", edge])
+        with pytest.raises(ConfigError, match=r"experiments\[2\]\.m: reconstruction point too "
+                                              r"close to the contour"):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and std.err.startswith("configuration error: experiments[2].m: ")
+        assert calls == [] and not out.exists()
+        load_config(write_config(tmp_path, [dict(edge, m=6)]))  # 0.23 < 0.25
 
     def test_top_level_list_is_a_named_error(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -502,10 +538,9 @@ class TestRunSuite:
         assert err.strip() == "runtime error: StepError: finite-difference step 10.0 invalid for span 1.0"
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_runtime_error_keeps_finished_experiments(self, tmp_path, capsys, jobs):
-        # at m = 4 the excluded band around the contour, two area panels
-        # wide, reaches the reconstruction point
-        edge = dict(QUICK, name="edge", identity="borel-pompeiu", m=4)
+    def test_runtime_error_keeps_finished_experiments(self, tmp_path, monkeypatch, capsys, jobs):
+        coarse_reconstruction_at_run_time(monkeypatch)
+        edge = dict(QUICK, name="edge", identity="borel-pompeiu")
         cfg = write_config(tmp_path, [QUICK, edge, dict(QUICK, name="after")])
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out), "--jobs", str(jobs)]) == 2
@@ -513,14 +548,17 @@ class TestRunSuite:
         summary = json.loads((out / "summary.json").read_text())
         assert [e["name"] for e in summary["experiments"]] == ["quick"]
         assert summary["experiments"][0]["passed"] and not summary["all_passed"]
-        assert summary["error"] == {"experiment": "edge", "type": "WOnBoundaryError",
-                                    "message": "reconstruction point too close to the contour"}
+        assert summary["error"] == {
+            "experiment": "edge", "type": "WOnBoundaryError",
+            "message": "reconstruction point too close to the contour: 0.25 from component 1's "
+                       "edge, not more than two mesh widths (0.35) at m = 4"}
         assert "PASS quick" in capsys.readouterr().out
 
-    def test_run_suite_still_raises(self, tmp_path):
+    def test_run_suite_still_raises(self, tmp_path, monkeypatch):
         from bcfrac.errors import WOnBoundaryError
 
-        edge = dict(QUICK, name="edge", identity="borel-pompeiu", m=4)
+        coarse_reconstruction_at_run_time(monkeypatch)
+        edge = dict(QUICK, name="edge", identity="borel-pompeiu")
         with pytest.raises(WOnBoundaryError):
             run_suite(load_config(write_config(tmp_path, [QUICK, edge])))
 
@@ -638,18 +676,28 @@ class TestOtherCommands:
         (["rl-power", "--beta", "200"], "OverflowError"),
         (["rl-const-derivative", "--alpha", "1"], "ValueError"),
         (["rl-power", "--t", "5"], "DomainError"),
+        (["rl-const-derivative", "--t", "0"], "ZeroDivisionError"),  # t^-alpha at t = 0
+        (["hausdorff", "--alpha", "0"], "ZeroDivisionError"),
     ])
     def test_oracle_input_errors_exit_2(self, capsys, argv, cause):
         assert main(["oracle", *argv, "--n", "64"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("oracle error: ") and cause in err
 
+    def test_oracle_eigen_refuses_sigma_zero(self, capsys):
+        # the rate (sigma - 1)/sigma of the eigen oracle's tempered input has
+        # no value at sigma = 0; unchecked, it ended in a ZeroDivisionError
+        # traceback with exit 1, the code of a numerical FAIL
+        assert main(["oracle", "eigen", "--sigma", "0", "--n", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oracle error: ValueError: eigen needs sigma > 0")
+
     def test_oracle_power_rule_on_the_affine_row(self, capsys):
         # criterion 03's power-rule case and bound; the identity weight of the
-        # oracle declares slope 1, so the graded rule takes the reference row
+        # oracle declares exponent 1, so the graded rule takes the reference row
         from bcfrac.cli import _oracle_weight
 
-        assert _oracle_weight("identity").slope == 1.0
+        assert _oracle_weight("identity").exponent == 1.0
         main(["oracle", "rl-power", "--alpha", "0.25", "--beta", "1.5", "--t", "0.8",
               "--n", "32768"])
         err = float(capsys.readouterr().out.strip().split("abs-error=")[1])

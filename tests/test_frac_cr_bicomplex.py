@@ -54,14 +54,14 @@ class TestDphi:
 
 
 class TestRestrictionSlope:
-    def test_linear_restrictions_declare_their_slope(self, unit_rect, linear_phi):
+    def test_linear_restrictions_declare_unit_exponent(self, unit_rect, linear_phi):
         W = unit_rect.point(0.41, 0.37, 0.53, 0.61)
         for axis in range(4):
             w = linear_phi.restriction(axis, W, unit_rect)
             ts = np.linspace(w.lo, w.hi, 17)
-            affine = w.phi(np.asarray(w.lo)) + w.slope * (ts - w.lo)
+            affine = w.phi(np.asarray(w.lo)) + (ts - w.lo)
             assert np.max(np.abs(w.phi(ts) - affine)) < 1e-15
-            assert np.all(w.dphi(ts) == w.slope) and w.exponent == 1.0
+            assert np.all(w.dphi(ts) == 1.0) and w.exponent == 1.0
 
     def test_fractal_restrictions_declare_their_power(self):
         from bcfrac.presets import phi_preset
@@ -71,9 +71,9 @@ class TestRestrictionSlope:
         phi = phi_preset("fractal:0.5,0.6,0.7,0.8")
         for axis, d in enumerate((0.5, 0.6, 0.7, 0.8)):
             w = phi.restriction(axis, W, rect)
-            assert (w.slope, w.exponent) == (1.0, d)
+            assert w.exponent == d
             ts = np.linspace(w.lo, w.hi, 33)
-            declared = w.phi(np.asarray(w.lo)) + w.slope * (ts**w.exponent - w.lo**w.exponent)
+            declared = w.phi(np.asarray(w.lo)) + (ts**w.exponent - w.lo**w.exponent)
             assert np.max(np.abs(w.phi(ts) - declared) / np.abs(w.phi(ts))) < 1e-14
 
     @pytest.mark.parametrize("name", ["custom:x + y|x + 2*y"])
@@ -82,7 +82,7 @@ class TestRestrictionSlope:
 
         rect = RectDomain(*[0.5, 1.5] * 4)
         W = rect.point(0.41, 0.37, 0.53, 0.61)
-        assert all(phi_preset(name).restriction(axis, W, rect).slope is None
+        assert all(phi_preset(name).restriction(axis, W, rect).exponent is None
                    for axis in range(4))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import math
 
 import mpmath
 import numpy as np
@@ -229,7 +230,7 @@ class TestWeightPipeline:
         # with f = 1 and sigma = 1 the rule integrates v^(beta-1)/Gamma(beta)
         # over [0, L], L the extent of the mesh in v: L^beta / Gamma(beta+1)
         p = FracSpec(beta, 1.0, cubic_weight)
-        tau, wts = fracops1d._graded_rule(p, side, self.XS, Quadrature1D(n=512))
+        tau, wts = fracops1d._rule(p, side, self.XS, Quadrature1D(n=512))
         big_l = np.abs(cubic_weight.phi(self.XS) - cubic_weight.phi(tau[:, -1]))
         expected = big_l**beta / gamma(beta + 1.0)
         assert np.allclose(wts.sum(axis=1), expected, rtol=1e-14, atol=0.0)
@@ -247,12 +248,12 @@ class TestWeightPipeline:
             assert all(np.array_equal(r, results[-1]) for r in results)
 
 
-def affine_weight(slope, offset, lo, hi, declared=True):
-    """``phi(t) = offset + slope*t``, with or without the declared slope."""
+def affine_weight(offset, lo, hi, declared=True):
+    """``phi(t) = offset + t``, with or without the declared exponent 1."""
     return ScalarWeightFn(
-        phi=lambda t: offset + slope * np.asarray(t, dtype=float),
-        dphi=lambda t: slope * np.ones_like(np.asarray(t, dtype=float)),
-        lo=lo, hi=hi, slope=slope if declared else None)
+        phi=lambda t: offset + np.asarray(t, dtype=float),
+        dphi=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        lo=lo, hi=hi, exponent=1.0 if declared else None)
 
 
 def power_weight(exponent, declared=True, offset=0.3, lo=0.5, hi=1.5):
@@ -261,7 +262,7 @@ def power_weight(exponent, declared=True, offset=0.3, lo=0.5, hi=1.5):
     return ScalarWeightFn(
         phi=lambda t: offset + np.asarray(t, dtype=float) ** exponent,
         dphi=lambda t: exponent * np.asarray(t, dtype=float) ** (exponent - 1.0),
-        lo=lo, hi=hi, slope=1.0 if declared else None, exponent=exponent)
+        lo=lo, hi=hi, exponent=exponent if declared else None)
 
 
 def sqrt_cos(t):
@@ -293,23 +294,22 @@ class TestAffineWeights:
     """A declared power form, affine when its exponent is 1, scales one
     cached reference row per target."""
 
-    # phi(lo) is kept within slope*span of zero: with a far larger offset the
+    # phi(lo) is kept within span of zero: with a far larger offset the
     # general path's phi(t) - phi(tau) cancels digits the reference row keeps
     @settings(max_examples=80, deadline=None)
-    @given(slope=st.floats(0.03, 30.0), rel_offset=st.floats(-1.0, 1.0),
+    @given(rel_offset=st.floats(-1.0, 1.0),
            lo=st.floats(-2.0, 2.0), span=st.floats(0.1, 5.0),
            beta=st.one_of(st.floats(1e-6, fracops1d._SMALL_ORDER, exclude_max=True),
                           st.floats(fracops1d._SMALL_ORDER, 1.0)),
            sigma=st.one_of(st.just(1.0), st.floats(0.05, 0.99)),
            side=st.sampled_from(["left", "right"]), n=st.sampled_from([2, 3, 16, 64, 257]))
-    def test_rows_equal_the_general_path(self, slope, rel_offset, lo, span, beta, sigma,
-                                         side, n):
+    def test_rows_equal_the_general_path(self, rel_offset, lo, span, beta, sigma, side, n):
         hi = lo + span
-        offset = rel_offset * slope * span - slope * lo
+        offset = rel_offset * span - lo
         ts = lo + span * np.array([0.0, 0.1, 0.37, 0.8, 1.0])
         q = Quadrature1D(n=n)
-        rows = [fracops1d._graded_rule(FracSpec(beta, sigma, affine_weight(
-            slope, offset, lo, hi, declared)), side, ts, q) for declared in (True, False)]
+        rows = [fracops1d._rule(FracSpec(beta, sigma, affine_weight(offset, lo, hi, declared)),
+                                side, ts, q) for declared in (True, False)]
         (tau, w_aff), (tau_gen, w_gen) = rows
         assert np.array_equal(tau, tau_gen)
         f = 0.5 + np.cos(3.0 * tau)
@@ -318,42 +318,63 @@ class TestAffineWeights:
         assert np.all(err <= 1e-13 * terms)
 
     def test_reference_row_is_read_only(self):
-        w = affine_weight(2.0, 0.5, 0.0, 1.0)
-        q = Quadrature1D(n=64)
-        fracops1d._graded_rule(FracSpec(0.4, 0.7, w), "left", np.array([0.5]), q)
-        row = fracops1d._reference_row(64, fracops1d._auto_grading(0.4), 0.4)
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 1.0
-
-    @pytest.mark.parametrize("slope", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_slope_rejected(self, slope):
-        with pytest.raises(ValueError, match="slope"):
-            affine_weight(slope, 0.0, 0.0, 1.0)
+        w = affine_weight(0.5, 0.0, 1.0)
+        for scheme in ("graded", "gauss_jacobi"):
+            q = Quadrature1D(n=64, scheme=scheme)
+            fracops1d._rule(FracSpec(0.4, 0.7, w), "left", np.array([0.5]), q)
+            for array in fracops1d._reference_row(scheme, 64, 0.4):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
 
     @pytest.mark.parametrize("beta", [0.45, 1e-4])  # both branches of _panel_weights
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_unit_exponent_rows_are_the_affine_rows(self, side, sigma, beta):
         # the affine rows as they were written before the power form: tau =
-        # t + (anchor - t)*u, and each row (slope*|t - anchor|)^beta /
-        # sigma^beta times the reference row, times the tempered factor
-        slope, lo, hi = 2.5, -0.3, 1.1
-        w = affine_weight(slope, 0.2, lo, hi)
-        assert w.exponent == 1.0
+        # t + (anchor - t)*u, and each row |t - anchor|^beta / sigma^beta
+        # times the reference row, times the tempered factor
+        lo, hi = -0.3, 1.1
+        w = affine_weight(0.2, lo, hi)
         ts = np.linspace(lo, hi, 7)
         q = Quadrature1D(n=64)
-        tau, wts = fracops1d._graded_rule(FracSpec(beta, sigma, w), side, ts, q)
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
         anchor = lo if side == "left" else hi
-        grading = fracops1d._auto_grading(beta)
-        u = fracops1d._graded_fractions(q.n, grading)
-        big_l = slope * np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
+        u = fracops1d._graded_fractions(q.n, fracops1d._auto_grading(beta))
+        big_l = np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
         want = (big_l**beta * sigma ** (-beta))[:, None] * fracops1d._reference_row(
-            q.n, grading, beta)
+            "graded", q.n, beta)[1]
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
         assert np.array_equal(tau, (anchor - ts)[:, None] * u + ts[:, None])
+        assert np.array_equal(wts, want)
+
+    @pytest.mark.parametrize("exponent", [1.0, 0.6])
+    @pytest.mark.parametrize("beta", [0.45, 1e-4])
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gauss_jacobi_rows_scale_the_reference_row(self, side, sigma, beta, exponent):
+        # the Gauss-Jacobi twin: nodes tau = (t^d -+ L*u)^(1/d) at u = (1 +
+        # x)/2, and each row L^beta / sigma^beta times wj * 2^-beta /
+        # Gamma(beta), times the tempered factor, with L = |t^d - anchor^d|
+        lo, hi = 0.5, 1.5
+        w = power_weight(exponent, lo=lo, hi=hi)
+        ts = np.linspace(lo, hi, 7)
+        q = Quadrature1D(n=32, scheme="gauss_jacobi")
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        x, wj = fracops1d._jacobi_rule(q.n, beta)
+        u = 0.5 * (1.0 + x)
+        row = wj * (2.0 ** (-beta) / math.gamma(beta))
+        gap = w.power_gap(lo, ts) if side == "left" else w.power_gap(ts, hi)
+        big_l = np.maximum(gap, 0.0)
+        want = (big_l**beta * sigma ** (-beta))[:, None] * row
+        c = (sigma - 1.0) / sigma
+        if c != 0.0:
+            want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
+        sign = -1.0 if side == "left" else 1.0
+        assert np.array_equal(tau, ((ts**exponent)[:, None] + sign * gap[:, None] * u)
+                              ** (1.0 / exponent))
         assert np.array_equal(wts, want)
 
     @pytest.mark.parametrize("n", [256, 1024])
@@ -385,7 +406,7 @@ class TestAffineWeights:
         assert np.median(power) <= np.median(general)
 
     def test_power_gauss_jacobi_keeps_its_digits_next_to_the_anchor(self):
-        # Gauss-Jacobi on a declared power weight takes L = slope*power_gap:
+        # Gauss-Jacobi on a declared power weight takes L = power_gap:
         # L = phi(t) - phi(anchor) by subtraction loses 1.4e-9 .. 2.9e-7 next
         # to the anchor.  Measured relative errors against mpmath at n = 256:
         # at most 2.3e-13 (beta 0.05; 1.2e-14 otherwise) at interior targets
@@ -411,36 +432,25 @@ class TestAffineWeights:
     def test_power_weight_needs_a_positive_interval(self, lo):
         with pytest.raises(ValueError, match="lo > 0"):
             power_weight(0.6, lo=lo)
-        assert affine_weight(1.0, 0.0, lo, 1.0).lo == lo
+        assert affine_weight(0.0, lo, 1.0).lo == lo
 
     def test_closed_form_power_inverse(self):
-        # Gauss-Jacobi nodes on fractal: restrictions come from the declared
-        # power form, not from 80 bisection steps; both give the same result
+        # Gauss-Jacobi nodes on `fractal:` and `linear` restrictions come
+        # from the declared power form, not from 80 bisection steps of the
+        # same weight undeclared; both give the same result
         rect = RectDomain(*[0.5, 1.5] * 4)
         W = rect.point(0.41, 0.37, 0.53, 0.61)
-        phi = Phi4.fractal(0.5, 0.6, 0.7, 0.8)
         q = Quadrature1D(n=64, scheme="gauss_jacobi")
-        for axis in range(4):
-            w = phi.restriction(axis, W, rect)
-            ts = np.linspace(w.lo, w.hi, 9)
-            assert np.max(np.abs(w.inverse(w.phi(ts)) - ts)) < 1e-14
-            bisected = dataclasses.replace(w, slope=None)
-            for side in ("left", "right"):
-                got = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, w), side, ts, q)
-                want = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, bisected), side, ts, q)
-                assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_closed_form_inverse(self):
-        w = affine_weight(2.5, -0.75, 0.2, 1.4)
-        ts = np.linspace(0.2, 1.4, 9)
-        assert np.max(np.abs(w.inverse(w.phi(ts)) - ts)) < 1e-14
-        spec = FracSpec(0.45, 0.7, w)
-        bisected = FracSpec(0.45, 0.7, affine_weight(2.5, -0.75, 0.2, 1.4, declared=False))
-        q = Quadrature1D(n=64, scheme="gauss_jacobi")
-        for side in ("left", "right"):
-            got = prop_frac_integral(np.cos, spec, side, ts, q)
-            want = prop_frac_integral(np.cos, bisected, side, ts, q)
-            assert np.max(np.abs(got - want)) < 1e-13
+        for exponents in ((0.5, 0.6, 0.7, 0.8), (1, 1, 1, 1)):
+            for axis in range(4):
+                w = Phi4.fractal(*exponents).restriction(axis, W, rect)
+                ts = np.linspace(w.lo, w.hi, 9)
+                bisected = dataclasses.replace(w, exponent=None)
+                for side in ("left", "right"):
+                    got = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, w), side, ts, q)
+                    want = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, bisected),
+                                              side, ts, q)
+                    assert np.max(np.abs(got - want)) < 1e-12
 
 
 class TestPropFracDerivative:
@@ -679,8 +689,6 @@ class TestScipyOracles:
         assert np.max(np.abs(x[picks] - exact_x)) <= 4.5e-16
 
     def test_gamma_matches_scipy(self):
-        import math
-
         from scipy.special import gamma as scipy_gamma
 
         xs = np.concatenate([np.linspace(1e-3, 10.0, 2001), np.linspace(-4.99, -0.01, 499)])

@@ -1,11 +1,14 @@
 """The test settings in pyproject.toml let a failing property test report its
-falsifying example without ending the session."""
+falsifying example without ending the session, and find the package in a
+checkout."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 FAILING = """
 from hypothesis import given, settings, strategies as st
@@ -39,3 +42,17 @@ def test_failing_property_test_reports_its_example_next_to_other_files(tmp_path)
     assert "INTERNALERROR" not in out
     assert "Falsifying example: test_fails(" in out
     assert "1 failed, 1 passed" in out
+
+
+def test_plain_pytest_collects_in_a_checkout_without_pythonpath():
+    # tests/conftest.py imports bcfrac, which without the pythonpath setting
+    # stopped collection with ModuleNotFoundError
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "tests"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 0, out
+    assert "ModuleNotFoundError" not in out and " tests collected" in out
