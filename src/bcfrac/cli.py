@@ -251,33 +251,45 @@ def load_config(path: str) -> list:
     return configs
 
 
-#: glibc's ``mallopt`` parameter number of ``M_TRIM_THRESHOLD``.
-_M_TRIM_THRESHOLD = -1
+#: glibc's ``mallopt`` parameter numbers of ``M_TRIM_THRESHOLD`` and
+#: ``M_MMAP_THRESHOLD``.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 #: Free memory that glibc's ``free`` keeps at the top of the heap before it
 #: returns it to the OS (the default is 128 KB).
 _TRIM_THRESHOLD_BYTES = 64 << 20
+#: Requests from this size up get their own mapping instead of heap memory:
+#: the upper limit that glibc documents for 64-bit systems,
+#: ``DEFAULT_MMAP_THRESHOLD_MAX`` (the default is 128 KB).
+_MMAP_THRESHOLD_BYTES = 32 << 20
 
 
 @lru_cache(maxsize=None)
-def _keep_freed_memory() -> None:
-    """Let the heap keep up to ``_TRIM_THRESHOLD_BYTES`` of freed memory.
+def _keep_freed_memory() -> bool:
+    """Keep the freed numpy temporaries in the heap; ``True`` when the C
+    library took both settings.
 
     The experiments allocate and free the same numpy temporaries (the 1-D
     rule blocks, kernel sums, trace fields) on every run.  With the default
-    threshold, each freed block goes back to the OS and the next run faults
+    thresholds, each freed block goes back to the OS and the next run faults
     it in again.  Measured per warm pass of the three perfbench workloads
     (trace-gauss, deep-reconstruction, trace-inversion), in process, three
     processes of five passes each: 12.2k / 23.5k / 77-89k minor faults with
-    the default and at most 22 / 1 / 57 with this setting; trace-gauss
-    passes 0.040-0.065 s -> 0.025-0.040 s; the same peak RSS.  A no-op where
-    the process's C library cannot be loaded or has no ``mallopt``.
+    the default and at most 22 / 1 / 57 with the trim threshold raised;
+    trace-gauss passes 0.040-0.065 s -> 0.025-0.040 s; the same peak RSS.
+    Raising the trim threshold also freezes glibc's mmap threshold at
+    128 KB, so blocks of that size and more were still mapped and faulted in
+    on every call, until the mmap threshold was raised too: 258 -> 0 minor
+    faults per classical-reconstruction item, 2.16 -> 1.69 ms.  ``False``
+    where the process's C library cannot be loaded, has no ``mallopt`` or
+    refuses a value.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
-        return
+        return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    return all([mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES) == 1,
+                mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES) == 1])
 
 
 def _run_experiments(configs: list, levels_override: Optional[int], jobs: int):

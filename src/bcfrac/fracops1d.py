@@ -64,9 +64,11 @@ _SMALL_ORDER = 1e-3
 #: at 32768 and 1.6k / 0-1.6k / 7-9k at 8192, whose passes were also the
 #: fastest on trace-gauss and in two of three rounds on the others.  Rows
 #: depend only on their own target, so the block size never changes a 1-D
-#: rule result.  The runner also raises malloc's trim threshold
-#: (``cli._keep_freed_memory``), which keeps freed blocks of any size in the
-#: heap; these counts were taken before that setting.
+#: rule result.  These counts were taken before the runner raised malloc's
+#: trim and mmap thresholds (``cli._keep_freed_memory``), which keep freed
+#: blocks below 32 MB in the heap: with the trim threshold alone, blocks of
+#: 128 KB and more were still mapped anew on every call (258 minor faults per
+#: classical-reconstruction item, 0 with both thresholds).
 _CHUNK_ELEMENTS = 8_192
 
 
@@ -549,10 +551,14 @@ def tabulate(fn: Callable, lo: float, hi: float, n: int, grade_toward: Optional[
     """Sample ``fn`` once and return a cubic-spline surrogate.
 
     Composing two fractional operators naively costs one full quadrature per
-    node of the outer rule.  Tabulating the inner operator on a fine grid
+    node of the outer rule.  Tabulating the inner operator on ``n`` samples
     first (graded toward ``grade_toward`` when its profile has an algebraic
     endpoint there) reduces the composition to one batched evaluation plus
-    cheap interpolation.  A spline is used rather than a broken line because
+    cheap interpolation.  Each sample is one full quadrature row of the
+    inner integral, while the spline's error on a smooth profile falls like
+    ``n**-4``, so a composition needs fewer samples than its rule has nodes
+    (``compose_derivative_of_integral`` takes a quarter of them, at least
+    256).  A spline is used rather than a broken line because
     compositions near order one differentiate the surrogate pointwise, where
     a broken line's slope error would not average out.  The spline is the
     not-a-knot cubic (``n >= 4`` samples): one tridiagonal solve for its node

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -644,7 +645,25 @@ class TestRuntime:
         fresh_allocator_setting()
         fresh_allocator_setting()
         run_suite(load_config(write_config(tmp_path, [QUICK])))
-        assert calls == [(-1, 64 << 20)]  # M_TRIM_THRESHOLD, 64 MB
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]  # M_TRIM_THRESHOLD, M_MMAP_THRESHOLD
+
+    def test_allocator_setting_reports_a_refused_value(self, fresh_allocator_setting, monkeypatch):
+        import ctypes
+        from types import SimpleNamespace
+
+        calls = []
+
+        def mallopt(param, value):
+            calls.append(param)
+            return 0 if param == -1 else 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert fresh_allocator_setting() is False
+        assert calls == [-1, -3]  # a refused value does not stop the other setting
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt values")
+    def test_glibc_takes_both_settings(self, fresh_allocator_setting):
+        assert fresh_allocator_setting() is True
 
     def test_allocator_setting_without_a_c_library(self, fresh_allocator_setting, monkeypatch,
                                                    tmp_path):
@@ -654,7 +673,7 @@ class TestRuntime:
             raise OSError("no C library")
 
         monkeypatch.setattr(ctypes, "CDLL", no_libc)
-        assert fresh_allocator_setting() is None
+        assert fresh_allocator_setting() is False
         summary, _ = run_suite(load_config(write_config(tmp_path, [QUICK])))
         assert summary["all_passed"]
 
