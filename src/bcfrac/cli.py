@@ -318,7 +318,9 @@ def _summarize(finished: list):
     for cfg, reports in finished:
         final = reports[-1]
         residual = final.max_residual()
-        passed = bool(np.isfinite(residual) and residual <= cfg.tolerance)  # NaN never passes
+        # NaN never passes, at any level of a study
+        finite = all(np.isfinite(r.max_residual()) for r in reports)
+        passed = bool(finite and residual <= cfg.tolerance)
         summary["experiments"].append({
             "name": cfg.name,
             "identity": cfg.identity,

@@ -228,7 +228,9 @@ def prop_frac_derivative(
     the interval when ``None``), clipped one-sided at the interval ends.  On
     the right side the derivative part enters with the opposite sign, which
     is what makes the right-sided composition with the right integral the
-    identity.  ``features`` is passed on to the inner integral (see
+    identity.  At ``sigma = 1`` the term ``(1 - sigma) * integral`` is not
+    evaluated, so the inner integral runs on the difference stencil alone.
+    ``features`` is passed on to the inner integral (see
     ``prop_frac_integral``).
     """
     _check_side(side)
@@ -257,7 +259,9 @@ def prop_frac_derivative(
 
     dg = _central_difference(g, ts, h, w.lo, w.hi)
     sign = 1.0 if side == "left" else -1.0
-    out = (1.0 - p.sigma) * g(ts) + sign * p.sigma * dg / w.dphi(ts)
+    out = sign * p.sigma * dg / w.dphi(ts)
+    if p.sigma != 1.0:
+        out = (1.0 - p.sigma) * g(ts) + out
     return out[0] if scalar else out.reshape(t_arr.shape)
 
 

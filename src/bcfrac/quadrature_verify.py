@@ -282,18 +282,21 @@ def trace_component(F, W, p: FracParams, side: str, l: int, xs, ys):
 
 
 def frac_cr_component(F, W, p: FracParams, wp: WeightPair, side: str, l: int, xs, ys):
-    """Component of the proportional weighted CR operator at paired points,
-    returned with the trace integral ``g`` it is built from (the same
-    component of ``trace_component`` at the same points)."""
+    """Component of the proportional weighted CR operator at paired points:
+    ``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` for the trace
+    integral ``g`` of ``trace_component``.  Where the component's proportion
+    is 1, ``g`` itself is not evaluated."""
     ax_x, ax_y = component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    g = trace_component(F, W, p, side, l, xs, ys)
     dgx = _axis_partial_batched(F, W, p, side, ax_x, xs)
     dgy = _axis_partial_batched(F, W, p, side, ax_y, ys)
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
     cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
-    return (1.0 - sig) * g + sig * cr / p.phi.dphi(l, xs, ys), g
+    out = sig * cr / p.phi.dphi(l, xs, ys)
+    if sig != 1:
+        out = (1.0 - sig) * trace_component(F, W, p, side, l, xs, ys) + out
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -328,11 +331,14 @@ def frac_gauss_residual(
         bnd = np.sum(elam_b * g_b * boundary_measure(wp, l, z, wx, wy))
 
         x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
-        cr_a, g_a = frac_cr_component(F, W, p, wp, "left", l, x, y)
+        cr_a = frac_cr_component(F, W, p, wp, "left", l, x, y)
         h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
         elam_a = np.exp(lam_fn.f(x, y))
-        div_term = weight_divergence(wp, l, x, y) * elam_a * g_a
-        area = np.sum((elam_a * h_field + div_term) * w)
+        integrand = elam_a * h_field
+        if wp.const_values is None:  # constant weights have zero divergence
+            g_a = trace_component(F, W, p, "left", l, x, y)
+            integrand = integrand + weight_divergence(wp, l, x, y) * elam_a * g_a
+        area = np.sum(integrand * w)
         res.append(abs(bnd - area))
     return HyperbolicNumber(res[0], res[1])
 
@@ -544,7 +550,7 @@ def _area_map_builder(l, F, W, p: FracParams, kernel: CauchyKernel,
             np.exp(lam_fn.f(xs, ys))
             * p.phi.dphi(l, xs, ys)
             * sig_inv
-            * frac_cr_component(F, W, p, kernel.wp, "left", l, xs, ys)[0]
+            * frac_cr_component(F, W, p, kernel.wp, "left", l, xs, ys)
         )
 
     integral = _cauchy_area_integral(kernel, l, bounds, patch.m, h_at)

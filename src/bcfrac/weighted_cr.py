@@ -26,8 +26,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fracops1d
 from .errors import UnsupportedWeightsError
+
+#: Element budget per block of targets in ``CauchyKernel.sums``: 32768
+#: complex entries, a 512 KB block (8 rows of the 4096 area sources at m =
+#: 32).  Median warm time per item (ms) of the deep reconstructions
+#: bg-reconstruction / bp-general at m = k = 32, one BLAS thread, 2-CPU Intel
+#: Xeon, by budget: 8192 25.5 / 45.1, 16384 23.9 / 42.6, 32768 23.3 / 41.6,
+#: 65536 23.6 / 41.7, 131072 24.9 / 44.2.
+_KERNEL_BLOCK_ELEMENTS = 32_768
 
 
 @dataclass(frozen=True)
@@ -245,9 +252,9 @@ class CauchyKernel:
         reciprocal and, per charge column, one complex matrix-vector product
         against that column scaled by ``-i/pi`` (at two columns, half the
         time of a two-column BLAS product of these shapes).  Targets run in
-        row blocks of the 1-D rule's element budget, so the block stays in
-        cache.  The coincident source-target pairs are found once per call,
-        from the sources sorted by real part, and zeroed in their block.
+        row blocks of ``_KERNEL_BLOCK_ELEMENTS`` entries.  The coincident
+        source-target pairs are found once per call, from the sources sorted
+        by real part, and zeroed in their block.
         """
         s_src = self.smap(l, np.asarray(sources, dtype=complex).ravel())
         s_tgt = self.smap(l, np.asarray(targets, dtype=complex))
@@ -255,7 +262,7 @@ class CauchyKernel:
         q = np.multiply(c.reshape(s_src.size, -1).T, -1j / np.pi, order="C")  # row per column
         flat = s_tgt.ravel()
         hit_t, hit_v = _coincident_pairs(s_src, flat)
-        rows = max(1, fracops1d._CHUNK_ELEMENTS // max(1, s_src.size))
+        rows = max(1, _KERNEL_BLOCK_ELEMENTS // max(1, s_src.size))
         buf = np.empty((min(rows, flat.size), s_src.size), dtype=complex)
         out = np.empty((q.shape[0], flat.size), dtype=complex)
         starts = range(0, flat.size, rows)

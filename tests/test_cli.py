@@ -576,6 +576,20 @@ class TestRunSuite:
         assert not summary["all_passed"]
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coarse_level_never_passes(self, tmp_path, bad):
+        # the finest level alone is finite and inside the tolerance; the
+        # fitted order of the study is NaN
+        from bcfrac import ResidualReport
+
+        cfg = load_config(write_config(tmp_path, [dict(QUICK, tolerance=1.0, levels=2)]))[0]
+        reports = [ResidualReport("gauss-weighted", 8, 8, 64, bad, 1e-3),
+                   ResidualReport("gauss-weighted", 16, 16, 128, 1e-4, 1e-4)]
+        summary, _ = cli._summarize([(cfg, reports)])
+        assert summary["experiments"][0]["max_residual"] == 1e-4
+        assert not summary["experiments"][0]["passed"]
+        assert not summary["all_passed"]
+
     @pytest.mark.parametrize("flag, value", [
         ("--levels", "0"), ("--levels", "-3"), ("--jobs", "0"), ("--jobs", "-2"),
         ("--levels", "two"),

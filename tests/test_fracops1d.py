@@ -483,6 +483,38 @@ class TestPropFracDerivative:
         want = [prop_frac_derivative(np.cos, spec, side, t, q) for t in ts]
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch,
+                                                        side, sigma):
+        # at sigma = 1 the (1 - sigma) term is skipped, so the inner integral
+        # runs on the difference stencil alone; the value is the full
+        # formula's bit for bit
+        spec = FracSpec(0.4, sigma, cubic_weight)
+        inner = FracSpec(1.0 - 0.4, sigma, cubic_weight)
+        q = Quadrature1D(n=128)
+        ts = np.array([0.0, 0.3, 0.7, 1.0])
+        h = fracops1d.difference_step(0.0, 1.0)
+
+        def g(s):
+            return prop_frac_integral(np.cos, inner, side, s, q)
+
+        dg = fracops1d._central_difference(g, ts, h, 0.0, 1.0)
+        sign = 1.0 if side == "left" else -1.0
+        want = (1.0 - sigma) * g(ts) + sign * sigma * dg / cubic_weight.dphi(ts)
+
+        targets, integral = [], fracops1d.prop_frac_integral
+
+        def spy(f, p, side, t, q, features=None):
+            targets.append(np.array(t, dtype=float).tolist())
+            return integral(f, p, side, t, q, features)
+
+        monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
+        got = prop_frac_derivative(np.cos, spec, side, ts, q)
+        stencil = np.concatenate([np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)]).tolist()
+        assert targets == ([stencil] if sigma == 1.0 else [stencil, ts.tolist()])
+        assert np.array_equal(got, want)
+
     def test_step_error(self, identity_weight, quad_default):
         spec = FracSpec(0.5, 0.7, identity_weight)
         with pytest.raises(StepError):

@@ -162,6 +162,106 @@ class TestFracGauss:
         assert res[0] > res[1] > res[2]
 
 
+def _trace_spy(monkeypatch):
+    """Record the point count of every ``trace_component`` call."""
+    from bcfrac import quadrature_verify as qv
+
+    sizes, trace = [], qv.trace_component
+
+    def spy(F, W, p, side, l, xs, ys):
+        sizes.append(np.size(xs))
+        return trace(F, W, p, side, l, xs, ys)
+
+    monkeypatch.setattr(qv, "trace_component", spy)
+    return sizes
+
+
+def _full_cr_component(F, W, p, wp, l, xs, ys):
+    """``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` with the trace
+    integral ``g`` always evaluated, and ``g``."""
+    from bcfrac import apply_cr_weighted
+    from bcfrac import quadrature_verify as qv
+    from bcfrac.frac_cr_bicomplex import _axis_partial_batched, component_axes
+
+    ax_x, ax_y = component_axes(l)
+    g = qv.trace_component(F, W, p, "left", l, xs, ys)
+    dgx = _axis_partial_batched(F, W, p, "left", ax_x, xs)
+    dgy = _axis_partial_batched(F, W, p, "left", ax_y, ys)
+    sig = p.sigma.z1 if l == 1 else p.sigma.z2
+    cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
+    return (1.0 - sig) * g + sig * cr / p.phi.dphi(l, xs, ys), g
+
+
+def _full_frac_gauss_residual(F, W, p, wp, lam, patch):
+    """``frac_gauss_residual`` with the trace integral and the divergence
+    term always evaluated on the area nodes."""
+    from bcfrac import boundary_measure, weight_divergence
+    from bcfrac import quadrature_verify as qv
+
+    sigma_inv = p.sigma.invert()
+    res = []
+    for l in (1, 2):
+        lam_fn = lam.component(l)
+        sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
+        z, wx, wy = qv._boundary_nodes(patch.component_bounds(l), patch.k)
+        g_b = qv.trace_component(F, W, p, "left", l, z.real, z.imag)
+        bnd = np.sum(np.exp(lam_fn.f(z.real, z.imag)) * g_b * boundary_measure(wp, l, z, wx, wy))
+        x, y, w = qv._area_nodes(patch.component_bounds(l), patch.m)
+        cr_a, g_a = _full_cr_component(F, W, p, wp, l, x, y)
+        h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
+        elam_a = np.exp(lam_fn.f(x, y))
+        div_term = weight_divergence(wp, l, x, y) * elam_a * g_a
+        res.append(abs(bnd - np.sum((elam_a * h_field + div_term) * w)))
+    return res
+
+
+class TestZeroWeightedTerms:
+    """At proportion one the ``(1 - sigma)`` trace-integral term is not
+    evaluated, nor the divergence term for constant weights; the results
+    equal the full formulas bit for bit."""
+
+    @pytest.mark.parametrize("sigma", [(1, 0, 1, 0), (0.7, 0, 0.7, 0), (1, 0, 0.7, 0)])
+    def test_cr_component_evaluates_the_trace_integral_off_proportion_one(
+            self, frac_setup, monkeypatch, sigma):
+        from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
+
+        rect, phi, wp, F, patch, W, _ = frac_setup
+        p = FracParams(rect, (0.5,) * 4, sigma, phi, Quadrature1D(n=64))
+        for l in (1, 2):
+            x, y, _ = _area_nodes(patch.component_bounds(l), 4)
+            want, _ = _full_cr_component(F, W, p, wp, l, x, y)
+            sizes = _trace_spy(monkeypatch)
+            got = frac_cr_component(F, W, p, wp, "left", l, x, y)
+            monkeypatch.undo()
+            sig = p.sigma.z1 if l == 1 else p.sigma.z2
+            assert sizes == ([] if sig == 1 else [x.size])
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weights, sigma, area_calls", [
+        ("classical", (1, 0, 1, 0), 0),
+        ("constant", (1, 0, 1, 0), 0),
+        ("constant", (0.7, 0, 0.7, 0), 1),
+        ("scaled", (1, 0, 1, 0), 1),
+    ])
+    def test_frac_gauss_evaluates_the_area_trace_integral_only_where_weighted(
+            self, frac_setup, monkeypatch, weights, sigma, area_calls):
+        rect, phi, _, F, patch, W, _ = frac_setup
+        wp = {"classical": WeightPair.classical(),
+              "constant": WeightPair.constant(1 + 0.3j, 0.2 + 1j),
+              "scaled": WeightPair.scaled_classical(PlaneFunction(
+                  f=lambda x, y: 1 + x**2 + 0j, dx=lambda x, y: 2 * x + 0j,
+                  dy=lambda x, y: 0j * x))}[weights]
+        p = FracParams(rect, (0.5,) * 4, sigma, phi, Quadrature1D(n=64))
+        lam = NO_LAM if sigma[0] == 1 else lambda_for_constant_weights(wp, p)
+        patch = patch.with_resolution(4, 4)
+        want = _full_frac_gauss_residual(F, W, p, wp, lam, patch)
+        sizes = _trace_spy(monkeypatch)
+        got = frac_gauss_residual(F, W, p, wp, lam, patch)
+        boundary, area = 16 * patch.k, (2 * patch.m) ** 2
+        assert sizes == ([boundary] + [area] * area_calls) * 2
+        assert [got.l1, got.l2] == want
+
+
 class TestFracBorelPompeiu:
     def test_degenerate_preset(self, frac_setup):
         rect, phi, wp, _, patch, W, Z = frac_setup

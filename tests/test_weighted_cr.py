@@ -12,6 +12,7 @@ from bcfrac import (
     boundary_measure,
     weight_divergence,
 )
+from bcfrac import weighted_cr
 
 Z0 = BicomplexNumber(0.3 + 0.4j, 1 + 2j)
 
@@ -241,8 +242,6 @@ class TestKernelSums:
         # inside the 1e-13 coincidence radius and adds zero, the second is
         # outside and adds its full term; with two targets per block, both
         # sit in the second block, so the search must place them there
-        from bcfrac import fracops1d
-
         kernel = CauchyKernel(KERNEL_PAIRS[pair])
         sources, _, _ = _kernel_case(1)
         a, b = kernel._maps[0]
@@ -258,7 +257,7 @@ class TestKernelSums:
         assert gaps[0] < 1e-13 < gaps[1]
         charges = np.zeros(sources.size, dtype=complex)
         charges[7] = 1.0 + 2.0j
-        monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", 2 * sources.size)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", 2 * sources.size)
         got = kernel.sums(1, sources, charges, targets)
         assert got[1] == 0.0 and got[2] == 0.0
         # the dense term on the same straightened points: a difference of
@@ -272,14 +271,12 @@ class TestKernelSums:
         # one BLAS product per block: OpenBLAS picks its kernel, and with it
         # the summation order, by the block's shape, so blocks agree to
         # rounding rather than bit for bit; a fixed block size repeats exactly
-        from bcfrac import fracops1d
-
         kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
         sources, charges, targets = _kernel_case(2)
         want = _dense_sums(kernel, 2, sources, charges, targets)
         scale = np.abs(kernel.component(2)(sources[None, :], targets[:, None])) @ np.abs(charges)
         budget = (targets.size if rows is None else rows) * sources.size
-        monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", budget)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", budget)
         got = kernel.sums(2, sources, charges, targets)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert np.array_equal(got, kernel.sums(2, sources, charges, targets))
