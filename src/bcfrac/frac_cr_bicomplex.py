@@ -270,12 +270,10 @@ def axis_integral(F, W, p: FracParams, side: str, axis: int, targets):
 
 
 def axis_derivative(line: Callable, W, p: FracParams, side: str, axis: int, targets,
-                    h: Optional[float] = None, features: Optional[tuple] = None):
+                    h: Optional[float] = None):
     """Batched trace derivative of order ``1 - alpha[axis]`` of a line map;
-    ``h`` and ``features`` as in ``prop_frac_derivative``."""
-    return prop_frac_derivative(
-        line, p.axis_spec(axis, W), side, targets, p.quadrature, h=h, features=features,
-    )
+    ``h`` as in ``prop_frac_derivative``."""
+    return prop_frac_derivative(line, p.axis_spec(axis, W), side, targets, p.quadrature, h=h)
 
 
 def trace_integral(F, W: BicomplexNumber, p: FracParams, side: str, Z: BicomplexNumber) -> BicomplexNumber:

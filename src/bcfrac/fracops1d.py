@@ -177,16 +177,13 @@ def hausdorff_derivative(l: Callable, dl: Callable, alpha: float, a: float, t):
     return out if out.ndim else out[()]
 
 
-def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D,
-                       features: Optional[tuple] = None):
+def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
     """Left or right proportional fractional integral of ``f`` at ``t``.
 
     ``side`` is ``"left"`` (integration from the lower interval end) or
     ``"right"`` (from the upper end).  ``t`` may be a scalar or an array.
     Repeated targets are evaluated once: every rule row depends on its own
     target only, so the result is bit-for-bit that of evaluating each entry.
-    ``features = (centers, scales)`` marks sharp features of ``f`` and
-    switches to the rows of ``refined_rule``, which cluster nodes there.
     """
     _check_side(side)
     scalar = np.isscalar(t) or np.ndim(t) == 0
@@ -205,7 +202,7 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D,
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
         uniq, inv = np.unique(ts, return_inverse=True)
-        out = _integral_dispatch(f, p, side, uniq, q, features)[inv]
+        out = _integral_dispatch(f, p, side, uniq, q)[inv]
     if scalar:
         return out[0]
     return out.reshape(t_arr.shape)
@@ -218,7 +215,6 @@ def prop_frac_derivative(
     t,
     q: Quadrature1D,
     h: Optional[float] = None,
-    features: Optional[tuple] = None,
 ):
     """Proportional fractional derivative of order ``p.alpha``.
 
@@ -230,8 +226,6 @@ def prop_frac_derivative(
     is what makes the right-sided composition with the right integral the
     identity.  At ``sigma = 1`` the term ``(1 - sigma) * integral`` is not
     evaluated, so the inner integral runs on the difference stencil alone.
-    ``features`` is passed on to the inner integral (see
-    ``prop_frac_integral``).
     """
     _check_side(side)
     if p.alpha >= 1.0:
@@ -255,7 +249,7 @@ def prop_frac_derivative(
     inner = FracSpec(1.0 - p.alpha, p.sigma, w)
 
     def g(s):
-        return prop_frac_integral(f, inner, side, s, q, features)
+        return prop_frac_integral(f, inner, side, s, q)
 
     dg = _central_difference(g, ts, h, w.lo, w.hi)
     sign = 1.0 if side == "left" else -1.0
@@ -296,22 +290,13 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _integral_dispatch(f, p, side, ts, q, features=None):
-    """Integral at each target, one cache-sized block of rule rows at a time.
-    Refined rows (``features`` given) are built on the graded base mesh
-    whatever the scheme."""
-    if features is not None:
-        def rule(p, side, ts, q):
-            # the module global, looked up when called, so that a wrapper
-            # bound to the module attribute sees every call
-            return refined_rule(p, side, ts, q, *features)
-    else:
-        rule = _rule
+def _integral_dispatch(f, p, side, ts, q):
+    """Integral at each target, one cache-sized block of rule rows at a time."""
     out = np.empty(ts.shape, dtype=complex)
     chunk = max(1, _CHUNK_ELEMENTS // q.n)
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
-        tau, wts = rule(p, side, ts[sl], q)
+        tau, wts = _rule(p, side, ts[sl], q)
         out[sl] = np.sum(np.asarray(f(tau)) * wts, axis=1)
     return out
 
@@ -379,16 +364,6 @@ def _auto_grading(beta: float) -> float:
     return float(min(max(2.0 / beta, 1.0), GRADING_CAP))
 
 
-def _graded_mesh(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D) -> np.ndarray:
-    """The graded base mesh ``t + (anchor - t)*u``, one row per target,
-    running from ``t`` toward the anchor."""
-    anchor = p.weight.lo if side == "left" else p.weight.hi
-    u = _graded_fractions(q.n, _auto_grading(p.alpha))
-    tau = np.multiply((anchor - ts)[:, None], u)
-    tau += ts[:, None]
-    return tau
-
-
 def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     """Nodes and real weights of the rule of ``q.scheme``, one row per
     target; the tempered-exponential factor and ``1 / sigma^beta`` are folded
@@ -397,10 +372,23 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     sigma^-beta`` times the scheme's reference row, ``L`` the range of the
     singular variable, times the tempered factor at ``v = L*u``."""
     w, beta, sigma = p.weight, p.alpha, p.sigma
+    c = (sigma - 1.0) / sigma
     if q.scheme == "graded" and w.exponent is None:
-        tau = _graded_mesh(p, side, ts, q)
-        phits = np.asarray(w.phi(ts), dtype=float)
-        return tau, _tempered_weights(p, side, phits[:, None], tau)
+        # product-trapezoid weights on the graded mesh t + (anchor - t)*u,
+        # running from t toward the anchor, in v = |phi(t) - phi(tau)|
+        anchor = w.lo if side == "left" else w.hi
+        tau = np.multiply((anchor - ts)[:, None], _graded_fractions(q.n, _auto_grading(beta)))
+        tau += ts[:, None]
+        phit = np.asarray(w.phi(ts), dtype=float)[:, None]
+        phi_tau = np.asarray(w.phi(tau), dtype=float)
+        v = phit - phi_tau if side == "left" else phi_tau - phit
+        np.maximum(v, 0.0, out=v)
+        wts = _panel_weights(v, beta, math.gamma(beta + 1.0))
+        if c != 0.0:
+            v *= c * _LOG2E
+            wts *= np.exp2(v, out=v)
+        wts *= sigma ** (-beta)
+        return tau, wts
     u, row = _reference_row(q.scheme, q.n, beta)
     if w.exponent is None:
         phits = np.asarray(w.phi(ts), dtype=float)
@@ -412,7 +400,6 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
         tau, big_l = _power_nodes(w, side, ts, u)
     scale = big_l**beta * sigma ** (-beta)
     wts = np.multiply(scale[:, None], row)
-    c = (sigma - 1.0) / sigma
     if c != 0.0:
         big_l *= c * _LOG2E
         factor = np.multiply(big_l[:, None], u)
@@ -452,23 +439,6 @@ def _reference_row(scheme: str, n: int, beta: float) -> tuple:
     return u, row
 
 
-def _tempered_weights(p: FracSpec, side: str, phit, tau: np.ndarray) -> np.ndarray:
-    """Product-trapezoid weights for per-row meshes ``tau`` ordered from the
-    singular end (where ``phi = phit``) toward the anchor, with the tempered
-    exponential and ``1 / sigma^beta`` folded in."""
-    beta, sigma = p.alpha, p.sigma
-    phi_tau = np.asarray(p.weight.phi(tau), dtype=float)
-    v = phit - phi_tau if side == "left" else phi_tau - phit
-    np.maximum(v, 0.0, out=v)
-    wts = _panel_weights(v, beta, math.gamma(beta + 1.0))
-    c = (sigma - 1.0) / sigma
-    if c != 0.0:
-        v *= c * _LOG2E
-        wts *= np.exp2(v, out=v)
-    wts *= sigma ** (-beta)
-    return wts
-
-
 def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     """Node weights of the product-trapezoid rule in the singular variable
     ``v`` (rows ascending from 0), already divided by ``Gamma(beta)``."""
@@ -502,53 +472,6 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     wts[:, -1] = 0.0
     wts[:, 1:] += slope_coef
     return wts
-
-
-def refined_rule(
-    p: FracSpec,
-    side: str,
-    ts: np.ndarray,
-    q: Quadrature1D,
-    centers: np.ndarray,
-    scales: np.ndarray,
-):
-    """Rule with extra nodes geometrically clustered around near-singular
-    locations of the integrand, one row per target of the 1-D ``ts``.
-
-    ``centers`` and ``scales`` (1-D arrays) give locations and widths of
-    sharp features (for instance Cauchy kernel poles just off the
-    integration segment).  Each row is the graded base mesh of
-    ``_graded_mesh`` merged with two-sided geometric ladders spanning
-    ``scale/2`` up to the interval length, so each feature is resolved at
-    every octave.  Features far outside the segment simply produce harmless
-    extra nodes.
-
-    Returns ``(tau, wts)``, rows running from their target toward the
-    anchor; ``sum(wts * f(tau), axis=1)`` approximates the integral at each
-    target.
-    """
-    w = p.weight
-    anchor = w.lo if side == "left" else w.hi
-    ts = np.asarray(ts, dtype=float)
-    span = np.abs(ts - anchor)[:, None]
-    scales = np.maximum(np.asarray(scales, dtype=float), span * 1e-9 + 1e-300)
-
-    ladder = 2.0 ** (np.arange(81) / 8 - 1.0)  # 8 nodes per octave over 10 octaves
-    offsets = np.concatenate([-ladder[::-1], [0.0], ladder])
-    extras = np.asarray(centers, dtype=float)[:, None] + scales[:, :, None] * offsets
-    extras = extras.reshape(ts.size, -1)
-    nudge = 1e-12 * span  # keep extras off the exact anchor (see _graded_fractions)
-    lo_t, hi_t = (anchor + nudge, ts[:, None]) if side == "left" else (ts[:, None], anchor - nudge)
-    extras = np.clip(extras, lo_t, hi_t)
-
-    tau = np.sort(np.concatenate([_graded_mesh(p, side, ts, q), extras], axis=1), axis=1)
-    if side == "left":
-        # the rule runs from the singular end toward the anchor; a contiguous
-        # copy, because numpy may pick another inner loop for phi (one that
-        # rounds differently) on reversed rows when a block has several
-        tau = np.ascontiguousarray(tau[:, ::-1])
-    phits = np.asarray(w.phi(ts), dtype=float)
-    return tau, _tempered_weights(p, side, phits[:, None], tau)
 
 
 def tabulate(fn: Callable, lo: float, hi: float, n: int, grade_toward: Optional[float] = None):

@@ -13,8 +13,10 @@ Singular area kernels are integrated by one routine,
 the classical pair's kernel ``1/(2*pi*i*(v - z))``): one kernel sum of
 ``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)`` times
 the kernel's area integral over the rectangle, in closed form as a sum over
-the four straightened edges (``_wedge_recip_area``).  The result is smooth
-in the reconstruction point, so that trace derivatives can act on it.
+the four straightened edges (``_wedge_recip_area``).  Their contour sums
+evaluate the panels near a point exactly (``CauchyKernel.boundary_sums``), so
+both terms are smooth in the reconstruction point and trace derivatives can
+act on them.
 """
 
 from __future__ import annotations
@@ -263,7 +265,8 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
         fl = F.component(l)
         zp = np.array([wz])
         z, wx, wy = _boundary_nodes(bounds, patch.k)
-        bnd = kernel.sums(l, z, fl.f(z.real, z.imag) * boundary_measure(wp, l, z, wx, wy), zp)
+        bnd = kernel.boundary_sums(l, z, fl.f(z.real, z.imag) * boundary_measure(wp, l, z, wx, wy),
+                                   zp)
         area = _cauchy_area_integral(
             kernel, l, bounds, patch.m,
             lambda x, y: apply_cr_weighted(wp, l, x, y, fl.dx(x, y), fl.dy(x, y)))(zp)
@@ -396,63 +399,26 @@ def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h
     return integral
 
 
-def _pole_along_trace(a: complex, b: complex, v: np.ndarray, fixed: float, horizontal: bool):
-    """Location and width of a kernel pole seen from a trace line.
-
-    The kernel denominator ``a*(z'-v) + b*conj(z'-v)`` restricted to a
-    horizontal or vertical line is affine in the line parameter; its complex
-    root gives the nearest approach (real part) and the miss distance
-    (imaginary part magnitude)."""
-    if horizontal:
-        root = v.real - 1j * (a - b) / (a + b) * (fixed - v.imag)
-    else:
-        root = v.imag + 1j * (a + b) / (a - b) * (fixed - v.real)
-    return np.real(root), np.abs(np.imag(root))
-
-
-def _nearest_pole_clusters(a, b, v_nodes, fixed, horizontal, lo, hi):
-    """Refinement targets for a trace integral of a discrete kernel sum: the
-    four kernel points whose poles come closest to the integration segment."""
-    centers, scales = _pole_along_trace(a, b, v_nodes, fixed, horizontal)
-    pad = 0.1 * (hi - lo)
-    mask = (centers >= lo - pad) & (centers <= hi + pad)
-    if not np.any(mask):
-        return np.array([0.5 * (lo + hi)]), np.array([hi - lo])
-    idx = np.argsort(np.where(mask, scales, np.inf))[:4]
-    return centers[idx], scales[idx]
-
-
-def _trace_derivative_of_map(
-    line_map: Callable,
-    l: int,
-    Z,
-    W,
-    p: FracParams,
-    features: tuple,
-):
+def _trace_derivative_of_map(line_map: Callable, l: int, Z, W, p: FracParams):
     """Apply the two-direction trace derivative (in the real components of
     ``Z``, with weight restrictions anchored through ``W``) to a scalar
     field ``line_map(xs, ys)`` on one component plane: one
-    ``axis_derivative`` per direction, on the refined rows of
-    ``fracops1d.refined_rule``.
+    ``axis_derivative`` per direction.
 
-    ``features`` holds one ``(centers, scales)`` pair per direction, x then
-    y, marking sharp features of the field along that trace line (quadrature
-    nodes are clustered there).  Differentiating the discretized field
-    directly, instead of pushing the derivative under the discretization,
-    keeps the finite differences acting on one fixed smooth function; the
-    difference step is 5e-3 of the span, fifty times the default, so that
-    residual quadrature noise is not amplified.
+    Differentiating the discretized field directly, instead of pushing the
+    derivative under the discretization, keeps the finite differences acting
+    on one fixed smooth function; the difference step is 5e-3 of the span,
+    fifty times the default, so that residual quadrature noise is not
+    amplified.
     """
     ax_x, ax_y = component_axes(l)
     x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
     lines = (lambda t: line_map(t, np.full_like(t, y_c)),
              lambda t: line_map(np.full_like(t, x_c), t))
     total = 0.0 + 0.0j
-    for axis, coord, line, feats in zip((ax_x, ax_y), (x_c, y_c), lines, features):
+    for axis, coord, line in zip((ax_x, ax_y), (x_c, y_c), lines):
         lo, hi = p.rect.axis_interval(axis)
-        total += axis_derivative(line, W, p, "left", axis, coord,
-                                 h=5e-3 * (hi - lo), features=feats)
+        total += axis_derivative(line, W, p, "left", axis, coord, h=5e-3 * (hi - lo))
     return total
 
 
@@ -487,45 +453,33 @@ def frac_bp_reconstruct(
 
     res = []
     for l in (1, 2):
-        a_map, b_map = kernel._maps[l - 1]
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         rem_l = rem.z1 if l == 1 else rem.z2
         ts_l = tsum.z1 if l == 1 else tsum.z2
-        ax_x, ax_y = component_axes(l)
-        x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
 
-        z_b, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
+        x0, x1, y0, y1 = patch.component_bounds(l)
+        z_b, wx, wy = _boundary_nodes((x0, x1, y0, y1), patch.k)
         # evaluate the trace integral a hair inside the anchor edges: the
         # contour integral sees the one-sided limit of the integrand there,
         # not the exactly-zero anchor value of near-degenerate orders
-        nu_x = 1e-9 * (p.rect.axis_interval(ax_x)[1] - p.rect.axis_interval(ax_x)[0])
-        nu_y = 1e-9 * (p.rect.axis_interval(ax_y)[1] - p.rect.axis_interval(ax_y)[0])
-        gx = np.maximum(z_b.real, p.rect.axis_interval(ax_x)[0] + nu_x)
-        gy = np.maximum(z_b.imag, p.rect.axis_interval(ax_y)[0] + nu_y)
+        gx = np.maximum(z_b.real, x0 + 1e-9 * (x1 - x0))
+        gy = np.maximum(z_b.imag, y0 + 1e-9 * (y1 - y0))
         g_b = trace_component(F, W, p, "left", l, gx, gy)
         coef = boundary_measure(wp, l, z_b, wx, wy) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
 
         def boundary_map(xs, ys):
             zp, inv = np.unique(np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float),
                                 return_inverse=True)
-            sums = kernel.sums(l, z_b, coef, zp)
+            sums = kernel.boundary_sums(l, z_b, coef, zp)
             return (np.exp(-lam_fn.f(zp.real, zp.imag)) * sums)[inv]
 
-        lo_x, hi_x = p.rect.axis_interval(ax_x)
-        lo_y, hi_y = p.rect.axis_interval(ax_y)
-        features = (_nearest_pole_clusters(a_map, b_map, z_b, y_c, True, lo_x, x_c),
-                    _nearest_pole_clusters(a_map, b_map, z_b, x_c, False, lo_y, y_c))
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, features)
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p)
 
         area_d = 0.0 + 0.0j
         if include_area:
             area_map = _area_map_builder(l, F, W, p, kernel, lam, patch, sig_inv)
-            x0, x1, y0, y1 = patch.component_bounds(l)
-            cell = max(x1 - x0, y1 - y0) / patch.m
-            area_features = ((np.array([x0, x1]), np.array([cell / 2, cell / 2])),
-                             (np.array([y0, y1]), np.array([cell / 2, cell / 2])))
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, area_features)
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))

@@ -36,6 +36,24 @@ from .errors import UnsupportedWeightsError
 #: 65536 23.6 / 41.7, 131072 24.9 / 44.2.
 _KERNEL_BLOCK_ELEMENTS = 32_768
 
+#: Close-evaluation radius of ``CauchyKernel.boundary_sums``, in panel
+#: half-lengths.  Max error against Cauchy's formula (tests/test_weighted_cr.py
+#: ``TestCloseEvaluation``) at k = 8 / 16 / 32 / 64, by radius: 3: 1.5e-7 /
+#: 1.2e-7 / 1.2e-7 / 1.2e-7 (the first panel outside keeps its 4-point error);
+#: 5: 2.2e-8 / 1.4e-9 / 1.0e-9 / 1.0e-9; 8: 2.2e-8 / 1.2e-9 / 7.2e-11 / 1.7e-11;
+#: plain sums 2.7 ... 7.3.  The deep reconstruction's boundary half takes 10.1
+#: ms at radius 3 and 10.9 ms at 8 for m = k = 32, n = 256; 103 ms at both for
+#: (128, 128, 1024) (one BLAS thread, 2-CPU Xeon).
+_CLOSE_RADIUS = 8.0
+#: The 4-point Gauss-Legendre nodes on ``[-1, 1]``, the roots of ``P(t) = t^4
+#: - 6/7 t^2 + 3/35``.  Row ``j``, column ``i`` of ``_GL4_CLOSE`` is the
+#: coefficient of ``t^j`` in node ``i``'s Lagrange polynomial ``P(t) / ((t -
+#: x_i) P'(x_i))`` over its weight ``(128/1225) / ((1 - x_i^2) P'(x_i)^2)``.
+_GL4_NODES = np.sqrt((3.0 + np.array([2.0, -2.0, -2.0, 2.0]) * np.sqrt(1.2)) / 7.0) * [-1, -1, 1, 1]
+_GL4_CLOSE = (np.array([_GL4_NODES**3 - 6 / 7 * _GL4_NODES, _GL4_NODES**2 - 6 / 7,
+                        _GL4_NODES, [1] * 4])
+              * (1 - _GL4_NODES**2) * (4 * _GL4_NODES**3 - 12 / 7 * _GL4_NODES) * 1225 / 128)
+
 
 @dataclass(frozen=True)
 class PlaneFunction:
@@ -256,26 +274,93 @@ class CauchyKernel:
         source-target pairs are found once per call, from the sources sorted
         by real part, and zeroed in their block.
         """
+        s_src, s_tgt, q = self._straightened(l, sources, charges, targets)
+        flat = s_tgt.ravel()
+        out = _block_sums(s_src, q, flat, *_coincident_pairs(s_src, flat))
+        return out.T.reshape(s_tgt.shape + np.shape(charges)[1:])
+
+    def boundary_sums(self, l: int, sources, charges, targets):
+        """``sums`` over a contour of 4-point Gauss-Legendre panels (runs of
+        four sources, each charge a Gauss weight times the density), with
+        close evaluation (Helsing & Ojala, J. Comput. Phys. 227 (2008)
+        2899-2921).  A panel's 4-point term is wrong by O(1) within a panel
+        length, so where a target's coordinate ``zeta`` in the panel's ``[-1,
+        1]`` parametrization has ``|zeta| < _CLOSE_RADIUS``, the panel adds the
+        exact integral of the cubic through its densities instead: ``sum_j p_j
+        a_j`` over the cubic's coefficients ``a_j`` and the moments ``p_0 =
+        log(1 - zeta) - log(-1 - zeta)``, ``p_{j+1} = zeta*p_j + (1 -
+        (-1)^(j+1))/(j + 1)``.  A target with no close panel gets ``sums``'
+        value bit for bit."""
+        s_src, s_tgt, q = self._straightened(l, sources, charges, targets)
+        flat = s_tgt.ravel()
+        hit_t, hit_p, zeta, half = _close_panels(s_src, flat)
+        panel_nodes = 4 * hit_p[:, None] + np.arange(4)
+        out = _block_sums(s_src, q, flat, hit_t.repeat(4), panel_nodes.ravel())
+        if hit_t.size:
+            moment = np.log(1.0 - zeta) - np.log(-1.0 - zeta)
+            node_wts = moment[:, None] * _GL4_CLOSE[0]  # elementwise: BLAS would map gemm pages
+            for j, tail in enumerate((2.0, 0.0, 2.0 / 3.0), 1):
+                moment = zeta * moment + tail
+                node_wts += moment[:, None] * _GL4_CLOSE[j]
+            node_wts /= half[:, None]
+            for col, res in zip(q, out):
+                np.add.at(res, hit_t, np.sum(node_wts * col[panel_nodes], axis=1))
+        return out.T.reshape(s_tgt.shape + np.shape(charges)[1:])
+
+    def _straightened(self, l: int, sources, charges, targets):
+        """Straightened sources and targets, and ``-i/pi`` times the charges, a row per column."""
         s_src = self.smap(l, np.asarray(sources, dtype=complex).ravel())
         s_tgt = self.smap(l, np.asarray(targets, dtype=complex))
         c = np.asarray(charges, dtype=complex)
-        q = np.multiply(c.reshape(s_src.size, -1).T, -1j / np.pi, order="C")  # row per column
-        flat = s_tgt.ravel()
-        hit_t, hit_v = _coincident_pairs(s_src, flat)
-        rows = max(1, _KERNEL_BLOCK_ELEMENTS // max(1, s_src.size))
-        buf = np.empty((min(rows, flat.size), s_src.size), dtype=complex)
-        out = np.empty((q.shape[0], flat.size), dtype=complex)
-        starts = range(0, flat.size, rows)
-        cuts = np.searchsorted(hit_t, [*starts, flat.size])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for start, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
-                blk = np.subtract(s_src, flat[start:start + rows, None], out=buf[:flat.size - start])
-                np.reciprocal(blk, out=blk)
-                if hi > lo:
-                    blk[hit_t[lo:hi] - start, hit_v[lo:hi]] = 0.0
-                for col, res in zip(q, out):
-                    np.matmul(blk, col, out=res[start:start + rows])
-        return out.T.reshape(s_tgt.shape + c.shape[1:])
+        return s_src, s_tgt, np.multiply(c.reshape(s_src.size, -1).T, -1j / np.pi, order="C")
+
+
+def _block_sums(s_src, q, flat, hit_t, hit_v):
+    """``q @ (1 / (s_src - flat))^T`` with the pairs ``(hit_t, hit_v)``,
+    ordered by target, left out: targets in row blocks of
+    ``_KERNEL_BLOCK_ELEMENTS`` entries, one reciprocal block and one
+    matrix-vector product per charge row at a time."""
+    rows = max(1, _KERNEL_BLOCK_ELEMENTS // max(1, s_src.size))
+    buf = np.empty((min(rows, flat.size), s_src.size), dtype=complex)
+    out = np.empty((q.shape[0], flat.size), dtype=complex)
+    starts = range(0, flat.size, rows)
+    cuts = np.searchsorted(hit_t, [*starts, flat.size])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for start, lo, hi in zip(starts, cuts[:-1], cuts[1:]):
+            blk = np.subtract(s_src, flat[start:start + rows, None], out=buf[:flat.size - start])
+            np.reciprocal(blk, out=blk)
+            if hi > lo:
+                blk[hit_t[lo:hi] - start, hit_v[lo:hi]] = 0.0
+            for col, res in zip(q, out):
+                np.matmul(blk, col, out=res[start:start + rows])
+    return out
+
+
+def _close_panels(s_src: np.ndarray, targets: np.ndarray):
+    """``(target, panel, zeta, half)``, ordered by target, of the targets
+    within ``_CLOSE_RADIUS`` half-lengths ``half`` of a panel's midpoint,
+    ``zeta`` in the panel's coordinate.  Midpoints are bucketed on a grid of
+    that radius, numbered ``column * 2^26 + row`` (a row past 2^25 aliases,
+    and the radius test rejects such candidates); a target's candidates are
+    three runs of sorted numbers, its 3 x 3 buckets, none far from the contour."""
+    mid = 0.5 * (s_src[0::4] + s_src[3::4])
+    half = (s_src[3::4] - s_src[0::4]) / (_GL4_NODES[3] - _GL4_NODES[0])
+    cell = _CLOSE_RADIUS * float(np.abs(half).max())
+    bucket = np.floor(mid.real / cell) * 2.0**26 + np.floor(mid.imag / cell)
+    order = bucket.argsort(kind="stable")
+    bucket = bucket[order]
+    runs = ((np.floor(targets.real / cell) * 2.0**26 + np.floor(targets.imag / cell))[:, None]
+            + np.array([-1.0, 0.0, 1.0]) * 2.0**26 - 1.0).ravel()
+    lo = bucket.searchsorted(runs, "left")
+    counts = bucket.searchsorted(runs + 2.0, "right") - lo
+    if not counts.any():
+        return (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),) * 2
+    hit_t = np.repeat(np.arange(runs.size) // 3, counts)
+    # the j-th candidate overall is the (j - first index of its run)-th of its run
+    hit_p = order[np.arange(hit_t.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    zeta = (targets[hit_t] - mid[hit_p]) / half[hit_p]
+    near = zeta.real * zeta.real + zeta.imag * zeta.imag < _CLOSE_RADIUS**2
+    return hit_t[near], hit_p[near], zeta[near], half[hit_p[near]]
 
 
 def _coincident_pairs(s_src: np.ndarray, s_tgt: np.ndarray):

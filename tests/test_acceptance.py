@@ -329,10 +329,10 @@ def test_criterion_09_fractional_reconstruction():
     elapsed = time.perf_counter() - t0
     report(9, "proportional reconstruction identity",
            res_deg.max() <= 1e-2 and certificate <= 1e-6
-           and res_cauchy.max() <= 1e-2 and elapsed < 1200.0,
+           and res_cauchy.max() <= 1e-6 and elapsed < 1200.0,
            f"degenerate preset {res_deg.max():.2e} <= 1e-2 at (32,32,256), "
            f"area certificate {certificate:.2e} <= 1e-6, "
-           f"boundary-only preset {res_cauchy.max():.2e} <= 1e-2, {elapsed:.0f}s < 1200s")
+           f"boundary-only preset {res_cauchy.max():.2e} <= 1e-6, {elapsed:.0f}s < 1200s")
 
 
 def test_criterion_10_cli_determinism(tmp_path):

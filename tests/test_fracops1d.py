@@ -505,15 +505,21 @@ class TestPropFracDerivative:
 
         targets, integral = [], fracops1d.prop_frac_integral
 
-        def spy(f, p, side, t, q, features=None):
+        def spy(f, p, side, t, q):
             targets.append(np.array(t, dtype=float).tolist())
-            return integral(f, p, side, t, q, features)
+            return integral(f, p, side, t, q)
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
         got = prop_frac_derivative(np.cos, spec, side, ts, q)
         stencil = np.concatenate([np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)]).tolist()
         assert targets == ([stencil] if sigma == 1.0 else [stencil, ts.tolist()])
         assert np.array_equal(got, want)
+
+    def test_sigma_zero_is_the_identity(self, cubic_weight):
+        ts = np.array([0.0, 0.3, 1.0])
+        got = prop_frac_derivative(np.cos, FracSpec(0.6, 0.0, cubic_weight), "left", ts,
+                                   Quadrature1D(n=32))
+        assert np.array_equal(got, np.cos(ts))
 
     def test_step_error(self, identity_weight, quad_default):
         spec = FracSpec(0.5, 0.7, identity_weight)
@@ -545,90 +551,6 @@ class TestCentralDifference:
         assert np.array_equal(calls[0], [0.0, 0.49, 0.99, 0.01, 0.51, 1.0])
         # one-sided quotients of s^2 are off by h, the central one is exact
         assert np.max(np.abs(got - [0.01, 1.0, 1.99])) < 1e-12
-
-
-class TestRefinedRule:
-    """The clustered rows of the deep reconstruction's outer derivative."""
-
-    WEIGHT = ScalarWeightFn(phi=lambda t: 0.5 + 2.0 * t,
-                            dphi=lambda t: np.full(np.shape(t), 2.0), lo=0.0, hi=1.0)
-
-    @pytest.mark.parametrize("side,t", [("left", 0.8), ("right", 0.3)])
-    @pytest.mark.parametrize("beta", [0.3, 0.75])
-    def test_constant_integrates_exactly_and_nodes_run_to_the_anchor(self, side, t, beta):
-        anchor = 0.0 if side == "left" else 1.0
-        inside = 0.5 * (t + anchor)
-        centers, scales = np.array([inside, 1.7]), np.array([1e-3, 0.05])  # 1.7 lies outside
-        ts = np.array([t, 0.9 * t + 0.1 * anchor])  # the cluster lies inside both rows
-        taus, wtss = fracops1d.refined_rule(FracSpec(beta, 1.0, self.WEIGHT), side, ts,
-                                            Quadrature1D(n=64), centers, scales)
-        assert taus.shape == wtss.shape and taus.shape[0] == ts.size
-        for t, tau, wts in zip(ts, taus, wtss):
-            # the rule stops 1e-12 of the span short of the anchor (see
-            # _graded_fractions), so L is phi(t) - phi(last node), slope 2
-            length = 2.0 * abs(t - tau[-1])
-            exact = length**beta / gamma(beta + 1.0)
-            assert abs(np.sum(wts) - exact) <= 1e-13 * exact
-            assert tau[0] == t
-            lo, hi = sorted((anchor, t))
-            assert np.all((tau >= lo) & (tau <= hi))
-            assert np.all(tau != anchor)
-            toward = np.diff(tau) if side == "right" else -np.diff(tau)
-            assert np.all(toward >= 0.0)
-            # the inside cluster adds nodes around its center at its own scale
-            assert np.sum(np.abs(tau - inside) < 1e-3) > np.sum(np.abs(tau - inside - 0.1) < 1e-3)
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_batched_rows_equal_single_target_rows(self, cubic_weight, side):
-        spec, q = FracSpec(0.4, 0.7, cubic_weight), Quadrature1D(n=48)
-        centers, scales = np.array([0.3, 0.65]), np.array([1e-4, 0.02])
-        ts = np.array([0.05, 0.3, 0.5, 0.97])
-        taus, wtss = fracops1d.refined_rule(spec, side, ts, q, centers, scales)
-        for t, tau, wts in zip(ts, taus, wtss):
-            tau1, wts1 = fracops1d.refined_rule(spec, side, np.array([t]), q, centers, scales)
-            assert np.array_equal(tau1[0], tau) and np.array_equal(wts1[0], wts)
-
-    @staticmethod
-    def single_row_derivative(f, p, side, t, q, h, centers, scales):
-        """The reference formula: the proportional step of order ``p.alpha``
-        on the inner integral of order ``1 - p.alpha``, each integral one
-        single-target refined row, differenced by ``_central_difference``."""
-        w = p.weight
-        inner = FracSpec(1.0 - p.alpha, p.sigma, w)
-
-        def integral(ss):
-            out = []
-            for s in ss:
-                tau, wts = fracops1d.refined_rule(inner, side, np.array([s]), q, centers, scales)
-                out.append(np.sum(f(tau[0]) * wts[0]))
-            return np.array(out)
-
-        at = np.array([t])
-        d_part = fracops1d._central_difference(integral, at, h, w.lo, w.hi)[0]
-        sign = 1.0 if side == "left" else -1.0
-        return (1.0 - p.sigma) * integral(at)[0] + sign * p.sigma * d_part / w.dphi(np.asarray(t))
-
-    @pytest.mark.parametrize("side", ["left", "right"])
-    @pytest.mark.parametrize("sigma", [0.7, 1.0])
-    def test_derivative_on_refined_rows_matches_the_single_row_formula(
-            self, cubic_weight, side, sigma):
-        p, q, h = FracSpec(0.6, sigma, cubic_weight), Quadrature1D(n=64), 5e-3
-        centers, scales = np.array([0.42]), np.array([2e-3])
-
-        def f(t):
-            return 1.0 / (t - 0.42 + 2e-3j)  # a pole just off the segment
-
-        ts = np.array([0.2, 0.6, 0.995])
-        got = prop_frac_derivative(f, p, side, ts, q, h=h, features=(centers, scales))
-        for t, value in zip(ts, got):
-            want = self.single_row_derivative(f, p, side, t, q, h, centers, scales)
-            assert abs(value - want) <= 1e-14 * abs(want)
-
-    def test_sigma_zero_with_features_is_the_identity(self, cubic_weight):
-        ts = np.array([0.0, 0.3, 1.0])
-        got = prop_frac_derivative(np.cos, FracSpec(0.6, 0.0, cubic_weight), "left", ts,
-                                   Quadrature1D(n=32), features=(np.array([0.3]), np.array([1e-3])))
-        assert np.array_equal(got, np.cos(ts))
 
 
 class TestHausdorff:

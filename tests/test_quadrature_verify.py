@@ -283,6 +283,25 @@ class TestFracBorelPompeiu:
         res = frac_bp_reconstruct(F, W, Z, p, wp, lam, patch)
         assert res.max() < 5e-2
 
+    @pytest.mark.parametrize("wp", [WeightPair.classical(),
+                                    WeightPair.constant(1.0933 + 0.2109j, -0.5926 + 1.3771j)])
+    def test_boundary_half_converges(self, frac_setup, wp):
+        # the trace lines start on the contour, where plain panel sums are off
+        # by O(1); with close evaluation the boundary half's successive
+        # differences fall monotonically from the coarsest level (measured
+        # 1.2e-6 ... 1.9e-8, order 1.5; without it 1.4e-3 ... 8.4e-5, not
+        # monotone)
+        rect, phi, _, F, _, W, Z = frac_setup
+        p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=256))
+        lam = lambda_for_constant_weights(wp, p)
+        res = np.array([
+            [r.l1, r.l2] for r in (
+                frac_bp_reconstruct(F, W, Z, p, wp, lam, SurfacePatch(rect, m=k, k=k),
+                                    include_area=False)
+                for k in (8, 16, 32, 64, 128, 256))])
+        diffs = np.abs(np.diff(res, axis=0))
+        assert np.all(diffs[1:] < diffs[:-1]) and np.all(diffs <= 2e-6)
+
     def test_constant_weight_kernel(self, frac_setup):
         rect, phi, _, _, patch, W, Z = frac_setup
         wp = WeightPair.constant(1.0, 2j)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from bcfrac import (
     weight_divergence,
 )
 from bcfrac import weighted_cr
+from bcfrac.quadrature_verify import _boundary_nodes
 
 Z0 = BicomplexNumber(0.3 + 0.4j, 1 + 2j)
 
@@ -281,6 +284,40 @@ class TestKernelSums:
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
         assert np.array_equal(got, kernel.sums(2, sources, charges, targets))
 
+    @pytest.mark.parametrize("method", ["sums", "boundary_sums"])
+    def test_blocks_bound_the_memory_and_each_leaves_out_its_own_pairs(self, monkeypatch, method):
+        # two target rows per block: a call's peak stays within a few blocks,
+        # not targets x sources, and the targets on a source, in the second
+        # and in the last block, leave out its term (``boundary_sums`` its
+        # panel's 4-point term) in their own block
+        kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
+        sources, _, _ = _boundary_nodes((0.0, 1.0, 0.0, 1.0), 64)  # 1024 sources
+        rng = np.random.default_rng(7)
+        targets = 0.3 + 0.4 * (rng.random(128) + 1j * rng.random(128))
+        targets[[2, 127]] = sources[[100, 900]]
+        charges = np.zeros(sources.size, dtype=complex)
+        charges[[100, 900]] = 1.0 + 2.0j
+        call = getattr(kernel, method)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", targets.size * sources.size)
+        one_block = call(1, sources, charges, targets)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", 2 * sources.size)
+        call(1, sources, charges, targets)  # first-call allocations
+        tracemalloc.start()
+        try:
+            got = call(1, sources, charges, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (2 * sources.size * 16)  # bytes; targets x sources is 64 blocks
+        assert np.max(np.abs(got - one_block)) <= 1e-13 * np.max(np.abs(one_block))
+        if method == "sums":
+            far = np.delete(np.arange(targets.size), [2, 127])
+            want = np.empty_like(got)
+            want[far] = _dense_sums(kernel, 1, sources, charges, targets[far])
+            want[[2, 127]] = (_dense_sums(kernel, 1, sources[[900]], charges[[900]], targets[[2]])[0],
+                              _dense_sums(kernel, 1, sources[[100]], charges[[100]], targets[[127]])[0])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
     def test_component_is_the_straightened_cauchy_kernel(self, pair):
         kernel = CauchyKernel(KERNEL_PAIRS[pair])
@@ -289,3 +326,47 @@ class TestKernelSums:
         for l in (1, 2):
             want = (-1j / np.pi) / (kernel.smap(l, v) - kernel.smap(l, z))
             assert np.array_equal(kernel.component(l)(v, z), want)
+
+
+def _cauchy_formula_error(pair: str, k: int) -> float:
+    """Max error of the close-evaluated boundary sums against Cauchy's
+    formula on the unit square with ``k`` panels per edge.  The density
+    ``exp(w/2) + w^2``, ``w = s(v)/a`` for the straightening map ``s(v) = a*v
+    + b*conj(v)``, is holomorphic in straightened coordinates, so its kernel
+    sum against the weighted measure is ``-i`` times its value at the
+    target.  Targets sit 1e-12 ... 1e-2 from the left edge, from the bottom
+    edge, and 1e-6 above the bottom edge next to the lower left corner."""
+    kernel = CauchyKernel(KERNEL_PAIRS[pair])
+    a = kernel._maps[0][0]
+
+    def density(v):
+        w = kernel.smap(1, v) / a
+        return np.exp(w / 2) + w**2
+
+    z, wx, wy = _boundary_nodes((0.0, 1.0, 0.0, 1.0), k)
+    charges = density(z) * boundary_measure(kernel.wp, 1, z, wx, wy)
+    d = np.array([1e-12, 1e-8, 1e-4, 1e-2])
+    targets = np.concatenate([d + 0.55j, 0.37 + 1j * d, d + 1e-6j])
+    return np.max(np.abs(1j * kernel.boundary_sums(1, z, charges, targets) - density(targets)))
+
+
+class TestCloseEvaluation:
+    #: Max error at ``weighted_cr._CLOSE_RADIUS`` = 8 (measured 2.2e-8, 1.2e-9,
+    #: 7.2e-11, 1.7e-11), by panels per edge; the plain sums are off by 2.7 to 7.3.
+    BOUND = {8: 3e-8, 16: 2e-9, 32: 1e-10, 64: 3e-11}
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    @pytest.mark.parametrize("k", sorted(BOUND))
+    def test_matches_cauchys_formula_near_the_contour(self, pair, k):
+        assert _cauchy_formula_error(pair, k) <= self.BOUND[k]
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    def test_far_targets_get_the_plain_sums_bit_for_bit(self, pair):
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        z, wx, wy = _boundary_nodes((0.0, 1.0, 0.0, 1.0), 32)
+        charges = np.exp(z) * boundary_measure(kernel.wp, 1, z, wx, wy)
+        targets = np.array([0.5 + 0.5j, 1e-3 + 0.55j, 0.45 + 0.55j, 0.37 + 1e-8j])
+        got = kernel.boundary_sums(1, z, charges, targets)
+        plain = kernel.sums(1, z, charges, targets)
+        assert np.array_equal(got[[0, 2]], plain[[0, 2]])
+        assert np.all(got[[1, 3]] != plain[[1, 3]])
