@@ -325,35 +325,23 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     the map ``Z' -> (I F)(Z', W)``, each direction acting on the trace of
     that map through the current point ``Z``.
 
-    The inner integral is tabulated once per direction on a graded grid of
-    ``max(256, n // 4)`` samples, so the composition costs one batched
-    quadrature per direction instead of one per outer node.  Each sample is
-    a full n-node row, and a quarter of the resolution suffices: the spline
-    of the smooth inner integral gains accuracy like ``N**-4`` between
-    graded samples while the residual falls like ``n**-1.3 .. n**-1.7``, so
-    the surrogate moves no measured residual by 1e-3 of itself, where a
-    fixed 256 samples would (5.2e-3 on inversion-linear at n = 4096).  The
-    outer difference step is ``0.05*span/sqrt(n)``, shrinking like
-    ``1/sqrt(n)`` (it is the default 1e-4 of the span only at n = 250,000):
-    differencing across a tabulated integrand amplifies quadrature noise by
-    ``1/h``, and this balance keeps both contributions falling under
-    refinement.
+    The inner integral is tabulated once per direction (``tabulate``: 32
+    full n-node rows, more only while its Chebyshev coefficients ask for
+    them), so the composition costs one batched quadrature per direction
+    instead of one per outer node.  The outer difference step is
+    ``0.05*span/sqrt(n)``, shrinking like ``1/sqrt(n)`` (it is the default
+    1e-4 of the span only at n = 250,000): differencing across a tabulated
+    integrand amplifies quadrature noise by ``1/h``, and this balance keeps
+    both contributions falling under refinement.
     """
     _check_points(p, Z, W)
-    n_tab = max(256, p.quadrature.n // 4)
     out = []
     for l in (1, 2):
         ax_x, ax_y = component_axes(l)
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
-        ix = tabulate(
-            lambda t, ax=ax_x: axis_integral(F, W, p, "left", ax, t),
-            lo_x, hi_x, n_tab, grade_toward=lo_x,
-        )
-        iy = tabulate(
-            lambda t, ax=ax_y: axis_integral(F, W, p, "left", ax, t),
-            lo_y, hi_y, n_tab, grade_toward=lo_y,
-        )
+        ix = tabulate(_axis_line(F, W, ax_x), p.axis_spec(ax_x, W), "left", p.quadrature)
+        iy = tabulate(_axis_line(F, W, ax_y), p.axis_spec(ax_y, W), "left", p.quadrature)
         cx, cy = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         const_y, const_x = iy(cy), ix(cx)
         h_x = 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n)

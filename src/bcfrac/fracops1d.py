@@ -392,8 +392,7 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     u, row = _reference_row(q.scheme, q.n, beta)
     if w.exponent is None:
         phits = np.asarray(w.phi(ts), dtype=float)
-        phi_anchor = float(w.phi(np.asarray(w.lo if side == "left" else w.hi)))
-        big_l = np.abs(phits - phi_anchor)
+        big_l = _singular_range(w, side, ts)
         v = np.multiply(big_l[:, None], u)
         tau = w.inverse(phits[:, None] - v if side == "left" else phits[:, None] + v)
     else:
@@ -474,84 +473,79 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     return wts
 
 
-def tabulate(fn: Callable, lo: float, hi: float, n: int, grade_toward: Optional[float] = None):
-    """Sample ``fn`` once and return a cubic-spline surrogate.
+def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
+    """Surrogate ``t -> I(t)`` of the integral of ``f``, for compositions that
+    would otherwise take one full quadrature per node of the outer rule.
 
-    Composing two fractional operators naively costs one full quadrature per
-    node of the outer rule.  Tabulating the inner operator on ``n`` samples
-    first (graded toward ``grade_toward`` when its profile has an algebraic
-    endpoint there) reduces the composition to one batched evaluation plus
-    cheap interpolation.  Each sample is one full quadrature row of the
-    inner integral, while the spline's error on a smooth profile falls like
-    ``n**-4``, so a composition needs fewer samples than its rule has nodes
-    (``compose_derivative_of_integral`` takes a quarter of them, at least
-    256).  A spline is used rather than a broken line because
-    compositions near order one differentiate the surrogate pointwise, where
-    a broken line's slope error would not average out.  The spline is the
-    not-a-knot cubic (``n >= 4`` samples): one tridiagonal solve for its node
-    slopes, then ``searchsorted`` and Horner's rule per evaluation.
+    Every rule row is ``L^beta`` (``_singular_range``) times a function
+    analytic in the target, so ``g = I / L^beta`` is analytic on the interval
+    and a few Chebyshev samples resolve it to rounding (Trefethen,
+    Approximation Theory and Approximation Practice, SIAM 2013).  One
+    integral call samples ``g`` at ``N = 32`` first-kind Chebyshev points of
+    the interval less ``1e-12`` of its span at the anchor; ``N`` doubles, up
+    to ``max(256, n // 4)``, while the last quarter of the Chebyshev
+    coefficients exceeds ``1e-13 * max|g|``.  The surrogate is ``L^beta``
+    times the barycentric interpolant of ``g`` (Berrut & Trefethen, SIAM Rev.
+    46 (2004) 501-517), the integral itself on a sample, and between the
+    anchor and ``1e-12`` of the span inside it the value there: the
+    one-sided limit that a composition should see.  At ``sigma = 0`` it is
+    ``f`` itself.
     """
-    if n < 4:
-        raise ValueError("a not-a-knot cubic spline needs at least 4 samples")
-    if grade_toward is None:
-        xs = np.linspace(lo, hi, n)
-    else:
-        # keep the first sample a hair inside the graded end so tabulated
-        # fractional integrals carry their one-sided limit, not the exact
-        # anchor value (zero) from inside its thin boundary layer
-        frac = 1e-12 + (1.0 - 1e-12) * np.linspace(0.0, 1.0, n) ** 3.0
-        if abs(grade_toward - lo) <= abs(grade_toward - hi):
-            xs = lo + (hi - lo) * frac
-        else:
-            xs = hi - (hi - lo) * frac[::-1]
-    ys = np.asarray(fn(xs)) + 0.0j
-    c3, c2, c1, c0 = _not_a_knot_spline(xs, ys)
+    _check_side(side)
+    if p.sigma == 0.0:
+        def identity(t):
+            out = np.asarray(f(np.asarray(t, dtype=float))) + 0.0j
+            return out if out.ndim else out[()]
+
+        return identity
+    w, beta = p.weight, p.alpha
+    hair = 1e-12 * (w.hi - w.lo)
+    a, b = (w.lo + hair, w.hi) if side == "left" else (w.lo, w.hi - hair)
+    budget, n_cheb = max(256, q.n // 4), 32
+    while True:
+        theta = (np.arange(n_cheb) + 0.5) * (math.pi / n_cheb)
+        xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+        samples = prop_frac_integral(f, p, side, xs, q)
+        gs = samples / _singular_range(w, side, xs) ** beta
+        tail = np.cos(np.outer(np.arange(n_cheb - n_cheb // 4, n_cheb), theta)) @ gs
+        if n_cheb == budget or np.max(np.abs(tail)) * 2.0 / n_cheb <= 1e-13 * np.max(np.abs(gs)):
+            break
+        n_cheb = min(2 * n_cheb, budget)
+    bary = np.sin(theta)[:, None]
+    bary[1::2] *= -1.0
+    terms = np.stack([gs.real, gs.imag, np.ones(n_cheb)])  # numerators and denominator
+    chunk = max(1, _CHUNK_ELEMENTS // n_cheb)
 
     def interp(t):
-        t = np.clip(np.asarray(t, dtype=float), lo, hi)
-        # samples may stop a hair inside [lo, hi]: the end pieces extrapolate
-        i = np.clip(np.searchsorted(xs, t, side="right") - 1, 0, n - 2)
-        d = t - xs[i]
-        return ((c3[i] * d + c2[i]) * d + c1[i]) * d + c0[i]
+        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
+        ts = t_arr.ravel()
+        sums = np.empty((3, ts.size))
+        out = np.empty(ts.shape, dtype=complex)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for start in range(0, ts.size, chunk):
+                sl = slice(start, start + chunk)
+                kernel = ts[sl] - xs[:, None]  # samples down, targets across
+                np.divide(bary, kernel, out=kernel)
+                # vector-matrix products: a matrix product would touch BLAS's
+                # work buffer, 0.3 MB more peak memory on trace-inversion
+                for term, total in zip(terms, sums[:, sl]):
+                    np.dot(term, kernel, out=total)
+            np.divide(sums[:2], sums[2], out=out.view(float).reshape(ts.size, 2).T)
+        out *= _singular_range(w, side, ts) ** beta
+        hit = np.flatnonzero(~np.isfinite(sums[2]))  # a target on a sample: 1/0
+        out[hit] = samples[np.argmin(np.abs(ts[hit] - xs[:, None]), axis=0)]
+        out = out.reshape(t_arr.shape)
+        return out if out.ndim else out[()]
 
     return interp
 
 
-def _not_a_knot_spline(xs: np.ndarray, ys: np.ndarray) -> tuple:
-    """Power-form coefficients ``(c3, c2, c1, c0)`` per interval of the
-    not-a-knot cubic spline through ``(xs, ys)``, ``xs`` increasing.
-
-    The node slopes solve the usual tridiagonal system, whose first and last
-    rows ask for a continuous third derivative at the second and the
-    second-to-last node."""
-    dx = np.diff(xs)
-    secant = np.diff(ys) / dx
-    d0, d1 = xs[2] - xs[0], xs[-1] - xs[-3]
-    band = np.zeros((3, xs.size))  # lower, diagonal and upper coefficient per row
-    band[0, 1:-1], band[0, -1] = dx[1:], d1
-    band[1, 0], band[1, 1:-1], band[1, -1] = dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]
-    band[2, 0], band[2, 1:-1] = d0, dx[:-1]
-    rhs = np.empty_like(ys)
-    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * secant[0] + dx[0] ** 2 * secant[1]) / d0
-    rhs[1:-1] = 3.0 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
-    rhs[-1] = (dx[-1] ** 2 * secant[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * secant[-1]) / d1
-    slopes = np.array(_tridiagonal_solve(*band.tolist(), rhs.tolist()))
-    t = (slopes[:-1] + slopes[1:] - 2.0 * secant) / dx
-    return t / dx, (secant - slopes[:-1]) / dx - t, slopes[:-1], ys[:-1]
-
-
-def _tridiagonal_solve(lower: list, diag: list, upper: list, rhs: list) -> list:
-    """Elimination without pivoting (the Thomas algorithm) on lists of Python
-    numbers; ``lower[0]`` and ``upper[-1]`` are unused.  Python scalars, not
-    numpy ones: at 1024 rows the loop takes 0.34 ms on lists and 1.4 ms on
-    numpy arrays, whose every element access makes a numpy scalar."""
-    n = len(diag)
-    c, d = [0.0] * n, [0.0] * n
-    c[0], d[0] = upper[0] / diag[0], rhs[0] / diag[0]
-    for i in range(1, n):
-        m = diag[i] - lower[i] * c[i - 1]
-        c[i] = upper[i] / m
-        d[i] = (rhs[i] - lower[i] * d[i - 1]) / m
-    for i in range(n - 2, -1, -1):
-        d[i] -= c[i] * d[i + 1]
-    return d
+def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray) -> np.ndarray:
+    """Range ``L`` of the singular variable at each target: ``power_gap`` to
+    the anchor for a declared power weight (as in ``_power_nodes``),
+    ``|phi(t) - phi(anchor)|`` otherwise."""
+    anchor = w.lo if side == "left" else w.hi
+    if w.exponent is None:
+        return np.abs(np.asarray(w.phi(ts), dtype=float) - float(w.phi(np.asarray(anchor))))
+    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
+    return np.maximum(gap, 0.0)

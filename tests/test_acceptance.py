@@ -115,22 +115,19 @@ def test_criterion_02_inversion_1d():
             for alpha in (0.25, 0.5, 0.75):
                 for sigma in (0.4, 0.7, 1.0):
                     spec = FracSpec(alpha, sigma, w)
-                    for side, toward in (("left", 0.0), ("right", 1.0)):
-                        u = tabulate(
-                            lambda x: prop_frac_integral(f, spec, side, x, q),
-                            0.0, 1.0, 384, grade_toward=toward)
+                    for side in ("left", "right"):
+                        u = tabulate(f, spec, side, q)
                         got = prop_frac_derivative(u, spec, side, tpts, q)
                         worst = max(worst, float(np.max(np.abs(got - f(tpts)))))
 
     # refinement study on a representative parameter set, both sides
     orders = []
     spec = FracSpec(0.5, 0.7, weights["cubic"])
-    for side, toward in (("left", 0.0), ("right", 1.0)):
+    for side in ("left", "right"):
         errs = []
         for n in (512, 1024, 2048):
             qn = Quadrature1D(n=n)
-            u = tabulate(lambda x: prop_frac_integral(np.sin, spec, side, x, qn),
-                         0.0, 1.0, 384, grade_toward=toward)
+            u = tabulate(np.sin, spec, side, qn)
             got = prop_frac_derivative(u, spec, side, tpts, qn)
             errs.append(np.max(np.abs(got - np.sin(tpts))))
         orders.append(-np.polyfit(np.log2([512, 1024, 2048]), np.log2(errs), 1)[0])

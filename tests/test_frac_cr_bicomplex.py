@@ -180,50 +180,29 @@ class TestInversionIdentity:
         assert gap.mod_k().max() < 1e-4
 
     @pytest.mark.parametrize("n", [64, 1024, 4096])
-    def test_composition_tabulates_a_quarter_of_the_resolution(self, setup, monkeypatch, n):
-        from bcfrac import frac_cr_bicomplex
+    def test_composition_samples_32_targets_per_direction(self, setup, monkeypatch, n):
+        from bcfrac import fracops1d, frac_cr_bicomplex
 
         rect, phi, F, W, Z = setup
+        real_tabulate, real_integral = fracops1d.tabulate, fracops1d.prop_frac_integral
         seen = []
 
-        def spy(fn, lo, hi, n_samples, grade_toward=None):
-            seen.append(n_samples)
-            return lambda t: np.zeros(np.shape(t), dtype=complex)
+        def counting(f, p, side, t, q):
+            seen[-1].append(np.size(t))
+            return real_integral(f, p, side, t, q)
+
+        def spy(f, p, side, q):
+            seen.append([])
+            monkeypatch.setattr(fracops1d, "prop_frac_integral", counting)
+            try:
+                return real_tabulate(f, p, side, q)
+            finally:
+                monkeypatch.setattr(fracops1d, "prop_frac_integral", real_integral)
 
         monkeypatch.setattr(frac_cr_bicomplex, "tabulate", spy)
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=n))
         frac_cr_bicomplex.compose_derivative_of_integral(F, W, p, Z)
-        assert seen == [max(256, n // 4)] * 4
-
-    @pytest.mark.parametrize("entry", [
-        # inversion-fractal-0's phi and orders, proportion 0.7 on every axis
-        {"domain": [0.5, 1.5] * 4, "phi": "fractal:0.6135,0.8186,0.7829,0.6735",
-         "alpha": [0.3472, 0.3917, 0.5477, 0.3466], "sigma": [0.7] * 4},
-        # inversion-linear
-        {"domain": [0.0, 1.0] * 4, "phi": "linear",
-         "alpha": [0.4889, 0.4136, 0.5413, 0.3884], "sigma": [0.639, 0.6071, 0.6225, 0.6606]},
-    ], ids=["fractal", "linear"])
-    def test_quarter_tabulation_keeps_the_residual(self, monkeypatch, entry):
-        # the composition from n // 4 samples against the one from n samples,
-        # measured at n = 2048: at most 4.9e-5 of the residual
-        from bcfrac import frac_cr_bicomplex
-        from bcfrac.cli import parse_experiment
-
-        n = 2048
-        cfg = parse_experiment({"name": "probe", "identity": "trace-inversion", "weights": "classical",
-                                "field": "poly", "m": 16, "k": 16, "n": n, "tolerance": 1e-4,
-                                **entry}, 0)
-        s = cfg.setup
-        quarter = frac_cr_bicomplex.compose_derivative_of_integral(s.F, s.W, s.params, s.Z)
-        real_tabulate = frac_cr_bicomplex.tabulate
-        monkeypatch.setattr(frac_cr_bicomplex, "tabulate",
-                            lambda fn, lo, hi, _, grade_toward=None:
-                            real_tabulate(fn, lo, hi, n, grade_toward=grade_toward))
-        full = frac_cr_bicomplex.compose_derivative_of_integral(s.F, s.W, s.params, s.Z)
-        residual = (full - trace_sum(s.F, s.W, s.Z) - remainder_R(s.F, s.W, s.params, s.Z)).mod_k()
-        gap = (quarter - full).mod_k()
-        assert 0 < residual.l1 and 0 < residual.l2
-        assert gap.l1 <= 1e-2 * residual.l1 and gap.l2 <= 1e-2 * residual.l2
+        assert seen == [[32]] * 4
 
     def test_remainder_vanishes_at_corner(self, setup):
         rect, phi, F, W, _ = setup

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma
 
 from bcfrac import (
+    BicomplexNumber,
     DomainError,
     FracSpec,
     Phi4,
@@ -458,10 +459,8 @@ class TestPropFracDerivative:
         q = Quadrature1D(n=1024)
         spec = FracSpec(0.5, 0.7, cubic_weight)
         tpts = np.linspace(0.2, 0.8, 5)
-        for side, toward in (("left", 0.0), ("right", 1.0)):
-            integral = tabulate(
-                lambda x: prop_frac_integral(np.sin, spec, side, x, q),
-                0.0, 1.0, 512, grade_toward=toward)
+        for side in ("left", "right"):
+            integral = tabulate(np.sin, spec, side, q)
             got = prop_frac_derivative(integral, spec, side, tpts, q)
             assert np.max(np.abs(got - np.sin(tpts))) < 1e-4
 
@@ -532,6 +531,129 @@ class TestPropFracDerivative:
                                  "left", 0.5, quad_default)
 
 
+def _sample_sizes(monkeypatch):
+    """Target counts of the integral calls ``tabulate`` makes, in order."""
+    real = fracops1d.prop_frac_integral
+    sizes = []
+
+    def spy(f, p, side, t, q):
+        sizes.append(np.size(t))
+        return real(f, p, side, t, q)
+
+    monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
+    return sizes
+
+
+class TestTabulate:
+    WEIGHTS = {
+        "affine": ScalarWeightFn(lambda t: 0.3 + 2.0 * t, lambda t: 2.0 + 0.0 * t, 0.5, 1.5,
+                                 exponent=1.0),
+        "fractal": Phi4.fractal(0.6135, 0.8186, 0.7829, 0.6735).restriction(
+            0, BicomplexNumber(0.91 + 0.87j, 1.03 + 1.11j), RectDomain(*[0.5, 1.5] * 4)),
+        "cubic": ScalarWeightFn(lambda t: t + t**3, lambda t: 1.0 + 3.0 * t**2, 0.5, 1.5),
+    }
+
+    @staticmethod
+    def field(t):
+        return 1.5 + np.sin(3.0 * t) + 0.5j * np.cos(t)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
+    @pytest.mark.parametrize("weight", ["affine", "fractal", "cubic"])
+    def test_surrogate_matches_the_rule(self, monkeypatch, weight, scheme, side):
+        w = self.WEIGHTS[weight]
+        q = Quadrature1D(n=128, scheme=scheme)
+        span = w.hi - w.lo
+        anchor, inward = (w.lo, 1.0) if side == "left" else (w.hi, -1.0)
+        near = anchor + inward * span * np.logspace(-9, -1, 9)
+        ts = np.concatenate([np.linspace(w.lo, w.hi, 201)[1:-1], near])
+        sizes = _sample_sizes(monkeypatch)
+        for sigma in (0.05, 0.7, 1.0):
+            for beta in (1e-6, 0.3, 0.5, 0.999):
+                p = FracSpec(beta, sigma, w)
+                sizes.clear()
+                got = tabulate(self.field, p, side, q)(ts)
+                assert sizes[0] == 32 and all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+                want = fracops1d.prop_frac_integral(self.field, p, side, ts, q)
+                err = np.abs(got - want) / np.abs(want)
+                assert np.max(err[: -near.size]) <= 1e-13
+                # The graded mesh of an undeclared weight ends 1e-12 of
+                # (t - anchor) short of the anchor.  Within about 1e-4 of the
+                # span from the anchor that gap rounds away, and the rule's
+                # value moves by about 1e-12 * beta of itself; the surrogate
+                # keeps the value from farther out.
+                tol = 1.3e-12 * beta + 1e-13 if (weight, scheme) == ("cubic", "graded") else 1e-13
+                assert np.max(err[-near.size :]) <= tol
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sigma_zero_is_f_itself(self, cubic_weight, monkeypatch, side):
+        def no_integral(*args):
+            raise AssertionError("sigma = 0 needs no integral")
+
+        monkeypatch.setattr(fracops1d, "prop_frac_integral", no_integral)
+        surrogate = tabulate(self.field, FracSpec(0.4, 0.0, cubic_weight), side, Quadrature1D(n=64))
+        ts = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+        assert np.array_equal(surrogate(ts), self.field(ts) + 0.0j)
+        assert surrogate(0.3) == self.field(0.3) and np.ndim(surrogate(0.3)) == 0
+
+    @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_anchor_gets_the_one_sided_limit(self, identity_weight, scheme, side):
+        # at order 1e-6 the integral falls from about f to 0 in a layer far
+        # thinner than 1e-12 of the span; the anchor sees the outer value
+        p = FracSpec(1e-6, 0.7, identity_weight)
+        q = Quadrature1D(n=64, scheme=scheme)
+        anchor, inside = (0.0, 1e-12) if side == "left" else (1.0, 1.0 - 1e-12)
+        got = tabulate(self.field, p, side, q)(anchor)
+        want = prop_frac_integral(self.field, p, side, inside, q)
+        assert prop_frac_integral(self.field, p, side, anchor, q) == 0
+        assert abs(want) > 1.0 and abs(got - want) <= 1e-13 * abs(want)
+        assert np.ndim(got) == 0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_samples_come_back_bit_for_bit(self, cubic_weight, monkeypatch, side):
+        seen = []
+        real = fracops1d.prop_frac_integral
+
+        def spy(f, p, side, t, q):
+            seen.append(np.array(t))
+            return real(f, p, side, t, q)
+
+        monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
+        p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
+        surrogate = tabulate(np.cos, p, side, q)  # a real integrand: 0 * inf in the sums
+        (xs,) = seen
+        assert np.array_equal(surrogate(xs[::-1]), real(np.cos, p, side, xs[::-1], q))
+
+    def test_block_size_never_changes_a_value(self, cubic_weight, monkeypatch):
+        p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
+        ts = np.linspace(0.0, 1.0, 1001)
+        whole = tabulate(self.field, p, "left", q)(ts)
+        monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", 3 * 32)
+        blocked = tabulate(self.field, p, "left", q)(ts)
+        # BLAS may order a block's sums differently: rounding, not blocks
+        assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_pole_near_the_interval_doubles_the_samples(self, identity_weight, monkeypatch, n):
+        # a pole 0.02 off the middle of [0, 1] needs about 800 samples
+        def field(t):
+            return 1.0 / (t - 0.5 - 0.02j)
+
+        p, q = FracSpec(0.5, 0.7, identity_weight), Quadrature1D(n=n)
+        sizes = _sample_sizes(monkeypatch)
+        surrogate = tabulate(field, p, "left", q)
+        sizes, budget = list(sizes), max(256, n // 4)
+        assert sizes[0] == 32 and all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert sizes[-1] <= budget
+        ts = np.linspace(0.0, 1.0, 401)[1:]
+        want = fracops1d.prop_frac_integral(field, p, "left", ts, q)
+        err = np.max(np.abs(surrogate(ts) - want) / np.abs(want))
+        assert err <= 1e-13 or sizes[-1] == budget
+        if n == 4096:
+            assert err <= 1e-13
+
+
 class TestCentralDifference:
     def test_exact_on_affine(self):
         ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])
@@ -584,36 +706,6 @@ class TestWeightValidation:
 class TestScipyOracles:
     """The numpy-only building blocks against scipy, which the test extra
     keeps as an oracle only."""
-
-    @pytest.mark.parametrize("n", [4, 5, 64, 256, 512, 1024])
-    @pytest.mark.parametrize("grade_toward", [None, 0.2, 1.3])
-    def test_spline_matches_cubic_spline(self, n, grade_toward):
-        from scipy.interpolate import CubicSpline
-
-        # a complex profile with algebraic ends, tabulated on the graded grid
-        # whose first spacing is 1e-12 of the span
-        lo, hi = 0.2, 1.3
-        seen = []
-
-        def profile(x):
-            seen.append(x)
-            u, v = np.abs(x - lo), np.abs(hi - x)
-            return np.sin(3 * x) * u**0.37 + 1j * (np.exp(-x) * v**0.5 + u**0.21)
-
-        interp = tabulate(profile, lo, hi, n, grade_toward=grade_toward)
-        (xs,) = seen
-        oracle = CubicSpline(xs, profile(xs) + 0.0j)
-        rng = np.random.default_rng(n)
-        t = np.concatenate([xs, rng.uniform(lo, hi, 500), xs[:3] + 0.5 * np.diff(xs[:4]),
-                            [lo, hi, lo - 1.0, hi + 1.0, lo + 1e-13 * (hi - lo)]])
-        want = oracle(np.clip(t, lo, hi))
-        got = interp(t)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
-        assert np.ndim(interp(0.5)) == 0
-
-    def test_spline_needs_four_samples(self):
-        with pytest.raises(ValueError, match="at least 4"):
-            tabulate(np.sin, 0.0, 1.0, 3)
 
     @pytest.mark.parametrize("n", [2, 3, 64, 256, 512])
     @pytest.mark.parametrize("beta", [0.001, 0.01, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0])
