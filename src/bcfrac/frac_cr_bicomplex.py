@@ -269,6 +269,12 @@ def axis_integral(F, W, p: FracParams, side: str, axis: int, targets):
     )
 
 
+def axis_surrogate(F, W, p: FracParams, axis: int) -> Callable:
+    """Surrogate (``tabulate``) of the left trace integral of order ``1 -
+    alpha[axis]`` along one axis: a callable on coordinate arrays."""
+    return tabulate(_axis_line(F, W, axis), p.axis_spec(axis, W), "left", p.quadrature)
+
+
 def axis_derivative(line: Callable, W, p: FracParams, side: str, axis: int, targets,
                     h: Optional[float] = None):
     """Batched trace derivative of order ``1 - alpha[axis]`` of a line map;
@@ -340,8 +346,7 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
         ax_x, ax_y = component_axes(l)
         lo_x, hi_x = p.rect.axis_interval(ax_x)
         lo_y, hi_y = p.rect.axis_interval(ax_y)
-        ix = tabulate(_axis_line(F, W, ax_x), p.axis_spec(ax_x, W), "left", p.quadrature)
-        iy = tabulate(_axis_line(F, W, ax_y), p.axis_spec(ax_y, W), "left", p.quadrature)
+        ix, iy = axis_surrogate(F, W, p, ax_x), axis_surrogate(F, W, p, ax_y)
         cx, cy = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         const_y, const_x = iy(cy), ix(cx)
         h_x = 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n)
@@ -361,13 +366,13 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
     return (di - target).mod_k()
 
 
-def _axis_partial_batched(F, W, p: FracParams, side: str, axis: int, coords):
-    """Derivative of the 1-D trace integral at each of ``coords`` by central
-    differences, clipped one-sided at the interval ends."""
+def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords):
+    """Derivative along ``axis`` of the 1-D trace integral ``integral`` (a
+    callable on coordinate arrays) at each of ``coords`` by central
+    differences of step ``difference_step``, clipped one-sided at the
+    interval ends."""
     lo, hi = p.rect.axis_interval(axis)
-    return _central_difference(
-        lambda s: axis_integral(F, W, p, side, axis, s), coords, difference_step(lo, hi), lo, hi,
-    )
+    return _central_difference(integral, coords, difference_step(lo, hi), lo, hi)
 
 
 def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
@@ -381,7 +386,8 @@ def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
         d_h = (g[2] - g[1]) / (2 * h)
         d_2h = (g[3] - g[0]) / (4 * h)
         return (4.0 * d_h - d_2h) / 3.0
-    return _axis_partial_batched(F, W, p, side, axis, np.array([coord]))[0]
+    return _axis_partial_batched(lambda s: axis_integral(F, W, p, side, axis, s), p, axis,
+                                 np.array([coord]))[0]
 
 
 def frac_cr_apply(

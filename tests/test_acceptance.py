@@ -37,7 +37,7 @@ from bcfrac import (
     tabulate,
 )
 from bcfrac.hypercomplex import E, E_DAG, ONE
-from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
+from bcfrac.quadrature_verify import _area_nodes, _direct_integrals, frac_cr_component
 
 RECT = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
 PHI_LINEAR = Phi4.fractal(1, 1, 1, 1)
@@ -264,7 +264,8 @@ def test_criterion_07_operator_paths_agree():
     p = FracParams(RECT, (0.5,) * 4, (0.7, 0, 0.7, 0), PHI_LINEAR, Quadrature1D(n=512))
     want = frac_cr_apply(F, W, p, CLASSICAL, "left", Z)
     gap = max(
-        abs(frac_cr_component(F, W, p, CLASSICAL, "left", l, z.real, z.imag)[0] - w)
+        abs(frac_cr_component(*_direct_integrals(F, W, p, l), p, CLASSICAL, l, z.real, z.imag)[0]
+            - w)
         for l, z, w in ((1, Z.z1, want.z1), (2, Z.z2, want.z2)))
     report(7, "Richardson and two-point CR operator paths agree", gap <= 1e-8,
            f"gap {gap:.2e} <= 1e-8")
@@ -284,7 +285,7 @@ def test_criterion_08_fractional_gauss(sigma_one_cr):
         err = 0.0
         for l, (coeffs, w) in enumerate(zip(random_cubic_coefficients(8), (W.z1, W.z2)), 1):
             x, y, _ = _area_nodes(patch.component_bounds(l), patch.m)
-            got = frac_cr_component(F, W, p1, CLASSICAL, "left", l, x, y)
+            got = frac_cr_component(*_direct_integrals(F, W, p1, l), p1, CLASSICAL, l, x, y)
             err = max(err, np.max(np.abs(got - sigma_one_cr(coeffs, w, 0.5, x, y))))
         cf_err.append(err)
     cf_order = -np.polyfit(np.arange(3), np.log2(cf_err), 1)[0]

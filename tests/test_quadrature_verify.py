@@ -168,9 +168,9 @@ def _trace_spy(monkeypatch):
 
     sizes, trace = [], qv.trace_component
 
-    def spy(F, W, p, side, l, xs, ys):
+    def spy(ix, iy, xs, ys):
         sizes.append(np.size(xs))
-        return trace(F, W, p, side, l, xs, ys)
+        return trace(ix, iy, xs, ys)
 
     monkeypatch.setattr(qv, "trace_component", spy)
     return sizes
@@ -184,9 +184,10 @@ def _full_cr_component(F, W, p, wp, l, xs, ys):
     from bcfrac.frac_cr_bicomplex import _axis_partial_batched, component_axes
 
     ax_x, ax_y = component_axes(l)
-    g = qv.trace_component(F, W, p, "left", l, xs, ys)
-    dgx = _axis_partial_batched(F, W, p, "left", ax_x, xs)
-    dgy = _axis_partial_batched(F, W, p, "left", ax_y, ys)
+    ix, iy = qv._direct_integrals(F, W, p, l)
+    g = qv.trace_component(ix, iy, xs, ys)
+    dgx = _axis_partial_batched(ix, p, ax_x, xs)
+    dgy = _axis_partial_batched(iy, p, ax_y, ys)
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
     cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
     return (1.0 - sig) * g + sig * cr / p.phi.dphi(l, xs, ys), g
@@ -204,7 +205,7 @@ def _full_frac_gauss_residual(F, W, p, wp, lam, patch):
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         z, wx, wy = qv._boundary_nodes(patch.component_bounds(l), patch.k)
-        g_b = qv.trace_component(F, W, p, "left", l, z.real, z.imag)
+        g_b = qv.trace_component(*qv._direct_integrals(F, W, p, l), z.real, z.imag)
         bnd = np.sum(np.exp(lam_fn.f(z.real, z.imag)) * g_b * boundary_measure(wp, l, z, wx, wy))
         x, y, w = qv._area_nodes(patch.component_bounds(l), patch.m)
         cr_a, g_a = _full_cr_component(F, W, p, wp, l, x, y)
@@ -223,7 +224,7 @@ class TestZeroWeightedTerms:
     @pytest.mark.parametrize("sigma", [(1, 0, 1, 0), (0.7, 0, 0.7, 0), (1, 0, 0.7, 0)])
     def test_cr_component_evaluates_the_trace_integral_off_proportion_one(
             self, frac_setup, monkeypatch, sigma):
-        from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
+        from bcfrac.quadrature_verify import _area_nodes, _direct_integrals, frac_cr_component
 
         rect, phi, wp, F, patch, W, _ = frac_setup
         p = FracParams(rect, (0.5,) * 4, sigma, phi, Quadrature1D(n=64))
@@ -231,7 +232,7 @@ class TestZeroWeightedTerms:
             x, y, _ = _area_nodes(patch.component_bounds(l), 4)
             want, _ = _full_cr_component(F, W, p, wp, l, x, y)
             sizes = _trace_spy(monkeypatch)
-            got = frac_cr_component(F, W, p, wp, "left", l, x, y)
+            got = frac_cr_component(*_direct_integrals(F, W, p, l), p, wp, l, x, y)
             monkeypatch.undo()
             sig = p.sigma.z1 if l == 1 else p.sigma.z2
             assert sizes == ([] if sig == 1 else [x.size])
@@ -242,6 +243,8 @@ class TestZeroWeightedTerms:
         ("constant", (1, 0, 1, 0), 0),
         ("constant", (0.7, 0, 0.7, 0), 1),
         ("scaled", (1, 0, 1, 0), 1),
+        # the CR field reuses the divergence term's area values: one call, not two
+        ("scaled", (0.7, 0, 0.7, 0), 1),
     ])
     def test_frac_gauss_evaluates_the_area_trace_integral_only_where_weighted(
             self, frac_setup, monkeypatch, weights, sigma, area_calls):
@@ -252,7 +255,8 @@ class TestZeroWeightedTerms:
                   f=lambda x, y: 1 + x**2 + 0j, dx=lambda x, y: 2 * x + 0j,
                   dy=lambda x, y: 0j * x))}[weights]
         p = FracParams(rect, (0.5,) * 4, sigma, phi, Quadrature1D(n=64))
-        lam = NO_LAM if sigma[0] == 1 else lambda_for_constant_weights(wp, p)
+        # no multiplier solves the PDE for scaled weights; the spy needs none
+        lam = NO_LAM if sigma[0] == 1 or weights == "scaled" else lambda_for_constant_weights(wp, p)
         patch = patch.with_resolution(4, 4)
         want = _full_frac_gauss_residual(F, W, p, wp, lam, patch)
         sizes = _trace_spy(monkeypatch)
@@ -497,7 +501,8 @@ def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
 
     rect, phi, wp, F, patch, W, _ = frac_setup
     p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
-    area_map = qv._area_map_builder(1, F, W, p, CauchyKernel(wp), NO_LAM,
+    surrogates = (qv.axis_surrogate(F, W, p, ax) for ax in (0, 1))
+    area_map = qv._area_map_builder(1, *surrogates, p, CauchyKernel(wp), NO_LAM,
                                     patch.with_resolution(8, 8), 1.0)
     # the last two points clamp onto the same point one cell inside the patch
     xs = np.array([0.3, 0.5, 0.62, 0.0, 0.05])
@@ -512,9 +517,9 @@ def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
         wedge_points.append(np.shape(z))
         return wedge(a, b, bounds, z)
 
-    def field_spy(F, W, p, wp, side, l, xs, ys):
+    def field_spy(ix, iy, p, wp, l, xs, ys):
         field_points.append(np.shape(xs))
-        return field(F, W, p, wp, side, l, xs, ys)
+        return field(ix, iy, p, wp, l, xs, ys)
 
     monkeypatch.setattr(qv, "_wedge_recip_area", wedge_spy)
     monkeypatch.setattr(qv, "frac_cr_component", field_spy)
@@ -522,3 +527,103 @@ def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
     assert np.array_equal(tiled, np.tile(values, 4))
     assert wedge_points == [(4,)]
     assert field_points == [(4,)]
+
+
+#: The deep-reconstruction items of perfbench's default seed.
+DEEP_ENTRIES = {
+    "bg-reconstruction": dict(
+        weights="classical", alpha=[0.5] * 4, sigma=[1, 0, 1, 0], field="poly", tolerance=0.05),
+    "bp-general": dict(
+        weights="constant:1.0933+0.2109i,-0.5926+1.3771i", alpha=[0.5] * 4,
+        sigma=[0.6864, 0, 0.6864, 0], field="poly", tolerance=0.05),
+    "bp-boundary-only": dict(
+        weights="constant:0.8275-0.3945i,0.3945+0.8275i", alpha=[0.999999] * 4,
+        sigma=[1, 0, 1, 0], field="affine", tolerance=0.001, include_area=False),
+}
+
+
+def _deep_item(name):
+    """``(setup, params, patch)`` of one deep item at its resolutions."""
+    from dataclasses import replace
+
+    from bcfrac.cli import parse_experiment
+
+    entry = dict(name=name, identity="frac-borel-pompeiu", domain=[0.0, 1.0] * 4, phi="linear",
+                 m=32, k=32, n=256, levels=1, **DEEP_ENTRIES[name])
+    cfg = parse_experiment(entry, 0)
+    s, r = cfg.setup, cfg.resolution
+    p = replace(s.params, quadrature=replace(s.params.quadrature, n=r.n))
+    return s, p, SurfacePatch(p.rect, m=r.m, k=r.k)
+
+
+class TestDeepTraceSurrogates:
+    """The deep reconstruction takes its trace fields from one ``tabulate``
+    surrogate per axis instead of the direct rule."""
+
+    @pytest.mark.parametrize("name", list(DEEP_ENTRIES))
+    def test_trace_fields_match_the_direct_rule(self, name):
+        # measured: boundary trace integral within 5.4e-16 and CR field within
+        # 1.0e-12 of the largest direct value
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _deep_item(name)
+        for l in (1, 2):
+            ax_x, ax_y = qv.component_axes(l)
+            direct = qv._direct_integrals(s.F, s.W, p, l)
+            surrogates = (qv.axis_surrogate(s.F, s.W, p, ax_x), qv.axis_surrogate(s.F, s.W, p, ax_y))
+            x0, x1, y0, y1 = patch.component_bounds(l)
+            z, _, _ = qv._boundary_nodes((x0, x1, y0, y1), patch.k)
+            gx = np.maximum(z.real, x0 + 1e-9 * (x1 - x0))
+            gy = np.maximum(z.imag, y0 + 1e-9 * (y1 - y0))
+            want = qv.trace_component(*direct, gx, gy)
+            got = qv.trace_component(*surrogates, gx, gy)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            if s.include_area:
+                x, y, _ = qv._area_nodes(patch.component_bounds(l), patch.m)
+                want = qv.frac_cr_component(*direct, p, s.wp, l, x, y)
+                got = qv.frac_cr_component(*surrogates, p, s.wp, l, x, y)
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", list(DEEP_ENTRIES))
+    def test_residuals_match_the_direct_path(self, name, monkeypatch):
+        # the direct path gives the residuals of the direct rule bit for bit;
+        # measured relative moves: 1.6e-11 / 4.2e-11, 5.6e-11 / 6.7e-11 and
+        # 8.2e-10 / 5.0e-10 (bp-boundary-only's residual is 1e-5 of terms of
+        # size one, so a move of a few ulps in them is 1e-9 of it)
+        from functools import partial
+
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _deep_item(name)
+        got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        monkeypatch.setattr(qv, "axis_surrogate",
+                            lambda F, W, p, ax: partial(qv.axis_integral, F, W, p, "left", ax))
+        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        for a, b in ((got.l1, want.l1), (got.l2, want.l2)):
+            assert abs(a - b) <= 1e-9 * b
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    def test_one_surrogate_per_axis_at_32_samples(self, name, monkeypatch):
+        # the x axes are live (sigma != 0) and sample 32 rule rows; the y axes
+        # have sigma = 0, where the surrogate is the field itself
+        from bcfrac import frac_cr_bicomplex, fracops1d
+
+        real_tabulate, real_integral = fracops1d.tabulate, fracops1d.prop_frac_integral
+        seen = []
+
+        def counting(f, p, side, t, q):
+            seen[-1].append(np.size(t))
+            return real_integral(f, p, side, t, q)
+
+        def spy(f, p, side, q):
+            seen.append([])
+            monkeypatch.setattr(fracops1d, "prop_frac_integral", counting)
+            try:
+                return real_tabulate(f, p, side, q)
+            finally:
+                monkeypatch.setattr(fracops1d, "prop_frac_integral", real_integral)
+
+        s, p, patch = _deep_item(name)
+        monkeypatch.setattr(frac_cr_bicomplex, "tabulate", spy)
+        frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        assert seen == [[32], []] * 2
