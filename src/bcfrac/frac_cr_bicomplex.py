@@ -228,10 +228,10 @@ class FracParams:
         s = self.sigma
         return BicomplexNumber(1.0 - s.z1, 1.0 - s.z2)
 
-    def axis_spec(self, axis: int, W: BicomplexNumber, order: Optional[float] = None) -> FracSpec:
-        """1-D operator spec along one direction; default order ``1 - alpha``."""
-        beta = 1.0 - self.alpha[axis] if order is None else order
-        return FracSpec(beta, self.sigma_vec[axis], self.phi.restriction(axis, W, self.rect))
+    def axis_spec(self, axis: int, W: BicomplexNumber) -> FracSpec:
+        """1-D operator spec along one direction, of order ``1 - alpha``."""
+        return FracSpec(1.0 - self.alpha[axis], self.sigma_vec[axis],
+                        self.phi.restriction(axis, W, self.rect))
 
 
 def dphi(phi: Phi4, Z: BicomplexNumber) -> HyperbolicNumber:
@@ -326,13 +326,31 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> Bic
     return BicomplexNumber(e_comp, edag_comp)
 
 
+def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, step: float):
+    """The two-direction trace derivative (in the real components of ``Z``,
+    with weight restrictions anchored through ``W``) of a scalar field
+    ``plane_map(xs, ys)`` on component plane ``l``: one ``axis_derivative``
+    per direction, along the line through ``Z`` whose other coordinate is
+    passed as a scalar, with difference step ``step`` times that axis's
+    span."""
+    ax_x, ax_y = component_axes(l)
+    x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
+    lines = (lambda t: plane_map(t, y_c), lambda t: plane_map(x_c, t))
+    total = 0.0 + 0.0j
+    for axis, coord, line in zip((ax_x, ax_y), (x_c, y_c), lines):
+        lo, hi = p.rect.axis_interval(axis)
+        total += axis_derivative(line, W, p, "left", axis, coord, h=step * (hi - lo))
+    return total
+
+
 def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
     """Honest numerical composition: the four-direction derivative applied to
     the map ``Z' -> (I F)(Z', W)``, each direction acting on the trace of
-    that map through the current point ``Z``.
+    that map through the current point ``Z`` (``_trace_derivative_of_map``
+    of ``ix(xs) + iy(ys)`` per component).
 
-    The inner integral is tabulated once per direction (``tabulate``: 32
-    full n-node rows, more only while its Chebyshev coefficients ask for
+    The inner integral is tabulated once per direction (``axis_surrogate``:
+    32 full n-node rows, more only while its Chebyshev coefficients ask for
     them), so the composition costs one batched quadrature per direction
     instead of one per outer node.  The outer difference step is
     ``0.05*span/sqrt(n)``, shrinking like ``1/sqrt(n)`` (it is the default
@@ -341,19 +359,11 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     both contributions falling under refinement.
     """
     _check_points(p, Z, W)
+    step = 0.05 / np.sqrt(p.quadrature.n)
     out = []
     for l in (1, 2):
-        ax_x, ax_y = component_axes(l)
-        lo_x, hi_x = p.rect.axis_interval(ax_x)
-        lo_y, hi_y = p.rect.axis_interval(ax_y)
-        ix, iy = axis_surrogate(F, W, p, ax_x), axis_surrogate(F, W, p, ax_y)
-        cx, cy = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
-        const_y, const_x = iy(cy), ix(cx)
-        h_x = 0.05 * (hi_x - lo_x) / np.sqrt(p.quadrature.n)
-        h_y = 0.05 * (hi_y - lo_y) / np.sqrt(p.quadrature.n)
-        dx_val = axis_derivative(lambda t: ix(t) + const_y, W, p, "left", ax_x, cx, h=h_x)
-        dy_val = axis_derivative(lambda t: iy(t) + const_x, W, p, "left", ax_y, cy, h=h_y)
-        out.append(dx_val + dy_val)
+        ix, iy = (axis_surrogate(F, W, p, ax) for ax in component_axes(l))
+        out.append(_trace_derivative_of_map(lambda xs, ys: ix(xs) + iy(ys), l, Z, W, p, step))
     return BicomplexNumber(out[0], out[1])
 
 
@@ -375,24 +385,23 @@ def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords):
     return _central_difference(integral, coords, difference_step(lo, hi), lo, hi)
 
 
-def _axis_partials(F, W, p: FracParams, side: str, axis: int, coord: float):
+def _axis_partials(F, W, p: FracParams, axis: int, coord: float):
     """Derivative of the 1-D trace integral at ``coord`` by central
     differences (Richardson-extrapolated when the stencil fits)."""
     lo, hi = p.rect.axis_interval(axis)
     h = difference_step(lo, hi)
     if (coord - 2 * h >= lo) and (coord + 2 * h <= hi):
         pts = np.array([coord - 2 * h, coord - h, coord + h, coord + 2 * h])
-        g = axis_integral(F, W, p, side, axis, pts)
+        g = axis_integral(F, W, p, "left", axis, pts)
         d_h = (g[2] - g[1]) / (2 * h)
         d_2h = (g[3] - g[0]) / (4 * h)
         return (4.0 * d_h - d_2h) / 3.0
-    return _axis_partial_batched(lambda s: axis_integral(F, W, p, side, axis, s), p, axis,
+    return _axis_partial_batched(lambda s: axis_integral(F, W, p, "left", axis, s), p, axis,
                                  np.array([coord]))[0]
 
 
-def frac_cr_apply(
-    F, W: BicomplexNumber, p: FracParams, wp: WeightPair, side: str, Z: BicomplexNumber
-) -> BicomplexNumber:
+def frac_cr_apply(F, W: BicomplexNumber, p: FracParams, wp: WeightPair,
+                  Z: BicomplexNumber) -> BicomplexNumber:
     """Proportional weighted Cauchy-Riemann operator of the trace integral:
     ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``.
 
@@ -404,14 +413,14 @@ def frac_cr_apply(
     so the switch waits for a re-recorded reference.
     """
     _check_points(p, Z, W)
-    i_vals = [axis_integral(F, W, p, side, ax, _axis_coord(Z, ax)) for ax in range(4)]
+    i_vals = [axis_integral(F, W, p, "left", ax, _axis_coord(Z, ax)) for ax in range(4)]
     if_val = BicomplexNumber(i_vals[0] + i_vals[1], i_vals[2] + i_vals[3])
     comps = []
     for l in (1, 2):
         ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
-        gx = _axis_partials(F, W, p, side, ax_x, x)
-        gy = _axis_partials(F, W, p, side, ax_y, y)
+        gx = _axis_partials(F, W, p, ax_x, x)
+        gy = _axis_partials(F, W, p, ax_y, y)
         comps.append(apply_cr_weighted(wp, l, x, y, gx, gy))
     cr = BicomplexNumber(comps[0], comps[1])
     dphi_inv = dphi(p.phi, Z).as_bicomplex().invert()
@@ -474,20 +483,19 @@ def factorization_check(
     p: FracParams,
     wp: WeightPair,
     lam: ProductFunction,
-    side: str,
     Z: BicomplexNumber,
 ) -> HyperbolicNumber:
     """Residual between the proportional weighted CR operator and its
     exponential factorization ``exp(-lambda) * Dphi^{-1} * sigma *
     (weighted CR of exp(lambda) * I F)``."""
-    lhs = frac_cr_apply(F, W, p, wp, side, Z)
+    lhs = frac_cr_apply(F, W, p, wp, Z)
 
     def m_partial(axis, coord, lam_at, i_other):
         """Partial along ``axis`` of ``exp(lambda) * (I F)``, whose other
         direction contributes the constant ``i_other``."""
         lo, hi = p.rect.axis_interval(axis)
         return _central_difference(
-            lambda s: np.exp(lam_at(s)) * (axis_integral(F, W, p, side, axis, s) + i_other),
+            lambda s: np.exp(lam_at(s)) * (axis_integral(F, W, p, "left", axis, s) + i_other),
             np.array([coord]), difference_step(lo, hi), lo, hi,
         )[0]
 
@@ -496,8 +504,8 @@ def factorization_check(
         ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
-        ix = axis_integral(F, W, p, side, ax_x, x)
-        iy = axis_integral(F, W, p, side, ax_y, y)
+        ix = axis_integral(F, W, p, "left", ax_x, x)
+        iy = axis_integral(F, W, p, "left", ax_y, y)
         dmx = m_partial(ax_x, x, lambda s: lam_fn.f(s, y), iy)
         dmy = m_partial(ax_y, y, lambda s: lam_fn.f(x, s), ix)
         comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,10 +33,8 @@ from .fracops1d import _read_only
 from .frac_cr_bicomplex import (
     FracParams,
     RectDomain,
-    _axis_coord,
     _axis_partial_batched,
-    axis_derivative,
-    axis_integral,
+    _trace_derivative_of_map,
     axis_surrogate,
     component_axes,
     factorization_check,
@@ -279,18 +277,11 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
 # batched component fields of the trace operators
 
 
-def _direct_integrals(F, W, p: FracParams, l: int) -> tuple:
-    """The left trace integrals along component ``l``'s two axes, as
-    callables on coordinate arrays that run the direct rule
-    (``axis_integral``) on every call."""
-    return tuple(partial(axis_integral, F, W, p, "left", ax) for ax in component_axes(l))
-
-
 def _on_distinct(integral: Callable) -> Callable:
-    """``integral`` evaluated once per distinct coordinate of its argument,
-    as the direct rule is: the area nodes hold only ``2*m`` distinct
-    coordinates per axis, and the points on one trace line share one of
-    theirs."""
+    """``integral`` evaluated once per distinct coordinate of its argument:
+    the area nodes hold only ``2*m`` distinct coordinates per axis, and the
+    points on one trace line share one of theirs.  The 1-D rule gives every
+    target its own row, so this is where repeated coordinates are merged."""
     def on_distinct(t):
         uniq, inv = np.unique(t, return_inverse=True)
         return integral(uniq)[inv].reshape(np.shape(t))
@@ -298,11 +289,20 @@ def _on_distinct(integral: Callable) -> Callable:
     return on_distinct
 
 
+def _trace_integrals(F, W, p: FracParams, l: int) -> tuple:
+    """The left trace integrals along component ``l``'s two axes, as
+    callables on coordinate arrays: one surrogate per axis
+    (``axis_surrogate``: 32 rule rows, where the direct rule takes one per
+    distinct coordinate and difference point), evaluated once per distinct
+    coordinate.  They match the direct rule to about 1e-15 relative, and the
+    CR field's difference quotients to about 1e-12."""
+    return tuple(_on_distinct(axis_surrogate(F, W, p, ax)) for ax in component_axes(l))
+
+
 def trace_component(ix: Callable, iy: Callable, xs, ys):
     """Component of the trace integral at paired plane points (batched):
-    ``ix(xs) + iy(ys)`` for the component's two per-axis trace integrals,
-    the direct rule (``_direct_integrals``) or its surrogates
-    (``axis_surrogate``)."""
+    ``ix(xs) + iy(ys)`` for the component's two per-axis trace integrals
+    (``_trace_integrals``)."""
     return ix(xs) + iy(ys)
 
 
@@ -312,10 +312,10 @@ def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair,
     ``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` for the trace
     integral ``g = trace_component(ix, iy, xs, ys)``.  The partials are
     clipped central differences of ``ix`` and ``iy`` with step
-    ``difference_step``, so the field is the same formula whether the two
-    integrals are the direct rule or its surrogates.  Where the component's
-    proportion is 1, ``g`` itself is not evaluated; a caller that holds it
-    already passes it as ``g``."""
+    ``difference_step``; the program passes the surrogates of
+    ``_trace_integrals``, and tests the direct rule as a reference.  Where
+    the component's proportion is 1, ``g`` itself is not evaluated; a caller
+    that holds it already passes it as ``g``."""
     ax_x, ax_y = component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -349,17 +349,18 @@ def frac_gauss_residual(
     weighted measure.  Area side: ``exp(lambda)`` times the trace-scaled
     proportional CR operator plus the divergence terms, against ``dx dy``.
     ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
-    when it loads the configuration).  Every trace integral is the direct
-    rule.  For non-constant weights the divergence term's area trace
-    integral is handed to the CR field, which would otherwise evaluate it a
-    second time; constant weights have no divergence term.
+    when it loads the configuration).  Every trace integral comes from the
+    component's two surrogates (``_trace_integrals``).  For non-constant
+    weights the divergence term's area trace integral is handed to the CR
+    field, which would otherwise evaluate it a second time; constant weights
+    have no divergence term.
     """
     sigma_inv = p.sigma.invert()
     res = []
     for l in (1, 2):
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
-        ix, iy = _direct_integrals(F, W, p, l)
+        ix, iy = _trace_integrals(F, W, p, l)
 
         z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
         g_b = trace_component(ix, iy, z.real, z.imag)
@@ -433,29 +434,6 @@ def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h
     return integral
 
 
-def _trace_derivative_of_map(line_map: Callable, l: int, Z, W, p: FracParams):
-    """Apply the two-direction trace derivative (in the real components of
-    ``Z``, with weight restrictions anchored through ``W``) to a scalar
-    field ``line_map(xs, ys)`` on one component plane: one
-    ``axis_derivative`` per direction.
-
-    Differentiating the discretized field directly, instead of pushing the
-    derivative under the discretization, keeps the finite differences acting
-    on one fixed smooth function; the difference step is 5e-3 of the span,
-    fifty times the default, so that residual quadrature noise is not
-    amplified.
-    """
-    ax_x, ax_y = component_axes(l)
-    x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
-    lines = (lambda t: line_map(t, np.full_like(t, y_c)),
-             lambda t: line_map(np.full_like(t, x_c), t))
-    total = 0.0 + 0.0j
-    for axis, coord, line in zip((ax_x, ax_y), (x_c, y_c), lines):
-        lo, hi = p.rect.axis_interval(axis)
-        total += axis_derivative(line, W, p, "left", axis, coord, h=5e-3 * (hi - lo))
-    return total
-
-
 def frac_bp_reconstruct(
     F,
     W: BicomplexNumber,
@@ -481,12 +459,9 @@ def frac_bp_reconstruct(
 
     Every trace field of a component (the boundary trace integral, and the
     proportional CR field on the area nodes and at the area map's points)
-    comes from two surrogates built once per component, one per axis
-    (``axis_surrogate``: 32 rule rows each, where the direct rule takes up
-    to three rows per distinct coordinate), each evaluated once per
-    distinct coordinate.  They match the direct rule to about 1e-15
-    relative, and the CR field's difference quotients to about 1e-12.  The
-    remainder at ``Z`` and the outer trace derivatives run the direct rule.
+    comes from its two surrogates (``_trace_integrals``), as in
+    ``frac_gauss_residual``.  The remainder at ``Z`` and the outer trace
+    derivatives run the direct rule.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
@@ -501,7 +476,7 @@ def frac_bp_reconstruct(
         rem_l = rem.z1 if l == 1 else rem.z2
         ts_l = tsum.z1 if l == 1 else tsum.z2
 
-        ix, iy = (_on_distinct(axis_surrogate(F, W, p, ax)) for ax in component_axes(l))
+        ix, iy = _trace_integrals(F, W, p, l)
         x0, x1, y0, y1 = patch.component_bounds(l)
         z_b, wx, wy = _boundary_nodes((x0, x1, y0, y1), patch.k)
         # evaluate the trace integral a hair inside the anchor edges: the
@@ -518,12 +493,16 @@ def frac_bp_reconstruct(
             sums = kernel.boundary_sums(l, z_b, coef, zp)
             return (np.exp(-lam_fn.f(zp.real, zp.imag)) * sums)[inv]
 
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p)
+        # the outer derivatives difference the discretized maps directly, so
+        # their quotients act on one fixed smooth function; the step is 5e-3
+        # of the span, fifty times the default, so that residual quadrature
+        # noise is not amplified
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, 5e-3)
 
         area_d = 0.0 + 0.0j
         if include_area:
             area_map = _area_map_builder(l, ix, iy, p, kernel, lam, patch, sig_inv)
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p)
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, 5e-3)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))
@@ -616,7 +595,7 @@ _RESIDUALS = {
     "borel-pompeiu": (lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, patch), True, False),
     "trace-inversion": (lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
     "factorization": (
-        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, "left", s.Z),
+        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z),
         False, True),
     "frac-gauss": (
         lambda s, p, patch: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True),

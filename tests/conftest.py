@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -12,6 +14,8 @@ from bcfrac import (
     ScalarWeightFn,
     WeightPair,
 )
+from bcfrac.frac_cr_bicomplex import axis_integral, component_axes
+from bcfrac.quadrature_verify import _on_distinct
 
 
 @pytest.fixture
@@ -116,3 +120,16 @@ def _sigma_one_cr(coeffs, w: complex, alpha: float, x, y):
 @pytest.fixture
 def sigma_one_cr():
     return _sigma_one_cr
+
+
+def _direct_integrals(F, W, p, l):
+    """The left trace integrals along component ``l``'s two axes by the
+    direct rule (``axis_integral``), each evaluated once per distinct
+    coordinate: the reference for the program's surrogates."""
+    return tuple(_on_distinct(partial(axis_integral, F, W, p, "left", ax))
+                 for ax in component_axes(l))
+
+
+@pytest.fixture
+def direct_integrals():
+    return _direct_integrals

@@ -37,7 +37,7 @@ from bcfrac import (
     tabulate,
 )
 from bcfrac.hypercomplex import E, E_DAG, ONE
-from bcfrac.quadrature_verify import _area_nodes, _direct_integrals, frac_cr_component
+from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
 
 RECT = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
 PHI_LINEAR = Phi4.fractal(1, 1, 1, 1)
@@ -245,16 +245,16 @@ def test_criterion_07_factorization():
     lam = lambda_for_constant_weights(CLASSICAL, p)
     probes = [RECT.point(*f) for f in np.random.default_rng(1).uniform(0.1, 0.9, (8, 4))]
     lam_res = lambda_residual(lam, CLASSICAL, p, probes)
-    fact_res = factorization_check(F, W, p, CLASSICAL, lam, "left", Z).max()
+    fact_res = factorization_check(F, W, p, CLASSICAL, lam, Z).max()
     p1 = FracParams(RECT, (0.5,) * 4, (1, 0, 1, 0), PHI_LINEAR, Quadrature1D(n=512))
-    fact_res_1 = factorization_check(F, W, p1, CLASSICAL, NO_LAM, "left", Z).max()
+    fact_res_1 = factorization_check(F, W, p1, CLASSICAL, NO_LAM, Z).max()
     report(7, "exponential factorization",
            lam_res <= 1e-12 and fact_res <= 1e-3 and fact_res_1 <= 1e-6,
            f"multiplier residual {lam_res:.2e} <= 1e-12, factorization {fact_res:.2e} <= 1e-3, "
            f"degenerate proportion {fact_res_1:.2e} <= 1e-6")
 
 
-def test_criterion_07_operator_paths_agree():
+def test_criterion_07_operator_paths_agree(direct_integrals):
     # frac_cr_apply differences with Richardson extrapolation, the batched
     # frac_cr_component with the plain clipped difference; measured 5.6e-9
     # and 2.8e-9 per component
@@ -262,16 +262,16 @@ def test_criterion_07_operator_paths_agree():
     Z = RECT.point(0.5, 0.55, 0.45, 0.5)
     F = random_product_field(7)
     p = FracParams(RECT, (0.5,) * 4, (0.7, 0, 0.7, 0), PHI_LINEAR, Quadrature1D(n=512))
-    want = frac_cr_apply(F, W, p, CLASSICAL, "left", Z)
+    want = frac_cr_apply(F, W, p, CLASSICAL, Z)
     gap = max(
-        abs(frac_cr_component(*_direct_integrals(F, W, p, l), p, CLASSICAL, l, z.real, z.imag)[0]
+        abs(frac_cr_component(*direct_integrals(F, W, p, l), p, CLASSICAL, l, z.real, z.imag)[0]
             - w)
         for l, z, w in ((1, Z.z1, want.z1), (2, Z.z2, want.z2)))
     report(7, "Richardson and two-point CR operator paths agree", gap <= 1e-8,
            f"gap {gap:.2e} <= 1e-8")
 
 
-def test_criterion_08_fractional_gauss(sigma_one_cr):
+def test_criterion_08_fractional_gauss(sigma_one_cr, direct_integrals):
     t0 = time.perf_counter()
     W = RECT.point(0.45, 0.4, 0.55, 0.6)
     F = random_product_field(8)
@@ -285,7 +285,7 @@ def test_criterion_08_fractional_gauss(sigma_one_cr):
         err = 0.0
         for l, (coeffs, w) in enumerate(zip(random_cubic_coefficients(8), (W.z1, W.z2)), 1):
             x, y, _ = _area_nodes(patch.component_bounds(l), patch.m)
-            got = frac_cr_component(*_direct_integrals(F, W, p1, l), p1, CLASSICAL, l, x, y)
+            got = frac_cr_component(*direct_integrals(F, W, p1, l), p1, CLASSICAL, l, x, y)
             err = max(err, np.max(np.abs(got - sigma_one_cr(coeffs, w, 0.5, x, y))))
         cf_err.append(err)
     cf_order = -np.polyfit(np.arange(3), np.log2(cf_err), 1)[0]
@@ -320,7 +320,7 @@ def test_criterion_09_fractional_reconstruction():
     affine = ProductFunction.from_holomorphic(
         lambda z: 0.3 + 0.2j + (1.1 - 0.4j) * z, lambda z: (1.1 - 0.4j) * np.ones_like(z))
     certificate = max(
-        frac_cr_apply(affine, W, pdeg, CLASSICAL, "left", P).mod_k().max()
+        frac_cr_apply(affine, W, pdeg, CLASSICAL, P).mod_k().max()
         for P in (Z, RECT.point(0.3, 0.6, 0.7, 0.4)))
     res_cauchy = frac_bp_reconstruct(affine, W, Z, pdeg, CLASSICAL, NO_LAM, patch,
                                      include_area=False)

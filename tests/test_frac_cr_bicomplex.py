@@ -23,7 +23,7 @@ from bcfrac import (
     trace_integral,
     trace_sum,
 )
-from bcfrac.quadrature_verify import _direct_integrals, frac_cr_component
+from bcfrac.quadrature_verify import frac_cr_component
 
 
 @pytest.fixture
@@ -213,7 +213,7 @@ class TestInversionIdentity:
 
 
 class TestFracCrApply:
-    def test_proportion_one_matches_closed_form(self, setup, sigma_one_cr):
+    def test_proportion_one_matches_closed_form(self, setup, sigma_one_cr, direct_integrals):
         # measured at n = 512: 1.6e-6 (frac_cr_apply) and 1.6e-6 / 1.1e-6
         # (frac_cr_component per component), falling at order 2 in n
         rect, phi, _, W, Z = setup
@@ -222,17 +222,17 @@ class TestFracCrApply:
         F = ProductFunction.from_holomorphic(lambda z: z**2, lambda z: 2 * z)
         want = [sigma_one_cr([0, 0, 1], w, 0.5, z.real, z.imag)
                 for z, w in ((Z.z1, W.z1), (Z.z2, W.z2))]
-        got = frac_cr_apply(F, W, p, wp, "left", Z)
+        got = frac_cr_apply(F, W, p, wp, Z)
         assert (got - BicomplexNumber(*want)).mod_k().max() < 3e-6
         for l, z in ((1, Z.z1), (2, Z.z2)):
-            got_l = frac_cr_component(*_direct_integrals(F, W, p, l), p, wp, l, z.real, z.imag)[0]
+            got_l = frac_cr_component(*direct_integrals(F, W, p, l), p, wp, l, z.real, z.imag)[0]
             assert abs(got_l - want[l - 1]) < 3e-6
 
     def test_degenerate_orders_give_cr_of_trace_sum(self, setup):
         rect, phi, F, W, Z = setup
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
         wp = WeightPair.classical()
-        got = frac_cr_apply(F, W, p, wp, "left", Z)
+        got = frac_cr_apply(F, W, p, wp, Z)
         # trace sum of a holomorphic field: its weighted derivative equals
         # f'(horizontal trace) - f'(vertical trace), scaled by Dphi
         df = lambda z: 2 * z - 0.5
@@ -252,7 +252,7 @@ class TestFracCrApply:
         F = ProductFunction.from_holomorphic(
             lambda z: 0.3 + 0.2j + (1.1 - 0.4j) * z,
             lambda z: (1.1 - 0.4j) * np.ones_like(z))
-        got = frac_cr_apply(F, W, p, wp, "left", Z)
+        got = frac_cr_apply(F, W, p, wp, Z)
         assert got.mod_k().max() < 1e-6
 
 
@@ -311,7 +311,7 @@ class TestFactorization:
         rect, phi, F, W, Z = setup
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=512))
         wp = WeightPair.classical()
-        res = factorization_check(F, W, p, wp, ProductFunction.constant(0.0), "left", Z)
+        res = factorization_check(F, W, p, wp, ProductFunction.constant(0.0), Z)
         assert res.max() < 1e-6
 
     def test_constructed_multiplier(self, setup):
@@ -319,7 +319,7 @@ class TestFactorization:
         p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=512))
         wp = WeightPair.classical()
         lam = lambda_for_constant_weights(wp, p)
-        res = factorization_check(F, W, p, wp, lam, "left", Z)
+        res = factorization_check(F, W, p, wp, lam, Z)
         assert res.max() < 1e-3
 
     def test_zero_field(self, setup):
@@ -327,7 +327,7 @@ class TestFactorization:
         p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=128))
         wp = WeightPair.classical()
         lam = lambda_for_constant_weights(wp, p)
-        res = factorization_check(ProductFunction.constant(0.0), W, p, wp, lam, "left", Z)
+        res = factorization_check(ProductFunction.constant(0.0), W, p, wp, lam, Z)
         assert res.max() == 0
 
 
