@@ -273,13 +273,13 @@ def difference_step(lo: float, hi: float) -> float:
 
 
 def _central_difference(fn: Callable, ts: np.ndarray, h: float, lo: float, hi: float):
-    """Derivative of ``fn`` at each of ``ts`` by a central difference of step
-    ``h``, clipped one-sided at ``[lo, hi]``; ``fn`` is called once, on the
-    whole stencil."""
+    """Derivative of ``fn`` at each of ``ts`` (an array of any shape) by a
+    central difference of step ``h``, clipped one-sided at ``[lo, hi]``;
+    ``fn`` is called once, on the whole stencil as one flat array."""
     tm = np.maximum(ts - h, lo)
     tp = np.minimum(ts + h, hi)
-    g = fn(np.concatenate([tm, tp]))
-    return (g[ts.size :] - g[: ts.size]) / (tp - tm)
+    g = np.reshape(fn(np.concatenate([tm.ravel(), tp.ravel()])), (2,) + np.shape(ts))
+    return (g[1] - g[0]) / (tp - tm)
 
 
 # ----------------------------------------------------------------------

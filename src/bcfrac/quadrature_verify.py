@@ -156,10 +156,18 @@ def _panel_rule(lo: float, hi: float, panels: int, pts: int):
     return _read_only(nodes, wts)
 
 
+def _on_edges(along_x, along_y, x_ends, y_ends, back: float = 1.0) -> tuple:
+    """Per-axis arrays laid out at the contour's nodes, counterclockwise from
+    the bottom edge; the top and left edges run reversed, times ``back``."""
+    (x_lo, x_hi), (y_lo, y_hi), nx, ny = x_ends, y_ends, len(along_x), len(along_y)
+    return (np.concatenate([along_x, np.full(ny, x_hi), back * along_x[::-1], np.full(ny, x_lo)]),
+            np.concatenate([np.full(nx, y_lo), along_y, np.full(nx, y_hi), back * along_y[::-1]]))
+
+
 @lru_cache(maxsize=128)
 def _boundary_nodes(bounds: tuple, k: int):
     """Counterclockwise boundary nodes with tangent-weighted measures, on
-    ``k`` panels of 4 Gauss points per edge.
+    ``k`` panels of 4 Gauss points per edge (``_on_edges``).
 
     Returns ``(z, wx, wy)`` where ``sum(g(z) * (wx or wy))`` integrates
     ``g dx`` or ``g dy`` along the closed contour.
@@ -167,28 +175,20 @@ def _boundary_nodes(bounds: tuple, k: int):
     x0, x1, y0, y1 = bounds
     xs, wxs = _panel_rule(x0, x1, k, 4)
     ys, wys = _panel_rule(y0, y1, k, 4)
-    z = np.concatenate([
-        xs + 1j * y0,          # bottom, left to right
-        x1 + 1j * ys,          # right, bottom to top
-        xs[::-1] + 1j * y1,    # top, right to left
-        x0 + 1j * ys[::-1],    # left, top to bottom
-    ])
-    zero_x, zero_y = np.zeros_like(xs), np.zeros_like(ys)
-    wx = np.concatenate([wxs, zero_y, -wxs[::-1], zero_y])
-    wy = np.concatenate([zero_x, wys, zero_x, -wys[::-1]])
-    return _read_only(z, wx, wy)
+    x, y = _on_edges(xs, ys, (x0, x1), (y0, y1))
+    wx, wy = _on_edges(wxs, wys, (0.0, 0.0), (0.0, 0.0), back=-1.0)  # tangent steps
+    return _read_only(x + 1j * y, wx, wy)
 
 
 @lru_cache(maxsize=128)
 def _area_nodes(bounds: tuple, m: int):
-    """Tensor Gauss-Legendre nodes ``(x, y, w)`` over the rectangle, on
-    ``m`` panels of 2 points per axis."""
+    """Tensor Gauss-Legendre nodes over the rectangle, on ``m`` panels of 2
+    points per axis, as broadcastable axes: the column ``x`` (2m, 1), the row
+    ``y`` (1, 2m) and the weight grid ``w`` (2m, 2m)."""
     x0, x1, y0, y1 = bounds
     xs, wx = _panel_rule(x0, x1, m, 2)
     ys, wy = _panel_rule(y0, y1, m, 2)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    W = np.outer(wx, wy)
-    return _read_only(X.ravel(), Y.ravel(), W.ravel())
+    return _read_only(xs[:, None], ys[None, :], np.outer(wx, wy))
 
 
 # ----------------------------------------------------------------------
@@ -277,41 +277,41 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
 # batched component fields of the trace operators
 
 
-def _on_distinct(integral: Callable) -> Callable:
-    """``integral`` evaluated once per distinct coordinate of its argument:
-    the area nodes hold only ``2*m`` distinct coordinates per axis, and the
-    points on one trace line share one of theirs.  The 1-D rule gives every
-    target its own row, so this is where repeated coordinates are merged."""
-    def on_distinct(t):
-        uniq, inv = np.unique(t, return_inverse=True)
-        return integral(uniq)[inv].reshape(np.shape(t))
-
-    return on_distinct
-
-
 def _trace_integrals(F, W, p: FracParams, l: int) -> tuple:
     """The left trace integrals along component ``l``'s two axes, as
     callables on coordinate arrays: one surrogate per axis
     (``axis_surrogate``: 32 rule rows, where the direct rule takes one per
-    distinct coordinate and difference point), evaluated once per distinct
-    coordinate.  They match the direct rule to about 1e-15 relative, and the
-    CR field's difference quotients to about 1e-12."""
-    return tuple(_on_distinct(axis_surrogate(F, W, p, ax)) for ax in component_axes(l))
+    coordinate and difference point), evaluated per axis and broadcast.  They
+    match the direct rule to about 1e-15 relative, and the CR field's
+    difference quotients to about 1e-12."""
+    return tuple(axis_surrogate(F, W, p, ax) for ax in component_axes(l))
 
 
 def trace_component(ix: Callable, iy: Callable, xs, ys):
-    """Component of the trace integral at paired plane points (batched):
-    ``ix(xs) + iy(ys)`` for the component's two per-axis trace integrals
-    (``_trace_integrals``)."""
+    """Component of the trace integral, ``ix(xs) + iy(ys)`` for the
+    component's two per-axis trace integrals (``_trace_integrals``), at
+    paired points or per axis, broadcast onto the grid of a column ``xs``
+    and a row ``ys``."""
     return ix(xs) + iy(ys)
+
+
+def _contour_trace(ix: Callable, iy: Callable, bounds: tuple, k: int, anchor_hair: float = 0.0):
+    """The trace integral at the contour nodes of ``_boundary_nodes(bounds,
+    k)``: each integral once per axis, on the sorted batch of its lower end
+    (``anchor_hair`` of the span inside), edge nodes and upper end."""
+    x0, x1, y0, y1 = bounds
+    gx = ix(np.concatenate([[x0 + anchor_hair * (x1 - x0)], _panel_rule(x0, x1, k, 4)[0], [x1]]))
+    gy = iy(np.concatenate([[y0 + anchor_hair * (y1 - y0)], _panel_rule(y0, y1, k, 4)[0], [y1]]))
+    return np.add(*_on_edges(gx[1:-1], gy[1:-1], gx[[0, -1]], gy[[0, -1]]))
 
 
 def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair, l: int, xs, ys,
                       g=None):
-    """Component of the proportional weighted CR operator at paired points:
-    ``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` for the trace
-    integral ``g = trace_component(ix, iy, xs, ys)``.  The partials are
-    clipped central differences of ``ix`` and ``iy`` with step
+    """Component of the proportional weighted CR operator at paired points
+    or per axis, broadcast as in ``trace_component``: ``(1 - sigma) * g +
+    sigma * (weighted CR of g) / Dphi`` for the trace integral ``g =
+    trace_component(ix, iy, xs, ys)``.  The partials are clipped central
+    differences of ``ix`` on ``xs`` and ``iy`` on ``ys`` with step
     ``difference_step``; the program passes the surrogates of
     ``_trace_integrals``, and tests the direct rule as a reference.  Where
     the component's proportion is 1, ``g`` itself is not evaluated; a caller
@@ -350,10 +350,10 @@ def frac_gauss_residual(
     proportional CR operator plus the divergence terms, against ``dx dy``.
     ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
     when it loads the configuration).  Every trace integral comes from the
-    component's two surrogates (``_trace_integrals``).  For non-constant
-    weights the divergence term's area trace integral is handed to the CR
-    field, which would otherwise evaluate it a second time; constant weights
-    have no divergence term.
+    component's two surrogates (``_trace_integrals``), per axis and
+    broadcast.  For non-constant weights the divergence term's area trace
+    integral is handed to the CR field, which would otherwise evaluate it a
+    second time; constant weights have no divergence term.
     """
     sigma_inv = p.sigma.invert()
     res = []
@@ -361,13 +361,14 @@ def frac_gauss_residual(
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         ix, iy = _trace_integrals(F, W, p, l)
+        bounds = patch.component_bounds(l)
 
-        z, wx, wy = _boundary_nodes(patch.component_bounds(l), patch.k)
-        g_b = trace_component(ix, iy, z.real, z.imag)
+        z, wx, wy = _boundary_nodes(bounds, patch.k)
+        g_b = _contour_trace(ix, iy, bounds, patch.k)
         elam_b = np.exp(lam_fn.f(z.real, z.imag))
         bnd = np.sum(elam_b * g_b * boundary_measure(wp, l, z, wx, wy))
 
-        x, y, w = _area_nodes(patch.component_bounds(l), patch.m)
+        x, y, w = _area_nodes(bounds, patch.m)
         g_a = None if wp.const_values is not None else trace_component(ix, iy, x, y)
         cr_a = frac_cr_component(ix, iy, p, wp, l, x, y, g=g_a)
         h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
@@ -414,16 +415,16 @@ def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h
     """The area integral ``integral E_l(v, z) * h(v) dx dy`` over the
     rectangle, as a function of an array of points ``z`` strictly inside it.
 
-    ``h_at(x, y)`` is evaluated once on the area nodes, and then once per
-    evaluation, at its points ``z``.  Each evaluation is one kernel sum of
+    ``h_at(x, y)`` is evaluated once on the area nodes' axes, and then once
+    per evaluation, at its points ``z``.  Each evaluation is one kernel sum of
     ``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)``
     times the kernel's area integral in closed form.  The subtraction
     degrades within the last cell ring, where the exact integral and the
     discrete near field no longer cancel.
     """
     x_a, y_a, w_a = _area_nodes(bounds, m)
-    v_nodes = x_a + 1j * y_a
-    charges = np.stack([w_a * h_at(x_a, y_a), w_a], axis=1)
+    v_nodes = (x_a + 1j * y_a).ravel()
+    charges = np.stack([(w_a * h_at(x_a, y_a)).ravel(), w_a.ravel()], axis=1)
     a_map, b_map = kernel._maps[l - 1]
 
     def integral(zp):
@@ -459,9 +460,9 @@ def frac_bp_reconstruct(
 
     Every trace field of a component (the boundary trace integral, and the
     proportional CR field on the area nodes and at the area map's points)
-    comes from its two surrogates (``_trace_integrals``), as in
-    ``frac_gauss_residual``.  The remainder at ``Z`` and the outer trace
-    derivatives run the direct rule.
+    comes from its two surrogates (``_trace_integrals``), per axis and
+    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` and the
+    outer trace derivatives run the direct rule.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
@@ -477,14 +478,12 @@ def frac_bp_reconstruct(
         ts_l = tsum.z1 if l == 1 else tsum.z2
 
         ix, iy = _trace_integrals(F, W, p, l)
-        x0, x1, y0, y1 = patch.component_bounds(l)
-        z_b, wx, wy = _boundary_nodes((x0, x1, y0, y1), patch.k)
+        bounds = patch.component_bounds(l)
+        z_b, wx, wy = _boundary_nodes(bounds, patch.k)
         # evaluate the trace integral a hair inside the anchor edges: the
         # contour integral sees the one-sided limit of the integrand there,
         # not the exactly-zero anchor value of near-degenerate orders
-        gx = np.maximum(z_b.real, x0 + 1e-9 * (x1 - x0))
-        gy = np.maximum(z_b.imag, y0 + 1e-9 * (y1 - y0))
-        g_b = trace_component(ix, iy, gx, gy)
+        g_b = _contour_trace(ix, iy, bounds, patch.k, anchor_hair=1e-9)
         coef = boundary_measure(wp, l, z_b, wx, wy) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
 
         def boundary_map(xs, ys):
@@ -517,10 +516,10 @@ def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: Cauc
 
     The proportional CR field is ``frac_cr_component`` of the component's
     two per-axis trace integrals ``ix`` and ``iy`` (the deep reconstruction
-    passes their surrogates).  It is evaluated once on the area nodes, and at
-    each call on its distinct points for the subtraction constant ``h(z)``
-    (see ``_cauchy_area_integral``), so the map stays smooth inside the patch
-    where the trace derivative differences it.
+    passes their surrogates).  It is evaluated once per area axis and
+    broadcast, and at each call on its distinct points for the subtraction
+    constant ``h(z)`` (see ``_cauchy_area_integral``), so the map stays
+    smooth inside the patch where the trace derivative differences it.
     """
     bounds = patch.component_bounds(l)
     lam_fn = lam.component(l)

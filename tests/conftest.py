@@ -15,7 +15,6 @@ from bcfrac import (
     WeightPair,
 )
 from bcfrac.frac_cr_bicomplex import axis_integral, component_axes
-from bcfrac.quadrature_verify import _on_distinct
 
 
 @pytest.fixture
@@ -124,10 +123,10 @@ def sigma_one_cr():
 
 def _direct_integrals(F, W, p, l):
     """The left trace integrals along component ``l``'s two axes by the
-    direct rule (``axis_integral``), each evaluated once per distinct
-    coordinate: the reference for the program's surrogates."""
-    return tuple(_on_distinct(partial(axis_integral, F, W, p, "left", ax))
-                 for ax in component_axes(l))
+    direct rule (``axis_integral``), as callables on coordinate arrays: the
+    reference for the program's surrogates.  The rule gives every target its
+    own row, so callers evaluate them on axis vectors."""
+    return tuple(partial(axis_integral, F, W, p, "left", ax) for ax in component_axes(l))
 
 
 @pytest.fixture

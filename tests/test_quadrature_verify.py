@@ -163,7 +163,8 @@ class TestFracGauss:
 
 
 def _trace_spy(monkeypatch):
-    """Record the point count of every ``trace_component`` call."""
+    """Record the point count of the ``xs`` of every ``trace_component``
+    call: ``2 * m`` for the area nodes' column of x coordinates."""
     from bcfrac import quadrature_verify as qv
 
     sizes, trace = [], qv.trace_component
@@ -178,7 +179,8 @@ def _trace_spy(monkeypatch):
 
 def _full_cr_component(F, W, p, wp, l, xs, ys):
     """``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` with the trace
-    integral ``g`` always evaluated, and ``g``."""
+    integral ``g`` always evaluated, and ``g``, on broadcastable axes ``xs``
+    and ``ys``."""
     from bcfrac import apply_cr_weighted
     from bcfrac import quadrature_verify as qv
     from bcfrac.frac_cr_bicomplex import _axis_partial_batched, component_axes
@@ -205,7 +207,8 @@ def _full_frac_gauss_residual(F, W, p, wp, lam, patch):
         lam_fn = lam.component(l)
         sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         z, wx, wy = qv._boundary_nodes(patch.component_bounds(l), patch.k)
-        g_b = qv.trace_component(*qv._trace_integrals(F, W, p, l), z.real, z.imag)
+        g_b = qv._contour_trace(*qv._trace_integrals(F, W, p, l), patch.component_bounds(l),
+                                patch.k)
         bnd = np.sum(np.exp(lam_fn.f(z.real, z.imag)) * g_b * boundary_measure(wp, l, z, wx, wy))
         x, y, w = qv._area_nodes(patch.component_bounds(l), patch.m)
         cr_a, g_a = _full_cr_component(F, W, p, wp, l, x, y)
@@ -261,8 +264,9 @@ class TestZeroWeightedTerms:
         want = _full_frac_gauss_residual(F, W, p, wp, lam, patch)
         sizes = _trace_spy(monkeypatch)
         got = frac_gauss_residual(F, W, p, wp, lam, patch)
-        boundary, area = 16 * patch.k, (2 * patch.m) ** 2
-        assert sizes == ([boundary] + [area] * area_calls) * 2
+        # the contour's trace integral comes from _contour_trace, not from
+        # trace_component; an area call evaluates each axis once
+        assert sizes == [2 * patch.m] * area_calls * 2
         assert [got.l1, got.l2] == want
 
 
@@ -599,12 +603,9 @@ class TestDeepTraceSurrogates:
         for l in (1, 2):
             direct = direct_integrals(s.F, s.W, p, l)
             surrogates = qv._trace_integrals(s.F, s.W, p, l)
-            x0, x1, y0, y1 = patch.component_bounds(l)
-            z, _, _ = qv._boundary_nodes((x0, x1, y0, y1), patch.k)
-            gx = np.maximum(z.real, x0 + 1e-9 * (x1 - x0))
-            gy = np.maximum(z.imag, y0 + 1e-9 * (y1 - y0))
-            want = qv.trace_component(*direct, gx, gy)
-            got = qv.trace_component(*surrogates, gx, gy)
+            bounds = patch.component_bounds(l)
+            want = qv._contour_trace(*direct, bounds, patch.k, anchor_hair=1e-9)
+            got = qv._contour_trace(*surrogates, bounds, patch.k, anchor_hair=1e-9)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
             if s.include_area:
                 x, y, _ = qv._area_nodes(patch.component_bounds(l), patch.m)
@@ -683,3 +684,67 @@ class TestDeepTraceSurrogates:
         s, p, patch = _item("bg-gauss")
         frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch)
         assert calls == [(32, 32)] * 2
+
+
+def _per_distinct(integral):
+    """Reference: ``integral`` evaluated once per distinct coordinate of its
+    argument, in one sorted batch, and gathered back.  A surrogate's value
+    can change in the last bit with the batch it is evaluated in, so the
+    per-axis fields are checked against this tensor-grid evaluation."""
+    def on_distinct(t):
+        uniq, inv = np.unique(t, return_inverse=True)
+        return integral(uniq)[inv].reshape(np.shape(t))
+
+    return on_distinct
+
+
+class TestSeparableTraceFields:
+    """The trace fields are evaluated per axis and broadcast onto the grid or
+    laid out along the contour; they equal a per-distinct-coordinate
+    evaluation at the plane points bit for bit."""
+
+    @pytest.mark.parametrize("name", ["bp-general", "gauss-expression"],
+                             ids=["constant-pair", "scaled-classical"])
+    def test_cr_field_on_the_area_axes_is_the_grid(self, name):
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _item(name)
+        size = 2 * patch.m
+        for l in (1, 2):
+            surrogates = qv._trace_integrals(s.F, s.W, p, l)
+            x, y, w = qv._area_nodes(patch.component_bounds(l), patch.m)
+            assert (x.shape, y.shape, w.shape) == ((size, 1), (1, size), (size, size))
+            got = qv.frac_cr_component(*surrogates, p, s.wp, l, x, y)
+            X, Y = np.meshgrid(x.ravel(), y.ravel(), indexing="ij")
+            want = qv.frac_cr_component(*map(_per_distinct, surrogates), p, s.wp, l,
+                                        X.ravel(), Y.ravel())
+            assert got.shape == (size, size)
+            assert np.array_equal(got.ravel(), want)
+
+    @pytest.mark.parametrize("hair", [0.0, 1e-9], ids=["gauss", "deep-anchor-hair"])
+    def test_contour_field_is_the_trace_at_the_boundary_nodes(self, hair):
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _item("bp-general")
+        for l in (1, 2):
+            surrogates = qv._trace_integrals(s.F, s.W, p, l)
+            bounds = x0, x1, y0, y1 = patch.component_bounds(l)
+            z, _, _ = qv._boundary_nodes(bounds, patch.k)
+            gx = np.maximum(z.real, x0 + hair * (x1 - x0))
+            gy = np.maximum(z.imag, y0 + hair * (y1 - y0))
+            want = qv.trace_component(*map(_per_distinct, surrogates), gx, gy)
+            got = qv._contour_trace(*surrogates, bounds, patch.k, anchor_hair=hair)
+            assert np.array_equal(got, want)
+
+    def test_boundary_nodes_run_edge_by_edge(self):
+        from bcfrac import quadrature_verify as qv
+
+        bounds = x0, x1, y0, y1 = (0.1, 0.9, -0.2, 0.7)
+        xs, wxs = qv._panel_rule(x0, x1, 4, 4)
+        ys, wys = qv._panel_rule(y0, y1, 4, 4)
+        zero = np.zeros(16)
+        z, wx, wy = qv._boundary_nodes(bounds, 4)
+        assert np.array_equal(z, np.concatenate(
+            [xs + 1j * y0, x1 + 1j * ys, xs[::-1] + 1j * y1, x0 + 1j * ys[::-1]]))
+        assert np.array_equal(wx, np.concatenate([wxs, zero, -wxs[::-1], zero]))
+        assert np.array_equal(wy, np.concatenate([zero, wys, zero, -wys[::-1]]))

@@ -23,3 +23,18 @@ def test_every_tracer_target_resolves():
                   and not callable(getattr(importlib.import_module(module), name, None))]
     assert unresolved == []
     assert ("bcfrac.fracops1d", "tabulate") in {(module, name) for module, name, _, _ in TARGETS}
+
+
+def test_every_captured_argument_is_a_parameter_of_its_target():
+    # the tracer binds captured arguments by name; a renamed parameter would
+    # silently capture None
+    import inspect
+
+    unbound = []
+    for module, name, _, capture in TARGETS:
+        if name in STALE or capture in (None, "result"):
+            continue
+        params = inspect.signature(getattr(importlib.import_module(module), name)).parameters
+        names = capture if isinstance(capture, tuple) else (capture,)
+        unbound += [f"{module}.{name}({arg})" for arg in names if arg not in params]
+    assert unbound == []
