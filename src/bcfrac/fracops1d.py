@@ -514,8 +514,7 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
     a, b = (w.lo + hair, w.hi) if side == "left" else (w.lo, w.hi - hair)
     budget, n_cheb = max(256, q.n // 4), 32
     while True:
-        theta = (np.arange(n_cheb) + 0.5) * (math.pi / n_cheb)
-        xs = 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+        theta, xs = _chebyshev_points(a, b, n_cheb)
         samples = prop_frac_integral(f, p, side, xs, q)
         gs = samples / _singular_range(w, side, xs) ** beta
         cos_tail = np.cos(np.outer(np.arange(n_cheb - n_cheb // 4, n_cheb), theta))
@@ -531,14 +530,45 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
 
             return direct
         n_cheb = min(2 * n_cheb, budget)
-    bary = np.sin(theta)[:, None]
-    bary[1::2] *= -1.0
-    terms = np.stack([gs.real, gs.imag, np.ones(n_cheb)])  # numerators and denominator
-    chunk = max(1, _CHUNK_ELEMENTS // n_cheb)
+    evaluate = _barycentric(theta, xs, gs)
 
     def interp(t):
         t_arr = np.clip(np.asarray(t, dtype=float), a, b)
         ts = t_arr.ravel()
+        out, hit, at = evaluate(ts)
+        out *= _singular_range(w, side, ts) ** beta
+        out[hit] = samples[at]
+        out = out.reshape(t_arr.shape)
+        return out if out.ndim else out[()]
+
+    return interp
+
+
+def _chebyshev_points(a: float, b: float, n: int) -> tuple:
+    """``(theta, xs)``: the ``n`` first-kind Chebyshev points ``xs`` of ``[a,
+    b]``, at the angles ``theta``, from ``b`` down to ``a``."""
+    theta = (np.arange(n) + 0.5) * (math.pi / n)
+    return theta, 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
+
+
+def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray) -> Callable:
+    """Evaluator of the barycentric interpolant ``p`` through the complex
+    ``values`` at the first-kind Chebyshev points ``xs`` (angles ``theta``,
+    ``_chebyshev_points``), with the weights ``(-1)^j sin(theta_j)`` (Berrut &
+    Trefethen, SIAM Rev. 46 (2004) 501-517).
+
+    The evaluator maps a flat array of targets to ``(p, hit, at)``: ``p`` at
+    every target, in blocks of ``_CHUNK_ELEMENTS`` (samples x targets)
+    entries, the targets ``hit`` that lie on a sample (``p`` is not finite
+    there), and the index ``at`` of that sample; the caller sets those
+    entries.  A target's value may change in the last bit with the batch it
+    is evaluated in."""
+    bary = np.sin(theta)[:, None]
+    bary[1::2] *= -1.0
+    terms = np.stack([values.real, values.imag, np.ones(xs.size)])  # numerators and denominator
+    chunk = max(1, _CHUNK_ELEMENTS // xs.size)
+
+    def evaluate(ts):
         sums = np.empty((3, ts.size))
         out = np.empty(ts.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -551,11 +581,30 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
                 for term, total in zip(terms, sums[:, sl]):
                     np.dot(term, kernel, out=total)
             np.divide(sums[:2], sums[2], out=out.view(float).reshape(ts.size, 2).T)
-        out *= _singular_range(w, side, ts) ** beta
         hit = np.flatnonzero(~np.isfinite(sums[2]))  # a target on a sample: 1/0
-        out[hit] = samples[np.argmin(np.abs(ts[hit] - xs[:, None]), axis=0)]
-        out = out.reshape(t_arr.shape)
-        return out if out.ndim else out[()]
+        return out, hit, np.argmin(np.abs(ts[hit] - xs[:, None]), axis=0)
+
+    return evaluate
+
+
+def interpolant(f: Callable, a: float, b: float, n: int) -> Callable:
+    """Surrogate ``t -> p(clip(t, a, b))`` of ``f``: ``p`` the barycentric
+    interpolant (``_barycentric``) of ``f`` at ``n`` first-kind Chebyshev
+    points of ``[a, b]``, and ``f``'s own value on a sample.  ``f`` is called
+    once, on the samples.  On an empty interval (``b <= a``) the surrogate is
+    the constant ``f(a)``."""
+    if not b > a:
+        value = np.asarray(f(np.array([a])))[0]
+        return lambda t: np.full(np.shape(t), value)
+    theta, xs = _chebyshev_points(a, b, n)
+    values = np.asarray(f(xs), dtype=complex)
+    evaluate = _barycentric(theta, xs, values)
+
+    def interp(t):
+        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
+        out, hit, at = evaluate(t_arr.ravel())
+        out[hit] = values[at]
+        return out.reshape(t_arr.shape)
 
     return interp
 

@@ -413,7 +413,8 @@ def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z):
 
 def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h_at: Callable):
     """The area integral ``integral E_l(v, z) * h(v) dx dy`` over the
-    rectangle, as a function of an array of points ``z`` strictly inside it.
+    rectangle, as a function of an array of points ``z`` (of any shape)
+    strictly inside it.
 
     ``h_at(x, y)`` is evaluated once on the area nodes' axes, and then once
     per evaluation, at its points ``z``.  Each evaluation is one kernel sum of
@@ -428,7 +429,7 @@ def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h
     a_map, b_map = kernel._maps[l - 1]
 
     def integral(zp):
-        field_sum, mass_sum = kernel.sums(l, v_nodes, charges, zp).T
+        field_sum, mass_sum = np.moveaxis(kernel.sums(l, v_nodes, charges, zp), -1, 0)
         wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
         return field_sum + h_at(zp.real, zp.imag) * (wedges - mass_sum)
 
@@ -462,7 +463,12 @@ def frac_bp_reconstruct(
     proportional CR field on the area nodes and at the area map's points)
     comes from its two surrogates (``_trace_integrals``), per axis and
     broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` and the
-    outer trace derivatives run the direct rule.
+    outer trace derivatives run the direct rule.  The outer derivative reads
+    the area map, along each trace line of nonzero proportion, through a
+    Chebyshev interpolant (``_trace_derivative_of_map`` with the map's clamp
+    strip): one kernel sum of ``_MAP_LINE_SAMPLES`` = 32 targets per line,
+    where the direct map takes one per node of the outer rows.  It reads the
+    boundary map directly.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
@@ -500,8 +506,8 @@ def frac_bp_reconstruct(
 
         area_d = 0.0 + 0.0j
         if include_area:
-            area_map = _area_map_builder(l, ix, iy, p, kernel, lam, patch, sig_inv)
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, 5e-3)
+            area_map, strip = _area_map_builder(l, ix, iy, p, kernel, lam, patch, sig_inv)
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, 5e-3, strip)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))
@@ -517,9 +523,13 @@ def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: Cauc
     The proportional CR field is ``frac_cr_component`` of the component's
     two per-axis trace integrals ``ix`` and ``iy`` (the deep reconstruction
     passes their surrogates).  It is evaluated once per area axis and
-    broadcast, and at each call on its distinct points for the subtraction
+    broadcast, and at each call on the call's points for the subtraction
     constant ``h(z)`` (see ``_cauchy_area_integral``), so the map stays
     smooth inside the patch where the trace derivative differences it.
+
+    Returns the map and its clamp strip ``(cell_x, cell_y)``, the width along
+    each edge within which the map is constant, outside which
+    ``_trace_derivative_of_map`` samples each live trace line.
     """
     bounds = patch.component_bounds(l)
     lam_fn = lam.component(l)
@@ -538,8 +548,8 @@ def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: Cauc
     cell_y = (y1 - y0) / patch.m
 
     def area_map(xs, ys):
-        """The area integral at an array of trace points.  Each distinct
-        point (after the clamp below) is evaluated once.
+        """The area integral at an array of trace points, or at a coordinate
+        array and a scalar.
 
         Points are clamped one cell inside the surface: the subtraction
         degrades within the last cell ring (the closed-form integral and the
@@ -549,10 +559,10 @@ def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: Cauc
         outer trace derivative cancels."""
         xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), x0 + cell_x, x1 - cell_x)
         ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), y0 + cell_y, y1 - cell_y)
-        zp, inv = np.unique(xs + 1j * ys, return_inverse=True)
-        return (np.exp(-lam_fn.f(zp.real, zp.imag)) * integral(zp))[inv]
+        zp = xs + 1j * ys
+        return np.exp(-lam_fn.f(zp.real, zp.imag)) * integral(zp)
 
-    return area_map
+    return area_map, (cell_x, cell_y)
 
 
 # ----------------------------------------------------------------------

@@ -31,9 +31,11 @@ from .errors import UnsupportedWeightsError
 #: Element budget per block of targets in ``CauchyKernel.sums``: 32768
 #: complex entries, a 512 KB block (8 rows of the 4096 area sources at m =
 #: 32).  Median warm time per item (ms) of the deep reconstructions
-#: bg-reconstruction / bp-general at m = k = 32, one BLAS thread, 2-CPU Intel
-#: Xeon, by budget: 8192 25.5 / 45.1, 16384 23.9 / 42.6, 32768 23.3 / 41.6,
-#: 65536 23.6 / 41.7, 131072 24.9 / 44.2.
+#: bg-reconstruction / bp-general at m = k = 32, whose area lines send 32
+#: targets per sum, one BLAS thread, 2-CPU Intel Xeon, by budget, in two
+#: rounds: 8192 12.5 / 16.8 and 14.5 / 19.4, 16384 12.0 / 16.9 and 14.0 /
+#: 19.3, 32768 12.3 / 16.0 and 13.5 / 17.5, 65536 12.5 / 16.7 and 14.9 /
+#: 20.2, 131072 13.2 / 17.6 and 15.4 / 21.1.
 _KERNEL_BLOCK_ELEMENTS = 32_768
 
 #: Close-evaluation radius of ``CauchyKernel.boundary_sums``, in panel

@@ -675,6 +675,62 @@ class TestTabulate:
         assert np.ndim(integral(0.3)) == 0
 
 
+class TestInterpolant:
+    """The line surrogate of the deep area map: a barycentric Chebyshev
+    interpolant sharing ``tabulate``'s evaluation."""
+
+    @staticmethod
+    def field(t):
+        return 1.5 + np.sin(3.0 * t) + 0.5j * np.cos(t)
+
+    def test_samples_come_back_bit_for_bit(self):
+        calls = []
+
+        def f(t):
+            calls.append(np.array(t))
+            return self.field(t)
+
+        surrogate = fracops1d.interpolant(f, 0.2, 0.9, 32)
+        (xs,) = calls
+        assert np.array_equal(xs, fracops1d._chebyshev_points(0.2, 0.9, 32)[1])
+        assert np.array_equal(surrogate(xs[::-1]), self.field(xs[::-1]))
+        assert np.array_equal(surrogate(xs[5:6]), self.field(xs[5:6]))
+
+    def test_resolves_a_smooth_line_and_clips_to_the_interval(self):
+        surrogate = fracops1d.interpolant(self.field, 0.2, 0.9, 32)
+        ts = np.linspace(0.2, 0.9, 301).reshape(7, 43)
+        got = surrogate(ts)
+        assert got.shape == ts.shape
+        assert np.max(np.abs(got - self.field(ts))) <= 1e-14 * np.max(np.abs(self.field(ts)))
+        outside = surrogate(np.array([0.0, 0.1, 0.95, 1.0]))
+        assert np.array_equal(outside, surrogate(np.array([0.2, 0.2, 0.9, 0.9])))
+
+    @pytest.mark.parametrize("b", [0.3, 0.25], ids=["empty", "inverted"])
+    def test_empty_interval_is_the_value_at_its_lower_end(self, b):
+        calls = []
+
+        def f(t):
+            calls.append(np.array(t))
+            return self.field(t)
+
+        surrogate = fracops1d.interpolant(f, 0.3, b, 32)
+        assert [c.tolist() for c in calls] == [[0.3]]
+        got = surrogate(np.linspace(0.0, 1.0, 6).reshape(2, 3))
+        assert got.shape == (2, 3) and np.all(got == self.field(0.3))
+
+    def test_tabulate_and_interpolant_share_one_evaluation(self, cubic_weight, monkeypatch):
+        real, built = fracops1d._barycentric, []
+
+        def spy(theta, xs, values):
+            built.append(xs.size)
+            return real(theta, xs, values)
+
+        monkeypatch.setattr(fracops1d, "_barycentric", spy)
+        tabulate(self.field, FracSpec(0.5, 0.7, cubic_weight), "left", Quadrature1D(n=64))
+        fracops1d.interpolant(self.field, 0.2, 0.9, 32)
+        assert built == [32, 32]
+
+
 class TestCentralDifference:
     def test_exact_on_affine(self):
         ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])

@@ -499,15 +499,17 @@ def test_wedge_recip_area_of_scalar_point_is_scalar():
     assert np.isfinite(complex(out))
 
 
-def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
+def test_area_map_evaluates_each_call_in_one_batch(frac_setup, monkeypatch):
+    # no deduplication: the line surrogates send at most 32 distinct points
     from bcfrac import CauchyKernel
     from bcfrac import quadrature_verify as qv
 
     rect, phi, wp, F, patch, W, _ = frac_setup
     p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
     surrogates = (qv.axis_surrogate(F, W, p, ax) for ax in (0, 1))
-    area_map = qv._area_map_builder(1, *surrogates, p, CauchyKernel(wp), NO_LAM,
-                                    patch.with_resolution(8, 8), 1.0)
+    area_map, strip = qv._area_map_builder(1, *surrogates, p, CauchyKernel(wp), NO_LAM,
+                                           patch.with_resolution(8, 8), 1.0)
+    assert strip == pytest.approx((0.7 / 8, 0.7 / 8), rel=1e-14)
     # the last two points clamp onto the same point one cell inside the patch
     xs = np.array([0.3, 0.5, 0.62, 0.0, 0.05])
     ys = np.array([0.4, 0.45, 0.7, 0.5, 0.5])
@@ -529,8 +531,8 @@ def test_area_map_evaluates_each_distinct_point_once(frac_setup, monkeypatch):
     monkeypatch.setattr(qv, "frac_cr_component", field_spy)
     tiled = area_map(np.tile(xs, 4), np.tile(ys, 4))
     assert np.array_equal(tiled, np.tile(values, 4))
-    assert wedge_points == [(4,)]
-    assert field_points == [(4,)]
+    assert wedge_points == [(20,)]
+    assert field_points == [(20,)]
 
 
 #: The deep-reconstruction items of perfbench's default seed.
@@ -748,3 +750,92 @@ class TestSeparableTraceFields:
             [xs + 1j * y0, x1 + 1j * ys, xs[::-1] + 1j * y1, x0 + 1j * ys[::-1]]))
         assert np.array_equal(wx, np.concatenate([wxs, zero, -wxs[::-1], zero]))
         assert np.array_equal(wy, np.concatenate([zero, wys, zero, -wys[::-1]]))
+
+
+def _direct_area_path(monkeypatch):
+    """Unwrap the deep area map's line surrogates: every trace line then
+    reads ``area_map`` itself, the reference path."""
+    from bcfrac import frac_cr_bicomplex
+
+    monkeypatch.setattr(frac_cr_bicomplex, "interpolant", lambda line, a, b, n: line)
+
+
+def _kernel_sum_targets(monkeypatch) -> list:
+    """Shapes of the targets of every ``CauchyKernel.sums`` call, in order."""
+    from bcfrac import CauchyKernel
+
+    real, targets = CauchyKernel.sums, []
+
+    def spy(self, l, sources, charges, points):
+        targets.append(np.shape(points))
+        return real(self, l, sources, charges, points)
+
+    monkeypatch.setattr(CauchyKernel, "sums", spy)
+    return targets
+
+
+#: The stall setup of the deep reconstruction: classical weights, linear phi,
+#: the poly field, alpha 0.5 and sigma (0.7, 0, 0.7, 0).
+STALL_ENTRY = dict(name="stall", identity="frac-borel-pompeiu", domain=[0.0, 1.0] * 4,
+                   weights="classical", phi="linear", alpha=[0.5] * 4, sigma=[0.7, 0, 0.7, 0],
+                   field="poly", m=8, k=8, n=64, tolerance=0.05, levels=1)
+
+
+class TestAreaLineSurrogate:
+    """The deep reconstruction reads its area map, along every trace line of
+    nonzero proportion, through a 32-sample Chebyshev interpolant."""
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    def test_each_live_line_sends_32_targets_and_each_still_line_one(self, name, monkeypatch):
+        # per component: the x line (sigma != 0) sends its 32 samples in one
+        # kernel sum, the y line (sigma = 0) the point Z; the direct map sent
+        # the distinct nodes of the outer rows, 451 (and 226 more at sigma !=
+        # 1) of their 512 (768)
+        targets = _kernel_sum_targets(monkeypatch)
+        s, p, patch = _item(name)
+        frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        assert targets == [(32,), (1,)] * 2
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    @pytest.mark.parametrize("x", [0.02, 1 / 32 - 5e-3], ids=["inverted", "empty"])
+    def test_point_within_a_cell_of_the_anchor_reads_the_clamped_constant(self, name, x,
+                                                                           monkeypatch):
+        # the outer rule reads [0, x + h], inside the clamp strip of width
+        # 1/32, where the map is the constant at the strip's edge: each line
+        # evaluates it once.  The direct map evaluates that point once per
+        # node, and its batch may move the last bits (measured 3.4e-15)
+        s, p, patch = _item(name)
+        Z = BicomplexNumber(complex(x, s.Z.z1.imag), complex(x, s.Z.z2.imag))
+        targets = _kernel_sum_targets(monkeypatch)
+        got = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
+        assert targets == [(1,), (1,)] * 2
+        _direct_area_path(monkeypatch)
+        want = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
+        assert np.isfinite(got.l1) and np.isfinite(got.l2)
+        assert abs(got.l1 - want.l1) <= 1e-13 * want.l1
+        assert abs(got.l2 - want.l2) <= 1e-13 * want.l2
+
+    def test_stall_levels_agree_with_the_direct_map(self, monkeypatch):
+        # measured moves of l1 / l2: -0.1 / -0.2%, +6.1 / -0.0%, +1.1 / -0.4%
+        # and -2.0 / -1.5% at (8, 8, 64) ... (64, 64, 512)
+        from bcfrac.cli import parse_experiment
+
+        setup = parse_experiment(STALL_ENTRY, 0).setup
+        levels = [Resolution(8, 8, 64).scaled(2**i) for i in range(4)]
+        got = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        _direct_area_path(monkeypatch)
+        want = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        for a, b in zip(got, want):
+            assert abs(a.res_l1 - b.res_l1) <= 0.1 * b.res_l1
+            assert abs(a.res_l2 - b.res_l2) <= 0.1 * b.res_l2
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    def test_deep_items_agree_with_the_direct_map(self, name, monkeypatch):
+        # measured moves of l1 / l2: +1.3 / -0.7% (bg-reconstruction), +5.7 /
+        # -1.3% (bp-general)
+        s, p, patch = _item(name)
+        got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
+        _direct_area_path(monkeypatch)
+        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
+        assert abs(got.l1 - want.l1) <= 0.1 * want.l1
+        assert abs(got.l2 - want.l2) <= 0.1 * want.l2
