@@ -26,7 +26,6 @@ from .fracops1d import (
     FracSpec,
     Quadrature1D,
     ScalarWeightFn,
-    _central_difference,
     difference_step,
     interpolant,
     prop_frac_derivative,
@@ -402,53 +401,72 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
 
 def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords):
     """Derivative along ``axis`` of the 1-D trace integral ``integral`` (a
-    callable on coordinate arrays) at each of ``coords`` by central
-    differences of step ``difference_step``, clipped one-sided at the
-    interval ends."""
-    lo, hi = p.rect.axis_interval(axis)
-    return _central_difference(integral, coords, difference_step(lo, hi), lo, hi)
-
-
-def _axis_partials(F, W, p: FracParams, axis: int, coord: float):
-    """Derivative of the 1-D trace integral at ``coord`` by central
-    differences (Richardson-extrapolated when the stencil fits)."""
+    callable on coordinate arrays) at each of ``coords`` (an array of any
+    shape): the Richardson combination ``(4*D_h - D_2h) / 3`` of two central
+    differences, of steps ``h = difference_step`` and ``2h``, each clipped
+    one-sided at the interval ends.  ``integral`` is called once, on the
+    whole four-point stencil as one flat array."""
     lo, hi = p.rect.axis_interval(axis)
     h = difference_step(lo, hi)
-    if (coord - 2 * h >= lo) and (coord + 2 * h <= hi):
-        pts = np.array([coord - 2 * h, coord - h, coord + h, coord + 2 * h])
-        g = axis_integral(F, W, p, "left", axis, pts)
-        d_h = (g[2] - g[1]) / (2 * h)
-        d_2h = (g[3] - g[0]) / (4 * h)
-        return (4.0 * d_h - d_2h) / 3.0
-    return _axis_partial_batched(lambda s: axis_integral(F, W, p, "left", axis, s), p, axis,
-                                 np.array([coord]))[0]
+    coords = np.asarray(coords, dtype=float)
+    t = (np.maximum(coords - 2 * h, lo), np.maximum(coords - h, lo),
+         np.minimum(coords + h, hi), np.minimum(coords + 2 * h, hi))
+    g = np.reshape(integral(np.concatenate([np.ravel(tk) for tk in t])), (4,) + coords.shape)
+    d_h = (g[2] - g[1]) / (t[2] - t[1])
+    d_2h = (g[3] - g[0]) / (t[3] - t[0])
+    return (4.0 * d_h - d_2h) / 3.0
+
+
+def trace_component(ix: Callable, iy: Callable, xs, ys):
+    """Component of the trace integral, ``ix(xs) + iy(ys)`` for the
+    component's two per-axis trace integrals, at paired points or per axis,
+    broadcast onto the grid of a column ``xs`` and a row ``ys``."""
+    return ix(xs) + iy(ys)
+
+
+def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair, l: int, xs, ys,
+                      g=None):
+    """Component of the proportional weighted CR operator at paired points
+    or per axis, broadcast as in ``trace_component``: ``(1 - sigma) * g +
+    sigma * (weighted CR of g) / Dphi`` for the trace integral ``g =
+    trace_component(ix, iy, xs, ys)``.  The partials are
+    ``_axis_partial_batched`` of ``ix`` on ``xs`` and ``iy`` on ``ys``: the
+    Richardson combination of central differences of steps ``h`` and ``2h``
+    (``h = difference_step``), one call of each integral on its four-point
+    stencil.  The identities pass the per-axis surrogates
+    (``quadrature_verify._trace_integrals``), ``frac_cr_apply`` the direct
+    rule.  Where the component's proportion is 1, ``g`` itself is not
+    evaluated; a caller that holds it already passes it as ``g``."""
+    ax_x, ax_y = component_axes(l)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    dgx = _axis_partial_batched(ix, p, ax_x, xs)
+    dgy = _axis_partial_batched(iy, p, ax_y, ys)
+    sig = p.sigma.z1 if l == 1 else p.sigma.z2
+    cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
+    out = sig * cr / p.phi.dphi(l, xs, ys)
+    if sig != 1:
+        if g is None:
+            g = trace_component(ix, iy, xs, ys)
+        out = (1.0 - sig) * g + out
+    return out
 
 
 def frac_cr_apply(F, W: BicomplexNumber, p: FracParams, wp: WeightPair,
                   Z: BicomplexNumber) -> BicomplexNumber:
-    """Proportional weighted Cauchy-Riemann operator of the trace integral:
-    ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``.
-
-    Unlike every other trace derivative, the partials here are
-    Richardson-extrapolated (``_axis_partials``).  With the plain clipped
-    difference, the factorization l2 residuals of the default-seed benchmark
-    items rise from 3.245e-9 to 3.618e-9 (factorization-0) and from 2.350e-9
-    to 2.599e-9 (factorization-2), past the benchmark's 10% reference gate,
-    so the switch waits for a re-recorded reference.
-    """
+    """Proportional weighted Cauchy-Riemann operator of the trace integral,
+    ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``, at ``Z``:
+    ``frac_cr_component`` per component on the direct rule's trace
+    integrals, five rule rows per axis of nonzero proportion (``Z`` and the
+    four-point stencil)."""
     _check_points(p, Z, W)
-    i_vals = [axis_integral(F, W, p, "left", ax, _axis_coord(Z, ax)) for ax in range(4)]
-    if_val = BicomplexNumber(i_vals[0] + i_vals[1], i_vals[2] + i_vals[3])
     comps = []
     for l in (1, 2):
-        ax_x, ax_y = component_axes(l)
-        x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
-        gx = _axis_partials(F, W, p, ax_x, x)
-        gy = _axis_partials(F, W, p, ax_y, y)
-        comps.append(apply_cr_weighted(wp, l, x, y, gx, gy))
-    cr = BicomplexNumber(comps[0], comps[1])
-    dphi_inv = dphi(p.phi, Z).as_bicomplex().invert()
-    return p.one_minus_sigma * if_val + p.sigma * cr * dphi_inv
+        axes = component_axes(l)
+        lines = [lambda s, ax=ax: axis_integral(F, W, p, "left", ax, s) for ax in axes]
+        x, y = (_axis_coord(Z, ax) for ax in axes)
+        comps.append(frac_cr_component(*lines, p, wp, l, x, y)[0])
+    return BicomplexNumber(comps[0], comps[1])
 
 
 def lambda_residual(lam: ProductFunction, wp: WeightPair, p: FracParams, probes) -> float:
@@ -513,16 +531,6 @@ def factorization_check(
     exponential factorization ``exp(-lambda) * Dphi^{-1} * sigma *
     (weighted CR of exp(lambda) * I F)``."""
     lhs = frac_cr_apply(F, W, p, wp, Z)
-
-    def m_partial(axis, coord, lam_at, i_other):
-        """Partial along ``axis`` of ``exp(lambda) * (I F)``, whose other
-        direction contributes the constant ``i_other``."""
-        lo, hi = p.rect.axis_interval(axis)
-        return _central_difference(
-            lambda s: np.exp(lam_at(s)) * (axis_integral(F, W, p, "left", axis, s) + i_other),
-            np.array([coord]), difference_step(lo, hi), lo, hi,
-        )[0]
-
     comps = []
     for l in (1, 2):
         ax_x, ax_y = component_axes(l)
@@ -530,8 +538,14 @@ def factorization_check(
         lam_fn = lam.component(l)
         ix = axis_integral(F, W, p, "left", ax_x, x)
         iy = axis_integral(F, W, p, "left", ax_y, y)
-        dmx = m_partial(ax_x, x, lambda s: lam_fn.f(s, y), iy)
-        dmy = m_partial(ax_y, y, lambda s: lam_fn.f(x, s), ix)
+        # exp(lambda) * (I F) along each axis through Z, with the other
+        # direction's integral held at its value at Z
+        dmx = _axis_partial_batched(
+            lambda s: np.exp(lam_fn.f(s, y)) * (axis_integral(F, W, p, "left", ax_x, s) + iy),
+            p, ax_x, x)
+        dmy = _axis_partial_batched(
+            lambda s: np.exp(lam_fn.f(x, s)) * (axis_integral(F, W, p, "left", ax_y, s) + ix),
+            p, ax_y, y)
         comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))
 
     cr_part = BicomplexNumber(comps[0], comps[1])

@@ -23,7 +23,8 @@ from bcfrac import (
     trace_integral,
     trace_sum,
 )
-from bcfrac.quadrature_verify import frac_cr_component
+from bcfrac.frac_cr_bicomplex import _axis_partial_batched, axis_integral, frac_cr_component
+from bcfrac.fracops1d import difference_step
 
 
 @pytest.fixture
@@ -212,10 +213,98 @@ class TestInversionIdentity:
         assert abs(got.z1) < 1e-12 and abs(got.z2) < 1e-12
 
 
+class TestAxisPartial:
+    """``_axis_partial_batched``, the one partial of a trace integral: the
+    Richardson combination of clipped central differences of steps h and
+    2h."""
+
+    H = difference_step(0.0, 1.0)
+
+    @staticmethod
+    def line(t):
+        return np.sin(3.0 * t) + 1j * np.exp(t)
+
+    @staticmethod
+    def d_line(t):
+        return 3.0 * np.cos(3.0 * t) + 1j * np.exp(t)
+
+    @staticmethod
+    def params(rect, phi):
+        return FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=64))
+
+    def test_interior_points_match_the_derivative(self, unit_rect, linear_phi):
+        # measured 3.5e-12: rounding over the step; the h^4 truncation is far below
+        ts = np.linspace(2 * self.H, 1 - 2 * self.H, 41)
+        got = _axis_partial_batched(self.line, self.params(unit_rect, linear_phi), 0, ts)
+        assert np.max(np.abs(got - self.d_line(ts))) < 1e-10
+
+    def test_points_near_the_ends_are_first_order(self, unit_rect, linear_phi):
+        # within 2h of an end a quotient turns one-sided and the combination
+        # keeps an O(h) term, at most |f''| h / 3 (at the end itself); measured
+        # 1.0e-4 at t = 1, where |f''| = 3.0, with |f''| <= 9 + e on [0, 1]
+        h = self.H
+        ts = np.array([0.0, 0.3 * h, h, 1.7 * h, 1 - 1.7 * h, 1 - h, 1 - 0.3 * h, 1.0])
+        got = _axis_partial_batched(self.line, self.params(unit_rect, linear_phi), 0, ts)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - self.d_line(ts))) <= (9.0 + np.e) * h / 2
+
+    def test_one_call_of_mixed_points_equals_separate_calls(self, unit_rect, linear_phi):
+        # a polynomial line, so that every value is independent of its batch
+        p = self.params(unit_rect, linear_phi)
+        cubic = lambda t: t**3 - 2.0 * t**2 + (1.0 + 0.5j) * t
+        ts = np.array([[0.0, 0.37], [1.0 - self.H, 0.5], [1.5 * self.H, 1.0]])
+        got = _axis_partial_batched(cubic, p, 1, ts)
+        want = np.array([_axis_partial_batched(cubic, p, 1, np.array([t]))[0] for t in ts.ravel()])
+        assert got.shape == ts.shape
+        assert np.array_equal(got.ravel(), want)
+
+    def test_the_integral_is_called_once_per_partial(self, setup):
+        rect, phi, F, W, Z = setup
+        p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
+        sizes = []
+
+        def counting(ax):
+            def integral(s):
+                sizes.append((ax, np.size(s)))
+                return axis_integral(F, W, p, "left", ax, s)
+            return integral
+
+        ts = np.linspace(0.0, 1.0, 5)
+        _axis_partial_batched(counting(0), p, 0, ts)
+        assert sizes == [(0, 4 * ts.size)]
+        sizes.clear()
+        # at proportion one the operator evaluates each integral only on its
+        # partial's stencil
+        frac_cr_component(counting(0), counting(1), p, WeightPair.classical(), 1, ts, ts)
+        assert sizes == [(0, 4 * ts.size), (1, 4 * ts.size)]
+
+    @pytest.mark.parametrize("check, rows", [("frac_cr_apply", 10), ("factorization_check", 20)])
+    def test_rule_rows_at_a_point(self, setup, monkeypatch, check, rows):
+        # per axis of nonzero proportion: the point and the four-point stencil
+        # for frac_cr_apply, and again for the factorization's own partials
+        from bcfrac import frac_cr_bicomplex
+
+        rect, phi, F, W, Z = setup
+        p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=64))
+        wp = WeightPair.classical()
+        real, targets = frac_cr_bicomplex.prop_frac_integral, []
+
+        def spy(f, spec, side, t, q):
+            if spec.sigma != 0:
+                targets.append(np.size(t))
+            return real(f, spec, side, t, q)
+
+        monkeypatch.setattr(frac_cr_bicomplex, "prop_frac_integral", spy)
+        if check == "frac_cr_apply":
+            frac_cr_apply(F, W, p, wp, Z)
+        else:
+            factorization_check(F, W, p, wp, lambda_for_constant_weights(wp, p), Z)
+        assert sum(targets) == rows
+
+
 class TestFracCrApply:
-    def test_proportion_one_matches_closed_form(self, setup, sigma_one_cr, direct_integrals):
-        # measured at n = 512: 1.6e-6 (frac_cr_apply) and 1.6e-6 / 1.1e-6
-        # (frac_cr_component per component), falling at order 2 in n
+    def test_proportion_one_matches_closed_form(self, setup, sigma_one_cr):
+        # measured at n = 512: 1.6e-6, falling at order 2 in n
         rect, phi, _, W, Z = setup
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=512))
         wp = WeightPair.classical()
@@ -224,9 +313,6 @@ class TestFracCrApply:
                 for z, w in ((Z.z1, W.z1), (Z.z2, W.z2))]
         got = frac_cr_apply(F, W, p, wp, Z)
         assert (got - BicomplexNumber(*want)).mod_k().max() < 3e-6
-        for l, z in ((1, Z.z1), (2, Z.z2)):
-            got_l = frac_cr_component(*direct_integrals(F, W, p, l), p, wp, l, z.real, z.imag)[0]
-            assert abs(got_l - want[l - 1]) < 3e-6
 
     def test_degenerate_orders_give_cr_of_trace_sum(self, setup):
         rect, phi, F, W, Z = setup
@@ -312,7 +398,7 @@ class TestFactorization:
         p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=512))
         wp = WeightPair.classical()
         res = factorization_check(F, W, p, wp, ProductFunction.constant(0.0), Z)
-        assert res.max() < 1e-6
+        assert res.max() < 1e-11  # measured 6.9e-13
 
     def test_constructed_multiplier(self, setup):
         rect, phi, F, W, Z = setup
@@ -320,7 +406,7 @@ class TestFactorization:
         wp = WeightPair.classical()
         lam = lambda_for_constant_weights(wp, p)
         res = factorization_check(F, W, p, wp, lam, Z)
-        assert res.max() < 1e-3
+        assert res.max() < 1e-11  # measured 2.9e-13
 
     def test_zero_field(self, setup):
         rect, phi, _, W, Z = setup

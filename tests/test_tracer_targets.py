@@ -38,3 +38,34 @@ def test_every_captured_argument_is_a_parameter_of_its_target():
         names = capture if isinstance(capture, tuple) else (capture,)
         unbound += [f"{module}.{name}({arg})" for arg in names if arg not in params]
     assert unbound == []
+
+
+def test_identities_reach_the_cr_field_through_quadrature_verify(monkeypatch):
+    # frac_cr_component is defined in frac_cr_bicomplex; the tracer's
+    # trace_field spans wrap it by its quadrature_verify binding, so the Gauss
+    # identity and the deep area map must look it up there
+    from bcfrac import (FracParams, Phi4, ProductFunction, Quadrature1D, RectDomain,
+                        SurfacePatch, WeightPair)
+    from bcfrac import quadrature_verify as qv
+
+    assert ("bcfrac.quadrature_verify", "frac_cr_component") in {
+        (module, name) for module, name, _, _ in TARGETS}
+    real, components = qv.frac_cr_component, []
+
+    def counting(ix, iy, p, wp, l, xs, ys, g=None):
+        components.append(l)
+        return real(ix, iy, p, wp, l, xs, ys, g=g)
+
+    monkeypatch.setattr(qv, "frac_cr_component", counting)
+    rect = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
+    p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), Phi4.fractal(1, 1, 1, 1), Quadrature1D(n=32))
+    F = ProductFunction.from_holomorphic(lambda z: z**2, lambda z: 2 * z)
+    W, Z = rect.point(0.45, 0.4, 0.55, 0.6), rect.point(0.5, 0.55, 0.45, 0.5)
+    wp, lam = WeightPair.classical(), ProductFunction.constant(0.0)
+    patch = SurfacePatch.inside(rect, m=4, k=4)
+
+    qv.frac_gauss_residual(F, W, p, wp, lam, patch)
+    assert components == [1, 2]
+    components.clear()
+    qv.frac_bp_reconstruct(F, W, Z, p, wp, lam, patch)
+    assert set(components) == {1, 2}
