@@ -326,14 +326,18 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> Bic
     return BicomplexNumber(e_comp, edag_comp)
 
 
-#: Chebyshev samples of the deep area map per live trace line
+#: Chebyshev samples of the deep area and boundary maps per live trace line
 #: (``_trace_derivative_of_map``).  On the stall setup (classical weights,
 #: linear phi, ``poly``, alpha 0.5, sigma (0.7, 0, 0.7, 0)) at (8, 8, 64) ...
-#: (128, 128, 1024), largest move of l1 or l2 from the direct map, and time
-#: of the finest level (one BLAS thread, 2-CPU Xeon): 16 samples 9.1%, 0.17
-#: s; 32 samples 6.1%, 0.19 s; 64 samples 1.6%, 0.22 s; direct 3.5 s.
+#: (128, 128, 1024), largest move of l1 or l2 from the direct area map, and
+#: time of the finest level (one BLAS thread, 2-CPU Xeon): 16 samples 9.1%,
+#: 0.17 s; 32 samples 6.1%, 0.19 s; 64 samples 1.6%, 0.22 s; direct 3.5 s.
 #: Along the line, the m-map and its 32-sample surrogate are equally far from
-#: the 2m map, 0.15-0.35% of its size at m = 16 ... 64 (BENCH_27.json).
+#: the 2m map, 0.15-0.35% of its size at m = 16 ... 64 (BENCH_27.json).  The
+#: boundary half alone moves from the direct boundary map by at most 3.3e-10,
+#: 3.2e-10 and 3.2e-10 absolute at 16, 32 and 64 samples (all at (8, 8, 64);
+#: 2.6e-13, 2.8e-13 and 9.8e-14 at the finest level), and its finest level
+#: takes 8, 8 and 12 ms against 108 ms direct (BENCH_29.json).
 _MAP_LINE_SAMPLES = 32
 
 
@@ -347,12 +351,13 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
     span.
 
     ``strip`` gives, per direction, the width of the strip along each edge in
-    which the map is constant (the deep area map's clamp).  With it, a
-    direction of nonzero proportion reads the map through its line
-    ``interpolant`` at ``_MAP_LINE_SAMPLES`` points of ``[lo + strip,
-    min(coord + h, hi - strip)]``: the part of the line that the outer rule
-    reads, less the strip.  A direction of proportion zero reads the map at
-    ``Z`` only, and reads it directly."""
+    which the map is constant: the deep area map's clamp, or zero for the
+    deep boundary map, which has no clamp.  With it, a direction of nonzero
+    proportion reads the map through its line ``interpolant`` at
+    ``_MAP_LINE_SAMPLES`` points of ``[lo + strip, min(coord + h, hi -
+    strip)]``: the part of the line that the outer rule reads, less the
+    strip.  A direction of proportion zero reads the map at ``Z`` only, and
+    reads it directly."""
     ax_x, ax_y = component_axes(l)
     x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
     lines = (lambda t: plane_map(t, y_c), lambda t: plane_map(x_c, t))

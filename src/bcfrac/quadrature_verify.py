@@ -431,11 +431,11 @@ def frac_bp_reconstruct(
     comes from its two surrogates (``_trace_integrals``), per axis and
     broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` and the
     outer trace derivatives run the direct rule.  The outer derivative reads
-    the area map, along each trace line of nonzero proportion, through a
-    Chebyshev interpolant (``_trace_derivative_of_map`` with the map's clamp
-    strip): one kernel sum of ``_MAP_LINE_SAMPLES`` = 32 targets per line,
-    where the direct map takes one per node of the outer rows.  It reads the
-    boundary map directly.
+    the area map and the boundary map, along each trace line of nonzero
+    proportion, through a Chebyshev interpolant (``_trace_derivative_of_map``
+    with the area map's clamp strip, and a strip of zero width for the
+    boundary map): one kernel sum of ``_MAP_LINE_SAMPLES`` = 32 targets per
+    line and map, where the direct map takes one per node of the outer rows.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
@@ -463,11 +463,11 @@ def frac_bp_reconstruct(
             zp = np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float)
             return np.exp(-lam_fn.f(zp.real, zp.imag)) * kernel.boundary_sums(l, z_b, coef, zp)
 
-        # the outer derivatives difference the discretized maps directly, so
-        # their quotients act on one fixed smooth function; the step is 5e-3
-        # of the span, fifty times the default, so that residual quadrature
-        # noise is not amplified
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, 5e-3)
+        # the outer derivatives difference the discretized maps, so their
+        # quotients act on one fixed smooth function; the step is 5e-3 of the
+        # span, fifty times the default, so that residual quadrature noise is
+        # not amplified.  The boundary map is not clamped: its strip is empty
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, 5e-3, (0.0, 0.0))
 
         area_d = 0.0 + 0.0j
         if include_area:

@@ -755,25 +755,42 @@ class TestSeparableTraceFields:
         assert np.array_equal(wy, np.concatenate([zero, wys, zero, -wys[::-1]]))
 
 
+def _direct_map_path(monkeypatch, clamped: bool):
+    """Unwrap the line surrogates of one of the deep maps: the area map (its
+    strip is the clamp, ``clamped``) or the boundary map (its strip has zero
+    width).  Every trace line of that map then reads the map itself, the
+    reference path; the other map keeps its surrogate."""
+    from bcfrac import quadrature_verify as qv
+
+    real = qv._trace_derivative_of_map
+
+    def outer(plane_map, l, Z, W, p, step, strip=None):
+        direct = strip is not None and any(strip) == clamped
+        return real(plane_map, l, Z, W, p, step, None if direct else strip)
+
+    monkeypatch.setattr(qv, "_trace_derivative_of_map", outer)
+
+
 def _direct_area_path(monkeypatch):
-    """Unwrap the deep area map's line surrogates: every trace line then
-    reads ``area_map`` itself, the reference path."""
-    from bcfrac import frac_cr_bicomplex
-
-    monkeypatch.setattr(frac_cr_bicomplex, "interpolant", lambda line, a, b, n: line)
+    _direct_map_path(monkeypatch, clamped=True)
 
 
-def _kernel_sum_targets(monkeypatch) -> list:
-    """Shapes of the targets of every ``CauchyKernel.sums`` call, in order."""
+def _direct_boundary_path(monkeypatch):
+    _direct_map_path(monkeypatch, clamped=False)
+
+
+def _kernel_sum_targets(monkeypatch, method: str = "sums") -> list:
+    """Shapes of the targets of every call of the ``CauchyKernel`` method,
+    in order."""
     from bcfrac import CauchyKernel
 
-    real, targets = CauchyKernel.sums, []
+    real, targets = getattr(CauchyKernel, method), []
 
     def spy(self, l, sources, charges, points):
         targets.append(np.shape(points))
         return real(self, l, sources, charges, points)
 
-    monkeypatch.setattr(CauchyKernel, "sums", spy)
+    monkeypatch.setattr(CauchyKernel, method, spy)
     return targets
 
 
@@ -842,3 +859,44 @@ class TestAreaLineSurrogate:
         want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
         assert abs(got.l1 - want.l1) <= 0.1 * want.l1
         assert abs(got.l2 - want.l2) <= 0.1 * want.l2
+
+
+class TestBoundaryLineSurrogate:
+    """The deep reconstruction reads its boundary map, along every trace line
+    of nonzero proportion, through the same 32-sample Chebyshev interpolant
+    as its area map, on a strip of zero width."""
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    def test_each_live_line_sends_32_targets_and_each_still_line_one(self, name, monkeypatch):
+        # per component: the x line (sigma != 0) sends its 32 samples in one
+        # boundary sum, the y line (sigma = 0) the point Z; the direct map
+        # sent the outer rows, 512 targets (and 256 more at sigma != 1)
+        targets = _kernel_sum_targets(monkeypatch, "boundary_sums")
+        s, p, patch = _item(name)
+        frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        assert targets == [(32,), (1,)] * 2
+
+    def test_stall_levels_agree_with_the_direct_map(self, monkeypatch):
+        # the boundary half only; measured largest moves of l1 or l2: 3.2e-10
+        # at (8, 8, 64), 3.6e-11, 6.4e-12 and 9.6e-13 at (64, 64, 512)
+        from bcfrac.cli import parse_experiment
+
+        setup = parse_experiment(dict(STALL_ENTRY, include_area=False), 0).setup
+        levels = [Resolution(8, 8, 64).scaled(2**i) for i in range(4)]
+        got = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        _direct_boundary_path(monkeypatch)
+        want = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        for a, b in zip(got, want):
+            assert abs(a.res_l1 - b.res_l1) <= 1e-9
+            assert abs(a.res_l2 - b.res_l2) <= 1e-9
+
+    @pytest.mark.parametrize("name", list(DEEP_ENTRIES))
+    def test_deep_items_agree_with_the_direct_map(self, name, monkeypatch):
+        # the boundary half only; measured largest moves of l1 or l2: 8.1e-12
+        # (bg-reconstruction), 1.7e-11 (bp-general), 2.7e-11 (bp-boundary-only)
+        s, p, patch = _item(name)
+        got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False)
+        _direct_boundary_path(monkeypatch)
+        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False)
+        assert abs(got.l1 - want.l1) <= 1e-9
+        assert abs(got.l2 - want.l2) <= 1e-9
