@@ -404,22 +404,26 @@ def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) ->
     return (di - target).mod_k()
 
 
-def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords):
+def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords,
+                          centre: bool = False):
     """Derivative along ``axis`` of the 1-D trace integral ``integral`` (a
     callable on coordinate arrays) at each of ``coords`` (an array of any
     shape): the Richardson combination ``(4*D_h - D_2h) / 3`` of two central
     differences, of steps ``h = difference_step`` and ``2h``, each clipped
     one-sided at the interval ends.  ``integral`` is called once, on the
-    whole four-point stencil as one flat array."""
+    whole four-point stencil as one flat array, and with ``centre`` on
+    ``coords`` too; the result is then the pair of the derivative and the
+    integral at ``coords``."""
     lo, hi = p.rect.axis_interval(axis)
     h = difference_step(lo, hi)
     coords = np.asarray(coords, dtype=float)
     t = (np.maximum(coords - 2 * h, lo), np.maximum(coords - h, lo),
-         np.minimum(coords + h, hi), np.minimum(coords + 2 * h, hi))
-    g = np.reshape(integral(np.concatenate([np.ravel(tk) for tk in t])), (4,) + coords.shape)
+         np.minimum(coords + h, hi), np.minimum(coords + 2 * h, hi)) + ((coords,) if centre else ())
+    g = np.reshape(integral(np.concatenate([np.ravel(tk) for tk in t])), (len(t),) + coords.shape)
     d_h = (g[2] - g[1]) / (t[2] - t[1])
     d_2h = (g[3] - g[0]) / (t[3] - t[0])
-    return (4.0 * d_h - d_2h) / 3.0
+    d = (4.0 * d_h - d_2h) / 3.0
+    return (d, g[4]) if centre else d
 
 
 def trace_component(ix: Callable, iy: Callable, xs, ys):
@@ -440,19 +444,23 @@ def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair,
     (``h = difference_step``), one call of each integral on its four-point
     stencil.  The identities pass the per-axis surrogates
     (``quadrature_verify._trace_integrals``), ``frac_cr_apply`` the direct
-    rule.  Where the component's proportion is 1, ``g`` itself is not
-    evaluated; a caller that holds it already passes it as ``g``."""
+    rule.  Where the component's proportion is not 1, the same call also
+    takes the points themselves, and ``g`` is ``ix(xs) + iy(ys)`` from it;
+    a caller that holds ``g`` already passes it, and the calls stay on the
+    stencils.  Where the proportion is 1, ``g`` is not evaluated."""
     ax_x, ax_y = component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    dgx = _axis_partial_batched(ix, p, ax_x, xs)
-    dgy = _axis_partial_batched(iy, p, ax_y, ys)
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
+    centre = sig != 1 and g is None
+    dgx = _axis_partial_batched(ix, p, ax_x, xs, centre)
+    dgy = _axis_partial_batched(iy, p, ax_y, ys, centre)
+    if centre:
+        (dgx, gx), (dgy, gy) = dgx, dgy
+        g = gx + gy
     cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
     out = sig * cr / p.phi.dphi(l, xs, ys)
     if sig != 1:
-        if g is None:
-            g = trace_component(ix, iy, xs, ys)
         out = (1.0 - sig) * g + out
     return out
 

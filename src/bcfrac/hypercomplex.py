@@ -65,10 +65,6 @@ class BicomplexNumber:
         """Hyperbolic modulus ``|Z|_k = |z1|*E + |z2|*E'``."""
         return HyperbolicNumber(abs(self.z1), abs(self.z2))
 
-    def is_zero_divisor(self) -> bool:
-        small1, small2 = abs(self.z1) <= ZERO_TOL, abs(self.z2) <= ZERO_TOL
-        return bool(small1 != small2)
-
     def invert(self) -> "BicomplexNumber":
         """Componentwise reciprocal; defined only away from the zero cone."""
         small1, small2 = abs(self.z1) <= ZERO_TOL, abs(self.z2) <= ZERO_TOL
@@ -105,11 +101,6 @@ class HyperbolicNumber:
 
     def __mul__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
         return HyperbolicNumber(self.l1 * other.l1, self.l2 * other.l2)
-
-    def in_positive_cone(self, strict: bool = False) -> bool:
-        if strict:
-            return bool(self.l1 > 0 and self.l2 > 0)
-        return bool(self.l1 >= 0 and self.l2 >= 0)
 
     def as_bicomplex(self) -> BicomplexNumber:
         return BicomplexNumber(complex(self.l1), complex(self.l2))

@@ -480,8 +480,8 @@ class TestPropFracDerivative:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_array_targets_equal_scalar_calls(self, cubic_weight, side):
-        # the value and the stencil take separate integral calls; rows depend
-        # only on their own target, so batching never changes a bit
+        # the value rides in the stencil's integral call; rows depend only on
+        # their own target, so batching never changes a bit
         spec = FracSpec(0.4, 0.6, cubic_weight)
         q = Quadrature1D(n=256)
         ts = np.array([0.0, 5e-5, 0.3, 0.3, 0.7, 1.0])
@@ -493,19 +493,20 @@ class TestPropFracDerivative:
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
     def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch,
                                                         side, sigma):
-        # at sigma = 1 the (1 - sigma) term is skipped, so the inner integral
-        # runs on the difference stencil alone; the value is the full
-        # formula's bit for bit
+        # one integral call: the difference stencil, and at sigma != 1 the
+        # targets themselves for the (1 - sigma) term; the value is the full
+        # formula's, from separate calls, bit for bit
         spec = FracSpec(0.4, sigma, cubic_weight)
         inner = FracSpec(1.0 - 0.4, sigma, cubic_weight)
         q = Quadrature1D(n=128)
         ts = np.array([0.0, 0.3, 0.7, 1.0])
         h = fracops1d.difference_step(0.0, 1.0)
+        tm, tp = np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)
 
         def g(s):
             return prop_frac_integral(np.cos, inner, side, s, q)
 
-        dg = fracops1d._central_difference(g, ts, h, 0.0, 1.0)
+        dg = (g(tp) - g(tm)) / (tp - tm)
         sign = 1.0 if side == "left" else -1.0
         want = (1.0 - sigma) * g(ts) + sign * sigma * dg / cubic_weight.dphi(ts)
 
@@ -517,8 +518,8 @@ class TestPropFracDerivative:
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
         got = prop_frac_derivative(np.cos, spec, side, ts, q)
-        stencil = np.concatenate([np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)]).tolist()
-        assert targets == ([stencil] if sigma == 1.0 else [stencil, ts.tolist()])
+        stencil = [tm, tp] if sigma == 1.0 else [tm, tp, ts]
+        assert targets == [np.concatenate(stencil).tolist()]
         assert np.array_equal(got, want)
 
     def test_sigma_zero_is_the_identity(self, cubic_weight):
@@ -731,25 +732,62 @@ class TestInterpolant:
         assert built == [32, 32]
 
 
-class TestCentralDifference:
-    def test_exact_on_affine(self):
-        ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])
-        got = fracops1d._central_difference(lambda s: 2.5 - 1.75j * s, ts, 1e-4, 0.0, 1.0)
-        assert np.max(np.abs(got + 1.75j)) < 1e-10
+class TestDerivativeStencil:
+    """The difference quotient of ``prop_frac_derivative``, read through a
+    stand-in for its one inner integral call."""
 
-    def test_one_sided_at_both_ends(self):
+    @staticmethod
+    def derivative(monkeypatch, fn, ts, h):
         calls = []
 
-        def fn(s):
-            calls.append(s.copy())
-            return s**2
+        def integral(f, p, side, t, q):
+            calls.append(t.copy())
+            return fn(t)
 
-        ts = np.array([0.0, 0.5, 1.0])
-        got = fracops1d._central_difference(fn, ts, 0.01, 0.0, 1.0)
+        monkeypatch.setattr(fracops1d, "prop_frac_integral", integral)
+        # sigma = 1 on the identity weight: the quotient itself
+        spec = FracSpec(0.5, 1.0, ScalarWeightFn(lambda t: t, lambda t: 1.0 + 0.0 * t, 0.0, 1.0,
+                                                 exponent=1.0))
+        return prop_frac_derivative(np.cos, spec, "left", ts, Quadrature1D(n=16), h=h), calls
+
+    def test_exact_on_affine(self, monkeypatch):
+        ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])
+        got, _ = self.derivative(monkeypatch, lambda s: 2.5 - 1.75j * s, ts, 1e-4)
+        assert np.max(np.abs(got + 1.75j)) < 1e-10
+
+    def test_one_sided_at_both_ends(self, monkeypatch):
+        got, calls = self.derivative(monkeypatch, lambda s: s**2, np.array([0.0, 0.5, 1.0]), 0.01)
         assert len(calls) == 1
         assert np.array_equal(calls[0], [0.0, 0.49, 0.99, 0.01, 0.51, 1.0])
         # one-sided quotients of s^2 are off by h, the central one is exact
         assert np.max(np.abs(got - [0.01, 1.0, 1.99])) < 1e-12
+
+
+class TestNonFiniteTargets:
+    """NaN and infinite targets are refused before any rule row is built,
+    alone and hidden in a batch, on both sides."""
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("operator", [prop_frac_integral, prop_frac_derivative])
+    def test_refused(self, cubic_weight, side, bad, batched, operator):
+        ts = np.array([0.2, 0.5, bad, 0.9]) if batched else bad
+        with pytest.raises(DomainError):
+            operator(np.cos, FracSpec(0.4, 0.7, cubic_weight), side, ts, Quadrature1D(n=16))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tolerances_and_messages_kept(self, cubic_weight, side):
+        # up to 1e-12 beyond the interval counts as inside it, but beyond the
+        # anchor only 1e-14 does
+        spec, q = FracSpec(0.4, 0.7, cubic_weight), Quadrature1D(n=16)
+        lo, hi = (-5e-13, -1e-11), (1.0 + 5e-13, 1.0 + 1e-11)  # just past, and past 1e-12
+        (anchor, _), (far, beyond) = (lo, hi) if side == "left" else (hi, lo)
+        with pytest.raises(DomainError, match=f"{side} integral needs"):
+            prop_frac_integral(np.cos, spec, side, np.array([0.5, anchor]), q)
+        assert np.isfinite(prop_frac_integral(np.cos, spec, side, far, q))
+        with pytest.raises(DomainError, match="outside"):
+            prop_frac_integral(np.cos, spec, side, np.array([0.5, beyond]), q)
 
 
 class TestHausdorff:

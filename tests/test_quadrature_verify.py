@@ -180,6 +180,27 @@ def _trace_spy(monkeypatch):
     return sizes
 
 
+def _surrogate_spy(monkeypatch):
+    """Record the target count of every call of the per-axis trace integrals
+    that ``_trace_integrals`` hands out: one list per surrogate, in the order
+    they are built."""
+    from bcfrac import quadrature_verify as qv
+
+    calls, build = [], qv._trace_integrals
+
+    def counting(surrogate):
+        sizes = []
+        calls.append(sizes)
+
+        def call(t):
+            sizes.append(np.size(t))
+            return surrogate(t)
+        return call
+
+    monkeypatch.setattr(qv, "_trace_integrals", lambda *a: tuple(map(counting, build(*a))))
+    return calls
+
+
 def _full_cr_component(F, W, p, wp, l, xs, ys):
     """``(1 - sigma) * g + sigma * (weighted CR of g) / Dphi`` with the trace
     integral ``g`` always evaluated, and ``g``, on broadcastable axes ``xs``
@@ -230,18 +251,23 @@ class TestZeroWeightedTerms:
     @pytest.mark.parametrize("sigma", [(1, 0, 1, 0), (0.7, 0, 0.7, 0), (1, 0, 0.7, 0)])
     def test_cr_component_evaluates_the_trace_integral_off_proportion_one(
             self, frac_setup, monkeypatch, sigma):
-        from bcfrac.quadrature_verify import _area_nodes, _trace_integrals, frac_cr_component
+        from bcfrac import quadrature_verify as qv
+        from bcfrac.quadrature_verify import _area_nodes, frac_cr_component
 
         rect, phi, wp, F, patch, W, _ = frac_setup
         p = FracParams(rect, (0.5,) * 4, sigma, phi, Quadrature1D(n=64))
         for l in (1, 2):
             x, y, _ = _area_nodes(patch.component_bounds(l), 4)
             want, _ = _full_cr_component(F, W, p, wp, l, x, y)
-            sizes = _trace_spy(monkeypatch)
-            got = frac_cr_component(*_trace_integrals(F, W, p, l), p, wp, l, x, y)
+            sizes, calls = _trace_spy(monkeypatch), _surrogate_spy(monkeypatch)
+            got = frac_cr_component(*qv._trace_integrals(F, W, p, l), p, wp, l, x, y)
             monkeypatch.undo()
+            # off proportion one the trace integral rides in each partial's
+            # stencil call: five points per node, not four
             sig = p.sigma.z1 if l == 1 else p.sigma.z2
-            assert sizes == ([] if sig == 1 else [x.size])
+            stencil = 4 if sig == 1 else 5
+            assert sizes == []
+            assert calls == [[stencil * x.size], [stencil * y.size]]
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("weights, sigma, area_calls", [
@@ -265,11 +291,18 @@ class TestZeroWeightedTerms:
         lam = NO_LAM if sigma[0] == 1 or weights == "scaled" else lambda_for_constant_weights(wp, p)
         patch = patch.with_resolution(4, 4)
         want = _full_frac_gauss_residual(F, W, p, wp, lam, patch)
-        sizes = _trace_spy(monkeypatch)
+        sizes, calls = _trace_spy(monkeypatch), _surrogate_spy(monkeypatch)
         got = frac_gauss_residual(F, W, p, wp, lam, patch)
-        # the contour's trace integral comes from _contour_trace, not from
-        # trace_component; an area call evaluates each axis once
-        assert sizes == [2 * patch.m] * area_calls * 2
+        # the contour's trace integral comes from _contour_trace (its 4k
+        # nodes and both ends).  On the area, the divergence term of
+        # non-constant weights takes it through trace_component and hands it
+        # to the CR field; otherwise the CR field takes it in each partial's
+        # stencil call, five points per node instead of four.  An area
+        # evaluation covers each axis once.
+        divergence = weights == "scaled"
+        stencil = (4 + area_calls - divergence) * 2 * patch.m
+        assert sizes == [2 * patch.m] * divergence * 2
+        assert calls == [[4 * patch.k + 2] + [2 * patch.m] * divergence + [stencil]] * 4
         assert [got.l1, got.l2] == want
 
 
