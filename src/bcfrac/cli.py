@@ -70,7 +70,6 @@ from .quadrature_verify import (
     VerificationSetup,
     check_reconstruction_point,
     convergence_study,
-    run_identity,
 )
 from .weighted_cr import CauchyKernel, ProductFunction
 
@@ -220,9 +219,11 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
 
 def load_config(path: str) -> list:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} is unreadable: {type(exc).__name__}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     entries = raw.get("experiments") if isinstance(raw, dict) else None
@@ -299,8 +300,6 @@ def _run_experiments(configs: list, levels_override: Optional[int], jobs: int):
 
     def run_one(cfg: ExperimentConfig):
         levels = cfg.levels if levels_override is None else levels_override
-        if levels == 1:
-            return [run_identity(cfg.identity, cfg.setup, cfg.resolution)]
         return convergence_study(cfg.identity, cfg.setup, cfg.resolution, levels)
 
     if jobs > 1:
@@ -364,11 +363,17 @@ def _cmd_verify(args) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # an --out that cannot be a directory costs no experiment run
+        print(f"output error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     finished, error = [], None
     try:
         for item in _run_experiments(configs, args.levels, args.jobs):
             finished.append(item)
-    except BcfracError as exc:
+    except Exception as exc:  # any crash, numpy's MemoryError too, is never a FAIL
         error = exc
     summary, reports = _summarize(finished)
     if error is not None:

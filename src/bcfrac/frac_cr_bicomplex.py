@@ -136,27 +136,19 @@ class Phi4:
         return np.real(c.dx(x, y) + c.dy(x, y))
 
     def restriction(self, axis: int, W: BicomplexNumber, rect: RectDomain) -> ScalarWeightFn:
-        """Scalar weight along one trace direction through ``W``."""
+        """Scalar weight along one trace direction through ``W``: the real
+        part of the component along ``_trace_line``, and of its partial in
+        that direction."""
+        comp = self.component(1 + axis // 2)
+        phi = _trace_line(comp.f, W, axis)
+        partial = _trace_line(comp.dx if axis % 2 == 0 else comp.dy, W, axis)
         lo, hi = rect.axis_interval(axis)
-        comp = self.comp1 if axis < 2 else self.comp2
-        wz = W.z1 if axis < 2 else W.z2
-        exponent = None if self.exponents is None else self.exponents[axis]
-        if axis % 2 == 0:  # x-direction at fixed height Im(w)
-            yw = float(np.imag(wz))
-            return ScalarWeightFn(
-                phi=lambda t, c=comp, yw=yw: np.real(c.f(t, yw)),
-                dphi=lambda t, c=comp, yw=yw: np.real(c.dx(t, yw)),
-                lo=lo,
-                hi=hi,
-                exponent=exponent,
-            )
-        xw = float(np.real(wz))
         return ScalarWeightFn(
-            phi=lambda t, c=comp, xw=xw: np.real(c.f(xw, t)),
-            dphi=lambda t, c=comp, xw=xw: np.real(c.dy(xw, t)),
+            phi=lambda t: np.real(phi(t)),
+            dphi=lambda t: np.real(partial(t)),
             lo=lo,
             hi=hi,
-            exponent=exponent,
+            exponent=None if self.exponents is None else self.exponents[axis],
         )
 
     def validate(self, rect: RectDomain) -> None:
@@ -241,14 +233,18 @@ def dphi(phi: Phi4, Z: BicomplexNumber) -> HyperbolicNumber:
                             phi.dphi(2, np.real(Z.z2), np.imag(Z.z2)))
 
 
-def _axis_line(F: ProductFunction, W: BicomplexNumber, axis: int) -> Callable:
-    comp = F.f1 if axis < 2 else F.f2
-    wz = W.z1 if axis < 2 else W.z2
+def _trace_line(fn: Callable, P: BicomplexNumber, axis: int) -> Callable:
+    """The line of the plane function ``fn(x, y)`` along ``axis`` through
+    ``P``: ``t -> fn(t, Im p)`` on an x axis and ``t -> fn(Re p, t)`` on a y
+    axis, ``p`` the component of ``P`` in that axis's plane."""
+    held = _axis_coord(P, axis ^ 1)  # the other axis of the same plane
     if axis % 2 == 0:
-        yw = float(np.imag(wz))
-        return lambda t: comp.f(t, yw)
-    xw = float(np.real(wz))
-    return lambda t: comp.f(xw, t)
+        return lambda t: fn(t, held)
+    return lambda t: fn(held, t)
+
+
+def _axis_line(F: ProductFunction, W: BicomplexNumber, axis: int) -> Callable:
+    return _trace_line(F.component(1 + axis // 2).f, W, axis)
 
 
 def _axis_coord(Z: BicomplexNumber, axis: int) -> float:
@@ -301,12 +297,8 @@ def trace_derivative(F, W: BicomplexNumber, p: FracParams, side: str, Z: Bicompl
 
 def trace_sum(F: ProductFunction, W: BicomplexNumber, Z: BicomplexNumber) -> BicomplexNumber:
     """Sum of ``F`` along the horizontal and vertical traces through ``W``."""
-    x1, y1 = np.real(Z.z1), np.imag(Z.z1)
-    x2, y2 = np.real(Z.z2), np.imag(Z.z2)
-    return BicomplexNumber(
-        F.f1.f(x1, float(np.imag(W.z1))) + F.f1.f(float(np.real(W.z1)), y1),
-        F.f2.f(x2, float(np.imag(W.z2))) + F.f2.f(float(np.real(W.z2)), y2),
-    )
+    vals = [_axis_line(F, W, ax)(_axis_coord(Z, ax)) for ax in range(4)]
+    return BicomplexNumber(vals[0] + vals[1], vals[2] + vals[3])
 
 
 def _one(t):
@@ -346,9 +338,8 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
     """The two-direction trace derivative (in the real components of ``Z``,
     with weight restrictions anchored through ``W``) of a scalar field
     ``plane_map(xs, ys)`` on component plane ``l``: one ``axis_derivative``
-    per direction, along the line through ``Z`` whose other coordinate is
-    passed as a scalar, with difference step ``h = step`` times that axis's
-    span.
+    per direction, along the map's ``_trace_line`` through ``Z``, with
+    difference step ``h = step`` times that axis's span.
 
     ``strip`` gives, per direction, the width of the strip along each edge in
     which the map is constant: the deep area map's clamp, or zero for the
@@ -358,11 +349,9 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
     strip)]``: the part of the line that the outer rule reads, less the
     strip.  A direction of proportion zero reads the map at ``Z`` only, and
     reads it directly."""
-    ax_x, ax_y = component_axes(l)
-    x_c, y_c = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
-    lines = (lambda t: plane_map(t, y_c), lambda t: plane_map(x_c, t))
     total = 0.0 + 0.0j
-    for axis, coord, line, cell in zip((ax_x, ax_y), (x_c, y_c), lines, strip or (None, None)):
+    for axis, cell in zip(component_axes(l), strip or (None, None)):
+        coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
         lo, hi = p.rect.axis_interval(axis)
         h = step * (hi - lo)
         if cell is not None and p.sigma_vec[axis] != 0.0:
@@ -549,16 +538,15 @@ def factorization_check(
         ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
+        lam_x, lam_y = (_trace_line(lam_fn.f, Z, ax) for ax in (ax_x, ax_y))
         ix = axis_integral(F, W, p, "left", ax_x, x)
         iy = axis_integral(F, W, p, "left", ax_y, y)
         # exp(lambda) * (I F) along each axis through Z, with the other
         # direction's integral held at its value at Z
         dmx = _axis_partial_batched(
-            lambda s: np.exp(lam_fn.f(s, y)) * (axis_integral(F, W, p, "left", ax_x, s) + iy),
-            p, ax_x, x)
+            lambda s: np.exp(lam_x(s)) * (axis_integral(F, W, p, "left", ax_x, s) + iy), p, ax_x, x)
         dmy = _axis_partial_batched(
-            lambda s: np.exp(lam_fn.f(x, s)) * (axis_integral(F, W, p, "left", ax_y, s) + ix),
-            p, ax_y, y)
+            lambda s: np.exp(lam_y(s)) * (axis_integral(F, W, p, "left", ax_y, s) + ix), p, ax_y, y)
         comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))
 
     cr_part = BicomplexNumber(comps[0], comps[1])

@@ -520,18 +520,8 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
 
             return direct
         n_cheb = min(2 * n_cheb, budget)
-    evaluate = _barycentric(theta, xs, gs)
-
-    def interp(t):
-        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
-        ts = t_arr.ravel()
-        out, hit, at = evaluate(ts)
-        out *= _singular_range(w, side, ts) ** beta
-        out[hit] = samples[at]
-        out = out.reshape(t_arr.shape)
-        return out if out.ndim else out[()]
-
-    return interp
+    return _barycentric(theta, xs, gs, a, b, exact=samples,
+                        scale=lambda t: _singular_range(w, side, t) ** beta)
 
 
 def _chebyshev_points(a: float, b: float, n: int) -> tuple:
@@ -541,24 +531,27 @@ def _chebyshev_points(a: float, b: float, n: int) -> tuple:
     return theta, 0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta)
 
 
-def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray) -> Callable:
-    """Evaluator of the barycentric interpolant ``p`` through the complex
-    ``values`` at the first-kind Chebyshev points ``xs`` (angles ``theta``,
+def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray, a: float, b: float,
+                 exact: Optional[np.ndarray] = None, scale: Optional[Callable] = None) -> Callable:
+    """Surrogate ``t -> scale(t) * p(t)`` on ``[a, b]``, targets clipped to
+    it: ``p`` the barycentric interpolant through the complex ``values`` at
+    the first-kind Chebyshev points ``xs`` of ``[a, b]`` (angles ``theta``,
     ``_chebyshev_points``), with the weights ``(-1)^j sin(theta_j)`` (Berrut &
-    Trefethen, SIAM Rev. 46 (2004) 501-517).
-
-    The evaluator maps a flat array of targets to ``(p, hit, at)``: ``p`` at
-    every target, in blocks of ``_CHUNK_ELEMENTS`` (samples x targets)
-    entries, the targets ``hit`` that lie on a sample (``p`` is not finite
-    there), and the index ``at`` of that sample; the caller sets those
-    entries.  A target's value may change in the last bit with the batch it
-    is evaluated in."""
+    Trefethen, SIAM Rev. 46 (2004) 501-517), and ``scale`` one when ``None``.
+    On a sample, where ``p`` is not finite, the surrogate is ``exact`` there
+    (``values`` when ``None``).  ``p`` is taken in blocks of
+    ``_CHUNK_ELEMENTS`` (samples x targets) entries; a target's value may
+    change in the last bit with the batch it is evaluated in.  A scalar
+    target gives a scalar."""
     bary = np.sin(theta)[:, None]
     bary[1::2] *= -1.0
     terms = np.stack([values.real, values.imag, np.ones(xs.size)])  # numerators and denominator
     chunk = max(1, _CHUNK_ELEMENTS // xs.size)
+    exact = values if exact is None else exact
 
-    def evaluate(ts):
+    def surrogate(t):
+        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
+        ts = t_arr.ravel()
         sums = np.empty((3, ts.size))
         out = np.empty(ts.shape, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -571,10 +564,14 @@ def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray) -> Calla
                 for term, total in zip(terms, sums[:, sl]):
                     np.dot(term, kernel, out=total)
             np.divide(sums[:2], sums[2], out=out.view(float).reshape(ts.size, 2).T)
+        if scale is not None:
+            out *= scale(ts)
         hit = np.flatnonzero(~np.isfinite(sums[2]))  # a target on a sample: 1/0
-        return out, hit, np.argmin(np.abs(ts[hit] - xs[:, None]), axis=0)
+        out[hit] = exact[np.argmin(np.abs(ts[hit] - xs[:, None]), axis=0)]
+        out = out.reshape(t_arr.shape)
+        return out if out.ndim else out[()]
 
-    return evaluate
+    return surrogate
 
 
 def interpolant(f: Callable, a: float, b: float, n: int) -> Callable:
@@ -587,16 +584,7 @@ def interpolant(f: Callable, a: float, b: float, n: int) -> Callable:
         value = np.asarray(f(np.array([a])))[0]
         return lambda t: np.full(np.shape(t), value)
     theta, xs = _chebyshev_points(a, b, n)
-    values = np.asarray(f(xs), dtype=complex)
-    evaluate = _barycentric(theta, xs, values)
-
-    def interp(t):
-        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
-        out, hit, at = evaluate(t_arr.ravel())
-        out[hit] = values[at]
-        return out.reshape(t_arr.shape)
-
-    return interp
+    return _barycentric(theta, xs, np.asarray(f(xs), dtype=complex), a, b)
 
 
 def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcfrac import cli
+from bcfrac import cli, quadrature_verify
 from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
 from bcfrac.frac_cr_bicomplex import RectDomain
@@ -267,6 +267,15 @@ class TestPresets:
             field_preset("mystery")
 
 
+def patch_run_identity(monkeypatch, fn):
+    """Stand ``fn`` in for ``quadrature_verify.run_identity``, which every
+    experiment of the runner calls through ``convergence_study``; returns
+    the original."""
+    original = quadrature_verify.run_identity
+    monkeypatch.setattr(quadrature_verify, "run_identity", fn)
+    return original
+
+
 def coarse_reconstruction_at_run_time(monkeypatch):
     """Run every ``borel-pompeiu`` experiment at m = 4, where the excluded
     band around the contour, two area panels wide, reaches the
@@ -274,14 +283,12 @@ def coarse_reconstruction_at_run_time(monkeypatch):
     itself raises."""
     from bcfrac.quadrature_verify import Resolution
 
-    run_identity = cli.run_identity
-
     def coarse(identity, setup, res):
         if identity == "borel-pompeiu":
             res = Resolution(4, res.k, res.n)
         return run_identity(identity, setup, res)
 
-    monkeypatch.setattr(cli, "run_identity", coarse)
+    run_identity = patch_run_identity(monkeypatch, coarse)
 
 
 class TestConfigValidation:
@@ -309,7 +316,7 @@ class TestConfigValidation:
         # at m = 5 two mesh widths of the unit domain's patch (0.28) reach
         # past the point's distance to the contour (0.25)
         calls = []
-        monkeypatch.setattr(cli, "run_identity", lambda *args: calls.append(args))
+        patch_run_identity(monkeypatch, lambda *args: calls.append(args))
         edge = dict(QUICK, name="edge", identity="borel-pompeiu", m=m)
         path = write_config(tmp_path, ["bg-reduction", edge])
         with pytest.raises(ConfigError, match=r"experiments\[2\]\.m: reconstruction point too "
@@ -328,6 +335,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="JSON object"):
             load_config(str(path))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_a_configuration_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"experiments": ["bg-reduction"]} \xff\xfe')
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
+            load_config(str(path))
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_empty_experiments(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -532,7 +553,7 @@ class TestRunSuite:
         def crash(identity, setup, res):
             raise StepError("finite-difference step 10.0 invalid for span 1.0")
 
-        monkeypatch.setattr(cli, "run_identity", crash)
+        patch_run_identity(monkeypatch, crash)
         cfg = write_config(tmp_path, [QUICK])
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -555,6 +576,45 @@ class TestRunSuite:
                        "edge, not more than two mesh widths (0.35) at m = 4"}
         assert "PASS quick" in capsys.readouterr().out
 
+    def test_out_that_cannot_be_a_directory_is_refused_before_any_run(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        patch_run_identity(monkeypatch, lambda *args: calls.append(args))
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        cfg = write_config(tmp_path, [QUICK])
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and std.err.startswith("output error: FileExistsError: ")
+        assert calls == [] and out.read_text() == "a file\n"
+
+    def test_any_exception_of_an_experiment_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
+        # a real allocation of this size could take the machine's memory; the
+        # stand-in raises what numpy raises then
+        def second_runs_out(identity, setup, res):
+            seen.append(identity)
+            if len(seen) == 2:
+                raise MemoryError("Unable to allocate 7.45 GiB")
+            return run_identity(identity, setup, res)
+
+        seen = []
+        run_identity = patch_run_identity(monkeypatch, second_runs_out)
+        names = ["first", "second", "third"]
+        cfg = write_config(tmp_path, [dict(QUICK, name=name) for name in names])
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert sorted(p.name for p in out.iterdir()) == ["first.csv", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [e["name"] for e in summary["experiments"]] == ["first"]
+        assert summary["error"] == {"experiment": "second", "type": "MemoryError",
+                                    "message": "Unable to allocate 7.45 GiB"}
+        std = capsys.readouterr()
+        assert "PASS first" in std.out
+        assert std.err.strip() == "runtime error: MemoryError: Unable to allocate 7.45 GiB"
+        seen.clear()
+        with pytest.raises(MemoryError):
+            run_suite(load_config(cfg))
+
     def test_run_suite_still_raises(self, tmp_path, monkeypatch):
         from bcfrac.errors import WOnBoundaryError
 
@@ -569,7 +629,7 @@ class TestRunSuite:
         def nan_report(identity, setup, res):
             return ResidualReport(identity, res.m, res.k, res.n, 0.5, float("nan"))
 
-        monkeypatch.setattr(cli, "run_identity", nan_report)
+        patch_run_identity(monkeypatch, nan_report)
         cfg = write_config(tmp_path, [dict(QUICK, tolerance=1.0)])
         summary, _ = run_suite(load_config(cfg))
         assert not summary["experiments"][0]["passed"]

@@ -88,6 +88,39 @@ class TestRestrictionSlope:
                    for axis in range(4))
 
 
+class TestTraceLine:
+    """Each trace direction reads its plane along the line through the base
+    point: an x axis holds ``Im w``, a y axis ``Re w``.  Four distinct
+    coordinates and components with distinct partials tell every held
+    coordinate and every partial apart."""
+
+    rect = RectDomain(*[0.5, 1.5] * 4)
+    W = rect.point(0.2, 0.4, 0.6, 0.8)
+
+    def test_restriction_reads_value_and_partial_along_its_line(self):
+        from bcfrac.presets import phi_preset
+
+        phi = phi_preset("custom:x + x*y^2|2*x + y + x^2*y")
+        ts = np.linspace(0.5, 1.5, 9)
+        for axis in range(4):
+            comp, w = (phi.comp1, self.W.z1) if axis < 2 else (phi.comp2, self.W.z2)
+            if axis % 2 == 0:
+                want = comp.f(ts, w.imag), comp.dx(ts, w.imag)
+            else:
+                want = comp.f(w.real, ts), comp.dy(w.real, ts)
+            r = phi.restriction(axis, self.W, self.rect)
+            assert np.array_equal(r.phi(ts), np.real(want[0]))
+            assert np.array_equal(r.dphi(ts), np.real(want[1]))
+
+    def test_trace_sum_of_an_asymmetric_field(self):
+        F = ProductFunction.from_holomorphic(lambda z: z**3 + 2j * z, lambda z: 3 * z**2 + 2j,
+                                             lambda z: np.exp(z) - z, lambda z: np.exp(z) - 1)
+        Z = self.rect.point(0.7, 0.3, 0.9, 0.1)
+        got = trace_sum(F, self.W, Z)
+        for f, z, w, g in ((F.f1.f, Z.z1, self.W.z1, got.z1), (F.f2.f, Z.z2, self.W.z2, got.z2)):
+            assert g == f(z.real, w.imag) + f(w.real, z.imag)
+
+
 class TestTraceIntegral:
     def test_classical_constant_input(self, unit_rect, linear_phi):
         # each direction reduces to the classical integral of one

@@ -722,14 +722,15 @@ class TestInterpolant:
     def test_tabulate_and_interpolant_share_one_evaluation(self, cubic_weight, monkeypatch):
         real, built = fracops1d._barycentric, []
 
-        def spy(theta, xs, values):
-            built.append(xs.size)
-            return real(theta, xs, values)
+        def spy(theta, xs, values, a, b, **given):
+            built.append((xs.size, sorted(given)))
+            return real(theta, xs, values, a, b, **given)
 
         monkeypatch.setattr(fracops1d, "_barycentric", spy)
         tabulate(self.field, FracSpec(0.5, 0.7, cubic_weight), "left", Quadrature1D(n=64))
         fracops1d.interpolant(self.field, 0.2, 0.9, 32)
-        assert built == [32, 32]
+        # the rule's own samples and L^beta for tabulate; neither for a line
+        assert built == [(32, ["exact", "scale"]), (32, [])]
 
 
 class TestDerivativeStencil:
