@@ -16,17 +16,11 @@ from .hypercomplex import (
     BicomplexNumber,
     HyperbolicNumber,
     bc_from_cartesian,
-    bc_from_text,
-    bc_inner_k,
-    bc_to_text,
-    d_leq,
 )
 from .fracops1d import (
     FracSpec,
     Quadrature1D,
     ScalarWeightFn,
-    hausdorff_derivative,
-    prop_derivative,
     prop_frac_derivative,
     prop_frac_integral,
     tabulate,
@@ -51,8 +45,6 @@ from .frac_cr_bicomplex import (
     lambda_for_constant_weights,
     lambda_residual,
     remainder_R,
-    trace_derivative,
-    trace_integral,
     trace_sum,
 )
 from .quadrature_verify import (

@@ -21,7 +21,7 @@ left out, and any other field is refused::
           "field": "poly",             test input F (see field presets)
           "m": 32, "k": 32, "n": 512,  area/boundary/1-D resolutions
           "scheme": "graded",          graded | gauss_jacobi
-          "include_area": true,        keep the area term of reconstructions
+          "include_area": true,        keep frac-borel-pompeiu's area term
           "tolerance": 1e-6,           pass/fail threshold (finest level)
           "levels": 1                  refinement levels (>1 fits an order)
         }
@@ -54,7 +54,7 @@ from .frac_cr_bicomplex import (
     lambda_for_constant_weights,
     lambda_residual,
 )
-from .fracops1d import FracSpec, Quadrature1D, ScalarWeightFn, prop_frac_derivative, prop_frac_integral, hausdorff_derivative
+from .fracops1d import FracSpec, Quadrature1D, ScalarWeightFn, prop_frac_derivative, prop_frac_integral
 from .presets import (
     EXPERIMENT_PRESETS,
     field_preset,
@@ -146,8 +146,9 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "domain", str(exc))
     try:
         wp = weight_preset(weights, rect)
-        if merged["identity"] == "frac-borel-pompeiu":
-            CauchyKernel(wp)  # the reconstruction kernel needs constant weights
+        if merged["identity"] in ("borel-pompeiu", "frac-borel-pompeiu"):
+            # the reconstruction kernel needs a constant, orientation-preserving pair
+            CauchyKernel(wp)
     except (ConfigError, UnsupportedWeightsError) as exc:
         _config_error(index, "weights", str(exc))
     try:
@@ -207,6 +208,8 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             _config_error(index, "sigma", f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
+    if not merged["include_area"] and merged["identity"] != "frac-borel-pompeiu":
+        _config_error(index, "include_area", "only frac-borel-pompeiu has an area term to leave out")
     setup = VerificationSetup(
         F=F, wp=wp, params=params, lam=lam, W=W,
         Z=rect.point(0.5, 0.55, 0.45, 0.5),
@@ -333,11 +336,12 @@ def _summarize(finished: list):
     return summary, reports_by_name
 
 
-def run_suite(configs: list, levels_override: Optional[int] = None, jobs: int = 1):
-    """Execute every experiment; returns ``(summary, reports_by_name)``.
+def run_suite(configs: list):
+    """Execute every experiment at its own levels, one after another; returns
+    ``(summary, reports_by_name)``.
 
     The first runtime error propagates, so callers count it as a failure."""
-    return _summarize(list(_run_experiments(configs, levels_override, jobs)))
+    return _summarize(list(_run_experiments(configs, None, 1)))
 
 
 def emit_report(reports_by_name: dict, summary: dict, out_dir: str) -> list:
@@ -381,7 +385,12 @@ def _cmd_verify(args) -> int:
         summary["all_passed"] = False
         summary["error"] = {"experiment": configs[len(finished)].name,
                             "type": type(error).__name__, "message": str(error)}
-    emit_report(reports, summary, args.out)
+    try:
+        emit_report(reports, summary, args.out)
+    except OSError as exc:
+        # a report that cannot be written is not a numerical FAIL either
+        print(f"output error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     for entry in summary["experiments"]:
         status = "PASS" if entry["passed"] else "FAIL"
         order = "" if entry["order"] is None else f" order={entry['order']:.2f}"
@@ -456,12 +465,6 @@ def _oracle_values(args) -> tuple:
         closed = args.t ** (-args.alpha) / math.gamma(1.0 - args.alpha)
         engine = prop_frac_derivative(
             lambda t: np.ones_like(np.asarray(t, dtype=float)), spec, "left", args.t, q)
-    elif args.op == "hausdorff":
-        closed = args.t ** (1.0 - args.alpha) / args.alpha  # for l(t) = t, a = 0
-        engine = hausdorff_derivative(
-            lambda t: np.asarray(t, dtype=float),
-            lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            args.alpha, 0.0, args.t)
     else:  # argparse restricts op to the choices above
         raise ValueError(f"unknown oracle op {args.op!r}")
     return closed, engine
@@ -498,7 +501,7 @@ def main(argv=None) -> int:
     p_list.set_defaults(fn=_cmd_list_presets)
 
     p_oracle = sub.add_parser("oracle", help="closed-form spot checks of the 1-D operators")
-    p_oracle.add_argument("op", choices=["rl-power", "eigen", "rl-const-derivative", "hausdorff"])
+    p_oracle.add_argument("op", choices=["rl-power", "eigen", "rl-const-derivative"])
     p_oracle.add_argument("--alpha", type=float, default=0.5)
     p_oracle.add_argument("--beta", type=float, default=1.5)
     p_oracle.add_argument("--sigma", type=float, default=0.6)

@@ -5,8 +5,8 @@ four one-dimensional proportional fractional operators, one per real
 coordinate (``x1, y1`` in the first component plane, ``x2, y2`` in the
 second).  Each acts along the horizontal or vertical line through a fixed
 base point ``W``, with the scalar weight obtained by restricting the
-product-type weight ``phi`` to that line.  Anchors are the lower rectangle
-edges for the ``a+`` side and the upper edges for ``b-``.
+product-type weight ``phi`` to that line.  Every operator is left-sided
+(``a+``): it is anchored at the lower rectangle edges.
 
 On top of the trace integrals and derivatives sit the composition identity
 (derivative of integral equals trace sum plus an explicit remainder), the
@@ -258,10 +258,11 @@ def _check_points(p: FracParams, *points) -> None:
             raise DomainError("point outside the rectangle")
 
 
-def axis_integral(F, W, p: FracParams, side: str, axis: int, targets):
-    """Batched trace integral of order ``1 - alpha[axis]`` along one axis."""
+def axis_integral(F, W, p: FracParams, axis: int, targets):
+    """Batched left trace integral of order ``1 - alpha[axis]`` along one
+    axis."""
     return prop_frac_integral(
-        _axis_line(F, W, axis), p.axis_spec(axis, W), side, targets, p.quadrature
+        _axis_line(F, W, axis), p.axis_spec(axis, W), "left", targets, p.quadrature
     )
 
 
@@ -271,28 +272,11 @@ def axis_surrogate(F, W, p: FracParams, axis: int) -> Callable:
     return tabulate(_axis_line(F, W, axis), p.axis_spec(axis, W), "left", p.quadrature)
 
 
-def axis_derivative(line: Callable, W, p: FracParams, side: str, axis: int, targets,
+def axis_derivative(line: Callable, W, p: FracParams, axis: int, targets,
                     h: Optional[float] = None):
-    """Batched trace derivative of order ``1 - alpha[axis]`` of a line map;
-    ``h`` as in ``prop_frac_derivative``."""
-    return prop_frac_derivative(line, p.axis_spec(axis, W), side, targets, p.quadrature, h=h)
-
-
-def trace_integral(F, W: BicomplexNumber, p: FracParams, side: str, Z: BicomplexNumber) -> BicomplexNumber:
-    """Four-direction fractional integral ``(I F)(Z, W)`` of order ``1 - alpha``."""
-    _check_points(p, Z, W)
-    vals = [axis_integral(F, W, p, side, ax, _axis_coord(Z, ax)) for ax in range(4)]
-    return BicomplexNumber(vals[0] + vals[1], vals[2] + vals[3])
-
-
-def trace_derivative(F, W: BicomplexNumber, p: FracParams, side: str, Z: BicomplexNumber) -> BicomplexNumber:
-    """Four-direction fractional derivative ``(D F)(Z, W)`` of order ``1 - alpha``."""
-    _check_points(p, Z, W)
-    vals = [
-        axis_derivative(_axis_line(F, W, ax), W, p, side, ax, _axis_coord(Z, ax))
-        for ax in range(4)
-    ]
-    return BicomplexNumber(vals[0] + vals[1], vals[2] + vals[3])
+    """Batched left trace derivative of order ``1 - alpha[axis]`` of a line
+    map; ``h`` as in ``prop_frac_derivative``."""
+    return prop_frac_derivative(line, p.axis_spec(axis, W), "left", targets, p.quadrature, h=h)
 
 
 def trace_sum(F: ProductFunction, W: BicomplexNumber, Z: BicomplexNumber) -> BicomplexNumber:
@@ -309,10 +293,8 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> Bic
     """Cross terms (integral along one direction times derivative of the
     constant one along the other) left over by the composition identity."""
     _check_points(p, Z, W)
-    i_vals = [axis_integral(F, W, p, "left", ax, _axis_coord(Z, ax)) for ax in range(4)]
-    d_one = [
-        axis_derivative(_one, W, p, "left", ax, _axis_coord(Z, ax)) for ax in range(4)
-    ]
+    i_vals = [axis_integral(F, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
+    d_one = [axis_derivative(_one, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
     e_comp = i_vals[1] * d_one[0] + i_vals[0] * d_one[1]
     edag_comp = i_vals[2] * d_one[3] + i_vals[3] * d_one[2]
     return BicomplexNumber(e_comp, edag_comp)
@@ -356,7 +338,7 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
         h = step * (hi - lo)
         if cell is not None and p.sigma_vec[axis] != 0.0:
             line = interpolant(line, lo + cell, min(coord + h, hi - cell), _MAP_LINE_SAMPLES)
-        total += axis_derivative(line, W, p, "left", axis, coord, h=h)
+        total += axis_derivative(line, W, p, axis, coord, h=h)
     return total
 
 
@@ -465,7 +447,7 @@ def frac_cr_apply(F, W: BicomplexNumber, p: FracParams, wp: WeightPair,
     comps = []
     for l in (1, 2):
         axes = component_axes(l)
-        lines = [lambda s, ax=ax: axis_integral(F, W, p, "left", ax, s) for ax in axes]
+        lines = [lambda s, ax=ax: axis_integral(F, W, p, ax, s) for ax in axes]
         x, y = (_axis_coord(Z, ax) for ax in axes)
         comps.append(frac_cr_component(*lines, p, wp, l, x, y)[0])
     return BicomplexNumber(comps[0], comps[1])
@@ -510,6 +492,8 @@ def lambda_for_constant_weights(wp: WeightPair, p: FracParams) -> ProductFunctio
     th1, ph1, th2, ph2 = wp.const_values
     comps = []
     for rhs_c, th in ((rhs.z1, th1), (rhs.z2, th2)):
+        if th == 0:
+            raise UnsupportedWeightsError("multiplier construction needs a nonzero constant theta")
         slope = rhs_c / th
         comps.append(
             PlaneFunction(
@@ -539,14 +523,14 @@ def factorization_check(
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
         lam_x, lam_y = (_trace_line(lam_fn.f, Z, ax) for ax in (ax_x, ax_y))
-        ix = axis_integral(F, W, p, "left", ax_x, x)
-        iy = axis_integral(F, W, p, "left", ax_y, y)
+        ix = axis_integral(F, W, p, ax_x, x)
+        iy = axis_integral(F, W, p, ax_y, y)
         # exp(lambda) * (I F) along each axis through Z, with the other
         # direction's integral held at its value at Z
         dmx = _axis_partial_batched(
-            lambda s: np.exp(lam_x(s)) * (axis_integral(F, W, p, "left", ax_x, s) + iy), p, ax_x, x)
+            lambda s: np.exp(lam_x(s)) * (axis_integral(F, W, p, ax_x, s) + iy), p, ax_x, x)
         dmy = _axis_partial_batched(
-            lambda s: np.exp(lam_y(s)) * (axis_integral(F, W, p, "left", ax_y, s) + ix), p, ax_y, y)
+            lambda s: np.exp(lam_y(s)) * (axis_integral(F, W, p, ax_y, s) + ix), p, ax_y, y)
         comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))
 
     cr_part = BicomplexNumber(comps[0], comps[1])

@@ -167,26 +167,6 @@ class FracSpec:
             raise ValueError("proportion must lie in [0, 1]")
 
 
-def prop_derivative(f: Callable, df: Callable, w: ScalarWeightFn, sigma: float, t):
-    """First-order proportional derivative ``(1 - sigma)*f + sigma*f'/phi'``."""
-    t = np.asarray(t, dtype=float)
-    if not w.contains(t):
-        raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
-    out = np.asarray((1.0 - sigma) * f(t) + sigma * df(t) / w.dphi(t))
-    return out if out.ndim else out[()]
-
-
-def hausdorff_derivative(l: Callable, dl: Callable, alpha: float, a: float, t):
-    """Local fractal-time derivative ``l'(t) / (alpha * (t-a)^(alpha-1))``."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("fractal order must lie in (0, 1]")
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= a):
-        raise DomainError("Hausdorff derivative needs t > a")
-    out = dl(t) * (t - a) ** (1.0 - alpha) / alpha
-    return out if out.ndim else out[()]
-
-
 def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
     """Left or right proportional fractional integral of ``f`` at ``t``.
 
@@ -368,7 +348,9 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     into the weights so that ``sum(weights * f(nodes))`` approximates the
     integral.  Every row but an undeclared weight's graded row is ``L^beta *
     sigma^-beta`` times the scheme's reference row, ``L`` the range of the
-    singular variable, times the tempered factor at ``v = L*u``."""
+    singular variable (``_singular_range``), times the tempered factor at
+    ``v = L*u``; its nodes are ``inverse(phi(t) -+ L*u)``, or ``(t^d -+
+    L*u)^(1/d)`` for a weight declared in power form."""
     w, beta, sigma = p.weight, p.alpha, p.sigma
     c = (sigma - 1.0) / sigma
     if q.scheme == "graded" and w.exponent is None:
@@ -388,13 +370,19 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
         wts *= sigma ** (-beta)
         return tau, wts
     u, row = _reference_row(q.scheme, q.n, beta)
+    big_l = _singular_range(w, side, ts)
+    v = np.multiply(big_l[:, None], u)
     if w.exponent is None:
-        phits = np.asarray(w.phi(ts), dtype=float)
-        big_l = _singular_range(w, side, ts)
-        v = np.multiply(big_l[:, None], u)
-        tau = w.inverse(phits[:, None] - v if side == "left" else phits[:, None] + v)
+        phits = np.asarray(w.phi(ts), dtype=float)[:, None]
+        tau = w.inverse(phits - v if side == "left" else phits + v)
     else:
-        tau, big_l = _power_nodes(w, side, ts, u)
+        d = w.exponent
+        if side == "left":
+            tau = np.subtract((ts**d)[:, None], v, out=v)
+        else:
+            tau = np.add(v, (ts**d)[:, None], out=v)
+        if d != 1.0:
+            np.power(tau, 1.0 / d, out=tau)
     scale = big_l**beta * sigma ** (-beta)
     wts = np.multiply(scale[:, None], row)
     if c != 0.0:
@@ -402,23 +390,6 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
         factor = np.multiply(big_l[:, None], u)
         wts *= np.exp2(factor, out=factor)
     return tau, wts
-
-
-def _power_nodes(w: ScalarWeightFn, side: str, ts: np.ndarray, u: np.ndarray):
-    """Nodes ``tau = (t^d -+ L*u)^(1/d)`` of a declared power weight, one row
-    per target, at the fractions ``u`` of the singular variable's range ``L
-    = |t^d - anchor^d|`` (taken without cancellation); returns ``(tau, L)``."""
-    d = w.exponent
-    anchor = w.lo if side == "left" else w.hi
-    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
-    tau = np.multiply(gap[:, None], u)
-    if side == "left":
-        np.subtract((ts**d)[:, None], tau, out=tau)
-    else:
-        tau += (ts**d)[:, None]
-    if d != 1.0:
-        np.power(tau, 1.0 / d, out=tau)
-    return tau, np.maximum(gap, 0.0)
 
 
 @lru_cache(maxsize=_ROW_CACHE_SIZE)
@@ -589,7 +560,7 @@ def interpolant(f: Callable, a: float, b: float, n: int) -> Callable:
 
 def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray) -> np.ndarray:
     """Range ``L`` of the singular variable at each target: ``power_gap`` to
-    the anchor for a declared power weight (as in ``_power_nodes``),
+    the anchor for a declared power weight (taken without cancellation),
     ``|phi(t) - phi(anchor)|`` otherwise."""
     anchor = w.lo if side == "left" else w.hi
     if w.exponent is None:

@@ -82,9 +82,6 @@ class BicomplexNumber:
         b = 0.5j * (self.z1 - self.z2)
         return a, b
 
-    def __str__(self) -> str:
-        return f"{_fmt_complex(self.z1)} E + {_fmt_complex(self.z2)} E*"
-
 
 @dataclass(frozen=True)
 class HyperbolicNumber:
@@ -112,7 +109,6 @@ class HyperbolicNumber:
 
 #: Multiplicative unit and the two idempotents.
 ONE = BicomplexNumber(1.0 + 0.0j, 1.0 + 0.0j)
-ZERO = BicomplexNumber(0.0j, 0.0j)
 E = BicomplexNumber(1.0 + 0.0j, 0.0j)
 E_DAG = BicomplexNumber(0.0j, 1.0 + 0.0j)
 
@@ -130,43 +126,3 @@ def _coerce(value) -> BicomplexNumber:
 def bc_from_cartesian(a: complex, b: complex) -> BicomplexNumber:
     """Convert ``a + b*j`` to idempotent components ``(a - i*b, a + i*b)``."""
     return BicomplexNumber(a - 1j * b, a + 1j * b)
-
-
-def bc_inner_k(x: BicomplexNumber, y: BicomplexNumber) -> BicomplexNumber:
-    """Hyperbolic-valued product ``(Z*W + W*Z)/2``; both components real."""
-    s = x.star() * y + y.star() * x
-    return BicomplexNumber(s.z1 / 2.0, s.z2 / 2.0)
-
-
-def d_leq(x: HyperbolicNumber, y: HyperbolicNumber) -> bool:
-    """Partial order: ``x <= y`` iff ``y - x`` lies in the nonnegative cone."""
-    return bool(y.l1 - x.l1 >= 0 and y.l2 - x.l2 >= 0)
-
-
-def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-def bc_to_text(x: BicomplexNumber) -> str:
-    """Serialize as ``"a+bi E + c+di E*"`` (grammar documented in the CLI)."""
-    return str(x)
-
-
-def bc_from_text(text: str) -> BicomplexNumber:
-    """Parse the textual form produced by :func:`bc_to_text`."""
-    body = text.strip()
-    if not body.endswith("E*"):
-        raise ValueError(f"malformed bicomplex literal: {text!r}")
-    body = body[: -len("E*")].strip()
-    parts = body.split(" E + ")
-    if len(parts) != 2:
-        raise ValueError(f"malformed bicomplex literal: {text!r}")
-    return BicomplexNumber(_parse_complex(parts[0]), _parse_complex(parts[1]))
-
-
-def _parse_complex(token: str) -> complex:
-    cleaned = token.strip().replace(" ", "")
-    if not cleaned.endswith("i"):
-        raise ValueError(f"malformed complex component: {token!r}")
-    return complex(cleaned[:-1] + "j")

@@ -321,14 +321,21 @@ def weight_preset(name: str, rect: RectDomain) -> WeightPair:
     """Resolve a weight preset: ``classical``, ``constant:a+bi,c+di``, or
     ``scaled-classical:<expression in x, y>``.  The pair ``(1, i*g)`` is
     orthogonal only for real ``g``, so ``g`` must be real and finite on
-    ``rect.grid`` of both components."""
+    ``rect.grid`` of both components.  A constant pair whose ``theta`` and
+    ``phi_w`` both vanish is refused: both sides of every weighted identity
+    then vanish, and its residual checks nothing.  (The other presets have
+    ``theta = 1``.)"""
     if name == "classical":
         return WeightPair.classical()
     if name.startswith("constant:"):
         parts = name[len("constant:"):].split(",")
         if len(parts) != 2:
             raise ConfigError(f"constant weights need two components, got {name!r}")
-        return WeightPair.constant(parse_complex_literal(parts[0]), parse_complex_literal(parts[1]))
+        theta, phi_w = (parse_complex_literal(part) for part in parts)
+        if theta == 0 and phi_w == 0:
+            raise ConfigError(f"theta and phi_w of {name!r} both vanish, so the weighted "
+                              "identities would compare zero with zero")
+        return WeightPair.constant(theta, phi_w)
     if name.startswith("scaled-classical:"):
         g = parse_plane_expression(name[len("scaled-classical:"):])
         for l in (1, 2):

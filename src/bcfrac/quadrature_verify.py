@@ -9,8 +9,8 @@ Integration conventions, fixed once here and asserted by tests:
   block is stated that way).
 
 Singular area kernels are integrated by one routine,
-``_cauchy_area_integral``, for both reconstructions (the classical one with
-the classical pair's kernel ``1/(2*pi*i*(v - z))``): one kernel sum of
+``_cauchy_area_integral``, for both reconstructions, each with its constant
+pair's kernel (``CauchyKernel``): one kernel sum of
 ``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)`` times
 the kernel's area integral over the rectangle, in closed form as a sum over
 the four straightened edges (``_wedge_recip_area``).  Their contour sums
@@ -242,22 +242,23 @@ def check_reconstruction_point(W: BicomplexNumber, patch: SurfacePatch) -> None:
                 f"component {l}'s edge, not more than two mesh widths ({eps:.3g}) at m = {patch.m}")
 
 
-def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber,
+def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, wp: WeightPair,
                             patch: SurfacePatch) -> HyperbolicNumber:
-    """Residual of the classical componentwise reconstruction of ``F(W)``
-    from boundary values plus the area integral of the anti-holomorphic
-    derivative.
+    """Residual of the componentwise Cauchy-Pompeiu reconstruction of
+    ``F(W)`` from boundary values plus the area integral of the weighted
+    derivative, for a constant orientation-preserving pair ``wp``.
 
-    This is the deep reconstruction's formula for the classical pair, with
-    its kernel ``E(v, z) = 1/(2*pi*i*(v - z))``: ``F(W) = i * (boundary -
-    area)``, where the boundary term integrates ``E * F`` against ``dy -
-    i*dx`` and the area term integrates ``E * (dF/dx + i*dF/dy)`` against
-    ``dx dy`` by ``_cauchy_area_integral``.  ``W`` must pass
-    ``check_reconstruction_point``.
+    This is the deep reconstruction's formula with the pair's kernel ``E =
+    CauchyKernel(wp)`` (``1/(2*pi*i*(v - z))`` for the classical pair):
+    ``F(W) = i * (boundary - area)``, where the boundary term integrates ``E
+    * F`` against ``theta dy - phi_w dx`` and the area term integrates ``E *
+    (theta dF/dx + phi_w dF/dy)`` against ``dx dy`` by
+    ``_cauchy_area_integral``.  For the classical pair and a holomorphic
+    ``F`` the area term vanishes; a general pair keeps it live.  ``W`` must
+    pass ``check_reconstruction_point``.
     """
     check_reconstruction_point(W, patch)
-    kernel = CauchyKernel(WeightPair.classical())
-    wp = kernel.wp
+    kernel = CauchyKernel(wp)
     res = []
     for l, wz in ((1, W.z1), (2, W.z2)):
         bounds = patch.component_bounds(l)
@@ -566,7 +567,8 @@ class VerificationSetup:
 #: when called, so a rebound module attribute (a wrapper) takes effect.
 _RESIDUALS = {
     "gauss-weighted": (lambda s, p, patch: gauss_residual(s.F, s.wp, patch), True, False),
-    "borel-pompeiu": (lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, patch), True, False),
+    "borel-pompeiu": (
+        lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, s.wp, patch), True, False),
     "trace-inversion": (lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
     "factorization": (
         lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z),

@@ -126,7 +126,7 @@ def _direct_integrals(F, W, p, l):
     direct rule (``axis_integral``), as callables on coordinate arrays: the
     reference for the program's surrogates.  The rule gives every target its
     own row, so callers evaluate them on axis vectors."""
-    return tuple(partial(axis_integral, F, W, p, "left", ax) for ax in component_axes(l))
+    return tuple(partial(axis_integral, F, W, p, ax) for ax in component_axes(l))
 
 
 @pytest.fixture

@@ -177,16 +177,18 @@ def test_criterion_04_borel_pompeiu_classical(mixed_field, exp_sin_field):
     W = BicomplexNumber(0.41 + 0.37j, 0.52 + 0.63j)
     patch = SurfacePatch(RECT, m=32, k=64)
     holo = ProductFunction.from_holomorphic(lambda z: z**2 + 1j * z, lambda z: 2 * z + 1j)
-    res_h = borel_pompeiu_classical(holo, W, patch).max()
+    res_h = borel_pompeiu_classical(holo, W, CLASSICAL, patch).max()
     conj = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
-    res_conj = [borel_pompeiu_classical(conj, W, patch.with_resolution(m, 64)).max()
+    res_conj = [borel_pompeiu_classical(conj, W, CLASSICAL, patch.with_resolution(m, 64)).max()
                 for m in (32, 64, 128)]
     monotone = all(res_conj[i + 1] <= res_conj[i] * 1.5 + 1e-12 for i in range(2))
     # z^2*zbar: the subtracted area integrand is a polynomial, exact at every m
-    res_mixed = [borel_pompeiu_classical(mixed_field, W, patch.with_resolution(m, 64)).max()
-                 for m in (32, 64, 128)]
-    res_smooth = [borel_pompeiu_classical(exp_sin_field, W, patch.with_resolution(m, 64)).max()
-                  for m in (32, 64, 128)]
+    res_mixed = [
+        borel_pompeiu_classical(mixed_field, W, CLASSICAL, patch.with_resolution(m, 64)).max()
+        for m in (32, 64, 128)]
+    res_smooth = [
+        borel_pompeiu_classical(exp_sin_field, W, CLASSICAL, patch.with_resolution(m, 64)).max()
+        for m in (32, 64, 128)]
     strict = res_smooth[0] > res_smooth[1] > res_smooth[2]
     elapsed = time.perf_counter() - t0
     report(4, "classical reconstruction",

@@ -486,7 +486,8 @@ class TestConfigValidation:
         assert sorted(documented) == sorted(cli._REQUIRED + tuple(cli._DEFAULTS))
 
     def test_typed_fields_keep_their_values(self, tmp_path):
-        entry = dict(QUICK, m=8, tolerance=1, include_area=False, sigma=[1, 0, 1, 0])
+        entry = dict(QUICK, identity="frac-borel-pompeiu", m=8, tolerance=1, include_area=False,
+                     sigma=[1, 0, 1, 0])
         (cfg,) = load_config(write_config(tmp_path, [entry]))
         assert cfg.resolution.m == 8 and cfg.tolerance == 1.0
         assert cfg.setup.include_area is False
@@ -511,6 +512,50 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: experiments[0].sigma: multiplier PDE residual")
         assert not out.exists()
+
+    def test_multiplier_of_a_zero_theta_is_a_configuration_error(self, tmp_path, capsys):
+        # the multiplier's slope is Dphi*(1 - sigma)/(sigma*theta): no value at theta = 0
+        entry = dict(QUICK, identity="frac-gauss", weights="constant:0,1", sigma=[0.7, 0, 0.7, 0])
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, [entry]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: experiments[0].sigma: multiplier unavailable: ")
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("identity", ["gauss-weighted", "frac-gauss", "factorization"])
+    def test_pair_vanishing_on_the_grid_rejected(self, tmp_path, capsys, identity):
+        # with theta = phi_w = 0 both sides of these identities are zero, and
+        # each passed at a residual of exactly 0 at every level
+        entry = dict(QUICK, identity=identity, weights="constant:0,0", levels=2)
+        path = write_config(tmp_path, [entry])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*both vanish"):
+            load_config(path)
+        out = tmp_path / "o"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: experiments[0].weights")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weights", ["scaled-classical:-1", "constant:1,-1"])
+    @pytest.mark.parametrize("identity", ["borel-pompeiu", "frac-borel-pompeiu"])
+    def test_reconstructions_refuse_a_pair_without_a_kernel(self, tmp_path, weights, identity):
+        # a non-constant pair, or one that reverses orientation, has no
+        # Cauchy kernel; borel-pompeiu used to check the classical pair instead
+        path = write_config(tmp_path, [dict(QUICK, identity=identity, weights=weights)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*(constant|orientation)"):
+            load_config(path)
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("identity", ["gauss-weighted", "borel-pompeiu", "trace-inversion",
+                                          "factorization", "frac-gauss"])
+    def test_include_area_only_where_it_is_read(self, tmp_path, identity):
+        path = write_config(tmp_path, [dict(QUICK, identity=identity, include_area=False)])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.include_area: only frac-borel"):
+            load_config(path)
+        # the default value, written out, still loads
+        (cfg,) = load_config(write_config(tmp_path, [dict(QUICK, identity=identity,
+                                                          include_area=True)]))
+        assert cfg.setup.include_area is True
 
 
 class TestRunSuite:
@@ -587,6 +632,15 @@ class TestRunSuite:
         std = capsys.readouterr()
         assert std.out == "" and std.err.startswith("output error: FileExistsError: ")
         assert calls == [] and out.read_text() == "a file\n"
+
+    def test_failed_report_write_is_an_output_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "quick.csv").mkdir(parents=True)  # the report's path is taken by a directory
+        assert main(["verify", "--config", write_config(tmp_path, [QUICK]),
+                     "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert std.err.startswith("output error: IsADirectoryError: ")
+        assert "Traceback" not in std.err
 
     def test_any_exception_of_an_experiment_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
         # a real allocation of this size could take the machine's memory; the
@@ -666,16 +720,18 @@ class TestRunSuite:
     def test_levels_override_zero_is_not_the_config_levels(self, tmp_path):
         configs = load_config(write_config(tmp_path, [dict(QUICK, levels=2)]))
         with pytest.raises(ValueError, match="at least one level"):
-            run_suite(configs, levels_override=0)
-        _, reports = run_suite(configs, levels_override=1)
-        assert len(reports["quick"]) == 1
+            list(cli._run_experiments(configs, 0, 1))
+        ((_, reports),) = cli._run_experiments(configs, 1, 1)
+        assert len(reports) == 1
 
     def test_parallel_matches_serial(self, tmp_path):
-        configs = load_config(write_config(tmp_path, [QUICK, dict(QUICK, name="quick2")]))
-        s1, r1 = run_suite(configs, jobs=1)
-        s2, r2 = run_suite(configs, jobs=2)
-        assert [e["max_residual"] for e in s1["experiments"]] == \
-            [e["max_residual"] for e in s2["experiments"]]
+        path = write_config(tmp_path, [QUICK, dict(QUICK, name="quick2")])
+        for jobs in ("1", "2"):
+            assert main(["verify", "--config", path, "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+        s1, s2 = (json.loads((tmp_path / jobs / "summary.json").read_text()) for jobs in "12")
+        assert s1 == s2
+        assert [e["name"] for e in s1["experiments"]] == ["quick", "quick2"]
 
 
 class TestRuntime:
@@ -759,7 +815,7 @@ class TestOtherCommands:
         assert "bg-reduction" in out and "fractal" in out
 
     def test_oracle_ops(self, capsys):
-        for op in ("rl-power", "eigen", "rl-const-derivative", "hausdorff"):
+        for op in ("rl-power", "eigen", "rl-const-derivative"):
             assert main(["oracle", op, "--n", "256"]) == 0
             out = capsys.readouterr().out
             assert "abs-error" in out
@@ -770,7 +826,6 @@ class TestOtherCommands:
         (["rl-const-derivative", "--alpha", "1"], "ValueError"),
         (["rl-power", "--t", "5"], "DomainError"),
         (["rl-const-derivative", "--t", "0"], "ZeroDivisionError"),  # t^-alpha at t = 0
-        (["hausdorff", "--alpha", "0"], "ZeroDivisionError"),
     ])
     def test_oracle_input_errors_exit_2(self, capsys, argv, cause):
         assert main(["oracle", *argv, "--n", "64"]) == 2

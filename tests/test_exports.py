@@ -7,16 +7,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcfrac"
 
 #: Operations of the paper's calculus that users call and no residual needs.
-ENTRY_POINTS = {
-    "bc_from_cartesian",  # cartesian components to the idempotent form
-    "bc_from_text",  # parse a bicomplex number
-    "bc_to_text",  # serialize a bicomplex number
-    "bc_inner_k",  # the hyperbolic-valued inner product
-    "d_leq",  # the hyperbolic partial order
-    "prop_derivative",  # the proportional derivative of order one
-    "trace_integral",  # the four-direction fractional integral
-    "trace_derivative",  # the four-direction fractional derivative
-}
+ENTRY_POINTS = {"bc_from_cartesian"}  # cartesian components to the idempotent form
 
 
 def exported_names() -> list:

@@ -19,12 +19,31 @@ from bcfrac import (
     lambda_for_constant_weights,
     lambda_residual,
     remainder_R,
-    trace_derivative,
-    trace_integral,
     trace_sum,
 )
-from bcfrac.frac_cr_bicomplex import _axis_partial_batched, axis_integral, frac_cr_component
+from bcfrac.frac_cr_bicomplex import (
+    _axis_coord,
+    _axis_line,
+    _axis_partial_batched,
+    axis_derivative,
+    axis_integral,
+    frac_cr_component,
+)
 from bcfrac.fracops1d import difference_step
+
+
+def trace_integral(F, W, p, Z) -> BicomplexNumber:
+    """Four-direction trace integral ``(I F)(Z, W)``: one ``axis_integral``
+    per axis at ``Z``'s coordinate, summed per component plane."""
+    v = [axis_integral(F, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
+    return BicomplexNumber(v[0] + v[1], v[2] + v[3])
+
+
+def trace_derivative(F, W, p, Z) -> BicomplexNumber:
+    """Four-direction trace derivative ``(D F)(Z, W)``: one
+    ``axis_derivative`` of ``F``'s line through ``W`` per axis."""
+    v = [axis_derivative(_axis_line(F, W, ax), W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
+    return BicomplexNumber(v[0] + v[1], v[2] + v[3])
 
 
 @pytest.fixture
@@ -129,7 +148,7 @@ class TestTraceIntegral:
         F1 = ProductFunction.constant(1.0)
         W = unit_rect.point(0.41, 0.37, 0.53, 0.61)
         Z = unit_rect.point(0.8, 0.7, 0.6, 0.75)
-        got = trace_integral(F1, W, p, "left", Z)
+        got = trace_integral(F1, W, p, Z)
         x1, y1, x2, y2 = 0.8, 0.7, 0.6, 0.75
         want_e = x1 ** (1 - alphas[0]) / gamma(2 - alphas[0]) + y1 ** (1 - alphas[1]) / gamma(2 - alphas[1])
         want_ed = x2 ** (1 - alphas[2]) / gamma(2 - alphas[2]) + y2 ** (1 - alphas[3]) / gamma(2 - alphas[3])
@@ -139,7 +158,7 @@ class TestTraceIntegral:
     def test_near_order_one_is_trace_sum(self, setup):
         rect, phi, F, W, Z = setup
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
-        got = trace_integral(F, W, p, "left", Z)
+        got = trace_integral(F, W, p, Z)
         want = trace_sum(F, W, Z)
         assert (got - want).mod_k().max() < 1e-6
 
@@ -147,7 +166,7 @@ class TestTraceIntegral:
         rect, phi, F, W, _ = setup
         p = FracParams(rect, (0.5,) * 4, (0.8,) * 4, phi, Quadrature1D(n=128))
         corner = BicomplexNumber(0 + 0j, 0 + 0j)
-        got = trace_integral(F, W, p, "left", corner)
+        got = trace_integral(F, W, p, corner)
         assert abs(got.z1) < 1e-12 and abs(got.z2) < 1e-12
 
     def test_linear_in_field(self, setup):
@@ -157,24 +176,16 @@ class TestTraceIntegral:
         Fb = ProductFunction.from_holomorphic(np.exp, np.exp)
         mix = ProductFunction.from_holomorphic(
             lambda z: 2.0 * z**2 - 1j * np.exp(z), lambda z: 4.0 * z - 1j * np.exp(z))
-        lhs = trace_integral(mix, W, p, "left", Z)
-        rhs = 2.0 * trace_integral(Fa, W, p, "left", Z) + (-1j) * trace_integral(Fb, W, p, "left", Z)
+        lhs = trace_integral(mix, W, p, Z)
+        rhs = 2.0 * trace_integral(Fa, W, p, Z) + (-1j) * trace_integral(Fb, W, p, Z)
         assert (lhs - rhs).mod_k().max() < 1e-12
-
-    def test_right_side_anchors_at_upper_edges(self, setup):
-        rect, phi, _, W, _ = setup
-        p = FracParams(rect, (0.5,) * 4, (1, 1, 1, 1), phi, Quadrature1D(n=512))
-        F1 = ProductFunction.constant(1.0)
-        upper = BicomplexNumber(1 + 1j, 1 + 1j)
-        got = trace_integral(F1, W, p, "right", upper)
-        assert abs(got.z1) < 1e-12 and abs(got.z2) < 1e-12
 
 
 class TestTraceDerivative:
     def test_near_order_one_is_trace_sum(self, setup):
         rect, phi, F, W, Z = setup
         p = FracParams(rect, (1 - 1e-8,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=256))
-        got = trace_derivative(F, W, p, "left", Z)
+        got = trace_derivative(F, W, p, Z)
         assert (got - trace_sum(F, W, Z)).mod_k().max() < 1e-4
 
     def test_classical_derivative_of_constant(self, unit_rect, linear_phi):
@@ -183,7 +194,7 @@ class TestTraceDerivative:
         F1 = ProductFunction.constant(1.0)
         W = unit_rect.point(0.41, 0.37, 0.53, 0.61)
         Z = unit_rect.point(0.8, 0.7, 0.6, 0.75)
-        got = trace_derivative(F1, W, p, "left", Z)
+        got = trace_derivative(F1, W, p, Z)
         x1, y1 = 0.8, 0.7
         want_e = x1 ** (-0.5) / gamma(0.5) + y1 ** (-0.5) / gamma(0.5)
         assert abs(got.z1 - want_e) < 1e-4
@@ -341,7 +352,7 @@ class TestAxisPartial:
         def counting(ax):
             def integral(s):
                 sizes.append((ax, np.size(s)))
-                return axis_integral(F, W, p, "left", ax, s)
+                return axis_integral(F, W, p, ax, s)
             return integral
 
         ts = np.linspace(0.0, 1.0, 5)

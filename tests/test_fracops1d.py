@@ -18,8 +18,6 @@ from bcfrac import (
     RectDomain,
     ScalarWeightFn,
     StepError,
-    hausdorff_derivative,
-    prop_derivative,
     prop_frac_derivative,
     prop_frac_integral,
     tabulate,
@@ -45,46 +43,6 @@ def brute_force_left_integral(f, alpha, sigma, phi, dphi, a, t, n=100_000):
     kern = np.exp(c * (phi(t) - phi(mid))) * (phi(t) - phi(mid)) ** (alpha - 1.0)
     total = np.sum(kern * f(mid) * dphi(mid) * dt)
     return total / (sigma**alpha * gamma(alpha))
-
-
-class TestPropDerivative:
-    def test_sigma_one_is_scaled_derivative(self, cubic_weight):
-        f, df = np.sin, np.cos
-        t = 0.6
-        got = prop_derivative(f, df, cubic_weight, 1.0, t)
-        assert abs(got - np.cos(t) / (1 + 3 * t**2)) < 1e-14
-
-    def test_kernel_element_annihilated(self, identity_weight):
-        sigma = 0.3
-        rate = (sigma - 1.0) / sigma
-        f = lambda t: np.exp(rate * t)
-        df = lambda t: rate * np.exp(rate * t)
-        got = prop_derivative(f, df, identity_weight, sigma, 0.4)
-        assert abs(got) < 1e-14
-
-    def test_direct_evaluation(self):
-        w = ScalarWeightFn(phi=lambda t: t**3, dphi=lambda t: 3 * t**2, lo=1.0, hi=2.0)
-        got = prop_derivative(lambda t: t**2, lambda t: 2 * t, w, 0.5, 1.5)
-        expected = 0.5 * 1.5**2 + 0.5 * (2 * 1.5) / (3 * 1.5**2)
-        assert abs(got - expected) < 1e-14
-        assert abs(expected - 1.34722) < 1e-4
-
-    def test_domain_error(self, identity_weight):
-        with pytest.raises(DomainError):
-            prop_derivative(np.sin, np.cos, identity_weight, 0.5, 2.0)
-
-    def test_linearity(self, cubic_weight):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=2)
-        f1, df1 = np.sin, np.cos
-        f2, df2 = lambda t: t**2, lambda t: 2 * t
-        t = 0.55
-        lhs = prop_derivative(
-            lambda u: a * f1(u) + b * f2(u), lambda u: a * df1(u) + b * df2(u),
-            cubic_weight, 0.6, t)
-        rhs = a * prop_derivative(f1, df1, cubic_weight, 0.6, t) + b * prop_derivative(
-            f2, df2, cubic_weight, 0.6, t)
-        assert abs(lhs - rhs) < 1e-12 * (1 + abs(lhs))
 
 
 class TestPropFracIntegral:
@@ -789,27 +747,6 @@ class TestNonFiniteTargets:
         assert np.isfinite(prop_frac_integral(np.cos, spec, side, far, q))
         with pytest.raises(DomainError, match="outside"):
             prop_frac_integral(np.cos, spec, side, np.array([0.5, beyond]), q)
-
-
-class TestHausdorff:
-    def test_power_profile_gives_one(self):
-        alpha, a = 0.37, 0.2
-        l = lambda t: (t - a) ** alpha
-        dl = lambda t: alpha * (t - a) ** (alpha - 1.0)
-        got = hausdorff_derivative(l, dl, alpha, a, np.array([0.5, 1.0, 2.0]))
-        assert np.max(np.abs(got - 1.0)) < 1e-12
-
-    def test_linear_profile(self):
-        got = hausdorff_derivative(lambda t: t, lambda t: np.ones_like(t), 0.5, 0.0, 4.0)
-        assert abs(got - 4.0) < 1e-14
-
-    def test_order_one_is_classical(self):
-        got = hausdorff_derivative(np.sin, np.cos, 1.0, 0.0, 1.3)
-        assert abs(got - np.cos(1.3)) < 1e-14
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            hausdorff_derivative(np.sin, np.cos, 0.5, 1.0, 0.5)
 
 
 class TestWeightValidation:

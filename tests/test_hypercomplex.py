@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,10 +8,6 @@ from bcfrac import (
     ZeroDivisorError,
     ZeroError,
     bc_from_cartesian,
-    bc_from_text,
-    bc_inner_k,
-    bc_to_text,
-    d_leq,
 )
 from bcfrac.hypercomplex import E, E_DAG, ONE, ZERO_TOL
 
@@ -87,27 +82,6 @@ class TestConjugationAndModulus:
         assert abs(lhs.z2 - m.l2**2) <= 1e-9 * (1 + m.l2**2)
 
 
-class TestInnerProduct:
-    def test_disjoint_supports(self):
-        assert bc_inner_k(E, E_DAG) == BicomplexNumber(0j, 0j)
-
-    def test_self_product(self):
-        z = BicomplexNumber(1 + 1j, 2 - 1j)
-        assert close(bc_inner_k(z, z), BicomplexNumber(2 + 0j, 5 + 0j), tol=0)
-
-    def test_cross_example(self):
-        got = bc_inner_k(BicomplexNumber(1, 1j), BicomplexNumber(1j, 1))
-        assert close(got, BicomplexNumber(0j, 0j), tol=0)
-
-    @given(finite_complex, finite_complex, finite_complex, finite_complex)
-    @settings(max_examples=60, deadline=None)
-    def test_real_and_symmetric(self, z1, z2, w1, w2):
-        z, w = BicomplexNumber(z1, z2), BicomplexNumber(w1, w2)
-        ip = bc_inner_k(z, w)
-        assert abs(np.imag(ip.z1)) == 0 and abs(np.imag(ip.z2)) == 0
-        assert bc_inner_k(w, z) == ip
-
-
 class TestInversion:
     def test_componentwise_reciprocal(self):
         assert BicomplexNumber(2, 4).invert() == BicomplexNumber(0.5, 0.25)
@@ -128,34 +102,6 @@ class TestInversion:
             nearly = BicomplexNumber(1.0, small)
             with pytest.raises(ZeroDivisorError):
                 nearly.invert()
-
-
-class TestPartialOrder:
-    def test_examples(self):
-        assert d_leq(HyperbolicNumber(1, 1), HyperbolicNumber(2, 3))
-        assert not d_leq(HyperbolicNumber(1, 5), HyperbolicNumber(2, 3))
-
-    reals = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-    @given(reals, reals)
-    @settings(max_examples=40, deadline=None)
-    def test_reflexive(self, a, b):
-        x = HyperbolicNumber(a, b)
-        assert d_leq(x, x)
-
-    @given(reals, reals, reals, reals)
-    @settings(max_examples=40, deadline=None)
-    def test_antisymmetric(self, a, b, c, d):
-        x, y = HyperbolicNumber(a, b), HyperbolicNumber(c, d)
-        if d_leq(x, y) and d_leq(y, x):
-            assert x == y
-
-    @given(reals, reals, reals, reals, reals, reals)
-    @settings(max_examples=40, deadline=None)
-    def test_transitive(self, a, b, c, d, e, f):
-        x, y, z = HyperbolicNumber(a, b), HyperbolicNumber(c, d), HyperbolicNumber(e, f)
-        if d_leq(x, y) and d_leq(y, z):
-            assert d_leq(x, z)
 
 
 small_int_complex = st.builds(
@@ -193,15 +139,3 @@ class TestRingAxioms:
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        z = BicomplexNumber(1.5 - 2.25j, -3.125 + 0.0625j)
-        assert bc_from_text(bc_to_text(z)) == z
-
-    def test_grammar(self):
-        assert bc_to_text(BicomplexNumber(1, 2)) == "1+0i E + 2+0i E*"
-        with pytest.raises(ValueError):
-            bc_from_text("1+2i")
-        with pytest.raises(ValueError):
-            bc_from_text("1+2i E + bogus E*")

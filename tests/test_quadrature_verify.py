@@ -90,43 +90,62 @@ class TestGaussResidual:
 class TestBorelPompeiuClassical:
     def test_holomorphic_boundary_only(self):
         F = holomorphic(lambda z: z**2 + 1j * z, lambda z: 2 * z + 1j)
-        res = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(32, 64))
+        res = borel_pompeiu_classical(F, W0, CLASSICAL, UNIT_PATCH.with_resolution(32, 64))
         assert res.max() < 1e-8
 
     def test_holomorphic_independent_of_area_resolution(self):
         F = holomorphic(lambda z: z**3, lambda z: 3 * z**2)
-        res = [borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(m, 64)).max()
+        res = [borel_pompeiu_classical(F, W0, CLASSICAL, UNIT_PATCH.with_resolution(m, 64)).max()
                for m in (8, 64)]
         assert max(res) < 1e-8  # area term vanishes: only the contour matters
 
     def test_constant_reconstructed(self):
         F = ProductFunction.constant(2.5 - 1j)
-        res = borel_pompeiu_classical(F, W0, UNIT_PATCH)
+        res = borel_pompeiu_classical(F, W0, CLASSICAL, UNIT_PATCH)
         assert res.l1 < 1e-10  # |reconstructed - (2.5 - 1j)| in the first component
 
     def test_conjugate_field(self):
         F = ProductFunction.from_antiholomorphic(lambda z: z, lambda z: np.ones_like(z))
-        res = borel_pompeiu_classical(F, W0, UNIT_PATCH.with_resolution(128, 64))
+        res = borel_pompeiu_classical(F, W0, CLASSICAL, UNIT_PATCH.with_resolution(128, 64))
         assert res.max() < 1e-3
 
     def test_mixed_field_monotone(self, mixed_field):
         # d/dzbar of z^2*zbar is z^2, so the subtracted area integrand is a
         # polynomial the Gauss rule integrates exactly: every level sits at
         # rounding, and strict decrease is checked on a smooth field below
-        res = [borel_pompeiu_classical(mixed_field, W0, UNIT_PATCH.with_resolution(m, 64)).max()
+        res = [borel_pompeiu_classical(mixed_field, W0, CLASSICAL,
+                                       UNIT_PATCH.with_resolution(m, 64)).max()
                for m in (32, 64, 128)]
         assert max(res) <= 1e-12
 
     def test_smooth_field_monotone(self, exp_sin_field):
-        res = [borel_pompeiu_classical(exp_sin_field, W0, UNIT_PATCH.with_resolution(m, 64)).max()
+        res = [borel_pompeiu_classical(exp_sin_field, W0, CLASSICAL,
+                                       UNIT_PATCH.with_resolution(m, 64)).max()
                for m in (32, 64, 128)]
         assert res[0] > res[1] > res[2]
         assert res[2] <= 1e-4
 
+    @pytest.mark.parametrize("field", ["poly", "exp"])
+    def test_general_constant_pair_keeps_the_area_term_live(self, field):
+        # bp-general's pair: the pair's kernel sees the area term that the
+        # classical pair's kernel cancels on a holomorphic field, so the
+        # residual falls under refinement instead of sitting at rounding
+        from bcfrac.presets import field_preset
+
+        rect = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
+        W, F = rect.point(0.45, 0.4, 0.55, 0.6), field_preset(field)
+        general = WeightPair.constant(1.0933 + 0.2109j, -0.5926 + 1.3771j)
+        res = {wp: [borel_pompeiu_classical(F, W, wp, SurfacePatch.inside(rect, m=m, k=m)).max()
+                    for m in (8, 16, 32, 64)] for wp in (CLASSICAL, general)}
+        assert res[general][0] > res[general][1] > res[general][2] > res[general][3]
+        assert res[general][3] <= 1e-6 and res[general][0] >= 1e-6
+        assert max(res[CLASSICAL]) <= 1e-10
+
     def test_w_near_contour_rejected(self):
         F = holomorphic(lambda z: z, lambda z: np.ones_like(z))
         with pytest.raises(WOnBoundaryError):
-            borel_pompeiu_classical(F, BicomplexNumber(0.001 + 0.5j, 0.5 + 0.5j), UNIT_PATCH)
+            borel_pompeiu_classical(F, BicomplexNumber(0.001 + 0.5j, 0.5 + 0.5j), CLASSICAL,
+                                    UNIT_PATCH)
 
 
 @pytest.fixture
@@ -671,7 +690,7 @@ class TestDeepTraceSurrogates:
         s, p, patch = _item(name)
         got = _residual(name, s, p, patch)
         monkeypatch.setattr(qv, "axis_surrogate", lambda F, W, p, ax: partial(
-            frac_cr_bicomplex.axis_integral, F, W, p, "left", ax))
+            frac_cr_bicomplex.axis_integral, F, W, p, ax))
         want = _residual(name, s, p, patch)
         bound = 1e-9 if name in DEEP_ENTRIES else 1e-5
         for a, b in ((got.l1, want.l1), (got.l2, want.l2)):
