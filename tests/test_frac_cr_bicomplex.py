@@ -7,6 +7,7 @@ from bcfrac import (
     EmptyProbesError,
     FracParams,
     Phi4,
+    PlaneFunction,
     ProductFunction,
     Quadrature1D,
     RectDomain,
@@ -468,6 +469,18 @@ class TestLambda:
                        Phi4.fractal(0.5, 0.5, 0.5, 0.5), Quadrature1D(n=64))
         with pytest.raises(UnsupportedWeightsError):
             lambda_for_constant_weights(WeightPair.classical(), p)
+
+    @pytest.mark.parametrize("component", [1, 2])
+    def test_zero_theta_has_no_multiplier(self, setup, component):
+        # the multiplier's slope in a component is Dphi*(1 - sigma)/(sigma*theta_l)
+        rect, phi, _, _, _ = setup
+        p = FracParams(rect, (0.5,) * 4, (0.7, 0, 0.7, 0), phi, Quadrature1D(n=128))
+        th1, th2 = (0.0, 1.0) if component == 1 else (1.0, 0.0)
+        wp = WeightPair(PlaneFunction.constant(th1), PlaneFunction.constant(th2),
+                        PlaneFunction.constant(1j), PlaneFunction.constant(1j),
+                        const_values=(complex(th1), 1j, complex(th2), 1j))
+        with pytest.raises(UnsupportedWeightsError, match="nonzero constant theta"):
+            lambda_for_constant_weights(wp, p)
 
 
 def PlaneFunction_x2():

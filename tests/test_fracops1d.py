@@ -324,6 +324,50 @@ class TestAffineWeights:
                               ** (1.0 / exponent))
         assert np.array_equal(wts, want)
 
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_graded_power_rows_scale_the_reference_row(self, side, sigma):
+        # a declared power weight's graded rows take L from _singular_range
+        # too: nodes (t^d -+ L*u)^(1/d) at the graded fractions u, and each
+        # row L^beta / sigma^beta times the reference row, times the
+        # tempered factor, with L = power_gap to the anchor
+        lo, hi, exponent, beta = 0.5, 1.5, 0.6, 0.45
+        w = power_weight(exponent, lo=lo, hi=hi)
+        ts = np.linspace(lo, hi, 7)
+        q = Quadrature1D(n=64)
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        u, row = fracops1d._reference_row("graded", q.n, beta)
+        gap = w.power_gap(lo, ts) if side == "left" else w.power_gap(ts, hi)
+        big_l = np.maximum(gap, 0.0)
+        want = (big_l**beta * sigma ** (-beta))[:, None] * row
+        c = (sigma - 1.0) / sigma
+        if c != 0.0:
+            want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
+        sign = -1.0 if side == "left" else 1.0
+        assert np.array_equal(tau, ((ts**exponent)[:, None] + sign * gap[:, None] * u)
+                              ** (1.0 / exponent))
+        assert np.array_equal(wts, want)
+        assert w.contains(tau)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gauss_jacobi_rows_of_an_undeclared_weight(self, side):
+        # an undeclared weight's Gauss-Jacobi nodes invert phi(t) -+ L*u,
+        # with L = |phi(t) - phi(anchor)|
+        lo, hi, beta, sigma = 0.5, 1.5, 0.45, 0.7
+        w = power_weight(0.6, declared=False, lo=lo, hi=hi)
+        ts = np.linspace(lo, hi, 7)
+        q = Quadrature1D(n=32, scheme="gauss_jacobi")
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        u, row = fracops1d._reference_row("gauss_jacobi", q.n, beta)
+        anchor = lo if side == "left" else hi
+        big_l = np.abs(w.phi(ts) - w.phi(anchor))
+        sign = -1.0 if side == "left" else 1.0
+        assert np.array_equal(tau, w.inverse(w.phi(ts)[:, None] + sign * big_l[:, None] * u))
+        want = (big_l**beta * sigma ** (-beta))[:, None] * row
+        want *= np.exp2((big_l * ((sigma - 1.0) / sigma * fracops1d._LOG2E))[:, None] * u)
+        assert np.array_equal(wts, want)
+        assert w.contains(tau)
+
     @pytest.mark.parametrize("n", [256, 1024])
     def test_power_rows_as_accurate_as_the_general_path(self, n):
         # relative errors against mpmath, for the rows meshed in v (declared)
