@@ -3,7 +3,8 @@
 A configuration file is JSON with one key ``experiments`` holding a list;
 each entry is either the name of a built-in preset bundle or a dictionary
 with the fields below; ``scheme``, ``include_area`` and ``levels`` may be
-left out, and any other field is refused::
+left out, and any other field is refused.  An identity that does not read
+``scheme`` or ``include_area`` refuses any value but the default::
 
     {
       "experiments": [
@@ -20,7 +21,7 @@ left out, and any other field is refused::
           "sigma": [1,0,1,0],          proportions per trace direction
           "field": "poly",             test input F (see field presets)
           "m": 32, "k": 32, "n": 512,  area/boundary/1-D resolutions
-          "scheme": "graded",          graded | gauss_jacobi
+          "scheme": "graded",          graded | gauss_jacobi (1-D rule)
           "include_area": true,        keep frac-borel-pompeiu's area term
           "tolerance": 1e-6,           pass/fail threshold (finest level)
           "levels": 1                  refinement levels (>1 fits an order)
@@ -63,6 +64,7 @@ from .presets import (
     weight_preset,
 )
 from .quadrature_verify import (
+    _RESIDUALS,
     IDENTITIES,
     Resolution,
     ResidualReport,
@@ -208,8 +210,14 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
             _config_error(index, "sigma", f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
-    if not merged["include_area"] and merged["identity"] != "frac-borel-pompeiu":
-        _config_error(index, "include_area", "only frac-borel-pompeiu has an area term to leave out")
+    # an optional field that the identity does not read keeps its default
+    identity = merged["identity"]
+    for key, read, reason in (
+            ("scheme", _RESIDUALS[identity][2], "only an identity that records n runs a 1-D rule"),
+            ("include_area", identity == "frac-borel-pompeiu",
+             "only frac-borel-pompeiu has an area term to leave out")):
+        if merged[key] != _DEFAULTS[key] and not read:
+            _config_error(index, key, reason)
     setup = VerificationSetup(
         F=F, wp=wp, params=params, lam=lam, W=W,
         Z=rect.point(0.5, 0.55, 0.45, 0.5),

@@ -29,10 +29,10 @@ in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
 
 Each scheme has one cached reference row at ``L = 1`` (``_reference_row``);
 a row over ``v`` in ``[0, L]`` is ``L^a`` times it, with the tempered factor
-and ``1 / sigma^a``.  A weight declared in the power form of
-``ScalarWeightFn`` gets its nodes in closed form; for any other weight the
-graded scheme meshes ``tau`` instead, and Gauss-Jacobi inverts ``phi`` by
-bisection.
+and ``1 / sigma^a``, for every weight.  Only the nodes depend on how the
+weight is given: a weight declared in the power form of ``ScalarWeightFn``
+gets them in closed form, and any other weight by Newton's method on
+``phi`` (``ScalarWeightFn.inverse``).
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -70,15 +70,15 @@ _SMALL_ORDER = 1e-3
 #: 128 KB and more were still mapped anew on every call (258 minor faults per
 #: classical-reconstruction item, 0 with both thresholds).
 _CHUNK_ELEMENTS = 8_192
-#: Capacity of the row caches (``_reference_row``, ``_graded_fractions``).
-#: One pass over the trace-inversion benchmark bundle uses 140 distinct
-#: ``(scheme, n, beta)`` rows, and an LRU cache smaller than such a cyclic
-#: working set misses every row on every pass: at 64 entries, 280 misses in
-#: two passes, at 256 the 140 first uses only.  Measured on that workload
-#: (ten alternating pairs per seed, 2 CPUs, one BLAS thread): items/s 94.4
-#: -> 111.3 (seed 0) and 78.6 -> 91.3 (seed 1) in the median, peak RSS 34.97
-#: -> 35.47 MB.  A row holds at most ``2*n`` float64, so 256 rows of n = 1024
-#: hold 4 MB.
+#: Capacity of the row cache (``_reference_row``), which serves every rule
+#: row of every weight.  One pass over the trace-inversion benchmark bundle
+#: uses 140 distinct ``(scheme, n, beta)`` rows, and an LRU cache smaller
+#: than such a cyclic working set misses every row on every pass: at 64
+#: entries, 280 misses in two passes, at 256 the 140 first uses only.
+#: Measured on that workload (ten alternating pairs per seed, 2 CPUs, one
+#: BLAS thread): items/s 94.4 -> 111.3 (seed 0) and 78.6 -> 91.3 (seed 1) in
+#: the median, peak RSS 34.97 -> 35.47 MB.  A row holds at most ``2*n``
+#: float64, so 256 rows of n = 1024 hold 4 MB.
 _ROW_CACHE_SIZE = 256
 
 
@@ -89,9 +89,9 @@ class ScalarWeightFn:
     ``phi`` and ``dphi`` must accept numpy arrays.  ``exponent`` declares the
     power form ``phi(t) = phi(lo) + t**exponent - lo**exponent`` (finite and
     positive, and ``lo > 0`` unless it is 1, the affine case).  The singular
-    variable is then ``v = |t**exponent - tau**exponent|``: both schemes
-    scale one cached reference row per target and place the nodes in closed
-    form, instead of evaluating ``phi`` on a mesh or inverting it.
+    variable is then ``v = |t**exponent - tau**exponent|``, so the rule
+    nodes come in closed form and keep their digits next to the anchor;
+    without the declaration they come from ``inverse``.
     """
 
     phi: Callable
@@ -109,22 +109,37 @@ class ScalarWeightFn:
         if d != 1.0 and not self.lo > 0.0:
             raise ValueError(f"a power weight needs lo > 0, got {self.lo!r}")
 
-    def contains(self, t) -> bool:
-        t = np.asarray(t, dtype=float)
-        return bool(np.all(t >= self.lo - 1e-12) and np.all(t <= self.hi + 1e-12))
-
     def inverse(self, u):
-        """Value ``t`` with ``phi(t) = u``, by 80 steps of vectorized
-        bisection."""
-        u = np.asarray(u, dtype=float)
-        a = np.full(u.shape, self.lo, dtype=float)
-        b = np.full(u.shape, self.hi, dtype=float)
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            below = np.asarray(self.phi(m), dtype=float) < u
-            a = np.where(below, m, a)
-            b = np.where(below, b, m)
-        return 0.5 * (a + b)
+        """Value ``t`` with ``phi(t) = u``, entry by entry: Newton steps on
+        ``phi - u`` from the piecewise-linear inverse through ``phi`` at 65
+        points, bisecting the bracket kept by the signs of ``phi - u`` where a
+        step would leave it or ``dphi`` is not positive.  An entry stops one
+        Newton step after ``phi - u`` reaches the rounding level of ``phi``
+        at the ends, or when its step no longer moves it, so its value never
+        depends on the others; ``phi`` is called at most 80 times."""
+        target = np.asarray(u, dtype=float).ravel()
+        grid = np.linspace(self.lo, self.hi, 65)
+        table = np.asarray(self.phi(grid), dtype=float)
+        settled = 8.0 * np.finfo(float).eps * max(abs(table[0]), abs(table[-1]))
+        t = np.interp(target, table, grid)
+        a, b = np.full(t.size, self.lo), np.full(t.size, self.hi)
+        out, live = t.copy(), np.arange(t.size)
+        for _ in range(79):
+            f = np.asarray(self.phi(t), dtype=float) - target
+            d = np.asarray(self.dphi(t), dtype=float)
+            below = f < 0.0
+            a, b = np.where(below, t, a), np.where(below, b, t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = t - f / d
+            converged = np.abs(f) <= settled
+            inside = (d > 0.0) & (newton >= a) & (newton <= b)
+            step = np.where(inside, newton, np.where(converged, t, 0.5 * (a + b)))
+            out[live] = step
+            going = ~converged & (step != t)
+            if not going.any():
+                break
+            t, target, a, b, live = step[going], target[going], a[going], b[going], live[going]
+        return out.reshape(np.shape(u))
 
     def power_gap(self, x0, x1):
         """``x1**exponent - x0**exponent`` for ``x0 <= x1`` in the interval,
@@ -178,16 +193,7 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t_arr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t_arr).ravel()
-    w = p.weight
-    # one pass each for the extremes; a NaN makes both NaN and fails the test
-    t_min, t_max = np.min(ts, initial=np.inf), np.max(ts, initial=-np.inf)
-    if not (t_min >= w.lo - 1e-12 and t_max <= w.hi + 1e-12):
-        raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
-    if side == "left" and t_min < w.lo - 1e-14:
-        raise DomainError("left integral needs t >= lower end")
-    if side == "right" and t_max > w.hi + 1e-14:
-        raise DomainError("right integral needs t <= upper end")
-
+    _check_targets(p.weight, side, ts)
     if p.sigma == 0.0:
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
@@ -230,8 +236,7 @@ def prop_frac_derivative(
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t_arr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t_arr).ravel()
-    if not w.contains(ts):
-        raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
+    _check_targets(w, side, ts)
     if p.sigma == 0.0:
         out = np.asarray(f(ts)) + 0.0j
         return out[0] if scalar else out.reshape(t_arr.shape)
@@ -261,6 +266,18 @@ def _check_side(side: str) -> None:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
+def _check_targets(w: ScalarWeightFn, side: str, ts: np.ndarray) -> None:
+    """Refuse targets beyond 1e-12 outside the interval or 1e-14 past the anchor."""
+    # one pass each for the extremes; a NaN makes both NaN and fails the test
+    t_min, t_max = np.min(ts, initial=np.inf), np.max(ts, initial=-np.inf)
+    if not (t_min >= w.lo - 1e-12 and t_max <= w.hi + 1e-12):
+        raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
+    if side == "left" and t_min < w.lo - 1e-14:
+        raise DomainError("left integral needs t >= lower end")
+    if side == "right" and t_max > w.hi + 1e-14:
+        raise DomainError("right integral needs t <= upper end")
+
+
 def _read_only(*arrays) -> tuple:
     """Mark arrays returned by a cache read-only: every caller shares them."""
     for a in arrays:
@@ -284,19 +301,6 @@ def _integral_dispatch(f, p, side, ts, q):
 #: behaves like distance-to-anchor to its order), so the mesh clusters at
 #: both ends: hard at the singular endpoint, mildly at the anchor.
 _ANCHOR_GRADING = 3.0
-
-
-@lru_cache(maxsize=_ROW_CACHE_SIZE)
-def _graded_fractions(n_nodes: int, grading: float) -> np.ndarray:
-    x = np.arange(n_nodes, dtype=float) / (n_nodes - 1)
-    frac = 1.0 - (1.0 - x**grading) ** _ANCHOR_GRADING
-    # never sample the anchor itself: fractional integrals of smooth inputs
-    # drop to zero in an exponentially thin layer there when the order is
-    # tiny, and power-law inputs may blow up; the one-sided limit is the
-    # value a composition should see
-    frac[-1] = 1.0 - 1e-12
-    frac.setflags(write=False)
-    return frac
 
 
 @lru_cache(maxsize=64)
@@ -346,45 +350,25 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     """Nodes and real weights of the rule of ``q.scheme``, one row per
     target; the tempered-exponential factor and ``1 / sigma^beta`` are folded
     into the weights so that ``sum(weights * f(nodes))`` approximates the
-    integral.  Every row but an undeclared weight's graded row is ``L^beta *
-    sigma^-beta`` times the scheme's reference row, ``L`` the range of the
-    singular variable (``_singular_range``), times the tempered factor at
-    ``v = L*u``; its nodes are ``inverse(phi(t) -+ L*u)``, or ``(t^d -+
-    L*u)^(1/d)`` for a weight declared in power form."""
+    integral.  Every row is ``L^beta * sigma^-beta`` times the scheme's
+    reference row, ``L`` the range of the singular variable
+    (``_singular_range``), times the tempered factor at ``v = L*u``.  Its
+    nodes are ``(t^d -+ L*u)^(1/d)`` for a weight declared in power form,
+    and ``inverse(phi(t) -+ L*u)`` for any other weight."""
     w, beta, sigma = p.weight, p.alpha, p.sigma
-    c = (sigma - 1.0) / sigma
-    if q.scheme == "graded" and w.exponent is None:
-        # product-trapezoid weights on the graded mesh t + (anchor - t)*u,
-        # running from t toward the anchor, in v = |phi(t) - phi(tau)|
-        anchor = w.lo if side == "left" else w.hi
-        tau = np.multiply((anchor - ts)[:, None], _graded_fractions(q.n, _auto_grading(beta)))
-        tau += ts[:, None]
-        phit = np.asarray(w.phi(ts), dtype=float)[:, None]
-        phi_tau = np.asarray(w.phi(tau), dtype=float)
-        v = phit - phi_tau if side == "left" else phi_tau - phit
-        np.maximum(v, 0.0, out=v)
-        wts = _panel_weights(v, beta, math.gamma(beta + 1.0))
-        if c != 0.0:
-            v *= c * _LOG2E
-            wts *= np.exp2(v, out=v)
-        wts *= sigma ** (-beta)
-        return tau, wts
     u, row = _reference_row(q.scheme, q.n, beta)
     big_l = _singular_range(w, side, ts)
     v = np.multiply(big_l[:, None], u)
-    if w.exponent is None:
-        phits = np.asarray(w.phi(ts), dtype=float)[:, None]
-        tau = w.inverse(phits - v if side == "left" else phits + v)
-    else:
-        d = w.exponent
-        if side == "left":
-            tau = np.subtract((ts**d)[:, None], v, out=v)
-        else:
-            tau = np.add(v, (ts**d)[:, None], out=v)
-        if d != 1.0:
-            np.power(tau, 1.0 / d, out=tau)
+    d = w.exponent
+    level = (np.asarray(w.phi(ts), dtype=float) if d is None else ts**d)[:, None]
+    tau = np.subtract(level, v, out=v) if side == "left" else np.add(level, v, out=v)
+    if d is None:
+        tau = w.inverse(tau)
+    elif d != 1.0:
+        np.power(tau, 1.0 / d, out=tau)
     scale = big_l**beta * sigma ** (-beta)
     wts = np.multiply(scale[:, None], row)
+    c = (sigma - 1.0) / sigma
     if c != 0.0:
         big_l *= c * _LOG2E
         factor = np.multiply(big_l[:, None], u)
@@ -396,24 +380,30 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
 def _reference_row(scheme: str, n: int, beta: float) -> tuple:
     """``(u, row)`` of a scheme at ``L = 1`` and ``sigma = 1``: fractions
     ``u`` of the singular variable, running from the singular end, and the
-    weights there.  Graded: the graded fractions and their product-trapezoid
-    weights.  Gauss-Jacobi: ``(1 + x)/2`` and ``wj * 2^-beta / Gamma(beta)``
-    for the rule ``(x, wj)`` of ``(1 + x)^(beta - 1)``."""
+    weights there.  Graded: fractions graded toward both ends and their
+    product-trapezoid weights.  Gauss-Jacobi: ``(1 + x)/2`` and ``wj *
+    2^-beta / Gamma(beta)`` for the rule ``(x, wj)`` of ``(1 + x)^(beta - 1)``."""
     if scheme == "gauss_jacobi":
         x, wj = _jacobi_rule(n, round(beta, 12))
         return _read_only(0.5 * (1.0 + x), wj * (2.0 ** (-beta) / math.gamma(beta)))
-    u = _graded_fractions(n, _auto_grading(beta))
-    (row,) = _read_only(_panel_weights(u[None, :], beta, math.gamma(beta + 1.0))[0])
-    return u, row
+    x = np.arange(n, dtype=float) / (n - 1)
+    u = 1.0 - (1.0 - x ** _auto_grading(beta)) ** _ANCHOR_GRADING
+    # never sample the anchor itself: fractional integrals of smooth inputs
+    # drop to zero in an exponentially thin layer there when the order is
+    # tiny, and power-law inputs may blow up; the one-sided limit is the
+    # value a composition should see
+    u[-1] = 1.0 - 1e-12
+    return _read_only(u, _panel_weights(u, beta))
 
 
-def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
-    """Node weights of the product-trapezoid rule in the singular variable
-    ``v`` (rows ascending from 0), already divided by ``Gamma(beta)``."""
+def _panel_weights(v: np.ndarray, beta: float) -> np.ndarray:
+    """Node weights of the product-trapezoid rule at the ascending nodes
+    ``v`` of the singular variable, already divided by ``Gamma(beta)``."""
+    gamma_b1 = math.gamma(beta + 1.0)
     vb = v**beta  # one power per node; each panel uses both of its ends
     vbv = vb * v
-    vl, vh = v[:, :-1], v[:, 1:]
-    vb_l, vb_h = vb[:, :-1], vb[:, 1:]
+    vl, vh = v[:-1], v[1:]
+    vb_l, vb_h = vb[:-1], vb[1:]
     if beta < _SMALL_ORDER:
         # difference of nearly equal powers; go through expm1 of the log ratio
         flat = ~(vl > 0)
@@ -427,7 +417,7 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     else:
         c0 = vb_h - vb_l
     c0 /= gamma_b1
-    slope_coef = vbv[:, 1:] - vbv[:, :-1]  # first moment m1, then the slope
+    slope_coef = vbv[1:] - vbv[:-1]  # first moment m1, then the slope
     slope_coef *= beta / ((beta + 1.0) * gamma_b1)
     slope_coef -= vl * c0
     dv = vh - vl
@@ -436,9 +426,9 @@ def _panel_weights(v: np.ndarray, beta: float, gamma_b1: float) -> np.ndarray:
     slope_coef[~(dv > 0)] = 0.0
 
     wts = np.empty_like(v)
-    np.subtract(c0, slope_coef, out=wts[:, :-1])
-    wts[:, -1] = 0.0
-    wts[:, 1:] += slope_coef
+    np.subtract(c0, slope_coef, out=wts[:-1])
+    wts[-1] = 0.0
+    wts[1:] += slope_coef
     return wts
 
 

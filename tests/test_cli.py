@@ -557,6 +557,24 @@ class TestConfigValidation:
                                                           include_area=True)]))
         assert cfg.setup.include_area is True
 
+    @pytest.mark.parametrize("identity", ["gauss-weighted", "borel-pompeiu"])
+    def test_scheme_only_where_a_1d_rule_runs(self, tmp_path, identity):
+        # neither classical identity runs a 1-D rule, so a scheme would be
+        # ignored
+        entry = dict(QUICK, identity=identity, m=16, k=16, tolerance=1e-3)
+        path = write_config(tmp_path, [dict(entry, scheme="gauss_jacobi")])
+        with pytest.raises(ConfigError, match=r"experiments\[0\]\.scheme: only an identity"):
+            load_config(path)
+        (cfg,) = load_config(write_config(tmp_path, [dict(entry, scheme="graded")]))
+        assert cfg.setup.params.quadrature.scheme == "graded"
+
+    @pytest.mark.parametrize("identity", ["trace-inversion", "factorization", "frac-gauss",
+                                          "frac-borel-pompeiu"])
+    def test_identities_with_a_1d_rule_take_either_scheme(self, tmp_path, identity):
+        path = write_config(tmp_path, [dict(QUICK, identity=identity, scheme="gauss_jacobi")])
+        (cfg,) = load_config(path)
+        assert cfg.setup.params.quadrature.scheme == "gauss_jacobi"
+
 
 class TestRunSuite:
     def test_pass_and_reports(self, tmp_path):

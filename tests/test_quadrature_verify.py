@@ -465,7 +465,7 @@ def test_fit_order_is_nan_for_non_finite_residuals(bad):
 
 
 def test_cached_rule_arrays_are_read_only():
-    from bcfrac.fracops1d import _graded_fractions, _jacobi_rule
+    from bcfrac.fracops1d import _jacobi_rule, _reference_row
     from bcfrac.quadrature_verify import (
         _area_nodes,
         _boundary_nodes,
@@ -475,7 +475,7 @@ def test_cached_rule_arrays_are_read_only():
 
     bounds = (0.0, 1.0, 0.0, 1.0)
     cached = [
-        (_graded_fractions(16, 2.0),),
+        _reference_row("graded", 16, 0.5),
         _jacobi_rule(8, 0.5),
         _gl_reference(4),
         _panel_rule(0.0, 1.0, 4, 2),
