@@ -26,6 +26,7 @@ from .fracops1d import (
     FracSpec,
     Quadrature1D,
     ScalarWeightFn,
+    derivative_of_integral,
     difference_step,
     interpolant,
     prop_frac_derivative,
@@ -316,7 +317,7 @@ _MAP_LINE_SAMPLES = 32
 
 
 def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, step: float,
-                             strip: Optional[tuple] = None):
+                             strip: tuple):
     """The two-direction trace derivative (in the real components of ``Z``,
     with weight restrictions anchored through ``W``) of a scalar field
     ``plane_map(xs, ys)`` on component plane ``l``: one ``axis_derivative``
@@ -325,18 +326,17 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
 
     ``strip`` gives, per direction, the width of the strip along each edge in
     which the map is constant: the deep area map's clamp, or zero for the
-    deep boundary map, which has no clamp.  With it, a direction of nonzero
-    proportion reads the map through its line ``interpolant`` at
-    ``_MAP_LINE_SAMPLES`` points of ``[lo + strip, min(coord + h, hi -
-    strip)]``: the part of the line that the outer rule reads, less the
-    strip.  A direction of proportion zero reads the map at ``Z`` only, and
-    reads it directly."""
+    deep boundary map, which has no clamp.  A direction of nonzero proportion
+    reads the map through its line ``interpolant`` at ``_MAP_LINE_SAMPLES``
+    points of ``[lo + strip, min(coord + h, hi - strip)]``: the part of the
+    line that the outer rule reads, less the strip.  A direction of
+    proportion zero reads the map at ``Z`` only, and reads it directly."""
     total = 0.0 + 0.0j
-    for axis, cell in zip(component_axes(l), strip or (None, None)):
+    for axis, cell in zip(component_axes(l), strip):
         coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
         lo, hi = p.rect.axis_interval(axis)
         h = step * (hi - lo)
-        if cell is not None and p.sigma_vec[axis] != 0.0:
+        if p.sigma_vec[axis] != 0.0:
             line = interpolant(line, lo + cell, min(coord + h, hi - cell), _MAP_LINE_SAMPLES)
         total += axis_derivative(line, W, p, axis, coord, h=h)
     return total
@@ -345,31 +345,32 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
 def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
     """Honest numerical composition: the four-direction derivative applied to
     the map ``Z' -> (I F)(Z', W)``, each direction acting on the trace of
-    that map through the current point ``Z`` (``_trace_derivative_of_map``
-    of ``ix(xs) + iy(ys)`` per component).
+    that map through the current point ``Z``.
 
-    The inner integral is tabulated once per direction (``axis_surrogate``:
-    32 full n-node rows, more only while its Chebyshev coefficients ask for
-    them), so the composition costs one batched quadrature per direction
-    instead of one per outer node.  The outer difference step is
-    ``0.05*span/sqrt(n)``, shrinking like ``1/sqrt(n)`` (it is the default
-    1e-4 of the span only at n = 250,000): differencing across a tabulated
-    integrand amplifies quadrature noise by ``1/h``, and this balance keeps
-    both contributions falling under refinement.
+    Per component the map is ``S_x(x) + S_y(y)``, the integrals along the two
+    axes through ``W``, so its derivative at ``Z`` is ``D_x[S_x] + S_y *
+    D_x[1] + D_y[S_y] + S_x * D_y[1]``.  Each axis takes its three terms from
+    one ``derivative_of_integral`` call: a Jacobi series of its inner integral
+    with the outer derivative applied in closed form, exact to about 1e-14
+    and with a cost that does not depend on ``n``.  An axis of proportion
+    zero is the identity.
     """
     _check_points(p, Z, W)
-    step = 0.05 / np.sqrt(p.quadrature.n)
     out = []
     for l in (1, 2):
-        ix, iy = (axis_surrogate(F, W, p, ax) for ax in component_axes(l))
-        out.append(_trace_derivative_of_map(lambda xs, ys: ix(xs) + iy(ys), l, Z, W, p, step))
+        (sx, dsx, d1x), (sy, dsy, d1y) = (
+            derivative_of_integral(_axis_line(F, W, ax), p.axis_spec(ax, W), _axis_coord(Z, ax))
+            for ax in component_axes(l))
+        out.append(dsx + sy * d1x + dsy + sx * d1y)
     return BicomplexNumber(out[0], out[1])
 
 
 def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> HyperbolicNumber:
     """Residual of the composition identity: derivative of the integral minus
-    the trace sum minus the remainder.  Everything is evaluated numerically,
-    so the residual size tracks quadrature plus differencing error."""
+    the trace sum minus the remainder.  The composition is exact to about
+    1e-14 (``compose_derivative_of_integral``), so the residual tracks the
+    error of the remainder's direct rule: its integrals and the difference
+    quotients of its derivatives of one."""
     di = compose_derivative_of_integral(F, W, p, Z)
     target = trace_sum(F, W, Z) + remainder_R(F, W, p, Z)
     return (di - target).mod_k()

@@ -34,6 +34,9 @@ weight is given: a weight declared in the power form of ``ScalarWeightFn``
 gets them in closed form, and any other weight by Newton's method on
 ``phi`` (``ScalarWeightFn.inverse``).
 
+``derivative_of_integral`` builds no row: it takes the left derivative of a
+left integral on Jacobi series of the line, for the composition identity.
+
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
 """
@@ -72,9 +75,10 @@ _SMALL_ORDER = 1e-3
 _CHUNK_ELEMENTS = 8_192
 #: Capacity of the row cache (``_reference_row``), which serves every rule
 #: row of every weight.  One pass over the trace-inversion benchmark bundle
-#: uses 140 distinct ``(scheme, n, beta)`` rows, and an LRU cache smaller
-#: than such a cyclic working set misses every row on every pass: at 64
-#: entries, 280 misses in two passes, at 256 the 140 first uses only.
+#: uses 140 distinct ``(scheme, n, beta)`` rows at either seed (the
+#: composition, on Jacobi series, reads none of its own), and an LRU cache
+#: smaller than such a cyclic working set misses every row on every pass: at
+#: 64 entries, 280 misses in two passes, at 256 the 140 first uses only.
 #: Measured on that workload (ten alternating pairs per seed, 2 CPUs, one
 #: BLAS thread): items/s 94.4 -> 111.3 (seed 0) and 78.6 -> 91.3 (seed 1) in
 #: the median, peak RSS 34.97 -> 35.47 MB.  A row holds at most ``2*n``
@@ -257,6 +261,63 @@ def difference_step(lo: float, hi: float) -> float:
     return (hi - lo) * 1e-4
 
 
+def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
+    """``(I f, D I f, D 1)`` at the point ``t``: the left integral of ``f`` of
+    order ``gamma = p.alpha``, the left derivative of that order of this
+    integral, and the derivative of one, on Jacobi series in ``x = 2U/L -
+    1`` (``U = phi - phi(lo)``, ``L`` its range): no rule row, and a cost
+    that does not depend on ``n``.  With ``c = (sigma - 1)/sigma``, the
+    Legendre coefficients ``a_k`` of ``exp(-cU) f`` at ``N`` Gauss-Legendre
+    samples give, by the Jacobi fractional-integral formula (Chen, Shen &
+    Wang, Math. Comp. 85 (2016) 1603-1638), ``I f = sigma^-gamma exp(cU)
+    (L/2)^gamma (1+x)^gamma sum a_k Gamma(k+1)/Gamma(k+gamma+1)
+    P_k^(-gamma,gamma)(x)``.  The derivative acts on that integral, not by
+    the semigroup: it expands ``exp(-cU) I f / (1+x)^gamma``, sampled at the
+    Gauss-Jacobi nodes of ``(1+x)^gamma``, in ``P_k^(0,gamma)`` and maps each
+    term to ``sigma^gamma exp(cU) (L/2)^-gamma Gamma(k+gamma+1)/Gamma(k+1)
+    P_k^(gamma,0)``; ``D 1`` maps the Legendre terms of ``exp(-cU)`` to
+    ``Gamma(k+1)/Gamma(k+1-gamma) (1+x)^-gamma P_k^(gamma,-gamma)`` alike.
+    ``N`` starts at 32 and doubles, up to 256, while the last quarter of
+    either coefficient set exceeds 1e-13 of its largest.  The samples sit
+    where ``U = L(1+x)/2``, by the inverse of ``power_gap`` for a declared
+    weight and by ``inverse`` for any other.  At ``sigma = 0`` both operators
+    are the identity: ``(f(t), f(t), 1)``."""
+    if p.sigma == 0.0:
+        value = complex(np.asarray(f(np.array([t])))[0])
+        return value, value, 1.0
+    w, gamma, sigma = p.weight, p.alpha, p.sigma
+    c = (sigma - 1.0) / sigma
+    big_l, u0 = _singular_range(w, "left", np.array([w.hi, t])).tolist()
+    d, n = w.exponent, 32
+    while True:
+        x, analysis = _legendre_analysis(n)
+        u = 0.5 * big_l * (1.0 + x)
+        if d is None:
+            ts = w.inverse(float(w.phi(np.asarray(w.lo))) + u)
+        elif d == 1.0:
+            ts = w.lo + u
+        else:
+            ts = w.lo + w.lo * np.expm1(np.log1p(u / w.lo**d) / d)
+        damp = np.exp(-c * u)
+        coef = analysis @ np.stack([damp * f(ts), damp], axis=1)
+        size = np.abs(coef)
+        if n == 256 or np.all(size[-(n // 4):].max(axis=0) <= 1e-13 * size.max(axis=0)):
+            break
+        n *= 2
+    # exp(-cU) I f / (1+x)^gamma over sigma^-gamma (L/2)^gamma, in P_k^(0,gamma);
+    # the derivative's sigma^gamma (L/2)^-gamma cancels that factor
+    integral, expand, ratios = _series_maps(n, gamma)
+    series = expand @ (integral @ coef[:, 0])
+    x0 = 2.0 * u0 / big_l - 1.0
+    grow, scale = math.exp(c * u0), sigma**-gamma * (0.5 * big_l) ** gamma
+    value = scale * grow * (1.0 + x0) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
+    d_value = grow * ((ratios[0] * series) @ _jacobi_polynomials(n, gamma, 0.0, x0))
+    with np.errstate(divide="ignore"):  # D 1 is infinite at the anchor
+        d_one = grow / scale * np.power(1.0 + x0, -gamma) * (
+            (ratios[1] * coef[:, 1].real) @ _jacobi_polynomials(n, gamma, -gamma, x0))
+    return value, d_value, d_one
+
+
 # ----------------------------------------------------------------------
 # quadrature internals
 
@@ -339,6 +400,45 @@ def _jacobi_rule(n: int, beta_key: float):
         total += p * p
     mass = 2.0 ** (b + 1.0) / (b + 1.0)  # p_0 = 1 stands for 1/sqrt(mass)
     return _read_only(x, mass / total)
+
+
+def _jacobi_polynomials(n: int, a: float, b: float, x):
+    """``P_k^(a,b)(x)`` for ``k < n``, one row per ``k``, on the three-term
+    recurrence (DLMF 18.9.1); ``x`` is a float or an array.  ``P_1`` is
+    written out: the recurrence divides by zero at ``k = 0`` when ``a + b =
+    0``."""
+    rows = [1.0 + 0.0 * x, 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x]
+    for k in range(1, n - 1):
+        s = 2.0 * k + a + b
+        den = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
+        rows.append(((s + 1.0) * (s + 2.0) * s / den * x + (s + 1.0) * (a * a - b * b) / den)
+                    * rows[k] - 2.0 * (k + a) * (k + b) * (s + 2.0) / den * rows[k - 1])
+    return np.array(rows)
+
+
+@lru_cache(maxsize=8)
+def _legendre_analysis(n: int) -> tuple:
+    """``(x, analysis)``: the ``n`` Gauss-Legendre nodes, and the map from
+    samples there to Legendre coefficients, exact for degree ``n - 1``."""
+    x, wx = _jacobi_rule(n, 1.0)
+    return _read_only(x, (np.arange(n)[:, None] + 0.5) * wx * _jacobi_polynomials(n, 0.0, 0.0, x))
+
+
+@lru_cache(maxsize=64)
+def _series_maps(n: int, gamma: float) -> tuple:
+    """Linear maps of ``derivative_of_integral`` at ``n`` terms and order
+    ``gamma``: ``(integral, expand, ratios)``.  ``integral`` takes Legendre
+    coefficients ``a_k`` to ``sum a_k Gamma(k+1)/Gamma(k+gamma+1)
+    P_k^(-gamma,gamma)`` at the Gauss-Jacobi nodes of ``(1+x)^gamma``, and
+    ``expand`` takes values there to coefficients in ``P_k^(0,gamma)``,
+    exactly for degree ``n - 1``.  ``ratios`` holds
+    ``Gamma(k+gamma+1)/Gamma(k+1)`` and ``Gamma(k+1)/Gamma(k+1-gamma)``."""
+    lg = np.array([[math.lgamma(j + s) for j in range(n)] for s in (1.0, 1.0 + gamma, 1.0 - gamma)])
+    y, wy = _jacobi_rule(n, 1.0 + gamma)
+    integral = (np.exp(lg[0] - lg[1])[:, None] * _jacobi_polynomials(n, -gamma, gamma, y)).T
+    norm = (2.0 * np.arange(n)[:, None] + gamma + 1.0) / 2.0 ** (gamma + 1.0)  # 1/||P_k^(0,gamma)||^2
+    expand = norm * wy * _jacobi_polynomials(n, 0.0, gamma, y)
+    return _read_only(integral, expand, np.exp([lg[1] - lg[0], lg[0] - lg[2]]))
 
 
 def _auto_grading(beta: float) -> float:

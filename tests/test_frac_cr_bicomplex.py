@@ -226,37 +226,43 @@ class TestInversionIdentity:
         gap = di - trace_sum(F, W, Z) - remainder_R(F, W, p, Z)
         assert gap.mod_k().max() < 1e-4
 
-    @pytest.mark.parametrize("n", [64, 1024, 4096])
-    def test_composition_samples_32_targets_per_direction(self, setup, monkeypatch, n):
+    def test_composition_cost_does_not_depend_on_n(self, poly_field, monkeypatch):
+        # four live axes off proportion one and a fractal phi: each axis
+        # samples its line once for its Jacobi series, with no rule row, at
+        # every n
         from bcfrac import fracops1d, frac_cr_bicomplex
 
-        rect, phi, F, W, Z = setup
-        real_tabulate, real_integral = fracops1d.tabulate, fracops1d.prop_frac_integral
-        seen = []
+        rect = RectDomain(*[0.5, 1.5] * 4)
+        phi = Phi4.fractal(0.6135, 0.8186, 0.7829, 0.6735)
+        W, Z = rect.point(0.41, 0.37, 0.53, 0.61), rect.point(0.8, 0.7, 0.6, 0.75)
+        integral_calls, line_calls = [], []
 
-        def counting(f, p, side, t, q):
-            seen[-1].append(np.size(t))
-            return real_integral(f, p, side, t, q)
+        def integral(*args):
+            integral_calls.append(1)
 
-        def spy(f, p, side, q):
-            seen.append([])
-            monkeypatch.setattr(fracops1d, "prop_frac_integral", counting)
-            try:
-                return real_tabulate(f, p, side, q)
-            finally:
-                monkeypatch.setattr(fracops1d, "prop_frac_integral", real_integral)
+        for module in (fracops1d, frac_cr_bicomplex):
+            monkeypatch.setattr(module, "prop_frac_integral", integral)
+        monkeypatch.setattr(frac_cr_bicomplex, "tabulate", integral)
 
-        monkeypatch.setattr(frac_cr_bicomplex, "tabulate", spy)
-        p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=n))
-        frac_cr_bicomplex.compose_derivative_of_integral(F, W, p, Z)
-        assert seen == [[32]] * 4
+        def counted(pf):
+            def f(x, y):
+                line_calls.append(1)
+                return pf.f(x, y)
+            return PlaneFunction(f, pf.dx, pf.dy)
+
+        F = ProductFunction(*(counted(poly_field.component(l)) for l in (1, 2)))
+        calls = []
+        for n in (64, 4096):
+            p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=n))
+            frac_cr_bicomplex.compose_derivative_of_integral(F, W, p, Z)
+            calls.append((len(integral_calls), len(line_calls)))
+            line_calls.clear()
+        assert calls == [(0, 4), (0, 4)]
 
     @pytest.mark.parametrize("n", [64, 1024])
-    def test_call_budget_of_one_level(self, poly_field, monkeypatch, n):
-        # four live axes off proportion one and a fractal phi: one 32-sample
-        # surrogate per direction, and one 3-target call (stencil and point)
-        # per derivative, four in the composition and four of the constant
-        # in the remainder, next to its four 1-target integrals
+    def test_call_budget_of_one_level_is_the_remainders(self, poly_field, monkeypatch, n):
+        # the remainder's four 1-target integrals and four 3-target calls
+        # (stencil and point) of its derivatives of one; no surrogate
         from bcfrac import fracops1d, frac_cr_bicomplex
 
         rect = RectDomain(*[0.5, 1.5] * 4)
@@ -282,7 +288,7 @@ class TestInversionIdentity:
             monkeypatch.setattr(module, "prop_frac_integral", integral)
         monkeypatch.setattr(frac_cr_bicomplex, "tabulate", tabulate)
         inversion_check(poly_field, W, p, Z)
-        assert (len(targets), sum(targets), len(evaluations)) == (16, 156, 8)
+        assert (len(targets), sum(targets), len(evaluations)) == (8, 16, 0)
 
     def test_remainder_vanishes_at_corner(self, setup):
         rect, phi, F, W, _ = setup
@@ -290,6 +296,50 @@ class TestInversionIdentity:
         corner = BicomplexNumber(0 + 0j, 0 + 0j)
         got = remainder_R(F, W, p, corner)
         assert abs(got.z1) < 1e-12 and abs(got.z2) < 1e-12
+
+
+def _fractal_inversion_residual() -> tuple:
+    """Finest-level residual and tolerance of the ``fractal-inversion`` preset."""
+    from bcfrac.cli import parse_experiment
+    from bcfrac.presets import EXPERIMENT_PRESETS
+    from bcfrac.quadrature_verify import convergence_study
+
+    entry = next(e for e in EXPERIMENT_PRESETS["fractal"] if e["name"] == "fractal-inversion")
+    cfg = parse_experiment(entry, 0)
+    reports = convergence_study(cfg.identity, cfg.setup, cfg.resolution, cfg.levels)
+    return reports[-1].max_residual(), cfg.tolerance
+
+
+class TestInversionCanFail:
+    """A wrong 1-D operator, on the remainder's direct rule or on the
+    composition's series, makes ``fractal-inversion`` fail by at least ten
+    times its tolerance."""
+
+    def test_correct_operators_pass(self):
+        residual, tolerance = _fractal_inversion_residual()
+        assert residual <= tolerance
+
+    def test_wrong_direct_rule_fails(self, monkeypatch):
+        from bcfrac import fracops1d
+
+        real = fracops1d._integral_dispatch
+        monkeypatch.setattr(fracops1d, "_integral_dispatch",
+                            lambda *args: 1.02 * real(*args))
+        residual, tolerance = _fractal_inversion_residual()
+        assert residual >= 10.0 * tolerance
+
+    def test_wrong_series_integral_fails(self, monkeypatch):
+        from bcfrac import fracops1d
+
+        real = fracops1d._series_maps
+
+        def wrong(n, gamma_):
+            integral, expand, ratios = real(n, gamma_)
+            return 1.02 * integral, expand, ratios
+
+        monkeypatch.setattr(fracops1d, "_series_maps", wrong)
+        residual, tolerance = _fractal_inversion_residual()
+        assert residual >= 10.0 * tolerance
 
 
 class TestAxisPartial:

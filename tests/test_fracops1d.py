@@ -808,6 +808,101 @@ class TestNonFiniteTargets:
             prop_frac_integral(np.cos, spec, side, np.array([0.5, beyond]), q)
 
 
+def _series_weights():
+    """An affine, a declared power and an undeclared cubic weight."""
+    return [affine_weight(0.0, 0.0, 1.0), power_weight(0.6), power_weight(0.8),
+            ScalarWeightFn(phi=lambda t: t + t**3, dphi=lambda t: 1.0 + 3.0 * t**2,
+                           lo=0.0, hi=1.0)]
+
+
+SERIES_ORDERS = [(0.35, 0.9), (0.3, 1.0), (0.5, 1.0), (0.5, 0.7), (0.65, 0.6), (1e-6, 0.7)]
+
+
+class TestDerivativeOfIntegral:
+    """``derivative_of_integral`` against closed forms, at interior points."""
+
+    @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
+    def test_derivative_of_one_is_the_kummer_form(self, gamma_, sigma):
+        # D[1] = sigma^g [U^-g e^(cU)/Gamma(1-g) - c U^(1-g) 1F1(1-g; 2-g; cU)/Gamma(2-g)]
+        c = (sigma - 1.0) / sigma
+        for w in _series_weights():
+            for frac in (0.1, 0.45, 0.8):
+                t = w.lo + frac * (w.hi - w.lo)
+                big_u = float(w.phi(np.asarray(t)) - w.phi(np.asarray(w.lo)))
+                want = sigma**gamma_ * (
+                    big_u**-gamma_ * math.exp(c * big_u) / math.gamma(1.0 - gamma_)
+                    - c * big_u ** (1.0 - gamma_)
+                    * float(mpmath.hyp1f1(1.0 - gamma_, 2.0 - gamma_, c * big_u))
+                    / math.gamma(2.0 - gamma_))
+                _, _, got = fracops1d.derivative_of_integral(np.cos, FracSpec(gamma_, sigma, w), t)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
+    def test_derivative_of_the_integral_is_the_input(self, gamma_, sigma):
+        def f(t):
+            return np.cos(3.0 * t) + t**2 + 0.5j * t
+
+        for w in _series_weights():
+            for frac in (0.1, 0.45, 0.8):
+                t = w.lo + frac * (w.hi - w.lo)
+                _, got, _ = fracops1d.derivative_of_integral(f, FracSpec(gamma_, sigma, w), t)
+                assert abs(got - f(t)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_integral_of_the_kummer_family(self, gamma_, sigma, k):
+        # I[(phi - phi(a))^k] = sigma^-b V^(b+k) Gamma(k+1)/Gamma(b+k+1) 1F1(b; b+k+1; cV):
+        # the integral map alone, apart from the derivative
+        c = (sigma - 1.0) / sigma
+        for w in _series_weights():
+            base = float(w.phi(np.asarray(w.lo)))
+            for frac in (0.1, 0.45, 0.8):
+                t = w.lo + frac * (w.hi - w.lo)
+                big_v = float(w.phi(np.asarray(t))) - base
+                want = (sigma**-gamma_ * big_v ** (gamma_ + k) * math.gamma(k + 1.0)
+                        / math.gamma(gamma_ + k + 1.0)
+                        * float(mpmath.hyp1f1(gamma_, gamma_ + k + 1.0, c * big_v)))
+                got, _, _ = fracops1d.derivative_of_integral(
+                    lambda s: (w.phi(s) - base) ** k, FracSpec(gamma_, sigma, w), t)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
+    def test_integral_of_the_eigen_input(self, gamma_, sigma):
+        # exp(cV) cancels the tempering: I = sigma^-b exp(cV) V^b / Gamma(b+1)
+        c = (sigma - 1.0) / sigma
+        for w in _series_weights():
+            base = float(w.phi(np.asarray(w.lo)))
+            for frac in (0.1, 0.45, 0.8):
+                t = w.lo + frac * (w.hi - w.lo)
+                big_v = float(w.phi(np.asarray(t))) - base
+                want = sigma**-gamma_ * math.exp(c * big_v) * big_v**gamma_ / math.gamma(gamma_ + 1.0)
+                got, _, _ = fracops1d.derivative_of_integral(
+                    lambda s: np.exp(c * (w.phi(s) - base)), FracSpec(gamma_, sigma, w), t)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_at_the_anchor(self, cubic_weight):
+        value, d_value, d_one = fracops1d.derivative_of_integral(
+            np.exp, FracSpec(0.4, 0.7, cubic_weight), 0.0)
+        assert value == 0.0 and abs(d_value - 1.0) <= 1e-12 and d_one == np.inf
+
+    def test_sigma_zero_is_the_identity(self, cubic_weight):
+        got = fracops1d.derivative_of_integral(np.exp, FracSpec(0.4, 0.0, cubic_weight), 0.3)
+        assert got == (np.exp(0.3), np.exp(0.3), 1.0)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.4, 0.4), (0.4, -0.4), (0.4, 0.0),
+                                      (0.0, 0.4)])
+    def test_jacobi_polynomials_match_scipy(self, a, b):
+        # a + b = 0 takes the explicit P_1
+        from scipy.special import eval_jacobi
+
+        x = np.linspace(-1.0, 1.0, 7)
+        got = fracops1d._jacobi_polynomials(40, a, b, x)
+        want = np.array([eval_jacobi(k, a, b, x) for k in range(40)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+        assert np.array_equal(fracops1d._jacobi_polynomials(40, a, b, 0.3),
+                              fracops1d._jacobi_polynomials(40, a, b, np.array([0.3]))[:, 0])
+
+
 class TestInverse:
     """``ScalarWeightFn.inverse``: safeguarded Newton steps on ``phi - u``."""
 
