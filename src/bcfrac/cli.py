@@ -11,7 +11,7 @@ left out, and any other field is refused.  An identity that does not read
         "bg-reduction",
         {
           "name": "my-run",            unique experiment id, the CSV's file stem
-          "identity": "frac-gauss",    one of the registered identities
+          "identity": "frac-gauss",    one of the six in the README's identity table
           "domain": [0,1,0,1,0,1,0,1], rectangle bounds a1,b1,c1,d1,a2,b2,c2,d2
           "weights": "classical",      classical | constant:a+bi,c+di
                                        | scaled-classical:<expr in x,y>
@@ -64,8 +64,8 @@ from .presets import (
     weight_preset,
 )
 from .quadrature_verify import (
-    _RESIDUALS,
     IDENTITIES,
+    REGISTRY,
     Resolution,
     ResidualReport,
     SurfacePatch,
@@ -140,6 +140,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "name", f"must be a plain file name, got {name!r}")
     if merged["identity"] not in IDENTITIES:
         _config_error(index, "identity", f"unknown identity; known: {', '.join(IDENTITIES)}")
+    rec = REGISTRY[merged["identity"]]
     bounds = _numbers(index, "domain", merged["domain"])
     weights, phi_name = _text(index, "weights", merged["weights"]), _text(index, "phi", merged["phi"])
     try:
@@ -148,7 +149,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         _config_error(index, "domain", str(exc))
     try:
         wp = weight_preset(weights, rect)
-        if merged["identity"] in ("borel-pompeiu", "frac-borel-pompeiu"):
+        if rec.kernel:
             # the reconstruction kernel needs a constant, orientation-preserving pair
             CauchyKernel(wp)
     except (ConfigError, UnsupportedWeightsError) as exc:
@@ -188,7 +189,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     params = FracParams(rect, alpha, sigma, phi, quad)
     patch = SurfacePatch.inside(rect, m=m, k=k)
     W = rect.point(0.45, 0.4, 0.55, 0.6)
-    if merged["identity"] == "borel-pompeiu":
+    if rec.point:
         # refinement levels only raise m, so the first level decides
         try:
             check_reconstruction_point(W, patch)
@@ -197,8 +198,7 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
 
     sig = params.sigma
     lam = ProductFunction.constant(0.0)
-    if (not (sig.z1 == 1 and sig.z2 == 1)
-            and merged["identity"] in ("factorization", "frac-gauss", "frac-borel-pompeiu")):
+    if rec.multiplier and not (sig.z1 == 1 and sig.z2 == 1):
         try:
             lam = lambda_for_constant_weights(wp, params)
         except BcfracError as exc:
@@ -211,11 +211,9 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     # an optional field that the identity does not read keeps its default
-    identity = merged["identity"]
     for key, read, reason in (
-            ("scheme", _RESIDUALS[identity][2], "only an identity that records n runs a 1-D rule"),
-            ("include_area", identity == "frac-borel-pompeiu",
-             "only frac-borel-pompeiu has an area term to leave out")):
+            ("scheme", rec.n, "only an identity that records n runs a 1-D rule"),
+            ("include_area", rec.area, "only frac-borel-pompeiu has an area term to leave out")):
         if merged[key] != _DEFAULTS[key] and not read:
             _config_error(index, key, reason)
     setup = VerificationSetup(

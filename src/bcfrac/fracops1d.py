@@ -265,7 +265,7 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
     """``(I f, D I f, D 1)`` at the point ``t``: the left integral of ``f`` of
     order ``gamma = p.alpha``, the left derivative of that order of this
     integral, and the derivative of one, on Jacobi series in ``x = 2U/L -
-    1`` (``U = phi - phi(lo)``, ``L`` its range): no rule row, and a cost
+    1`` (``U = phi - phi(lo)``, ``L`` at most its range): no rule row, and a cost
     that does not depend on ``n``.  With ``c = (sigma - 1)/sigma``, the
     Legendre coefficients ``a_k`` of ``exp(-cU) f`` at ``N`` Gauss-Legendre
     samples give, by the Jacobi fractional-integral formula (Chen, Shen &
@@ -288,6 +288,8 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
     w, gamma, sigma = p.weight, p.alpha, p.sigma
     c = (sigma - 1.0) / sigma
     big_l, u0 = _singular_range(w, "left", np.array([w.hi, t])).tolist()
+    if c != 0.0:  # L is cut to U(t) + 2/|c|, where exp(-cU) has grown by e^2 past t
+        big_l = min(big_l, u0 + 2.0 / abs(c))
     d, n = w.exponent, 32
     while True:
         x, analysis = _legendre_analysis(n)

@@ -561,41 +561,51 @@ class VerificationSetup:
     include_area: bool = True
 
 
-#: Identity name -> (residual of a setup ``s`` under parameters ``p`` on a
-#: patch, whether the report records the patch resolutions m and k, whether it
-#: records the 1-D node budget n).  The lambdas look the residual functions up
-#: when called, so a rebound module attribute (a wrapper) takes effect.
-_RESIDUALS = {
-    "gauss-weighted": (lambda s, p, patch: gauss_residual(s.F, s.wp, patch), True, False),
-    "borel-pompeiu": (
-        lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, s.wp, patch), True, False),
-    "trace-inversion": (lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
-    "factorization": (
-        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z),
-        False, True),
-    "frac-gauss": (
-        lambda s, p, patch: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True),
-    "frac-borel-pompeiu": (
+@dataclass(frozen=True)
+class Identity:
+    residual: Callable  # (setup s, parameters p, patch) -> HyperbolicNumber
+    patch: bool  # the report records m and k
+    n: bool  # the report records n: it runs a 1-D rule and reads ``scheme``
+    multiplier: bool = False  # it reads the multiplier lambda when sigma != 1
+    kernel: bool = False  # it needs the pair's ``CauchyKernel``
+    point: bool = False  # the loader runs ``check_reconstruction_point``
+    area: bool = False  # it accepts ``include_area``
+
+
+#: Name -> record, as in the README's identity table.  The lambdas look the
+#: residuals up when called, so a rebound module attribute (a wrapper) takes effect.
+REGISTRY = {
+    "gauss-weighted": Identity(lambda s, p, patch: gauss_residual(s.F, s.wp, patch), True, False),
+    "borel-pompeiu": Identity(lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, s.wp, patch),
+                              True, False, kernel=True, point=True),
+    "trace-inversion": Identity(lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
+    "factorization": Identity(
+        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z), False, True,
+        multiplier=True),
+    "frac-gauss": Identity(
+        lambda s, p, patch: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True,
+        multiplier=True),
+    "frac-borel-pompeiu": Identity(
         lambda s, p, patch: frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch,
                                                 include_area=s.include_area),
-        True, True),
+        True, True, multiplier=True, kernel=True, area=True),
 }
 
-IDENTITIES = tuple(_RESIDUALS)
+IDENTITIES = tuple(REGISTRY)
 
 
 def run_identity(identity: str, setup: VerificationSetup, res: Resolution) -> ResidualReport:
     """Evaluate one named residual at the given resolutions and report it."""
-    if identity not in _RESIDUALS:
+    if identity not in REGISTRY:
         raise ValueError(f"unknown identity {identity!r}; known: {IDENTITIES}")
-    residual, records_mk, records_n = _RESIDUALS[identity]
+    rec = REGISTRY[identity]
     p = replace(setup.params, quadrature=replace(setup.params.quadrature, n=res.n))
     patch = setup.patch.with_resolution(res.m, res.k)
     t0 = time.perf_counter()
-    r = residual(setup, p, patch)
+    r = rec.residual(setup, p, patch)
     seconds = time.perf_counter() - t0
-    m, k = (res.m, res.k) if records_mk else (0, 0)
-    return ResidualReport(identity, m, k, res.n if records_n else 0, float(r.l1), float(r.l2),
+    m, k = (res.m, res.k) if rec.patch else (0, 0)
+    return ResidualReport(identity, m, k, res.n if rec.n else 0, float(r.l1), float(r.l2),
                           seconds=seconds)
 
 

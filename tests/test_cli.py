@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bcfrac import cli, quadrature_verify
+from bcfrac import IDENTITIES, cli, quadrature_verify
 from bcfrac.cli import emit_report, load_config, main, run_suite
 from bcfrac.errors import ConfigError
 from bcfrac.frac_cr_bicomplex import RectDomain
@@ -576,6 +578,69 @@ class TestConfigValidation:
         assert cfg.setup.params.quadrature.scheme == "gauss_jacobi"
 
 
+def _parsed(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+def _docstrings(tree) -> set:
+    """``id`` of every docstring node of a module, class or function."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def _is_record(node) -> bool:
+    """Whether ``node`` is ``REGISTRY[...]``, one identity's record."""
+    return (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "REGISTRY")
+
+
+class TestIdentityRecords:
+    """The loader and the runner ask an identity's record
+    (``quadrature_verify.REGISTRY``), never its name."""
+
+    def test_cli_holds_no_identity_name(self):
+        tree = _parsed(cli)
+        docstrings = _docstrings(tree)
+        # a message may name an identity; a constant equal to one is a name test
+        assert [node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value in IDENTITIES and id(node) not in docstrings] == []
+
+    def test_every_field_is_read_by_name_and_none_by_position(self):
+        runner = next(node for node in _parsed(quadrature_verify).body
+                      if isinstance(node, ast.FunctionDef) and node.name == "run_identity")
+        read = set()
+        for tree in (_parsed(cli), runner):
+            assigned = [node for node in ast.walk(tree)
+                        if isinstance(node, ast.Assign) and _is_record(node.value)]
+            assert assigned and all(isinstance(t, ast.Name) for a in assigned for t in a.targets)
+            records = {t.id for a in assigned for t in a.targets}
+            assert not any(isinstance(node, ast.Subscript)
+                           and (_is_record(node.value) or isinstance(node.value, ast.Name)
+                                and node.value.id in records) for node in ast.walk(tree))
+            read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id in records}
+        assert read == {f.name for f in dataclasses.fields(quadrature_verify.Identity)}
+
+    def test_readme_table_matches_the_records(self):
+        # columns in field order after the residual: patch, n, multiplier,
+        # kernel, point, area
+        fields = [f.name for f in dataclasses.fields(quadrature_verify.Identity)][1:]
+        lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("| identity | records"))
+        rows = {}
+        for line in lines[start + 2:start + 2 + len(IDENTITIES)]:
+            name, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+            assert set(cells) <= {"yes", "no"} and len(cells) == len(fields)
+            rows[name.strip("`")] = [cell == "yes" for cell in cells]
+        assert lines[start + 2 + len(IDENTITIES)] == ""
+        assert rows == {name: [getattr(rec, f) for f in fields]
+                        for name, rec in quadrature_verify.REGISTRY.items()}
+        assert list(rows) == list(IDENTITIES)
+
+
 class TestRunSuite:
     def test_pass_and_reports(self, tmp_path):
         configs = load_config(write_config(tmp_path, [QUICK]))
@@ -750,6 +815,18 @@ class TestRunSuite:
         s1, s2 = (json.loads((tmp_path / jobs / "summary.json").read_text()) for jobs in "12")
         assert s1 == s2
         assert [e["name"] for e in s1["experiments"]] == ["quick", "quick2"]
+
+    def test_small_proportion_inversion_study_converges(self, tmp_path):
+        # sigma = 0.05 on a custom scale function of range 2 per axis: the
+        # composition's series once read 2.9e-4 here at order 0.07
+        entry = {"name": "small-sigma", "identity": "trace-inversion",
+                 "domain": [0, 1, 0, 1, 0, 1, 0, 1], "weights": "classical",
+                 "phi": "custom:x + x^3 + y|x + y + y^3", "alpha": [0.5] * 4,
+                 "sigma": [0.05] * 4, "field": "poly", "m": 16, "k": 16, "n": 512,
+                 "tolerance": 1e-4, "levels": 3}
+        summary, _ = run_suite(load_config(write_config(tmp_path, [entry])))
+        (result,) = summary["experiments"]
+        assert result["passed"] and result["order"] >= 1.9
 
 
 class TestRuntime:
