@@ -55,7 +55,8 @@ from .frac_cr_bicomplex import (
     lambda_for_constant_weights,
     lambda_residual,
 )
-from .fracops1d import FracSpec, Quadrature1D, ScalarWeightFn, prop_frac_derivative, prop_frac_integral
+from .fracops1d import (FracSpec, Quadrature1D, ScalarWeightFn, derivative_of_one, prop_frac_derivative,
+                        prop_frac_integral)
 from .presets import (
     EXPERIMENT_PRESETS,
     field_preset,
@@ -466,11 +467,13 @@ def _oracle_values(args) -> tuple:
             lambda tau: np.exp(c * (tau + tau**3)) * (tau + tau**3) ** (args.beta - 1.0),
             spec, "left", args.t, q)
     elif args.op == "rl-const-derivative":
-        w = _oracle_weight("identity")
+        w = _oracle_weight("identity")  # D 1 is t^-alpha / Gamma(1 - alpha) there
         spec = FracSpec(args.alpha, 1.0, w)
-        closed = args.t ** (-args.alpha) / math.gamma(1.0 - args.alpha)
+        closed = derivative_of_one(spec, args.t)
         engine = prop_frac_derivative(
             lambda t: np.ones_like(np.asarray(t, dtype=float)), spec, "left", args.t, q)
+        if math.isinf(closed):
+            raise ZeroDivisionError("the derivative of one is infinite at the anchor t = 0")
     else:  # argparse restricts op to the choices above
         raise ValueError(f"unknown oracle op {args.op!r}")
     return closed, engine

@@ -27,6 +27,7 @@ from .fracops1d import (
     Quadrature1D,
     ScalarWeightFn,
     derivative_of_integral,
+    derivative_of_one,
     difference_step,
     interpolant,
     prop_frac_derivative,
@@ -290,14 +291,20 @@ def _one(t):
     return np.ones_like(np.asarray(t, dtype=float))
 
 
+def _cross(integral, d_one):
+    """``integral * D[1]``, zero where the integral is: ``D[1]`` is infinite at the anchor."""
+    return integral if integral == 0 else integral * d_one
+
+
 def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
     """Cross terms (integral along one direction times derivative of the
-    constant one along the other) left over by the composition identity."""
+    constant one along the other, ``derivative_of_one``) left over by the
+    composition identity; the integrals come from the direct rule."""
     _check_points(p, Z, W)
     i_vals = [axis_integral(F, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
-    d_one = [axis_derivative(_one, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
-    e_comp = i_vals[1] * d_one[0] + i_vals[0] * d_one[1]
-    edag_comp = i_vals[2] * d_one[3] + i_vals[3] * d_one[2]
+    d_one = [derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)) for ax in range(4)]
+    e_comp = _cross(i_vals[1], d_one[0]) + _cross(i_vals[0], d_one[1])
+    edag_comp = _cross(i_vals[2], d_one[3]) + _cross(i_vals[3], d_one[2])
     return BicomplexNumber(e_comp, edag_comp)
 
 
@@ -314,15 +321,19 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> Bic
 #: 2.6e-13, 2.8e-13 and 9.8e-14 at the finest level), and its finest level
 #: takes 8, 8 and 12 ms against 108 ms direct (BENCH_29.json).
 _MAP_LINE_SAMPLES = 32
+#: Difference step of ``_trace_derivative_of_map``, a fraction of the span:
+#: the outer derivatives difference the discretized deep maps, so their
+#: quotients act on one fixed smooth function, and fifty times
+#: ``difference_step`` keeps residual quadrature noise from being amplified.
+_MAP_STEP = 5e-3
 
 
-def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, step: float,
-                             strip: tuple):
+def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, strip: tuple):
     """The two-direction trace derivative (in the real components of ``Z``,
     with weight restrictions anchored through ``W``) of a scalar field
     ``plane_map(xs, ys)`` on component plane ``l``: one ``axis_derivative``
     per direction, along the map's ``_trace_line`` through ``Z``, with
-    difference step ``h = step`` times that axis's span.
+    difference step ``h = _MAP_STEP`` times that axis's span.
 
     ``strip`` gives, per direction, the width of the strip along each edge in
     which the map is constant: the deep area map's clamp, or zero for the
@@ -335,7 +346,7 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
     for axis, cell in zip(component_axes(l), strip):
         coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
         lo, hi = p.rect.axis_interval(axis)
-        h = step * (hi - lo)
+        h = _MAP_STEP * (hi - lo)
         if p.sigma_vec[axis] != 0.0:
             line = interpolant(line, lo + cell, min(coord + h, hi - cell), _MAP_LINE_SAMPLES)
         total += axis_derivative(line, W, p, axis, coord, h=h)
@@ -349,28 +360,31 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
 
     Per component the map is ``S_x(x) + S_y(y)``, the integrals along the two
     axes through ``W``, so its derivative at ``Z`` is ``D_x[S_x] + S_y *
-    D_x[1] + D_y[S_y] + S_x * D_y[1]``.  Each axis takes its three terms from
-    one ``derivative_of_integral`` call: a Jacobi series of its inner integral
-    with the outer derivative applied in closed form, exact to about 1e-14
-    and with a cost that does not depend on ``n``.  An axis of proportion
-    zero is the identity.
+    D_x[1] + D_y[S_y] + S_x * D_y[1]``.  Each axis takes ``S`` and ``D[S]``
+    from one ``derivative_of_integral`` call, a Jacobi series of its inner
+    integral with the outer derivative applied in closed form, exact to about
+    1e-14 and with a cost that does not depend on ``n``; ``D[1]`` is
+    ``derivative_of_one``, the closed form that the remainder reads too.  An
+    axis of proportion zero is the identity.
     """
     _check_points(p, Z, W)
+    d_one = [derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)) for ax in range(4)]
     out = []
     for l in (1, 2):
-        (sx, dsx, d1x), (sy, dsy, d1y) = (
+        ax_x, ax_y = component_axes(l)
+        (sx, dsx), (sy, dsy) = (
             derivative_of_integral(_axis_line(F, W, ax), p.axis_spec(ax, W), _axis_coord(Z, ax))
-            for ax in component_axes(l))
-        out.append(dsx + sy * d1x + dsy + sx * d1y)
+            for ax in (ax_x, ax_y))
+        out.append(dsx + _cross(sy, d_one[ax_x]) + dsy + _cross(sx, d_one[ax_y]))
     return BicomplexNumber(out[0], out[1])
 
 
 def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> HyperbolicNumber:
     """Residual of the composition identity: derivative of the integral minus
     the trace sum minus the remainder.  The composition is exact to about
-    1e-14 (``compose_derivative_of_integral``), so the residual tracks the
-    error of the remainder's direct rule: its integrals and the difference
-    quotients of its derivatives of one."""
+    1e-14 (``compose_derivative_of_integral``), and the composition and the
+    remainder read the same ``derivative_of_one``, so the residual tracks
+    the error of the remainder's direct-rule integrals."""
     di = compose_derivative_of_integral(F, W, p, Z)
     target = trace_sum(F, W, Z) + remainder_R(F, W, p, Z)
     return (di - target).mod_k()

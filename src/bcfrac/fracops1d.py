@@ -35,7 +35,9 @@ gets them in closed form, and any other weight by Newton's method on
 ``phi`` (``ScalarWeightFn.inverse``).
 
 ``derivative_of_integral`` builds no row: it takes the left derivative of a
-left integral on Jacobi series of the line, for the composition identity.
+left integral on Jacobi series of the line, for the composition identity;
+``derivative_of_one`` is the left derivative of the constant one in closed
+form.
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -262,33 +264,31 @@ def difference_step(lo: float, hi: float) -> float:
 
 
 def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
-    """``(I f, D I f, D 1)`` at the point ``t``: the left integral of ``f`` of
-    order ``gamma = p.alpha``, the left derivative of that order of this
-    integral, and the derivative of one, on Jacobi series in ``x = 2U/L -
-    1`` (``U = phi - phi(lo)``, ``L`` at most its range): no rule row, and a cost
-    that does not depend on ``n``.  With ``c = (sigma - 1)/sigma``, the
-    Legendre coefficients ``a_k`` of ``exp(-cU) f`` at ``N`` Gauss-Legendre
-    samples give, by the Jacobi fractional-integral formula (Chen, Shen &
-    Wang, Math. Comp. 85 (2016) 1603-1638), ``I f = sigma^-gamma exp(cU)
-    (L/2)^gamma (1+x)^gamma sum a_k Gamma(k+1)/Gamma(k+gamma+1)
-    P_k^(-gamma,gamma)(x)``.  The derivative acts on that integral, not by
-    the semigroup: it expands ``exp(-cU) I f / (1+x)^gamma``, sampled at the
-    Gauss-Jacobi nodes of ``(1+x)^gamma``, in ``P_k^(0,gamma)`` and maps each
-    term to ``sigma^gamma exp(cU) (L/2)^-gamma Gamma(k+gamma+1)/Gamma(k+1)
-    P_k^(gamma,0)``; ``D 1`` maps the Legendre terms of ``exp(-cU)`` to
-    ``Gamma(k+1)/Gamma(k+1-gamma) (1+x)^-gamma P_k^(gamma,-gamma)`` alike.
-    ``N`` starts at 32 and doubles, up to 256, while the last quarter of
-    either coefficient set exceeds 1e-13 of its largest.  The samples sit
-    where ``U = L(1+x)/2``, by the inverse of ``power_gap`` for a declared
-    weight and by ``inverse`` for any other.  At ``sigma = 0`` both operators
-    are the identity: ``(f(t), f(t), 1)``."""
+    """``(I f, D I f)`` at the point ``t``: the left integral of ``f`` of order
+    ``gamma = p.alpha`` and the left derivative of that order of this
+    integral, on Jacobi series in ``x = 2U/L - 1`` (``U = phi - phi(lo)``,
+    ``L`` at most its range): no rule row, and a cost that does not depend
+    on ``n``.  With ``c = (sigma - 1)/sigma``, the Legendre coefficients
+    ``a_k`` of ``exp(-c(U - U(t))) f`` at ``N`` Gauss-Legendre samples give,
+    by the Jacobi fractional-integral formula (Chen, Shen & Wang, Math. Comp.
+    85 (2016) 1603-1638), ``I f = sigma^-gamma (L/2)^gamma (1+x)^gamma sum
+    a_k Gamma(k+1)/Gamma(k+gamma+1) P_k^(-gamma,gamma)(x)`` at ``t``.  The
+    derivative acts on that integral, not by the semigroup: it expands
+    ``exp(-c(U - U(t))) I f / (1+x)^gamma``, sampled at the Gauss-Jacobi
+    nodes of ``(1+x)^gamma``, in ``P_k^(0,gamma)`` and maps each term to
+    ``sigma^gamma (L/2)^-gamma Gamma(k+gamma+1)/Gamma(k+1) P_k^(gamma,0)``.
+    ``N`` starts at 32 and doubles, up to 256, while the last quarter of the
+    coefficients exceeds 1e-13 of the largest.  The samples sit where ``U =
+    L(1+x)/2``, by the inverse of ``power_gap`` for a declared weight and by
+    ``inverse`` for any other.  At ``sigma = 0`` both operators are the
+    identity: ``(f(t), f(t))``."""
     if p.sigma == 0.0:
         value = complex(np.asarray(f(np.array([t])))[0])
-        return value, value, 1.0
+        return value, value
     w, gamma, sigma = p.weight, p.alpha, p.sigma
     c = (sigma - 1.0) / sigma
     big_l, u0 = _singular_range(w, "left", np.array([w.hi, t])).tolist()
-    if c != 0.0:  # L is cut to U(t) + 2/|c|, where exp(-cU) has grown by e^2 past t
+    if c != 0.0:  # L is cut to U(t) + 2/|c|, where exp(-c(U - U(t))) reaches e^2
         big_l = min(big_l, u0 + 2.0 / abs(c))
     d, n = w.exponent, 32
     while True:
@@ -300,24 +300,47 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
             ts = w.lo + u
         else:
             ts = w.lo + w.lo * np.expm1(np.log1p(u / w.lo**d) / d)
-        damp = np.exp(-c * u)
-        coef = analysis @ np.stack([damp * f(ts), damp], axis=1)
+        coef = analysis @ (np.exp(c * (u0 - u)) * f(ts))
         size = np.abs(coef)
-        if n == 256 or np.all(size[-(n // 4):].max(axis=0) <= 1e-13 * size.max(axis=0)):
+        if n == 256 or size[-(n // 4):].max() <= 1e-13 * size.max():
             break
         n *= 2
-    # exp(-cU) I f / (1+x)^gamma over sigma^-gamma (L/2)^gamma, in P_k^(0,gamma);
-    # the derivative's sigma^gamma (L/2)^-gamma cancels that factor
+    # exp(-c(U - U(t))) I f / (1+x)^gamma over sigma^-gamma (L/2)^gamma, in
+    # P_k^(0,gamma); the derivative's sigma^gamma (L/2)^-gamma cancels that factor
     integral, expand, ratios = _series_maps(n, gamma)
-    series = expand @ (integral @ coef[:, 0])
+    series = expand @ (integral @ coef)
     x0 = 2.0 * u0 / big_l - 1.0
-    grow, scale = math.exp(c * u0), sigma**-gamma * (0.5 * big_l) ** gamma
-    value = scale * grow * (1.0 + x0) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
-    d_value = grow * ((ratios[0] * series) @ _jacobi_polynomials(n, gamma, 0.0, x0))
-    with np.errstate(divide="ignore"):  # D 1 is infinite at the anchor
-        d_one = grow / scale * np.power(1.0 + x0, -gamma) * (
-            (ratios[1] * coef[:, 1].real) @ _jacobi_polynomials(n, gamma, -gamma, x0))
-    return value, d_value, d_one
+    scale = sigma**-gamma * (0.5 * big_l) ** gamma
+    value = scale * (1.0 + x0) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
+    return value, (ratios * series) @ _jacobi_polynomials(n, gamma, 0.0, x0)
+
+
+def derivative_of_one(p: FracSpec, t: float) -> float:
+    """``D 1`` at the point ``t``: the left derivative of order ``gamma =
+    p.alpha`` of the constant one, in closed form.  With ``U = phi(t) -
+    phi(lo)`` and ``c = (sigma - 1)/sigma``, ``D 1 = sigma^gamma [U^-gamma
+    e^(cU)/Gamma(1-gamma) - c U^(1-gamma) 1F1(1-gamma; 2-gamma;
+    cU)/Gamma(2-gamma)]``, whose second term is ``(1-sigma)^gamma P(1-gamma,
+    -cU)`` by Kummer's transformation (DLMF 13.2.39): ``P(a, y) = y^a e^-y
+    sum y^k/Gamma(a+k+1)`` (DLMF 8.7.1), a sum of positive terms, is the
+    regularized incomplete gamma function.  Infinite at the anchor, and 1 at
+    ``sigma = 0``, where the derivative is the identity."""
+    if p.sigma == 0.0:
+        return 1.0
+    gamma, sigma = p.alpha, p.sigma
+    big_u = float(_singular_range(p.weight, "left", np.array([t]))[0])
+    if big_u == 0.0:
+        return math.inf
+    y = (1.0 - sigma) / sigma * big_u
+    ratio = 1.0
+    if y <= 50.0:  # above, P is 1 to within y^-gamma e^-y / Gamma(1-gamma) < 1e-21
+        total, term, k = 1.0, 1.0, 0
+        while term > 1e-17 * total:
+            term *= y / (2.0 - gamma + k)
+            total, k = total + term, k + 1
+        ratio = y ** (1.0 - gamma) * math.exp(-y) * total / math.gamma(2.0 - gamma)
+    head = sigma**gamma * big_u**-gamma * math.exp(-y) / math.gamma(1.0 - gamma)
+    return head + (1.0 - sigma) ** gamma * ratio
 
 
 # ----------------------------------------------------------------------
@@ -434,13 +457,13 @@ def _series_maps(n: int, gamma: float) -> tuple:
     P_k^(-gamma,gamma)`` at the Gauss-Jacobi nodes of ``(1+x)^gamma``, and
     ``expand`` takes values there to coefficients in ``P_k^(0,gamma)``,
     exactly for degree ``n - 1``.  ``ratios`` holds
-    ``Gamma(k+gamma+1)/Gamma(k+1)`` and ``Gamma(k+1)/Gamma(k+1-gamma)``."""
-    lg = np.array([[math.lgamma(j + s) for j in range(n)] for s in (1.0, 1.0 + gamma, 1.0 - gamma)])
+    ``Gamma(k+gamma+1)/Gamma(k+1)``."""
+    lg = np.array([[math.lgamma(j + s) for j in range(n)] for s in (1.0, 1.0 + gamma)])
     y, wy = _jacobi_rule(n, 1.0 + gamma)
     integral = (np.exp(lg[0] - lg[1])[:, None] * _jacobi_polynomials(n, -gamma, gamma, y)).T
     norm = (2.0 * np.arange(n)[:, None] + gamma + 1.0) / 2.0 ** (gamma + 1.0)  # 1/||P_k^(0,gamma)||^2
     expand = norm * wy * _jacobi_polynomials(n, 0.0, gamma, y)
-    return _read_only(integral, expand, np.exp([lg[1] - lg[0], lg[0] - lg[2]]))
+    return _read_only(integral, expand, np.exp(lg[1] - lg[0]))
 
 
 def _auto_grading(beta: float) -> float:

@@ -430,8 +430,10 @@ def frac_bp_reconstruct(
     Every trace field of a component (the boundary trace integral, and the
     proportional CR field on the area nodes and at the area map's points)
     comes from its two surrogates (``_trace_integrals``), per axis and
-    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` and the
-    outer trace derivatives run the direct rule.  The outer derivative reads
+    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` takes
+    its integrals from the direct rule and its derivatives of one in closed
+    form (``derivative_of_one``).  The outer trace derivatives are difference
+    quotients of step ``_MAP_STEP`` on the direct rule.  They read
     the area map and the boundary map, along each trace line of nonzero
     proportion, through a Chebyshev interpolant (``_trace_derivative_of_map``
     with the area map's clamp strip, and a strip of zero width for the
@@ -464,16 +466,13 @@ def frac_bp_reconstruct(
             zp = np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float)
             return np.exp(-lam_fn.f(zp.real, zp.imag)) * kernel.boundary_sums(l, z_b, coef, zp)
 
-        # the outer derivatives difference the discretized maps, so their
-        # quotients act on one fixed smooth function; the step is 5e-3 of the
-        # span, fifty times the default, so that residual quadrature noise is
-        # not amplified.  The boundary map is not clamped: its strip is empty
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, 5e-3, (0.0, 0.0))
+        # the boundary map is not clamped: its strip is empty
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, (0.0, 0.0))
 
         area_d = 0.0 + 0.0j
         if include_area:
             area_map, strip = _area_map_builder(l, ix, iy, p, kernel, lam, patch, sig_inv)
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, 5e-3, strip)
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, strip)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))

@@ -828,6 +828,27 @@ class TestRunSuite:
         (result,) = summary["experiments"]
         assert result["passed"] and result["order"] >= 1.9
 
+    #: A trace-inversion study on the unit domain under a linear phi.
+    TINY = {"identity": "trace-inversion", "domain": [0, 1] * 4, "weights": "classical",
+            "phi": "linear", "alpha": [0.5] * 4, "field": "poly", "m": 8, "k": 8, "n": 256,
+            "tolerance": 1e-4, "levels": 3}
+
+    def test_tiny_proportion_inversion_study_converges(self, tmp_path):
+        # |c| U(t) reaches 1666 at sigma = 6e-4: the composition's series
+        # overflowed to nan here before its expansion was shifted by U(t)
+        entry = dict(self.TINY, name="tiny-sigma", sigma=[6e-4] * 4)
+        summary, _ = run_suite(load_config(write_config(tmp_path, [entry])))
+        (result,) = summary["experiments"]
+        assert result["passed"] and result["order"] >= 1.9
+
+    def test_vanishing_proportion_is_a_finite_fail(self, tmp_path, capsys):
+        # sigma = 1e-9 on one axis is accepted but not resolved by the rules
+        # (0.97 at the finest level): a numerical FAIL, not nan
+        path = write_config(tmp_path, [dict(self.TINY, name="vanishing", sigma=[1e-9, 0, 1, 0])])
+        assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL vanishing") and "nan" not in out
+
 
 class TestRuntime:
     def test_verify_runs_every_bundle_without_scipy(self, tmp_path):

@@ -261,8 +261,8 @@ class TestInversionIdentity:
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_call_budget_of_one_level_is_the_remainders(self, poly_field, monkeypatch, n):
-        # the remainder's four 1-target integrals and four 3-target calls
-        # (stencil and point) of its derivatives of one; no surrogate
+        # the remainder's four 1-target integrals; its derivatives of one
+        # are in closed form, so no difference quotient and no surrogate
         from bcfrac import fracops1d, frac_cr_bicomplex
 
         rect = RectDomain(*[0.5, 1.5] * 4)
@@ -284,11 +284,17 @@ class TestInversionIdentity:
                 return surrogate(t)
             return evaluate
 
+        def derivative(*args, **kwargs):
+            quotients.append(1)
+            return real_derivative(*args, **kwargs)
+
+        real_derivative, quotients = fracops1d.prop_frac_derivative, []
         for module in (fracops1d, frac_cr_bicomplex):
             monkeypatch.setattr(module, "prop_frac_integral", integral)
+            monkeypatch.setattr(module, "prop_frac_derivative", derivative)
         monkeypatch.setattr(frac_cr_bicomplex, "tabulate", tabulate)
         inversion_check(poly_field, W, p, Z)
-        assert (len(targets), sum(targets), len(evaluations)) == (8, 16, 0)
+        assert (len(targets), sum(targets), len(evaluations), len(quotients)) == (4, 4, 0, 0)
 
     def test_remainder_vanishes_at_corner(self, setup):
         rect, phi, F, W, _ = setup

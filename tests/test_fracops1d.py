@@ -482,11 +482,20 @@ class TestPropFracDerivative:
             got = prop_frac_derivative(integral, spec, side, tpts, q)
             assert np.max(np.abs(got - np.sin(tpts))) < 1e-4
 
-    def test_derivative_of_constant(self, identity_weight):
-        got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                                   FracSpec(0.5, 1.0, identity_weight), "left", 0.49,
-                                   Quadrature1D(n=2048))
-        assert abs(got - 0.49**-0.5 / gamma(0.5)) < 1e-6
+    @pytest.mark.parametrize("sigma", [0.05, 0.6, 1.0])
+    def test_derivative_of_constant(self, identity_weight, sigma):
+        # the quotient of step h = 1e-4 against the closed form, on
+        # Gauss-Jacobi rows, which integrate one to about 1e-13: what is left
+        # is the step error, measured at most 2.3e-8 (sigma = 1, t = 0.25)
+        # and falling fourfold with h / 2
+        spec = FracSpec(0.5, sigma, identity_weight)
+        ts = np.array([0.25, 0.49, 0.75])
+        got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)), spec,
+                                   "left", ts, Quadrature1D(n=64, scheme="gauss_jacobi"))
+        want = np.array([fracops1d.derivative_of_one(spec, t) for t in ts])
+        assert np.max(np.abs(got - want)) <= 5e-8
+        if sigma == 1.0:
+            np.testing.assert_allclose(want, ts**-0.5 / gamma(0.5), rtol=1e-15)
         assert abs(1 / gamma(0.5) - 0.56419) < 1e-5
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -819,23 +828,35 @@ SERIES_ORDERS = [(0.35, 0.9), (0.3, 1.0), (0.5, 1.0), (0.5, 0.7), (0.65, 0.6), (
 
 
 class TestDerivativeOfIntegral:
-    """``derivative_of_integral`` against closed forms, at interior points."""
+    """``derivative_of_integral`` and ``derivative_of_one`` against closed
+    forms, at interior points."""
 
-    @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
+    @pytest.mark.parametrize("gamma_", sorted({g for g, _ in SERIES_ORDERS}))
+    @pytest.mark.parametrize("sigma", [6e-4, 0.05, 0.6, 1.0])
     def test_derivative_of_one_is_the_kummer_form(self, gamma_, sigma):
-        # D[1] = sigma^g [U^-g e^(cU)/Gamma(1-g) - c U^(1-g) 1F1(1-g; 2-g; cU)/Gamma(2-g)]
-        c = (sigma - 1.0) / sigma
+        # D[1] = sigma^g [U^-g e^(cU)/Gamma(1-g) - c U^(1-g) 1F1(1-g; 2-g; cU)/Gamma(2-g)],
+        # in 40-digit arithmetic from the same U
+        with mpmath.workdps(40):
+            g, s = mpmath.mpf(gamma_), mpmath.mpf(sigma)
+            c = (s - 1) / s
+            for w in _series_weights():
+                for frac in (0.1, 0.45, 0.8):
+                    t = w.lo + frac * (w.hi - w.lo)
+                    u = mpmath.mpf(float(fracops1d._singular_range(w, "left", np.array([t]))[0]))
+                    want = s**g * (u**-g * mpmath.exp(c * u) / mpmath.gamma(1 - g)
+                                   - c * u ** (1 - g) * mpmath.hyp1f1(1 - g, 2 - g, c * u)
+                                   / mpmath.gamma(2 - g))
+                    got = fracops1d.derivative_of_one(FracSpec(gamma_, sigma, w), t)
+                    assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("gamma_", sorted({g for g, _ in SERIES_ORDERS}))
+    def test_derivative_of_one_at_a_vanishing_proportion(self, gamma_):
+        # at sigma = 1e-9, y = (1 - sigma) U / sigma is about 1e9: the
+        # incomplete gamma ratio is 1, summed by no series
         for w in _series_weights():
-            for frac in (0.1, 0.45, 0.8):
-                t = w.lo + frac * (w.hi - w.lo)
-                big_u = float(w.phi(np.asarray(t)) - w.phi(np.asarray(w.lo)))
-                want = sigma**gamma_ * (
-                    big_u**-gamma_ * math.exp(c * big_u) / math.gamma(1.0 - gamma_)
-                    - c * big_u ** (1.0 - gamma_)
-                    * float(mpmath.hyp1f1(1.0 - gamma_, 2.0 - gamma_, c * big_u))
-                    / math.gamma(2.0 - gamma_))
-                _, _, got = fracops1d.derivative_of_integral(np.cos, FracSpec(gamma_, sigma, w), t)
-                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            t = w.lo + 0.45 * (w.hi - w.lo)
+            got = fracops1d.derivative_of_one(FracSpec(gamma_, 1e-9, w), t)
+            assert abs(got - (1.0 - 1e-9) ** gamma_) <= 1e-12
 
     @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
     def test_derivative_of_the_integral_is_the_input(self, gamma_, sigma):
@@ -845,7 +866,7 @@ class TestDerivativeOfIntegral:
         for w in _series_weights():
             for frac in (0.1, 0.45, 0.8):
                 t = w.lo + frac * (w.hi - w.lo)
-                _, got, _ = fracops1d.derivative_of_integral(f, FracSpec(gamma_, sigma, w), t)
+                _, got = fracops1d.derivative_of_integral(f, FracSpec(gamma_, sigma, w), t)
                 assert abs(got - f(t)) <= 1e-12
 
     @pytest.mark.parametrize("gamma_, sigma", SERIES_ORDERS)
@@ -862,7 +883,7 @@ class TestDerivativeOfIntegral:
                 want = (sigma**-gamma_ * big_v ** (gamma_ + k) * math.gamma(k + 1.0)
                         / math.gamma(gamma_ + k + 1.0)
                         * float(mpmath.hyp1f1(gamma_, gamma_ + k + 1.0, c * big_v)))
-                got, _, _ = fracops1d.derivative_of_integral(
+                got, _ = fracops1d.derivative_of_integral(
                     lambda s: (w.phi(s) - base) ** k, FracSpec(gamma_, sigma, w), t)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -876,7 +897,7 @@ class TestDerivativeOfIntegral:
                 t = w.lo + frac * (w.hi - w.lo)
                 big_v = float(w.phi(np.asarray(t))) - base
                 want = sigma**-gamma_ * math.exp(c * big_v) * big_v**gamma_ / math.gamma(gamma_ + 1.0)
-                got, _, _ = fracops1d.derivative_of_integral(
+                got, _ = fracops1d.derivative_of_integral(
                     lambda s: np.exp(c * (w.phi(s) - base)), FracSpec(gamma_, sigma, w), t)
                 assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -890,18 +911,31 @@ class TestDerivativeOfIntegral:
             return np.cos(3.0 * s) + s**2
 
         spec = FracSpec(0.5, sigma, affine_weight(0.0, 0.0, 2.0))
-        value, d_value, _ = fracops1d.derivative_of_integral(f, spec, t)
+        value, d_value = fracops1d.derivative_of_integral(f, spec, t)
         want = prop_frac_integral(f, spec, "left", t, Quadrature1D(n=512, scheme="gauss_jacobi"))
         assert abs(value - want) <= 1e-11 and abs(d_value - f(t)) <= 1e-11
 
+    def test_a_tiny_proportion_does_not_overflow(self):
+        # |c| U(t) = 833 at sigma = 6e-4: the samples of exp(-cU) f overflowed
+        # before the expansion was shifted by U(t)
+        def f(s):
+            return np.cos(3.0 * s) + s**2
+
+        spec = FracSpec(0.5, 6e-4, affine_weight(0.0, 0.0, 1.0))
+        value, d_value = fracops1d.derivative_of_integral(f, spec, 0.5)
+        want = prop_frac_integral(f, spec, "left", 0.5, Quadrature1D(n=512, scheme="gauss_jacobi"))
+        assert abs(value - want) <= 1e-11 and abs(d_value - f(0.5)) <= 1e-11
+
     def test_at_the_anchor(self, cubic_weight):
-        value, d_value, d_one = fracops1d.derivative_of_integral(
-            np.exp, FracSpec(0.4, 0.7, cubic_weight), 0.0)
-        assert value == 0.0 and abs(d_value - 1.0) <= 1e-12 and d_one == np.inf
+        spec = FracSpec(0.4, 0.7, cubic_weight)
+        value, d_value = fracops1d.derivative_of_integral(np.exp, spec, 0.0)
+        assert value == 0.0 and abs(d_value - 1.0) <= 1e-12
+        assert fracops1d.derivative_of_one(spec, 0.0) == np.inf
 
     def test_sigma_zero_is_the_identity(self, cubic_weight):
-        got = fracops1d.derivative_of_integral(np.exp, FracSpec(0.4, 0.0, cubic_weight), 0.3)
-        assert got == (np.exp(0.3), np.exp(0.3), 1.0)
+        spec = FracSpec(0.4, 0.0, cubic_weight)
+        assert fracops1d.derivative_of_integral(np.exp, spec, 0.3) == (np.exp(0.3), np.exp(0.3))
+        assert fracops1d.derivative_of_one(spec, 0.3) == 1.0
 
     @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.4, 0.4), (0.4, -0.4), (0.4, 0.0),
                                       (0.0, 0.4)])
@@ -951,7 +985,7 @@ class TestThreeImplementationsAgree:
     def test_graded_gauss_jacobi_and_series(self, beta, sigma, weight, f, frac):
         t = weight.lo + frac * (weight.hi - weight.lo)
         spec = FracSpec(beta, sigma, weight)
-        series, d_series, _ = fracops1d.derivative_of_integral(f, spec, t)
+        series, d_series = fracops1d.derivative_of_integral(f, spec, t)
         scale = max(1.0, abs(series))
         gauss_jacobi = prop_frac_integral(f, spec, "left", t, self.GAUSS_JACOBI)
         graded = prop_frac_integral(f, spec, "left", t, self.GRADED)

@@ -832,18 +832,19 @@ def _direct_map_path(monkeypatch, clamped: bool):
     width).  Every trace line of that map then reads the map itself, the
     reference path; the other map keeps its surrogate."""
     from bcfrac import quadrature_verify as qv
-    from bcfrac.frac_cr_bicomplex import _axis_coord, _trace_line, axis_derivative, component_axes
+    from bcfrac.frac_cr_bicomplex import (_MAP_STEP, _axis_coord, _trace_line, axis_derivative,
+                                          component_axes)
 
     real = qv._trace_derivative_of_map
 
-    def outer(plane_map, l, Z, W, p, step, strip):
+    def outer(plane_map, l, Z, W, p, strip):
         if any(strip) != clamped:
-            return real(plane_map, l, Z, W, p, step, strip)
+            return real(plane_map, l, Z, W, p, strip)
         total = 0.0 + 0.0j
         for axis in component_axes(l):
             lo, hi = p.rect.axis_interval(axis)
             total += axis_derivative(_trace_line(plane_map, Z, axis), W, p, axis,
-                                     _axis_coord(Z, axis), h=step * (hi - lo))
+                                     _axis_coord(Z, axis), h=_MAP_STEP * (hi - lo))
         return total
 
     monkeypatch.setattr(qv, "_trace_derivative_of_map", outer)
