@@ -291,20 +291,16 @@ def _one(t):
     return np.ones_like(np.asarray(t, dtype=float))
 
 
-def _cross(integral, d_one):
-    """``integral * D[1]``, zero where the integral is: ``D[1]`` is infinite at the anchor."""
-    return integral if integral == 0 else integral * d_one
-
-
 def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
-    """Cross terms (integral along one direction times derivative of the
-    constant one along the other, ``derivative_of_one``) left over by the
-    composition identity; the integrals come from the direct rule."""
+    """Cross terms (direct-rule integral along one direction times
+    ``derivative_of_one`` along the other) left over by the composition identity."""
     _check_points(p, Z, W)
     i_vals = [axis_integral(F, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
-    d_one = [derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)) for ax in range(4)]
-    e_comp = _cross(i_vals[1], d_one[0]) + _cross(i_vals[0], d_one[1])
-    edag_comp = _cross(i_vals[2], d_one[3]) + _cross(i_vals[3], d_one[2])
+    # a cross term is zero where its integral is, also at the anchor, where D[1] is infinite
+    d_one = [0.0 if i_vals[ax ^ 1] == 0 else derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax))
+             for ax in range(4)]
+    e_comp = i_vals[1] * d_one[0] + i_vals[0] * d_one[1]
+    edag_comp = i_vals[2] * d_one[3] + i_vals[3] * d_one[2]
     return BicomplexNumber(e_comp, edag_comp)
 
 
@@ -321,10 +317,8 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> Bic
 #: 2.6e-13, 2.8e-13 and 9.8e-14 at the finest level), and its finest level
 #: takes 8, 8 and 12 ms against 108 ms direct (BENCH_29.json).
 _MAP_LINE_SAMPLES = 32
-#: Difference step of ``_trace_derivative_of_map``, a fraction of the span:
-#: the outer derivatives difference the discretized deep maps, so their
-#: quotients act on one fixed smooth function, and fifty times
-#: ``difference_step`` keeps residual quadrature noise from being amplified.
+#: Step of ``_trace_derivative_of_map``, a fraction of the span: its quotients
+#: act on one fixed smooth map, and fifty times ``difference_step`` does not amplify its noise.
 _MAP_STEP = 5e-3
 
 
@@ -361,21 +355,19 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     Per component the map is ``S_x(x) + S_y(y)``, the integrals along the two
     axes through ``W``, so its derivative at ``Z`` is ``D_x[S_x] + S_y *
     D_x[1] + D_y[S_y] + S_x * D_y[1]``.  Each axis takes ``S`` and ``D[S]``
-    from one ``derivative_of_integral`` call, a Jacobi series of its inner
-    integral with the outer derivative applied in closed form, exact to about
-    1e-14 and with a cost that does not depend on ``n``; ``D[1]`` is
-    ``derivative_of_one``, the closed form that the remainder reads too.  An
-    axis of proportion zero is the identity.
+    from one ``derivative_of_integral`` call, a Jacobi series exact to about
+    1e-14 at a cost that does not depend on ``n``, and ``D[1]`` from
+    ``derivative_of_one``, as the remainder does.  An axis of proportion zero
+    is the identity.
     """
     _check_points(p, Z, W)
-    d_one = [derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)) for ax in range(4)]
     out = []
     for l in (1, 2):
-        ax_x, ax_y = component_axes(l)
-        (sx, dsx), (sy, dsy) = (
-            derivative_of_integral(_axis_line(F, W, ax), p.axis_spec(ax, W), _axis_coord(Z, ax))
-            for ax in (ax_x, ax_y))
-        out.append(dsx + _cross(sy, d_one[ax_x]) + dsy + _cross(sx, d_one[ax_y]))
+        (sx, dsx, d1x), (sy, dsy, d1y) = (
+            (*derivative_of_integral(_axis_line(F, W, ax), p.axis_spec(ax, W), _axis_coord(Z, ax)),
+             derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)))
+            for ax in component_axes(l))
+        out.append(dsx + sy * d1x + dsy + sx * d1y)
     return BicomplexNumber(out[0], out[1])
 
 

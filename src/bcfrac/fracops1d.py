@@ -35,9 +35,8 @@ gets them in closed form, and any other weight by Newton's method on
 ``phi`` (``ScalarWeightFn.inverse``).
 
 ``derivative_of_integral`` builds no row: it takes the left derivative of a
-left integral on Jacobi series of the line, for the composition identity;
-``derivative_of_one`` is the left derivative of the constant one in closed
-form.
+left integral on Jacobi series of the line, and ``derivative_of_one`` that of
+one in closed form, for the composition identity.
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -310,8 +309,7 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
     integral, expand, ratios = _series_maps(n, gamma)
     series = expand @ (integral @ coef)
     x0 = 2.0 * u0 / big_l - 1.0
-    scale = sigma**-gamma * (0.5 * big_l) ** gamma
-    value = scale * (1.0 + x0) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
+    value = (u0 / sigma) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
     return value, (ratios * series) @ _jacobi_polynomials(n, gamma, 0.0, x0)
 
 

@@ -430,15 +430,14 @@ def frac_bp_reconstruct(
     Every trace field of a component (the boundary trace integral, and the
     proportional CR field on the area nodes and at the area map's points)
     comes from its two surrogates (``_trace_integrals``), per axis and
-    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` takes
-    its integrals from the direct rule and its derivatives of one in closed
-    form (``derivative_of_one``).  The outer trace derivatives are difference
-    quotients of step ``_MAP_STEP`` on the direct rule.  They read
-    the area map and the boundary map, along each trace line of nonzero
-    proportion, through a Chebyshev interpolant (``_trace_derivative_of_map``
-    with the area map's clamp strip, and a strip of zero width for the
-    boundary map): one kernel sum of ``_MAP_LINE_SAMPLES`` = 32 targets per
-    line and map, where the direct map takes one per node of the outer rows.
+    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` runs the
+    direct rule and ``derivative_of_one``; the outer trace derivatives, of
+    step ``_MAP_STEP``, difference the area map and the boundary map along
+    each trace line of nonzero proportion, read through a Chebyshev
+    interpolant (``_trace_derivative_of_map`` with the area map's clamp strip,
+    and a strip of zero width for the boundary map): one kernel sum of
+    ``_MAP_LINE_SAMPLES`` = 32 targets per line and map, where the direct map
+    takes one per node of the outer rows.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)

@@ -482,21 +482,29 @@ class TestPropFracDerivative:
             got = prop_frac_derivative(integral, spec, side, tpts, q)
             assert np.max(np.abs(got - np.sin(tpts))) < 1e-4
 
+    def test_derivative_of_constant(self, identity_weight):
+        got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                                   FracSpec(0.5, 1.0, identity_weight), "left", 0.49,
+                                   Quadrature1D(n=2048))
+        assert abs(got - 0.49**-0.5 / gamma(0.5)) < 1e-6
+        assert abs(1 / gamma(0.5) - 0.56419) < 1e-5
+
+    @pytest.mark.parametrize("scheme, n, bound", [("gauss_jacobi", 64, 5e-8), ("graded", 2048, 2e-6)])
     @pytest.mark.parametrize("sigma", [0.05, 0.6, 1.0])
-    def test_derivative_of_constant(self, identity_weight, sigma):
-        # the quotient of step h = 1e-4 against the closed form, on
-        # Gauss-Jacobi rows, which integrate one to about 1e-13: what is left
-        # is the step error, measured at most 2.3e-8 (sigma = 1, t = 0.25)
-        # and falling fourfold with h / 2
+    def test_derivative_of_one_is_the_closed_form(self, identity_weight, sigma, scheme, n, bound):
+        # the quotient of step h = 1e-4 against derivative_of_one.  Gauss-Jacobi
+        # rows integrate one to about 1e-13, so what is left is the step error,
+        # measured at most 2.3e-8 (sigma = 1, t = 0.25) and falling fourfold
+        # with h / 2; the graded rows add their quadrature error, measured at
+        # most 1.05e-6 (sigma = 0.05, t = 0.75) and falling fourfold as n doubles
         spec = FracSpec(0.5, sigma, identity_weight)
         ts = np.array([0.25, 0.49, 0.75])
         got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)), spec,
-                                   "left", ts, Quadrature1D(n=64, scheme="gauss_jacobi"))
+                                   "left", ts, Quadrature1D(n=n, scheme=scheme))
         want = np.array([fracops1d.derivative_of_one(spec, t) for t in ts])
-        assert np.max(np.abs(got - want)) <= 5e-8
+        assert np.max(np.abs(got - want)) <= bound
         if sigma == 1.0:
             np.testing.assert_allclose(want, ts**-0.5 / gamma(0.5), rtol=1e-15)
-        assert abs(1 / gamma(0.5) - 0.56419) < 1e-5
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_array_targets_equal_scalar_calls(self, cubic_weight, side):
