@@ -79,6 +79,8 @@ from .weighted_cr import CauchyKernel, ProductFunction
 _REQUIRED = ("name", "identity", "domain", "weights", "phi", "alpha", "sigma",
              "field", "m", "k", "n", "tolerance")
 _DEFAULTS = {"include_area": True, "levels": 1, "scheme": "graded"}
+#: Largest |Re lambda| at which exp(lambda) and exp(-lambda) are both finite.
+_EXP_LIMIT = math.log(sys.float_info.max)
 
 
 @dataclass
@@ -209,6 +211,14 @@ def parse_experiment(entry: dict, index: int) -> ExperimentConfig:
         lres = lambda_residual(lam, wp, params, patch.probes())
         if not lres <= 1e-8:
             _config_error(index, "sigma", f"multiplier PDE residual {lres:.3e} exceeds 1e-8")
+        # the identities weigh by exp(lambda) and exp(-lambda): |Re lambda|
+        # past log(float max) overflows one of them, and so does a NaN
+        with np.errstate(all="ignore"):
+            worst = float(np.max([np.abs(np.real(lam.component(l).f(*rect.grid(l))))
+                                  for l in (1, 2)]))
+        if not worst < _EXP_LIMIT:
+            _config_error(index, "sigma", f"multiplier reaches |Re lambda| = {worst:.3e} on the "
+                                          f"rectangle, where exp(lambda) or exp(-lambda) overflows")
     if not isinstance(merged["include_area"], bool):
         _config_error(index, "include_area", f"must be true or false, got {merged['include_area']!r}")
     # an optional field that the identity does not read keeps its default

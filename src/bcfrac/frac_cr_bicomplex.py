@@ -64,8 +64,16 @@ class RectDomain:
         )[axis]
 
     def contains(self, Z: BicomplexNumber) -> bool:
-        """Whether every point of ``Z`` lies in the domain, to 1e-12."""
+        """Whether every point of ``Z`` lies in the domain, to 1e-12; a NaN
+        coordinate lies nowhere.  A point of complex scalars (numpy's too)
+        is compared in plain floats."""
         tol = 1e-12
+        z1, z2 = Z.z1, Z.z2
+        if isinstance(z1, complex) and isinstance(z2, complex):
+            return bool(self.a1 - tol <= z1.real <= self.b1 + tol
+                        and self.c1 - tol <= z1.imag <= self.d1 + tol
+                        and self.a2 - tol <= z2.real <= self.b2 + tol
+                        and self.c2 - tol <= z2.imag <= self.d2 + tol)
         x1, y1 = np.real(Z.z1), np.imag(Z.z1)
         x2, y2 = np.real(Z.z2), np.imag(Z.z2)
         return bool(
@@ -371,15 +379,32 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     return BicomplexNumber(out[0], out[1])
 
 
-def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> HyperbolicNumber:
+def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
+                    di: Optional[BicomplexNumber] = None) -> HyperbolicNumber:
     """Residual of the composition identity: derivative of the integral minus
     the trace sum minus the remainder.  The composition is exact to about
     1e-14 (``compose_derivative_of_integral``), and the composition and the
     remainder read the same ``derivative_of_one``, so the residual tracks
-    the error of the remainder's direct-rule integrals."""
-    di = compose_derivative_of_integral(F, W, p, Z)
+    the error of the remainder's direct-rule integrals.
+
+    The composition reads no ``p.quadrature``, so a caller that holds it
+    passes it as ``di``: a convergence study computes it once, at its first
+    level (``quadrature_verify.Identity.level_free``), and each level runs
+    only the trace sum and the remainder."""
+    if di is None:
+        di = compose_derivative_of_integral(F, W, p, Z)
     target = trace_sum(F, W, Z) + remainder_R(F, W, p, Z)
     return (di - target).mod_k()
+
+
+def _stencil(p: FracParams, axis: int, coords: np.ndarray) -> tuple:
+    """The four points of ``_axis_partial_batched``'s quotients about each of
+    ``coords``: steps ``h = difference_step`` and ``2h`` below and above,
+    each clipped at the interval ends."""
+    lo, hi = p.rect.axis_interval(axis)
+    h = difference_step(lo, hi)
+    return (np.maximum(coords - 2 * h, lo), np.maximum(coords - h, lo),
+            np.minimum(coords + h, hi), np.minimum(coords + 2 * h, hi))
 
 
 def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords,
@@ -392,11 +417,8 @@ def _axis_partial_batched(integral: Callable, p: FracParams, axis: int, coords,
     whole four-point stencil as one flat array, and with ``centre`` on
     ``coords`` too; the result is then the pair of the derivative and the
     integral at ``coords``."""
-    lo, hi = p.rect.axis_interval(axis)
-    h = difference_step(lo, hi)
     coords = np.asarray(coords, dtype=float)
-    t = (np.maximum(coords - 2 * h, lo), np.maximum(coords - h, lo),
-         np.minimum(coords + h, hi), np.minimum(coords + 2 * h, hi)) + ((coords,) if centre else ())
+    t = _stencil(p, axis, coords) + ((coords,) if centre else ())
     g = np.reshape(integral(np.concatenate([np.ravel(tk) for tk in t])), (len(t),) + coords.shape)
     d_h = (g[2] - g[1]) / (t[2] - t[1])
     d_2h = (g[3] - g[0]) / (t[3] - t[0])
@@ -443,20 +465,36 @@ def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair,
     return out
 
 
+def _direct_rows(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> list:
+    """Per axis, the direct rule's trace integral on the four-point stencil
+    of ``Z``'s coordinate (``_stencil``) and at ``Z``: one ``axis_integral``
+    call of five targets, held as a callable that reads the values back by
+    coordinate (a ``KeyError`` for any other)."""
+    _check_points(p, Z, W)
+    rows = []
+    for ax in range(4):
+        x = np.array([_axis_coord(Z, ax)])
+        t = np.concatenate(_stencil(p, ax, x) + (x,))
+        table = dict(zip(t.tolist(), axis_integral(F, W, p, ax, t)))
+        rows.append(lambda s, table=table: np.reshape(
+            [table[v] for v in np.ravel(s).tolist()], np.shape(s)))
+    return rows
+
+
 def frac_cr_apply(F, W: BicomplexNumber, p: FracParams, wp: WeightPair,
-                  Z: BicomplexNumber) -> BicomplexNumber:
+                  Z: BicomplexNumber, rows: Optional[list] = None) -> BicomplexNumber:
     """Proportional weighted Cauchy-Riemann operator of the trace integral,
     ``(1 - sigma) * (I F) + sigma * (weighted CR of I F) / Dphi``, at ``Z``:
     ``frac_cr_component`` per component on the direct rule's trace
-    integrals, five rule rows per axis of nonzero proportion (``Z`` and the
-    four-point stencil)."""
-    _check_points(p, Z, W)
+    integrals, one rule call of five targets per axis (``Z`` and the
+    four-point stencil, ``_direct_rows``).  A caller that holds those rows
+    passes them (``factorization_check`` does)."""
+    rows = _direct_rows(F, W, p, Z) if rows is None else rows
     comps = []
     for l in (1, 2):
         axes = component_axes(l)
-        lines = [lambda s, ax=ax: axis_integral(F, W, p, ax, s) for ax in axes]
         x, y = (_axis_coord(Z, ax) for ax in axes)
-        comps.append(frac_cr_component(*lines, p, wp, l, x, y)[0])
+        comps.append(frac_cr_component(*(rows[ax] for ax in axes), p, wp, l, x, y)[0])
     return BicomplexNumber(comps[0], comps[1])
 
 
@@ -522,22 +560,24 @@ def factorization_check(
 ) -> HyperbolicNumber:
     """Residual between the proportional weighted CR operator and its
     exponential factorization ``exp(-lambda) * Dphi^{-1} * sigma *
-    (weighted CR of exp(lambda) * I F)``."""
-    lhs = frac_cr_apply(F, W, p, wp, Z)
+    (weighted CR of exp(lambda) * I F)``.  The direct rule runs once per
+    axis, on the four-point stencil and ``Z`` (``_direct_rows``), and both
+    sides read those rows: the operator through ``frac_cr_apply``, and the
+    factorization's partials of ``exp(lambda) * (I F)`` on the same
+    stencil."""
+    rows = _direct_rows(F, W, p, Z)
+    lhs = frac_cr_apply(F, W, p, wp, Z, rows)
     comps = []
     for l in (1, 2):
         ax_x, ax_y = component_axes(l)
         x, y = _axis_coord(Z, ax_x), _axis_coord(Z, ax_y)
         lam_fn = lam.component(l)
         lam_x, lam_y = (_trace_line(lam_fn.f, Z, ax) for ax in (ax_x, ax_y))
-        ix = axis_integral(F, W, p, ax_x, x)
-        iy = axis_integral(F, W, p, ax_y, y)
+        ix, iy = rows[ax_x], rows[ax_y]
         # exp(lambda) * (I F) along each axis through Z, with the other
         # direction's integral held at its value at Z
-        dmx = _axis_partial_batched(
-            lambda s: np.exp(lam_x(s)) * (axis_integral(F, W, p, ax_x, s) + iy), p, ax_x, x)
-        dmy = _axis_partial_batched(
-            lambda s: np.exp(lam_y(s)) * (axis_integral(F, W, p, ax_y, s) + ix), p, ax_y, y)
+        dmx = _axis_partial_batched(lambda s: np.exp(lam_x(s)) * (ix(s) + iy(y)), p, ax_x, x)
+        dmy = _axis_partial_batched(lambda s: np.exp(lam_y(s)) * (iy(s) + ix(x)), p, ax_y, y)
         comps.append(np.exp(-lam_fn.f(x, y)) * apply_cr_weighted(wp, l, x, y, dmx, dmy))
 
     cr_part = BicomplexNumber(comps[0], comps[1])

@@ -36,6 +36,7 @@ from .frac_cr_bicomplex import (
     _trace_derivative_of_map,
     axis_surrogate,
     component_axes,
+    compose_derivative_of_integral,
     factorization_check,
     frac_cr_component,
     inversion_check,
@@ -561,46 +562,59 @@ class VerificationSetup:
 
 @dataclass(frozen=True)
 class Identity:
-    residual: Callable  # (setup s, parameters p, patch) -> HyperbolicNumber
+    residual: Callable  # (setup s, parameters p, patch, level-free part) -> HyperbolicNumber
     patch: bool  # the report records m and k
     n: bool  # the report records n: it runs a 1-D rule and reads ``scheme``
     multiplier: bool = False  # it reads the multiplier lambda when sigma != 1
     kernel: bool = False  # it needs the pair's ``CauchyKernel``
     point: bool = False  # the loader runs ``check_reconstruction_point``
     area: bool = False  # it accepts ``include_area``
+    level_free: Optional[Callable] = None  # (s, p) -> the part no resolution changes, once a study
 
 
 #: Name -> record, as in the README's identity table.  The lambdas look the
 #: residuals up when called, so a rebound module attribute (a wrapper) takes effect.
 REGISTRY = {
-    "gauss-weighted": Identity(lambda s, p, patch: gauss_residual(s.F, s.wp, patch), True, False),
-    "borel-pompeiu": Identity(lambda s, p, patch: borel_pompeiu_classical(s.F, s.W, s.wp, patch),
+    "gauss-weighted": Identity(lambda s, p, patch, _: gauss_residual(s.F, s.wp, patch), True, False),
+    "borel-pompeiu": Identity(lambda s, p, patch, _: borel_pompeiu_classical(s.F, s.W, s.wp, patch),
                               True, False, kernel=True, point=True),
-    "trace-inversion": Identity(lambda s, p, patch: inversion_check(s.F, s.W, p, s.Z), False, True),
+    "trace-inversion": Identity(
+        lambda s, p, patch, di: inversion_check(s.F, s.W, p, s.Z, di), False, True,
+        level_free=lambda s, p: compose_derivative_of_integral(s.F, s.W, p, s.Z)),
     "factorization": Identity(
-        lambda s, p, patch: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z), False, True,
+        lambda s, p, patch, _: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z), False, True,
         multiplier=True),
     "frac-gauss": Identity(
-        lambda s, p, patch: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True,
+        lambda s, p, patch, _: frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch), True, True,
         multiplier=True),
     "frac-borel-pompeiu": Identity(
-        lambda s, p, patch: frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch,
-                                                include_area=s.include_area),
+        lambda s, p, patch, _: frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch,
+                                                   include_area=s.include_area),
         True, True, multiplier=True, kernel=True, area=True),
 }
 
 IDENTITIES = tuple(REGISTRY)
 
 
-def run_identity(identity: str, setup: VerificationSetup, res: Resolution) -> ResidualReport:
-    """Evaluate one named residual at the given resolutions and report it."""
+def run_identity(identity: str, setup: VerificationSetup, res: Resolution,
+                 held: Optional[dict] = None) -> ResidualReport:
+    """Evaluate one named residual at the given resolutions and report it.
+
+    An identity's level-free part (``Identity.level_free``) is computed
+    inside the timed span and kept in ``held`` under the identity's name,
+    unless ``held`` has it already.  A study passes one ``held`` to all its
+    levels, so its first level computes that part and carries its cost in
+    ``seconds``, and the others read it."""
     if identity not in REGISTRY:
         raise ValueError(f"unknown identity {identity!r}; known: {IDENTITIES}")
     rec = REGISTRY[identity]
+    held = {} if held is None else held
     p = replace(setup.params, quadrature=replace(setup.params.quadrature, n=res.n))
     patch = setup.patch.with_resolution(res.m, res.k)
     t0 = time.perf_counter()
-    r = rec.residual(setup, p, patch)
+    if rec.level_free is not None and identity not in held:
+        held[identity] = rec.level_free(setup, p)
+    r = rec.residual(setup, p, patch, held.get(identity))
     seconds = time.perf_counter() - t0
     m, k = (res.m, res.k) if rec.patch else (0, 0)
     return ResidualReport(identity, m, k, res.n if rec.n else 0, float(r.l1), float(r.l2),
@@ -625,10 +639,14 @@ def convergence_study(
     identity: str, setup: VerificationSetup, base: Resolution, levels: int
 ) -> list:
     """Run one identity at geometrically refined resolutions and attach the
-    fitted empirical order to every report."""
+    fitted empirical order to every report.  The identity's level-free part
+    (the ``trace-inversion`` composition) is computed once per study, at the
+    first level, whose ``seconds`` carry its cost; a second study computes
+    it again."""
     if levels < 1:
         raise ValueError("need at least one level")
-    reports = [run_identity(identity, setup, base.scaled(2**i)) for i in range(levels)]
+    held = {}
+    reports = [run_identity(identity, setup, base.scaled(2**i), held) for i in range(levels)]
     if levels >= 2:
         order = fit_order(reports)
         for r in reports:

@@ -285,10 +285,10 @@ def coarse_reconstruction_at_run_time(monkeypatch):
     itself raises."""
     from bcfrac.quadrature_verify import Resolution
 
-    def coarse(identity, setup, res):
+    def coarse(identity, setup, res, held=None):
         if identity == "borel-pompeiu":
             res = Resolution(4, res.k, res.n)
-        return run_identity(identity, setup, res)
+        return run_identity(identity, setup, res, held)
 
     run_identity = patch_run_identity(monkeypatch, coarse)
 
@@ -515,6 +515,24 @@ class TestConfigValidation:
         assert err.startswith("configuration error: experiments[0].sigma: multiplier PDE residual")
         assert not out.exists()
 
+    @pytest.mark.parametrize("identity", ["frac-gauss", "factorization"])
+    def test_multiplier_whose_exponential_overflows_rejected(self, tmp_path, capsys, identity):
+        # at sigma = (1e-9, 0, 1, 0) the classical multiplier solves its PDE,
+        # but its slope of about 1e9 takes exp(lambda) past the float range
+        entry = dict(QUICK, identity=identity, sigma=[1e-9, 0, 1, 0])
+        out = tmp_path / "o"
+        assert main(["verify", "--config", write_config(tmp_path, [entry]),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: experiments[0].sigma: multiplier reaches "
+                              "|Re lambda| = 2.000e+09 on the rectangle")
+        assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_multiplier_is_no_concern_of_trace_inversion(self, tmp_path):
+        entry = dict(QUICK, identity="trace-inversion", sigma=[1e-9, 0, 1, 0])
+        (cfg,) = load_config(write_config(tmp_path, [entry]))
+        assert cfg.identity == "trace-inversion"
+
     def test_multiplier_of_a_zero_theta_is_a_configuration_error(self, tmp_path, capsys):
         # the multiplier's slope is Dphi*(1 - sigma)/(sigma*theta): no value at theta = 0
         entry = dict(QUICK, identity="frac-gauss", weights="constant:0,1", sigma=[0.7, 0, 0.7, 0])
@@ -626,7 +644,7 @@ class TestIdentityRecords:
 
     def test_readme_table_matches_the_records(self):
         # columns in field order after the residual: patch, n, multiplier,
-        # kernel, point, area
+        # kernel, point, area, level-free part (a callable or None)
         fields = [f.name for f in dataclasses.fields(quadrature_verify.Identity)][1:]
         lines = (Path(__file__).resolve().parent.parent / "README.md").read_text().splitlines()
         start = next(i for i, line in enumerate(lines) if line.startswith("| identity | records"))
@@ -636,7 +654,7 @@ class TestIdentityRecords:
             assert set(cells) <= {"yes", "no"} and len(cells) == len(fields)
             rows[name.strip("`")] = [cell == "yes" for cell in cells]
         assert lines[start + 2 + len(IDENTITIES)] == ""
-        assert rows == {name: [getattr(rec, f) for f in fields]
+        assert rows == {name: [bool(getattr(rec, f)) for f in fields]
                         for name, rec in quadrature_verify.REGISTRY.items()}
         assert list(rows) == list(IDENTITIES)
 
@@ -678,7 +696,7 @@ class TestRunSuite:
     def test_runtime_error_exits_2_not_as_a_fail(self, tmp_path, monkeypatch, capsys):
         from bcfrac.errors import StepError
 
-        def crash(identity, setup, res):
+        def crash(identity, setup, res, held=None):
             raise StepError("finite-difference step 10.0 invalid for span 1.0")
 
         patch_run_identity(monkeypatch, crash)
@@ -728,11 +746,11 @@ class TestRunSuite:
     def test_any_exception_of_an_experiment_is_a_runtime_error(self, tmp_path, monkeypatch, capsys):
         # a real allocation of this size could take the machine's memory; the
         # stand-in raises what numpy raises then
-        def second_runs_out(identity, setup, res):
+        def second_runs_out(identity, setup, res, held=None):
             seen.append(identity)
             if len(seen) == 2:
                 raise MemoryError("Unable to allocate 7.45 GiB")
-            return run_identity(identity, setup, res)
+            return run_identity(identity, setup, res, held)
 
         seen = []
         run_identity = patch_run_identity(monkeypatch, second_runs_out)
@@ -763,7 +781,7 @@ class TestRunSuite:
     def test_nan_residual_never_passes(self, tmp_path, monkeypatch):
         from bcfrac import ResidualReport
 
-        def nan_report(identity, setup, res):
+        def nan_report(identity, setup, res, held=None):
             return ResidualReport(identity, res.m, res.k, res.n, 0.5, float("nan"))
 
         patch_run_identity(monkeypatch, nan_report)

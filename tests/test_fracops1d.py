@@ -958,6 +958,23 @@ class TestDerivativeOfIntegral:
         assert np.array_equal(fracops1d._jacobi_polynomials(40, a, b, 0.3),
                               fracops1d._jacobi_polynomials(40, a, b, np.array([0.3]))[:, 0])
 
+    @pytest.mark.parametrize("n", [32, 64, 256])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.37, 0.37), (0.0, 0.4706), (0.4706, 0.0)])
+    def test_cached_recurrence_is_the_loop_bit_for_bit(self, n, a, b):
+        # the recurrence coefficients written inline, as before they were cached
+        def loop(x):
+            rows = [1.0 + 0.0 * x, 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x]
+            for k in range(1, n - 1):
+                s = 2.0 * k + a + b
+                den = 2.0 * (k + 1.0) * (k + a + b + 1.0) * s
+                rows.append(((s + 1.0) * (s + 2.0) * s / den * x + (s + 1.0) * (a * a - b * b) / den)
+                            * rows[k] - 2.0 * (k + a) * (k + b) * (s + 2.0) / den * rows[k - 1])
+            return np.array(rows)
+
+        for x in (0.123456, -0.9, np.linspace(-1.0, 1.0, 7)):
+            for _ in range(2):  # the second call reads the cache
+                assert np.array_equal(fracops1d._jacobi_polynomials(n, a, b, x), loop(x))
+
 
 #: Smooth inputs of the differential sweep, one of them complex.
 SMOOTH_INPUTS = (lambda t: np.cos(3.0 * t) + t**2, lambda t: np.exp(-t) * (1.0 + 1.0j * t),

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from bcfrac import (
     frac_bp_reconstruct,
     frac_gauss_residual,
     gauss_residual,
+    inversion_check,
     lambda_for_constant_weights,
     run_identity,
 )
@@ -396,6 +399,34 @@ class TestConvergenceStudy:
         assert all(r.order == reports[0].order for r in reports)
         assert reports[0].order >= 1.0
         assert reports[0].max_residual() > reports[-1].max_residual()
+
+    def test_a_study_composes_once(self, frac_setup, monkeypatch):
+        # the composition reads no n: one derivative_of_integral call per axis
+        # for the whole study, where each level took four, and again for the
+        # next study; the residuals are those of separate inversion checks
+        from bcfrac import frac_cr_bicomplex
+        from bcfrac import quadrature_verify as qv
+
+        rect, phi, wp, F, patch, W, Z = frac_setup
+        p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
+        setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM, W=W, Z=Z, patch=patch)
+        real_series, real_compose, series, compose = (
+            frac_cr_bicomplex.derivative_of_integral, qv.compose_derivative_of_integral, [], [])
+
+        def counted(calls, fn):
+            return lambda *args: calls.append(1) or fn(*args)
+
+        monkeypatch.setattr(frac_cr_bicomplex, "derivative_of_integral",
+                            counted(series, real_series))
+        # the tracer's compose_s wraps this binding
+        monkeypatch.setattr(qv, "compose_derivative_of_integral", counted(compose, real_compose))
+        reports = convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 3)
+        assert (len(series), len(compose)) == (4, 1)
+        convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 3)
+        assert (len(series), len(compose)) == (8, 2)
+        want = [inversion_check(F, W, replace(p, quadrature=Quadrature1D(n=n)), Z)
+                for n in (64, 128, 256)]
+        assert [(r.res_l1, r.res_l2) for r in reports] == [(w.l1, w.l2) for w in want]
 
     def test_zero_field_saturates(self, frac_setup):
         rect, phi, wp, _, patch, W, Z = frac_setup
