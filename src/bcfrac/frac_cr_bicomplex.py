@@ -26,10 +26,11 @@ from .fracops1d import (
     FracSpec,
     Quadrature1D,
     ScalarWeightFn,
+    _barycentric,
+    _chebyshev_points,
     derivative_of_integral,
     derivative_of_one,
     difference_step,
-    interpolant,
     prop_frac_derivative,
     prop_frac_integral,
     tabulate,
@@ -340,18 +341,27 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, s
     ``strip`` gives, per direction, the width of the strip along each edge in
     which the map is constant: the deep area map's clamp, or zero for the
     deep boundary map, which has no clamp.  A direction of nonzero proportion
-    reads the map through its line ``interpolant`` at ``_MAP_LINE_SAMPLES``
-    points of ``[lo + strip, min(coord + h, hi - strip)]``: the part of the
-    line that the outer rule reads, less the strip.  A direction of
-    proportion zero reads the map at ``Z`` only, and reads it directly."""
-    total = 0.0 + 0.0j
+    reads the map through the barycentric interpolant at ``_MAP_LINE_SAMPLES``
+    Chebyshev points of ``[lo + strip, min(coord + h, hi - strip)]``: the
+    part of the line that the outer rule reads, less the strip (when that is
+    empty, one sample at ``lo + strip``, the constant there).  A direction of
+    proportion zero needs the map at ``Z`` only: its derivative is the
+    identity.  The map is called once, on the points of both directions."""
+    rows = []  # per direction: axis, coordinate, step, sampled interval, angles and points
     for axis, cell in zip(component_axes(l), strip):
-        coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
-        lo, hi = p.rect.axis_interval(axis)
+        coord, (lo, hi) = _axis_coord(Z, axis), p.rect.axis_interval(axis)
         h = _MAP_STEP * (hi - lo)
-        if p.sigma_vec[axis] != 0.0:
-            line = interpolant(line, lo + cell, min(coord + h, hi - cell), _MAP_LINE_SAMPLES)
-        total += axis_derivative(line, W, p, axis, coord, h=h)
+        a, b = lo + cell, max(lo + cell, min(coord + h, hi - cell))
+        theta, ts = ((None, np.array([coord])) if p.sigma_vec[axis] == 0.0
+                     else _chebyshev_points(a, b, _MAP_LINE_SAMPLES if b > a else 1))
+        rows.append((axis, coord, h, a, b, theta, ts))
+    points = np.concatenate([_trace_line(lambda x, y: x + 1j * y, Z, axis)(ts)
+                             for axis, *_, ts in rows])
+    values = np.asarray(plane_map(points.real, points.imag), dtype=complex)
+    total = 0.0 + 0.0j
+    for (axis, coord, h, a, b, theta, ts), vals in zip(rows, np.split(values, [rows[0][-1].size])):
+        total += vals[0] if theta is None else axis_derivative(
+            _barycentric(theta, ts, vals, a, b), W, p, axis, coord, h=h)
     return total
 
 

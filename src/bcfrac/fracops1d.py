@@ -495,10 +495,10 @@ def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
     and ``inverse(phi(t) -+ L*u)`` for any other weight."""
     w, beta, sigma = p.weight, p.alpha, p.sigma
     u, row = _reference_row(q.scheme, q.n, beta)
-    big_l = _singular_range(w, side, ts)
-    v = np.multiply(big_l[:, None], u)
     d = w.exponent
     level = (np.asarray(w.phi(ts), dtype=float) if d is None else ts**d)[:, None]
+    big_l = _singular_range(w, side, ts, level[:, 0] if d is None else None)
+    v = np.multiply(big_l[:, None], u)
     tau = np.subtract(level, v, out=v) if side == "left" else np.add(level, v, out=v)
     if d is None:
         tau = w.inverse(tau)
@@ -673,25 +673,15 @@ def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray, a: float
     return surrogate
 
 
-def interpolant(f: Callable, a: float, b: float, n: int) -> Callable:
-    """Surrogate ``t -> p(clip(t, a, b))`` of ``f``: ``p`` the barycentric
-    interpolant (``_barycentric``) of ``f`` at ``n`` first-kind Chebyshev
-    points of ``[a, b]``, and ``f``'s own value on a sample.  ``f`` is called
-    once, on the samples.  On an empty interval (``b <= a``) the surrogate is
-    the constant ``f(a)``."""
-    if not b > a:
-        value = np.asarray(f(np.array([a])))[0]
-        return lambda t: np.full(np.shape(t), value)
-    theta, xs = _chebyshev_points(a, b, n)
-    return _barycentric(theta, xs, np.asarray(f(xs), dtype=complex), a, b)
-
-
-def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray) -> np.ndarray:
+def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray,
+                    phi_ts: Optional[np.ndarray] = None) -> np.ndarray:
     """Range ``L`` of the singular variable at each target: ``power_gap`` to
     the anchor for a declared power weight (taken without cancellation),
-    ``|phi(t) - phi(anchor)|`` otherwise."""
+    ``|phi(t) - phi(anchor)|`` otherwise, with ``phi(ts)`` from ``phi_ts``
+    when the caller holds it."""
     anchor = w.lo if side == "left" else w.hi
     if w.exponent is None:
-        return np.abs(np.asarray(w.phi(ts), dtype=float) - float(w.phi(np.asarray(anchor))))
+        phi_ts = np.asarray(w.phi(ts), dtype=float) if phi_ts is None else phi_ts
+        return np.abs(phi_ts - float(w.phi(np.asarray(anchor))))
     gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
     return np.maximum(gap, 0.0)

@@ -436,9 +436,10 @@ def frac_bp_reconstruct(
     step ``_MAP_STEP``, difference the area map and the boundary map along
     each trace line of nonzero proportion, read through a Chebyshev
     interpolant (``_trace_derivative_of_map`` with the area map's clamp strip,
-    and a strip of zero width for the boundary map): one kernel sum of
-    ``_MAP_LINE_SAMPLES`` = 32 targets per line and map, where the direct map
-    takes one per node of the outer rows.
+    and a strip of zero width for the boundary map).  A component reads each
+    map once: one kernel sum holds the ``_MAP_LINE_SAMPLES`` = 32 samples of
+    each live line and ``Z`` for a line of proportion zero, where the direct
+    map takes one target per node of the outer rows.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
@@ -494,7 +495,8 @@ def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: Cauc
 
     Returns the map and its clamp strip ``(cell_x, cell_y)``, the width along
     each edge within which the map is constant, outside which
-    ``_trace_derivative_of_map`` samples each live trace line.
+    ``_trace_derivative_of_map`` samples each live trace line, in its one
+    call of the map per component.
     """
     bounds = patch.component_bounds(l)
     lam_fn = lam.component(l)

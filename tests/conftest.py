@@ -14,7 +14,16 @@ from bcfrac import (
     ScalarWeightFn,
     WeightPair,
 )
-from bcfrac.frac_cr_bicomplex import axis_integral, component_axes
+from bcfrac.frac_cr_bicomplex import (
+    _MAP_LINE_SAMPLES,
+    _MAP_STEP,
+    _axis_coord,
+    _trace_line,
+    axis_derivative,
+    axis_integral,
+    component_axes,
+)
+from bcfrac.fracops1d import _barycentric, _chebyshev_points
 
 
 @pytest.fixture
@@ -132,3 +141,27 @@ def _direct_integrals(F, W, p, l):
 @pytest.fixture
 def direct_integrals():
     return _direct_integrals
+
+
+def _per_direction_read(plane_map, l, Z, W, p, strip):
+    """``_trace_derivative_of_map`` with each direction reading the map on
+    its own: a live line at its Chebyshev points, a still line at ``Z``
+    through ``axis_derivative``.  The reference for the one batched read;
+    every live interval must be nonempty."""
+    total = 0.0 + 0.0j
+    for axis, cell in zip(component_axes(l), strip):
+        coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
+        lo, hi = p.rect.axis_interval(axis)
+        h = _MAP_STEP * (hi - lo)
+        if p.sigma_vec[axis] != 0.0:
+            a, b = lo + cell, min(coord + h, hi - cell)
+            assert b > a
+            theta, xs = _chebyshev_points(a, b, _MAP_LINE_SAMPLES)
+            line = _barycentric(theta, xs, np.asarray(line(xs), dtype=complex), a, b)
+        total += axis_derivative(line, W, p, axis, coord, h=h)
+    return total
+
+
+@pytest.fixture
+def per_direction_read():
+    return _per_direction_read

@@ -30,6 +30,7 @@ from bcfrac.frac_cr_bicomplex import (
     axis_integral,
     frac_cr_component,
 )
+from bcfrac import fracops1d
 from bcfrac.fracops1d import difference_step
 
 
@@ -221,6 +222,69 @@ class TestTraceDerivative:
         x1, y1 = 0.8, 0.7
         want_e = x1 ** (-0.5) / gamma(0.5) + y1 ** (-0.5) / gamma(0.5)
         assert abs(got.z1 - want_e) < 1e-4
+
+
+class TestMapRead:
+    """``_trace_derivative_of_map`` reads its plane map once per component,
+    on the points of both trace lines."""
+
+    W = BicomplexNumber(0.41 + 0.37j, 0.53 + 0.61j)
+
+    @staticmethod
+    def field(x, y):
+        return 1.5 + np.sin(3.0 * x) * np.cos(y) + 0.5j * np.exp(x * y)
+
+    def recorded(self):
+        calls = []
+
+        def plane_map(xs, ys):
+            calls.append((np.array(xs), np.array(ys)))
+            return self.field(xs, ys)
+
+        return calls, plane_map
+
+    @pytest.mark.parametrize("sigma", [(0.7, 0.0, 0.8, 0.0), (0.7, 0.6, 0.8, 0.9)],
+                             ids=["still-y", "both-live"])
+    def test_one_read_of_both_lines_agrees_bit_for_bit_with_a_read_per_line(
+            self, sigma, unit_rect, linear_phi, per_direction_read):
+        from bcfrac.frac_cr_bicomplex import _trace_derivative_of_map
+
+        p = FracParams(unit_rect, (0.5,) * 4, sigma, linear_phi, Quadrature1D(n=128))
+        Z, strip = unit_rect.point(0.6, 0.7, 0.55, 0.45), (0.05, 0.03)
+        for l, z in ((1, Z.z1), (2, Z.z2)):
+            calls, plane_map = self.recorded()
+            got = _trace_derivative_of_map(plane_map, l, Z, self.W, p, strip)
+            (xs, ys), = calls
+            x_line = fracops1d._chebyshev_points(0.05, z.real + 5e-3, 32)[1]
+            if sigma[1] == 0.0:  # the x line's samples, then Z
+                want_x, want_y = np.append(x_line, z.real), np.full(33, z.imag)
+            else:  # the samples of the x line, then those of the y line
+                y_line = fracops1d._chebyshev_points(0.03, z.imag + 5e-3, 32)[1]
+                want_x = np.concatenate([x_line, np.full(32, z.real)])
+                want_y = np.concatenate([np.full(32, z.imag), y_line])
+            assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
+            # the map acts point by point, so no value moves with its batch
+            assert got == per_direction_read(self.field, l, Z, self.W, p, strip)
+
+    @pytest.mark.parametrize("past", [0.0, 0.05], ids=["empty", "inverted"])
+    def test_empty_interval_is_the_value_at_its_lower_end(self, past, unit_rect, linear_phi):
+        # the strip reaches past the end x + h of what the outer rule reads
+        from bcfrac.frac_cr_bicomplex import _trace_derivative_of_map
+
+        p = FracParams(unit_rect, (0.5,) * 4, (0.7, 0.0, 0.7, 0.0), linear_phi,
+                       Quadrature1D(n=128))
+        Z = unit_rect.point(0.1, 0.7, 0.1, 0.45)
+        cell = 0.1 + 5e-3 + past
+        calls, plane_map = self.recorded()
+        got = _trace_derivative_of_map(plane_map, 1, Z, self.W, p, (cell, 0.0))
+        assert [(x.tolist(), y.tolist()) for x, y in calls] == [([cell, 0.1], [0.7, 0.7])]
+        value = self.field(cell, 0.7)
+
+        def line(t):
+            return np.full(np.shape(t), value)
+
+        want = axis_derivative(line, self.W, p, 0, 0.1, h=5e-3) + self.field(0.1, 0.7)
+        assert got == want
 
 
 class TestInversionIdentity:

@@ -668,17 +668,18 @@ GAUSS_ENTRIES = {
 }
 
 
-def _item(name):
+def _item(name, **overrides):
     """``(setup, params, patch)`` of one deep or frac-gauss item at its
-    resolutions; a deep item's patch is the whole rectangle, which is the
-    surface ``frac_bp_reconstruct`` integrates over."""
+    resolutions, with its entry's fields replaced by ``overrides``; a deep
+    item's patch is the whole rectangle, which is the surface
+    ``frac_bp_reconstruct`` integrates over."""
     from dataclasses import replace
 
     from bcfrac.cli import parse_experiment
 
     deep = name in DEEP_ENTRIES
     fields = dict(domain=[0.0, 1.0] * 4, phi="linear", field="poly", n=256)
-    fields.update(DEEP_ENTRIES[name] if deep else GAUSS_ENTRIES[name])
+    fields.update(DEEP_ENTRIES[name] if deep else GAUSS_ENTRIES[name], **overrides)
     entry = dict(name=name, identity="frac-borel-pompeiu" if deep else "frac-gauss",
                  m=32, k=32, levels=1, **fields)
     cfg = parse_experiment(entry, 0)
@@ -916,29 +917,30 @@ class TestAreaLineSurrogate:
     nonzero proportion, through a 32-sample Chebyshev interpolant."""
 
     @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
-    def test_each_live_line_sends_32_targets_and_each_still_line_one(self, name, monkeypatch):
-        # per component: the x line (sigma != 0) sends its 32 samples in one
-        # kernel sum, the y line (sigma = 0) the point Z; the direct map sent
-        # the distinct nodes of the outer rows, 451 (and 226 more at sigma !=
-        # 1) of their 512 (768)
+    def test_each_component_reads_the_map_in_one_kernel_sum(self, name, monkeypatch):
+        # per component: the 32 samples of the x line (sigma != 0) and the
+        # point Z of the y line (sigma = 0) in one kernel sum; the direct map
+        # sends the distinct nodes of the outer rows, 451 (and 226 more at
+        # sigma != 1) of their 512 (768)
         targets = _kernel_sum_targets(monkeypatch)
         s, p, patch = _item(name)
         frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
-        assert targets == [(32,), (1,)] * 2
+        assert targets == [(33,)] * 2
 
     @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
     @pytest.mark.parametrize("x", [0.02, 1 / 32 - 5e-3], ids=["inverted", "empty"])
     def test_point_within_a_cell_of_the_anchor_reads_the_clamped_constant(self, name, x,
                                                                            monkeypatch):
         # the outer rule reads [0, x + h], inside the clamp strip of width
-        # 1/32, where the map is the constant at the strip's edge: each line
-        # evaluates it once.  The direct map evaluates that point once per
-        # node, and its batch may move the last bits (measured 3.4e-15)
+        # 1/32, where the map is the constant at the strip's edge: the x line
+        # reads that one point, in the y line's kernel sum with Z.  The direct
+        # map evaluates that point once per node, and its batch may move the
+        # last bits (measured 3.4e-15)
         s, p, patch = _item(name)
         Z = BicomplexNumber(complex(x, s.Z.z1.imag), complex(x, s.Z.z2.imag))
         targets = _kernel_sum_targets(monkeypatch)
         got = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
-        assert targets == [(1,), (1,)] * 2
+        assert targets == [(2,)] * 2
         _direct_area_path(monkeypatch)
         want = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
         assert np.isfinite(got.l1) and np.isfinite(got.l2)
@@ -977,14 +979,14 @@ class TestBoundaryLineSurrogate:
     as its area map, on a strip of zero width."""
 
     @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
-    def test_each_live_line_sends_32_targets_and_each_still_line_one(self, name, monkeypatch):
-        # per component: the x line (sigma != 0) sends its 32 samples in one
-        # boundary sum, the y line (sigma = 0) the point Z; the direct map
-        # sent the outer rows, 512 targets (and 256 more at sigma != 1)
+    def test_each_component_reads_the_map_in_one_boundary_sum(self, name, monkeypatch):
+        # per component: the 32 samples of the x line (sigma != 0) and the
+        # point Z of the y line (sigma = 0) in one boundary sum; the direct
+        # map sends the outer rows, 512 targets (and 256 more at sigma != 1)
         targets = _kernel_sum_targets(monkeypatch, "boundary_sums")
         s, p, patch = _item(name)
         frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
-        assert targets == [(32,), (1,)] * 2
+        assert targets == [(33,)] * 2
 
     def test_stall_levels_agree_with_the_direct_map(self, monkeypatch):
         # the boundary half only; measured largest moves of l1 or l2: 3.2e-10
@@ -1010,3 +1012,41 @@ class TestBoundaryLineSurrogate:
         want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False)
         assert abs(got.l1 - want.l1) <= 1e-9
         assert abs(got.l2 - want.l2) <= 1e-9
+
+
+#: Proportions with both trace lines of each component live.
+BOTH_LIVE = dict(sigma=[0.7, 0.6, 0.8, 0.9])
+
+
+class TestOneMapReadPerComponent:
+    """A component of the deep reconstruction reads each of its maps once:
+    the samples of both trace lines, or a live line's samples and ``Z``,
+    share one kernel sum."""
+
+    @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
+    def test_both_live_lines_share_one_kernel_sum_per_map(self, name, monkeypatch):
+        area = _kernel_sum_targets(monkeypatch)
+        boundary = _kernel_sum_targets(monkeypatch, "boundary_sums")
+        s, p, patch = _item(name, **BOTH_LIVE)
+        frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        assert area == [(64,)] * 2
+        assert boundary == [(64,)] * 2
+
+    @pytest.mark.parametrize("name, overrides", [(name, {}) for name in DEEP_ENTRIES] + [
+        ("bg-reconstruction", BOTH_LIVE), ("bp-general", BOTH_LIVE)],
+        ids=list(DEEP_ENTRIES) + ["bg-both-live", "bp-both-live"])
+    def test_one_read_agrees_with_a_read_per_direction(self, name, overrides, monkeypatch,
+                                                        per_direction_read):
+        # the kernel sums' blocks may move a target's last bits with its
+        # batch: measured largest moves of l1 or l2 3.6e-17 / 2.2e-16
+        # (bg-reconstruction), 2.2e-16 / 0 (bp-general) and 0 / 1.3e-15
+        # (bp-boundary-only), and none on both-live lines, whose 64 targets
+        # fill whole blocks
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _item(name, **overrides)
+        got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        monkeypatch.setattr(qv, "_trace_derivative_of_map", per_direction_read)
+        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
+        assert abs(got.l1 - want.l1) <= 1e-14
+        assert abs(got.l2 - want.l2) <= 1e-14
