@@ -331,27 +331,28 @@ _MAP_LINE_SAMPLES = 32
 _MAP_STEP = 5e-3
 
 
-def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, strip: tuple):
+def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, region: tuple):
     """The two-direction trace derivative (in the real components of ``Z``,
     with weight restrictions anchored through ``W``) of a scalar field
     ``plane_map(xs, ys)`` on component plane ``l``: one ``axis_derivative``
     per direction, along the map's ``_trace_line`` through ``Z``, with
     difference step ``h = _MAP_STEP`` times that axis's span.
 
-    ``strip`` gives, per direction, the width of the strip along each edge in
-    which the map is constant: the deep area map's clamp, or zero for the
-    deep boundary map, which has no clamp.  A direction of nonzero proportion
-    reads the map through the barycentric interpolant at ``_MAP_LINE_SAMPLES``
-    Chebyshev points of ``[lo + strip, min(coord + h, hi - strip)]``: the
-    part of the line that the outer rule reads, less the strip (when that is
-    empty, one sample at ``lo + strip``, the constant there).  A direction of
-    proportion zero needs the map at ``Z`` only: its derivative is the
-    identity.  The map is called once, on the points of both directions."""
+    ``region`` gives, per direction, the bounds ``(a, end)`` outside which
+    the map is constant: the deep area map's clamp region, or the
+    rectangle's interval for the deep boundary map, which has no clamp.  A
+    direction of nonzero proportion reads the map through the barycentric
+    interpolant at ``_MAP_LINE_SAMPLES`` Chebyshev points of ``[a, min(coord
+    + h, end)]``: the part of the line that the outer rule reads, within the
+    region (when that is empty, one sample at ``a``, the constant there).  A
+    direction of proportion zero needs the map at ``Z`` only: its derivative
+    is the identity.  The map is called once, on the points of both
+    directions."""
     rows = []  # per direction: axis, coordinate, step, sampled interval, angles and points
-    for axis, cell in zip(component_axes(l), strip):
+    for axis, (a, end) in zip(component_axes(l), region):
         coord, (lo, hi) = _axis_coord(Z, axis), p.rect.axis_interval(axis)
         h = _MAP_STEP * (hi - lo)
-        a, b = lo + cell, max(lo + cell, min(coord + h, hi - cell))
+        b = max(a, min(coord + h, end))
         theta, ts = ((None, np.array([coord])) if p.sigma_vec[axis] == 0.0
                      else _chebyshev_points(a, b, _MAP_LINE_SAMPLES if b > a else 1))
         rows.append((axis, coord, h, a, b, theta, ts))
@@ -443,8 +444,7 @@ def trace_component(ix: Callable, iy: Callable, xs, ys):
     return ix(xs) + iy(ys)
 
 
-def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair, l: int, xs, ys,
-                      g=None):
+def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair, l: int, xs, ys):
     """Component of the proportional weighted CR operator at paired points
     or per axis, broadcast as in ``trace_component``: ``(1 - sigma) * g +
     sigma * (weighted CR of g) / Dphi`` for the trace integral ``g =
@@ -456,22 +456,20 @@ def frac_cr_component(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair,
     (``quadrature_verify._trace_integrals``), ``frac_cr_apply`` the direct
     rule.  Where the component's proportion is not 1, the same call also
     takes the points themselves, and ``g`` is ``ix(xs) + iy(ys)`` from it;
-    a caller that holds ``g`` already passes it, and the calls stay on the
-    stencils.  Where the proportion is 1, ``g`` is not evaluated."""
+    where the proportion is 1, ``g`` is not evaluated."""
     ax_x, ax_y = component_axes(l)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     sig = p.sigma.z1 if l == 1 else p.sigma.z2
-    centre = sig != 1 and g is None
+    centre = sig != 1
     dgx = _axis_partial_batched(ix, p, ax_x, xs, centre)
     dgy = _axis_partial_batched(iy, p, ax_y, ys, centre)
     if centre:
         (dgx, gx), (dgy, gy) = dgx, dgy
-        g = gx + gy
     cr = apply_cr_weighted(wp, l, xs, ys, dgx, dgy)
     out = sig * cr / p.phi.dphi(l, xs, ys)
-    if sig != 1:
-        out = (1.0 - sig) * g + out
+    if centre:
+        out = (1.0 - sig) * (gx + gy) + out
     return out
 
 

@@ -304,6 +304,28 @@ def _contour_trace(ix: Callable, iy: Callable, bounds: tuple, k: int, anchor_hai
 # proportional fractional Gauss identity
 
 
+def _frac_gauss_terms(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair, lam_fn, l: int,
+                      bounds: tuple, k: int, anchor_hair: float = 0.0) -> tuple:
+    """The two integrands of the proportional fractional Gauss identity on
+    component ``l``, for its per-axis trace integrals ``ix`` and ``iy`` and
+    multiplier ``lam_fn``: ``(z, charges, h_at)``, the contour nodes of
+    ``_boundary_nodes(bounds, k)``, the boundary charges ``(theta dy - phi_w
+    dx) * (I F) * exp(lambda)`` there (``_contour_trace`` with
+    ``anchor_hair``), and the area density ``h_at(xs, ys) = exp(lambda) *
+    Dphi * sigma^{-1} * (proportional CR of I F)``.  The Gauss identity
+    integrates both plainly, the deep reconstruction against the kernel."""
+    z, wx, wy = _boundary_nodes(bounds, k)
+    charges = (boundary_measure(wp, l, z, wx, wy) * _contour_trace(ix, iy, bounds, k, anchor_hair)
+               * np.exp(lam_fn.f(z.real, z.imag)))
+    sig_inv = 1.0 / (p.sigma.z1 if l == 1 else p.sigma.z2)
+
+    def h_at(xs, ys):
+        return (np.exp(lam_fn.f(xs, ys)) * p.phi.dphi(l, xs, ys) * sig_inv
+                * frac_cr_component(ix, iy, p, wp, l, xs, ys))
+
+    return z, charges, h_at
+
+
 def frac_gauss_residual(
     F,
     W: BicomplexNumber,
@@ -316,37 +338,25 @@ def frac_gauss_residual(
 
     Boundary side: contour integral of ``exp(lambda) * (I F)`` against the
     weighted measure.  Area side: ``exp(lambda)`` times the trace-scaled
-    proportional CR operator plus the divergence terms, against ``dx dy``.
-    ``lam`` must solve the multiplier PDE (``bcfrac verify`` checks that
-    when it loads the configuration).  Every trace integral comes from the
-    component's two surrogates (``_trace_integrals``), per axis and
-    broadcast.  For non-constant weights the divergence term's area trace
-    integral is handed to the CR field, which would otherwise evaluate it a
-    second time; constant weights have no divergence term.
+    proportional CR operator plus the divergence terms (of non-constant
+    weights only), against ``dx dy``.  The boundary charge and the area
+    density come from ``_frac_gauss_terms``.  ``lam`` must solve the multiplier
+    PDE (``bcfrac verify`` checks that when it loads the configuration).
+    Every trace integral comes from the component's two surrogates
+    (``_trace_integrals``), per axis and broadcast.
     """
-    sigma_inv = p.sigma.invert()
     res = []
     for l in (1, 2):
         lam_fn = lam.component(l)
-        sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         ix, iy = _trace_integrals(F, W, p, l)
         bounds = patch.component_bounds(l)
-
-        z, wx, wy = _boundary_nodes(bounds, patch.k)
-        g_b = _contour_trace(ix, iy, bounds, patch.k)
-        elam_b = np.exp(lam_fn.f(z.real, z.imag))
-        bnd = np.sum(elam_b * g_b * boundary_measure(wp, l, z, wx, wy))
-
+        _, charges, h_at = _frac_gauss_terms(ix, iy, p, wp, lam_fn, l, bounds, patch.k)
         x, y, w = _area_nodes(bounds, patch.m)
-        g_a = None if wp.const_values is not None else trace_component(ix, iy, x, y)
-        cr_a = frac_cr_component(ix, iy, p, wp, l, x, y, g=g_a)
-        h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
-        elam_a = np.exp(lam_fn.f(x, y))
-        integrand = elam_a * h_field
-        if g_a is not None:
-            integrand = integrand + weight_divergence(wp, l, x, y) * elam_a * g_a
-        area = np.sum(integrand * w)
-        res.append(abs(bnd - area))
+        integrand = h_at(x, y)
+        if wp.const_values is None:
+            integrand = integrand + (weight_divergence(wp, l, x, y) * np.exp(lam_fn.f(x, y))
+                                     * trace_component(ix, iy, x, y))
+        res.append(abs(np.sum(charges) - np.sum(integrand * w)))
     return HyperbolicNumber(res[0], res[1])
 
 
@@ -431,105 +441,88 @@ def frac_bp_reconstruct(
     Every trace field of a component (the boundary trace integral, and the
     proportional CR field on the area nodes and at the area map's points)
     comes from its two surrogates (``_trace_integrals``), per axis and
-    broadcast, as in ``frac_gauss_residual``.  The remainder at ``Z`` runs the
-    direct rule and ``derivative_of_one``; the outer trace derivatives, of
-    step ``_MAP_STEP``, difference the area map and the boundary map along
-    each trace line of nonzero proportion, read through a Chebyshev
-    interpolant (``_trace_derivative_of_map`` with the area map's clamp strip,
-    and a strip of zero width for the boundary map).  A component reads each
-    map once: one kernel sum holds the ``_MAP_LINE_SAMPLES`` = 32 samples of
-    each live line and ``Z`` for a line of proportion zero, where the direct
-    map takes one target per node of the outer rows.
+    broadcast, and both integrands from ``_frac_gauss_terms``, as in
+    ``frac_gauss_residual``.  The remainder at ``Z`` runs the direct rule and
+    ``derivative_of_one``; the outer trace derivatives, of step
+    ``_MAP_STEP``, difference the area map and the boundary map along each
+    trace line of nonzero proportion, read through a Chebyshev interpolant
+    (``_trace_derivative_of_map`` within the area map's clamp region, and
+    within the rectangle for the boundary map).  A component reads each map
+    once: one kernel sum holds the ``_MAP_LINE_SAMPLES`` = 32 samples of each
+    live line and ``Z`` for a line of proportion zero, where the direct map
+    takes one target per node of the outer rows.
     """
     kernel = CauchyKernel(wp)
     patch = replace(patch, rect=p.rect)
-    sigma_inv = p.sigma.invert()
     rem = remainder_R(F, W, p, Z)
     tsum = trace_sum(F, W, Z)
 
     res = []
     for l in (1, 2):
         lam_fn = lam.component(l)
-        sig_inv = sigma_inv.z1 if l == 1 else sigma_inv.z2
         rem_l = rem.z1 if l == 1 else rem.z2
         ts_l = tsum.z1 if l == 1 else tsum.z2
 
         ix, iy = _trace_integrals(F, W, p, l)
         bounds = patch.component_bounds(l)
-        z_b, wx, wy = _boundary_nodes(bounds, patch.k)
         # evaluate the trace integral a hair inside the anchor edges: the
         # contour integral sees the one-sided limit of the integrand there,
         # not the exactly-zero anchor value of near-degenerate orders
-        g_b = _contour_trace(ix, iy, bounds, patch.k, anchor_hair=1e-9)
-        coef = boundary_measure(wp, l, z_b, wx, wy) * g_b * np.exp(lam_fn.f(z_b.real, z_b.imag))
+        z_b, charges, h_at = _frac_gauss_terms(ix, iy, p, wp, lam_fn, l, bounds, patch.k,
+                                               anchor_hair=1e-9)
 
         def boundary_map(xs, ys):
             zp = np.asarray(xs, dtype=float) + 1j * np.asarray(ys, dtype=float)
-            return np.exp(-lam_fn.f(zp.real, zp.imag)) * kernel.boundary_sums(l, z_b, coef, zp)
+            return np.exp(-lam_fn.f(zp.real, zp.imag)) * kernel.boundary_sums(l, z_b, charges, zp)
 
-        # the boundary map is not clamped: its strip is empty
-        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, (0.0, 0.0))
+        # the boundary map is not clamped: its region is the rectangle
+        bnd = _trace_derivative_of_map(boundary_map, l, Z, W, p, (bounds[:2], bounds[2:]))
 
         area_d = 0.0 + 0.0j
         if include_area:
-            area_map, strip = _area_map_builder(l, ix, iy, p, kernel, lam, patch, sig_inv)
-            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, strip)
+            area_map, region = _area_map_builder(l, h_at, kernel, lam_fn, bounds, patch.m)
+            area_d = _trace_derivative_of_map(area_map, l, Z, W, p, region)
 
         val = 1j * (bnd - area_d) - rem_l  # the kernel's normalization is -i
         res.append(abs(val - ts_l))
     return HyperbolicNumber(res[0], res[1])
 
 
-def _area_map_builder(l, ix: Callable, iy: Callable, p: FracParams, kernel: CauchyKernel,
-                      lam: ProductFunction, patch: SurfacePatch, sig_inv):
-    """Build the area integral of ``exp(lambda(V) - lambda(z)) * E(V, z) *
-    Dphi(V) * sigma^{-1} * (proportional CR of F)(V, W)`` over the patch,
-    against ``dx dy``, as a function of the trace point ``z``.
-
-    The proportional CR field is ``frac_cr_component`` of the component's
-    two per-axis trace integrals ``ix`` and ``iy`` (the deep reconstruction
-    passes their surrogates).  It is evaluated once per area axis and
+def _area_map_builder(l, h_at: Callable, kernel: CauchyKernel, lam_fn, bounds: tuple, m: int):
+    """Build the area integral of ``exp(-lambda(z)) * E(V, z) * h(V)``
+    against ``dx dy`` over the rectangle ``bounds`` of ``m`` panels per axis,
+    as a function of the trace point ``z``, for the area density ``h_at`` of
+    ``_frac_gauss_terms``.  The density is evaluated once per area axis and
     broadcast, and at each call on the call's points for the subtraction
     constant ``h(z)`` (see ``_cauchy_area_integral``), so the map stays
-    smooth inside the patch where the trace derivative differences it.
+    smooth inside the rectangle where the trace derivative differences it.
 
-    Returns the map and its clamp strip ``(cell_x, cell_y)``, the width along
-    each edge within which the map is constant, outside which
-    ``_trace_derivative_of_map`` samples each live trace line, in its one
-    call of the map per component.
+    Returns the map and its clamp region ``((x_lo, x_hi), (y_lo, y_hi))``,
+    one cell inside each edge: the map is constant beyond it, and
+    ``_trace_derivative_of_map`` samples each live trace line within it, in
+    its one call of the map per component.
     """
-    bounds = patch.component_bounds(l)
-    lam_fn = lam.component(l)
-
-    def h_at(xs, ys):
-        return (
-            np.exp(lam_fn.f(xs, ys))
-            * p.phi.dphi(l, xs, ys)
-            * sig_inv
-            * frac_cr_component(ix, iy, p, kernel.wp, l, xs, ys)
-        )
-
-    integral = _cauchy_area_integral(kernel, l, bounds, patch.m, h_at)
+    integral = _cauchy_area_integral(kernel, l, bounds, m, h_at)
     x0, x1, y0, y1 = bounds
-    cell_x = (x1 - x0) / patch.m
-    cell_y = (y1 - y0) / patch.m
+    cell_x, cell_y = (x1 - x0) / m, (y1 - y0) / m
+    region = ((x0 + cell_x, x1 - cell_x), (y0 + cell_y, y1 - cell_y))
 
     def area_map(xs, ys):
         """The area integral at an array of trace points, or at a coordinate
         array and a scalar.
 
-        Points are clamped one cell inside the surface: the subtraction
-        degrades within the last cell ring (the closed-form integral and the
-        discrete near-field no longer cancel), while the map itself is
-        continuous there, so the clamped value is accurate to O(cell) on an
-        O(cell) strip and constant along the clamped direction, which the
-        outer trace derivative cancels."""
-        xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), x0 + cell_x, x1 - cell_x)
-        ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), y0 + cell_y, y1 - cell_y)
+        Points are clamped into the region, one cell inside the surface: the
+        subtraction degrades within the last cell ring (the closed-form
+        integral and the discrete near-field no longer cancel), while the map
+        itself is continuous there, so the clamped value is accurate to
+        O(cell) on an O(cell) strip and constant along the clamped direction,
+        which the outer trace derivative cancels."""
+        xs = np.clip(np.atleast_1d(np.asarray(xs, dtype=float)), *region[0])
+        ys = np.clip(np.atleast_1d(np.asarray(ys, dtype=float)), *region[1])
         zp = xs + 1j * ys
         return np.exp(-lam_fn.f(zp.real, zp.imag)) * integral(zp)
 
-    return area_map, (cell_x, cell_y)
+    return area_map, region
 
 
 # ----------------------------------------------------------------------

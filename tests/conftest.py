@@ -143,18 +143,18 @@ def direct_integrals():
     return _direct_integrals
 
 
-def _per_direction_read(plane_map, l, Z, W, p, strip):
+def _per_direction_read(plane_map, l, Z, W, p, region):
     """``_trace_derivative_of_map`` with each direction reading the map on
     its own: a live line at its Chebyshev points, a still line at ``Z``
     through ``axis_derivative``.  The reference for the one batched read;
     every live interval must be nonempty."""
     total = 0.0 + 0.0j
-    for axis, cell in zip(component_axes(l), strip):
+    for axis, (a, end) in zip(component_axes(l), region):
         coord, line = _axis_coord(Z, axis), _trace_line(plane_map, Z, axis)
         lo, hi = p.rect.axis_interval(axis)
         h = _MAP_STEP * (hi - lo)
         if p.sigma_vec[axis] != 0.0:
-            a, b = lo + cell, min(coord + h, hi - cell)
+            b = min(coord + h, end)
             assert b > a
             theta, xs = _chebyshev_points(a, b, _MAP_LINE_SAMPLES)
             line = _barycentric(theta, xs, np.asarray(line(xs), dtype=complex), a, b)

@@ -250,10 +250,10 @@ class TestMapRead:
         from bcfrac.frac_cr_bicomplex import _trace_derivative_of_map
 
         p = FracParams(unit_rect, (0.5,) * 4, sigma, linear_phi, Quadrature1D(n=128))
-        Z, strip = unit_rect.point(0.6, 0.7, 0.55, 0.45), (0.05, 0.03)
+        Z, region = unit_rect.point(0.6, 0.7, 0.55, 0.45), ((0.05, 0.95), (0.03, 0.97))
         for l, z in ((1, Z.z1), (2, Z.z2)):
             calls, plane_map = self.recorded()
-            got = _trace_derivative_of_map(plane_map, l, Z, self.W, p, strip)
+            got = _trace_derivative_of_map(plane_map, l, Z, self.W, p, region)
             (xs, ys), = calls
             x_line = fracops1d._chebyshev_points(0.05, z.real + 5e-3, 32)[1]
             if sigma[1] == 0.0:  # the x line's samples, then Z
@@ -264,11 +264,11 @@ class TestMapRead:
                 want_y = np.concatenate([np.full(32, z.imag), y_line])
             assert np.array_equal(xs, want_x) and np.array_equal(ys, want_y)
             # the map acts point by point, so no value moves with its batch
-            assert got == per_direction_read(self.field, l, Z, self.W, p, strip)
+            assert got == per_direction_read(self.field, l, Z, self.W, p, region)
 
     @pytest.mark.parametrize("past", [0.0, 0.05], ids=["empty", "inverted"])
     def test_empty_interval_is_the_value_at_its_lower_end(self, past, unit_rect, linear_phi):
-        # the strip reaches past the end x + h of what the outer rule reads
+        # the region starts past the end x + h of what the outer rule reads
         from bcfrac.frac_cr_bicomplex import _trace_derivative_of_map
 
         p = FracParams(unit_rect, (0.5,) * 4, (0.7, 0.0, 0.7, 0.0), linear_phi,
@@ -276,7 +276,8 @@ class TestMapRead:
         Z = unit_rect.point(0.1, 0.7, 0.1, 0.45)
         cell = 0.1 + 5e-3 + past
         calls, plane_map = self.recorded()
-        got = _trace_derivative_of_map(plane_map, 1, Z, self.W, p, (cell, 0.0))
+        region = ((cell, 1.0 - cell), (0.0, 1.0))
+        got = _trace_derivative_of_map(plane_map, 1, Z, self.W, p, region)
         assert [(x.tolist(), y.tolist()) for x, y in calls] == [([cell, 0.1], [0.7, 0.7])]
         value = self.field(cell, 0.7)
 

@@ -778,7 +778,7 @@ class TestBarycentric:
         tabulate(self.field, FracSpec(0.5, 0.7, cubic_weight), "left", Quadrature1D(n=64))
         p = FracParams(unit_rect, (0.5,) * 4, (0.7, 0.0, 0.7, 0.0), linear_phi, Quadrature1D(n=64))
         Z = unit_rect.point(0.6, 0.5, 0.6, 0.5)
-        _trace_derivative_of_map(lambda x, y: self.field(x + y), 1, Z, Z, p, (0.0, 0.0))
+        _trace_derivative_of_map(lambda x, y: self.field(x + y), 1, Z, Z, p, ((0.0, 1.0),) * 2)
         # the rule's own samples and L^beta for tabulate; neither for a line
         assert built == [(32, ["exact", "scale"]), (32, [])]
 

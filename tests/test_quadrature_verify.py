@@ -244,7 +244,9 @@ def _full_cr_component(F, W, p, wp, l, xs, ys):
 
 def _full_frac_gauss_residual(F, W, p, wp, lam, patch):
     """``frac_gauss_residual`` with the trace integral and the divergence
-    term always evaluated on the area nodes."""
+    term always evaluated on the area nodes, in the multiplication order of
+    the integrands that both fractional identities share (complex products
+    need not commute bit for bit)."""
     from bcfrac import boundary_measure, weight_divergence
     from bcfrac import quadrature_verify as qv
 
@@ -256,13 +258,13 @@ def _full_frac_gauss_residual(F, W, p, wp, lam, patch):
         z, wx, wy = qv._boundary_nodes(patch.component_bounds(l), patch.k)
         g_b = qv._contour_trace(*qv._trace_integrals(F, W, p, l), patch.component_bounds(l),
                                 patch.k)
-        bnd = np.sum(np.exp(lam_fn.f(z.real, z.imag)) * g_b * boundary_measure(wp, l, z, wx, wy))
+        bnd = np.sum(boundary_measure(wp, l, z, wx, wy) * g_b * np.exp(lam_fn.f(z.real, z.imag)))
         x, y, w = qv._area_nodes(patch.component_bounds(l), patch.m)
         cr_a, g_a = _full_cr_component(F, W, p, wp, l, x, y)
-        h_field = p.phi.dphi(l, x, y) * sig_inv * cr_a
         elam_a = np.exp(lam_fn.f(x, y))
+        h_field = elam_a * p.phi.dphi(l, x, y) * sig_inv * cr_a
         div_term = weight_divergence(wp, l, x, y) * elam_a * g_a
-        res.append(abs(bnd - np.sum((elam_a * h_field + div_term) * w)))
+        res.append(abs(bnd - np.sum((h_field + div_term) * w)))
     return res
 
 
@@ -298,8 +300,8 @@ class TestZeroWeightedTerms:
         ("constant", (1, 0, 1, 0), 0),
         ("constant", (0.7, 0, 0.7, 0), 1),
         ("scaled", (1, 0, 1, 0), 1),
-        # the CR field reuses the divergence term's area values: one call, not two
-        ("scaled", (0.7, 0, 0.7, 0), 1),
+        # once in the CR field's stencil calls, once for the divergence term
+        ("scaled", (0.7, 0, 0.7, 0), 2),
     ])
     def test_frac_gauss_evaluates_the_area_trace_integral_only_where_weighted(
             self, frac_setup, monkeypatch, weights, sigma, area_calls):
@@ -317,15 +319,15 @@ class TestZeroWeightedTerms:
         sizes, calls = _trace_spy(monkeypatch), _surrogate_spy(monkeypatch)
         got = frac_gauss_residual(F, W, p, wp, lam, patch)
         # the contour's trace integral comes from _contour_trace (its 4k
-        # nodes and both ends).  On the area, the divergence term of
-        # non-constant weights takes it through trace_component and hands it
-        # to the CR field; otherwise the CR field takes it in each partial's
-        # stencil call, five points per node instead of four.  An area
+        # nodes and both ends).  On the area, off proportion one the CR field
+        # takes it in each partial's stencil call, five points per node
+        # instead of four, and the divergence term of non-constant weights
+        # takes it through trace_component after the CR field.  An area
         # evaluation covers each axis once.
         divergence = weights == "scaled"
         stencil = (4 + area_calls - divergence) * 2 * patch.m
         assert sizes == [2 * patch.m] * divergence * 2
-        assert calls == [[4 * patch.k + 2] + [2 * patch.m] * divergence + [stencil]] * 4
+        assert calls == [[4 * patch.k + 2, stencil] + [2 * patch.m] * divergence] * 4
         assert [got.l1, got.l2] == want
 
 
@@ -612,9 +614,11 @@ def test_area_map_evaluates_each_call_in_one_batch(frac_setup, monkeypatch):
     rect, phi, wp, F, patch, W, _ = frac_setup
     p = FracParams(rect, (0.5,) * 4, (1, 0, 1, 0), phi, Quadrature1D(n=64))
     surrogates = (qv.axis_surrogate(F, W, p, ax) for ax in (0, 1))
-    area_map, strip = qv._area_map_builder(1, *surrogates, p, CauchyKernel(wp), NO_LAM,
-                                           patch.with_resolution(8, 8), 1.0)
-    assert strip == pytest.approx((0.7 / 8, 0.7 / 8), rel=1e-14)
+    bounds = patch.component_bounds(1)
+    _, _, h_at = qv._frac_gauss_terms(*surrogates, p, wp, NO_LAM.component(1), 1, bounds, 8)
+    area_map, region = qv._area_map_builder(1, h_at, CauchyKernel(wp), NO_LAM.component(1),
+                                            bounds, 8)
+    assert np.ravel(region) == pytest.approx([0.15 + 0.7 / 8, 0.85 - 0.7 / 8] * 2, rel=1e-14)
     # the last two points clamp onto the same point one cell inside the patch
     xs = np.array([0.3, 0.5, 0.62, 0.0, 0.05])
     ys = np.array([0.4, 0.45, 0.7, 0.5, 0.5])
@@ -858,20 +862,38 @@ class TestSeparableTraceFields:
         assert np.array_equal(wy, np.concatenate([zero, wys, zero, -wys[::-1]]))
 
 
-def _direct_map_path(monkeypatch, clamped: bool):
-    """Unwrap the line surrogates of one of the deep maps: the area map (its
-    strip is the clamp, ``clamped``) or the boundary map (its strip has zero
-    width).  Every trace line of that map then reads the map itself, the
-    reference path; the other map keeps its surrogate."""
+def _direct_map_path(monkeypatch, area: bool, run):
+    """``run()`` with the line surrogates of one of the deep maps unwrapped:
+    the area map (``area``) or the boundary map.  Every trace line of that
+    map then reads the map itself, the reference path; the other map keeps
+    its surrogate.  A map is told by its object (the area maps are those
+    that ``_area_map_builder`` returns), and each read asserts that its
+    region agrees: strictly inside the rectangle for the area map, the
+    rectangle itself for the boundary map.  Each component that read its
+    boundary map must have unwrapped exactly one map."""
     from bcfrac import quadrature_verify as qv
     from bcfrac.frac_cr_bicomplex import (_MAP_STEP, _axis_coord, _trace_line, axis_derivative,
                                           component_axes)
 
-    real = qv._trace_derivative_of_map
+    real, build = qv._trace_derivative_of_map, qv._area_map_builder
+    area_maps, components, unwrapped = [], [], []
 
-    def outer(plane_map, l, Z, W, p, strip):
-        if any(strip) != clamped:
-            return real(plane_map, l, Z, W, p, strip)
+    def builder(*args):
+        area_map, region = build(*args)
+        area_maps.append(area_map)
+        return area_map, region
+
+    def outer(plane_map, l, Z, W, p, region):
+        rect = tuple(p.rect.axis_interval(axis) for axis in component_axes(l))
+        is_area = any(plane_map is built for built in area_maps)
+        if is_area:
+            assert all(lo < a and end < hi for (a, end), (lo, hi) in zip(region, rect))
+        else:
+            assert tuple(map(tuple, region)) == rect
+            components.append(l)
+        if is_area != area:
+            return real(plane_map, l, Z, W, p, region)
+        unwrapped.append(l)
         total = 0.0 + 0.0j
         for axis in component_axes(l):
             lo, hi = p.rect.axis_interval(axis)
@@ -879,15 +901,19 @@ def _direct_map_path(monkeypatch, clamped: bool):
                                      _axis_coord(Z, axis), h=_MAP_STEP * (hi - lo))
         return total
 
+    monkeypatch.setattr(qv, "_area_map_builder", builder)
     monkeypatch.setattr(qv, "_trace_derivative_of_map", outer)
+    out = run()
+    assert components and unwrapped == components
+    return out
 
 
-def _direct_area_path(monkeypatch):
-    _direct_map_path(monkeypatch, clamped=True)
+def _direct_area_path(monkeypatch, run):
+    return _direct_map_path(monkeypatch, True, run)
 
 
-def _direct_boundary_path(monkeypatch):
-    _direct_map_path(monkeypatch, clamped=False)
+def _direct_boundary_path(monkeypatch, run):
+    return _direct_map_path(monkeypatch, False, run)
 
 
 def _kernel_sum_targets(monkeypatch, method: str = "sums") -> list:
@@ -931,18 +957,18 @@ class TestAreaLineSurrogate:
     @pytest.mark.parametrize("x", [0.02, 1 / 32 - 5e-3], ids=["inverted", "empty"])
     def test_point_within_a_cell_of_the_anchor_reads_the_clamped_constant(self, name, x,
                                                                            monkeypatch):
-        # the outer rule reads [0, x + h], inside the clamp strip of width
-        # 1/32, where the map is the constant at the strip's edge: the x line
-        # reads that one point, in the y line's kernel sum with Z.  The direct
-        # map evaluates that point once per node, and its batch may move the
-        # last bits (measured 3.4e-15)
+        # the outer rule reads [0, x + h], below the clamp region's lower end
+        # 1/32, where the map is the constant at that end: the x line reads
+        # that one point, in the y line's kernel sum with Z.  The direct map
+        # evaluates that point once per node, and its batch may move the last
+        # bits (measured 3.4e-15)
         s, p, patch = _item(name)
         Z = BicomplexNumber(complex(x, s.Z.z1.imag), complex(x, s.Z.z2.imag))
         targets = _kernel_sum_targets(monkeypatch)
         got = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
         assert targets == [(2,)] * 2
-        _direct_area_path(monkeypatch)
-        want = frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch)
+        want = _direct_area_path(
+            monkeypatch, lambda: frac_bp_reconstruct(s.F, s.W, Z, p, s.wp, s.lam, patch))
         assert np.isfinite(got.l1) and np.isfinite(got.l2)
         assert abs(got.l1 - want.l1) <= 1e-13 * want.l1
         assert abs(got.l2 - want.l2) <= 1e-13 * want.l2
@@ -955,8 +981,8 @@ class TestAreaLineSurrogate:
         setup = parse_experiment(STALL_ENTRY, 0).setup
         levels = [Resolution(8, 8, 64).scaled(2**i) for i in range(4)]
         got = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
-        _direct_area_path(monkeypatch)
-        want = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        want = _direct_area_path(
+            monkeypatch, lambda: [run_identity("frac-borel-pompeiu", setup, r) for r in levels])
         for a, b in zip(got, want):
             assert abs(a.res_l1 - b.res_l1) <= 0.1 * b.res_l1
             assert abs(a.res_l2 - b.res_l2) <= 0.1 * b.res_l2
@@ -967,8 +993,8 @@ class TestAreaLineSurrogate:
         # -1.3% (bp-general)
         s, p, patch = _item(name)
         got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
-        _direct_area_path(monkeypatch)
-        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
+        want = _direct_area_path(
+            monkeypatch, lambda: frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch))
         assert abs(got.l1 - want.l1) <= 0.1 * want.l1
         assert abs(got.l2 - want.l2) <= 0.1 * want.l2
 
@@ -976,7 +1002,7 @@ class TestAreaLineSurrogate:
 class TestBoundaryLineSurrogate:
     """The deep reconstruction reads its boundary map, along every trace line
     of nonzero proportion, through the same 32-sample Chebyshev interpolant
-    as its area map, on a strip of zero width."""
+    as its area map, within the whole rectangle."""
 
     @pytest.mark.parametrize("name", ["bg-reconstruction", "bp-general"])
     def test_each_component_reads_the_map_in_one_boundary_sum(self, name, monkeypatch):
@@ -996,8 +1022,8 @@ class TestBoundaryLineSurrogate:
         setup = parse_experiment(dict(STALL_ENTRY, include_area=False), 0).setup
         levels = [Resolution(8, 8, 64).scaled(2**i) for i in range(4)]
         got = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
-        _direct_boundary_path(monkeypatch)
-        want = [run_identity("frac-borel-pompeiu", setup, r) for r in levels]
+        want = _direct_boundary_path(
+            monkeypatch, lambda: [run_identity("frac-borel-pompeiu", setup, r) for r in levels])
         for a, b in zip(got, want):
             assert abs(a.res_l1 - b.res_l1) <= 1e-9
             assert abs(a.res_l2 - b.res_l2) <= 1e-9
@@ -1008,8 +1034,8 @@ class TestBoundaryLineSurrogate:
         # (bg-reconstruction), 1.7e-11 (bp-general), 2.7e-11 (bp-boundary-only)
         s, p, patch = _item(name)
         got = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False)
-        _direct_boundary_path(monkeypatch)
-        want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False)
+        want = _direct_boundary_path(monkeypatch, lambda: frac_bp_reconstruct(
+            s.F, s.W, s.Z, p, s.wp, s.lam, patch, include_area=False))
         assert abs(got.l1 - want.l1) <= 1e-9
         assert abs(got.l2 - want.l2) <= 1e-9
 
@@ -1050,3 +1076,56 @@ class TestOneMapReadPerComponent:
         want = frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch, s.include_area)
         assert abs(got.l1 - want.l1) <= 1e-14
         assert abs(got.l2 - want.l2) <= 1e-14
+
+
+class TestSharedIntegrands:
+    """Both fractional identities take the boundary charge and the area
+    density from ``_frac_gauss_terms``: the Gauss identity integrates them
+    plainly, the deep reconstruction against the kernel."""
+
+    @pytest.mark.parametrize("name, hair", [("gauss-general", 0.0), ("bp-general", 1e-9)])
+    def test_each_identity_forms_its_integrands_once_per_component(self, name, hair,
+                                                                   monkeypatch):
+        from bcfrac import quadrature_verify as qv
+
+        s, p, patch = _item(name)
+        want = _residual(name, s, p, patch)
+        real, calls = qv._frac_gauss_terms, []
+
+        def spy(ix, iy, p, wp, lam_fn, l, bounds, k, anchor_hair=0.0):
+            calls.append((l, bounds, k, anchor_hair))
+            return real(ix, iy, p, wp, lam_fn, l, bounds, k, anchor_hair)
+
+        monkeypatch.setattr(qv, "_frac_gauss_terms", spy)
+        got = _residual(name, s, p, patch)
+        assert calls == [(l, patch.component_bounds(l), patch.k, hair) for l in (1, 2)]
+        assert (got.l1, got.l2) == (want.l1, want.l2)
+
+    def test_boundary_map_reads_the_rectangle_and_the_area_map_its_region(self, monkeypatch):
+        # the area map is clamped into its region, one cell inside each edge:
+        # beyond it every point reads the value at the nearest end
+        from bcfrac import quadrature_verify as qv
+
+        real, reads = qv._trace_derivative_of_map, []
+
+        def spy(plane_map, l, Z, W, p, region):
+            reads.append((plane_map, l, region))
+            return real(plane_map, l, Z, W, p, region)
+
+        monkeypatch.setattr(qv, "_trace_derivative_of_map", spy)
+        s, p, patch = _item("bp-general")
+        frac_bp_reconstruct(s.F, s.W, s.Z, p, s.wp, s.lam, patch)
+        assert [l for _, l, _ in reads] == [1, 1, 2, 2]
+        for (_, l, boundary), (area_map, _, region) in zip(reads[::2], reads[1::2]):
+            x0, x1, y0, y1 = patch.component_bounds(l)
+            cx, cy = (x1 - x0) / patch.m, (y1 - y0) / patch.m
+            assert boundary == ((x0, x1), (y0, y1))
+            assert region == ((x0 + cx, x1 - cx), (y0 + cy, y1 - cy))
+            (xa, xb), (ya, yb) = region
+            xm, ym = (xa + xb) / 2, (ya + yb) / 2
+            xs = np.array([xa, x0, (x0 + xa) / 2, xb, x1, xm, xm, xm, xm, xm, xm + cx])
+            ys = np.array([ym, ym, ym, ym, ym, ya, y0, yb, (yb + y1) / 2, ym, ym])
+            v = area_map(xs, ys)
+            assert v[0] == v[1] == v[2] and v[3] == v[4]
+            assert v[5] == v[6] and v[7] == v[8]
+            assert v[9] != v[10]  # inside the region the map moves

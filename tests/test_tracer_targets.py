@@ -52,9 +52,9 @@ def test_identities_reach_the_cr_field_through_quadrature_verify(monkeypatch):
         (module, name) for module, name, _, _ in TARGETS}
     real, components = qv.frac_cr_component, []
 
-    def counting(ix, iy, p, wp, l, xs, ys, g=None):
+    def counting(ix, iy, p, wp, l, xs, ys):
         components.append(l)
-        return real(ix, iy, p, wp, l, xs, ys, g=g)
+        return real(ix, iy, p, wp, l, xs, ys)
 
     monkeypatch.setattr(qv, "frac_cr_component", counting)
     rect = RectDomain(0, 1, 0, 1, 0, 1, 0, 1)
