@@ -65,24 +65,15 @@ class RectDomain:
         )[axis]
 
     def contains(self, Z: BicomplexNumber) -> bool:
-        """Whether every point of ``Z`` lies in the domain, to 1e-12; a NaN
-        coordinate lies nowhere.  A point of complex scalars (numpy's too)
-        is compared in plain floats."""
+        """Whether the point ``Z`` lies in the domain, to 1e-12; a NaN
+        coordinate lies nowhere.  Its components are complex scalars (numpy's
+        too), compared in plain floats; an array point raises ``TypeError``."""
         tol = 1e-12
-        z1, z2 = Z.z1, Z.z2
-        if isinstance(z1, complex) and isinstance(z2, complex):
-            return bool(self.a1 - tol <= z1.real <= self.b1 + tol
-                        and self.c1 - tol <= z1.imag <= self.d1 + tol
-                        and self.a2 - tol <= z2.real <= self.b2 + tol
-                        and self.c2 - tol <= z2.imag <= self.d2 + tol)
-        x1, y1 = np.real(Z.z1), np.imag(Z.z1)
-        x2, y2 = np.real(Z.z2), np.imag(Z.z2)
-        return bool(
-            np.all((x1 >= self.a1 - tol) & (x1 <= self.b1 + tol))
-            and np.all((y1 >= self.c1 - tol) & (y1 <= self.d1 + tol))
-            and np.all((x2 >= self.a2 - tol) & (x2 <= self.b2 + tol))
-            and np.all((y2 >= self.c2 - tol) & (y2 <= self.d2 + tol))
-        )
+        z1, z2 = complex(Z.z1), complex(Z.z2)
+        return (self.a1 - tol <= z1.real <= self.b1 + tol
+                and self.c1 - tol <= z1.imag <= self.d1 + tol
+                and self.a2 - tol <= z2.real <= self.b2 + tol
+                and self.c2 - tol <= z2.imag <= self.d2 + tol)
 
     def point(self, fx1: float, fy1: float, fx2: float, fy2: float) -> BicomplexNumber:
         """Interior point given per-axis fractions in (0, 1)."""

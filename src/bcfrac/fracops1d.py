@@ -401,12 +401,14 @@ def _jacobi_rule(n: int, beta_key: float):
     and beta = 0.001, against about 1e-11 for the Christoffel numbers.
     """
     b = beta_key - 1.0  # Jacobi exponents (0, b)
+    # k + b and s - 1 at k = 1, and b + 1, equal beta: formed from b they
+    # would lose 1.1e-16 / beta relative, so every exponent comes from beta
     k = np.arange(n + 1, dtype=float)
-    s = 2.0 * k + b
+    s = 2.0 * k - 1.0 + beta_key
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = b * b / (s * (s + 2.0))
-        off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    diag[0], off[0] = b / (b + 2.0), 0.0
+        off = np.sqrt(4.0 * k * k * (k - 1.0 + beta_key) ** 2 / (s * s * (s + 1.0) * (2.0 * k - 2.0 + beta_key)))
+    diag[0], off[0] = b / (beta_key + 1.0), 0.0
     x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
 
     p_prev, p = np.zeros_like(x), np.ones_like(x)
@@ -421,7 +423,7 @@ def _jacobi_rule(n: int, beta_key: float):
     for j in range(n - 1):
         p_prev, p = p, ((x - diag[j]) * p - off[j] * p_prev) / off[j + 1]
         total += p * p
-    mass = 2.0 ** (b + 1.0) / (b + 1.0)  # p_0 = 1 stands for 1/sqrt(mass)
+    mass = 2.0**beta_key / beta_key  # p_0 = 1 stands for 1/sqrt(mass)
     return _read_only(x, mass / total)
 
 

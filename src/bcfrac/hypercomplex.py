@@ -2,10 +2,12 @@
 
 A bicomplex number is stored as its two idempotent components ``(z1, z2)``,
 so that the represented value is ``z1*E + z2*E'`` where ``E`` and ``E'`` are
-the two idempotent zero divisors (``E + E' = 1``, ``E*E' = 0``).  Addition
-and multiplication act componentwise, which is why every operator here is a
-one-liner.  The cartesian form ``a + b*j`` exists only at the conversion
-boundary (:func:`bc_from_cartesian` / :meth:`BicomplexNumber.to_cartesian`).
+the two idempotent zero divisors (``E + E' = 1``, ``E*E' = 0``).  The
+operators act per component: ``+``, ``-``, ``*`` (a scalar factor on either
+side), ``star``, ``mod_k`` and ``invert``.  The modulus, a
+:class:`HyperbolicNumber`, has only ``as_bicomplex`` and ``max``.  The
+cartesian form ``a + b*j`` exists only at the conversion boundary
+(:func:`bc_from_cartesian` / :meth:`BicomplexNumber.to_cartesian`).
 
 Components may be Python complex scalars or numpy complex arrays; all
 operations broadcast componentwise either way.
@@ -39,23 +41,15 @@ class BicomplexNumber:
         other = _coerce(other)
         return BicomplexNumber(self.z1 + other.z1, self.z2 + other.z2)
 
-    __radd__ = __add__
-
     def __sub__(self, other: "BicomplexNumber") -> "BicomplexNumber":
         other = _coerce(other)
         return BicomplexNumber(self.z1 - other.z1, self.z2 - other.z2)
-
-    def __rsub__(self, other) -> "BicomplexNumber":
-        return _coerce(other) - self
 
     def __mul__(self, other: "BicomplexNumber") -> "BicomplexNumber":
         other = _coerce(other)
         return BicomplexNumber(self.z1 * other.z1, self.z2 * other.z2)
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "BicomplexNumber":
-        return BicomplexNumber(-self.z1, -self.z2)
 
     def star(self) -> "BicomplexNumber":
         """Componentwise complex conjugation ``Z*``."""
@@ -90,15 +84,6 @@ class HyperbolicNumber:
     l1: float
     l2: float
 
-    def __add__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
-        return HyperbolicNumber(self.l1 + other.l1, self.l2 + other.l2)
-
-    def __sub__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
-        return HyperbolicNumber(self.l1 - other.l1, self.l2 - other.l2)
-
-    def __mul__(self, other: "HyperbolicNumber") -> "HyperbolicNumber":
-        return HyperbolicNumber(self.l1 * other.l1, self.l2 * other.l2)
-
     def as_bicomplex(self) -> BicomplexNumber:
         return BicomplexNumber(complex(self.l1), complex(self.l2))
 
@@ -116,8 +101,6 @@ E_DAG = BicomplexNumber(0.0j, 1.0 + 0.0j)
 def _coerce(value) -> BicomplexNumber:
     if isinstance(value, BicomplexNumber):
         return value
-    if isinstance(value, HyperbolicNumber):
-        return value.as_bicomplex()
     if isinstance(value, (int, float, complex)):
         return BicomplexNumber(complex(value), complex(value))
     raise TypeError(f"cannot interpret {value!r} as a bicomplex number")

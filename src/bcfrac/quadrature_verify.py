@@ -312,16 +312,21 @@ def _frac_gauss_terms(ix: Callable, iy: Callable, p: FracParams, wp: WeightPair,
     ``_boundary_nodes(bounds, k)``, the boundary charges ``(theta dy - phi_w
     dx) * (I F) * exp(lambda)`` there (``_contour_trace`` with
     ``anchor_hair``), and the area density ``h_at(xs, ys) = exp(lambda) *
-    Dphi * sigma^{-1} * (proportional CR of I F)``.  The Gauss identity
-    integrates both plainly, the deep reconstruction against the kernel."""
+    Dphi * sigma^{-1} * (proportional CR of I F)``, plus ``div(theta, phi_w)
+    * exp(lambda) * (I F)`` for non-constant weights, with ``exp(lambda)``
+    formed once per grid.  The Gauss identity integrates both plainly, the
+    deep reconstruction (constant weights only) against the kernel."""
     z, wx, wy = _boundary_nodes(bounds, k)
     charges = (boundary_measure(wp, l, z, wx, wy) * _contour_trace(ix, iy, bounds, k, anchor_hair)
                * np.exp(lam_fn.f(z.real, z.imag)))
     sig_inv = 1.0 / (p.sigma.z1 if l == 1 else p.sigma.z2)
 
     def h_at(xs, ys):
-        return (np.exp(lam_fn.f(xs, ys)) * p.phi.dphi(l, xs, ys) * sig_inv
-                * frac_cr_component(ix, iy, p, wp, l, xs, ys))
+        elam = np.exp(lam_fn.f(xs, ys))
+        h = elam * p.phi.dphi(l, xs, ys) * sig_inv * frac_cr_component(ix, iy, p, wp, l, xs, ys)
+        if wp.const_values is None:
+            h = h + weight_divergence(wp, l, xs, ys) * elam * trace_component(ix, iy, xs, ys)
+        return h
 
     return z, charges, h_at
 
@@ -339,24 +344,20 @@ def frac_gauss_residual(
     Boundary side: contour integral of ``exp(lambda) * (I F)`` against the
     weighted measure.  Area side: ``exp(lambda)`` times the trace-scaled
     proportional CR operator plus the divergence terms (of non-constant
-    weights only), against ``dx dy``.  The boundary charge and the area
-    density come from ``_frac_gauss_terms``.  ``lam`` must solve the multiplier
-    PDE (``bcfrac verify`` checks that when it loads the configuration).
+    weights only), against ``dx dy``.  Both are ``_frac_gauss_terms``' charge
+    and density, so the residual is ``|sum(charges) - sum(h_at * w)|`` per
+    component.  ``lam`` must solve the multiplier PDE (``bcfrac verify``
+    checks that when it loads the configuration).
     Every trace integral comes from the component's two surrogates
     (``_trace_integrals``), per axis and broadcast.
     """
     res = []
     for l in (1, 2):
-        lam_fn = lam.component(l)
         ix, iy = _trace_integrals(F, W, p, l)
         bounds = patch.component_bounds(l)
-        _, charges, h_at = _frac_gauss_terms(ix, iy, p, wp, lam_fn, l, bounds, patch.k)
+        _, charges, h_at = _frac_gauss_terms(ix, iy, p, wp, lam.component(l), l, bounds, patch.k)
         x, y, w = _area_nodes(bounds, patch.m)
-        integrand = h_at(x, y)
-        if wp.const_values is None:
-            integrand = integrand + (weight_divergence(wp, l, x, y) * np.exp(lam_fn.f(x, y))
-                                     * trace_component(ix, iy, x, y))
-        res.append(abs(np.sum(charges) - np.sum(integrand * w)))
+        res.append(abs(np.sum(charges) - np.sum(h_at(x, y) * w)))
     return HyperbolicNumber(res[0], res[1])
 
 

@@ -107,16 +107,6 @@ class PlaneFunction:
 
     __rmul__ = __mul__
 
-    def __add__(self, other) -> "PlaneFunction":
-        if isinstance(other, (int, float, complex)):
-            other = PlaneFunction.constant(other)
-        a, b = self, other
-        return PlaneFunction(
-            f=lambda x, y: a.f(x, y) + b.f(x, y),
-            dx=lambda x, y: a.dx(x, y) + b.dx(x, y),
-            dy=lambda x, y: a.dy(x, y) + b.dy(x, y),
-        )
-
 
 @dataclass(frozen=True)
 class WeightPair:
@@ -171,13 +161,9 @@ class ProductFunction:
     f2: PlaneFunction
 
     @classmethod
-    def from_holomorphic(cls, fn1, dfn1, fn2=None, dfn2=None) -> "ProductFunction":
-        if fn2 is None:
-            fn2, dfn2 = fn1, dfn1
-        return cls(
-            PlaneFunction.from_holomorphic(fn1, dfn1),
-            PlaneFunction.from_holomorphic(fn2, dfn2),
-        )
+    def from_holomorphic(cls, fn, dfn) -> "ProductFunction":
+        pf = PlaneFunction.from_holomorphic(fn, dfn)
+        return cls(pf, pf)
 
     @classmethod
     def from_antiholomorphic(cls, fn, dfn) -> "ProductFunction":
@@ -185,10 +171,9 @@ class ProductFunction:
         return cls(pf, pf)
 
     @classmethod
-    def constant(cls, c1: complex, c2: complex = None) -> "ProductFunction":
-        if c2 is None:
-            c2 = c1
-        return cls(PlaneFunction.constant(c1), PlaneFunction.constant(c2))
+    def constant(cls, c: complex) -> "ProductFunction":
+        pf = PlaneFunction.constant(c)
+        return cls(pf, pf)
 
     def component(self, l: int) -> PlaneFunction:
         return self.f1 if l == 1 else self.f2

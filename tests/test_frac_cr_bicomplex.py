@@ -64,7 +64,8 @@ class TestContains:
                                               (2e-12, False), (np.nan, False)])
     def test_scalar_and_array_points_agree(self, axis, end, past, inside):
         # ``past`` beyond the lower (end 0) or upper (end 1) edge of one axis;
-        # the bound is 1e-12, and NaN lies nowhere
+        # the bound is 1e-12, and NaN lies nowhere; a point is one point, so
+        # an array of them is refused
         edge = self.RECT.axis_interval(axis)[end]
         coords = [sum(self.RECT.axis_interval(ax)) / 2 for ax in range(4)]
         coords[axis] = edge + (past if end else -past)
@@ -74,7 +75,8 @@ class TestContains:
         numpy_scalar = BicomplexNumber(np.complex128(scalar.z1), np.complex128(scalar.z2))
         assert self.RECT.contains(scalar) is inside
         assert self.RECT.contains(numpy_scalar) is inside
-        assert self.RECT.contains(array) is inside
+        with pytest.raises(TypeError):
+            self.RECT.contains(array)
 
 
 class TestDphi:
@@ -156,8 +158,8 @@ class TestTraceLine:
             assert np.array_equal(r.dphi(ts), np.real(want[1]))
 
     def test_trace_sum_of_an_asymmetric_field(self):
-        F = ProductFunction.from_holomorphic(lambda z: z**3 + 2j * z, lambda z: 3 * z**2 + 2j,
-                                             lambda z: np.exp(z) - z, lambda z: np.exp(z) - 1)
+        F = ProductFunction(PlaneFunction.from_holomorphic(lambda z: z**3 + 2j * z, lambda z: 3 * z**2 + 2j),
+                            PlaneFunction.from_holomorphic(lambda z: np.exp(z) - z, lambda z: np.exp(z) - 1))
         Z = self.rect.point(0.7, 0.3, 0.9, 0.1)
         got = trace_sum(F, self.W, Z)
         for f, z, w, g in ((F.f1.f, Z.z1, self.W.z1, got.z1), (F.f2.f, Z.z2, self.W.z2, got.z2)):

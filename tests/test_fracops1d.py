@@ -498,6 +498,25 @@ def test_a_second_pass_over_more_than_64_rows_misses_none(identity_weight, cubic
     assert bundle() == first
 
 
+class TestJacobiRule:
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_moments_at_tiny_order(self, n):
+        # the rule of (1+x)^(beta-1) forms its exponents from beta itself:
+        # from b = beta - 1 its k = 1 terms cancel to beta, losing 1.1e-16 /
+        # beta relative.  Against mpmath at beta = 1e-6, the moments sum w
+        # (1+x)^k for k = 2 and 5 are off by at most 5.6e-16 (1.1e-10 from
+        # b), and at n = 256 the zeroth moment 2^beta / beta by 2.1e-13
+        # (3.0e-11 from b)
+        beta = 1e-6
+        x, w = fracops1d._jacobi_rule(n, beta)
+        with mpmath.workdps(40):
+            exact = {k: mpmath.mpf(2) ** (beta + k) / (beta + k) for k in (0, 2, 5)}
+        for k in (2, 5):
+            assert abs(np.sum(w * (1.0 + x) ** k) / exact[k] - 1) <= 1e-14
+        if n == 256:
+            assert abs(np.sum(w) / exact[0] - 1) <= 1e-12
+
+
 class TestPropFracDerivative:
     def test_inversion_left_and_right(self, cubic_weight):
         q = Quadrature1D(n=1024)

@@ -1129,3 +1129,28 @@ class TestSharedIntegrands:
             assert v[0] == v[1] == v[2] and v[3] == v[4]
             assert v[5] == v[6] and v[7] == v[8]
             assert v[9] != v[10]  # inside the region the map moves
+
+
+def test_frac_gauss_evaluates_the_multiplier_on_the_area_grid_once_per_component():
+    # the area density of non-constant weights holds the divergence term, so
+    # exp(lambda) is formed once per grid and shared by both of its terms
+    from bcfrac import quadrature_verify as qv
+
+    s, p, patch = _item("gauss-expression")
+    assert s.wp.const_values is None and p.sigma.z1 == p.sigma.z2 == 1
+    shapes = {1: [], 2: []}
+
+    def spied(l):
+        lam_fn = s.lam.component(l)
+
+        def f(x, y):
+            shapes[l].append(np.broadcast(x, y).shape)
+            return lam_fn.f(x, y)
+        return PlaneFunction(f, lam_fn.dx, lam_fn.dy)
+
+    want = frac_gauss_residual(s.F, s.W, p, s.wp, s.lam, patch)
+    got = frac_gauss_residual(s.F, s.W, p, s.wp, ProductFunction(spied(1), spied(2)), patch)
+    for l in (1, 2):
+        x, y, _ = qv._area_nodes(patch.component_bounds(l), patch.m)
+        assert shapes[l].count(np.broadcast(x, y).shape) == 1
+    assert (got.l1, got.l2) == (want.l1, want.l2)
