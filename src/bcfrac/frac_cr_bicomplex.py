@@ -17,7 +17,7 @@ factorization through a multiplier ``lambda`` solving a first-order PDE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -291,14 +291,32 @@ def _one(t):
     return np.ones_like(np.asarray(t, dtype=float))
 
 
-def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
-    """Cross terms (direct-rule integral along one direction times
-    ``derivative_of_one`` along the other) left over by the composition identity."""
+def axis_terms(W: BicomplexNumber, p: FracParams, Z: BicomplexNumber) -> tuple:
+    """Per axis, the spec of its trace operator through ``W``
+    (``FracParams.axis_spec``) and ``D[1]`` at ``Z`` on it
+    (``derivative_of_one``): what the composition and the remainder share,
+    and what no resolution changes.  ``D[1]`` is infinite where ``Z`` sits on
+    an axis's anchor."""
     _check_points(p, Z, W)
-    i_vals = [axis_integral(F, W, p, ax, _axis_coord(Z, ax)) for ax in range(4)]
+    specs = [p.axis_spec(ax, W) for ax in range(4)]
+    return tuple((spec, derivative_of_one(spec, _axis_coord(Z, ax))) for ax, spec in enumerate(specs))
+
+
+def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
+                terms: Optional[tuple] = None) -> BicomplexNumber:
+    """Cross terms (direct-rule integral along one direction times
+    ``derivative_of_one`` along the other) left over by the composition identity.
+
+    ``terms`` are the four (spec, ``D[1]``) pairs of ``axis_terms``, from a
+    caller that holds them across levels; without them the remainder builds
+    them.  Either way it runs the four one-target direct-rule integrals
+    (``prop_frac_integral`` on ``p.quadrature``)."""
+    _check_points(p, Z, W)
+    terms = axis_terms(W, p, Z) if terms is None else terms
+    i_vals = [prop_frac_integral(_axis_line(F, W, ax), spec, "left", _axis_coord(Z, ax), p.quadrature)
+              for ax, (spec, _) in enumerate(terms)]
     # a cross term is zero where its integral is, also at the anchor, where D[1] is infinite
-    d_one = [0.0 if i_vals[ax ^ 1] == 0 else derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax))
-             for ax in range(4)]
+    d_one = [0.0 if i_vals[ax ^ 1] == 0 else d1 for ax, (_, d1) in enumerate(terms)]
     e_comp = i_vals[1] * d_one[0] + i_vals[0] * d_one[1]
     edag_comp = i_vals[2] * d_one[3] + i_vals[3] * d_one[2]
     return BicomplexNumber(e_comp, edag_comp)
@@ -357,7 +375,8 @@ def _trace_derivative_of_map(plane_map: Callable, l: int, Z, W, p: FracParams, r
     return total
 
 
-def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> BicomplexNumber:
+def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber,
+                                   terms: Optional[tuple] = None) -> BicomplexNumber:
     """Honest numerical composition: the four-direction derivative applied to
     the map ``Z' -> (I F)(Z', W)``, each direction acting on the trace of
     that map through the current point ``Z``.
@@ -366,37 +385,54 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber) -> B
     axes through ``W``, so its derivative at ``Z`` is ``D_x[S_x] + S_y *
     D_x[1] + D_y[S_y] + S_x * D_y[1]``.  Each axis takes ``S`` and ``D[S]``
     from one ``derivative_of_integral`` call, a Jacobi series exact to about
-    1e-14 at a cost that does not depend on ``n``, and ``D[1]`` from
-    ``derivative_of_one``, as the remainder does.  An axis of proportion zero
-    is the identity.
+    1e-14 at a cost that does not depend on ``n``, and its spec and ``D[1]``
+    from ``terms`` (``axis_terms``, built here when not given), as the
+    remainder does.  An axis of proportion zero is the identity.
     """
-    _check_points(p, Z, W)
+    terms = axis_terms(W, p, Z) if terms is None else terms
     out = []
     for l in (1, 2):
         (sx, dsx, d1x), (sy, dsy, d1y) = (
-            (*derivative_of_integral(_axis_line(F, W, ax), p.axis_spec(ax, W), _axis_coord(Z, ax)),
-             derivative_of_one(p.axis_spec(ax, W), _axis_coord(Z, ax)))
+            (*derivative_of_integral(_axis_line(F, W, ax), terms[ax][0], _axis_coord(Z, ax)), terms[ax][1])
             for ax in component_axes(l))
         out.append(dsx + sy * d1x + dsy + sx * d1y)
     return BicomplexNumber(out[0], out[1])
 
 
+class InversionTerms(NamedTuple):
+    """What the levels of a trace-inversion study share: every term of its
+    residual but the remainder's four direct-rule integrals."""
+
+    di: BicomplexNumber  # the composition, compose_derivative_of_integral
+    axes: tuple  # per axis, its spec and D[1] at Z (axis_terms)
+    tsum: BicomplexNumber  # trace_sum at Z
+
+
+def inversion_terms(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
+                    compose: Callable) -> InversionTerms:
+    """The level-free part of ``inversion_check``.  ``compose`` is
+    ``compose_derivative_of_integral`` as the caller's module binds it, so
+    that a wrapper bound there (a spy, the benchmark tracer) is what runs."""
+    axes = axis_terms(W, p, Z)
+    return InversionTerms(compose(F, W, p, Z, axes), axes, trace_sum(F, W, Z))
+
+
 def inversion_check(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
-                    di: Optional[BicomplexNumber] = None) -> HyperbolicNumber:
+                    held: Optional[InversionTerms] = None) -> HyperbolicNumber:
     """Residual of the composition identity: derivative of the integral minus
     the trace sum minus the remainder.  The composition is exact to about
     1e-14 (``compose_derivative_of_integral``), and the composition and the
     remainder read the same ``derivative_of_one``, so the residual tracks
     the error of the remainder's direct-rule integrals.
 
-    The composition reads no ``p.quadrature``, so a caller that holds it
-    passes it as ``di``: a convergence study computes it once, at its first
-    level (``quadrature_verify.Identity.level_free``), and each level runs
-    only the trace sum and the remainder."""
-    if di is None:
-        di = compose_derivative_of_integral(F, W, p, Z)
-    target = trace_sum(F, W, Z) + remainder_R(F, W, p, Z)
-    return (di - target).mod_k()
+    Only those integrals read ``p.quadrature``, so a caller that holds the
+    rest passes it as ``held`` (``inversion_terms``): a convergence study
+    builds it once, at its first level (``quadrature_verify.Identity.level_free``),
+    and each level checks its points and runs the remainder's four
+    direct-rule integrals.  Without ``held`` the result is the same, bit for bit."""
+    if held is None:
+        held = inversion_terms(F, W, p, Z, compose_derivative_of_integral)
+    return (held.di - (held.tsum + remainder_R(F, W, p, Z, held.axes))).mod_k()
 
 
 def _stencil(p: FracParams, axis: int, coords: np.ndarray) -> tuple:

@@ -40,6 +40,7 @@ from .frac_cr_bicomplex import (
     factorization_check,
     frac_cr_component,
     inversion_check,
+    inversion_terms,
     remainder_R,
     trace_component,
     trace_sum,
@@ -565,7 +566,9 @@ class Identity:
     kernel: bool = False  # it needs the pair's ``CauchyKernel``
     point: bool = False  # the loader runs ``check_reconstruction_point``
     area: bool = False  # it accepts ``include_area``
-    level_free: Optional[Callable] = None  # (s, p) -> the part no resolution changes, once a study
+    # (s, p) -> the part no resolution changes, once a study: trace-inversion's
+    # is its InversionTerms (composition, axis specs with D[1], trace sum)
+    level_free: Optional[Callable] = None
 
 
 #: Name -> record, as in the README's identity table.  The lambdas look the
@@ -575,8 +578,8 @@ REGISTRY = {
     "borel-pompeiu": Identity(lambda s, p, patch, _: borel_pompeiu_classical(s.F, s.W, s.wp, patch),
                               True, False, kernel=True, point=True),
     "trace-inversion": Identity(
-        lambda s, p, patch, di: inversion_check(s.F, s.W, p, s.Z, di), False, True,
-        level_free=lambda s, p: compose_derivative_of_integral(s.F, s.W, p, s.Z)),
+        lambda s, p, patch, held: inversion_check(s.F, s.W, p, s.Z, held), False, True,
+        level_free=lambda s, p: inversion_terms(s.F, s.W, p, s.Z, compose_derivative_of_integral)),
     "factorization": Identity(
         lambda s, p, patch, _: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z), False, True,
         multiplier=True),
@@ -618,27 +621,31 @@ def run_identity(identity: str, setup: VerificationSetup, res: Resolution,
 
 
 def fit_order(reports) -> float:
-    """Convergence order per refinement doubling, by least squares on the
-    log residuals; infinite when every residual sits at rounding level and
-    NaN when any residual is not finite."""
+    """Convergence order per refinement doubling: minus the least-squares
+    slope of the log2 residuals (floored at 1e-300) against the level, in
+    closed form ``-sum(x*y) / sum(x*x)`` with the levels ``x`` centred on
+    their mean.  Infinite when every residual sits at rounding level and NaN
+    when any residual is not finite."""
     res = np.array([max(r.max_residual(), 0.0) for r in reports])
     if not np.all(np.isfinite(res)):
         return float("nan")
     if np.all(res < 1e-15):
         return float("inf")
-    res = np.maximum(res, 1e-300)
-    slope = np.polyfit(np.arange(len(res)), np.log2(res), 1)[0]
-    return float(-slope)
+    y = np.log2(np.maximum(res, 1e-300))
+    x = np.arange(len(y)) - (len(y) - 1) / 2
+    return float(-(x @ y) / (x @ x))
 
 
 def convergence_study(
     identity: str, setup: VerificationSetup, base: Resolution, levels: int
 ) -> list:
     """Run one identity at geometrically refined resolutions and attach the
-    fitted empirical order to every report.  The identity's level-free part
-    (the ``trace-inversion`` composition) is computed once per study, at the
-    first level, whose ``seconds`` carry its cost; a second study computes
-    it again."""
+    fitted empirical order (``fit_order``) to every report.  The identity's
+    level-free part (``trace-inversion``'s composition, axis specs with their
+    ``D[1]`` and trace sum) is computed once per study, at the first level,
+    whose ``seconds`` carry its cost; every later level runs only what reads
+    its resolution (for ``trace-inversion``, the remainder's four direct-rule
+    integrals), and a second study computes that part again."""
     if levels < 1:
         raise ValueError("need at least one level")
     held = {}

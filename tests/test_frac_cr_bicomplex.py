@@ -400,6 +400,44 @@ class TestInversionIdentity:
         inversion_check(poly_field, W, p, Z)
         assert (len(targets), sum(targets), len(evaluations), len(quotients)) == (4, 4, 0, 0)
 
+    @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
+    @pytest.mark.parametrize("sigma, phi", [
+        ((0.7, 0.0, 0.7, 0.0), Phi4.fractal(0.5, 0.6, 0.7, 0.8)),
+        ((0.7255, 0.9464, 0.6181, 0.5745), Phi4.fractal(0.6135, 0.8186, 0.7829, 0.6735)),
+        ((0.7, 0.4, 0.9, 0.2), Phi4.fractal(1.0, 1.0, 1.0, 1.0))],
+        ids=["sigma-zero-axes", "fractal", "linear"])
+    @pytest.mark.parametrize("corner", [False, True], ids=["interior", "anchor-corner"])
+    def test_held_terms_give_the_residual_bit_for_bit(self, poly_field, scheme, sigma, phi,
+                                                       corner):
+        # the record of a study's first level (n = 64), read at a finer one,
+        # against the check that builds its own; on the first plane's anchor
+        # corner D[1] is infinite along a live axis, the first component is
+        # not finite, and the second still is
+        from bcfrac.frac_cr_bicomplex import compose_derivative_of_integral, inversion_terms
+
+        rect = RectDomain(*[0.5, 1.5] * 4)
+        W = rect.point(0.41, 0.37, 0.53, 0.61)
+        Z = BicomplexNumber(0.5 + 0.5j, 1.1 + 1.25j) if corner else rect.point(0.8, 0.7, 0.6, 0.75)
+        alpha = (0.35, 0.5, 0.65, 0.45)
+        first, finer = (FracParams(rect, alpha, sigma, phi, Quadrature1D(n=n, scheme=scheme))
+                        for n in (64, 256))
+
+        def bits(*values):
+            return [float(x).hex() for v in values for x in (np.real(v), np.imag(v))]
+
+        with np.errstate(invalid="ignore"):
+            held = inversion_terms(poly_field, W, first, Z, compose_derivative_of_integral)
+            got = inversion_check(poly_field, W, finer, Z, held)
+            want = inversion_check(poly_field, W, finer, Z)
+            rem_held = remainder_R(poly_field, W, finer, Z, held.axes)
+            rem = remainder_R(poly_field, W, finer, Z)
+        assert bits(got.l1, got.l2) == bits(want.l1, want.l2)
+        assert bits(rem_held.z1, rem_held.z2) == bits(rem.z1, rem.z2)
+        assert np.isfinite(got.l2) and np.isfinite(got.l1) != corner
+        if corner and sigma[1] != 0.0:
+            # a cross term is zero where its integral is, D[1] infinite or not
+            assert held.axes[0][1] == np.inf and rem_held.z1 == 0
+
     def test_remainder_vanishes_at_corner(self, setup):
         rect, phi, F, W, _ = setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=128))

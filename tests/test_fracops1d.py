@@ -969,6 +969,20 @@ class TestDerivativeOfIntegral:
         want = prop_frac_integral(f, spec, "left", 0.5, Quadrature1D(n=512, scheme="gauss_jacobi"))
         assert abs(value - want) <= 1e-11 and abs(d_value - f(0.5)) <= 1e-11
 
+    @pytest.mark.parametrize("t, bound", [(0.4, 1e-12), (1.0, 1e-12), (1.8, 1e-8)])
+    def test_the_series_budget_at_a_tiny_proportion(self, t, bound):
+        # |c| U(t) = 3000 at sigma = 6e-4, t = 1.8 on [0, 2]: the expansion of
+        # exp(-c(U - U(t))) f stops at its N = 256 budget before it resolves
+        # the product, and D I f - f reads 1.1e-9 there, against 6.0e-14 and
+        # 1.6e-13 at t = 0.4 and 1.0.  The 1e-8 bound is that budget's known
+        # limit (ROADMAP item 20), not an accuracy claim.
+        def f(s):
+            return 0.5 + np.cos(3.0 * s)
+
+        spec = FracSpec(0.5, 6e-4, affine_weight(0.0, 0.0, 2.0))
+        _, d_value = fracops1d.derivative_of_integral(f, spec, t)
+        assert abs(d_value - f(t)) <= bound
+
     def test_at_the_anchor(self, cubic_weight):
         spec = FracSpec(0.4, 0.7, cubic_weight)
         value, d_value = fracops1d.derivative_of_integral(np.exp, spec, 0.0)

@@ -430,6 +430,43 @@ class TestConvergenceStudy:
                 for n in (64, 128, 256)]
         assert [(r.res_l1, r.res_l2) for r in reports] == [(w.l1, w.l2) for w in want]
 
+    def test_a_study_holds_its_level_free_terms(self, frac_setup, monkeypatch):
+        # the composition, the trace sum and D[1] are built once, at the first
+        # level; every level runs the remainder's four one-target direct-rule
+        # integrals (and before: one trace sum and four D[1] per level)
+        from bcfrac import frac_cr_bicomplex
+        from bcfrac import quadrature_verify as qv
+
+        rect, phi, wp, F, patch, W, Z = frac_setup
+        p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
+        setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM, W=W, Z=Z, patch=patch)
+        calls = {"trace_sum": 0, "derivative_of_one": 0, "compose": 0, "integral": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for key, module, name in [("trace_sum", frac_cr_bicomplex, "trace_sum"),
+                                  ("derivative_of_one", frac_cr_bicomplex, "derivative_of_one"),
+                                  ("compose", qv, "compose_derivative_of_integral"),
+                                  ("integral", frac_cr_bicomplex, "prop_frac_integral")]:
+            monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+        real_run, per_level = qv.run_identity, []
+
+        def run(*args, **kwargs):
+            before = calls["integral"]
+            out = real_run(*args, **kwargs)
+            per_level.append(calls["integral"] - before)
+            return out
+
+        monkeypatch.setattr(qv, "run_identity", run)
+        convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 3)
+        assert (calls["trace_sum"], calls["compose"]) == (1, 1)
+        assert calls["derivative_of_one"] <= 8
+        assert per_level == [4, 4, 4]
+
     def test_zero_field_saturates(self, frac_setup):
         rect, phi, wp, _, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
@@ -514,6 +551,30 @@ def test_fit_order_is_nan_for_non_finite_residuals(bad):
     assert np.isnan(fit_order(reports))
     finite = [ResidualReport("frac-gauss", 8, 8, 64, r, r) for r in (1e-2, 1e-3, 1e-4)]
     assert abs(fit_order(finite) - np.log2(10.0)) < 1e-12
+
+
+@pytest.mark.parametrize("residuals", [
+    (3e-3, 8e-4), (8e-4, 3e-3), (1e-2, 1e-3, 1e-4), (2e-5, 7e-6, 9e-6),
+    (4e-3, 1.1e-3, 2.4e-4, 3e-4, 1.7e-5), (1e-2, 1e-300, 1e-4), (0.0, 1e-3, 1e-6)],
+    ids=["2", "2-rising", "3", "3-not-monotone", "5-not-monotone", "3-floor", "3-zero"])
+def test_fit_order_is_the_least_squares_slope(residuals):
+    # the closed form against numpy's least squares on the same floored logs
+    from bcfrac import ResidualReport
+    from bcfrac.quadrature_verify import fit_order
+
+    reports = [ResidualReport("trace-inversion", 0, 0, 64, r, r / 2) for r in residuals]
+    want = -np.polyfit(np.arange(len(residuals)), np.log2(np.maximum(residuals, 1e-300)), 1)[0]
+    assert abs(fit_order(reports) - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("levels", [2, 3, 5])
+def test_fit_order_of_a_quartering_sequence_is_exactly_two(levels):
+    from bcfrac import ResidualReport
+    from bcfrac.quadrature_verify import fit_order
+
+    reports = [ResidualReport("trace-inversion", 0, 0, 64, 0.5 * 4.0**-i, 0.0)
+               for i in range(levels)]
+    assert fit_order(reports) == 2.0
 
 
 def test_cached_rule_arrays_are_read_only():
