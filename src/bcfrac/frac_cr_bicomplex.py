@@ -315,11 +315,15 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
     terms = axis_terms(W, p, Z) if terms is None else terms
     i_vals = [prop_frac_integral(_axis_line(F, W, ax), spec, "left", _axis_coord(Z, ax), p.quadrature)
               for ax, (spec, _) in enumerate(terms)]
-    # a cross term is zero where its integral is, also at the anchor, where D[1] is infinite
-    d_one = [0.0 if i_vals[ax ^ 1] == 0 else d1 for ax, (_, d1) in enumerate(terms)]
-    e_comp = i_vals[1] * d_one[0] + i_vals[0] * d_one[1]
-    edag_comp = i_vals[2] * d_one[3] + i_vals[3] * d_one[2]
-    return BicomplexNumber(e_comp, edag_comp)
+    (_, d1x), (_, d1y), (_, d2x), (_, d2y) = terms
+    return BicomplexNumber(_cross(i_vals[1], d1x) + _cross(i_vals[0], d1y),
+                           _cross(i_vals[2], d2y) + _cross(i_vals[3], d2x))
+
+
+def _cross(s, d_one):
+    """A cross term ``s * D[1]``: zero where the integral ``s`` is, also at
+    the anchor, where ``D[1]`` is infinite."""
+    return 0.0 if s == 0 else s * d_one
 
 
 #: Chebyshev samples of the deep area and boundary maps per live trace line
@@ -395,7 +399,7 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber,
         (sx, dsx, d1x), (sy, dsy, d1y) = (
             (*derivative_of_integral(_axis_line(F, W, ax), terms[ax][0], _axis_coord(Z, ax)), terms[ax][1])
             for ax in component_axes(l))
-        out.append(dsx + sy * d1x + dsy + sx * d1y)
+        out.append(dsx + _cross(sy, d1x) + dsy + _cross(sx, d1y))
     return BicomplexNumber(out[0], out[1])
 
 

@@ -8,15 +8,11 @@ Integration conventions, fixed once here and asserted by tests:
   the plain componentwise area element ``dx dy`` (their scalar building
   block is stated that way).
 
-Singular area kernels are integrated by one routine,
-``_cauchy_area_integral``, for both reconstructions, each with its constant
-pair's kernel (``CauchyKernel``): one kernel sum of
-``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)`` times
-the kernel's area integral over the rectangle, in closed form as a sum over
-the four straightened edges (``_wedge_recip_area``).  Their contour sums
-evaluate the panels near a point exactly (``CauchyKernel.boundary_sums``), so
-both terms are smooth in the reconstruction point and trace derivatives can
-act on them.
+Both reconstructions take their singular kernel from the constant pair's
+``CauchyKernel``, which owns the kernel's sums, their close evaluation near
+the contour and its area integral over the rectangle
+(``CauchyKernel.area_integral``); this module supplies the nodes and the
+densities.
 """
 
 from __future__ import annotations
@@ -255,7 +251,7 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, wp: WeightPa
     ``F(W) = i * (boundary - area)``, where the boundary term integrates ``E
     * F`` against ``theta dy - phi_w dx`` and the area term integrates ``E *
     (theta dF/dx + phi_w dF/dy)`` against ``dx dy`` by
-    ``_cauchy_area_integral``.  For the classical pair and a holomorphic
+    ``CauchyKernel.area_integral``.  For the classical pair and a holomorphic
     ``F`` the area term vanishes; a general pair keeps it live.  ``W`` must
     pass ``check_reconstruction_point``.
     """
@@ -270,8 +266,8 @@ def borel_pompeiu_classical(F: ProductFunction, W: BicomplexNumber, wp: WeightPa
         z, wx, wy = _boundary_nodes(bounds, patch.k)
         bnd = kernel.boundary_sums(l, z, fl.f(z.real, z.imag) * boundary_measure(wp, l, z, wx, wy),
                                    zp)
-        area = _cauchy_area_integral(
-            kernel, l, bounds, patch.m,
+        area = kernel.area_integral(
+            l, bounds, _area_nodes(bounds, patch.m),
             lambda x, y: apply_cr_weighted(wp, l, x, y, fl.dx(x, y), fl.dy(x, y)))(zp)
         res.append(abs(1j * (bnd - area)[0] - fl.f(wz.real, wz.imag)))
     return HyperbolicNumber(res[0], res[1])
@@ -366,57 +362,6 @@ def frac_gauss_residual(
 # proportional fractional reconstruction (the deep identity)
 
 
-def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z):
-    """Area integral of ``1 / (a*(v-z) + b*conj(v-z))`` over the rectangle,
-    in closed form, for ``|a| > |b|`` and a pole ``z`` strictly inside.
-
-    With ``s = a*w + b*conj(w)`` and ``w = v - z``, the substitution ``v ->
-    s`` has Jacobian ``det = |a|^2 - |b|^2`` and maps the rectangle onto a
-    parallelogram around ``s = 0``, over which ``1/s = d(conj(s)/s)/d(conj
-    s)``.  By Green's theorem the integral is ``(1/2i) * contour integral of
-    conj(s)/s ds`` (the pole adds nothing), and along an edge from ``s0`` to
-    ``s1``, with ``d = s1 - s0``, that is ``Im(conj(s0)*d)/d * Log(s1/s0)``
-    up to terms that cancel around the contour.  The edge does not pass
-    through the pole, so the principal logarithm is its continuous branch.
-
-    ``z`` is a point or an array of points; a scalar ``z`` gives a scalar."""
-    x0, x1, y0, y1 = bounds
-    shape = np.shape(z)
-    z = np.asarray(z, dtype=complex).ravel()  # array arithmetic even for one point
-    corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-    s = [a * (c - z) + b * np.conjugate(c - z) for c in corners]
-    total = 0.0 + 0.0j
-    for s0, s1 in zip(s, s[1:] + s[:1]):
-        d = s1 - s0
-        total = total + (np.conjugate(s0) * d).imag / d * np.log(s1 / s0)
-    return (total / (abs(a) ** 2 - abs(b) ** 2)).reshape(shape)[()]
-
-
-def _cauchy_area_integral(kernel: CauchyKernel, l: int, bounds: tuple, m: int, h_at: Callable):
-    """The area integral ``integral E_l(v, z) * h(v) dx dy`` over the
-    rectangle, as a function of an array of points ``z`` (of any shape)
-    strictly inside it.
-
-    ``h_at(x, y)`` is evaluated once on the area nodes' axes, and then once
-    per evaluation, at its points ``z``.  Each evaluation is one kernel sum of
-    ``h(v) - h(z)``, whose integrand is bounded at the pole, plus ``h(z)``
-    times the kernel's area integral in closed form.  The subtraction
-    degrades within the last cell ring, where the exact integral and the
-    discrete near field no longer cancel.
-    """
-    x_a, y_a, w_a = _area_nodes(bounds, m)
-    v_nodes = (x_a + 1j * y_a).ravel()
-    charges = np.stack([(w_a * h_at(x_a, y_a)).ravel(), w_a.ravel()], axis=1)
-    a_map, b_map = kernel._maps[l - 1]
-
-    def integral(zp):
-        field_sum, mass_sum = np.moveaxis(kernel.sums(l, v_nodes, charges, zp), -1, 0)
-        wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
-        return field_sum + h_at(zp.real, zp.imag) * (wedges - mass_sum)
-
-    return integral
-
-
 def frac_bp_reconstruct(
     F,
     W: BicomplexNumber,
@@ -496,7 +441,7 @@ def _area_map_builder(l, h_at: Callable, kernel: CauchyKernel, lam_fn, bounds: t
     as a function of the trace point ``z``, for the area density ``h_at`` of
     ``_frac_gauss_terms``.  The density is evaluated once per area axis and
     broadcast, and at each call on the call's points for the subtraction
-    constant ``h(z)`` (see ``_cauchy_area_integral``), so the map stays
+    constant ``h(z)`` (see ``CauchyKernel.area_integral``), so the map stays
     smooth inside the rectangle where the trace derivative differences it.
 
     Returns the map and its clamp region ``((x_lo, x_hi), (y_lo, y_hi))``,
@@ -504,7 +449,7 @@ def _area_map_builder(l, h_at: Callable, kernel: CauchyKernel, lam_fn, bounds: t
     ``_trace_derivative_of_map`` samples each live trace line within it, in
     its one call of the map per component.
     """
-    integral = _cauchy_area_integral(kernel, l, bounds, m, h_at)
+    integral = kernel.area_integral(l, bounds, _area_nodes(bounds, m), h_at)
     x0, x1, y0, y1 = bounds
     cell_x, cell_y = (x1 - x0) / m, (y1 - y0) / m
     region = ((x0 + cell_x, x1 - cell_x), (y0 + cell_y, y1 - cell_y))

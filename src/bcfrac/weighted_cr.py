@@ -16,7 +16,10 @@ them.
 
 Cauchy-type kernels are provided for the classical pair and for constant
 orientation-preserving pairs, where a real-linear substitution turns the
-weighted operator into the classical one (see :class:`CauchyKernel`).
+weighted operator into the classical one.  :class:`CauchyKernel` alone knows
+that kernel: its sums, their close evaluation near a contour and its area
+integral over a rectangle, each smooth in the evaluation point, so that trace
+derivatives can act on them.
 """
 
 from __future__ import annotations
@@ -294,12 +297,61 @@ class CauchyKernel:
                 np.add.at(res, hit_t, np.sum(node_wts * col[panel_nodes], axis=1))
         return out.T.reshape(s_tgt.shape + np.shape(charges)[1:])
 
+    def area_integral(self, l: int, bounds: tuple, nodes: tuple, h_at: Callable):
+        """The area integral ``integral E_l(v, z) * h(v) dx dy`` over the
+        rectangle ``bounds``, as a function of an array of points ``z`` (of
+        any shape) strictly inside it; ``nodes`` are the rectangle's area
+        nodes, a column ``x``, a row ``y`` and their weight grid.
+
+        ``h_at(x, y)`` is evaluated once on the nodes, then once per
+        evaluation at its points ``z``: one kernel sum of ``h(v) - h(z)``,
+        bounded at the pole, plus ``h(z)`` times the kernel's area integral in
+        closed form (``_wedge_recip_area``).  The subtraction degrades within
+        the last cell ring, where the two no longer cancel."""
+        x_a, y_a, w_a = nodes
+        v_nodes = (x_a + 1j * y_a).ravel()
+        charges = np.stack([(w_a * h_at(x_a, y_a)).ravel(), w_a.ravel()], axis=1)
+        a_map, b_map = self._maps[l - 1]
+
+        def integral(zp):
+            field_sum, mass_sum = np.moveaxis(self.sums(l, v_nodes, charges, zp), -1, 0)
+            wedges = (-1j / np.pi) * _wedge_recip_area(a_map, b_map, bounds, zp)
+            return field_sum + h_at(zp.real, zp.imag) * (wedges - mass_sum)
+
+        return integral
+
     def _straightened(self, l: int, sources, charges, targets):
         """Straightened sources and targets, and ``-i/pi`` times the charges, a row per column."""
         s_src = self.smap(l, np.asarray(sources, dtype=complex).ravel())
         s_tgt = self.smap(l, np.asarray(targets, dtype=complex))
         c = np.asarray(charges, dtype=complex)
         return s_src, s_tgt, np.multiply(c.reshape(s_src.size, -1).T, -1j / np.pi, order="C")
+
+
+def _wedge_recip_area(a: complex, b: complex, bounds: tuple, z):
+    """Area integral of ``1 / (a*(v-z) + b*conj(v-z))`` over the rectangle,
+    in closed form, for ``|a| > |b|`` and a pole ``z`` strictly inside.
+
+    With ``s = a*w + b*conj(w)`` and ``w = v - z``, the substitution ``v ->
+    s`` has Jacobian ``det = |a|^2 - |b|^2`` and maps the rectangle onto a
+    parallelogram around ``s = 0``, over which ``1/s = d(conj(s)/s)/d(conj
+    s)``.  By Green's theorem the integral is ``(1/2i) * contour integral of
+    conj(s)/s ds`` (the pole adds nothing), and along an edge from ``s0`` to
+    ``s1``, with ``d = s1 - s0``, that is ``Im(conj(s0)*d)/d * Log(s1/s0)``
+    up to terms that cancel around the contour.  The edge does not pass
+    through the pole, so the principal logarithm is its continuous branch.
+
+    ``z`` is a point or an array of points; a scalar ``z`` gives a scalar."""
+    x0, x1, y0, y1 = bounds
+    shape = np.shape(z)
+    z = np.asarray(z, dtype=complex).ravel()  # array arithmetic even for one point
+    corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+    s = [a * (c - z) + b * np.conjugate(c - z) for c in corners]
+    total = 0.0 + 0.0j
+    for s0, s1 in zip(s, s[1:] + s[:1]):
+        d = s1 - s0
+        total = total + (np.conjugate(s0) * d).imag / d * np.log(s1 / s0)
+    return (total / (abs(a) ** 2 - abs(b) ** 2)).reshape(shape)[()]
 
 
 def _block_sums(s_src, q, flat, hit_t, hit_v):
@@ -326,28 +378,19 @@ def _block_sums(s_src, q, flat, hit_t, hit_v):
 def _close_panels(s_src: np.ndarray, targets: np.ndarray):
     """``(target, panel, zeta, half)``, ordered by target, of the targets
     within ``_CLOSE_RADIUS`` half-lengths ``half`` of a panel's midpoint,
-    ``zeta`` in the panel's coordinate.  Midpoints are bucketed on a grid of
-    that radius, numbered ``column * 2^26 + row`` (a row past 2^25 aliases,
-    and the radius test rejects such candidates); a target's candidates are
-    three runs of sorted numbers, its 3 x 3 buckets, none far from the contour."""
+    ``zeta`` in the panel's coordinate.  Every (target, panel) pair is tested,
+    in the row blocks of ``_block_sums``: a block of ``zeta`` is a quarter of
+    its kernel block."""
     mid = 0.5 * (s_src[0::4] + s_src[3::4])
     half = (s_src[3::4] - s_src[0::4]) / (_GL4_NODES[3] - _GL4_NODES[0])
-    cell = _CLOSE_RADIUS * float(np.abs(half).max())
-    bucket = np.floor(mid.real / cell) * 2.0**26 + np.floor(mid.imag / cell)
-    order = bucket.argsort(kind="stable")
-    bucket = bucket[order]
-    runs = ((np.floor(targets.real / cell) * 2.0**26 + np.floor(targets.imag / cell))[:, None]
-            + np.array([-1.0, 0.0, 1.0]) * 2.0**26 - 1.0).ravel()
-    lo = bucket.searchsorted(runs, "left")
-    counts = bucket.searchsorted(runs + 2.0, "right") - lo
-    if not counts.any():
-        return (np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),) * 2
-    hit_t = np.repeat(np.arange(runs.size) // 3, counts)
-    # the j-th candidate overall is the (j - first index of its run)-th of its run
-    hit_p = order[np.arange(hit_t.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    zeta = (targets[hit_t] - mid[hit_p]) / half[hit_p]
-    near = zeta.real * zeta.real + zeta.imag * zeta.imag < _CLOSE_RADIUS**2
-    return hit_t[near], hit_p[near], zeta[near], half[hit_p[near]]
+    rows = max(1, _KERNEL_BLOCK_ELEMENTS // max(1, s_src.size))
+    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),)]
+    for start in range(0, targets.size, rows):
+        zeta = (targets[start:start + rows, None] - mid) / half
+        hit_t, hit_p = np.nonzero(zeta.real * zeta.real + zeta.imag * zeta.imag < _CLOSE_RADIUS**2)
+        found.append((hit_t + start, hit_p, zeta[hit_t, hit_p]))
+    hit_t, hit_p, zeta = map(np.concatenate, zip(*found))
+    return hit_t, hit_p, zeta, half[hit_p]
 
 
 def _coincident_pairs(s_src: np.ndarray, s_tgt: np.ndarray):

@@ -1,3 +1,6 @@
+import contextlib
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import gamma
@@ -411,8 +414,10 @@ class TestInversionIdentity:
                                                        corner):
         # the record of a study's first level (n = 64), read at a finer one,
         # against the check that builds its own; on the first plane's anchor
-        # corner D[1] is infinite along a live axis, the first component is
-        # not finite, and the second still is
+        # corner D[1] is infinite along a live axis, and a cross term is zero
+        # where its integral is, so the residual stays finite, except where
+        # the other axis has proportion zero: its trace integral is the
+        # identity, nonzero there, and both sides hold an infinite cross term
         from bcfrac.frac_cr_bicomplex import compose_derivative_of_integral, inversion_terms
 
         rect = RectDomain(*[0.5, 1.5] * 4)
@@ -425,7 +430,8 @@ class TestInversionIdentity:
         def bits(*values):
             return [float(x).hex() for v in values for x in (np.real(v), np.imag(v))]
 
-        with np.errstate(invalid="ignore"):
+        infinite = corner and sigma[1] == 0.0
+        with pytest.warns(RuntimeWarning) if infinite else contextlib.nullcontext():
             held = inversion_terms(poly_field, W, first, Z, compose_derivative_of_integral)
             got = inversion_check(poly_field, W, finer, Z, held)
             want = inversion_check(poly_field, W, finer, Z)
@@ -433,10 +439,28 @@ class TestInversionIdentity:
             rem = remainder_R(poly_field, W, finer, Z)
         assert bits(got.l1, got.l2) == bits(want.l1, want.l2)
         assert bits(rem_held.z1, rem_held.z2) == bits(rem.z1, rem.z2)
-        assert np.isfinite(got.l2) and np.isfinite(got.l1) != corner
+        assert np.isfinite(got.l2) and np.isfinite(got.l1) != infinite
         if corner and sigma[1] != 0.0:
             # a cross term is zero where its integral is, D[1] infinite or not
             assert held.axes[0][1] == np.inf and rem_held.z1 == 0
+
+    @pytest.mark.parametrize("Z", [BicomplexNumber(0.5 + 0.5j, 1.1 + 1.25j),
+                                   BicomplexNumber(0.5 + 0.5j, 0.5 + 0.5j)],
+                             ids=["first-plane-anchor", "double-anchor"])
+    def test_anchor_cross_terms_are_zero_not_nan(self, poly_field, Z):
+        # at a plane's anchor corner every live axis has an infinite D[1] and
+        # a zero integral: the composition's cross terms, like the
+        # remainder's, are zero there, not 0 * inf
+        rect = RectDomain(*[0.5, 1.5] * 4)
+        W = rect.point(0.41, 0.37, 0.53, 0.61)
+        p = FracParams(rect, (0.5, 0.6, 0.45, 0.55), (0.7, 0.4, 0.9, 0.2),
+                       Phi4.fractal(0.5, 0.6, 0.7, 0.8), Quadrature1D(n=256))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = inversion_check(poly_field, W, p, Z)
+        anchored = [got.l1] + ([got.l2] if Z.z2 == Z.z1 else [])
+        assert np.isfinite(got.l1) and np.isfinite(got.l2)
+        assert max(anchored) <= 1e-12
 
     def test_remainder_vanishes_at_corner(self, setup):
         rect, phi, F, W, _ = setup

@@ -609,7 +609,7 @@ BP_GENERAL_PAIR = (1.0933 + 0.2109j, -0.5926 + 1.3771j)
     (BP_GENERAL_PAIR[0] - 1j * BP_GENERAL_PAIR[1], -(BP_GENERAL_PAIR[0] + 1j * BP_GENERAL_PAIR[1])),
 ], ids=["classical", "constant-pair"])
 def test_wedge_recip_area_on_point_array_matches_per_point_calls(a, b):
-    from bcfrac.quadrature_verify import _wedge_recip_area
+    from bcfrac.weighted_cr import _wedge_recip_area
 
     bounds = (0.15, 0.85, 0.2, 1.1)
     rng = np.random.default_rng(7)
@@ -651,7 +651,7 @@ def _polar_wedge_reference(a, b, bounds, z):
 def test_wedge_recip_area_is_the_exact_area_integral(a, b, fx, fy):
     # measured relative errors of the closed form: at most 3.7e-16 on these
     # points; a fixed angular rule per wedge loses digits next to a corner
-    from bcfrac.quadrature_verify import _wedge_recip_area
+    from bcfrac.weighted_cr import _wedge_recip_area
 
     bounds = (0.15, 0.85, 0.2, 1.1)
     z = complex(bounds[0] + fx * (bounds[1] - bounds[0]), bounds[2] + fy * (bounds[3] - bounds[2]))
@@ -660,7 +660,7 @@ def test_wedge_recip_area_is_the_exact_area_integral(a, b, fx, fy):
 
 
 def test_wedge_recip_area_of_scalar_point_is_scalar():
-    from bcfrac.quadrature_verify import _wedge_recip_area
+    from bcfrac.weighted_cr import _wedge_recip_area
 
     out = _wedge_recip_area(1.0, 0.0, (0.0, 1.0, 0.0, 1.0), 0.4 + 0.3j)
     assert np.ndim(out) == 0
@@ -669,7 +669,7 @@ def test_wedge_recip_area_of_scalar_point_is_scalar():
 
 def test_area_map_evaluates_each_call_in_one_batch(frac_setup, monkeypatch):
     # no deduplication: the line surrogates send at most 32 distinct points
-    from bcfrac import CauchyKernel
+    from bcfrac import CauchyKernel, weighted_cr
     from bcfrac import quadrature_verify as qv
 
     rect, phi, wp, F, patch, W, _ = frac_setup
@@ -687,7 +687,7 @@ def test_area_map_evaluates_each_call_in_one_batch(frac_setup, monkeypatch):
     assert values[3] == values[4]
 
     wedge_points, field_points = [], []
-    wedge, field = qv._wedge_recip_area, qv.frac_cr_component
+    wedge, field = weighted_cr._wedge_recip_area, qv.frac_cr_component
 
     def wedge_spy(a, b, bounds, z):
         wedge_points.append(np.shape(z))
@@ -697,7 +697,7 @@ def test_area_map_evaluates_each_call_in_one_batch(frac_setup, monkeypatch):
         field_points.append(np.shape(xs))
         return field(ix, iy, p, wp, l, xs, ys)
 
-    monkeypatch.setattr(qv, "_wedge_recip_area", wedge_spy)
+    monkeypatch.setattr(weighted_cr, "_wedge_recip_area", wedge_spy)
     monkeypatch.setattr(qv, "frac_cr_component", field_spy)
     tiled = area_map(np.tile(xs, 4), np.tile(ys, 4))
     assert np.array_equal(tiled, np.tile(values, 4))

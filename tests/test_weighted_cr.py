@@ -370,3 +370,63 @@ class TestCloseEvaluation:
         plain = kernel.sums(1, z, charges, targets)
         assert np.array_equal(got[[0, 2]], plain[[0, 2]])
         assert np.all(got[[1, 3]] != plain[[1, 3]])
+
+
+def _close_reference(kernel, k, s_tgt):
+    """Brute force: ``zeta`` of every target against every panel of
+    ``_boundary_nodes((0, 1, 0, 1), k)``, from the panels' end points mapped
+    to straightened coordinates, and the pairs with ``|zeta| <
+    _CLOSE_RADIUS``, ordered by target, then panel."""
+    ends = np.linspace(0.0, 1.0, k + 1)
+    back = ends[::-1]
+    start = np.concatenate([ends[:-1] + 0j, 1 + 1j * ends[:-1], back[:-1] + 1j, 1j * back[:-1]])
+    stop = np.concatenate([ends[1:] + 0j, 1 + 1j * ends[1:], back[1:] + 1j, 1j * back[1:]])
+    s0, s1 = kernel.smap(1, start), kernel.smap(1, stop)
+    half = 0.5 * (s1 - s0)
+    zeta = (s_tgt[:, None] - 0.5 * (s0 + s1)) / half
+    dist = np.abs(zeta)
+    assert not np.any(np.abs(dist - weighted_cr._CLOSE_RADIUS) < 1e-9)  # no tie at rounding
+    hit_t, hit_p = np.nonzero(dist < weighted_cr._CLOSE_RADIUS)
+    return hit_t, hit_p, zeta[hit_t, hit_p], half[hit_p]
+
+
+class TestClosePanels:
+    K = 8  # panels per edge
+
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_every_close_pair_in_target_order(self, pair, rows, monkeypatch):
+        # targets inside, outside and on the contour, a contour node and a
+        # corner among them, in blocks of ``rows`` targets
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        z, _, _ = _boundary_nodes((0.0, 1.0, 0.0, 1.0), self.K)
+        rng = np.random.default_rng(11)
+        targets = -0.5 + 2.0 * (rng.random(13) + 1j * rng.random(13))
+        targets[[4, 9]] = z[37], 0j
+        s_src, s_tgt = kernel.smap(1, z), kernel.smap(1, targets)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", rows * z.size)
+        got = weighted_cr._close_panels(s_src, s_tgt)
+        want = _close_reference(kernel, self.K, s_tgt)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.allclose(got[2], want[2], rtol=0, atol=1e-12)
+        assert np.allclose(got[3], want[3], rtol=1e-14, atol=0)
+        assert set(want[0]) >= {4, 9} and len(set(want[0])) < targets.size
+        node_hits = want[2][want[0] == 4]
+        assert np.min(np.abs(node_hits.imag)) < 1e-12  # the node's own panel, on its axis
+        corner_hits = want[2][want[0] == 9]
+        assert np.sum(np.isclose(np.abs(corner_hits), 1.0, rtol=0, atol=1e-12)) == 2
+
+    def test_no_targets(self):
+        kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
+        z, _, _ = _boundary_nodes((0.0, 1.0, 0.0, 1.0), self.K)
+        got = weighted_cr._close_panels(kernel.smap(1, z), np.empty(0, dtype=complex))
+        assert [(a.shape, a.dtype.kind) for a in got] == [((0,), "i")] * 2 + [((0,), "c")] * 2
+
+
+def test_panel_rule_nodes_are_the_close_evaluation_nodes():
+    # close evaluation assumes the contour's panels carry the nodes of
+    # ``_GL4_NODES``: those of the 4-point rule ``_boundary_nodes`` lays out
+    from bcfrac.quadrature_verify import _gl_reference
+
+    np.testing.assert_array_max_ulp(2.0 * _gl_reference(4)[0] - 1.0, weighted_cr._GL4_NODES,
+                                    maxulp=2)

@@ -1,0 +1,120 @@
+"""Dump every residual of the benchmark configs and preset bundles as
+float.hex, and list the values that moved between two dumps.
+
+    python tools/residual_hex.py dump OUT.json [--root CHECKOUT]
+    python tools/residual_hex.py diff A.json B.json
+
+``dump`` runs, in this process, every item of the perfbench workload configs
+that ``perfbench/generate.py --seed N`` writes at seeds 0, 1 and 2 (into a
+temporary directory, so nothing under ``perfbench/`` changes) and every
+shipped preset bundle, and records ``res_l1``, ``res_l2`` and ``order`` of
+each level as float.hex.
+``--root`` names the checkout whose ``src/`` and ``perfbench/generate.py``
+run (this one by default), so one copy of the tool dumps two checkouts.
+
+``diff`` prints each value whose float.hex differs, with its absolute and
+relative change, and each item or level that only one dump holds; it exits
+1 when anything differs and 0 when nothing does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIELDS = ("res_l1", "res_l2", "order")
+SEEDS = (0, 1, 2)
+
+
+def _hex(value):
+    return None if value is None else float(value).hex()
+
+
+def _records(reports) -> list:
+    return [dict(m=r.m, k=r.k, n=r.n, **{f: _hex(getattr(r, f)) for f in FIELDS})
+            for r in reports]
+
+
+def dump(root: Path) -> dict:
+    """``{item key: [level record, ...]}`` for every perfbench item at each
+    of ``SEEDS`` and every preset bundle of the checkout at ``root``."""
+    sys.path.insert(0, str(root / "src"))
+    from bcfrac.cli import load_config, run_suite
+    from bcfrac.presets import EXPERIMENT_PRESETS
+
+    items = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        configs = []
+        for seed in SEEDS:
+            out = tmp / f"seed{seed}"
+            subprocess.run([sys.executable, str(root / "perfbench" / "generate.py"),
+                            "--seed", str(seed), "--out", str(out)],
+                           check=True, stdout=subprocess.DEVNULL)
+            configs += [(f"seed{seed}/{path.stem}", path) for path in sorted(out.glob("*.json"))]
+        for bundle in EXPERIMENT_PRESETS:
+            path = tmp / f"preset-{bundle}.json"
+            path.write_text(json.dumps({"experiments": [bundle]}))
+            configs.append((f"preset/{bundle}", path))
+        for prefix, path in configs:
+            _, reports_by_name = run_suite(load_config(str(path)))
+            for name, reports in reports_by_name.items():
+                items[f"{prefix}/{name}"] = _records(reports)
+    return items
+
+
+def _change(a: str, b: str) -> str:
+    x, y = float.fromhex(a), float.fromhex(b)
+    rel = abs(y - x) / abs(x) if x else float("inf")
+    return f"{a} -> {b}  abs {y - x:+.2e}  rel {rel:.2e}"
+
+
+def diff(a: dict, b: dict) -> list:
+    """One line per moved value, and per item or level only one side holds."""
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        if key not in a or key not in b:
+            lines.append(f"{key}: only in {'B' if key not in a else 'A'}")
+            continue
+        if len(a[key]) != len(b[key]):
+            lines.append(f"{key}: {len(a[key])} levels in A, {len(b[key])} in B")
+        for level, (ra, rb) in enumerate(zip(a[key], b[key])):
+            for field in FIELDS:
+                va, vb = ra.get(field), rb.get(field)
+                if va == vb:
+                    continue
+                if va is None or vb is None:
+                    lines.append(f"{key} level {level} {field}: {va} -> {vb}")
+                else:
+                    lines.append(f"{key} level {level} {field}: {_change(va, vb)}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="write every residual as float.hex")
+    p_dump.add_argument("out")
+    p_dump.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
+                        help="checkout to run (default: this one)")
+    p_diff = sub.add_parser("diff", help="list the values that moved between two dumps")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        items = dump(Path(args.root).resolve())
+        Path(args.out).write_text(json.dumps(items, indent=1, sort_keys=True) + "\n")
+        print(f"{len(items)} items, {sum(map(len, items.values()))} levels -> {args.out}")
+        return 0
+    a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
+    lines = diff(a, b)
+    print("\n".join(lines) if lines else "no value moved")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
