@@ -315,15 +315,20 @@ def remainder_R(F, W: BicomplexNumber, p: FracParams, Z: BicomplexNumber,
     terms = axis_terms(W, p, Z) if terms is None else terms
     i_vals = [prop_frac_integral(_axis_line(F, W, ax), spec, "left", _axis_coord(Z, ax), p.quadrature)
               for ax, (spec, _) in enumerate(terms)]
-    (_, d1x), (_, d1y), (_, d2x), (_, d2y) = terms
-    return BicomplexNumber(_cross(i_vals[1], d1x) + _cross(i_vals[0], d1y),
-                           _cross(i_vals[2], d2y) + _cross(i_vals[3], d2x))
+    (p1x, d1x), (p1y, d1y), (p2x, d2x), (p2y, d2y) = terms
+    return BicomplexNumber(_cross(i_vals[1], p1y, d1x) + _cross(i_vals[0], p1x, d1y),
+                           _cross(i_vals[2], p2x, d2y) + _cross(i_vals[3], p2y, d2x))
 
 
-def _cross(s, d_one):
-    """A cross term ``s * D[1]``: zero where the integral ``s`` is, also at
-    the anchor, where ``D[1]`` is infinite."""
-    return 0.0 if s == 0 else s * d_one
+def _cross(s, s_spec: FracSpec, d_one):
+    """A cross term ``s * D[1]``, ``s`` the trace integral along the axis of
+    ``s_spec``: zero where ``s`` is, also at the anchor, where ``D[1]`` is
+    infinite.  Along an axis of proportion zero ``s`` is ``f`` itself, on
+    both sides of the identity, so where ``D[1]`` is infinite both would
+    hold the same infinite term: it is left out of both."""
+    if s == 0 or (s_spec.sigma == 0.0 and d_one == np.inf):
+        return 0.0
+    return s * d_one
 
 
 #: Chebyshev samples of the deep area and boundary maps per live trace line
@@ -396,10 +401,10 @@ def compose_derivative_of_integral(F, W, p: FracParams, Z: BicomplexNumber,
     terms = axis_terms(W, p, Z) if terms is None else terms
     out = []
     for l in (1, 2):
-        (sx, dsx, d1x), (sy, dsy, d1y) = (
-            (*derivative_of_integral(_axis_line(F, W, ax), terms[ax][0], _axis_coord(Z, ax)), terms[ax][1])
-            for ax in component_axes(l))
-        out.append(dsx + _cross(sy, d1x) + dsy + _cross(sx, d1y))
+        (sx, dsx), (sy, dsy) = (derivative_of_integral(_axis_line(F, W, ax), terms[ax][0], _axis_coord(Z, ax))
+                                for ax in component_axes(l))
+        (px, d1x), (py, d1y) = (terms[ax] for ax in component_axes(l))
+        out.append(dsx + _cross(sy, py, d1x) + dsy + _cross(sx, px, d1y))
     return BicomplexNumber(out[0], out[1])
 
 

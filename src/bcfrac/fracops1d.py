@@ -25,7 +25,9 @@ in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
 * ``gauss_jacobi``: a Gauss-Jacobi rule with the ``v^(a-1)`` weight built in,
   spectrally accurate for smooth integrands.  The rule is built here with
   numpy alone: Golub-Welsch nodes from the symmetric Jacobi matrix, refined
-  by a Newton step, and Christoffel-number weights (see ``_jacobi_rule``).
+  by a Newton step, and Christoffel-number weights (see ``_jacobi_rule``,
+  which serves this scheme alone: its weight is singular at the anchor end,
+  where weights read off the eigenvectors would lose digits).
 
 Each scheme has one cached reference row at ``L = 1`` (``_reference_row``);
 a row over ``v`` in ``[0, L]`` is ``L^a`` times it, with the tempered factor
@@ -36,7 +38,9 @@ gets them in closed form, and any other weight by Newton's method on
 
 ``derivative_of_integral`` builds no row: it takes the left derivative of a
 left integral on Jacobi series of the line, and ``derivative_of_one`` that of
-one in closed form, for the composition identity.
+one in closed form, for the composition identity.  The series' weights are
+not singular, and their nodes and analysis maps come from one
+eigendecomposition of the Jacobi matrix each (``_jacobi_analysis``).
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -291,7 +295,7 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
         big_l = min(big_l, u0 + 2.0 / abs(c))
     d, n = w.exponent, 32
     while True:
-        x, analysis = _legendre_analysis(n)
+        x, analysis = _jacobi_analysis(n, 1.0)
         u = 0.5 * big_l * (1.0 + x)
         if d is None:
             ts = w.inverse(float(w.phi(np.asarray(w.lo))) + u)
@@ -387,29 +391,44 @@ def _integral_dispatch(f, p, side, ts, q):
 _ANCHOR_GRADING = 3.0
 
 
-@lru_cache(maxsize=64)
-def _jacobi_rule(n: int, beta_key: float):
-    """Gauss rule of the weight ``(1+x)^(beta-1)`` on ``[-1, 1]``.
-
-    The nodes are the eigenvalues of the symmetric Jacobi matrix (Golub &
-    Welsch, Math. Comp. 23 (1969) 221-230), refined by one Newton step on
-    the three-term recurrence of the orthonormal polynomials ``p_k``.  The
-    weights are the Christoffel numbers ``1 / sum_{k<n} p_k(x)^2`` at the
-    refined nodes.  Squared eigenvector components, and the ``1 / (p_{n-1}
-    p_n')`` form, lose digits at the nodes next to the singular end, where
-    a rounding of the node moves them far: up to 1e-6 relative at n = 512
-    and beta = 0.001, against about 1e-11 for the Christoffel numbers.
-    """
-    b = beta_key - 1.0  # Jacobi exponents (0, b)
+def _jacobi_matrix(n: int, beta: float) -> tuple:
+    """``(matrix, diag, off)`` of the weight ``(1+x)^(beta-1)`` on ``[-1,
+    1]``: the three-term recurrence of its orthonormal polynomials, ``x p_k
+    = off[k+1] p_(k+1) + diag[k] p_k + off[k] p_(k-1)`` for ``k = 0 ... n``,
+    and the symmetric Jacobi matrix, its leading ``n x n`` block (Golub &
+    Welsch, Math. Comp. 23 (1969) 221-230)."""
+    b = beta - 1.0  # Jacobi exponents (0, b)
     # k + b and s - 1 at k = 1, and b + 1, equal beta: formed from b they
     # would lose 1.1e-16 / beta relative, so every exponent comes from beta
     k = np.arange(n + 1, dtype=float)
-    s = 2.0 * k - 1.0 + beta_key
+    s = 2.0 * k - 1.0 + beta
     with np.errstate(divide="ignore", invalid="ignore"):
         diag = b * b / (s * (s + 2.0))
-        off = np.sqrt(4.0 * k * k * (k - 1.0 + beta_key) ** 2 / (s * s * (s + 1.0) * (2.0 * k - 2.0 + beta_key)))
-    diag[0], off[0] = b / (beta_key + 1.0), 0.0
-    x = np.linalg.eigvalsh(np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1))
+        off = np.sqrt(4.0 * k * k * (k - 1.0 + beta) ** 2 / (s * s * (s + 1.0) * (2.0 * k - 2.0 + beta)))
+    diag[0], off[0] = b / (beta + 1.0), 0.0
+    return np.diag(diag[:n]) + np.diag(off[1:n], 1) + np.diag(off[1:n], -1), diag, off
+
+
+@lru_cache(maxsize=64)
+def _jacobi_rule(n: int, beta_key: float):
+    """Gauss rule of the weight ``(1+x)^(beta-1)`` on ``[-1, 1]``, for the
+    one caller that needs ``beta < 1``: ``_reference_row``'s
+    ``gauss_jacobi`` scheme.
+
+    The nodes are the eigenvalues of the Jacobi matrix (``_jacobi_matrix``),
+    refined by one Newton step on the three-term recurrence of the
+    orthonormal polynomials ``p_k``.  The weights are the Christoffel
+    numbers ``1 / sum_{k<n} p_k(x)^2`` at the refined nodes.  Below ``beta =
+    1`` the weight is singular at ``x = -1``, and there squared eigenvector
+    components, and the ``1 / (p_{n-1} p_n')`` form, lose digits at the
+    nodes next to the singular end, where a rounding of the node moves them
+    far: up to 1e-6 relative at n = 512 and beta = 0.001, against about
+    1e-11 for the Christoffel numbers.  The series weights of
+    ``_jacobi_analysis`` (``beta >= 1``) are not singular and take the
+    eigenvectors instead.
+    """
+    matrix, diag, off = _jacobi_matrix(n, beta_key)
+    x = np.linalg.eigvalsh(matrix)
 
     p_prev, p = np.zeros_like(x), np.ones_like(x)
     dp_prev, dp = np.zeros_like(x), np.zeros_like(x)
@@ -456,12 +475,21 @@ def _jacobi_polynomials(n: int, a: float, b: float, x):
     return np.array(rows)
 
 
-@lru_cache(maxsize=8)
-def _legendre_analysis(n: int) -> tuple:
-    """``(x, analysis)``: the ``n`` Gauss-Legendre nodes, and the map from
-    samples there to Legendre coefficients, exact for degree ``n - 1``."""
-    x, wx = _jacobi_rule(n, 1.0)
-    return _read_only(x, (np.arange(n)[:, None] + 0.5) * wx * _jacobi_polynomials(n, 0.0, 0.0, x))
+@lru_cache(maxsize=64)
+def _jacobi_analysis(n: int, beta: float) -> tuple:
+    """``(x, analysis)`` of the weight ``(1+x)^(beta-1)``, ``beta >= 1``: its
+    ``n`` Gauss nodes, and the map from samples there to coefficients in
+    ``P_k^(0,beta-1)``, exact for degree ``n - 1``; at ``beta = 1`` the
+    Gauss-Legendre nodes and Legendre coefficients.  Both come from one
+    eigendecomposition of the Jacobi matrix (``_jacobi_matrix``; Golub &
+    Welsch): the nodes are its eigenvalues, and column ``j`` of its
+    eigenvectors ``V`` holds ``p_k(x_j) sqrt(w_j)``, so that ``w_j p_k(x_j)
+    = sqrt(mass) V[k,j] V[0,j]`` whatever each column's sign.  Dividing by
+    ``||P_k||`` over ``sqrt(mass)``, ``sqrt(2^beta/(2k+beta))`` over
+    ``sqrt(2^beta/beta)``, gives the map."""
+    x, v = np.linalg.eigh(_jacobi_matrix(n, beta)[0])
+    norm = np.sqrt((2.0 * np.arange(n) + beta) / beta)[:, None]  # sqrt(mass) / ||P_k^(0,beta-1)||
+    return _read_only(x, norm * v * v[0])
 
 
 @lru_cache(maxsize=64)
@@ -470,14 +498,12 @@ def _series_maps(n: int, gamma: float) -> tuple:
     ``gamma``: ``(integral, expand, ratios)``.  ``integral`` takes Legendre
     coefficients ``a_k`` to ``sum a_k Gamma(k+1)/Gamma(k+gamma+1)
     P_k^(-gamma,gamma)`` at the Gauss-Jacobi nodes of ``(1+x)^gamma``, and
-    ``expand`` takes values there to coefficients in ``P_k^(0,gamma)``,
-    exactly for degree ``n - 1``.  ``ratios`` holds
+    ``expand`` (``_jacobi_analysis``) takes values there to coefficients in
+    ``P_k^(0,gamma)``, exactly for degree ``n - 1``.  ``ratios`` holds
     ``Gamma(k+gamma+1)/Gamma(k+1)``."""
     lg = np.array([[math.lgamma(j + s) for j in range(n)] for s in (1.0, 1.0 + gamma)])
-    y, wy = _jacobi_rule(n, 1.0 + gamma)
+    y, expand = _jacobi_analysis(n, 1.0 + gamma)
     integral = (np.exp(lg[0] - lg[1])[:, None] * _jacobi_polynomials(n, -gamma, gamma, y)).T
-    norm = (2.0 * np.arange(n)[:, None] + gamma + 1.0) / 2.0 ** (gamma + 1.0)  # 1/||P_k^(0,gamma)||^2
-    expand = norm * wy * _jacobi_polynomials(n, 0.0, gamma, y)
     return _read_only(integral, expand, np.exp(lg[1] - lg[0]))
 
 

@@ -379,16 +379,29 @@ def _close_panels(s_src: np.ndarray, targets: np.ndarray):
     """``(target, panel, zeta, half)``, ordered by target, of the targets
     within ``_CLOSE_RADIUS`` half-lengths ``half`` of a panel's midpoint,
     ``zeta`` in the panel's coordinate.  Every (target, panel) pair is tested,
-    in the row blocks of ``_block_sums``: a block of ``zeta`` is a quarter of
-    its kernel block."""
+    in the row blocks of ``_block_sums`` (the two real blocks of the test are
+    a quarter of its kernel block), first by ``|t - mid|^2 < R^2 |half|^2``
+    with a relative margin of 1e-9, far above the rounding of either side.
+    Only those candidates are divided by ``half`` and held to ``|zeta|^2 <
+    R^2``, so the hits and the bits of their ``zeta`` are those of that test
+    on every pair."""
     mid = 0.5 * (s_src[0::4] + s_src[3::4])
     half = (s_src[3::4] - s_src[0::4]) / (_GL4_NODES[3] - _GL4_NODES[0])
+    reach = (_CLOSE_RADIUS**2 * (1.0 + 1e-9)) * (half.real * half.real + half.imag * half.imag)
     rows = max(1, _KERNEL_BLOCK_ELEMENTS // max(1, s_src.size))
     found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=complex),)]
     for start in range(0, targets.size, rows):
-        zeta = (targets[start:start + rows, None] - mid) / half
-        hit_t, hit_p = np.nonzero(zeta.real * zeta.real + zeta.imag * zeta.imag < _CLOSE_RADIUS**2)
-        found.append((hit_t + start, hit_p, zeta[hit_t, hit_p]))
+        block = targets[start:start + rows, None]
+        dist = block.real - mid.real
+        dist *= dist
+        dy = block.imag - mid.imag
+        dy *= dy
+        dist += dy
+        hit_t, hit_p = np.divmod(np.flatnonzero(dist < reach), mid.size)
+        hit_t += start
+        zeta = (targets[hit_t] - mid[hit_p]) / half[hit_p]
+        near = zeta.real * zeta.real + zeta.imag * zeta.imag < _CLOSE_RADIUS**2
+        found.append((hit_t[near], hit_p[near], zeta[near]))
     hit_t, hit_p, zeta = map(np.concatenate, zip(*found))
     return hit_t, hit_p, zeta, half[hit_p]
 

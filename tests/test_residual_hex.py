@@ -2,9 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "residual_hex.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "residual_hex.py"
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +23,7 @@ def _level(l1, l2, order=None):
 
 
 def _write(path, items):
-    path.write_text(json.dumps(items))
+    path.write_text(json.dumps({"items": items}))
     return str(path)
 
 
@@ -50,3 +52,52 @@ def test_each_moved_value_and_missing_entry_is_listed(residual_hex, tmp_path, ca
 def test_a_move_from_zero_has_an_infinite_relative_change(residual_hex):
     lines = residual_hex.diff({"x": [_level(0.0, 1.0)]}, {"x": [_level(1e-17, 1.0)]})
     assert lines == [f"x level 0 res_l1: {(0.0).hex()} -> {(1e-17).hex()}  abs +1.00e-17  rel inf"]
+
+
+def test_the_ledger_holds(residual_hex):
+    # every residual of the benchmark configs and preset bundles, against
+    # RESIDUALS.json: bit for bit under the Python and numpy that wrote it,
+    # and within the tool's stated bound under any other
+    ledger = json.loads((ROOT / "RESIDUALS.json").read_text())
+    exact, lines = residual_hex.check(ledger, residual_hex.dump(ROOT))
+    mode = "bit for bit" if exact else (
+        f"within {residual_hex.REL_BOUND:g} relative + {residual_hex.ABS_FLOOR:g}: the ledger was "
+        f"written by Python {ledger['python']} and numpy {ledger['numpy']}, this is "
+        f"{residual_hex.versions()}")
+    print(f"RESIDUALS.json compared {mode}")
+    assert not lines, f"compared {mode}; re-record with `dump RESIDUALS.json` if intended:\n" + "\n".join(lines)
+
+
+def test_one_ulp_of_one_residual_fails_the_check(residual_hex, monkeypatch, tmp_path):
+    # the fractal bundle's Gauss residual moved by one ulp in l1, against a
+    # ledger of the same bundle written in this process, so that the check
+    # runs bit for bit whatever Python and numpy run it
+    from bcfrac import quadrature_verify
+    from bcfrac.hypercomplex import HyperbolicNumber
+
+    path = tmp_path / "fractal.json"
+    path.write_text(json.dumps({"experiments": ["fractal"]}))
+    configs = [("preset/fractal", path)]
+    ledger = {**residual_hex.versions(), "items": residual_hex.run(configs)}
+    real = quadrature_verify.frac_gauss_residual
+
+    def one_ulp_up(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return HyperbolicNumber(float(np.nextafter(r.l1, np.inf)), r.l2)
+
+    monkeypatch.setattr(quadrature_verify, "frac_gauss_residual", one_ulp_up)
+    exact, lines = residual_hex.check(ledger, residual_hex.run(configs))
+    l1 = float.fromhex(ledger["items"]["preset/fractal/fractal-gauss"][0]["res_l1"])
+    assert exact and len(lines) == 1
+    assert lines[0].startswith(f"preset/fractal/fractal-gauss level 0 res_l1: {l1.hex()} -> "
+                               f"{np.nextafter(l1, np.inf).hex()}")
+
+
+def test_other_versions_compare_at_the_bound(residual_hex):
+    items = {"x": [_level(1e-3, 3e-13, 2.0)]}
+    moved = {"x": [_level(1e-3 * (1 + 5e-7), 3e-13 + 9e-13, 2.0 * (1 - 5e-7))]}
+    beyond = {"x": [_level(1e-3 * (1 + 2e-6), 3e-13, 2.0)]}
+    other = {"python": "0.0.0", "numpy": "0.0.0", "items": items}
+    assert residual_hex.check(other, moved) == (False, [])
+    assert [line.split(":")[0] for line in residual_hex.check(other, beyond)[1]] == ["x level 0 res_l1"]
+    assert residual_hex.check({**other, **residual_hex.versions()}, moved)[1]

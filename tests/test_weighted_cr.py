@@ -416,6 +416,38 @@ class TestClosePanels:
         corner_hits = want[2][want[0] == 9]
         assert np.sum(np.isclose(np.abs(corner_hits), 1.0, rtol=0, atol=1e-12)) == 2
 
+    @pytest.mark.parametrize("pair", sorted(KERNEL_PAIRS))
+    @pytest.mark.parametrize("rows", [1, 7, 64])
+    def test_the_prefilter_keeps_the_all_pairs_test(self, pair, rows, monkeypatch):
+        # the all-pairs form divides every (target, panel) difference by the
+        # panel's half-length and tests |zeta| < R: the prefilter must keep
+        # its hits, their order and the bits of their zeta, also for targets
+        # within 1e-12 of the radius, and a few ulp of it, on either side
+        kernel = CauchyKernel(KERNEL_PAIRS[pair])
+        z, _, _ = _boundary_nodes((0.0, 1.0, 0.0, 1.0), self.K)
+        s_src = kernel.smap(1, z)
+        mid = 0.5 * (s_src[0::4] + s_src[3::4])
+        half = (s_src[3::4] - s_src[0::4]) / (weighted_cr._GL4_NODES[3] - weighted_cr._GL4_NODES[0])
+        rng = np.random.default_rng(17)
+        panels = rng.integers(mid.size, size=60)
+        shift = np.concatenate([rng.uniform(-1e-12, 1e-12, 40), rng.uniform(-4e-16, 4e-16, 20)])
+        edge = mid[panels] + half[panels] * (weighted_cr._CLOSE_RADIUS * (1.0 + shift)
+                                             * np.exp(2j * np.pi * rng.random(60)))
+        spread = kernel.smap(1, -0.5 + 2.0 * (rng.random(40) + 1j * rng.random(40)))
+        order = rng.permutation(100)
+        targets = np.concatenate([edge, spread])[order]
+        zeta = (targets[:, None] - mid) / half
+        want_t, want_p = np.nonzero(zeta.real * zeta.real + zeta.imag * zeta.imag
+                                    < weighted_cr._CLOSE_RADIUS**2)
+        monkeypatch.setattr(weighted_cr, "_KERNEL_BLOCK_ELEMENTS", rows * z.size)
+        got = weighted_cr._close_panels(s_src, targets)
+        assert np.array_equal(got[0], want_t) and np.array_equal(got[1], want_p)
+        assert np.array_equal(got[2].view(np.uint64), zeta[want_t, want_p].view(np.uint64))
+        assert np.array_equal(got[3].view(np.uint64), half[want_p].view(np.uint64))
+        # the targets on the radius fall on both sides of it
+        own = zeta[np.argsort(order)[:60], panels]
+        assert 0 < np.sum(own.real * own.real + own.imag * own.imag < weighted_cr._CLOSE_RADIUS**2) < 60
+
     def test_no_targets(self):
         kernel = CauchyKernel(KERNEL_PAIRS["constant-pair"])
         z, _, _ = _boundary_nodes((0.0, 1.0, 0.0, 1.0), self.K)
