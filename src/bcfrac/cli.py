@@ -462,7 +462,7 @@ def _oracle_values(args) -> tuple:
         w = _oracle_weight("identity")
         spec = FracSpec(args.alpha, 1.0, w)
         closed = math.gamma(args.beta) / math.gamma(args.beta + args.alpha) * args.t ** (args.beta + args.alpha - 1)
-        engine = prop_frac_integral(lambda tau: tau ** (args.beta - 1.0), spec, "left", args.t, q)
+        engine = prop_frac_integral(lambda tau: tau ** (args.beta - 1.0), spec, args.t, q)
     elif args.op == "eigen":
         # tempered power input reproduced in closed form under the cubic weight
         w = _oracle_weight("cubic")
@@ -475,13 +475,13 @@ def _oracle_values(args) -> tuple:
                   * np.exp(c * pt) * pt ** (args.beta + args.alpha - 1))
         engine = prop_frac_integral(
             lambda tau: np.exp(c * (tau + tau**3)) * (tau + tau**3) ** (args.beta - 1.0),
-            spec, "left", args.t, q)
+            spec, args.t, q)
     elif args.op == "rl-const-derivative":
         w = _oracle_weight("identity")  # D 1 is t^-alpha / Gamma(1 - alpha) there
         spec = FracSpec(args.alpha, 1.0, w)
         closed = derivative_of_one(spec, args.t)
         engine = prop_frac_derivative(
-            lambda t: np.ones_like(np.asarray(t, dtype=float)), spec, "left", args.t, q)
+            lambda t: np.ones_like(np.asarray(t, dtype=float)), spec, args.t, q)
         if math.isinf(closed):
             raise ZeroDivisionError("the derivative of one is infinite at the anchor t = 0")
     else:  # argparse restricts op to the choices above

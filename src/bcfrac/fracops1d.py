@@ -1,16 +1,18 @@
 """One-dimensional proportional fractional operators with respect to a weight.
 
-The central objects are the left and right proportional fractional integrals
-of order ``alpha`` and proportion ``sigma`` taken with respect to a strictly
+The central object is the left (``a+``) proportional fractional integral of
+order ``alpha`` and proportion ``sigma`` taken with respect to a strictly
 increasing weight function ``phi``::
 
-    left:   (1 / (sigma^a * Gamma(a))) *
-            integral_a^t exp(((sigma-1)/sigma) * (phi(t)-phi(tau)))
-                         * (phi(t)-phi(tau))^(a-1) * f(tau) * phi'(tau) dtau
+    (1 / (sigma^a * Gamma(a))) *
+    integral_a^t exp(((sigma-1)/sigma) * (phi(t)-phi(tau)))
+                 * (phi(t)-phi(tau))^(a-1) * f(tau) * phi'(tau) dtau
 
-(and the mirrored form over ``[t, b]`` for the right side), together with the
-fractional derivatives obtained by composing a first-order proportional
-derivative with the integral of complementary order.
+together with the fractional derivative obtained by composing a first-order
+proportional derivative with the integral of complementary order.  Every
+operator here is left-sided.  The right (``b-``) operators of ``f`` at ``t``
+on ``phi`` over ``[a, b]`` are the left ones at ``s = -t`` on the weight
+``-phi(-s)`` over ``[-b, -a]``, with input ``f(-s)``.
 
 The kernel is weakly singular at ``tau = t``.  Both quadrature schemes work
 in the variable ``v = |phi(t) - phi(tau)|`` where the weight is exactly
@@ -150,13 +152,13 @@ class ScalarWeightFn:
             t, target, a, b, live = step[going], target[going], a[going], b[going], live[going]
         return out.reshape(np.shape(u))
 
-    def power_gap(self, x0, x1):
-        """``x1**exponent - x0**exponent`` for ``x0 <= x1`` in the interval,
-        without cancellation: ``x0**d * expm1(d*log1p((x1 - x0)/x0))``."""
-        d = self.exponent
+    def power_gap(self, t):
+        """``t**exponent - lo**exponent`` for ``t`` in the interval, without
+        cancellation: ``lo**d * expm1(d*log1p((t - lo)/lo))``."""
+        d, lo = self.exponent, self.lo
         if d == 1.0:
-            return x1 - x0
-        return x0**d * np.expm1(d * np.log1p((x1 - x0) / x0))
+            return t - lo
+        return lo**d * np.expm1(d * np.log1p((t - lo) / lo))
 
 
 @dataclass(frozen=True)
@@ -191,22 +193,19 @@ class FracSpec:
             raise ValueError("proportion must lie in [0, 1]")
 
 
-def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
-    """Left or right proportional fractional integral of ``f`` at ``t``.
-
-    ``side`` is ``"left"`` (integration from the lower interval end) or
-    ``"right"`` (from the upper end).  ``t`` may be a scalar or an array;
-    every entry gets its own rule row, which depends on that target only.
+def prop_frac_integral(f: Callable, p: FracSpec, t, q: Quadrature1D):
+    """Left proportional fractional integral of ``f`` at ``t``, from the
+    lower interval end.  ``t`` may be a scalar or an array; every entry gets
+    its own rule row, which depends on that target only.
     """
-    _check_side(side)
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t_arr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t_arr).ravel()
-    _check_targets(p.weight, side, ts)
+    _check_targets(p.weight, ts)
     if p.sigma == 0.0:
         out = np.asarray(f(ts)) + 0.0j  # identity limit of the tempered kernel
     else:
-        out = _integral_dispatch(f, p, side, ts, q)
+        out = _integral_dispatch(f, p, ts, q)
     if scalar:
         return out[0]
     return out.reshape(t_arr.shape)
@@ -215,24 +214,20 @@ def prop_frac_integral(f: Callable, p: FracSpec, side: str, t, q: Quadrature1D):
 def prop_frac_derivative(
     f: Callable,
     p: FracSpec,
-    side: str,
     t,
     q: Quadrature1D,
     h: Optional[float] = None,
 ):
-    """Proportional fractional derivative of order ``p.alpha``.
+    """Left proportional fractional derivative of order ``p.alpha``.
 
     Composes the first-order proportional step with the integral of
     complementary order ``1 - alpha``; the derivative of the inner integral
     is taken by a central difference of step ``h`` (``difference_step`` of
-    the interval when ``None``), clipped one-sided at the interval ends.  On
-    the right side the derivative part enters with the opposite sign, which
-    is what makes the right-sided composition with the right integral the
-    identity.  The inner integral is called once, on the stencil ``[max(t -
-    h, lo), min(t + h, hi)]`` and, where the term ``(1 - sigma) * integral``
-    is live (``sigma != 1``), on ``t`` itself.
+    the interval when ``None``), clipped one-sided at the interval ends.  The
+    inner integral is called once, on the stencil ``[max(t - h, lo), min(t +
+    h, hi)]`` and, where the term ``(1 - sigma) * integral`` is live
+    (``sigma != 1``), on ``t`` itself.
     """
-    _check_side(side)
     if p.alpha >= 1.0:
         raise ValueError("derivative order must lie in (0, 1)")
     w = p.weight
@@ -245,17 +240,16 @@ def prop_frac_derivative(
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t_arr = np.asarray(t, dtype=float)
     ts = np.atleast_1d(t_arr).ravel()
-    _check_targets(w, side, ts)
+    _check_targets(w, ts)
     if p.sigma == 0.0:
         out = np.asarray(f(ts)) + 0.0j
         return out[0] if scalar else out.reshape(t_arr.shape)
 
     tm, tp = np.maximum(ts - h, w.lo), np.minimum(ts + h, w.hi)
     stencil = (tm, tp) if p.sigma == 1.0 else (tm, tp, ts)
-    g = prop_frac_integral(f, FracSpec(1.0 - p.alpha, p.sigma, w), side,
+    g = prop_frac_integral(f, FracSpec(1.0 - p.alpha, p.sigma, w),
                            np.concatenate(stencil), q).reshape(len(stencil), ts.size)
-    sign = 1.0 if side == "left" else -1.0
-    out = sign * p.sigma * ((g[1] - g[0]) / (tp - tm)) / w.dphi(ts)
+    out = p.sigma * ((g[1] - g[0]) / (tp - tm)) / w.dphi(ts)
     if p.sigma != 1.0:
         out = (1.0 - p.sigma) * g[2] + out
     return out[0] if scalar else out.reshape(t_arr.shape)
@@ -290,7 +284,7 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
         return value, value
     w, gamma, sigma = p.weight, p.alpha, p.sigma
     c = (sigma - 1.0) / sigma
-    big_l, u0 = _singular_range(w, "left", np.array([w.hi, t])).tolist()
+    big_l, u0 = _singular_range(w, np.array([w.hi, t])).tolist()
     if c != 0.0:  # L is cut to U(t) + 2/|c|, where exp(-c(U - U(t))) reaches e^2
         big_l = min(big_l, u0 + 2.0 / abs(c))
     d, n = w.exponent, 32
@@ -330,7 +324,7 @@ def derivative_of_one(p: FracSpec, t: float) -> float:
     if p.sigma == 0.0:
         return 1.0
     gamma, sigma = p.alpha, p.sigma
-    big_u = float(_singular_range(p.weight, "left", np.array([t]))[0])
+    big_u = float(_singular_range(p.weight, np.array([t]))[0])
     if big_u == 0.0:
         return math.inf
     y = (1.0 - sigma) / sigma * big_u
@@ -349,21 +343,14 @@ def derivative_of_one(p: FracSpec, t: float) -> float:
 # quadrature internals
 
 
-def _check_side(side: str) -> None:
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-def _check_targets(w: ScalarWeightFn, side: str, ts: np.ndarray) -> None:
+def _check_targets(w: ScalarWeightFn, ts: np.ndarray) -> None:
     """Refuse targets beyond 1e-12 outside the interval or 1e-14 past the anchor."""
     # one pass each for the extremes; a NaN makes both NaN and fails the test
     t_min, t_max = np.min(ts, initial=np.inf), np.max(ts, initial=-np.inf)
     if not (t_min >= w.lo - 1e-12 and t_max <= w.hi + 1e-12):
         raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
-    if side == "left" and t_min < w.lo - 1e-14:
+    if t_min < w.lo - 1e-14:
         raise DomainError("left integral needs t >= lower end")
-    if side == "right" and t_max > w.hi + 1e-14:
-        raise DomainError("right integral needs t <= upper end")
 
 
 def _read_only(*arrays) -> tuple:
@@ -373,13 +360,13 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _integral_dispatch(f, p, side, ts, q):
+def _integral_dispatch(f, p, ts, q):
     """Integral at each target, one cache-sized block of rule rows at a time."""
     out = np.empty(ts.shape, dtype=complex)
     chunk = max(1, _CHUNK_ELEMENTS // q.n)
     for start in range(0, ts.size, chunk):
         sl = slice(start, start + chunk)
-        tau, wts = _rule(p, side, ts[sl], q)
+        tau, wts = _rule(p, ts[sl], q)
         out[sl] = np.sum(np.asarray(f(tau)) * wts, axis=1)
     return out
 
@@ -512,22 +499,22 @@ def _auto_grading(beta: float) -> float:
     return float(min(max(2.0 / beta, 1.0), GRADING_CAP))
 
 
-def _rule(p: FracSpec, side: str, ts: np.ndarray, q: Quadrature1D):
+def _rule(p: FracSpec, ts: np.ndarray, q: Quadrature1D):
     """Nodes and real weights of the rule of ``q.scheme``, one row per
     target; the tempered-exponential factor and ``1 / sigma^beta`` are folded
     into the weights so that ``sum(weights * f(nodes))`` approximates the
     integral.  Every row is ``L^beta * sigma^-beta`` times the scheme's
     reference row, ``L`` the range of the singular variable
     (``_singular_range``), times the tempered factor at ``v = L*u``.  Its
-    nodes are ``(t^d -+ L*u)^(1/d)`` for a weight declared in power form,
-    and ``inverse(phi(t) -+ L*u)`` for any other weight."""
+    nodes are ``(t^d - L*u)^(1/d)`` for a weight declared in power form,
+    and ``inverse(phi(t) - L*u)`` for any other weight."""
     w, beta, sigma = p.weight, p.alpha, p.sigma
     u, row = _reference_row(q.scheme, q.n, beta)
     d = w.exponent
     level = (np.asarray(w.phi(ts), dtype=float) if d is None else ts**d)[:, None]
-    big_l = _singular_range(w, side, ts, level[:, 0] if d is None else None)
+    big_l = _singular_range(w, ts, level[:, 0] if d is None else None)
     v = np.multiply(big_l[:, None], u)
-    tau = np.subtract(level, v, out=v) if side == "left" else np.add(level, v, out=v)
+    tau = np.subtract(level, v, out=v)
     if d is None:
         tau = w.inverse(tau)
     elif d != 1.0:
@@ -598,7 +585,7 @@ def _panel_weights(v: np.ndarray, beta: float) -> np.ndarray:
     return wts
 
 
-def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
+def tabulate(f: Callable, p: FracSpec, q: Quadrature1D):
     """Surrogate ``t -> I(t)`` of the integral of ``f``, for compositions that
     would otherwise take one full quadrature per node of the outer rule.
 
@@ -619,7 +606,6 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
     surrogate less exact than the rule.  At ``sigma = 0`` it is ``f``
     itself.
     """
-    _check_side(side)
     if p.sigma == 0.0:
         def identity(t):
             out = np.asarray(f(np.asarray(t, dtype=float))) + 0.0j
@@ -628,12 +614,12 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
         return identity
     w, beta = p.weight, p.alpha
     hair = 1e-12 * (w.hi - w.lo)
-    a, b = (w.lo + hair, w.hi) if side == "left" else (w.lo, w.hi - hair)
+    a, b = w.lo + hair, w.hi
     budget, n_cheb = max(256, q.n // 4), 32
     while True:
         theta, xs = _chebyshev_points(a, b, n_cheb)
-        samples = prop_frac_integral(f, p, side, xs, q)
-        gs = samples / _singular_range(w, side, xs) ** beta
+        samples = prop_frac_integral(f, p, xs, q)
+        gs = samples / _singular_range(w, xs) ** beta
         cos_tail = np.cos(np.outer(np.arange(n_cheb - n_cheb // 4, n_cheb), theta))
         # two real products: the first complex one maps 0.3 MB more memory
         tail = np.hypot(cos_tail @ gs.real, cos_tail @ gs.imag)
@@ -643,12 +629,12 @@ def tabulate(f: Callable, p: FracSpec, side: str, q: Quadrature1D):
             # not resolved within the budget: the rule itself, not a surrogate
             # less exact than it
             def direct(t):
-                return prop_frac_integral(f, p, side, np.clip(t, a, b), q)
+                return prop_frac_integral(f, p, np.clip(t, a, b), q)
 
             return direct
         n_cheb = min(2 * n_cheb, budget)
     return _barycentric(theta, xs, gs, a, b, exact=samples,
-                        scale=lambda t: _singular_range(w, side, t) ** beta)
+                        scale=lambda t: _singular_range(w, t) ** beta)
 
 
 def _chebyshev_points(a: float, b: float, n: int) -> tuple:
@@ -701,15 +687,13 @@ def _barycentric(theta: np.ndarray, xs: np.ndarray, values: np.ndarray, a: float
     return surrogate
 
 
-def _singular_range(w: ScalarWeightFn, side: str, ts: np.ndarray,
+def _singular_range(w: ScalarWeightFn, ts: np.ndarray,
                     phi_ts: Optional[np.ndarray] = None) -> np.ndarray:
-    """Range ``L`` of the singular variable at each target: ``power_gap`` to
-    the anchor for a declared power weight (taken without cancellation),
-    ``|phi(t) - phi(anchor)|`` otherwise, with ``phi(ts)`` from ``phi_ts``
-    when the caller holds it."""
-    anchor = w.lo if side == "left" else w.hi
+    """Range ``L`` of the singular variable at each target: ``power_gap``
+    from the anchor ``lo`` for a declared power weight (taken without
+    cancellation), ``|phi(t) - phi(lo)|`` otherwise, with ``phi(ts)`` from
+    ``phi_ts`` when the caller holds it."""
     if w.exponent is None:
         phi_ts = np.asarray(w.phi(ts), dtype=float) if phi_ts is None else phi_ts
-        return np.abs(phi_ts - float(w.phi(np.asarray(anchor))))
-    gap = w.power_gap(anchor, ts) if side == "left" else w.power_gap(ts, anchor)
-    return np.maximum(gap, 0.0)
+        return np.abs(phi_ts - float(w.phi(np.asarray(w.lo))))
+    return np.maximum(w.power_gap(ts), 0.0)

@@ -32,7 +32,6 @@ from .frac_cr_bicomplex import (
     _trace_derivative_of_map,
     axis_surrogate,
     component_axes,
-    compose_derivative_of_integral,
     factorization_check,
     frac_cr_component,
     inversion_check,
@@ -524,7 +523,7 @@ REGISTRY = {
                               True, False, kernel=True, point=True),
     "trace-inversion": Identity(
         lambda s, p, patch, held: inversion_check(s.F, s.W, p, s.Z, held), False, True,
-        level_free=lambda s, p: inversion_terms(s.F, s.W, p, s.Z, compose_derivative_of_integral)),
+        level_free=lambda s, p: inversion_terms(s.F, s.W, p, s.Z)),
     "factorization": Identity(
         lambda s, p, patch, _: factorization_check(s.F, s.W, p, s.wp, s.lam, s.Z), False, True,
         multiplier=True),

@@ -24,6 +24,8 @@ derivatives can act on them.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -226,13 +228,19 @@ class CauchyKernel:
         self.pairs = ((th1, ph1), (th2, ph2))
         self._maps = []
         for th, ph in self.pairs:
-            orient = np.imag(np.conjugate(th) * ph)
-            if orient <= 0:
+            # the Jacobian of s(v), by which _wedge_recip_area divides, is 4
+            # Im(conj(theta)*phi_w): positive exactly for an orientation
+            # preserving pair.  Python complex arithmetic overflows to inf
+            # without a warning.
+            a, b = th - 1j * ph, -(th + 1j * ph)
+            jacobian = abs(a) * abs(a) - abs(b) * abs(b)
+            if not (cmath.isfinite(a) and cmath.isfinite(b) and math.isfinite(jacobian)
+                    and jacobian > 0):
                 raise UnsupportedWeightsError(
-                    "constant pair must be orientation preserving "
-                    f"(Im(conj(theta)*phi) = {orient:.3e} <= 0)"
+                    "constant pair must be orientation preserving with a finite kernel "
+                    f"(Jacobian |a|^2 - |b|^2 = {jacobian:.3e} must be finite and positive)"
                 )
-            self._maps.append((th - 1j * ph, -(th + 1j * ph)))
+            self._maps.append((a, b))
         self.wp = wp
 
     def smap(self, l: int, v):

@@ -6,6 +6,7 @@ from numpy.polynomial import Polynomial
 from scipy.special import gamma
 
 from bcfrac import (
+    FracSpec,
     Phi4,
     PlaneFunction,
     ProductFunction,
@@ -103,11 +104,27 @@ def quad_default():
     return Quadrature1D(n=512)
 
 
+def _reflected(f, p: FracSpec) -> tuple:
+    """``(g, r)``: the right-sided (``b-``) operators of ``f`` on the spec
+    ``p`` at ``t`` are the left-sided ones of ``g`` on ``r`` at ``-t``.  The
+    weight of ``r`` is ``-phi(-s)`` over ``[-b, -a]`` (affine, and declared
+    so, when ``phi`` is), and ``g(s) = f(-s)``."""
+    w = p.weight
+    weight = ScalarWeightFn(phi=lambda s: -w.phi(-s), dphi=lambda s: w.dphi(-s), lo=-w.hi, hi=-w.lo,
+                            exponent=1.0 if w.exponent == 1.0 else None)
+    return (lambda s: f(-s)), FracSpec(p.alpha, p.sigma, weight)
+
+
+@pytest.fixture
+def reflected():
+    return _reflected
+
+
 def _sigma_one_cr(coeffs, w: complex, alpha: float, x, y):
     """Closed-form component of the proportional CR operator of the
     holomorphic polynomial field ``sum_k coeffs[k] z^k`` at the proportion
-    ``(1, 0, 1, 0)``, with the ``linear`` phi on the unit rectangle, the left
-    side, classical weights, trace base point component ``w`` and order
+    ``(1, 0, 1, 0)``, with the ``linear`` phi on the unit rectangle, classical
+    weights, trace base point component ``w`` and order
     ``alpha`` on the x axis.
 
     With sigma = 1 on x the trace integral is the Riemann-Liouville integral

@@ -100,7 +100,8 @@ def test_criterion_01_bicomplex_algebra():
            f"consistency rel err {rel:.2e} <= 1e-13, exact identities {exact}, {elapsed:.2f}s < 1s")
 
 
-def test_criterion_02_inversion_1d():
+def test_criterion_02_inversion_1d(reflected):
+    # the right side is the left side on the reflected line, at -t
     t0 = time.perf_counter()
     weights = {
         "identity": ScalarWeightFn(lambda t: t, lambda t: np.ones_like(np.asarray(t, dtype=float)), 0.0, 1.0),
@@ -115,20 +116,20 @@ def test_criterion_02_inversion_1d():
             for alpha in (0.25, 0.5, 0.75):
                 for sigma in (0.4, 0.7, 1.0):
                     spec = FracSpec(alpha, sigma, w)
-                    for side in ("left", "right"):
-                        u = tabulate(f, spec, side, q)
-                        got = prop_frac_derivative(u, spec, side, tpts, q)
+                    for (g, p), sign in (((f, spec), 1.0), (reflected(f, spec), -1.0)):
+                        u = tabulate(g, p, q)
+                        got = prop_frac_derivative(u, p, sign * tpts, q)
                         worst = max(worst, float(np.max(np.abs(got - f(tpts)))))
 
     # refinement study on a representative parameter set, both sides
     orders = []
     spec = FracSpec(0.5, 0.7, weights["cubic"])
-    for side in ("left", "right"):
+    for (g, p), sign in (((np.sin, spec), 1.0), (reflected(np.sin, spec), -1.0)):
         errs = []
         for n in (512, 1024, 2048):
             qn = Quadrature1D(n=n)
-            u = tabulate(np.sin, spec, side, qn)
-            got = prop_frac_derivative(u, spec, side, tpts, qn)
+            u = tabulate(g, p, qn)
+            got = prop_frac_derivative(u, p, sign * tpts, qn)
             errs.append(np.max(np.abs(got - np.sin(tpts))))
         orders.append(-np.polyfit(np.log2([512, 1024, 2048]), np.log2(errs), 1)[0])
     elapsed = time.perf_counter() - t0
@@ -146,7 +147,7 @@ def test_criterion_03_closed_forms():
     errs = {}
     for scheme, n in (("graded", 32768), ("gauss_jacobi", 256)):
         got = prop_frac_integral(lambda tau: tau ** (beta - 1), FracSpec(alpha, 1.0, w_id),
-                                 "left", t, Quadrature1D(n=n, scheme=scheme))
+                                 t, Quadrature1D(n=n, scheme=scheme))
         errs[scheme] = abs(got - closed)
     power_err = max(errs.values())
 
@@ -164,7 +165,7 @@ def test_criterion_03_closed_forms():
     oracle = brute_force_left_integral(f, a2, sg, phi, dphi, 0.0, t2, n=100_000)
     oracle_err = abs(oracle - closed2)
     w_cubic = ScalarWeightFn(phi, dphi, 0.0, 1.0)
-    engine = prop_frac_integral(f, FracSpec(a2, sg, w_cubic), "left", t2, Quadrature1D(n=2048))
+    engine = prop_frac_integral(f, FracSpec(a2, sg, w_cubic), t2, Quadrature1D(n=2048))
     engine_err = abs(engine - closed2)
     report(3, "closed forms at proportion one",
            power_err <= 1e-6 and oracle_err <= 1e-5 and engine_err <= 1e-5,

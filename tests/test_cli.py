@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +566,32 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*(constant|orientation)"):
             load_config(path)
         assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+    # orientation preserving, but |a|^2 - |b|^2 of the straightening map
+    # overflows (1e308) or rounds to zero (1e-20): borel-pompeiu ran to a FAIL
+    # with residual nan, after RuntimeWarnings
+    @pytest.mark.parametrize("weights", ["constant:1e308,1e308i", "constant:1,1e-20i"])
+    @pytest.mark.parametrize("identity", ["borel-pompeiu", "frac-borel-pompeiu"])
+    def test_reconstructions_refuse_a_pair_without_a_finite_kernel(self, tmp_path, capsys,
+                                                                    weights, identity):
+        path = write_config(tmp_path, [dict(QUICK, identity=identity, weights=weights)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"experiments\[0\]\.weights: .*finite and positive"):
+                load_config(path)
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: experiments[0].weights")
+
+    def test_domain_whose_span_overflows_rejected(self, tmp_path, capsys):
+        # both bounds are finite, b - a is not: the loader named phi, after
+        # numpy overflow warnings
+        path = write_config(tmp_path, [dict(QUICK, domain=[-1e308, 1e308, 0, 1, 0, 1, 0, 1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"experiments\[0\]\.domain: .*span"):
+                load_config(path)
+            assert main(["verify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: experiments[0].domain")
 
     @pytest.mark.parametrize("identity", ["gauss-weighted", "borel-pompeiu", "trace-inversion",
                                           "factorization", "frac-gauss"])

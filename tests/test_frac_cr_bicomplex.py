@@ -378,9 +378,9 @@ class TestInversionIdentity:
         real_integral, real_tabulate = fracops1d.prop_frac_integral, frac_cr_bicomplex.tabulate
         targets, evaluations = [], []
 
-        def integral(f, spec, side, t, q):
+        def integral(f, spec, t, q):
             targets.append(np.size(t))
-            return real_integral(f, spec, side, t, q)
+            return real_integral(f, spec, t, q)
 
         def tabulate(*args):
             surrogate = real_tabulate(*args)
@@ -417,7 +417,7 @@ class TestInversionIdentity:
         # where its integral is, so the residual stays finite, also where the
         # other axis has proportion zero: its trace integral is the identity,
         # nonzero there, and both sides leave that infinite cross term out
-        from bcfrac.frac_cr_bicomplex import compose_derivative_of_integral, inversion_terms
+        from bcfrac.frac_cr_bicomplex import inversion_terms
 
         rect = RectDomain(*[0.5, 1.5] * 4)
         W = rect.point(0.41, 0.37, 0.53, 0.61)
@@ -431,7 +431,7 @@ class TestInversionIdentity:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            held = inversion_terms(poly_field, W, first, Z, compose_derivative_of_integral)
+            held = inversion_terms(poly_field, W, first, Z)
             got = inversion_check(poly_field, W, finer, Z, held)
             want = inversion_check(poly_field, W, finer, Z)
             rem_held = remainder_R(poly_field, W, finer, Z, held.axes)
@@ -597,10 +597,10 @@ class TestAxisPartial:
         wp = WeightPair.classical()
         real, targets = frac_cr_bicomplex.prop_frac_integral, []
 
-        def spy(f, spec, side, t, q):
+        def spy(f, spec, t, q):
             if spec.sigma != 0:
                 targets.append(np.size(t))
-            return real(f, spec, side, t, q)
+            return real(f, spec, t, q)
 
         monkeypatch.setattr(frac_cr_bicomplex, "prop_frac_integral", spy)
         if check == "frac_cr_apply":

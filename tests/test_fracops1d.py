@@ -49,13 +49,13 @@ class TestPropFracIntegral:
     def test_classical_constant(self, identity_weight):
         got = prop_frac_integral(
             lambda t: np.ones_like(t), FracSpec(0.5, 1.0, identity_weight),
-            "left", 1.0, Quadrature1D(n=2048))
+            1.0, Quadrature1D(n=2048))
         assert abs(got - 2.0 / np.sqrt(np.pi)) < 1e-6
 
     def test_near_order_one_recovers_plain_integral(self, identity_weight):
         got = prop_frac_integral(
             lambda t: t, FracSpec(1 - 1e-8, 1.0, identity_weight),
-            "left", 1.0, Quadrature1D(n=2048))
+            1.0, Quadrature1D(n=2048))
         assert abs(got - 0.5) < 1e-5
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5])
@@ -76,21 +76,22 @@ class TestPropFracIntegral:
             assert abs(oracle - closed) < 1e-5
         for scheme, n in (("graded", 2048), ("gauss_jacobi", 256)):
             got = prop_frac_integral(f, FracSpec(alpha, sigma, cubic_weight),
-                                     "left", t, Quadrature1D(n=n, scheme=scheme))
+                                     t, Quadrature1D(n=n, scheme=scheme))
             assert abs(got - closed) < 1e-5
 
     def test_sigma_one_power_rule(self, identity_weight):
         alpha, beta, t = 0.25, 1.5, 0.8
         closed = gamma(beta) / gamma(beta + alpha) * t ** (beta + alpha - 1)
         got = prop_frac_integral(lambda tau: tau ** (beta - 1), FracSpec(alpha, 1.0, identity_weight),
-                                 "left", t, Quadrature1D(n=256, scheme="gauss_jacobi"))
+                                 t, Quadrature1D(n=256, scheme="gauss_jacobi"))
         assert abs(got - closed) < 1e-8
 
-    def test_right_side_mirror(self, identity_weight):
-        # right integral of 1 from b: (b - t)^alpha / Gamma(alpha + 1)
+    def test_right_side_mirror(self, identity_weight, reflected):
+        # right integral of 1 from b: (b - t)^alpha / Gamma(alpha + 1), as the
+        # left integral on the reflected line
         alpha, t = 0.5, 0.25
-        got = prop_frac_integral(lambda tau: np.ones_like(tau), FracSpec(alpha, 1.0, identity_weight),
-                                 "right", t, Quadrature1D(n=2048))
+        g, spec = reflected(lambda tau: np.ones_like(tau), FracSpec(alpha, 1.0, identity_weight))
+        got = prop_frac_integral(g, spec, -t, Quadrature1D(n=2048))
         assert abs(got - (1 - t) ** alpha / gamma(1 + alpha)) < 1e-6
 
     def test_linearity(self, cubic_weight, quad_default):
@@ -98,35 +99,31 @@ class TestPropFracIntegral:
         a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
         spec = FracSpec(0.4, 0.8, cubic_weight)
         t = np.array([0.3, 0.7])
-        lhs = prop_frac_integral(lambda u: a * np.sin(u) + b * u**2, spec, "left", t, quad_default)
-        rhs = a * prop_frac_integral(np.sin, spec, "left", t, quad_default) \
-            + b * prop_frac_integral(lambda u: u**2, spec, "left", t, quad_default)
+        lhs = prop_frac_integral(lambda u: a * np.sin(u) + b * u**2, spec, t, quad_default)
+        rhs = a * prop_frac_integral(np.sin, spec, t, quad_default) \
+            + b * prop_frac_integral(lambda u: u**2, spec, t, quad_default)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(lhs)))
 
     def test_sigma_zero_is_identity_limit(self, cubic_weight, quad_default):
-        got = prop_frac_integral(np.cos, FracSpec(0.5, 0.0, cubic_weight), "left", 0.4, quad_default)
+        got = prop_frac_integral(np.cos, FracSpec(0.5, 0.0, cubic_weight), 0.4, quad_default)
         assert abs(got - np.cos(0.4)) < 1e-14
 
     def test_domain_errors(self, identity_weight, quad_default):
         spec = FracSpec(0.5, 1.0, identity_weight)
         with pytest.raises(DomainError):
-            prop_frac_integral(np.sin, spec, "left", 1.5, quad_default)
-        with pytest.raises(ValueError):
-            prop_frac_integral(np.sin, spec, "up", 0.5, quad_default)
+            prop_frac_integral(np.sin, spec, 1.5, quad_default)
 
     def test_graded_convergence_order(self, cubic_weight):
         # smooth input, graded mesh at the automatic grading: order >= 2
         spec = FracSpec(0.5, 1.0, cubic_weight)
-        ref = prop_frac_integral(np.sin, spec, "left", 0.9,
-                                 Quadrature1D(n=400, scheme="gauss_jacobi"))
-        errs = [abs(prop_frac_integral(np.sin, spec, "left", 0.9, Quadrature1D(n=n)) - ref)
+        ref = prop_frac_integral(np.sin, spec, 0.9, Quadrature1D(n=400, scheme="gauss_jacobi"))
+        errs = [abs(prop_frac_integral(np.sin, spec, 0.9, Quadrature1D(n=n)) - ref)
                 for n in (128, 256, 512)]
         order = np.polyfit(np.log2([128, 256, 512]), np.log2(errs), 1)[0]
         assert -order >= 2.0
 
 
-SCHEMES_AND_SIDES = [(scheme, side) for scheme in ("graded", "gauss_jacobi")
-                     for side in ("left", "right")]
+SCHEMES = ["graded", "gauss_jacobi"]
 
 
 class TestTargetDedup:
@@ -138,32 +135,32 @@ class TestTargetDedup:
     def spec(self, weight):
         return FracSpec(0.45, 0.7, weight)
 
-    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
-    def test_tiled_targets_equal_tiled_result(self, cubic_weight, scheme, side):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_tiled_targets_equal_tiled_result(self, cubic_weight, scheme):
         q = Quadrature1D(n=64, scheme=scheme)
-        once = prop_frac_integral(np.cos, self.spec(cubic_weight), side, self.XS, q)
-        tiled = prop_frac_integral(np.cos, self.spec(cubic_weight), side, np.tile(self.XS, 64), q)
+        once = prop_frac_integral(np.cos, self.spec(cubic_weight), self.XS, q)
+        tiled = prop_frac_integral(np.cos, self.spec(cubic_weight), np.tile(self.XS, 64), q)
         assert np.array_equal(tiled, np.tile(once, 64))
 
-    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
-    def test_shape_and_scalar_kept(self, cubic_weight, scheme, side):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_shape_and_scalar_kept(self, cubic_weight, scheme):
         q = Quadrature1D(n=64, scheme=scheme)
         spec = self.spec(cubic_weight)
         grid = np.tile(self.XS[:4], (3, 1))
-        got = prop_frac_integral(np.cos, spec, side, grid, q)
+        got = prop_frac_integral(np.cos, spec, grid, q)
         assert got.shape == grid.shape
         assert np.array_equal(got[0], got[2])
-        one = prop_frac_integral(np.cos, spec, side, 0.3, q)
+        one = prop_frac_integral(np.cos, spec, 0.3, q)
         assert np.ndim(one) == 0
         assert one == got[0, 2]
 
-    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
-    def test_checks_still_raise(self, identity_weight, scheme, side):
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_checks_still_raise(self, identity_weight, scheme):
         spec = FracSpec(0.3, 0.8, identity_weight)
         bad = np.tile(self.XS, 64)
         bad[100] = 1.5
         with pytest.raises(DomainError):
-            prop_frac_integral(np.cos, spec, side, bad, Quadrature1D(n=16, scheme=scheme))
+            prop_frac_integral(np.cos, spec, bad, Quadrature1D(n=16, scheme=scheme))
 
 
 class TestWeightPipeline:
@@ -172,26 +169,25 @@ class TestWeightPipeline:
     XS = np.array([0.05, 0.9, 0.3, 0.62, 0.5, 0.17, 0.999])
 
     @pytest.mark.parametrize("beta", [0.4, 1e-5])  # both branches of _panel_weights
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_row_sums_integrate_a_constant_exactly(self, cubic_weight, beta, side):
+    def test_row_sums_integrate_a_constant_exactly(self, cubic_weight, beta):
         # with f = 1 and sigma = 1 the rule integrates v^(beta-1)/Gamma(beta)
         # over [0, L], L the extent of the mesh in v: L^beta / Gamma(beta+1)
         p = FracSpec(beta, 1.0, cubic_weight)
-        tau, wts = fracops1d._rule(p, side, self.XS, Quadrature1D(n=512))
+        tau, wts = fracops1d._rule(p, self.XS, Quadrature1D(n=512))
         big_l = np.abs(cubic_weight.phi(self.XS) - cubic_weight.phi(tau[:, -1]))
         expected = big_l**beta / gamma(beta + 1.0)
         assert np.allclose(wts.sum(axis=1), expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_block_size_never_changes_a_result(self, cubic_weight, identity_weight, monkeypatch,
-                                               scheme, side):
+                                               scheme):
         q = Quadrature1D(n=64, scheme=scheme)
         for weight in (cubic_weight, identity_weight):  # general and affine weights
             spec = FracSpec(0.45, 0.7, weight)
             results = []
             for rows in (1, 3, self.XS.size):
                 monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", rows * q.n)
-                results.append(prop_frac_integral(np.cos, spec, side, self.XS, q))
+                results.append(prop_frac_integral(np.cos, spec, self.XS, q))
             assert all(np.array_equal(r, results[-1]) for r in results)
 
 
@@ -217,22 +213,21 @@ def sqrt_cos(t):
 
 
 @functools.lru_cache(maxsize=None)
-def power_integral_reference(exponent, beta, sigma, side, t, lo=0.5, hi=1.5):
-    """Proportional integral of ``sqrt_cos`` for ``power_weight(exponent)``
-    by mpmath at 30 digits, taken in ``w = v^beta`` where ``v = |t^d -
-    tau^d|``: ``v^(beta-1) dv = dw / beta`` leaves a smooth integrand."""
+def power_integral_reference(exponent, beta, sigma, t, lo=0.5):
+    """Left proportional integral of ``sqrt_cos`` for
+    ``power_weight(exponent)`` by mpmath at 30 digits, taken in ``w =
+    v^beta`` where ``v = t^d - tau^d``: ``v^(beta-1) dv = dw / beta`` leaves
+    a smooth integrand."""
     with mpmath.workdps(30):
-        beta, sigma, t, d = (mpmath.mpf(x) for x in (beta, sigma, t, exponent))
-        anchor = mpmath.mpf(lo if side == "left" else hi)
-        sign = -1 if side == "left" else 1
+        beta, sigma, t, d, lo = (mpmath.mpf(x) for x in (beta, sigma, t, exponent, lo))
         c = (sigma - 1) / sigma
 
         def integrand(w):
             v = w ** (1 / beta)
-            tau = (t**d + sign * v) ** (1 / d)
+            tau = (t**d - v) ** (1 / d)
             return mpmath.exp(c * v) * mpmath.sqrt(tau) * mpmath.cos(3 * tau)
 
-        top = abs(t**d - anchor**d) ** beta
+        top = (t**d - lo**d) ** beta
         value = mpmath.quad(integrand, [0, top / 2, top]) / (sigma**beta * mpmath.gamma(beta + 1))
         return float(value)
 
@@ -250,17 +245,17 @@ class TestAffineWeights:
            beta=st.one_of(st.floats(1e-6, fracops1d._SMALL_ORDER, exclude_max=True),
                           st.floats(fracops1d._SMALL_ORDER, 1.0)),
            sigma=st.one_of(st.just(1.0), st.floats(0.05, 0.99)),
-           side=st.sampled_from(["left", "right"]), n=st.sampled_from([2, 3, 16, 64, 257]))
-    def test_rows_equal_the_general_path(self, rel_offset, lo, span, beta, sigma, side, n):
+           n=st.sampled_from([2, 3, 16, 64, 257]))
+    def test_rows_equal_the_general_path(self, rel_offset, lo, span, beta, sigma, n):
         hi = lo + span
         offset = rel_offset * span - lo
         ts = lo + span * np.array([0.0, 0.1, 0.37, 0.8, 1.0])
         q = Quadrature1D(n=n)
-        rows = [fracops1d._rule(FracSpec(beta, sigma, affine_weight(offset, lo, hi, declared)),
-                                side, ts, q) for declared in (True, False)]
+        rows = [fracops1d._rule(FracSpec(beta, sigma, affine_weight(offset, lo, hi, declared)), ts, q)
+                for declared in (True, False)]
         (tau, w_aff), (tau_gen, w_gen) = rows
         # both scale the same reference row; the undeclared nodes come from
-        # the Newton inverse of phi(t) -+ L*u, which rounds phi's values.
+        # the Newton inverse of phi(t) - L*u, which rounds phi's values.
         # Measured over 3000 random cases: within 2 ulp of the largest of
         # |lo|, |hi|, |phi(lo)| and |phi(hi)|
         scale = max(abs(lo), abs(hi), abs(offset + lo), abs(offset + hi))
@@ -274,7 +269,7 @@ class TestAffineWeights:
         w = affine_weight(0.5, 0.0, 1.0)
         for scheme in ("graded", "gauss_jacobi"):
             q = Quadrature1D(n=64, scheme=scheme)
-            fracops1d._rule(FracSpec(0.4, 0.7, w), "left", np.array([0.5]), q)
+            fracops1d._rule(FracSpec(0.4, 0.7, w), np.array([0.5]), q)
             for array in fracops1d._reference_row(scheme, 64, 0.4):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -282,96 +277,85 @@ class TestAffineWeights:
 
     @pytest.mark.parametrize("beta", [0.45, 1e-4])  # both branches of _panel_weights
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_unit_exponent_rows_are_the_affine_rows(self, side, sigma, beta):
+    def test_unit_exponent_rows_are_the_affine_rows(self, sigma, beta):
         # the affine rows as they were written before the power form: tau =
-        # t + (anchor - t)*u, and each row |t - anchor|^beta / sigma^beta
-        # times the reference row, times the tempered factor
+        # t + (lo - t)*u, and each row (t - lo)^beta / sigma^beta times the
+        # reference row, times the tempered factor
         lo, hi = -0.3, 1.1
         w = affine_weight(0.2, lo, hi)
         ts = np.linspace(lo, hi, 7)
         q = Quadrature1D(n=64)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
-        anchor = lo if side == "left" else hi
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
         u, row = fracops1d._reference_row("graded", q.n, beta)
-        big_l = np.maximum(ts - anchor if side == "left" else anchor - ts, 0.0)
+        big_l = np.maximum(ts - lo, 0.0)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
-        assert np.array_equal(tau, (anchor - ts)[:, None] * u + ts[:, None])
+        assert np.array_equal(tau, (lo - ts)[:, None] * u + ts[:, None])
         assert np.array_equal(wts, want)
 
     @pytest.mark.parametrize("exponent", [1.0, 0.6])
     @pytest.mark.parametrize("beta", [0.45, 1e-4])
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_gauss_jacobi_rows_scale_the_reference_row(self, side, sigma, beta, exponent):
-        # the Gauss-Jacobi twin: nodes tau = (t^d -+ L*u)^(1/d) at u = (1 +
+    def test_gauss_jacobi_rows_scale_the_reference_row(self, sigma, beta, exponent):
+        # the Gauss-Jacobi twin: nodes tau = (t^d - L*u)^(1/d) at u = (1 +
         # x)/2, and each row L^beta / sigma^beta times wj * 2^-beta /
-        # Gamma(beta), times the tempered factor, with L = |t^d - anchor^d|
+        # Gamma(beta), times the tempered factor, with L = t^d - lo^d
         lo, hi = 0.5, 1.5
         w = power_weight(exponent, lo=lo, hi=hi)
         ts = np.linspace(lo, hi, 7)
         q = Quadrature1D(n=32, scheme="gauss_jacobi")
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
         x, wj = fracops1d._jacobi_rule(q.n, beta)
         u = 0.5 * (1.0 + x)
         row = wj * (2.0 ** (-beta) / math.gamma(beta))
-        gap = w.power_gap(lo, ts) if side == "left" else w.power_gap(ts, hi)
+        gap = w.power_gap(ts)
         big_l = np.maximum(gap, 0.0)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
-        sign = -1.0 if side == "left" else 1.0
-        assert np.array_equal(tau, ((ts**exponent)[:, None] + sign * gap[:, None] * u)
-                              ** (1.0 / exponent))
+        assert np.array_equal(tau, ((ts**exponent)[:, None] - gap[:, None] * u) ** (1.0 / exponent))
         assert np.array_equal(wts, want)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_graded_power_rows_scale_the_reference_row(self, side, sigma):
+    def test_graded_power_rows_scale_the_reference_row(self, sigma):
         # a declared power weight's graded rows take L from _singular_range
-        # too: nodes (t^d -+ L*u)^(1/d) at the graded fractions u, and each
+        # too: nodes (t^d - L*u)^(1/d) at the graded fractions u, and each
         # row L^beta / sigma^beta times the reference row, times the
-        # tempered factor, with L = power_gap to the anchor
+        # tempered factor, with L = power_gap from the anchor
         lo, hi, exponent, beta = 0.5, 1.5, 0.6, 0.45
         w = power_weight(exponent, lo=lo, hi=hi)
         ts = np.linspace(lo, hi, 7)
         q = Quadrature1D(n=64)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
         u, row = fracops1d._reference_row("graded", q.n, beta)
-        gap = w.power_gap(lo, ts) if side == "left" else w.power_gap(ts, hi)
+        gap = w.power_gap(ts)
         big_l = np.maximum(gap, 0.0)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
-        sign = -1.0 if side == "left" else 1.0
-        assert np.array_equal(tau, ((ts**exponent)[:, None] + sign * gap[:, None] * u)
-                              ** (1.0 / exponent))
+        assert np.array_equal(tau, ((ts**exponent)[:, None] - gap[:, None] * u) ** (1.0 / exponent))
         assert np.array_equal(wts, want)
         # the closed-form nodes may round past an end, by less than the
         # 1e-12 that the target check allows
         assert np.all((tau >= lo - 1e-12) & (tau <= hi + 1e-12))
 
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_undeclared_rows_scale_the_reference_row(self, side, scheme):
+    def test_undeclared_rows_scale_the_reference_row(self, scheme):
         # an undeclared weight's rows scale the same reference row under
-        # both schemes, and their nodes invert phi(t) -+ L*u, with L =
-        # |phi(t) - phi(anchor)|
+        # both schemes, and their nodes invert phi(t) - L*u, with L =
+        # |phi(t) - phi(lo)|
         lo, hi, beta, sigma = 0.5, 1.5, 0.45, 0.7
         w = power_weight(0.6, declared=False, lo=lo, hi=hi)
         ts = np.linspace(lo, hi, 7)
         q = Quadrature1D(n=32, scheme=scheme)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), side, ts, q)
+        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
         u, row = fracops1d._reference_row(scheme, q.n, beta)
-        anchor = lo if side == "left" else hi
-        big_l = np.abs(w.phi(ts) - w.phi(anchor))
-        sign = -1.0 if side == "left" else 1.0
-        assert np.array_equal(tau, w.inverse(w.phi(ts)[:, None] + sign * big_l[:, None] * u))
+        big_l = np.abs(w.phi(ts) - w.phi(lo))
+        assert np.array_equal(tau, w.inverse(w.phi(ts)[:, None] - big_l[:, None] * u))
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         want *= np.exp2((big_l * ((sigma - 1.0) / sigma * fracops1d._LOG2E))[:, None] * u)
         assert np.array_equal(wts, want)
@@ -380,7 +364,7 @@ class TestAffineWeights:
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
     def test_undeclared_rows_read_phi_at_the_targets_once(self, scheme):
         # a custom: weight's phi at the targets gives both the level phi(t)
-        # and L = |phi(t) - phi(anchor)|; the inverse calls phi on the
+        # and L = |phi(t) - phi(lo)|; the inverse calls phi on the
         # raveled nodes and its grid, never at the targets' shape
         from dataclasses import replace
 
@@ -398,9 +382,9 @@ class TestAffineWeights:
 
         ts, spec = np.linspace(0.6, 1.4, 7), FracSpec(0.45, 0.7, w)
         q = Quadrature1D(n=32, scheme=scheme)
-        tau, wts = fracops1d._rule(replace(spec, weight=replace(w, phi=phi)), "left", ts, q)
+        tau, wts = fracops1d._rule(replace(spec, weight=replace(w, phi=phi)), ts, q)
         assert shapes.count(ts.shape) == 1
-        want = fracops1d._rule(spec, "left", ts, q)
+        want = fracops1d._rule(spec, ts, q)
         assert np.array_equal(tau, want[0]) and np.array_equal(wts, want[1])
 
     @pytest.mark.parametrize("n", [256, 1024])
@@ -416,17 +400,14 @@ class TestAffineWeights:
         # only in L = phi(t) - phi(anchor), which cancels to 1.4e-9 .. 2.9e-7.
         q = Quadrature1D(n=n)
         errors = {True: [], False: []}
+        ts = np.array([0.8, 1.2, 0.5 + 1e-9])
         for beta in (0.05, 0.5, 0.95):
             for sigma in (1.0, 0.7):
-                for side in ("left", "right"):
-                    anchor, inward = (0.5, 1.0) if side == "left" else (1.5, -1.0)
-                    ts = np.array([0.8, 1.2, anchor + inward * 1e-9])
-                    want = np.array([power_integral_reference(0.6, beta, sigma, side, t)
-                                     for t in ts])
-                    for declared in (True, False):
-                        spec = FracSpec(beta, sigma, power_weight(0.6, declared))
-                        got = prop_frac_integral(sqrt_cos, spec, side, ts, q)
-                        errors[declared].append(np.abs(got - want) / np.abs(want))
+                want = np.array([power_integral_reference(0.6, beta, sigma, t) for t in ts])
+                for declared in (True, False):
+                    spec = FracSpec(beta, sigma, power_weight(0.6, declared))
+                    got = prop_frac_integral(sqrt_cos, spec, ts, q)
+                    errors[declared].append(np.abs(got - want) / np.abs(want))
         power, general = np.array(errors[True]), np.array(errors[False])
         assert np.all(power[:, :2] <= (1.0 + 1e-6) * general[:, :2])
         assert np.all(power[:, 2] <= 1e-12)
@@ -439,16 +420,13 @@ class TestAffineWeights:
         # at most 2.3e-13 (beta 0.05; 1.2e-14 otherwise) at interior targets
         # and at 1e-9 of the span from the anchor alike
         q = Quadrature1D(n=256, scheme="gauss_jacobi")
+        ts = np.array([0.8, 1.2, 0.5 + 1e-9])
         for beta in (0.05, 0.5, 0.95):
             for sigma in (1.0, 0.7):
-                for side in ("left", "right"):
-                    anchor, inward = (0.5, 1.0) if side == "left" else (1.5, -1.0)
-                    ts = np.array([0.8, 1.2, anchor + inward * 1e-9])
-                    want = np.array([power_integral_reference(0.6, beta, sigma, side, t)
-                                     for t in ts])
-                    spec = FracSpec(beta, sigma, power_weight(0.6))
-                    got = prop_frac_integral(sqrt_cos, spec, side, ts, q)
-                    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+                want = np.array([power_integral_reference(0.6, beta, sigma, t) for t in ts])
+                spec = FracSpec(beta, sigma, power_weight(0.6))
+                got = prop_frac_integral(sqrt_cos, spec, ts, q)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
     @pytest.mark.parametrize("exponent", [0.0, -0.5, float("nan"), float("inf")])
     def test_bad_exponent_rejected(self, exponent):
@@ -473,11 +451,9 @@ class TestAffineWeights:
                 w = Phi4.fractal(*exponents).restriction(axis, W, rect)
                 ts = np.linspace(w.lo, w.hi, 9)
                 undeclared = dataclasses.replace(w, exponent=None)
-                for side in ("left", "right"):
-                    got = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, w), side, ts, q)
-                    want = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, undeclared),
-                                              side, ts, q)
-                    assert np.max(np.abs(got - want)) < 1e-12
+                got = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, w), ts, q)
+                want = prop_frac_integral(sqrt_cos, FracSpec(0.45, 0.7, undeclared), ts, q)
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_a_second_pass_over_more_than_64_rows_misses_none(identity_weight, cubic_weight):
@@ -491,7 +467,7 @@ def test_a_second_pass_over_more_than_64_rows_misses_none(identity_weight, cubic
 
     def bundle():
         for p, q in specs:
-            prop_frac_integral(np.cos, p, "left", 0.5, q)
+            prop_frac_integral(np.cos, p, 0.5, q)
         return fracops1d._reference_row.cache_info().misses
 
     first = bundle()
@@ -518,18 +494,19 @@ class TestJacobiRule:
 
 
 class TestPropFracDerivative:
-    def test_inversion_left_and_right(self, cubic_weight):
+    def test_inversion_left_and_right(self, cubic_weight, reflected):
+        # the right side as the left side on the reflected line, at -t
         q = Quadrature1D(n=1024)
         spec = FracSpec(0.5, 0.7, cubic_weight)
         tpts = np.linspace(0.2, 0.8, 5)
-        for side in ("left", "right"):
-            integral = tabulate(np.sin, spec, side, q)
-            got = prop_frac_derivative(integral, spec, side, tpts, q)
+        for (f, p), sign in (((np.sin, spec), 1.0), (reflected(np.sin, spec), -1.0)):
+            integral = tabulate(f, p, q)
+            got = prop_frac_derivative(integral, p, sign * tpts, q)
             assert np.max(np.abs(got - np.sin(tpts))) < 1e-4
 
     def test_derivative_of_constant(self, identity_weight):
         got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)),
-                                   FracSpec(0.5, 1.0, identity_weight), "left", 0.49,
+                                   FracSpec(0.5, 1.0, identity_weight), 0.49,
                                    Quadrature1D(n=2048))
         assert abs(got - 0.49**-0.5 / gamma(0.5)) < 1e-6
         assert abs(1 / gamma(0.5) - 0.56419) < 1e-5
@@ -545,27 +522,24 @@ class TestPropFracDerivative:
         spec = FracSpec(0.5, sigma, identity_weight)
         ts = np.array([0.25, 0.49, 0.75])
         got = prop_frac_derivative(lambda t: np.ones_like(np.asarray(t, dtype=float)), spec,
-                                   "left", ts, Quadrature1D(n=n, scheme=scheme))
+                                   ts, Quadrature1D(n=n, scheme=scheme))
         want = np.array([fracops1d.derivative_of_one(spec, t) for t in ts])
         assert np.max(np.abs(got - want)) <= bound
         if sigma == 1.0:
             np.testing.assert_allclose(want, ts**-0.5 / gamma(0.5), rtol=1e-15)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_array_targets_equal_scalar_calls(self, cubic_weight, side):
+    def test_array_targets_equal_scalar_calls(self, cubic_weight):
         # the value rides in the stencil's integral call; rows depend only on
         # their own target, so batching never changes a bit
         spec = FracSpec(0.4, 0.6, cubic_weight)
         q = Quadrature1D(n=256)
         ts = np.array([0.0, 5e-5, 0.3, 0.3, 0.7, 1.0])
-        got = prop_frac_derivative(np.cos, spec, side, ts, q)
-        want = [prop_frac_derivative(np.cos, spec, side, t, q) for t in ts]
+        got = prop_frac_derivative(np.cos, spec, ts, q)
+        want = [prop_frac_derivative(np.cos, spec, t, q) for t in ts]
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch,
-                                                        side, sigma):
+    def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch, sigma):
         # one integral call: the difference stencil, and at sigma != 1 the
         # targets themselves for the (1 - sigma) term; the value is the full
         # formula's, from separate calls, bit for bit
@@ -577,52 +551,48 @@ class TestPropFracDerivative:
         tm, tp = np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)
 
         def g(s):
-            return prop_frac_integral(np.cos, inner, side, s, q)
+            return prop_frac_integral(np.cos, inner, s, q)
 
         dg = (g(tp) - g(tm)) / (tp - tm)
-        sign = 1.0 if side == "left" else -1.0
-        want = (1.0 - sigma) * g(ts) + sign * sigma * dg / cubic_weight.dphi(ts)
+        want = (1.0 - sigma) * g(ts) + sigma * dg / cubic_weight.dphi(ts)
 
         targets, integral = [], fracops1d.prop_frac_integral
 
-        def spy(f, p, side, t, q):
+        def spy(f, p, t, q):
             targets.append(np.array(t, dtype=float).tolist())
-            return integral(f, p, side, t, q)
+            return integral(f, p, t, q)
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
-        got = prop_frac_derivative(np.cos, spec, side, ts, q)
+        got = prop_frac_derivative(np.cos, spec, ts, q)
         stencil = [tm, tp] if sigma == 1.0 else [tm, tp, ts]
         assert targets == [np.concatenate(stencil).tolist()]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_targets_checked_as_the_integral_checks_them(self, cubic_weight, side, sigma):
+    def test_targets_checked_as_the_integral_checks_them(self, cubic_weight, sigma):
         # 1e-13 past the anchor is refused at every proportion: at sigma = 1
         # only the stencil, clipped to the interval, reaches the integral
         spec, q = FracSpec(0.4, sigma, cubic_weight), Quadrature1D(n=16)
-        past, far = (-1e-13, 1.0 + 1e-13) if side == "left" else (1.0 + 1e-13, -1e-13)
-        with pytest.raises(DomainError, match=f"{side} integral needs"):
-            prop_frac_derivative(np.cos, spec, side, past, q)
+        past, far = -1e-13, 1.0 + 1e-13
+        with pytest.raises(DomainError, match="left integral needs"):
+            prop_frac_derivative(np.cos, spec, past, q)
         with pytest.raises(DomainError, match="outside"):
-            prop_frac_derivative(np.cos, spec, side, far + (far - 0.5) * 1e-10, q)
-        assert np.isfinite(prop_frac_derivative(np.cos, spec, side, far, q))
+            prop_frac_derivative(np.cos, spec, far + (far - 0.5) * 1e-10, q)
+        assert np.isfinite(prop_frac_derivative(np.cos, spec, far, q))
 
     def test_sigma_zero_is_the_identity(self, cubic_weight):
         ts = np.array([0.0, 0.3, 1.0])
-        got = prop_frac_derivative(np.cos, FracSpec(0.6, 0.0, cubic_weight), "left", ts,
-                                   Quadrature1D(n=32))
+        got = prop_frac_derivative(np.cos, FracSpec(0.6, 0.0, cubic_weight), ts, Quadrature1D(n=32))
         assert np.array_equal(got, np.cos(ts))
 
     def test_step_error(self, identity_weight, quad_default):
         spec = FracSpec(0.5, 0.7, identity_weight)
         with pytest.raises(StepError):
-            prop_frac_derivative(np.sin, spec, "left", 0.5, quad_default, h=0.6)
+            prop_frac_derivative(np.sin, spec, 0.5, quad_default, h=0.6)
 
     def test_order_validated(self, identity_weight, quad_default):
         with pytest.raises(ValueError):
-            prop_frac_derivative(np.sin, FracSpec(1.0, 0.7, identity_weight),
-                                 "left", 0.5, quad_default)
+            prop_frac_derivative(np.sin, FracSpec(1.0, 0.7, identity_weight), 0.5, quad_default)
 
 
 def _sample_sizes(monkeypatch):
@@ -630,9 +600,9 @@ def _sample_sizes(monkeypatch):
     real = fracops1d.prop_frac_integral
     sizes = []
 
-    def spy(f, p, side, t, q):
+    def spy(f, p, t, q):
         sizes.append(np.size(t))
-        return real(f, p, side, t, q)
+        return real(f, p, t, q)
 
     monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
     return sizes
@@ -651,73 +621,66 @@ class TestTabulate:
     def field(t):
         return 1.5 + np.sin(3.0 * t) + 0.5j * np.cos(t)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
     @pytest.mark.parametrize("weight", ["affine", "fractal", "cubic"])
-    def test_surrogate_matches_the_rule(self, monkeypatch, weight, scheme, side):
+    def test_surrogate_matches_the_rule(self, monkeypatch, weight, scheme):
         w = self.WEIGHTS[weight]
         q = Quadrature1D(n=128, scheme=scheme)
-        span = w.hi - w.lo
-        anchor, inward = (w.lo, 1.0) if side == "left" else (w.hi, -1.0)
-        near = anchor + inward * span * np.logspace(-9, -1, 9)
+        near = w.lo + (w.hi - w.lo) * np.logspace(-9, -1, 9)
         ts = np.concatenate([np.linspace(w.lo, w.hi, 201)[1:-1], near])
         sizes = _sample_sizes(monkeypatch)
         for sigma in (0.05, 0.7, 1.0):
             for beta in (1e-6, 0.3, 0.5, 0.999):
                 p = FracSpec(beta, sigma, w)
                 sizes.clear()
-                got = tabulate(self.field, p, side, q)(ts)
+                got = tabulate(self.field, p, q)(ts)
                 assert sizes[0] == 32 and all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
-                want = fracops1d.prop_frac_integral(self.field, p, side, ts, q)
+                want = fracops1d.prop_frac_integral(self.field, p, ts, q)
                 err = np.abs(got - want) / np.abs(want)
                 assert np.max(err) <= 1e-13
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_sigma_zero_is_f_itself(self, cubic_weight, monkeypatch, side):
+    def test_sigma_zero_is_f_itself(self, cubic_weight, monkeypatch):
         def no_integral(*args):
             raise AssertionError("sigma = 0 needs no integral")
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", no_integral)
-        surrogate = tabulate(self.field, FracSpec(0.4, 0.0, cubic_weight), side, Quadrature1D(n=64))
+        surrogate = tabulate(self.field, FracSpec(0.4, 0.0, cubic_weight), Quadrature1D(n=64))
         ts = np.linspace(0.0, 1.0, 7).reshape(7, 1)
         assert np.array_equal(surrogate(ts), self.field(ts) + 0.0j)
         assert surrogate(0.3) == self.field(0.3) and np.ndim(surrogate(0.3)) == 0
 
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_anchor_gets_the_one_sided_limit(self, identity_weight, scheme, side):
+    def test_anchor_gets_the_one_sided_limit(self, identity_weight, scheme):
         # at order 1e-6 the integral falls from about f to 0 in a layer far
         # thinner than 1e-12 of the span; the anchor sees the outer value
         p = FracSpec(1e-6, 0.7, identity_weight)
         q = Quadrature1D(n=64, scheme=scheme)
-        anchor, inside = (0.0, 1e-12) if side == "left" else (1.0, 1.0 - 1e-12)
-        got = tabulate(self.field, p, side, q)(anchor)
-        want = prop_frac_integral(self.field, p, side, inside, q)
-        assert prop_frac_integral(self.field, p, side, anchor, q) == 0
+        got = tabulate(self.field, p, q)(0.0)
+        want = prop_frac_integral(self.field, p, 1e-12, q)
+        assert prop_frac_integral(self.field, p, 0.0, q) == 0
         assert abs(want) > 1.0 and abs(got - want) <= 1e-13 * abs(want)
         assert np.ndim(got) == 0
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_samples_come_back_bit_for_bit(self, cubic_weight, monkeypatch, side):
+    def test_samples_come_back_bit_for_bit(self, cubic_weight, monkeypatch):
         seen = []
         real = fracops1d.prop_frac_integral
 
-        def spy(f, p, side, t, q):
+        def spy(f, p, t, q):
             seen.append(np.array(t))
-            return real(f, p, side, t, q)
+            return real(f, p, t, q)
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
         p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
-        surrogate = tabulate(np.cos, p, side, q)  # a real integrand: 0 * inf in the sums
+        surrogate = tabulate(np.cos, p, q)  # a real integrand: 0 * inf in the sums
         (xs,) = seen
-        assert np.array_equal(surrogate(xs[::-1]), real(np.cos, p, side, xs[::-1], q))
+        assert np.array_equal(surrogate(xs[::-1]), real(np.cos, p, xs[::-1], q))
 
     def test_block_size_never_changes_a_value(self, cubic_weight, monkeypatch):
         p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
         ts = np.linspace(0.0, 1.0, 1001)
-        whole = tabulate(self.field, p, "left", q)(ts)
+        whole = tabulate(self.field, p, q)(ts)
         monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", 3 * 32)
-        blocked = tabulate(self.field, p, "left", q)(ts)
+        blocked = tabulate(self.field, p, q)(ts)
         # BLAS may order a block's sums differently: rounding, not blocks
         assert np.max(np.abs(blocked - whole) / np.abs(whole)) <= 1e-14
 
@@ -729,12 +692,12 @@ class TestTabulate:
 
         p, q = FracSpec(0.5, 0.7, identity_weight), Quadrature1D(n=n)
         sizes = _sample_sizes(monkeypatch)
-        surrogate = tabulate(field, p, "left", q)
+        surrogate = tabulate(field, p, q)
         sizes, budget = list(sizes), max(256, n // 4)
         assert sizes[0] == 32 and all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] <= budget
         ts = np.linspace(0.0, 1.0, 401)[1:]
-        want = fracops1d.prop_frac_integral(field, p, "left", ts, q)
+        want = fracops1d.prop_frac_integral(field, p, ts, q)
         err = np.max(np.abs(surrogate(ts) - want) / np.abs(want))
         assert err <= 1e-13
 
@@ -746,12 +709,12 @@ class TestTabulate:
 
         p, q = FracSpec(0.5, 0.7, identity_weight), Quadrature1D(n=1024)
         sizes = _sample_sizes(monkeypatch)
-        integral = tabulate(field, p, "left", q)
+        integral = tabulate(field, p, q)
         assert sizes == [32, 64, 128, 256]
         ts = np.linspace(0.0, 1.0, 401)[1:]
-        assert np.array_equal(integral(ts), prop_frac_integral(field, p, "left", ts, q))
+        assert np.array_equal(integral(ts), prop_frac_integral(field, p, ts, q))
         # the anchor keeps the one-sided limit, as with a surrogate
-        assert integral(0.0) == prop_frac_integral(field, p, "left", 1e-12, q)
+        assert integral(0.0) == prop_frac_integral(field, p, 1e-12, q)
         assert np.ndim(integral(0.3)) == 0
 
 
@@ -794,7 +757,7 @@ class TestBarycentric:
 
         monkeypatch.setattr(fracops1d, "_barycentric", spy)
         monkeypatch.setattr(frac_cr_bicomplex, "_barycentric", spy)
-        tabulate(self.field, FracSpec(0.5, 0.7, cubic_weight), "left", Quadrature1D(n=64))
+        tabulate(self.field, FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=64))
         p = FracParams(unit_rect, (0.5,) * 4, (0.7, 0.0, 0.7, 0.0), linear_phi, Quadrature1D(n=64))
         Z = unit_rect.point(0.6, 0.5, 0.6, 0.5)
         _trace_derivative_of_map(lambda x, y: self.field(x + y), 1, Z, Z, p, ((0.0, 1.0),) * 2)
@@ -810,7 +773,7 @@ class TestDerivativeStencil:
     def derivative(monkeypatch, fn, ts, h):
         calls = []
 
-        def integral(f, p, side, t, q):
+        def integral(f, p, t, q):
             calls.append(t.copy())
             return fn(t)
 
@@ -818,7 +781,7 @@ class TestDerivativeStencil:
         # sigma = 1 on the identity weight: the quotient itself
         spec = FracSpec(0.5, 1.0, ScalarWeightFn(lambda t: t, lambda t: 1.0 + 0.0 * t, 0.0, 1.0,
                                                  exponent=1.0))
-        return prop_frac_derivative(np.cos, spec, "left", ts, Quadrature1D(n=16), h=h), calls
+        return prop_frac_derivative(np.cos, spec, ts, Quadrature1D(n=16), h=h), calls
 
     def test_exact_on_affine(self, monkeypatch):
         ts = np.array([0.0, 1e-5, 0.3, 0.99999, 1.0])
@@ -835,29 +798,26 @@ class TestDerivativeStencil:
 
 class TestNonFiniteTargets:
     """NaN and infinite targets are refused before any rule row is built,
-    alone and hidden in a batch, on both sides."""
+    alone and hidden in a batch."""
 
-    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("operator", [prop_frac_integral, prop_frac_derivative])
-    def test_refused(self, cubic_weight, side, bad, batched, operator):
+    def test_refused(self, cubic_weight, bad, batched, operator):
         ts = np.array([0.2, 0.5, bad, 0.9]) if batched else bad
         with pytest.raises(DomainError):
-            operator(np.cos, FracSpec(0.4, 0.7, cubic_weight), side, ts, Quadrature1D(n=16))
+            operator(np.cos, FracSpec(0.4, 0.7, cubic_weight), ts, Quadrature1D(n=16))
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_tolerances_and_messages_kept(self, cubic_weight, side):
+    def test_tolerances_and_messages_kept(self, cubic_weight):
         # up to 1e-12 beyond the interval counts as inside it, but beyond the
         # anchor only 1e-14 does
         spec, q = FracSpec(0.4, 0.7, cubic_weight), Quadrature1D(n=16)
-        lo, hi = (-5e-13, -1e-11), (1.0 + 5e-13, 1.0 + 1e-11)  # just past, and past 1e-12
-        (anchor, _), (far, beyond) = (lo, hi) if side == "left" else (hi, lo)
-        with pytest.raises(DomainError, match=f"{side} integral needs"):
-            prop_frac_integral(np.cos, spec, side, np.array([0.5, anchor]), q)
-        assert np.isfinite(prop_frac_integral(np.cos, spec, side, far, q))
+        anchor, far, beyond = -5e-13, 1.0 + 5e-13, 1.0 + 1e-11  # just past, and past 1e-12
+        with pytest.raises(DomainError, match="left integral needs"):
+            prop_frac_integral(np.cos, spec, np.array([0.5, anchor]), q)
+        assert np.isfinite(prop_frac_integral(np.cos, spec, far, q))
         with pytest.raises(DomainError, match="outside"):
-            prop_frac_integral(np.cos, spec, side, np.array([0.5, beyond]), q)
+            prop_frac_integral(np.cos, spec, np.array([0.5, beyond]), q)
 
 
 def _series_weights():
@@ -885,7 +845,7 @@ class TestDerivativeOfIntegral:
             for w in _series_weights():
                 for frac in (0.1, 0.45, 0.8):
                     t = w.lo + frac * (w.hi - w.lo)
-                    u = mpmath.mpf(float(fracops1d._singular_range(w, "left", np.array([t]))[0]))
+                    u = mpmath.mpf(float(fracops1d._singular_range(w, np.array([t]))[0]))
                     want = s**g * (u**-g * mpmath.exp(c * u) / mpmath.gamma(1 - g)
                                    - c * u ** (1 - g) * mpmath.hyp1f1(1 - g, 2 - g, c * u)
                                    / mpmath.gamma(2 - g))
@@ -955,7 +915,7 @@ class TestDerivativeOfIntegral:
 
         spec = FracSpec(0.5, sigma, affine_weight(0.0, 0.0, 2.0))
         value, d_value = fracops1d.derivative_of_integral(f, spec, t)
-        want = prop_frac_integral(f, spec, "left", t, Quadrature1D(n=512, scheme="gauss_jacobi"))
+        want = prop_frac_integral(f, spec, t, Quadrature1D(n=512, scheme="gauss_jacobi"))
         assert abs(value - want) <= 1e-11 and abs(d_value - f(t)) <= 1e-11
 
     def test_a_tiny_proportion_does_not_overflow(self):
@@ -966,7 +926,7 @@ class TestDerivativeOfIntegral:
 
         spec = FracSpec(0.5, 6e-4, affine_weight(0.0, 0.0, 1.0))
         value, d_value = fracops1d.derivative_of_integral(f, spec, 0.5)
-        want = prop_frac_integral(f, spec, "left", 0.5, Quadrature1D(n=512, scheme="gauss_jacobi"))
+        want = prop_frac_integral(f, spec, 0.5, Quadrature1D(n=512, scheme="gauss_jacobi"))
         assert abs(value - want) <= 1e-11 and abs(d_value - f(0.5)) <= 1e-11
 
     @pytest.mark.parametrize("t, bound", [(0.4, 1e-12), (1.0, 1e-12), (1.8, 1e-8)])
@@ -1068,8 +1028,8 @@ class TestThreeImplementationsAgree:
         spec = FracSpec(beta, sigma, weight)
         series, d_series = fracops1d.derivative_of_integral(f, spec, t)
         scale = max(1.0, abs(series))
-        gauss_jacobi = prop_frac_integral(f, spec, "left", t, self.GAUSS_JACOBI)
-        graded = prop_frac_integral(f, spec, "left", t, self.GRADED)
+        gauss_jacobi = prop_frac_integral(f, spec, t, self.GAUSS_JACOBI)
+        graded = prop_frac_integral(f, spec, t, self.GRADED)
         assert abs(d_series - f(t)) <= 1e-12 * scale
         assert abs(series - gauss_jacobi) <= (5e-11 if beta < 1e-3 else 1e-11) * scale
         assert abs(series - graded) <= 20.0 / self.GRADED.n**2 * scale
@@ -1085,7 +1045,7 @@ class TestThreeImplementationsAgree:
         spec = FracSpec(beta, sigma, weight)
         scale = max(1.0, abs(f(t)))
         for q, bound in ((self.GAUSS_JACOBI, 2e-7), (self.GRADED, 7e-6)):
-            got = prop_frac_derivative(tabulate(f, spec, "left", q), spec, "left", t, q)
+            got = prop_frac_derivative(tabulate(f, spec, q), spec, t, q)
             assert abs(got - f(t)) <= bound * scale
 
 

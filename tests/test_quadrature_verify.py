@@ -407,13 +407,13 @@ class TestConvergenceStudy:
         # for the whole study, where each level took four, and again for the
         # next study; the residuals are those of separate inversion checks
         from bcfrac import frac_cr_bicomplex
-        from bcfrac import quadrature_verify as qv
 
         rect, phi, wp, F, patch, W, Z = frac_setup
         p = FracParams(rect, (0.5,) * 4, (0.7,) * 4, phi, Quadrature1D(n=64))
         setup = VerificationSetup(F=F, wp=wp, params=p, lam=NO_LAM, W=W, Z=Z, patch=patch)
         real_series, real_compose, series, compose = (
-            frac_cr_bicomplex.derivative_of_integral, qv.compose_derivative_of_integral, [], [])
+            frac_cr_bicomplex.derivative_of_integral,
+            frac_cr_bicomplex.compose_derivative_of_integral, [], [])
 
         def counted(calls, fn):
             return lambda *args: calls.append(1) or fn(*args)
@@ -421,7 +421,8 @@ class TestConvergenceStudy:
         monkeypatch.setattr(frac_cr_bicomplex, "derivative_of_integral",
                             counted(series, real_series))
         # the tracer's compose_s wraps this binding
-        monkeypatch.setattr(qv, "compose_derivative_of_integral", counted(compose, real_compose))
+        monkeypatch.setattr(frac_cr_bicomplex, "compose_derivative_of_integral",
+                            counted(compose, real_compose))
         reports = convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 3)
         assert (len(series), len(compose)) == (4, 1)
         convergence_study("trace-inversion", setup, Resolution(8, 8, 64), 3)
@@ -450,7 +451,7 @@ class TestConvergenceStudy:
 
         for key, module, name in [("trace_sum", frac_cr_bicomplex, "trace_sum"),
                                   ("derivative_of_one", frac_cr_bicomplex, "derivative_of_one"),
-                                  ("compose", qv, "compose_derivative_of_integral"),
+                                  ("compose", frac_cr_bicomplex, "compose_derivative_of_integral"),
                                   ("integral", frac_cr_bicomplex, "prop_frac_integral")]:
             monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
         real_run, per_level = qv.run_identity, []
@@ -824,15 +825,15 @@ class TestDeepTraceSurrogates:
         real_tabulate, real_integral = fracops1d.tabulate, fracops1d.prop_frac_integral
         seen = []
 
-        def counting(f, p, side, t, q):
+        def counting(f, p, t, q):
             seen[-1].append(np.size(t))
-            return real_integral(f, p, side, t, q)
+            return real_integral(f, p, t, q)
 
-        def spy(f, p, side, q):
+        def spy(f, p, q):
             seen.append([])
             monkeypatch.setattr(fracops1d, "prop_frac_integral", counting)
             try:
-                return real_tabulate(f, p, side, q)
+                return real_tabulate(f, p, q)
             finally:
                 monkeypatch.setattr(fracops1d, "prop_frac_integral", real_integral)
 
@@ -848,9 +849,9 @@ class TestDeepTraceSurrogates:
 
         real, calls = fracops1d.prop_frac_integral, []
 
-        def spy(f, p, side, t, q):
+        def spy(f, p, t, q):
             calls.append((np.size(t), np.unique(t).size))
-            return real(f, p, side, t, q)
+            return real(f, p, t, q)
 
         for module in (fracops1d, frac_cr_bicomplex):
             monkeypatch.setattr(module, "prop_frac_integral", spy)

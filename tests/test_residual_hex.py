@@ -60,10 +60,7 @@ def test_the_ledger_holds(residual_hex):
     # and within the tool's stated bound under any other
     ledger = json.loads((ROOT / "RESIDUALS.json").read_text())
     exact, lines = residual_hex.check(ledger, residual_hex.dump(ROOT))
-    mode = "bit for bit" if exact else (
-        f"within {residual_hex.REL_BOUND:g} relative + {residual_hex.ABS_FLOOR:g}: the ledger was "
-        f"written by Python {ledger['python']} and numpy {ledger['numpy']}, this is "
-        f"{residual_hex.versions()}")
+    mode = residual_hex.compared(exact, ledger)
     print(f"RESIDUALS.json compared {mode}")
     assert not lines, f"compared {mode}; re-record with `dump RESIDUALS.json` if intended:\n" + "\n".join(lines)
 
@@ -91,6 +88,33 @@ def test_one_ulp_of_one_residual_fails_the_check(residual_hex, monkeypatch, tmp_
     assert exact and len(lines) == 1
     assert lines[0].startswith(f"preset/fractal/fractal-gauss level 0 res_l1: {l1.hex()} -> "
                                f"{np.nextafter(l1, np.inf).hex()}")
+
+
+def test_the_check_command_dumps_this_checkout_against_a_ledger(residual_hex, monkeypatch,
+                                                                tmp_path, capsys):
+    # the dump's runs replaced by a synthetic item; a ledger written by this
+    # Python and numpy compares bit for bit, so one ulp is a move
+    items = {"seed0/w/a": [_level(1e-9, 2e-9, 2.0)]}
+    moved = {"seed0/w/a": [_level(1e-9, np.nextafter(2e-9, 1.0), 2.0)]}
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({**residual_hex.versions(), "items": items}))
+    monkeypatch.setattr(residual_hex, "run", lambda configs: items)
+    assert residual_hex.main(["check", str(ledger)]) == 0
+    assert capsys.readouterr().out == f"{ledger} compared bit for bit\nno value moved\n"
+
+    monkeypatch.setattr(residual_hex, "run", lambda configs: moved)
+    assert residual_hex.main(["check", str(ledger)]) == 1
+    head, line = capsys.readouterr().out.splitlines()
+    assert head == f"{ledger} compared bit for bit"
+    assert line.startswith(f"seed0/w/a level 0 res_l2: {(2e-9).hex()} -> "
+                           f"{np.nextafter(2e-9, 1.0).hex()}")
+
+    # written by other versions: the same move is within the bound
+    ledger.write_text(json.dumps({"python": "0.0.0", "numpy": "0.0.0", "items": items}))
+    assert residual_hex.main(["check", str(ledger)]) == 0
+    head, tail = capsys.readouterr().out.splitlines()
+    assert head.startswith(f"{ledger} compared within 1e-06 relative + 1e-12: ")
+    assert tail == "no value moved"
 
 
 def test_other_versions_compare_at_the_bound(residual_hex):

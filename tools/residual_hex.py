@@ -3,6 +3,7 @@ float.hex, and list the values that moved between two dumps.
 
     python tools/residual_hex.py dump OUT.json [--root CHECKOUT]
     python tools/residual_hex.py diff A.json B.json
+    python tools/residual_hex.py check [LEDGER.json]
 
 ``dump`` runs, in this process, every item of the perfbench workload configs
 that ``perfbench/generate.py --seed N`` writes at seeds 0, 1 and 2 (into a
@@ -18,7 +19,10 @@ relative change, and each item or level that only one dump holds; it exits
 
 ``RESIDUALS.json`` at the repository root is the ledger: this checkout's
 dump, which ``tests/test_residual_hex.py`` dumps again and holds to
-(``check``).  A change that moves a value re-records it with ``dump
+(``check``).  The ``check`` command does the same from the shell: it dumps
+this checkout, compares it with the ledger (``RESIDUALS.json`` by default),
+says whether it compared bit for bit or within ``REL_BOUND`` and
+``ABS_FLOOR``, lists each moved value and exits 1 when any moved.  A change that moves a value re-records it with ``dump
 RESIDUALS.json`` and says why each value moved.
 """
 
@@ -45,6 +49,7 @@ SEEDS = (0, 1, 2)
 #: move of a change that altered only the rounding of the Jacobi-series
 #: maps (6.4e-8, on trace-inversion).
 REL_BOUND, ABS_FLOOR = 1e-6, 1e-12
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _hex(value):
@@ -106,6 +111,14 @@ def check(ledger: dict, items: dict) -> tuple:
     return exact, diff(ledger["items"], items, None if exact else (REL_BOUND, ABS_FLOOR))
 
 
+def compared(exact: bool, ledger: dict) -> str:
+    """How ``check`` compared with ``ledger``, in words."""
+    if exact:
+        return "bit for bit"
+    return (f"within {REL_BOUND:g} relative + {ABS_FLOOR:g}: the ledger was written by Python "
+            f"{ledger.get('python')} and numpy {ledger.get('numpy')}, this is {versions()}")
+
+
 def _within(a, b, bound: tuple) -> bool:
     """Both float.hex values present, finite and within ``bound``."""
     if a is None or b is None:
@@ -149,19 +162,26 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_dump = sub.add_parser("dump", help="write every residual as float.hex")
     p_dump.add_argument("out")
-    p_dump.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
-                        help="checkout to run (default: this one)")
+    p_dump.add_argument("--root", default=str(ROOT), help="checkout to run (default: this one)")
     p_diff = sub.add_parser("diff", help="list the values that moved between two dumps")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
+    p_check = sub.add_parser("check", help="dump this checkout and list the values that moved "
+                                           "from a ledger")
+    p_check.add_argument("ledger", nargs="?", default=str(ROOT / "RESIDUALS.json"))
     args = parser.parse_args(argv)
     if args.command == "dump":
         items = dump(Path(args.root).resolve())
         Path(args.out).write_text(json.dumps({**versions(), "items": items}, indent=1, sort_keys=True) + "\n")
         print(f"{len(items)} items, {sum(map(len, items.values()))} levels -> {args.out}")
         return 0
-    a, b = (json.loads(Path(p).read_text())["items"] for p in (args.a, args.b))
-    lines = diff(a, b)
+    if args.command == "check":
+        ledger = json.loads(Path(args.ledger).read_text())
+        exact, lines = check(ledger, dump(ROOT))
+        print(f"{args.ledger} compared {compared(exact, ledger)}")
+    else:
+        a, b = (json.loads(Path(p).read_text())["items"] for p in (args.a, args.b))
+        lines = diff(a, b)
     print("\n".join(lines) if lines else "no value moved")
     return 1 if lines else 0
 
