@@ -120,6 +120,21 @@ def reflected():
     return _reflected
 
 
+def _on_side(side, f, p, t=None):
+    """``(f, p, t)`` as the left-sided 1-D operators take them for the
+    operator on ``side``: as given for ``"left"``; for ``"right"`` the
+    reflection of ``f`` and ``p`` (``_reflected``) and the targets ``-t``."""
+    if side == "left":
+        return f, p, t
+    g, r = _reflected(f, p)
+    return g, r, None if t is None else -t
+
+
+@pytest.fixture
+def on_side():
+    return _on_side
+
+
 def _sigma_one_cr(coeffs, w: complex, alpha: float, x, y):
     """Closed-form component of the proportional CR operator of the
     holomorphic polynomial field ``sum_k coeffs[k] z^k`` at the proportion

@@ -123,7 +123,9 @@ class TestPropFracIntegral:
         assert -order >= 2.0
 
 
-SCHEMES = ["graded", "gauss_jacobi"]
+# the right side runs as the left side on the reflected line (``on_side``)
+SCHEMES_AND_SIDES = [(scheme, side) for scheme in ("graded", "gauss_jacobi")
+                     for side in ("left", "right")]
 
 
 class TestTargetDedup:
@@ -135,32 +137,32 @@ class TestTargetDedup:
     def spec(self, weight):
         return FracSpec(0.45, 0.7, weight)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_tiled_targets_equal_tiled_result(self, cubic_weight, scheme):
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_tiled_targets_equal_tiled_result(self, cubic_weight, on_side, scheme, side):
         q = Quadrature1D(n=64, scheme=scheme)
-        once = prop_frac_integral(np.cos, self.spec(cubic_weight), self.XS, q)
-        tiled = prop_frac_integral(np.cos, self.spec(cubic_weight), np.tile(self.XS, 64), q)
+        f, spec, xs = on_side(side, np.cos, self.spec(cubic_weight), self.XS)
+        once = prop_frac_integral(f, spec, xs, q)
+        tiled = prop_frac_integral(f, spec, np.tile(xs, 64), q)
         assert np.array_equal(tiled, np.tile(once, 64))
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_shape_and_scalar_kept(self, cubic_weight, scheme):
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_shape_and_scalar_kept(self, cubic_weight, on_side, scheme, side):
         q = Quadrature1D(n=64, scheme=scheme)
-        spec = self.spec(cubic_weight)
-        grid = np.tile(self.XS[:4], (3, 1))
-        got = prop_frac_integral(np.cos, spec, grid, q)
+        f, spec, grid = on_side(side, np.cos, self.spec(cubic_weight), np.tile(self.XS[:4], (3, 1)))
+        got = prop_frac_integral(f, spec, grid, q)
         assert got.shape == grid.shape
         assert np.array_equal(got[0], got[2])
-        one = prop_frac_integral(np.cos, spec, 0.3, q)
+        one = prop_frac_integral(*on_side(side, np.cos, self.spec(cubic_weight), 0.3), q)
         assert np.ndim(one) == 0
         assert one == got[0, 2]
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_checks_still_raise(self, identity_weight, scheme):
-        spec = FracSpec(0.3, 0.8, identity_weight)
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
+    def test_checks_still_raise(self, identity_weight, on_side, scheme, side):
         bad = np.tile(self.XS, 64)
         bad[100] = 1.5
+        f, spec, bad = on_side(side, np.cos, FracSpec(0.3, 0.8, identity_weight), bad)
         with pytest.raises(DomainError):
-            prop_frac_integral(np.cos, spec, bad, Quadrature1D(n=16, scheme=scheme))
+            prop_frac_integral(f, spec, bad, Quadrature1D(n=16, scheme=scheme))
 
 
 class TestWeightPipeline:
@@ -169,25 +171,26 @@ class TestWeightPipeline:
     XS = np.array([0.05, 0.9, 0.3, 0.62, 0.5, 0.17, 0.999])
 
     @pytest.mark.parametrize("beta", [0.4, 1e-5])  # both branches of _panel_weights
-    def test_row_sums_integrate_a_constant_exactly(self, cubic_weight, beta):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_row_sums_integrate_a_constant_exactly(self, cubic_weight, on_side, beta, side):
         # with f = 1 and sigma = 1 the rule integrates v^(beta-1)/Gamma(beta)
         # over [0, L], L the extent of the mesh in v: L^beta / Gamma(beta+1)
-        p = FracSpec(beta, 1.0, cubic_weight)
-        tau, wts = fracops1d._rule(p, self.XS, Quadrature1D(n=512))
-        big_l = np.abs(cubic_weight.phi(self.XS) - cubic_weight.phi(tau[:, -1]))
+        _, p, xs = on_side(side, None, FracSpec(beta, 1.0, cubic_weight), self.XS)
+        tau, wts = fracops1d._rule(p, xs, Quadrature1D(n=512))
+        big_l = np.abs(p.weight.phi(xs) - p.weight.phi(tau[:, -1]))
         expected = big_l**beta / gamma(beta + 1.0)
         assert np.allclose(wts.sum(axis=1), expected, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme,side", SCHEMES_AND_SIDES)
     def test_block_size_never_changes_a_result(self, cubic_weight, identity_weight, monkeypatch,
-                                               scheme):
+                                               on_side, scheme, side):
         q = Quadrature1D(n=64, scheme=scheme)
         for weight in (cubic_weight, identity_weight):  # general and affine weights
-            spec = FracSpec(0.45, 0.7, weight)
+            f, spec, xs = on_side(side, np.cos, FracSpec(0.45, 0.7, weight), self.XS)
             results = []
             for rows in (1, 3, self.XS.size):
                 monkeypatch.setattr(fracops1d, "_CHUNK_ELEMENTS", rows * q.n)
-                results.append(prop_frac_integral(np.cos, spec, self.XS, q))
+                results.append(prop_frac_integral(f, spec, xs, q))
             assert all(np.array_equal(r, results[-1]) for r in results)
 
 
@@ -206,6 +209,20 @@ def power_weight(exponent, declared=True, offset=0.3, lo=0.5, hi=1.5):
         phi=lambda t: offset + np.asarray(t, dtype=float) ** exponent,
         dphi=lambda t: exponent * np.asarray(t, dtype=float) ** (exponent - 1.0),
         lo=lo, hi=hi, exponent=exponent if declared else None)
+
+
+def power_rule_nodes(w, ts, u):
+    """Nodes and ``L`` of the rows ``_rule`` builds on ``w`` at ``ts`` and the
+    fractions ``u``: ``(t^d - L*u)^(1/d)`` with ``L = power_gap(t)`` for a
+    weight declared in power form, ``inverse(phi(t) - L*u)`` with ``L =
+    |phi(t) - phi(lo)|`` for any other.  The reflection of a power weight
+    that is not affine has no power form, so its right side takes the
+    second."""
+    if w.exponent is None:
+        big_l = np.abs(w.phi(ts) - w.phi(w.lo))
+        return w.inverse(w.phi(ts)[:, None] - big_l[:, None] * u), big_l
+    big_l = np.maximum(w.power_gap(ts), 0.0)
+    return ((ts**w.exponent)[:, None] - big_l[:, None] * u) ** (1.0 / w.exponent), big_l
 
 
 def sqrt_cos(t):
@@ -277,15 +294,18 @@ class TestAffineWeights:
 
     @pytest.mark.parametrize("beta", [0.45, 1e-4])  # both branches of _panel_weights
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_unit_exponent_rows_are_the_affine_rows(self, sigma, beta):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unit_exponent_rows_are_the_affine_rows(self, on_side, side, sigma, beta):
         # the affine rows as they were written before the power form: tau =
         # t + (lo - t)*u, and each row (t - lo)^beta / sigma^beta times the
-        # reference row, times the tempered factor
-        lo, hi = -0.3, 1.1
-        w = affine_weight(0.2, lo, hi)
-        ts = np.linspace(lo, hi, 7)
+        # reference row, times the tempered factor; the right side's rows
+        # are these on the reflected line, still affine and declared
+        _, p, ts = on_side(side, None, FracSpec(beta, sigma, affine_weight(0.2, -0.3, 1.1)),
+                           np.linspace(-0.3, 1.1, 7))
+        lo = p.weight.lo
+        assert p.weight.exponent == 1.0
         q = Quadrature1D(n=64)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
+        tau, wts = fracops1d._rule(p, ts, q)
         u, row = fracops1d._reference_row("graded", q.n, beta)
         big_l = np.maximum(ts - lo, 0.0)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
@@ -298,61 +318,63 @@ class TestAffineWeights:
     @pytest.mark.parametrize("exponent", [1.0, 0.6])
     @pytest.mark.parametrize("beta", [0.45, 1e-4])
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_gauss_jacobi_rows_scale_the_reference_row(self, sigma, beta, exponent):
-        # the Gauss-Jacobi twin: nodes tau = (t^d - L*u)^(1/d) at u = (1 +
-        # x)/2, and each row L^beta / sigma^beta times wj * 2^-beta /
-        # Gamma(beta), times the tempered factor, with L = t^d - lo^d
-        lo, hi = 0.5, 1.5
-        w = power_weight(exponent, lo=lo, hi=hi)
-        ts = np.linspace(lo, hi, 7)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_gauss_jacobi_rows_scale_the_reference_row(self, on_side, side, sigma, beta, exponent):
+        # the Gauss-Jacobi twin: nodes at u = (1 + x)/2 (power_rule_nodes),
+        # and each row L^beta / sigma^beta times wj * 2^-beta / Gamma(beta),
+        # times the tempered factor
+        _, p, ts = on_side(side, None, FracSpec(beta, sigma, power_weight(exponent, lo=0.5, hi=1.5)),
+                           np.linspace(0.5, 1.5, 7))
         q = Quadrature1D(n=32, scheme="gauss_jacobi")
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
+        tau, wts = fracops1d._rule(p, ts, q)
         x, wj = fracops1d._jacobi_rule(q.n, beta)
         u = 0.5 * (1.0 + x)
         row = wj * (2.0 ** (-beta) / math.gamma(beta))
-        gap = w.power_gap(ts)
-        big_l = np.maximum(gap, 0.0)
+        nodes, big_l = power_rule_nodes(p.weight, ts, u)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
-        assert np.array_equal(tau, ((ts**exponent)[:, None] - gap[:, None] * u) ** (1.0 / exponent))
+        assert np.array_equal(tau, nodes)
         assert np.array_equal(wts, want)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_graded_power_rows_scale_the_reference_row(self, sigma):
-        # a declared power weight's graded rows take L from _singular_range
-        # too: nodes (t^d - L*u)^(1/d) at the graded fractions u, and each
-        # row L^beta / sigma^beta times the reference row, times the
-        # tempered factor, with L = power_gap from the anchor
-        lo, hi, exponent, beta = 0.5, 1.5, 0.6, 0.45
-        w = power_weight(exponent, lo=lo, hi=hi)
-        ts = np.linspace(lo, hi, 7)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_graded_power_rows_scale_the_reference_row(self, on_side, side, sigma):
+        # a power weight's graded rows take L from _singular_range too: nodes
+        # at the graded fractions u (power_rule_nodes), and each row L^beta /
+        # sigma^beta times the reference row, times the tempered factor
+        exponent, beta = 0.6, 0.45
+        _, p, ts = on_side(side, None, FracSpec(beta, sigma, power_weight(exponent, lo=0.5, hi=1.5)),
+                           np.linspace(0.5, 1.5, 7))
+        w = p.weight
         q = Quadrature1D(n=64)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
+        tau, wts = fracops1d._rule(p, ts, q)
         u, row = fracops1d._reference_row("graded", q.n, beta)
-        gap = w.power_gap(ts)
-        big_l = np.maximum(gap, 0.0)
+        nodes, big_l = power_rule_nodes(w, ts, u)
         want = (big_l**beta * sigma ** (-beta))[:, None] * row
         c = (sigma - 1.0) / sigma
         if c != 0.0:
             want *= np.exp2((big_l * (c * fracops1d._LOG2E))[:, None] * u)
-        assert np.array_equal(tau, ((ts**exponent)[:, None] - gap[:, None] * u) ** (1.0 / exponent))
+        assert np.array_equal(tau, nodes)
         assert np.array_equal(wts, want)
         # the closed-form nodes may round past an end, by less than the
         # 1e-12 that the target check allows
-        assert np.all((tau >= lo - 1e-12) & (tau <= hi + 1e-12))
+        assert np.all((tau >= w.lo - 1e-12) & (tau <= w.hi + 1e-12))
 
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
-    def test_undeclared_rows_scale_the_reference_row(self, scheme):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_undeclared_rows_scale_the_reference_row(self, on_side, side, scheme):
         # an undeclared weight's rows scale the same reference row under
         # both schemes, and their nodes invert phi(t) - L*u, with L =
         # |phi(t) - phi(lo)|
-        lo, hi, beta, sigma = 0.5, 1.5, 0.45, 0.7
-        w = power_weight(0.6, declared=False, lo=lo, hi=hi)
-        ts = np.linspace(lo, hi, 7)
+        beta, sigma = 0.45, 0.7
+        _, p, ts = on_side(side, None,
+                           FracSpec(beta, sigma, power_weight(0.6, declared=False, lo=0.5, hi=1.5)),
+                           np.linspace(0.5, 1.5, 7))
+        w, lo, hi = p.weight, p.weight.lo, p.weight.hi
         q = Quadrature1D(n=32, scheme=scheme)
-        tau, wts = fracops1d._rule(FracSpec(beta, sigma, w), ts, q)
+        tau, wts = fracops1d._rule(p, ts, q)
         u, row = fracops1d._reference_row(scheme, q.n, beta)
         big_l = np.abs(w.phi(ts) - w.phi(lo))
         assert np.array_equal(tau, w.inverse(w.phi(ts)[:, None] - big_l[:, None] * u))
@@ -528,33 +550,37 @@ class TestPropFracDerivative:
         if sigma == 1.0:
             np.testing.assert_allclose(want, ts**-0.5 / gamma(0.5), rtol=1e-15)
 
-    def test_array_targets_equal_scalar_calls(self, cubic_weight):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_array_targets_equal_scalar_calls(self, cubic_weight, on_side, side):
         # the value rides in the stencil's integral call; rows depend only on
         # their own target, so batching never changes a bit
-        spec = FracSpec(0.4, 0.6, cubic_weight)
+        f, spec, ts = on_side(side, np.cos, FracSpec(0.4, 0.6, cubic_weight),
+                              np.array([0.0, 5e-5, 0.3, 0.3, 0.7, 1.0]))
         q = Quadrature1D(n=256)
-        ts = np.array([0.0, 5e-5, 0.3, 0.3, 0.7, 1.0])
-        got = prop_frac_derivative(np.cos, spec, ts, q)
-        want = [prop_frac_derivative(np.cos, spec, t, q) for t in ts]
+        got = prop_frac_derivative(f, spec, ts, q)
+        want = [prop_frac_derivative(f, spec, t, q) for t in ts]
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch, sigma):
+    def test_integral_term_evaluated_off_proportion_one(self, cubic_weight, monkeypatch, on_side,
+                                                        side, sigma):
         # one integral call: the difference stencil, and at sigma != 1 the
         # targets themselves for the (1 - sigma) term; the value is the full
         # formula's, from separate calls, bit for bit
-        spec = FracSpec(0.4, sigma, cubic_weight)
-        inner = FracSpec(1.0 - 0.4, sigma, cubic_weight)
+        f, spec, ts = on_side(side, np.cos, FracSpec(0.4, sigma, cubic_weight),
+                              np.array([0.0, 0.3, 0.7, 1.0]))
+        w = spec.weight
+        inner = FracSpec(1.0 - 0.4, sigma, w)
         q = Quadrature1D(n=128)
-        ts = np.array([0.0, 0.3, 0.7, 1.0])
-        h = fracops1d.difference_step(0.0, 1.0)
-        tm, tp = np.maximum(ts - h, 0.0), np.minimum(ts + h, 1.0)
+        h = fracops1d.difference_step(w.lo, w.hi)
+        tm, tp = np.maximum(ts - h, w.lo), np.minimum(ts + h, w.hi)
 
         def g(s):
-            return prop_frac_integral(np.cos, inner, s, q)
+            return prop_frac_integral(f, inner, s, q)
 
         dg = (g(tp) - g(tm)) / (tp - tm)
-        want = (1.0 - sigma) * g(ts) + sigma * dg / cubic_weight.dphi(ts)
+        want = (1.0 - sigma) * g(ts) + sigma * dg / w.dphi(ts)
 
         targets, integral = [], fracops1d.prop_frac_integral
 
@@ -563,22 +589,24 @@ class TestPropFracDerivative:
             return integral(f, p, t, q)
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
-        got = prop_frac_derivative(np.cos, spec, ts, q)
+        got = prop_frac_derivative(f, spec, ts, q)
         stencil = [tm, tp] if sigma == 1.0 else [tm, tp, ts]
         assert targets == [np.concatenate(stencil).tolist()]
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("sigma", [1.0, 0.7])
-    def test_targets_checked_as_the_integral_checks_them(self, cubic_weight, sigma):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_targets_checked_as_the_integral_checks_them(self, cubic_weight, on_side, side, sigma):
         # 1e-13 past the anchor is refused at every proportion: at sigma = 1
-        # only the stencil, clipped to the interval, reaches the integral
+        # only the stencil, clipped to the interval, reaches the integral.
+        # The right side's anchor is b, the reflected line's lower end
         spec, q = FracSpec(0.4, sigma, cubic_weight), Quadrature1D(n=16)
-        past, far = -1e-13, 1.0 + 1e-13
+        past, far = (-1e-13, 1.0 + 1e-13) if side == "left" else (1.0 + 1e-13, -1e-13)
         with pytest.raises(DomainError, match="left integral needs"):
-            prop_frac_derivative(np.cos, spec, past, q)
+            prop_frac_derivative(*on_side(side, np.cos, spec, past), q)
         with pytest.raises(DomainError, match="outside"):
-            prop_frac_derivative(np.cos, spec, far + (far - 0.5) * 1e-10, q)
-        assert np.isfinite(prop_frac_derivative(np.cos, spec, far, q))
+            prop_frac_derivative(*on_side(side, np.cos, spec, far + (far - 0.5) * 1e-10), q)
+        assert np.isfinite(prop_frac_derivative(*on_side(side, np.cos, spec, far), q))
 
     def test_sigma_zero_is_the_identity(self, cubic_weight):
         ts = np.array([0.0, 0.3, 1.0])
@@ -621,47 +649,57 @@ class TestTabulate:
     def field(t):
         return 1.5 + np.sin(3.0 * t) + 0.5j * np.cos(t)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
     @pytest.mark.parametrize("weight", ["affine", "fractal", "cubic"])
-    def test_surrogate_matches_the_rule(self, monkeypatch, weight, scheme):
+    def test_surrogate_matches_the_rule(self, monkeypatch, on_side, weight, scheme, side):
         w = self.WEIGHTS[weight]
         q = Quadrature1D(n=128, scheme=scheme)
-        near = w.lo + (w.hi - w.lo) * np.logspace(-9, -1, 9)
-        ts = np.concatenate([np.linspace(w.lo, w.hi, 201)[1:-1], near])
+        span = w.hi - w.lo
+        anchor, inward = (w.lo, 1.0) if side == "left" else (w.hi, -1.0)
+        near = anchor + inward * span * np.logspace(-9, -1, 9)
+        targets = np.concatenate([np.linspace(w.lo, w.hi, 201)[1:-1], near])
         sizes = _sample_sizes(monkeypatch)
         for sigma in (0.05, 0.7, 1.0):
             for beta in (1e-6, 0.3, 0.5, 0.999):
-                p = FracSpec(beta, sigma, w)
+                f, p, ts = on_side(side, self.field, FracSpec(beta, sigma, w), targets)
                 sizes.clear()
-                got = tabulate(self.field, p, q)(ts)
+                got = tabulate(f, p, q)(ts)
                 assert sizes[0] == 32 and all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
-                want = fracops1d.prop_frac_integral(self.field, p, ts, q)
+                want = fracops1d.prop_frac_integral(f, p, ts, q)
                 err = np.abs(got - want) / np.abs(want)
                 assert np.max(err) <= 1e-13
 
-    def test_sigma_zero_is_f_itself(self, cubic_weight, monkeypatch):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_sigma_zero_is_f_itself(self, cubic_weight, monkeypatch, on_side, side):
         def no_integral(*args):
             raise AssertionError("sigma = 0 needs no integral")
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", no_integral)
-        surrogate = tabulate(self.field, FracSpec(0.4, 0.0, cubic_weight), Quadrature1D(n=64))
-        ts = np.linspace(0.0, 1.0, 7).reshape(7, 1)
-        assert np.array_equal(surrogate(ts), self.field(ts) + 0.0j)
-        assert surrogate(0.3) == self.field(0.3) and np.ndim(surrogate(0.3)) == 0
+        f, p, xs = on_side(side, self.field, FracSpec(0.4, 0.0, cubic_weight),
+                           np.append(np.linspace(0.0, 1.0, 7), 0.3))
+        surrogate = tabulate(f, p, Quadrature1D(n=64))
+        ts, t = xs[:7].reshape(7, 1), xs[7]
+        assert np.array_equal(surrogate(ts), f(ts) + 0.0j)
+        assert surrogate(t) == f(t) and np.ndim(surrogate(t)) == 0
 
     @pytest.mark.parametrize("scheme", ["graded", "gauss_jacobi"])
-    def test_anchor_gets_the_one_sided_limit(self, identity_weight, scheme):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_anchor_gets_the_one_sided_limit(self, identity_weight, on_side, scheme, side):
         # at order 1e-6 the integral falls from about f to 0 in a layer far
         # thinner than 1e-12 of the span; the anchor sees the outer value
-        p = FracSpec(1e-6, 0.7, identity_weight)
+        f, p, (anchor, inside) = on_side(side, self.field, FracSpec(1e-6, 0.7, identity_weight),
+                                         np.array([0.0, 1e-12] if side == "left"
+                                                  else [1.0, 1.0 - 1e-12]))
         q = Quadrature1D(n=64, scheme=scheme)
-        got = tabulate(self.field, p, q)(0.0)
-        want = prop_frac_integral(self.field, p, 1e-12, q)
-        assert prop_frac_integral(self.field, p, 0.0, q) == 0
+        got = tabulate(f, p, q)(anchor)
+        want = prop_frac_integral(f, p, inside, q)
+        assert prop_frac_integral(f, p, anchor, q) == 0
         assert abs(want) > 1.0 and abs(got - want) <= 1e-13 * abs(want)
         assert np.ndim(got) == 0
 
-    def test_samples_come_back_bit_for_bit(self, cubic_weight, monkeypatch):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_samples_come_back_bit_for_bit(self, cubic_weight, monkeypatch, on_side, side):
         seen = []
         real = fracops1d.prop_frac_integral
 
@@ -670,10 +708,10 @@ class TestTabulate:
             return real(f, p, t, q)
 
         monkeypatch.setattr(fracops1d, "prop_frac_integral", spy)
-        p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
-        surrogate = tabulate(np.cos, p, q)  # a real integrand: 0 * inf in the sums
+        (f, p, _), q = on_side(side, np.cos, FracSpec(0.5, 0.7, cubic_weight)), Quadrature1D(n=128)
+        surrogate = tabulate(f, p, q)  # a real integrand: 0 * inf in the sums
         (xs,) = seen
-        assert np.array_equal(surrogate(xs[::-1]), real(np.cos, p, xs[::-1], q))
+        assert np.array_equal(surrogate(xs[::-1]), real(f, p, xs[::-1], q))
 
     def test_block_size_never_changes_a_value(self, cubic_weight, monkeypatch):
         p, q = FracSpec(0.5, 0.7, cubic_weight), Quadrature1D(n=128)
@@ -798,26 +836,30 @@ class TestDerivativeStencil:
 
 class TestNonFiniteTargets:
     """NaN and infinite targets are refused before any rule row is built,
-    alone and hidden in a batch."""
+    alone and hidden in a batch, on both sides (the right one reflected)."""
 
+    @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("batched", [False, True])
     @pytest.mark.parametrize("operator", [prop_frac_integral, prop_frac_derivative])
-    def test_refused(self, cubic_weight, bad, batched, operator):
+    def test_refused(self, cubic_weight, on_side, side, bad, batched, operator):
         ts = np.array([0.2, 0.5, bad, 0.9]) if batched else bad
         with pytest.raises(DomainError):
-            operator(np.cos, FracSpec(0.4, 0.7, cubic_weight), ts, Quadrature1D(n=16))
+            operator(*on_side(side, np.cos, FracSpec(0.4, 0.7, cubic_weight), ts), Quadrature1D(n=16))
 
-    def test_tolerances_and_messages_kept(self, cubic_weight):
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_tolerances_and_messages_kept(self, cubic_weight, on_side, side):
         # up to 1e-12 beyond the interval counts as inside it, but beyond the
-        # anchor only 1e-14 does
+        # anchor only 1e-14 does; the right side's anchor is b, the reflected
+        # line's lower end
         spec, q = FracSpec(0.4, 0.7, cubic_weight), Quadrature1D(n=16)
-        anchor, far, beyond = -5e-13, 1.0 + 5e-13, 1.0 + 1e-11  # just past, and past 1e-12
+        lo, hi = (-5e-13, -1e-11), (1.0 + 5e-13, 1.0 + 1e-11)  # just past, and past 1e-12
+        (anchor, _), (far, beyond) = (lo, hi) if side == "left" else (hi, lo)
         with pytest.raises(DomainError, match="left integral needs"):
-            prop_frac_integral(np.cos, spec, np.array([0.5, anchor]), q)
-        assert np.isfinite(prop_frac_integral(np.cos, spec, far, q))
+            prop_frac_integral(*on_side(side, np.cos, spec, np.array([0.5, anchor])), q)
+        assert np.isfinite(prop_frac_integral(*on_side(side, np.cos, spec, far), q))
         with pytest.raises(DomainError, match="outside"):
-            prop_frac_integral(np.cos, spec, np.array([0.5, beyond]), q)
+            prop_frac_integral(*on_side(side, np.cos, spec, np.array([0.5, beyond])), q)
 
 
 def _series_weights():
