@@ -40,9 +40,11 @@ gets them in closed form, and any other weight by Newton's method on
 
 ``derivative_of_integral`` builds no row: it takes the left derivative of a
 left integral on Jacobi series of the line, and ``derivative_of_one`` that of
-one in closed form, for the composition identity.  The series' weights are
-not singular, and their nodes and analysis maps come from one
-eigendecomposition of the Jacobi matrix each (``_jacobi_analysis``).
+one in closed form, for the composition identity.  The series sample at the
+Gauss-Legendre nodes, whose analysis map comes from one eigendecomposition
+of the Legendre Jacobi matrix (``_jacobi_analysis``); the map from Legendre
+coefficients to those of the integral in ``P_k^(0,gamma)`` is the Jacobi
+connection formula, in closed form (``_series_maps``).
 
 Evaluation points may be scalars or numpy arrays; integrand callables must
 accept numpy arrays.
@@ -270,10 +272,12 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
     by the Jacobi fractional-integral formula (Chen, Shen & Wang, Math. Comp.
     85 (2016) 1603-1638), ``I f = sigma^-gamma (L/2)^gamma (1+x)^gamma sum
     a_k Gamma(k+1)/Gamma(k+gamma+1) P_k^(-gamma,gamma)(x)`` at ``t``.  The
-    derivative acts on that integral, not by the semigroup: it expands
-    ``exp(-c(U - U(t))) I f / (1+x)^gamma``, sampled at the Gauss-Jacobi
-    nodes of ``(1+x)^gamma``, in ``P_k^(0,gamma)`` and maps each term to
-    ``sigma^gamma (L/2)^-gamma Gamma(k+gamma+1)/Gamma(k+1) P_k^(gamma,0)``.
+    derivative acts on that integral, not by the semigroup: the coefficients
+    of ``exp(-c(U - U(t))) I f / (1+x)^gamma`` in ``P_k^(0,gamma)`` follow
+    from the ``a_k`` by the connection formula (``_series_maps``), and each
+    term maps to ``sigma^gamma (L/2)^-gamma Gamma(k+gamma+1)/Gamma(k+1)
+    P_k^(gamma,0)``, read at ``x`` as ``(-1)^k P_k^(0,gamma)(-x)`` (DLMF
+    18.6.1), so both sums run on one recurrence.
     ``N`` starts at 32 and doubles, up to 256, while the last quarter of the
     coefficients exceeds 1e-13 of the largest.  The samples sit where ``U =
     L(1+x)/2``, by the inverse of ``power_gap`` for a declared weight and by
@@ -289,7 +293,7 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
         big_l = min(big_l, u0 + 2.0 / abs(c))
     d, n = w.exponent, 32
     while True:
-        x, analysis = _jacobi_analysis(n, 1.0)
+        x, analysis = _jacobi_analysis(n)
         u = 0.5 * big_l * (1.0 + x)
         if d is None:
             ts = w.inverse(float(w.phi(np.asarray(w.lo))) + u)
@@ -304,11 +308,11 @@ def derivative_of_integral(f: Callable, p: FracSpec, t: float) -> tuple:
         n *= 2
     # exp(-c(U - U(t))) I f / (1+x)^gamma over sigma^-gamma (L/2)^gamma, in
     # P_k^(0,gamma); the derivative's sigma^gamma (L/2)^-gamma cancels that factor
-    integral, expand, ratios = _series_maps(n, gamma)
-    series = expand @ (integral @ coef)
+    connect, ratios = _series_maps(n, gamma)
+    series = connect @ coef
     x0 = 2.0 * u0 / big_l - 1.0
     value = (u0 / sigma) ** gamma * (series @ _jacobi_polynomials(n, 0.0, gamma, x0))
-    return value, (ratios * series) @ _jacobi_polynomials(n, gamma, 0.0, x0)
+    return value, (ratios * series) @ _jacobi_polynomials(n, 0.0, gamma, -x0)
 
 
 def derivative_of_one(p: FracSpec, t: float) -> float:
@@ -346,7 +350,7 @@ def derivative_of_one(p: FracSpec, t: float) -> float:
 def _check_targets(w: ScalarWeightFn, ts: np.ndarray) -> None:
     """Refuse targets beyond 1e-12 outside the interval or 1e-14 past the anchor."""
     # one pass each for the extremes; a NaN makes both NaN and fails the test
-    t_min, t_max = np.min(ts, initial=np.inf), np.max(ts, initial=-np.inf)
+    t_min, t_max = ts.min(initial=np.inf), ts.max(initial=-np.inf)
     if not (t_min >= w.lo - 1e-12 and t_max <= w.hi + 1e-12):
         raise DomainError(f"evaluation point outside [{w.lo}, {w.hi}]")
     if t_min < w.lo - 1e-14:
@@ -410,9 +414,8 @@ def _jacobi_rule(n: int, beta_key: float):
     components, and the ``1 / (p_{n-1} p_n')`` form, lose digits at the
     nodes next to the singular end, where a rounding of the node moves them
     far: up to 1e-6 relative at n = 512 and beta = 0.001, against about
-    1e-11 for the Christoffel numbers.  The series weights of
-    ``_jacobi_analysis`` (``beta >= 1``) are not singular and take the
-    eigenvectors instead.
+    1e-11 for the Christoffel numbers.  The Legendre weights of
+    ``_jacobi_analysis`` are not singular and take the eigenvectors instead.
     """
     matrix, diag, off = _jacobi_matrix(n, beta_key)
     x = np.linalg.eigvalsh(matrix)
@@ -437,10 +440,10 @@ def _jacobi_rule(n: int, beta_key: float):
 def _jacobi_recurrence(n: int, a: float, b: float) -> tuple:
     """``(slope, shift, back)`` of ``_jacobi_polynomials``' recurrence for
     ``k = 1 ... n - 2``, ``P_(k+1) = (slope x + shift) P_k - back P_(k-1)``,
-    as tuples of floats.  A ``trace-inversion`` config meets about three
-    ``(n, a, b)`` per distinct order (70 in the benchmark's at its default
-    seed); an entry holds 3 (n - 2) floats, 3 KB at n = 32 and 25 KB at n =
-    256."""
+    as tuples of floats.  ``derivative_of_integral`` reads one ``(n, 0,
+    gamma)`` per series map (23 in the benchmark's ``trace-inversion``
+    config at its default seed); an entry holds 3 (n - 2) floats, 3 KB at n
+    = 32 and 25 KB at n = 256."""
     slope, shift, back = [], [], []
     for k in range(1, n - 1):
         s = 2.0 * k + a + b
@@ -463,35 +466,44 @@ def _jacobi_polynomials(n: int, a: float, b: float, x):
 
 
 @lru_cache(maxsize=64)
-def _jacobi_analysis(n: int, beta: float) -> tuple:
-    """``(x, analysis)`` of the weight ``(1+x)^(beta-1)``, ``beta >= 1``: its
-    ``n`` Gauss nodes, and the map from samples there to coefficients in
-    ``P_k^(0,beta-1)``, exact for degree ``n - 1``; at ``beta = 1`` the
-    Gauss-Legendre nodes and Legendre coefficients.  Both come from one
-    eigendecomposition of the Jacobi matrix (``_jacobi_matrix``; Golub &
-    Welsch): the nodes are its eigenvalues, and column ``j`` of its
-    eigenvectors ``V`` holds ``p_k(x_j) sqrt(w_j)``, so that ``w_j p_k(x_j)
-    = sqrt(mass) V[k,j] V[0,j]`` whatever each column's sign.  Dividing by
-    ``||P_k||`` over ``sqrt(mass)``, ``sqrt(2^beta/(2k+beta))`` over
-    ``sqrt(2^beta/beta)``, gives the map."""
-    x, v = np.linalg.eigh(_jacobi_matrix(n, beta)[0])
-    norm = np.sqrt((2.0 * np.arange(n) + beta) / beta)[:, None]  # sqrt(mass) / ||P_k^(0,beta-1)||
+def _jacobi_analysis(n: int) -> tuple:
+    """``(x, analysis)``: the ``n`` Gauss-Legendre nodes, and the map from
+    samples there to Legendre coefficients, exact for degree ``n - 1``.
+    Both come from one eigendecomposition of the Jacobi matrix of the
+    Legendre weight (``_jacobi_matrix`` at ``beta = 1``; Golub & Welsch):
+    the nodes are its eigenvalues, and column ``j`` of its eigenvectors
+    ``V`` holds ``p_k(x_j) sqrt(w_j)``, so that ``w_j p_k(x_j) = sqrt(2)
+    V[k,j] V[0,j]`` whatever each column's sign.  Dividing by ``||P_k||``
+    over ``sqrt(2)``, ``sqrt(1/(2k+1))``, gives the map."""
+    x, v = np.linalg.eigh(_jacobi_matrix(n, 1.0)[0])
+    norm = np.sqrt(2.0 * np.arange(n) + 1.0)[:, None]  # sqrt(2) / ||P_k||
     return _read_only(x, norm * v * v[0])
 
 
 @lru_cache(maxsize=64)
 def _series_maps(n: int, gamma: float) -> tuple:
-    """Linear maps of ``derivative_of_integral`` at ``n`` terms and order
-    ``gamma``: ``(integral, expand, ratios)``.  ``integral`` takes Legendre
-    coefficients ``a_k`` to ``sum a_k Gamma(k+1)/Gamma(k+gamma+1)
-    P_k^(-gamma,gamma)`` at the Gauss-Jacobi nodes of ``(1+x)^gamma``, and
-    ``expand`` (``_jacobi_analysis``) takes values there to coefficients in
-    ``P_k^(0,gamma)``, exactly for degree ``n - 1``.  ``ratios`` holds
-    ``Gamma(k+gamma+1)/Gamma(k+1)``."""
-    lg = np.array([[math.lgamma(j + s) for j in range(n)] for s in (1.0, 1.0 + gamma)])
-    y, expand = _jacobi_analysis(n, 1.0 + gamma)
-    integral = (np.exp(lg[0] - lg[1])[:, None] * _jacobi_polynomials(n, -gamma, gamma, y)).T
-    return _read_only(integral, expand, np.exp(lg[1] - lg[0]))
+    """``(connect, ratios)`` of ``derivative_of_integral`` at ``n`` terms and
+    order ``gamma``.  ``connect`` takes Legendre coefficients ``a_k`` to the
+    coefficients in ``P_l^(0,gamma)`` of ``sum a_k Gamma(k+1)/Gamma(k+gamma+1)
+    P_k^(-gamma,gamma)``: by the connection formula between Jacobi
+    polynomials of one ``beta`` (DLMF section 18.18), ``connect[l, k] =
+    (2l+gamma+1) q_(k-l) G_(k+l)`` for ``l <= k`` and zero below the
+    diagonal, a Toeplitz factor ``q_m = (-gamma)_m/m!`` times a Hankel factor
+    ``G_s = Gamma(s+1)/Gamma(s+gamma+2)``, each one cumulative product.
+    ``ratios`` holds ``(-1)^k Gamma(k+gamma+1)/Gamma(k+1)``."""
+    m, s = np.arange(1.0, n), np.arange(1.0, 2 * n - 1)
+    q = np.zeros(2 * n - 1)  # q_m at n - 1 + m, zeros before
+    q[n - 1:] = np.cumprod(np.append(1.0, (m - 1.0 - gamma) / m))
+    big_g = np.cumprod(np.append(1.0 / math.gamma(gamma + 2.0), s / (s + gamma + 1.0)))
+    # strided views: row l of the Toeplitz factor starts at q_(-l), of the
+    # Hankel factor at G_l; numpy checks that both stay inside their buffers
+    step = q.itemsize
+    connect = np.ndarray((n, n), float, q, (n - 1) * step, (-step, step)) * np.ndarray(
+        (n, n), float, big_g, 0, (step, step))
+    connect *= (2.0 * np.arange(n) + gamma + 1.0)[:, None]
+    ratios = np.cumprod(np.append(math.gamma(gamma + 1.0), (m + gamma) / m))
+    ratios[1::2] *= -1.0  # P_k^(gamma,0)(x) = (-1)^k P_k^(0,gamma)(-x)
+    return _read_only(connect, ratios)
 
 
 def _auto_grading(beta: float) -> float:

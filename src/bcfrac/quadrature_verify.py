@@ -42,6 +42,7 @@ from .frac_cr_bicomplex import (
 )
 from .hypercomplex import BicomplexNumber, HyperbolicNumber
 from .weighted_cr import (
+    _GL4_NODES,
     CauchyKernel,
     ProductFunction,
     WeightPair,
@@ -138,10 +139,19 @@ class ResidualReport:
 # quadrature node construction
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _gl_reference(pts: int):
-    x, w = np.polynomial.legendre.leggauss(pts)
-    return _read_only(0.5 * (x + 1.0), 0.5 * w)  # on [0, 1]
+    """The ``pts``-point Gauss-Legendre rule moved to ``[0, 1]``, in closed
+    form for the two counts the panels use: ``+-sqrt(1/3)`` with unit
+    weights, or the nodes ``_GL4_NODES`` that close evaluation assumes, with
+    weights ``(18 -+ sqrt(30))/36`` (outer nodes first)."""
+    if pts == 2:
+        x, w = np.array([-1.0, 1.0]) * np.sqrt(1.0 / 3.0), np.ones(2)
+    elif pts == 4:
+        x, w = _GL4_NODES, (18.0 + np.array([-1.0, 1.0, 1.0, -1.0]) * np.sqrt(30.0)) / 36.0
+    else:
+        raise ValueError(f"no closed-form Gauss-Legendre rule of {pts} points")
+    return _read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 @lru_cache(maxsize=256)

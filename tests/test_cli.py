@@ -914,6 +914,21 @@ class TestRuntime:
             sum(map(len, EXPERIMENT_PRESETS.values()))
         assert lines[-1] == "[]"
 
+    def test_verify_does_not_import_numpy_polynomial(self, tmp_path):
+        # the panel rules are written in closed form; this runs in a fresh
+        # interpreter because the test suite's conftest imports the module
+        path = tmp_path / "bundles.json"
+        path.write_text(json.dumps({"experiments": ["classical", "bg-reduction"]}))
+        code = ("import sys; from bcfrac.cli import main; "
+                f"rc = main(['verify', '--config', {str(path)!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                "print('numpy.polynomial' in sys.modules); sys.exit(rc)")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src,
+                                  "OPENBLAS_NUM_THREADS": "1"}, timeout=300)
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "False"
+
     @pytest.fixture
     def fresh_allocator_setting(self):
         from bcfrac.cli import _keep_freed_memory

@@ -505,8 +505,8 @@ class TestInversionCanFail:
         real = fracops1d._series_maps
 
         def wrong(n, gamma_):
-            integral, expand, ratios = real(n, gamma_)
-            return 1.02 * integral, expand, ratios
+            connect, ratios = real(n, gamma_)
+            return 1.02 * connect, ratios
 
         monkeypatch.setattr(fracops1d, "_series_maps", wrong)
         residual, tolerance = _fractal_inversion_residual()

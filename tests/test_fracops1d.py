@@ -1170,42 +1170,107 @@ class TestScipyOracles:
 
 
 class TestSeriesRule:
-    """``_jacobi_analysis``, the nodes and analysis map of the Jacobi series
-    read off one eigendecomposition: for ``expand`` of ``_series_maps`` at
-    order ``gamma``, and at ``gamma = 0`` for the Legendre analysis of
-    ``derivative_of_integral``."""
+    """The maps of ``derivative_of_integral``'s Jacobi series:
+    ``_jacobi_analysis``, the Legendre nodes and analysis map read off one
+    eigendecomposition, and ``_series_maps``, the connection map from
+    Legendre coefficients to those of the integral in ``P_l^(0,gamma)``, in
+    closed form."""
 
     @pytest.mark.parametrize("n", [32, 256])
-    @pytest.mark.parametrize("gamma", [0.0, 1e-6, 0.5, 0.999999])
-    def test_analysis_inverts_the_polynomials_at_exact_nodes(self, n, gamma):
-        from scipy.special import eval_jacobi
+    def test_analysis_inverts_the_polynomials_at_exact_nodes(self, n):
+        from scipy.special import eval_legendre
 
-        y, analysis = fracops1d._jacobi_analysis(n, 1.0 + gamma)
-        values = eval_jacobi(np.arange(n), 0.0, gamma, y[:, None])  # P_m^(0,gamma) at the nodes
-        # measured at most 7.4e-14, at n = 256 and gamma = 1e-6
+        y, analysis = fracops1d._jacobi_analysis(n)
+        values = eval_legendre(np.arange(n), y[:, None])  # P_m at the nodes
+        # measured at most 5.4e-14, at n = 256
         assert np.max(np.abs(analysis @ values - np.eye(n))) <= 1e-13
         # the eigenvalues are within 4.4e-16 of the nodes in 30 digits
         picks = [0, 1, n // 2, n - 2, n - 1]
-        exact_y, _ = _exact_jacobi_rule(mpmath, n, 1.0 + gamma, y[picks])
+        exact_y, _ = _exact_jacobi_rule(mpmath, n, 1.0, y[picks])
         assert np.max(np.abs(y[picks] - exact_y)) <= 1e-15
 
-    @pytest.mark.parametrize("n", [32, 256])
-    @pytest.mark.parametrize("gamma", [0.0, 1e-6, 0.5, 0.999999])
-    def test_maps_agree_with_the_christoffel_rule(self, n, gamma):
+    @pytest.mark.parametrize("gamma, n", [(0.0, 32), (0.0, 256), (1e-6, 32), (0.5, 32),
+                                          (0.999999, 32)])
+    def test_maps_agree_with_the_christoffel_rule(self, gamma, n):
         # the construction of Newton-refined nodes and Christoffel weights
         # with a second recurrence for P_k^(0,gamma) gives the same maps: at
-        # most 9.2e-14 of the largest entry, at n = 256 and gamma = 0
+        # most 9.2e-14 of the largest entry, at n = 256 and gamma = 0.  At
+        # n = 256 and gamma = 1e-6 this construction is itself 2.7e-13 off
+        # the exact connection map, so there the mpmath check below stands in
         y, wy = fracops1d._jacobi_rule(n, 1.0 + gamma)
         norm = (2.0 * np.arange(n)[:, None] + gamma + 1.0) / 2.0 ** (gamma + 1.0)
         expand = norm * wy * fracops1d._jacobi_polynomials(n, 0.0, gamma, y)
         if gamma == 0.0:
-            want, got = expand, fracops1d._jacobi_analysis(n, 1.0)[1]
+            want, got = expand, fracops1d._jacobi_analysis(n)[1]
         else:
             ratios = np.exp([math.lgamma(k + 1.0) - math.lgamma(k + 1.0 + gamma) for k in range(n)])
             integral = (ratios[:, None] * fracops1d._jacobi_polynomials(n, -gamma, gamma, y)).T
-            maps = fracops1d._series_maps(n, gamma)
-            want, got = expand @ integral, maps[1] @ maps[0]
+            want, got = expand @ integral, fracops1d._series_maps(n, gamma)[0]
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [32, 256])
+    @pytest.mark.parametrize("gamma", [1e-6, 0.3, 0.5, 0.999999])
+    def test_connect_matches_the_closed_form(self, gamma, n):
+        # (2l+gamma+1) (-gamma)_(k-l)/(k-l)! Gamma(k+l+1)/Gamma(k+l+gamma+2)
+        # in 30 digits: every entry on and above the diagonal at n = 32, 300
+        # seeded ones at n = 256.  Measured at most 1.8e-15 and 9.0e-15 (9.5e-15
+        # over every entry at n = 256), at gamma = 1e-6; the product of the
+        # eigendecomposition maps it replaced was 2.1e-14 and 2.9e-13 off there
+        connect, ratios = fracops1d._series_maps(n, gamma)
+        assert not np.any(np.tril(connect, -1))
+        picks = np.transpose(np.triu_indices(n))
+        if n == 256:
+            picks = picks[np.random.default_rng(54).choice(len(picks), 300, replace=False)]
+        with mpmath.workdps(30):
+            g = mpmath.mpf(gamma)
+            want = [float((2 * l + g + 1) * mpmath.rf(-g, k - l) / mpmath.factorial(k - l)
+                          * mpmath.gamma(k + l + 1) / mpmath.gamma(k + l + g + 2))
+                    for l, k in picks.tolist()]
+            exact_ratios = [float((-1) ** k * mpmath.gamma(k + g + 1) / mpmath.gamma(k + 1))
+                            for k in range(n)]
+        assert np.max(np.abs(connect[picks[:, 0], picks[:, 1]] - want)) <= 2e-14
+        np.testing.assert_allclose(ratios, exact_ratios, rtol=1e-13)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 0.3, 0.999999])
+    def test_reflection_reads_the_derivative_polynomials(self, gamma):
+        # P_k^(gamma,0)(x) = (-1)^k P_k^(0,gamma)(-x), which lets the value
+        # and the derivative of derivative_of_integral share one recurrence
+        from scipy.special import eval_jacobi
+
+        n, x = 64, np.linspace(-1.0, 1.0, 9)
+        got = (-1.0) ** np.arange(n)[:, None] * fracops1d._jacobi_polynomials(n, 0.0, gamma, -x)
+        want = np.array([eval_jacobi(k, gamma, 0.0, x) for k in range(n)])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    def test_each_order_builds_one_map_and_one_recurrence(self, monkeypatch):
+        # five orders on an input whose Legendre series stops at N = 32: one
+        # eigendecomposition (the Legendre analysis) for all of them, and per
+        # order one connection map and one recurrence, read at points only
+        caches = (fracops1d._jacobi_analysis, fracops1d._series_maps,
+                  fracops1d._jacobi_recurrence)
+        for cache in caches:
+            cache.cache_clear()
+        eigh, points = [], []
+        real_eigh, real_polynomials = np.linalg.eigh, fracops1d._jacobi_polynomials
+
+        def spy_eigh(matrix):
+            eigh.append(matrix.shape)
+            return real_eigh(matrix)
+
+        def spy_polynomials(n, a, b, x):
+            points.append(np.ndim(x))
+            return real_polynomials(n, a, b, x)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(fracops1d, "_jacobi_polynomials", spy_polynomials)
+        w = affine_weight(0.0, 0.0, 1.0)
+        for order in (0.1, 0.3, 0.5, 0.7, 0.9):
+            _, d_value = fracops1d.derivative_of_integral(np.cos, FracSpec(order, 0.8, w), 0.6)
+            assert abs(d_value - np.cos(0.6)) <= 1e-12
+        assert eigh == [(32, 32)]
+        assert [cache.cache_info().misses for cache in caches] == [1, 5, 5]
+        assert fracops1d._jacobi_recurrence.cache_info().currsize == 5
+        assert points == [0] * 10
 
 
 def _exact_jacobi_rule(mpmath, n, beta, nodes):

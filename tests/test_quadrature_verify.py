@@ -579,7 +579,7 @@ def test_fit_order_of_a_quartering_sequence_is_exactly_two(levels):
 
 
 def test_cached_rule_arrays_are_read_only():
-    from bcfrac.fracops1d import _jacobi_rule, _reference_row
+    from bcfrac.fracops1d import _jacobi_analysis, _jacobi_rule, _reference_row, _series_maps
     from bcfrac.quadrature_verify import (
         _area_nodes,
         _boundary_nodes,
@@ -591,6 +591,8 @@ def test_cached_rule_arrays_are_read_only():
     cached = [
         _reference_row("graded", 16, 0.5),
         _jacobi_rule(8, 0.5),
+        _jacobi_analysis(8),
+        _series_maps(8, 0.5),
         _gl_reference(4),
         _panel_rule(0.0, 1.0, 4, 2),
         _boundary_nodes(bounds, 4),
@@ -600,6 +602,29 @@ def test_cached_rule_arrays_are_read_only():
         for a in arrays:
             with pytest.raises(ValueError):
                 a[0] = 0.0
+
+
+@pytest.mark.parametrize("pts", [2, 4])
+def test_panel_reference_rule_is_gauss_legendre(pts):
+    # the closed-form rules against numpy's, to rounding (its weights are
+    # up to 5 ulp off theirs); both integrate every monomial of degree below
+    # 2 pts on [0, 1]
+    from bcfrac.quadrature_verify import _gl_reference
+
+    x, w = _gl_reference(pts)
+    xs, ws = np.polynomial.legendre.leggauss(pts)
+    np.testing.assert_allclose(x, 0.5 * (xs + 1.0), rtol=0.0, atol=2.3e-16)
+    np.testing.assert_allclose(w, 0.5 * ws, rtol=0.0, atol=4.5e-16)
+    for j in range(2 * pts):
+        assert abs(w @ x**j - 1.0 / (j + 1)) <= 4e-16
+
+
+@pytest.mark.parametrize("pts", [1, 3, 8])
+def test_panel_reference_rule_refuses_other_point_counts(pts):
+    from bcfrac.quadrature_verify import _gl_reference
+
+    with pytest.raises(ValueError, match="Gauss-Legendre"):
+        _gl_reference(pts)
 
 
 BP_GENERAL_PAIR = (1.0933 + 0.2109j, -0.5926 + 1.3771j)
